@@ -2,14 +2,14 @@
 //! interface.
 //!
 //! A fabric node is anything that can consume cell arrivals on its input
-//! ports and produce cell emissions on its output ports, advanced one
-//! *sync window* at a time. The runtime guarantees the adapter two
-//! invariants, both consequences of the topology's single-driver
-//! discipline and the conservative window rule (lookahead = link
-//! latency, see `runtime`):
+//! ports and produce cell emissions on its output ports, advanced over a
+//! span `[from, to)` of one *or many* sync windows per call. The runtime
+//! guarantees the adapter two invariants, both consequences of the
+//! topology's single-driver discipline and the conservative run-ahead
+//! rule (lookahead = link latency, see `runtime`):
 //!
 //! 1. `inbox` holds **every** arrival with `from <= cycle < to`, sorted
-//!    by `(cycle, port)` — no late arrival for this window can exist
+//!    by `(cycle, port)` — no late arrival for this span can exist
 //!    anywhere in the system when `run_window` is called;
 //! 2. `(cycle, port)` pairs are unique: an input port sees at most one
 //!    cell per cycle, and for the packet-paced organizations (behavioral
@@ -17,10 +17,13 @@
 //!    consecutive arrivals on one port are at least `S` cycles apart.
 //!
 //! In return the adapter promises that every emission it reports has
-//! `from <= cycle < to` — emissions are published exactly once, in the
-//! window in which they happen, so a downstream element (whose matching
-//! arrival lands at `cycle + latency`, i.e. in a *later* window) can
-//! never observe a gap.
+//! `from <= cycle < to` — emissions are published exactly once, by the
+//! call that simulates their cycle, so a downstream element (whose
+//! matching arrival lands at `cycle + latency`, i.e. in a *later* window)
+//! can never observe a gap — and that splitting a span into several calls
+//! changes nothing: one `run_window(0, kL)` emits exactly what `k`
+//! single-window calls emit, cycle-ordered on every output port (the
+//! order *across* ports within `outbox` is unspecified).
 //!
 //! Three adapters ship:
 //!
@@ -71,11 +74,13 @@ pub struct Emission {
     pub cell: Cell,
 }
 
-/// One fabric node: a switch element advanced window by window.
+/// One fabric node: a switch element advanced span by span.
 pub trait FabricElement: Send {
-    /// Simulate cycles `[from, to)`. `inbox` is the complete, `(cycle,
-    /// port)`-sorted arrival set for the window; emissions (all with
-    /// `from <= cycle < to`) are appended to `outbox`.
+    /// Simulate cycles `[from, to)` — `to − from` may span many sync
+    /// windows, and the result must not depend on how the runtime cuts
+    /// time into calls. `inbox` is the complete, `(cycle, port)`-sorted
+    /// arrival set for the span; emissions (all with `from <= cycle <
+    /// to`) are appended to `outbox`.
     fn run_window(&mut self, from: Cycle, to: Cycle, inbox: &[Arrival], outbox: &mut Vec<Emission>);
 
     /// Cells currently buffered inside the element.
@@ -219,6 +224,7 @@ impl FabricElement for ScalarElement {
         debug_assert!(self.cursor <= from);
         self.cursor = self.cursor.max(from);
         let mut next = 0usize; // inbox read pointer
+        let (mut executed, mut skipped) = (0u64, 0u64);
         while self.cursor < to {
             // Fast-forward: with an empty pool nothing can depart, so an
             // arrival-free span is dead time — jump straight to the next
@@ -226,7 +232,7 @@ impl FabricElement for ScalarElement {
             if self.pool == 0 {
                 let target = inbox.get(next).map_or(to, |a| a.cycle.min(to));
                 if target > self.cursor {
-                    note_skipped(target - self.cursor);
+                    skipped += target - self.cursor;
                     self.cursor = target;
                     if self.cursor >= to {
                         break;
@@ -257,9 +263,13 @@ impl FabricElement for ScalarElement {
                     });
                 }
             }
-            note_executed(1);
+            executed += 1;
             self.cursor = c + 1;
         }
+        // One add per call: the counters are process-global, and a
+        // per-cycle RMW makes every shard fight over their cache line.
+        note_executed(executed);
+        note_skipped(skipped);
         debug_assert_eq!(next, inbox.len(), "arrival beyond the window");
     }
 
@@ -288,6 +298,56 @@ impl FabricElement for ScalarElement {
 // Behavioral element
 // ---------------------------------------------------------------------
 
+/// Switch-internal packet id → fabric cell, for ids handed out by a
+/// sequential accept counter: a ring indexed by `id − base`, where `base`
+/// is the oldest id not yet taken. Insert and take are O(1) array
+/// accesses — no hashing on the per-cell, per-hop path.
+///
+/// Cells leave out of id order (each output drains its own queue), so
+/// the ring holds `None` holes behind a waiting front. At most `slots +
+/// n_out` entries are live (buffered, or slot freed with the tail still
+/// on an output link); the ring's *length* also counts the holes, and is
+/// bounded by what the switch can accept while its oldest packet waits —
+/// at most `slots` packet times behind one output, during which every
+/// input accepts at most one packet per packet time.
+#[derive(Debug)]
+struct IdRing {
+    base: u64,
+    cells: VecDeque<Option<Cell>>,
+}
+
+impl IdRing {
+    fn new(first_id: u64) -> Self {
+        IdRing {
+            base: first_id,
+            cells: VecDeque::new(),
+        }
+    }
+
+    /// Track `cell` under `id`, which must be the next sequential id.
+    fn push(&mut self, id: u64, cell: Cell) {
+        debug_assert_eq!(
+            id,
+            self.base + self.cells.len() as u64,
+            "ids are sequential"
+        );
+        self.cells.push_back(Some(cell));
+    }
+
+    /// Remove and return the cell tracked under `id`.
+    fn take(&mut self, id: u64) -> Option<Cell> {
+        let cell = self
+            .cells
+            .get_mut(id.checked_sub(self.base)? as usize)?
+            .take();
+        while let Some(None) = self.cells.front() {
+            self.cells.pop_front();
+            self.base += 1;
+        }
+        cell
+    }
+}
+
 /// A real pipelined-memory switch per node, at cell level.
 ///
 /// The switch assigns its own internal packet ids (sequential over
@@ -296,12 +356,14 @@ impl FabricElement for ScalarElement {
 /// per input in port order, frees never happening between arrivals of
 /// one cycle — to predict those ids and map them back to the fabric
 /// [`Cell`]s, asserting agreement with the switch's own counters.
+/// Dropped packets never get an id, so every tracked id departs and the
+/// `IdRing` front never stalls.
 pub struct BehavioralElement {
     sw: BehavioralSwitch,
     route: Vec<u16>,
     slots: usize,
     /// Switch-internal packet id -> the fabric cell it carries.
-    in_flight: HashMap<u64, Cell>,
+    in_flight: IdRing,
     /// Mirrored admission counter (must track `sw.arrived`).
     accepted: u64,
     offers: Vec<Option<usize>>,
@@ -316,10 +378,29 @@ impl BehavioralElement {
             sw: BehavioralSwitch::new(SwitchConfig::symmetric(k, slots)),
             route,
             slots,
-            in_flight: HashMap::new(),
+            in_flight: IdRing::new(1),
             accepted: 0,
             offers: vec![None; k],
         }
+    }
+
+    /// Move the switch's completed departures into `outbox` and drop
+    /// them from its log. Called after every arrival group, not once per
+    /// call, so the log stays a few entries long however wide the span.
+    fn harvest(&mut self, from: Cycle, to: Cycle, outbox: &mut Vec<Emission>) {
+        for d in self.sw.departures() {
+            debug_assert!(from <= d.done && d.done < to);
+            let cell = self
+                .in_flight
+                .take(d.id)
+                .expect("departure for an untracked packet");
+            outbox.push(Emission {
+                cycle: d.done,
+                port: d.output as u16,
+                cell,
+            });
+        }
+        self.sw.forget_departures();
     }
 }
 
@@ -343,7 +424,7 @@ impl FabricElement for BehavioralElement {
             let c = inbox[next].cycle;
             debug_assert!(c < to);
             // Event-horizon hop to the arrival cycle (idle elements skip
-            // their dead time inside the window here).
+            // their dead time inside the span here).
             advance_to_batched(&mut self.sw, c);
             // Mirror admission over this cycle's arrivals, in port order.
             let mut occ = self.sw.occupancy();
@@ -359,7 +440,7 @@ impl FabricElement for BehavioralElement {
                 } else {
                     occ += 1;
                     self.accepted += 1;
-                    self.in_flight.insert(self.accepted, a.cell);
+                    self.in_flight.push(self.accepted, a.cell);
                 }
                 next += 1;
             }
@@ -368,23 +449,10 @@ impl FabricElement for BehavioralElement {
                 self.sw.arrived, self.accepted,
                 "admission mirror diverged from the switch"
             );
+            self.harvest(from, to, outbox);
         }
         advance_to_batched(&mut self.sw, to);
-        // Departures committed during this window all completed at
-        // `done < to` (the previous window ended with a drained log).
-        for d in self.sw.departures() {
-            debug_assert!(from <= d.done && d.done < to);
-            let cell = self
-                .in_flight
-                .remove(&d.id)
-                .expect("departure for an untracked packet");
-            outbox.push(Emission {
-                cycle: d.done,
-                port: d.output as u16,
-                cell,
-            });
-        }
-        self.sw.forget_departures();
+        self.harvest(from, to, outbox);
     }
 
     fn occupancy(&self) -> u64 {
@@ -464,9 +532,13 @@ pub struct WordElement {
     /// the index of its next word.
     active: Vec<Option<(Packet, usize)>>,
     collector: OutputCollector,
-    /// Local packet id -> fabric cell. Entries for packets the core
-    /// drops internally are leaked by design (bounded by the drop count;
-    /// the map is reconciled against `counters().dropped_buffer_full`).
+    /// Local packet id -> fabric cell. Ids are handed out at the input
+    /// link, before the core decides admission, and the core does not
+    /// say *which* packet it dropped — so a dropped packet's entry never
+    /// departs and is leaked by design (bounded by the drop count
+    /// `counters().dropped_buffer_full`). That is why this stays a map
+    /// and not an `IdRing`: a ring front would stall forever on the
+    /// first leaked id.
     in_flight: HashMap<u64, Cell>,
     next_id: u64,
     cursor: Cycle,
@@ -505,6 +577,9 @@ impl FabricElement for WordElement {
     ) {
         debug_assert!(self.cursor <= from);
         self.cursor = self.cursor.max(from);
+        // Every cycle is ticked; counted once, not per cycle (see
+        // `ScalarElement`).
+        note_executed(to.saturating_sub(self.cursor));
         let mut next = 0usize;
         while self.cursor < to {
             let c = self.cursor;
@@ -533,7 +608,6 @@ impl FabricElement for WordElement {
             }
             let out = self.core.tick(&self.wire);
             self.collector.observe(c, out);
-            note_executed(1);
             self.cursor = c + 1;
         }
         debug_assert_eq!(next, inbox.len(), "arrival beyond the window");
@@ -720,5 +794,213 @@ mod tests {
         assert_eq!(out[0].port, 0);
         assert!(e.is_idle());
         assert_eq!(e.accepted(), 1);
+    }
+
+    /// A recorded inbox for a radix-`k` element over `windows` windows of
+    /// `width` cycles: every port draws an arrival per window with
+    /// probability `load`, at a fixed phase inside the window shared by
+    /// each pair of ports (so packet-paced elements see arrivals exactly
+    /// one cell time apart on a port, and same-cycle groups exercise
+    /// port-order admission), headed for output 0 with probability
+    /// `hot_frac`.
+    fn recorded_inbox(
+        k: usize,
+        width: u64,
+        windows: u64,
+        load: f64,
+        hot_frac: f64,
+        seed: u64,
+    ) -> Vec<Arrival> {
+        let mut rng = simkernel::SplitMix64::new(seed);
+        let mut inbox = Vec::new();
+        for w in 0..windows {
+            for port in 0..k {
+                if rng.chance(load) {
+                    let dst = if rng.chance(hot_frac) {
+                        0
+                    } else {
+                        rng.below_usize(k)
+                    };
+                    let cycle = w * width + (port as u64 / 2) % width;
+                    let cell = Cell::new(inbox.len() as u64 + 1, port, dst, cycle);
+                    inbox.push(Arrival {
+                        cycle,
+                        port: port as u16,
+                        cell,
+                    });
+                }
+            }
+        }
+        inbox.sort_by_key(|a| (a.cycle, a.port));
+        inbox
+    }
+
+    /// Everything observable about an element after a schedule:
+    /// emissions in canonical `(cycle, port)` order, then counters.
+    fn observe(
+        e: &mut dyn FabricElement,
+        inbox: &[Arrival],
+        spans: &[(Cycle, Cycle)],
+    ) -> (Vec<Emission>, u64, u64, u64) {
+        let mut out = Vec::new();
+        for &(from, to) in spans {
+            let due: Vec<Arrival> = inbox
+                .iter()
+                .copied()
+                .filter(|a| from <= a.cycle && a.cycle < to)
+                .collect();
+            let before = out.len();
+            e.run_window(from, to, &due, &mut out);
+            assert!(
+                out[before..]
+                    .iter()
+                    .all(|em| from <= em.cycle && em.cycle < to),
+                "emission outside its span"
+            );
+        }
+        for port in 0..4u16 {
+            let cycles: Vec<Cycle> = out
+                .iter()
+                .filter(|em| em.port == port)
+                .map(|em| em.cycle)
+                .collect();
+            assert!(
+                cycles.windows(2).all(|c| c[0] < c[1]),
+                "port {port} not cycle-ordered"
+            );
+        }
+        out.sort_by_key(|em| (em.cycle, em.port));
+        (out, e.accepted(), e.dropped(), e.occupancy())
+    }
+
+    #[test]
+    fn one_wide_span_equals_many_single_windows() {
+        // (kind, load, hot fraction, must drop): an easy schedule and a
+        // forced-drop one (two slots, everything converging on output 0)
+        // for each adapter.
+        let k = 4;
+        let cases = [
+            (ElementKind::Scalar { capacity: Some(16) }, 0.6, 0.25, false),
+            (ElementKind::Scalar { capacity: Some(2) }, 0.9, 0.9, true),
+            (ElementKind::Behavioral { slots: 16 }, 0.6, 0.25, false),
+            (ElementKind::Behavioral { slots: 2 }, 0.9, 0.9, true),
+            (ElementKind::WordRtl { slots: 16 }, 0.6, 0.25, false),
+            (ElementKind::WordRtl { slots: 2 }, 0.9, 0.9, true),
+            (ElementKind::WordWide { slots: 2 }, 0.9, 0.9, true),
+            (ElementKind::WordIbank { banks: 2 }, 0.9, 0.9, true),
+        ];
+        for (kind, load, hot_frac, must_drop) in cases {
+            // Scalar elements tick one cycle per cell; give them a wider
+            // window than their cell time so phases differ per port.
+            let width = kind.cell_time(k).max(4);
+            let (loaded, total) = (24u64, 40u64); // 16 idle windows drain
+            let inbox = recorded_inbox(k, width, loaded, load, hot_frac, 0xA11);
+            let route: Vec<u16> = (0..k as u16).collect();
+            let narrow: Vec<(Cycle, Cycle)> =
+                (0..total).map(|w| (w * width, (w + 1) * width)).collect();
+            let want = observe(&mut *kind.build(k, route.clone()), &inbox, &narrow);
+            for chunk in [3u64, 8, total] {
+                let wide: Vec<(Cycle, Cycle)> = (0..total.div_ceil(chunk))
+                    .map(|c| (c * chunk * width, ((c + 1) * chunk).min(total) * width))
+                    .collect();
+                let got = observe(&mut *kind.build(k, route.clone()), &inbox, &wide);
+                assert_eq!(got, want, "{kind:?}: spans of {chunk} windows diverged");
+            }
+            let (emitted, accepted, dropped, occupancy) = want;
+            assert_eq!(must_drop, dropped > 0, "{kind:?}: drop expectation");
+            assert_eq!(occupancy, 0, "{kind:?}: the idle tail drains the element");
+            assert_eq!(emitted.len() as u64 + dropped, inbox.len() as u64);
+            // (The word cores count a dropped packet as arrived.)
+            if matches!(
+                kind,
+                ElementKind::Scalar { .. } | ElementKind::Behavioral { .. }
+            ) {
+                assert_eq!(accepted, emitted.len() as u64, "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn id_ring_survives_out_of_order_takes() {
+        let cell = |id: u64| Cell::new(id, 0, 0, 0);
+        let mut ring = IdRing::new(1);
+        for id in 1..=5 {
+            ring.push(id, cell(id));
+        }
+        // Outputs drain independently: 3 and 2 leave before 1.
+        assert_eq!(ring.take(3), Some(cell(3)));
+        assert_eq!(ring.take(2), Some(cell(2)));
+        assert_eq!((ring.base, ring.cells.len()), (1, 5), "front waits on id 1");
+        assert_eq!(ring.take(3), None, "an id departs once");
+        assert_eq!(ring.take(1), Some(cell(1)));
+        assert_eq!(
+            (ring.base, ring.cells.len()),
+            (4, 2),
+            "holes collapse behind the front"
+        );
+        ring.push(6, cell(6));
+        assert_eq!(ring.take(5), Some(cell(5)));
+        assert_eq!(ring.take(4), Some(cell(4)));
+        assert_eq!(ring.take(6), Some(cell(6)));
+        assert_eq!((ring.base, ring.cells.len()), (7, 0));
+        assert_eq!(ring.take(6), None);
+        assert_eq!(ring.take(99), None);
+    }
+
+    #[test]
+    fn behavioral_ring_stays_bounded_under_drops_and_reordering() {
+        // A small pool under a hot output: packets for output 0 queue up
+        // while packets for the other outputs overtake them (departures
+        // out of id order), and the full pool drops (ids the mirror must
+        // not hand out). The ring may never hold more live cells than the
+        // switch can (`slots` buffered + one tail per output), its length
+        // must stay inside the documented hole bound, and every emission
+        // must carry the cell that was routed to that port.
+        let (k, slots) = (4usize, 6usize);
+        let s = 2 * k as u64;
+        let windows = 400u64;
+        let inbox = recorded_inbox(k, s, windows, 0.8, 0.5, 0xB0B);
+        let mut e = BehavioralElement::new(k, slots, identity_route(k));
+        let mut out = Vec::new();
+        let (mut max_live, mut max_len, mut reordered) = (0usize, 0usize, false);
+        let mut next = 0usize;
+        for w in (0..windows + 16).step_by(4) {
+            let (from, to) = (w * s, (w + 4) * s);
+            let due_end = next + inbox[next..].iter().take_while(|a| a.cycle < to).count();
+            let before = out.len();
+            e.run_window(from, to, &inbox[next..due_end], &mut out);
+            next = due_end;
+            let ids: Vec<u64> = out[before..].iter().map(|em| em.cell.id.0).collect();
+            reordered |= ids.windows(2).any(|p| p[0] > p[1]);
+            max_live = max_live.max(e.in_flight.cells.iter().flatten().count());
+            max_len = max_len.max(e.in_flight.cells.len());
+        }
+        assert!(e.dropped() > 0, "the pool must overflow");
+        assert!(reordered, "departures must leave out of arrival order");
+        assert_eq!(e.accepted() + e.dropped(), inbox.len() as u64);
+        assert_eq!(
+            out.len() as u64,
+            e.accepted(),
+            "every accepted cell departs"
+        );
+        assert!(
+            e.is_idle() && e.in_flight.cells.is_empty(),
+            "the ring empties with the switch"
+        );
+        assert!(
+            max_live <= slots + k,
+            "{max_live} live cells in a {slots}-slot, {k}-output switch"
+        );
+        assert!(
+            max_len <= 2 * k * (slots + 1),
+            "ring grew to {max_len}: a stalled front?"
+        );
+        for em in &out {
+            assert_eq!(
+                em.port as usize,
+                em.cell.dst.index(),
+                "cell left on the wrong port"
+            );
+        }
     }
 }

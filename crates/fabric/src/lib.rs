@@ -13,10 +13,11 @@
 //!   tables and a single-driver-per-port structural audit;
 //! - [`element`] — the [`element::FabricElement`] adapters wrapping each
 //!   `core` organization behind one windowed interface;
-//! - [`runtime`] — the conservative-sync executor: sequential reference
-//!   and a thread-sharded path that is bit-exact with it for any worker
-//!   count (see `runtime` docs for the window rule and the determinism
-//!   argument);
+//! - [`runtime`] — the conservative run-ahead executor: each element
+//!   advances as many link-latency windows per visit as its own inputs
+//!   allow, on the calling thread or sharded across workers, bit-exact
+//!   for any worker count (see `runtime` docs for the rule and the
+//!   determinism argument);
 //! - [`traffic`] — per-terminal seeded workloads (uniform, permutation,
 //!   hotspot) whose streams are pure functions of `(seed, terminal)`.
 //!

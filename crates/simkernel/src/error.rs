@@ -64,6 +64,15 @@ pub enum SimError {
         /// Human-readable description of the disagreement.
         detail: String,
     },
+    /// A worker thread of a parallel executor panicked. Its peers were
+    /// released from waiting on it (fail-stop) and the run produced no
+    /// result.
+    WorkerPanic {
+        /// Index of the worker that panicked.
+        worker: usize,
+        /// The panic message.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -84,6 +93,9 @@ impl fmt::Display for SimError {
             SimError::IntegrityFault { detail } => write!(f, "integrity fault: {detail}"),
             SimError::Divergence { check, detail } => {
                 write!(f, "divergence [{check}]: {detail}")
+            }
+            SimError::WorkerPanic { worker, detail } => {
+                write!(f, "worker {worker} panicked: {detail}")
             }
         }
     }
@@ -303,5 +315,11 @@ mod tests {
         };
         assert!(d.to_string().contains("rtl-vs-behavioral"));
         assert!(d.to_string().contains("schedules differ"));
+        let p = SimError::WorkerPanic {
+            worker: 3,
+            detail: "slot leak".into(),
+        };
+        assert!(p.to_string().contains("worker 3"));
+        assert!(p.to_string().contains("slot leak"));
     }
 }

@@ -1,11 +1,17 @@
 //! Determinism pinning of the fabric component-graph runtime.
 //!
 //! The sharded executor's contract is absolute: for any worker count,
-//! the run is **byte-identical** to the sequential reference — delivered
+//! the run is **byte-identical** to the sequential one — delivered
 //! cells (order included), per-element accepted/dropped counters, and
 //! the occupancy probe series. `FabricRun` derives `PartialEq` over all
 //! of that, and `digest()` folds it into one FNV fingerprint, so each
 //! comparison here is a full-state check, not a summary check.
+//!
+//! Both executors share the per-element run-ahead step, so agreeing with
+//! each other is not enough: `tests/golden/fabric_digests.txt` holds the
+//! digests the per-window executor produced for this ladder before the
+//! run-ahead rule replaced it, and the run-ahead must reproduce them at
+//! any `jobs` and at any chunk width.
 //!
 //! Alongside: the link-latency law (every delivered cell pays at least
 //! `hops × link_latency` cycles, scaled by the element cell time) and
@@ -39,18 +45,94 @@ fn run_at(topology: &Topology, kind: ElementKind, w: &Workload, jobs: usize) -> 
     Fabric::new(topology.clone(), kind).run(300, 200, w, jobs)
 }
 
+/// The element kinds a topology is run with: scalar always, behavioral
+/// where the radix is uniform (packet-paced elements need one link
+/// quantum across every hop).
+fn kinds_for(topology: &Topology) -> Vec<ElementKind> {
+    let mut kinds = vec![ElementKind::Scalar { capacity: Some(16) }];
+    if topology.radix.iter().all(|&r| r == topology.radix[0]) {
+        kinds.push(ElementKind::Behavioral {
+            slots: 4 * topology.max_radix(),
+        });
+    }
+    kinds
+}
+
+const PATTERNS: [Pattern; 2] = [Pattern::Uniform, Pattern::Hotspot { hot_frac: 0.25 }];
+
+#[test]
+fn run_ahead_reproduces_the_per_window_executor_digests() {
+    let golden: Vec<(String, u64)> = include_str!("golden/fabric_digests.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| {
+            let (key, digest) = l.rsplit_once(' ').expect("key digest");
+            let digest = u64::from_str_radix(digest.trim_start_matches("0x"), 16).expect("hex");
+            (key.to_string(), digest)
+        })
+        .collect();
+    let mut checked = 0;
+    for (name, topology) in ladder() {
+        for kind in kinds_for(&topology) {
+            for pattern in PATTERNS {
+                let key = format!("{name} {} {}", kind.label(), pattern.label());
+                let want = golden
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .unwrap_or_else(|| panic!("no golden digest for {key}"))
+                    .1;
+                let w = workload(0xDE7E12, pattern);
+                for jobs in [1, 4] {
+                    let got = run_at(&topology, kind, &w, jobs).digest();
+                    assert_eq!(
+                        got, want,
+                        "{key}: digest {got:#018x} at jobs={jobs}, the per-window executor gave {want:#018x}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, golden.len(), "every golden row is exercised");
+}
+
+#[test]
+fn chunk_width_is_invisible() {
+    // The sampling period caps the chunk: 1 -> one window per visit (the
+    // old executor's schedule), 3 -> three, 64 -> the full run-ahead
+    // depth. Only the occupancy series may differ (it has more or fewer
+    // samples); everything the cells did must not.
+    for (name, topology) in ladder() {
+        for kind in kinds_for(&topology) {
+            let w = workload(0xC4_0C, Pattern::Hotspot { hot_frac: 0.25 });
+            let at = |every: u64, jobs: usize| {
+                Fabric::new(topology.clone(), kind)
+                    .with_sample_every(every)
+                    .run(200, 400, &w, jobs)
+            };
+            let narrow = at(1, 1);
+            assert!(
+                narrow.offered > 0 && narrow.dropped > 0,
+                "{name}: drops must occur"
+            );
+            for (every, jobs) in [(3, 1), (64, 1), (3, 3), (64, 3)] {
+                let wide = at(every, jobs);
+                let tag = format!("{name}/{} every={every} jobs={jobs}", kind.label());
+                assert_eq!(narrow.offered, wide.offered, "{tag}: offered");
+                assert_eq!(narrow.delivered, wide.delivered, "{tag}: delivered logs");
+                assert_eq!(narrow.elem_accepted, wide.elem_accepted, "{tag}: accepted");
+                assert_eq!(narrow.elem_dropped, wide.elem_dropped, "{tag}: dropped");
+                assert_eq!(narrow.residual, wide.residual, "{tag}: residual");
+            }
+        }
+    }
+}
+
 #[test]
 fn sharded_runs_are_byte_identical_for_any_jobs() {
     for (name, topology) in ladder() {
-        let uniform_radix = topology.radix.iter().all(|&r| r == topology.radix[0]);
-        let mut kinds = vec![ElementKind::Scalar { capacity: Some(16) }];
-        if uniform_radix {
-            kinds.push(ElementKind::Behavioral {
-                slots: 4 * topology.max_radix(),
-            });
-        }
-        for kind in kinds {
-            for pattern in [Pattern::Uniform, Pattern::Hotspot { hot_frac: 0.25 }] {
+        for kind in kinds_for(&topology) {
+            for pattern in PATTERNS {
                 let w = workload(0xDE7E12, pattern);
                 let seq = run_at(&topology, kind, &w, 1);
                 assert!(seq.offered > 0, "{name}: traffic must flow");
