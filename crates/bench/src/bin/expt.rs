@@ -11,6 +11,11 @@
 //! expt bench        perf-regression harness; writes BENCH_core.json
 //!   --gate          compare against the committed BENCH_core.json
 //!                   baseline instead of overwriting it
+//! expt check-determinism <id>...|all|fuzz
+//!                   run each id at two worker counts in this process and
+//!                   fail on the first differing report line
+//!   --jobs A,B      the two worker counts (default 1,8)
+//!   --seeds N       width of the `fuzz` campaign (default 64)
 //! expt trace <id>   run e5/e6 with telemetry attached (see DESIGN.md §10)
 //!   --vcd PATH      write the probe stream as a VCD waveform
 //!   --metrics PATH  write the metrics pipeline's JSON
@@ -35,6 +40,23 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+/// A malformed command line: say why and exit with status 2.
+fn bad_usage(why: String) -> ! {
+    eprintln!("{why}");
+    std::process::exit(2)
+}
+
+/// A flag's value as a positive integer.
+fn positive<T>(flag: &str, what: &str, v: &str) -> T
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    match v.parse::<T>() {
+        Ok(n) if n >= T::from(1) => n,
+        _ => bad_usage(format!("{flag} needs a {what}, got '{v}'")),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
@@ -42,6 +64,7 @@ fn main() -> ExitCode {
     let list = args.iter().any(|a| a == "--list" || a == "-l");
     let seq = args.iter().any(|a| a == "--seq");
     let mut jobs: Option<usize> = None;
+    let mut jobs_pair: Option<(usize, usize)> = None;
     let mut seeds: Option<u64> = None;
     let mut base: Option<u64> = None;
     let mut vcd_path: Option<String> = None;
@@ -52,88 +75,52 @@ fn main() -> ExitCode {
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut value = || it.next().map(|s| s.as_str()).unwrap_or("");
         if a == "--seeds" {
-            let v = it.next().map(|s| s.as_str()).unwrap_or("");
-            match v.parse::<u64>() {
-                Ok(n) if n >= 1 => seeds = Some(n),
-                _ => {
-                    eprintln!("--seeds needs a positive integer, got '{v}'");
-                    return ExitCode::from(2);
-                }
-            }
+            seeds = Some(positive(a, "positive integer", value()));
         } else if a == "--base" {
-            let v = it.next().map(|s| s.as_str()).unwrap_or("");
+            let v = value();
             let parsed = v
                 .strip_prefix("0x")
                 .map(|h| u64::from_str_radix(h, 16))
                 .unwrap_or_else(|| v.parse::<u64>());
             match parsed {
                 Ok(n) => base = Some(n),
-                _ => {
-                    eprintln!("--base needs an integer (decimal or 0xHEX), got '{v}'");
-                    return ExitCode::from(2);
-                }
+                _ => bad_usage(format!(
+                    "--base needs an integer (decimal or 0xHEX), got '{v}'"
+                )),
             }
-        } else if a == "--jobs" || a == "-j" {
-            let v = it.next().map(|s| s.as_str()).unwrap_or("");
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => jobs = Some(n),
-                _ => {
-                    eprintln!("--jobs needs a positive integer, got '{v}'");
-                    return ExitCode::from(2);
+        } else if a == "--jobs" || a == "-j" || a.starts_with("--jobs=") {
+            let v = a.strip_prefix("--jobs=").unwrap_or_else(|| value());
+            match v.split_once(',') {
+                // `A,B`: the two worker counts of `check-determinism`.
+                Some((x, y)) => {
+                    let what = "positive integer or a pair A,B of them";
+                    jobs_pair = Some((positive("--jobs", what, x), positive("--jobs", what, y)));
                 }
+                None => jobs = Some(positive("--jobs", "positive integer", v)),
             }
-        } else if a == "--vcd" {
-            match it.next() {
-                Some(p) if !p.starts_with('-') => vcd_path = Some(p.clone()),
-                _ => {
-                    eprintln!("--vcd needs an output path");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if a == "--metrics" {
-            match it.next() {
-                Some(p) if !p.starts_with('-') => metrics_path = Some(p.clone()),
-                _ => {
-                    eprintln!("--metrics needs an output path");
-                    return ExitCode::from(2);
-                }
+        } else if a == "--vcd" || a == "--metrics" {
+            let path = match it.next() {
+                Some(p) if !p.starts_with('-') => Some(p.clone()),
+                _ => bad_usage(format!("{a} needs an output path")),
+            };
+            if a == "--vcd" {
+                vcd_path = path;
+            } else {
+                metrics_path = path;
             }
         } else if a == "--last" {
-            let v = it.next().map(|s| s.as_str()).unwrap_or("");
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => last = Some(n),
-                _ => {
-                    eprintln!("--last needs a positive integer, got '{v}'");
-                    return ExitCode::from(2);
-                }
-            }
+            last = Some(positive(a, "positive integer", value()));
         } else if a == "--policy" {
-            let v = it.next().map(|s| s.as_str()).unwrap_or("");
-            match conformance::PolicyKind::parse(v) {
-                Some(p) => policy = Some(p),
-                None => {
-                    eprintln!("--policy needs one of static|dt|pushout|occamy|bshare, got '{v}'");
-                    return ExitCode::from(2);
-                }
-            }
+            let v = value();
+            policy = conformance::PolicyKind::parse(v).or_else(|| {
+                bad_usage(format!(
+                    "--policy needs one of static|dt|pushout|occamy|bshare, got '{v}'"
+                ))
+            });
         } else if a == "--watchdog" {
-            let v = it.next().map(|s| s.as_str()).unwrap_or("");
-            match v.parse::<u64>() {
-                Ok(n) if n >= 1 => watchdog = Some(n),
-                _ => {
-                    eprintln!("--watchdog needs a positive cycle count, got '{v}'");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => jobs = Some(n),
-                _ => {
-                    eprintln!("--jobs needs a positive integer, got '{v}'");
-                    return ExitCode::from(2);
-                }
-            }
+            watchdog = Some(positive(a, "positive cycle count", value()));
         } else if !a.starts_with('-') {
             ids.push(a.to_lowercase());
         }
@@ -218,6 +205,37 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    if let Some(at) = ids.iter().position(|i| i == "check-determinism") {
+        ids.remove(at);
+        if let Some(all) = ids.iter().position(|i| i == "all") {
+            ids.splice(
+                all..=all,
+                bench_harness::ALL.iter().map(|id| id.to_string()),
+            );
+        }
+        let known = |id: &String| id == "fuzz" || bench_harness::ALL.contains(&id.as_str());
+        if let Some(id) = ids.iter().find(|id| !known(id)) {
+            bad_usage(format!("unknown experiment '{id}' (try --list)"));
+        }
+        if ids.is_empty() || jobs.is_some() || seq {
+            bad_usage("usage: expt [--quick | --smoke] check-determinism <id>...|all|fuzz [--jobs A,B] [--seeds N]".into());
+        }
+        let pair = jobs_pair.unwrap_or((1, 8));
+        for id in &ids {
+            match bench_harness::check_determinism(id, quick, seeds.unwrap_or(64), pair) {
+                Ok(()) => println!("{id}: identical at --jobs {} and --jobs {}", pair.0, pair.1),
+                Err(why) => {
+                    eprintln!("{why}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+        return ExitCode::SUCCESS;
+    }
+    if jobs_pair.is_some() {
+        bad_usage("--jobs A,B only applies to 'expt check-determinism'".into());
+    }
+
     if ids.iter().any(|i| i == "trace") {
         let others: Vec<&String> = ids.iter().filter(|i| i.as_str() != "trace").collect();
         if others.len() != 1 {
@@ -289,6 +307,7 @@ fn main() -> ExitCode {
              expt e18 [--policy static|dt|pushout|occamy|bshare]\n       \
              expt fuzz [--seeds N] [--base 0xHEX] [--jobs N | --seq]\n       \
              expt bench [--quick] [--gate]\n       \
+             expt check-determinism <id>...|all|fuzz [--jobs A,B] [--seeds N]\n       \
              expt trace <e5|e6> [--vcd PATH] [--metrics PATH] [--last N] [--smoke]\n\nexperiments:"
         );
         for id in bench_harness::ALL {

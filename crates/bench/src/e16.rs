@@ -26,6 +26,7 @@ use switch_core::config::SwitchConfig;
 use switch_core::credit::CreditedInput;
 use switch_core::faultsim::{FaultAction, FaultKind, FaultPlan, WireFaults, TRAFFIC_STREAM};
 use switch_core::rtl::{OutputCollector, PipelinedSwitch};
+use traffic::PacketFeeder;
 
 /// One campaign point: a fault class at a per-cycle rate (`kind = None`
 /// is the fault-free baseline every row is judged against).
@@ -119,7 +120,7 @@ pub fn run_point(spec: &CampaignSpec) -> CampaignRow {
         .map(|_| CreditedInput::new((cfg.slots / n) as u32, 2))
         .collect();
     let mut armed_credit_loss = vec![0u64; n];
-    let mut streams: Vec<Option<(Packet, usize)>> = vec![None; n];
+    let mut streams: Vec<PacketFeeder> = (0..n).map(|i| PacketFeeder::scripted(i, s)).collect();
     let mut ledger: HashMap<u64, (usize, usize)> = HashMap::new(); // id -> (src, dst)
     let mut launched = vec![0u64; n];
     let mut delivered_from = vec![0u64; n];
@@ -140,7 +141,7 @@ pub fn run_point(spec: &CampaignSpec) -> CampaignRow {
     let mut wire = vec![None; n];
     let mut due_faults: Vec<switch_core::faultsim::Fault> = Vec::new();
     let mut step = |sw: &mut PipelinedSwitch,
-                    streams: &mut [Option<(Packet, usize)>],
+                    streams: &mut [PacketFeeder],
                     rngs: &mut [SplitMix64],
                     senders: &mut [CreditedInput<Packet>],
                     plan: &mut FaultPlan,
@@ -167,7 +168,7 @@ pub fn run_point(spec: &CampaignSpec) -> CampaignRow {
         }
         // 2. Traffic: start or continue one packet per input.
         for i in 0..n {
-            if streams[i].is_none() {
+            if !streams[i].busy() {
                 if credited {
                     if generate && rngs[i].chance(start_p) {
                         let dst = rngs[i].below_usize(n);
@@ -179,7 +180,7 @@ pub fn run_point(spec: &CampaignSpec) -> CampaignRow {
                     if let Some(p) = senders[i].poll(now) {
                         launched[i] += 1;
                         sent += 1;
-                        streams[i] = Some((p, 0));
+                        streams[i].push(p);
                     }
                 } else if generate && rngs[i].chance(start_p) {
                     let dst = rngs[i].below_usize(n);
@@ -187,20 +188,10 @@ pub fn run_point(spec: &CampaignSpec) -> CampaignRow {
                     ledger.insert(next_id, (i, dst));
                     next_id += 1;
                     sent += 1;
-                    streams[i] = Some((p, 0));
+                    streams[i].push(p);
                 }
             }
-            let mut word = None;
-            let mut tail = false;
-            if let Some((p, k)) = streams[i].as_mut() {
-                word = Some(p.words[*k]);
-                *k += 1;
-                tail = *k == s;
-            }
-            if tail {
-                streams[i] = None;
-            }
-            wire[i] = word;
+            wire[i] = streams[i].tick(now);
         }
         // 3. Wire faults strike between generator and input pins.
         wf.apply(&mut wire);
@@ -261,7 +252,7 @@ pub fn run_point(spec: &CampaignSpec) -> CampaignRow {
     let drain_budget = simkernel::watchdog::limit_or(40_000);
     let drained = simkernel::run_until_quiescent(drain_budget, "campaign drain", |_| {
         let backlog: usize = senders.iter().map(|c| c.backlog()).sum();
-        if sw.is_quiescent() && streams.iter().all(Option::is_none) && backlog == 0 {
+        if sw.is_quiescent() && !streams.iter().any(PacketFeeder::busy) && backlog == 0 {
             return true;
         }
         step(

@@ -34,48 +34,20 @@
 //! in the process-wide ledger the `expt --watchdog` flag reports.
 
 use crate::{sweep, table};
-use membank::interleaved::BankId;
 use simkernel::cell::Packet;
-use simkernel::ids::{Addr, Cycle};
+use simkernel::ids::Cycle;
 use simkernel::rng::split_seed;
 use simkernel::SplitMix64;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use switch_core::config::SwitchConfig;
 use switch_core::faultsim::{FAULT_STREAM, TRAFFIC_STREAM};
-use switch_core::ibank::{InterleavedSwitch, InterleavedSwitchConfig};
 use switch_core::recovery::{
-    RecoveryConfig, RecoveryReport, RecoveryWindows, RetryConfig, RetryReceiver, RetrySender,
-    RxVerdict,
+    RecoveryConfig, RecoveryWindows, RetryConfig, RetryReceiver, RetrySender, RxVerdict,
 };
 use switch_core::rtl::{integrity_checksum, OutputCollector, PipelinedSwitch};
-use switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
-
-/// Organizations under chaos (the behavioral model stores no words, so
-/// it has nothing for ECC to correct).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosOrg {
-    /// Pipelined-memory RTL: spare bank columns.
-    Pipelined,
-    /// Wide-memory organization: spare rows.
-    Wide,
-    /// Interleaved one-packet-per-bank: spare whole banks.
-    Interleaved,
-}
-
-impl ChaosOrg {
-    /// All organizations, in reporting order.
-    pub const ALL: [ChaosOrg; 3] = [ChaosOrg::Pipelined, ChaosOrg::Wide, ChaosOrg::Interleaved];
-
-    /// Stable report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChaosOrg::Pipelined => "pipelined",
-            ChaosOrg::Wide => "wide",
-            ChaosOrg::Interleaved => "interleaved",
-        }
-    }
-}
+use switch_core::{PolicyKind, WordOrg, WordSwitch};
+use traffic::PacketFeeder;
 
 /// Fault process of one campaign point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,8 +74,11 @@ impl ChaosFault {
 /// One campaign point.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosSpec {
-    /// Organization under chaos.
-    pub org: ChaosOrg,
+    /// Organization under chaos (the behavioral model stores no words,
+    /// so it has nothing for ECC to correct): spare bank columns for the
+    /// pipelined RTL, spare rows for the wide memory, spare whole banks
+    /// for the interleaved one.
+    pub org: WordOrg,
     /// Fault process.
     pub fault: ChaosFault,
     /// Per-cycle (bank-upset) or per-word-on-the-wire (wire faults)
@@ -182,92 +157,27 @@ fn rtl_config() -> SwitchConfig {
     cfg.with_recovery(recovery())
 }
 
-/// The three organizations behind one tick interface.
-enum ChaosSwitch {
-    Pipelined(Box<PipelinedSwitch>),
-    Wide(Box<WideMemorySwitchRtl>),
-    Interleaved(Box<InterleavedSwitch>),
+/// `org` with the full recovery ladder armed.
+fn build(org: WordOrg) -> Box<dyn WordSwitch> {
+    match org {
+        WordOrg::Pipelined => Box::new(PipelinedSwitch::new(rtl_config())),
+        _ => org.build(N, SLOTS, recovery(), PolicyKind::Static),
+    }
 }
 
-impl ChaosSwitch {
-    fn build(org: ChaosOrg) -> ChaosSwitch {
-        match org {
-            ChaosOrg::Pipelined => {
-                ChaosSwitch::Pipelined(Box::new(PipelinedSwitch::new(rtl_config())))
-            }
-            ChaosOrg::Wide => ChaosSwitch::Wide(Box::new(WideMemorySwitchRtl::new(
-                WideSwitchConfig::fig3(N, SLOTS).with_recovery(recovery()),
-            ))),
-            ChaosOrg::Interleaved => ChaosSwitch::Interleaved(Box::new(InterleavedSwitch::new(
-                InterleavedSwitchConfig::symmetric(N, SLOTS).with_recovery(recovery()),
-            ))),
-        }
-    }
-
-    fn tick(&mut self, wire: &[Option<u64>]) -> &[Option<u64>] {
-        match self {
-            ChaosSwitch::Pipelined(sw) => sw.tick(wire),
-            ChaosSwitch::Wide(sw) => sw.tick(wire),
-            ChaosSwitch::Interleaved(sw) => sw.tick(wire),
-        }
-    }
-
-    fn now(&self) -> Cycle {
-        match self {
-            ChaosSwitch::Pipelined(sw) => sw.now(),
-            ChaosSwitch::Wide(sw) => sw.now(),
-            ChaosSwitch::Interleaved(sw) => sw.now(),
-        }
-    }
-
-    fn is_quiescent(&self) -> bool {
-        match self {
-            ChaosSwitch::Pipelined(sw) => sw.is_quiescent(),
-            ChaosSwitch::Wide(sw) => sw.is_quiescent(),
-            ChaosSwitch::Interleaved(sw) => sw.is_quiescent(),
-        }
-    }
-
-    fn is_degraded(&self) -> bool {
-        match self {
-            ChaosSwitch::Pipelined(sw) => sw.is_degraded(),
-            ChaosSwitch::Wide(sw) => sw.is_degraded(),
-            ChaosSwitch::Interleaved(sw) => sw.is_degraded(),
-        }
-    }
-
-    fn recovery_report(&self) -> RecoveryReport {
-        match self {
-            ChaosSwitch::Pipelined(sw) => sw.recovery_report(),
-            ChaosSwitch::Wide(sw) => sw.recovery_report(),
-            ChaosSwitch::Interleaved(sw) => sw.recovery_report(),
-        }
-    }
-
-    /// One single-bit upset somewhere in this organization's buffer
-    /// memory (spare region included — a promoted spare carries live
-    /// data too).
-    fn upset(&mut self, g: &mut SplitMix64) {
-        let s = 2 * N;
-        let mask = 1u64 << g.below_usize(64);
-        match self {
-            ChaosSwitch::Pipelined(sw) => {
-                let stage = g.below_usize(s);
-                let slot = Addr(g.below_usize(SLOTS));
-                sw.inject_bank_fault(stage, slot, mask);
-            }
-            ChaosSwitch::Wide(sw) => {
-                let row = Addr(g.below_usize(SLOTS + SPARES));
-                let k = g.below_usize(s);
-                sw.inject_memory_fault(row, k, mask);
-            }
-            ChaosSwitch::Interleaved(sw) => {
-                let b = BankId(g.below_usize(SLOTS + SPARES));
-                let k = g.below_usize(s);
-                sw.inject_bank_fault(b, k, mask);
-            }
-        }
-    }
+/// One single-bit upset somewhere in `org`'s buffer memory (spare region
+/// included — a promoted spare carries live data too; the pipelined
+/// RTL's spares are whole columns over the same slot range).
+fn upset(sw: &mut dyn WordSwitch, org: WordOrg, g: &mut SplitMix64) {
+    let s = 2 * N;
+    let mask = 1u64 << g.below_usize(64);
+    let (slot, word) = if org == WordOrg::Pipelined {
+        let stage = g.below_usize(s);
+        (g.below_usize(SLOTS), stage)
+    } else {
+        (g.below_usize(SLOTS + SPARES), g.below_usize(s))
+    };
+    sw.inject_upset(slot, word, mask);
 }
 
 /// One input's link-retry station (wire-fault rows only): frames queue
@@ -365,7 +275,7 @@ impl LinkStation {
 pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
     let s = 2 * N;
     let wire_faults = spec.fault != ChaosFault::BankUpset;
-    let mut sw = ChaosSwitch::build(spec.org);
+    let mut sw = build(spec.org);
     let mut col = OutputCollector::new(N, s);
     let mut trng = SplitMix64::stream(spec.seed, TRAFFIC_STREAM);
     let mut rngs: Vec<SplitMix64> = (0..N).map(|_| trng.fork()).collect();
@@ -387,7 +297,7 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
     // closures at once.
     let links: RefCell<Vec<LinkStation>> =
         RefCell::new((0..N).map(|_| LinkStation::new()).collect());
-    let mut streams: Vec<Option<(Packet, usize)>> = vec![None; N];
+    let mut streams: Vec<PacketFeeder> = (0..N).map(|i| PacketFeeder::scripted(i, s)).collect();
     let mut wire: Vec<Option<u64>> = vec![None; N];
     let mut retry_windows = RecoveryWindows::new();
 
@@ -397,8 +307,8 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
     let mut degraded_at: Option<Cycle> = None;
     let mut next_id = 1u64;
 
-    let mut step = |sw: &mut ChaosSwitch,
-                    streams: &mut [Option<(Packet, usize)>],
+    let mut step = |sw: &mut dyn WordSwitch,
+                    streams: &mut [PacketFeeder],
                     links: &mut [LinkStation],
                     rngs: &mut [SplitMix64],
                     frng: &mut SplitMix64,
@@ -406,7 +316,7 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
         let now = sw.now();
         // 1. Faults: one potential strike per cycle.
         if !wire_faults && frng.chance(spec.rate) {
-            sw.upset(frng);
+            upset(sw, spec.org, frng);
         }
         // 2. Traffic, per input.
         for i in 0..N {
@@ -419,31 +329,21 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
                 let struck = frng.chance(frame_rate);
                 let drop = spec.fault == ChaosFault::WireDrop;
                 links[i].transfer(struck, drop, &mut retry_windows, now);
-                if streams[i].is_none() {
+                if !streams[i].busy() {
                     if let Some(words) = links[i].accepted.pop_front() {
                         sent += 1;
                         let mut p = Packet::synth(0, 0, 0, s, now);
                         p.words = words;
-                        streams[i] = Some((p, 0));
+                        streams[i].push(p);
                     }
                 }
-            } else if streams[i].is_none() && generate && rngs[i].chance(q) {
+            } else if !streams[i].busy() && generate && rngs[i].chance(q) {
                 let p = Packet::synth(next_id, i, rngs[i].below_usize(N), s, now);
                 next_id += 1;
                 sent += 1;
-                streams[i] = Some((p, 0));
+                streams[i].push(p);
             }
-            let mut word = None;
-            let mut tail = false;
-            if let Some((p, k)) = streams[i].as_mut() {
-                word = Some(p.words[*k]);
-                *k += 1;
-                tail = *k == s;
-            }
-            if tail {
-                streams[i] = None;
-            }
-            wire[i] = word;
+            wire[i] = streams[i].tick(now);
         }
         // 3. One switch cycle; deliveries split around the degrade edge.
         let out = sw.tick(&wire);
@@ -463,7 +363,7 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
 
     for _ in 0..spec.cycles {
         step(
-            &mut sw,
+            &mut *sw,
             &mut streams,
             &mut links.borrow_mut(),
             &mut rngs,
@@ -483,10 +383,10 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
         |_| {
             let mut ls = links.borrow_mut();
             let links_idle = !wire_faults || ls.iter().all(LinkStation::idle);
-            if sw.is_quiescent() && streams.iter().all(Option::is_none) && links_idle {
+            if sw.is_quiescent() && !streams.iter().any(PacketFeeder::busy) && links_idle {
                 return true;
             }
-            step(&mut sw, &mut streams, &mut ls, &mut rngs, &mut frng, false);
+            step(&mut *sw, &mut streams, &mut ls, &mut rngs, &mut frng, false);
             false
         },
         |_| {
@@ -559,7 +459,7 @@ pub fn specs(quick: bool) -> Vec<ChaosSpec> {
     let loads: &[f64] = if smoke { &[0.6] } else { &[0.5, 0.9] };
     let base_seed = 0xE17;
     let mut specs = Vec::new();
-    for org in ChaosOrg::ALL {
+    for org in WordOrg::ALL {
         for &rate in rates {
             for &load in loads {
                 let idx = specs.len() as u64;
@@ -578,7 +478,7 @@ pub fn specs(quick: bool) -> Vec<ChaosSpec> {
         for &rate in rates {
             let idx = specs.len() as u64;
             specs.push(ChaosSpec {
-                org: ChaosOrg::Pipelined,
+                org: WordOrg::Pipelined,
                 fault,
                 rate,
                 load: loads[0],

@@ -322,7 +322,8 @@ pub fn run(quick: bool) -> String {
          internal-conflict latency; the fat-tree self-routes it cleanly.\n",
     );
     // Timing-only footer: aggregate wall rates per fabric x org, worded
-    // so the CI `grep -v 'completed in'` determinism filter strips them.
+    // so the determinism filter (`completed in`, see `check_determinism`)
+    // strips them.
     for &fab in &Fab::ALL {
         for kind in fab.kinds() {
             let (mut cells, mut secs) = (0u64, 0f64);

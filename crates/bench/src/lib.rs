@@ -103,3 +103,60 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<String> {
         _ => return None,
     })
 }
+
+/// The lines of `report` two runs of the same computation must agree on.
+/// The per-experiment `completed in` wall-time footers are the one thing
+/// allowed to differ, and this is the one place they are stripped.
+fn stable_lines(report: &str) -> Vec<&str> {
+    let footer = "completed in";
+    report.lines().filter(|l| !l.contains(footer)).collect()
+}
+
+/// Run `id` — an experiment id, or `fuzz` for a `seeds`-wide conformance
+/// campaign — at both worker counts of `jobs` in this process and compare
+/// the reports. `Err` shows the first differing line, or says that the
+/// run itself failed.
+pub fn check_determinism(
+    id: &str,
+    quick: bool,
+    seeds: u64,
+    jobs: (usize, usize),
+) -> Result<(), String> {
+    let run = |j: usize| {
+        sweep::set_jobs(j);
+        if id == "fuzz" {
+            let (report, ok) = fuzz::campaign(seeds, fuzz::DEFAULT_BASE);
+            if ok {
+                Ok(report)
+            } else {
+                Err(format!("fuzz campaign failed at --jobs {j}:\n{report}"))
+            }
+        } else {
+            run_experiment(id, quick).ok_or_else(|| format!("unknown experiment '{id}'"))
+        }
+    };
+    let (a, b) = (run(jobs.0)?, run(jobs.1)?);
+    let (a, b) = (stable_lines(&a), stable_lines(&b));
+    if a == b {
+        return Ok(());
+    }
+    let n = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    let line = |r: &[&str]| r.get(n).copied().unwrap_or("<end of report>").to_string();
+    Err(format!(
+        "{id}: line {} differs\n  --jobs {}: {}\n  --jobs {}: {}",
+        n + 1,
+        jobs.0,
+        line(&a),
+        jobs.1,
+        line(&b),
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn stable_lines_drop_wall_time_footers_only() {
+        let report = "row 1\n[e1 completed in 0.1s]\nrow 2\n";
+        assert_eq!(super::stable_lines(report), ["row 1", "row 2"]);
+    }
+}

@@ -21,10 +21,9 @@ use switch_core::config::SwitchConfig;
 use switch_core::credit::CreditedInput;
 use switch_core::events::SwitchCounters;
 use switch_core::faultsim::{Fault, FaultAction, FaultKind, FaultPlan};
-use switch_core::ibank::{InterleavedSwitch, InterleavedSwitchConfig};
 use switch_core::recovery::{RecoveryConfig, RecoveryReport};
-use switch_core::rtl::{OutputCollector, PipelinedSwitch};
-use switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
+use switch_core::rtl::OutputCollector;
+use switch_core::WordOrg;
 use telemetry::ProbeHandle;
 
 /// The four memory organizations under differential test.
@@ -51,6 +50,17 @@ impl Org {
             Org::Behavioral => "behavioral",
             Org::Wide => "wide",
             Org::Interleaved => "interleaved",
+        }
+    }
+
+    /// The word-level organization behind this one (`None` for the
+    /// cell-level behavioral model).
+    pub fn word(&self) -> Option<WordOrg> {
+        match self {
+            Org::Pipelined => Some(WordOrg::Pipelined),
+            Org::Behavioral => None,
+            Org::Wide => Some(WordOrg::Wide),
+            Org::Interleaved => Some(WordOrg::Interleaved),
         }
     }
 }
@@ -220,6 +230,20 @@ impl Launcher {
             .is_some_and(|ss| ss.iter().any(|s| s.backlog() > 0))
     }
 
+    /// Where the clock may jump from `now` without missing anything: the
+    /// model's `next_event` (quiescent: `limit`), the next pending offer or
+    /// `limit`, whichever is first. `None` — tick densely — when the model
+    /// changes state this cycle, a backlog is stalling on credits, or that
+    /// point is `now`.
+    fn jump_target(&self, now: Cycle, next_event: Option<Cycle>, limit: Cycle) -> Option<Cycle> {
+        if self.any_backlog() || next_event.is_some_and(|e| e <= now) {
+            return None;
+        }
+        let pending = self.earliest_pending().unwrap_or(limit);
+        let target = next_event.unwrap_or(limit).min(pending).min(limit);
+        (target > now).then_some(target)
+    }
+
     fn credit_return(&mut self, input: usize, now: Cycle) {
         if let Some(senders) = &mut self.senders {
             senders[input].return_credit(now);
@@ -228,88 +252,34 @@ impl Launcher {
 
     /// No offer will ever launch again.
     fn exhausted(&self) -> bool {
-        self.pending.iter().all(VecDeque::is_empty)
-            && self
-                .senders
-                .as_ref()
-                .is_none_or(|ss| ss.iter().all(|s| s.backlog() == 0))
+        self.pending.iter().all(VecDeque::is_empty) && !self.any_backlog()
     }
 
-    /// Final credit-conservation audit against the testbench ledger.
-    fn audit(&self, actual_outstanding: &[u32], org: Org) -> Result<(), SimError> {
-        if let Some(senders) = &self.senders {
-            for (i, sender) in senders.iter().enumerate() {
-                sender.audit(actual_outstanding[i], &format!("{org} input {i}"))?;
-            }
+    /// Final credit-conservation audit against the testbench ledger: an
+    /// input's outstanding packets are its launches minus the deliveries
+    /// of ids it launched (a corrupted header that names no launched id
+    /// returns nothing, and shows up here as a leak).
+    fn audit(
+        &self,
+        launches: &[Launch],
+        deliveries: &[Delivery],
+        org: Org,
+    ) -> Result<(), SimError> {
+        let Some(senders) = &self.senders else {
+            return Ok(());
+        };
+        let input_of: HashMap<u64, usize> = launches.iter().map(|l| (l.id, l.input)).collect();
+        let mut outstanding = vec![0u32; senders.len()];
+        for l in launches {
+            outstanding[l.input] += 1;
+        }
+        for i in deliveries.iter().filter_map(|d| input_of.get(&d.id)) {
+            outstanding[*i] = outstanding[*i].saturating_sub(1);
+        }
+        for (i, sender) in senders.iter().enumerate() {
+            sender.audit(outstanding[i], &format!("{org} input {i}"))?;
         }
         Ok(())
-    }
-}
-
-/// The three word-level organizations behind one tick interface.
-enum WordSwitch {
-    Pipelined(Box<PipelinedSwitch>),
-    Wide(Box<WideMemorySwitchRtl>),
-    Interleaved(Box<InterleavedSwitch>),
-}
-
-impl WordSwitch {
-    fn tick(&mut self, wire: &[Option<u64>]) -> &[Option<u64>] {
-        match self {
-            WordSwitch::Pipelined(sw) => sw.tick(wire),
-            WordSwitch::Wide(sw) => sw.tick(wire),
-            WordSwitch::Interleaved(sw) => sw.tick(wire),
-        }
-    }
-
-    /// Earliest future cycle at which this organization's state can
-    /// change with no further input (the [`simkernel::Horizon`] contract).
-    fn next_event(&self) -> Option<Cycle> {
-        match self {
-            WordSwitch::Pipelined(sw) => Horizon::next_event(&**sw),
-            WordSwitch::Wide(sw) => Horizon::next_event(&**sw),
-            WordSwitch::Interleaved(sw) => Horizon::next_event(&**sw),
-        }
-    }
-
-    fn jump_to(&mut self, target: Cycle) {
-        match self {
-            WordSwitch::Pipelined(sw) => Horizon::jump_to(&mut **sw, target),
-            WordSwitch::Wide(sw) => Horizon::jump_to(&mut **sw, target),
-            WordSwitch::Interleaved(sw) => Horizon::jump_to(&mut **sw, target),
-        }
-    }
-
-    fn now(&self) -> Cycle {
-        match self {
-            WordSwitch::Pipelined(sw) => sw.now(),
-            WordSwitch::Wide(sw) => sw.now(),
-            WordSwitch::Interleaved(sw) => sw.now(),
-        }
-    }
-
-    fn is_quiescent(&self) -> bool {
-        match self {
-            WordSwitch::Pipelined(sw) => sw.is_quiescent(),
-            WordSwitch::Wide(sw) => sw.is_quiescent(),
-            WordSwitch::Interleaved(sw) => sw.is_quiescent(),
-        }
-    }
-
-    fn counters(&self) -> SwitchCounters {
-        match self {
-            WordSwitch::Pipelined(sw) => sw.counters(),
-            WordSwitch::Wide(sw) => sw.counters(),
-            WordSwitch::Interleaved(sw) => sw.counters(),
-        }
-    }
-
-    fn recovery_report(&self) -> RecoveryReport {
-        match self {
-            WordSwitch::Pipelined(sw) => sw.recovery_report(),
-            WordSwitch::Wide(sw) => sw.recovery_report(),
-            WordSwitch::Interleaved(sw) => sw.recovery_report(),
-        }
     }
 }
 
@@ -329,13 +299,13 @@ pub fn run(sc: &Scenario, org: Org) -> RunOutcome {
 /// flight-recorder path the fuzzer uses to dump a failure's last
 /// cycles.
 pub fn run_with(sc: &Scenario, org: Org, probe: Option<ProbeHandle>) -> RunOutcome {
-    match org {
-        Org::Behavioral => run_behavioral(sc, probe),
-        _ => run_word(sc, org, probe),
+    match org.word() {
+        Some(word) => run_word(sc, org, word, probe),
+        None => run_behavioral(sc, probe),
     }
 }
 
-fn run_word(sc: &Scenario, org: Org, probe: Option<ProbeHandle>) -> RunOutcome {
+fn run_word(sc: &Scenario, org: Org, word: WordOrg, probe: Option<ProbeHandle>) -> RunOutcome {
     let n = sc.n;
     let s = sc.stages();
     // ECC-only recovery: corrections are timing-invisible, so the armed
@@ -345,42 +315,16 @@ fn run_word(sc: &Scenario, org: Org, probe: Option<ProbeHandle>) -> RunOutcome {
     } else {
         RecoveryConfig::default()
     };
-    let cfg = SwitchConfig::symmetric(n, sc.slots)
-        .with_recovery(rec)
-        .with_policy(sc.policy);
-    let mut sw = match org {
-        Org::Pipelined => WordSwitch::Pipelined(Box::new(PipelinedSwitch::new(cfg.clone()))),
-        Org::Wide => WordSwitch::Wide(Box::new(WideMemorySwitchRtl::new(
-            WideSwitchConfig::fig3(n, sc.slots)
-                .with_recovery(rec)
-                .with_policy(sc.policy),
-        ))),
-        Org::Interleaved => WordSwitch::Interleaved(Box::new(InterleavedSwitch::new(
-            InterleavedSwitchConfig::symmetric(n, sc.slots)
-                .with_recovery(rec)
-                .with_policy(sc.policy),
-        ))),
-        Org::Behavioral => unreachable!("behavioral runs via run_behavioral"),
-    };
+    let mut sw = word.build(n, sc.slots, rec, sc.policy);
     if let Some(p) = &probe {
-        match &mut sw {
-            WordSwitch::Pipelined(s) => s.attach_probe(p.clone()),
-            WordSwitch::Wide(s) => s.attach_probe(p.clone()),
-            WordSwitch::Interleaved(s) => s.attach_probe(p.clone()),
-        }
+        sw.attach_probe(p.clone());
     }
     // Faults strike the pipelined RTL only: the other organizations stay
     // clean references, so any effective upset becomes a divergence.
-    let mut plan = match (&sw, sc.fault) {
-        (WordSwitch::Pipelined(_), Some(f)) => Some(FaultPlan::generate(
-            FaultKind::BankUpset,
-            f.rate,
-            sc.horizon,
-            &cfg,
-            f.seed,
-        )),
-        _ => None,
-    };
+    let mut plan = sc.fault.filter(|_| word == WordOrg::Pipelined).map(|f| {
+        let cfg = SwitchConfig::symmetric(n, sc.slots);
+        FaultPlan::generate(FaultKind::BankUpset, f.rate, sc.horizon, &cfg, f.seed)
+    });
     let mut col = OutputCollector::new(n, s);
     let mut launcher = Launcher::new(sc, probe.as_ref());
     let mut current: Vec<Option<(Vec<u64>, usize)>> = (0..n).map(|_| None).collect();
@@ -420,35 +364,21 @@ fn run_word(sc: &Scenario, org: Org, probe: Option<ProbeHandle>) -> RunOutcome {
         // fault / model event instead of ticking through the gap. Bounding
         // the jump by `plan.next_due()` keeps every fault injected at its
         // exact scheduled cycle, so departures stay bit-identical.
-        if !idle && current.iter().all(Option::is_none) && !launcher.any_backlog() {
-            let horizon = match sw.next_event() {
-                None => Some(cap),
-                Some(e) if e > now => Some(e),
-                Some(_) => None, // state changes this cycle: dense-tick
-            };
-            if let Some(h) = horizon {
-                let mut target = h.min(cap);
-                if let Some(t) = launcher.earliest_pending() {
-                    target = target.min(t);
-                }
-                if let Some(t) = plan.as_ref().and_then(FaultPlan::next_due) {
-                    target = target.min(t);
-                }
-                if target > now {
-                    simkernel::horizon::note_skipped(target - now);
-                    sw.jump_to(target);
-                    continue;
-                }
+        if !idle && current.iter().all(Option::is_none) {
+            let next_fault = plan.as_ref().and_then(FaultPlan::next_due);
+            let limit = next_fault.map_or(cap, |t| t.min(cap));
+            if let Some(target) = launcher.jump_target(now, sw.next_event(), limit) {
+                simkernel::horizon::note_skipped(target - now);
+                sw.jump_to(target);
+                continue;
             }
         }
         simkernel::horizon::note_executed(1);
         if let Some(plan) = &mut plan {
             plan.take_due_into(now, &mut due_faults);
             for f in due_faults.drain(..) {
-                if let (FaultAction::BankUpset { stage, slot, mask }, WordSwitch::Pipelined(sw)) =
-                    (f.action, &mut sw)
-                {
-                    sw.inject_bank_fault(stage, slot, mask);
+                if let FaultAction::BankUpset { stage, slot, mask } = f.action {
+                    sw.inject_upset(slot.index(), stage, mask);
                 }
             }
         }
@@ -495,18 +425,7 @@ fn run_word(sc: &Scenario, org: Org, probe: Option<ProbeHandle>) -> RunOutcome {
         }
     }
     if error.is_none() {
-        let mut outstanding = vec![0u32; n];
-        for l in &launches {
-            outstanding[l.input] += 1;
-        }
-        for d in &deliveries {
-            if let Some(&i) = id_input.get(&d.id) {
-                outstanding[i] = outstanding[i].saturating_sub(1);
-            }
-        }
-        if let Err(e) = launcher.audit(&outstanding, org) {
-            error = Some(e);
-        }
+        error = launcher.audit(&launches, &deliveries, org).err();
     }
     RunOutcome {
         org,
@@ -563,23 +482,12 @@ fn run_behavioral(sc: &Scenario, probe: Option<ProbeHandle>) -> RunOutcome {
         // fine-grained horizon covers in-flight transmissions and queued
         // write/read schedules, so the clock may jump straight to the
         // next departure edge or the next pending offer.
-        if !idle && !launcher.any_backlog() {
-            let horizon = match Horizon::next_event(&sw) {
-                None => Some(cap),
-                Some(e) if e > now => Some(e),
-                Some(_) => None,
-            };
-            if let Some(h) = horizon {
-                let mut target = h.min(cap);
-                if let Some(t) = launcher.earliest_pending() {
-                    target = target.min(t);
-                }
-                if target > now {
-                    simkernel::horizon::note_skipped(target - now);
-                    Horizon::jump_to(&mut sw, target);
-                    now = target;
-                    continue;
-                }
+        if !idle {
+            if let Some(target) = launcher.jump_target(now, Horizon::next_event(&sw), cap) {
+                simkernel::horizon::note_skipped(target - now);
+                Horizon::jump_to(&mut sw, target);
+                now = target;
+                continue;
             }
         }
         simkernel::horizon::note_executed(1);
@@ -614,18 +522,9 @@ fn run_behavioral(sc: &Scenario, probe: Option<ProbeHandle>) -> RunOutcome {
         now += 1;
     }
     if error.is_none() {
-        let mut outstanding = vec![0u32; n];
-        for l in &launches {
-            outstanding[l.input] += 1;
-        }
-        for d in &deliveries {
-            if let Some(l) = launches.iter().find(|l| l.id == d.id) {
-                outstanding[l.input] = outstanding[l.input].saturating_sub(1);
-            }
-        }
-        if let Err(e) = launcher.audit(&outstanding, Org::Behavioral) {
-            error = Some(e);
-        }
+        error = launcher
+            .audit(&launches, &deliveries, Org::Behavioral)
+            .err();
     }
     let counters = SwitchCounters {
         // The behavioral model counts only *accepted* packets in

@@ -28,18 +28,15 @@
 //! the `n×M` router/selector crossbars — `vlsimodel` does that
 //! accounting; this model pins the behavior.
 
-use crate::events::SwitchCounters;
-use crate::policy::{AdmitDecision, PolicyEngine, PolicyKind, PolicyView, SharingPolicy};
-use crate::recovery::{RecoveryConfig, RecoveryReport, RecoveryWindows};
+use crate::ctl::{Arrival, ControlPlane};
+use crate::policy::PolicyKind;
+use crate::recovery::RecoveryConfig;
 use crate::rtl::integrity_checksum;
 use membank::interleaved::{BankId, InterleavedMemory};
-use membank::EccOutcome;
 use simkernel::cell::Packet;
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
-use telemetry::{
-    DropReason, GaugeKind, ProbeEvent, ProbeHandle, RecoveryTag, SharedRecorder, TelemetryConfig,
-};
+use telemetry::DropReason;
 
 /// Configuration of the interleaved-bank switch.
 #[derive(Debug, Clone)]
@@ -133,22 +130,11 @@ pub struct InterleavedSwitch {
     /// transmission.
     tx: Vec<Option<(BankId, usize, u64, Cycle)>>,
     cycle: Cycle,
-    counters: SwitchCounters,
-    probe: Option<ProbeHandle>,
-    /// Last occupancy gauge emitted (probe attached only).
-    last_occ: u64,
-    /// Last per-output queue-depth gauges emitted (probe attached only).
-    last_qdepth: Vec<u64>,
+    /// Counters, probe, sharing policy and recovery ledger.
+    ctl: ControlPlane,
     /// Reusable per-cycle scratch (hot path: must not allocate).
     wire_out: Vec<Option<u64>>,
     scratch_freed: Vec<BankId>,
-    /// Declared recovery windows (failover settle periods).
-    recovery_windows: RecoveryWindows,
-    /// The buffer-sharing policy (bank admission / preemption).
-    policy: PolicyEngine,
-    /// Cached `policy.is_static()` — the header path branches on this
-    /// once per arrival to keep the static pool at its pre-policy cost.
-    policy_static: bool,
 }
 
 impl InterleavedSwitch {
@@ -167,96 +153,22 @@ impl InterleavedSwitch {
             queues: vec![VecDeque::new(); cfg.n],
             tx: vec![None; cfg.n],
             cycle: 0,
-            counters: SwitchCounters::default(),
-            probe: None,
-            last_occ: 0,
-            last_qdepth: vec![0; cfg.n],
+            // Natural settle time of one failover: one packet time.
+            ctl: ControlPlane::new(cfg.n, s, cfg.policy, cfg.recovery, s as u64),
             wire_out: vec![None; cfg.n],
             scratch_freed: Vec::with_capacity(cfg.n),
-            recovery_windows: RecoveryWindows::default(),
-            policy: cfg.policy.engine(cfg.n, cfg.packet_words()),
-            policy_static: cfg.policy.is_static(),
             cfg,
         }
-    }
-
-    /// One non-static bank-admission decision. Queued packets are fully
-    /// stored and not in transmission (transmission pops the queue), so
-    /// any queue entry is evictable; push-out takes the rearmost entry
-    /// of the victim queue and releases its bank.
-    fn policy_admit(&mut self, dst: usize, c: Cycle) -> bool {
-        let qlens: Vec<usize> = self.queues.iter().map(VecDeque::len).collect();
-        let decision = self.policy.admit(&PolicyView {
-            occupancy: self.mem.occupied_count(),
-            capacity: self.mem.banks(),
-            n_out: self.cfg.n,
-            dst,
-            qlens: &qlens,
-        });
-        match decision {
-            AdmitDecision::Accept => true,
-            AdmitDecision::Reject => false,
-            AdmitDecision::Preempt { victim } => {
-                // Rearmost *evictable* entry: a packet stored this very
-                // cycle used its bank's write port this cycle, so the
-                // single-ported bank cannot take the preemptor's header
-                // word too. `ready <= c` means the last write retired in
-                // a previous cycle and the port is idle.
-                let slot = self.queues[victim].iter().rposition(|st| st.ready <= c);
-                match slot {
-                    Some(ix) => {
-                        let st = self.queues[victim].remove(ix).expect("index in range");
-                        self.mem.release(st.bank);
-                        self.counters.policy_preempts += 1;
-                        if let Some(p) = &self.probe {
-                            p.emit(
-                                c,
-                                ProbeEvent::Drop {
-                                    id: st.id,
-                                    reason: DropReason::Preempted,
-                                },
-                            );
-                        }
-                        true
-                    }
-                    None => false,
-                }
-            }
-        }
-    }
-
-    /// Build a switch with telemetry per `tel`: returns the switch and
-    /// the attached recorder (if `tel` enables one).
-    pub fn with_telemetry(
-        cfg: InterleavedSwitchConfig,
-        tel: &TelemetryConfig,
-    ) -> (Self, Option<SharedRecorder>) {
-        let mut sw = Self::new(cfg);
-        let rec = tel.recorder();
-        if let Some(r) = &rec {
-            sw.attach_probe(r.handle());
-        }
-        (sw, rec)
-    }
-
-    /// Attach a probe; every subsequent tick streams events into it.
-    pub fn attach_probe(&mut self, probe: ProbeHandle) {
-        self.probe = Some(probe);
-    }
-
-    /// Aggregate counters.
-    pub fn counters(&self) -> SwitchCounters {
-        self.counters
-    }
-
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.cycle
     }
 
     /// Banks currently holding (or receiving) a packet.
     pub fn occupancy(&self) -> usize {
         self.mem.occupied_count()
+    }
+
+    /// Packet size in words.
+    pub fn packet_words(&self) -> usize {
+        self.cfg.packet_words()
     }
 
     /// True when nothing is buffered or in flight.
@@ -271,70 +183,16 @@ impl InterleavedSwitch {
     /// cumulative corrections cross the failover threshold.
     fn scrub_bank(&mut self, b: BankId, c: Cycle) {
         for k in 0..self.cfg.packet_words() {
-            match self.mem.scrub_word(b, k) {
-                EccOutcome::Clean => {}
-                EccOutcome::Corrected { bit } => {
-                    self.counters.ecc_corrected += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Recovery {
-                                tag: RecoveryTag::EccCorrected,
-                                index: b.0,
-                                info: u64::from(bit),
-                            },
-                        );
-                    }
-                }
-                EccOutcome::Uncorrectable => {
-                    self.counters.ecc_uncorrectable += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Recovery {
-                                tag: RecoveryTag::EccUncorrectable,
-                                index: b.0,
-                                info: k as u64,
-                            },
-                        );
-                    }
-                }
-            }
+            let outcome = self.mem.scrub_word(b, k);
+            self.ctl.ecc(c, b.0, outcome, k as u64);
         }
-        if self.cfg.recovery.failover_enabled()
-            && self.mem.bank_corrections(b) >= self.cfg.recovery.failover_threshold
-        {
+        if self.ctl.over_threshold(self.mem.bank_corrections(b)) {
             let before = self.mem.failovers();
             let spare = self.mem.retire(b);
             if self.mem.failovers() > before {
-                self.counters.bank_failovers += 1;
-                let settle = if self.cfg.recovery.degrade_window > 0 {
-                    self.cfg.recovery.degrade_window
-                } else {
-                    self.cfg.packet_words() as u64
-                };
-                self.recovery_windows.open(c, settle);
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        c,
-                        ProbeEvent::Recovery {
-                            tag: RecoveryTag::BankFailover,
-                            index: b.0,
-                            info: self.mem.spares_remaining() as u64,
-                        },
-                    );
-                }
+                self.ctl.failover(c, b.0, self.mem.spares_remaining());
                 if spare.is_none() {
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Recovery {
-                                tag: RecoveryTag::DegradedEnter,
-                                index: b.0,
-                                info: self.mem.banks() as u64,
-                            },
-                        );
-                    }
+                    self.ctl.degraded_enter(c, b.0, self.mem.banks() as u64);
                 }
             }
         }
@@ -351,31 +209,15 @@ impl InterleavedSwitch {
         self.mem.spares_remaining()
     }
 
-    /// Declared recovery windows (failover settle spans).
-    pub fn recovery_windows(&self) -> &RecoveryWindows {
-        &self.recovery_windows
-    }
-
-    /// Snapshot of the recovery ledger.
-    pub fn recovery_report(&self) -> RecoveryReport {
-        RecoveryReport {
-            corrections: self.counters.ecc_corrected,
-            uncorrectable: self.counters.ecc_uncorrectable,
-            failovers: self.counters.bank_failovers,
-            shed: self.counters.recovery_shed,
-            retries: 0,
-            retry_give_ups: 0,
-            windows: self.recovery_windows.clone(),
-        }
-    }
-
     /// Fault injection (testbench only): flip the bits of `mask` in word
-    /// `k` of bank `b`. Returns `true` when the bank currently holds a
-    /// fully stored, not-yet-transmitting packet — i.e. the upset can
-    /// reach the transmission-start scrub.
-    pub fn inject_bank_fault(&mut self, b: BankId, k: usize, mask: u64) -> bool {
-        self.mem.inject_fault(b, k, mask);
-        self.queues.iter().any(|q| q.iter().any(|st| st.bank == b))
+    /// `word` of bank `slot`. Returns `true` when the bank currently
+    /// holds a fully stored, not-yet-transmitting packet — i.e. the upset
+    /// can reach the transmission-start scrub.
+    pub fn inject_upset(&mut self, slot: usize, word: usize, mask: u64) -> bool {
+        self.mem.inject_fault(BankId(slot), word, mask);
+        self.queues
+            .iter()
+            .any(|q| q.iter().any(|st| st.bank == BankId(slot)))
     }
 
     /// Advance one cycle: words in on every input link, words out on
@@ -410,7 +252,7 @@ impl InterleavedSwitch {
                         // place, and a bank failing repeatedly is retired
                         // (it drains this packet first, then leaves the
                         // pool on release).
-                        if self.cfg.recovery.ecc {
+                        if self.ctl.ecc_on() {
                             self.scrub_bank(head.bank, c);
                         }
                         let scrub_fail = self.cfg.scrub
@@ -419,34 +261,14 @@ impl InterleavedSwitch {
                         if scrub_fail {
                             // Detect-and-drop: the initiation slot is
                             // spent; the bank is freed immediately.
-                            self.counters.corrupt_drops += 1;
                             freed.push(head.bank);
-                            if let Some(p) = &self.probe {
-                                p.emit(
-                                    c,
-                                    ProbeEvent::Drop {
-                                        id: head.id,
-                                        reason: DropReason::Checksum,
-                                    },
-                                );
-                            }
+                            self.ctl.drop(c, head.id, DropReason::Checksum);
                         } else {
                             self.tx[j] = Some((head.bank, 0, head.id, head.birth));
-                            if !self.policy_static {
-                                // BShare queueing-delay signal:
-                                // birth-to-transmission-start.
-                                self.policy.on_read(j, c - head.birth);
-                            }
-                            if let Some(p) = &self.probe {
-                                p.emit(
-                                    c,
-                                    ProbeEvent::ReadWave {
-                                        output: j,
-                                        addr: head.bank.0,
-                                        fused: false,
-                                    },
-                                );
-                            }
+                            // BShare queueing-delay signal:
+                            // birth-to-transmission-start.
+                            self.ctl.on_read(j, c - head.birth);
+                            self.ctl.read_wave(c, j, head.bank.0, false);
                         }
                     }
                 }
@@ -462,18 +284,7 @@ impl InterleavedSwitch {
                 if done {
                     self.tx[j] = None;
                     freed.push(b);
-                    self.counters.departed += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Departed {
-                                output: j,
-                                id,
-                                birth,
-                                latency: c - birth,
-                            },
-                        );
-                    }
+                    self.ctl.departed(c, j, id, birth);
                 }
             }
         }
@@ -494,49 +305,36 @@ impl InterleavedSwitch {
             if self.arriving[i].is_none() {
                 let (dst, id) = Packet::decode_header(*word);
                 assert!(dst < n, "bad destination {dst}");
-                self.counters.arrived += 1;
-                if let Some(p) = &self.probe {
-                    p.emit(c, ProbeEvent::HeaderArrived { input: i, id, dst });
-                }
-                let refused = !self.policy_static && !self.policy_admit(dst, c);
-                let bank = if refused { None } else { self.mem.allocate() };
-                if refused {
-                    self.counters.policy_drops += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Drop {
-                                id,
-                                reason: DropReason::AdmissionPolicy,
-                            },
-                        );
-                    }
-                } else {
-                    match bank {
-                        Some(b) => {
-                            if let Some(p) = &self.probe {
-                                p.emit(
-                                    c,
-                                    ProbeEvent::WriteWave {
-                                        input: i,
-                                        addr: b.0,
-                                    },
-                                );
-                            }
-                        }
-                        None => {
-                            self.counters.dropped_buffer_full += 1;
-                            if let Some(p) = &self.probe {
-                                p.emit(
-                                    c,
-                                    ProbeEvent::Drop {
-                                        id,
-                                        reason: DropReason::BufferFull,
-                                    },
-                                );
-                            }
-                        }
-                    }
+                self.ctl.header(c, i, id, dst);
+                // Queued packets are fully stored and not in transmission
+                // (transmission pops the queue), so push-out may take the
+                // rearmost entry of the victim queue whose bank port is
+                // idle: a packet stored this very cycle used its bank's
+                // write port this cycle, and the single-ported bank
+                // cannot take the preemptor's header word too
+                // (`ready <= c`: the last write retired earlier).
+                let admitted = self.ctl.admit(
+                    Arrival {
+                        c,
+                        id,
+                        dst,
+                        occupancy: self.mem.occupied_count(),
+                        capacity: self.mem.banks(),
+                    },
+                    &mut (&mut self.queues, &mut self.mem),
+                    |(queues, _), j| queues[j].len(),
+                    |(queues, mem), victim| {
+                        let ix = queues[victim].iter().rposition(|st| st.ready <= c)?;
+                        let st = queues[victim].remove(ix)?;
+                        mem.release(st.bank);
+                        Some(st.id)
+                    },
+                );
+                let bank = if admitted { self.mem.allocate() } else { None };
+                match bank {
+                    Some(b) => self.ctl.write_wave(c, i, b.0),
+                    None if admitted => self.ctl.drop(c, id, DropReason::BufferFull),
+                    None => {}
                 }
                 self.arriving[i] = Some(Arriving {
                     bank,
@@ -574,36 +372,10 @@ impl InterleavedSwitch {
         }
         self.scratch_freed = freed;
 
-        if self.probe.is_some() {
-            let occ = self.mem.occupied_count() as u64;
-            if occ != self.last_occ {
-                self.last_occ = occ;
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        c,
-                        ProbeEvent::Gauge {
-                            gauge: GaugeKind::Occupancy,
-                            index: 0,
-                            value: occ,
-                        },
-                    );
-                }
-            }
+        if self.ctl.probed() {
+            self.ctl.gauge_occupancy(c, self.mem.occupied_count());
             for j in 0..n {
-                let depth = self.queues[j].len() as u64;
-                if depth != self.last_qdepth[j] {
-                    self.last_qdepth[j] = depth;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Gauge {
-                                gauge: GaugeKind::QueueDepth,
-                                index: j,
-                                value: depth,
-                            },
-                        );
-                    }
-                }
+                self.ctl.gauge_queue_depth(c, j, self.queues[j].len());
             }
         }
 
@@ -612,6 +384,8 @@ impl InterleavedSwitch {
         &self.wire_out
     }
 }
+
+crate::word::word_switch!(InterleavedSwitch);
 
 impl simkernel::Horizon for InterleavedSwitch {
     fn now(&self) -> Cycle {
@@ -651,6 +425,7 @@ impl simkernel::Horizon for InterleavedSwitch {
 mod tests {
     use super::*;
     use crate::rtl::OutputCollector;
+    use crate::WordSwitch as _;
 
     fn run_schedule(
         cfg: InterleavedSwitchConfig,
@@ -747,9 +522,7 @@ mod tests {
         }
         // Fully stored, not yet transmitting: flip a bit in every bank;
         // exactly one holds the live packet.
-        let live: Vec<usize> = (0..4)
-            .filter(|&b| sw.inject_bank_fault(BankId(b), 2, 1))
-            .collect();
+        let live: Vec<usize> = (0..4).filter(|&b| sw.inject_upset(b, 2, 1)).collect();
         assert_eq!(live.len(), 1, "one bank holds the packet");
         simkernel::run_until_quiescent(100, "interleaved scrub drain", |_| {
             if sw.is_quiescent() {
@@ -782,9 +555,7 @@ mod tests {
             let out = sw.tick(&[Some(p.words[k]), None]);
             col.observe(now, out);
         }
-        let live = (0..total)
-            .filter(|&b| sw.inject_bank_fault(BankId(b), 2, 1))
-            .count();
+        let live = (0..total).filter(|&b| sw.inject_upset(b, 2, 1)).count();
         assert_eq!(live, 1, "one bank holds the packet");
         simkernel::run_until_quiescent(100, "ecc drain", |_| {
             if sw.is_quiescent() {

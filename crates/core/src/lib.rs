@@ -55,6 +55,7 @@ pub mod behavioral;
 pub mod bufmgr;
 pub mod config;
 pub mod credit;
+mod ctl;
 pub mod ctrl;
 pub mod events;
 pub mod faultsim;
@@ -66,6 +67,7 @@ pub mod reference;
 pub mod rtl;
 pub mod vcroute;
 pub mod widemem;
+pub mod word;
 pub mod wrr;
 
 pub use arbiter::{ArbiterPolicy, ReadPolicy};
@@ -86,4 +88,5 @@ pub use recovery::{
 pub use rtl::{DeliveredPacket, PipelinedSwitch};
 pub use vcroute::{RoutingTable, TranslatedSwitch};
 pub use widemem::{WideMemorySwitchRtl, WideSwitchConfig};
+pub use word::{WordOrg, WordSwitch};
 pub use wrr::WrrMux;

@@ -92,11 +92,6 @@ pub trait SharingPolicy {
     fn on_read(&mut self, output: usize, delay: Cycle) {
         let _ = (output, delay);
     }
-
-    /// Observe a slot being freed (occupancy after the free).
-    fn on_free(&mut self, occupancy: usize) {
-        let _ = occupancy;
-    }
 }
 
 /// The longest non-empty queue, ties broken toward the lowest output
@@ -431,10 +426,6 @@ impl SharingPolicy for PolicyEngine {
         if let PolicyEngine::BShare(p) = self {
             p.on_read(output, delay);
         }
-    }
-
-    fn on_free(&mut self, occupancy: usize) {
-        let _ = occupancy;
     }
 }
 

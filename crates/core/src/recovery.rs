@@ -160,10 +160,6 @@ pub struct RecoveryReport {
     pub failovers: u64,
     /// Packets shed at admission inside recovery windows.
     pub shed: u64,
-    /// Frames retransmitted by the link-retry machinery.
-    pub retries: u64,
-    /// Frames abandoned after the replay bound.
-    pub retry_give_ups: u64,
     /// The declared-outage ledger.
     pub windows: RecoveryWindows,
 }

@@ -38,15 +38,13 @@
 use crate::arbiter::{Arbiter, Decision, ReadReq, WriteReq};
 use crate::bufmgr::{BufferManager, Descriptor};
 use crate::config::SwitchConfig;
-use crate::events::{IntegrityReason, SwitchCounters};
-use crate::policy::{AdmitDecision, PolicyEngine, PolicyView, SharingPolicy};
-use crate::recovery::{RecoveryReport, RecoveryWindows};
-use membank::bank::{EccOutcome, PortKind, SramBank};
+use crate::ctl::{Arrival, ControlPlane};
+use crate::events::IntegrityReason;
+use membank::bank::{PortKind, SramBank};
 use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle, PortId};
 use telemetry::{
-    ArbOutcome, DropReason, FaultTag, GaugeKind, ProbeEvent, ProbeHandle, RecoveryTag,
-    SharedRecorder, TelemetryConfig, WaveDir,
+    ArbOutcome, DropReason, FaultTag, ProbeEvent, SharedRecorder, TelemetryConfig, WaveDir,
 };
 
 /// Map an integrity verdict onto the probe stream's drop vocabulary.
@@ -182,31 +180,18 @@ pub struct PipelinedSwitch {
     stuck_write: Option<(usize, Cycle)>,
     /// Spare bank columns held in reserve for hot failover.
     spares: Vec<SramBank>,
-    /// Declared recovery outages (failover settle spans, degraded-mode
-    /// shedding); loss inside a window is excused by the oracle.
-    recovery_windows: RecoveryWindows,
-    /// Any recovery machinery armed (one precomputed flag so the
-    /// disabled path pays a single predictable branch per header).
-    recovery_on: bool,
     /// Spares exhausted and a bank over threshold: admission permanently
     /// capped at `admission_cap`.
     degraded: bool,
     /// Occupancy ceiling for new admissions (normally `slots`).
     admission_cap: usize,
-    /// Cycles of admission pause charged per failover (settle time).
-    degrade_len: u64,
     /// Stage whose bank crossed the correction threshold mid-wave; the
     /// failover runs after the stage walk (the wave borrow forbids it
     /// inline).
     pending_failover: Option<usize>,
     mgr: BufferManager,
-    /// The buffer-sharing policy (admission/preemption decisions).
-    policy: PolicyEngine,
-    /// Cached `policy.is_static()` — the header path branches on this
-    /// once per arrival to keep the static pool at its pre-policy cost.
-    policy_static: bool,
-    /// Scratch for the policy's live queue-length view (cold path).
-    scratch_qlens: Vec<usize>,
+    /// Counters, probe, sharing policy and recovery ledger.
+    ctl: ControlPlane,
     arb: Arbiter,
     /// Active waves as a ring indexed by `start % stages`. A wave lives
     /// exactly `stages` cycles and at most one initiates per cycle, so
@@ -225,12 +210,6 @@ pub struct PipelinedSwitch {
     /// wider fabrics fall back to scanning the row.
     outreg_mask: u128,
     cycle: Cycle,
-    counters: SwitchCounters,
-    probe: Option<ProbeHandle>,
-    /// Last occupancy / queue-depth gauges emitted (probe attached only;
-    /// gauges are emitted on change, not per cycle).
-    last_occ: u64,
-    last_qdepth: Vec<u64>,
     last_controls: Vec<StageCtrl>,
     /// Stages whose `last_controls` entry is non-Nop: bit `k` set when
     /// stage `k` executed a control last cycle, so the per-cycle reset
@@ -276,32 +255,25 @@ impl PipelinedSwitch {
             out_verify: vec![OutVerify::default(); cfg.n_out],
             stuck_write: None,
             spares,
-            recovery_windows: RecoveryWindows::new(),
-            recovery_on: cfg.recovery.enabled(),
             degraded: false,
             admission_cap: cfg.slots,
             pending_failover: None,
-            degrade_len: if cfg.recovery.degrade_window == 0 {
-                // Natural settle time of one failover: the spare copies
-                // one slot per cycle — a full column sweep.
-                cfg.slots as u64
-            } else {
-                cfg.recovery.degrade_window
-            },
             mgr: BufferManager::new(cfg.slots, cfg.n_out),
-            policy: cfg.policy.engine(cfg.n_out, stages),
-            policy_static: cfg.policy.is_static(),
-            scratch_qlens: Vec::with_capacity(cfg.n_out),
+            // Natural settle time of one failover: the spare copies one
+            // slot per cycle — a full column sweep.
+            ctl: ControlPlane::new(
+                cfg.n_out,
+                stages,
+                cfg.policy,
+                cfg.recovery,
+                cfg.slots as u64,
+            ),
             arb: Arbiter::new(cfg.arbiter),
             waves: vec![None; stages],
             waves_live: 0,
             wave_mask: 0,
             outreg_mask: 0,
             cycle: 0,
-            counters: SwitchCounters::default(),
-            probe: None,
-            last_occ: 0,
-            last_qdepth: vec![0; cfg.n_out],
             last_controls: vec![StageCtrl::Nop; stages],
             ctrl_mask: 0,
             wire_out: vec![None; cfg.n_out],
@@ -326,26 +298,9 @@ impl PipelinedSwitch {
         (sw, rec)
     }
 
-    /// Attach a probe sink; every subsequent tick streams structured
-    /// [`ProbeEvent`]s into it. With no probe attached the emission sites
-    /// cost one predictable branch each (the perf gate holds this).
-    pub fn attach_probe(&mut self, probe: ProbeHandle) {
-        self.probe = Some(probe);
-    }
-
-    /// Aggregate counters.
-    pub fn counters(&self) -> SwitchCounters {
-        self.counters
-    }
-
     /// The configuration this switch was built with.
     pub fn config(&self) -> &SwitchConfig {
         &self.cfg
-    }
-
-    /// Current cycle (the one the next `tick` will execute).
-    pub fn now(&self) -> Cycle {
-        self.cycle
     }
 
     /// Buffer occupancy in packets.
@@ -353,68 +308,9 @@ impl PipelinedSwitch {
         self.mgr.occupancy()
     }
 
-    /// Cold path: one non-static admission decision. Returns true when
-    /// the arrival may take a slot (a preemption has already freed one
-    /// if the policy demanded it). An associated function over disjoint
-    /// field borrows, because the header loop holds the input state.
-    /// Mirrors the behavioral model's `policy_admit`: the view
-    /// (occupancy, live queue lengths) and the evictability rule (write
-    /// wave fully retired, no copy in transmission) are computed
-    /// identically, so the two models stay cycle-exact under every
-    /// policy.
-    #[allow(clippy::too_many_arguments)]
-    fn policy_admit(
-        policy: &mut PolicyEngine,
-        mgr: &mut BufferManager,
-        counters: &mut SwitchCounters,
-        probe: &Option<ProbeHandle>,
-        qlens: &mut Vec<usize>,
-        n_out: usize,
-        slots: usize,
-        stages: usize,
-        dst: usize,
-        c: Cycle,
-    ) -> bool {
-        let s = stages as Cycle;
-        qlens.clear();
-        qlens.extend((0..n_out).map(|j| mgr.queue_len_live(PortId(j))));
-        let decision = policy.admit(&PolicyView {
-            occupancy: mgr.occupancy(),
-            capacity: slots,
-            n_out,
-            dst,
-            qlens,
-        });
-        match decision {
-            AdmitDecision::Accept => true,
-            AdmitDecision::Reject => false,
-            AdmitDecision::Preempt { victim } => {
-                // Evictable: the write wave has fully retired (freeing a
-                // slot mid-write would let the reallocated address
-                // collide with the in-flight wave) and no copy's read
-                // has initiated (refs still equals the fanout).
-                let addr = mgr.rearmost_matching(PortId(victim), |d, refs| {
-                    d.write_start.is_some_and(|ws| c >= ws + s) && refs == d.fanout()
-                });
-                match addr {
-                    Some(a) => {
-                        let d = mgr.evict(a);
-                        counters.policy_preempts += 1;
-                        if let Some(p) = probe {
-                            p.emit(
-                                c,
-                                ProbeEvent::Drop {
-                                    id: d.id,
-                                    reason: DropReason::Preempted,
-                                },
-                            );
-                        }
-                        true
-                    }
-                    None => false,
-                }
-            }
-        }
+    /// Packet size in words (= pipeline stages).
+    pub fn packet_words(&self) -> usize {
+        self.stages
     }
 
     /// The per-stage control signals of the most recently executed cycle
@@ -455,6 +351,13 @@ impl PipelinedSwitch {
             .map(|rb| rb.id)
     }
 
+    /// [`Self::inject_bank_fault`] in the organization-neutral
+    /// coordinates of [`WordSwitch`](crate::WordSwitch): word `word` of
+    /// buffer slot `slot`. True when the upset struck live data.
+    pub fn inject_upset(&mut self, slot: usize, word: usize, mask: u64) -> bool {
+        self.inject_bank_fault(word, Addr(slot), mask).is_some()
+    }
+
     /// Fault injection (testbench only): stick the write-control signal
     /// of `stage` low through cycle `until` — bank writes at that stage
     /// are suppressed (counted in `writes_suppressed`), leaving a stale
@@ -477,46 +380,18 @@ impl PipelinedSwitch {
     /// hot-swapped for a spare.
     fn scrub_slot(&mut self, addr: Addr, c: Cycle) {
         for k in 0..self.stages {
-            match self.banks[k].scrub(addr) {
-                EccOutcome::Clean => continue,
-                EccOutcome::Corrected { bit } => {
-                    self.counters.ecc_corrected += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Recovery {
-                                tag: RecoveryTag::EccCorrected,
-                                index: k,
-                                info: u64::from(bit),
-                            },
-                        );
-                    }
-                    if self.cfg.recovery.failover_threshold > 0
-                        && self.banks[k].ecc_corrections() >= self.cfg.recovery.failover_threshold
-                    {
-                        self.fail_over(k, c);
-                    }
-                }
-                EccOutcome::Uncorrectable => {
-                    self.counters.ecc_uncorrectable += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Recovery {
-                                tag: RecoveryTag::EccUncorrectable,
-                                index: k,
-                                info: addr.index() as u64,
-                            },
-                        );
-                    }
-                }
+            let outcome = self.banks[k].scrub(addr);
+            if self.ctl.ecc(c, k, outcome, addr.index() as u64)
+                && self.ctl.over_threshold(self.banks[k].ecc_corrections())
+            {
+                self.fail_over(k, c);
             }
         }
     }
 
     /// Mask out the failing bank at `stage`: promote a spare column in
     /// its place (contents copied, check codes recomputed) and declare a
-    /// `degrade_len`-cycle settle window during which admission pauses.
+    /// settle window during which admission pauses (one column sweep).
     /// With the reserve exhausted, the switch instead enters *permanent*
     /// degraded mode: admission capacity is halved, trading throughput
     /// for continued conservation and per-flow FIFO.
@@ -525,41 +400,14 @@ impl PipelinedSwitch {
             Some(mut spare) => {
                 spare.copy_contents_from(&self.banks[stage]);
                 self.banks[stage] = spare;
-                self.counters.bank_failovers += 1;
-                self.recovery_windows.open(c, self.degrade_len);
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        c,
-                        ProbeEvent::Recovery {
-                            tag: RecoveryTag::BankFailover,
-                            index: stage,
-                            info: self.spares.len() as u64,
-                        },
-                    );
-                    p.emit(
-                        c,
-                        ProbeEvent::Recovery {
-                            tag: RecoveryTag::DegradedEnter,
-                            index: stage,
-                            info: self.degrade_len,
-                        },
-                    );
-                }
+                let settle = self.ctl.failover(c, stage, self.spares.len());
+                self.ctl.degraded_enter(c, stage, settle);
             }
             None => {
                 if !self.degraded {
                     self.degraded = true;
                     self.admission_cap = (self.cfg.slots / 2).max(1);
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Recovery {
-                                tag: RecoveryTag::DegradedEnter,
-                                index: stage,
-                                info: self.admission_cap as u64,
-                            },
-                        );
-                    }
+                    self.ctl.degraded_enter(c, stage, self.admission_cap as u64);
                 }
             }
         }
@@ -574,25 +422,6 @@ impl PipelinedSwitch {
     /// Spare bank columns still in reserve.
     pub fn spares_remaining(&self) -> usize {
         self.spares.len()
-    }
-
-    /// The declared-outage ledger accumulated so far.
-    pub fn recovery_windows(&self) -> &RecoveryWindows {
-        &self.recovery_windows
-    }
-
-    /// Aggregate recovery outcome (corrections, failovers, shed packets,
-    /// windows) for campaign reporting and the conformance oracle.
-    pub fn recovery_report(&self) -> RecoveryReport {
-        RecoveryReport {
-            corrections: self.counters.ecc_corrected,
-            uncorrectable: self.counters.ecc_uncorrectable,
-            failovers: self.counters.bank_failovers,
-            shed: self.counters.recovery_shed,
-            retries: 0,
-            retry_give_ups: 0,
-            windows: self.recovery_windows.clone(),
-        }
     }
 
     /// True if the switch holds no packets and no waves are in flight
@@ -644,7 +473,7 @@ impl PipelinedSwitch {
                     // output register samples the correct value — but
                     // the slot keeps a stale word, which the checksum
                     // scrub catches at (store-and-forward) read time.
-                    self.counters.writes_suppressed += 1;
+                    self.ctl.counters.writes_suppressed += 1;
                 } else {
                     bank.write(w.addr, v)
                         .expect("wave stagger guarantees bank availability");
@@ -662,41 +491,12 @@ impl PipelinedSwitch {
                     // reaches banks the initiation-time scrub could not
                     // (the slot was not fully written yet), so the word
                     // is repaired right before it is sampled.
-                    if self.cfg.recovery.ecc {
-                        match bank.scrub(w.addr) {
-                            EccOutcome::Clean => {}
-                            EccOutcome::Corrected { bit } => {
-                                self.counters.ecc_corrected += 1;
-                                if let Some(p) = &self.probe {
-                                    p.emit(
-                                        c,
-                                        ProbeEvent::Recovery {
-                                            tag: RecoveryTag::EccCorrected,
-                                            index: k,
-                                            info: u64::from(bit),
-                                        },
-                                    );
-                                }
-                                if self.cfg.recovery.failover_enabled()
-                                    && bank.ecc_corrections()
-                                        >= self.cfg.recovery.failover_threshold
-                                {
-                                    self.pending_failover = Some(k);
-                                }
-                            }
-                            EccOutcome::Uncorrectable => {
-                                self.counters.ecc_uncorrectable += 1;
-                                if let Some(p) = &self.probe {
-                                    p.emit(
-                                        c,
-                                        ProbeEvent::Recovery {
-                                            tag: RecoveryTag::EccUncorrectable,
-                                            index: k,
-                                            info: w.addr.index() as u64,
-                                        },
-                                    );
-                                }
-                            }
+                    if self.ctl.ecc_on() {
+                        let outcome = bank.scrub(w.addr);
+                        if self.ctl.ecc(c, k, outcome, w.addr.index() as u64)
+                            && self.ctl.over_threshold(bank.ecc_corrections())
+                        {
+                            self.pending_failover = Some(k);
                         }
                     }
                     bank.read(w.addr)
@@ -733,23 +533,20 @@ impl PipelinedSwitch {
         if let Some(bit) = 1u128.checked_shl(k as u32) {
             self.ctrl_mask |= bit;
         }
-        if let Some(p) = &self.probe {
-            let op = match (&w.write_from, &w.read_to) {
-                (Some(_), None) => WaveDir::Write,
-                (None, Some(_)) => WaveDir::Read,
-                _ => WaveDir::Fused,
-            };
-            p.emit(
-                c,
-                ProbeEvent::BankAccess {
-                    stage: k,
-                    addr: w.addr.index(),
-                    op,
-                    input: w.write_from.map(PortId::index),
-                    output: w.read_to.as_ref().map(|rb| rb.out.index()),
+        self.ctl.emit(
+            c,
+            ProbeEvent::BankAccess {
+                stage: k,
+                addr: w.addr.index(),
+                op: match (&w.write_from, &w.read_to) {
+                    (Some(_), None) => WaveDir::Write,
+                    (None, Some(_)) => WaveDir::Read,
+                    _ => WaveDir::Fused,
                 },
-            );
-        }
+                input: w.write_from.map(PortId::index),
+                output: w.read_to.as_ref().map(|rb| rb.out.index()),
+            },
+        );
     }
 
     /// Drive one committed output-register word onto its link: egress
@@ -775,30 +572,17 @@ impl PipelinedSwitch {
             v.k += 1;
         }
         if let Some((id, birth)) = ow.tail_of {
-            self.counters.departed += 1;
-            if let Some(p) = &self.probe {
-                p.emit(
-                    c,
-                    ProbeEvent::Departed {
-                        output: j,
-                        id,
-                        birth,
-                        latency: c - birth,
-                    },
-                );
-            }
+            self.ctl.departed(c, j, id, birth);
             if self.cfg.integrity.payload_check {
                 if self.out_verify[j].corrupt {
-                    self.counters.corrupt_delivered += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Fault {
-                                id,
-                                kind: FaultTag::CorruptDelivered,
-                            },
-                        );
-                    }
+                    self.ctl.counters.corrupt_delivered += 1;
+                    self.ctl.emit(
+                        c,
+                        ProbeEvent::Fault {
+                            id,
+                            kind: FaultTag::CorruptDelivered,
+                        },
+                    );
                 }
                 self.out_verify[j] = OutVerify::default();
             }
@@ -865,17 +649,8 @@ impl PipelinedSwitch {
                             // valid output is counted and the packet
                             // swallowed (no slot allocated; the remaining
                             // words fall on the floor at the tail).
-                            self.counters.arrived += 1;
-                            self.counters.corrupt_drops += 1;
-                            if let Some(p) = &self.probe {
-                                p.emit(
-                                    c,
-                                    ProbeEvent::Drop {
-                                        id,
-                                        reason: DropReason::BadHeader,
-                                    },
-                                );
-                            }
+                            self.ctl.counters.arrived += 1;
+                            self.ctl.drop(c, id, DropReason::BadHeader);
                         } else {
                             assert!(
                                 !bad,
@@ -883,17 +658,7 @@ impl PipelinedSwitch {
                                 self.cfg.n_out
                             );
                             let desc = Descriptor::multicast(id, PortId(i), mask, c);
-                            self.counters.arrived += 1;
-                            if let Some(p) = &self.probe {
-                                p.emit(
-                                    c,
-                                    ProbeEvent::HeaderArrived {
-                                        input: i,
-                                        id,
-                                        dst: desc.dst.index(),
-                                    },
-                                );
-                            }
+                            self.ctl.header(c, i, id, desc.dst.index());
                             st.expected_id = self.cfg.integrity.payload_check.then_some(id);
                             st.cur_id = id;
                             // Degraded-mode admission: inside a failover
@@ -901,46 +666,40 @@ impl PipelinedSwitch {
                             // exhausted and occupancy at the reduced cap)
                             // new packets are shed at the door instead of
                             // risking the settling spare — conservation
-                            // and FIFO hold, throughput drops.
-                            let shed = self.recovery_on
-                                && (self.recovery_windows.active(c)
-                                    || (self.degraded
-                                        && self.mgr.occupancy() >= self.admission_cap));
-                            if shed && !self.recovery_windows.active(c) {
-                                // Permanent-degraded shedding declares
-                                // its own (mergeable) outage span.
-                                self.recovery_windows.open(c, 0);
-                            }
-                            // Non-static sharing policy: decide (and
-                            // preempt) before touching the free list;
-                            // recovery shedding keeps priority over it.
-                            let refused = !shed
-                                && !self.policy_static
-                                && !Self::policy_admit(
-                                    &mut self.policy,
-                                    &mut self.mgr,
-                                    &mut self.counters,
-                                    &self.probe,
-                                    &mut self.scratch_qlens,
-                                    self.cfg.n_out,
-                                    self.cfg.slots,
-                                    self.stages,
-                                    desc.dst.index(),
+                            // and FIFO hold, throughput drops. Otherwise a
+                            // non-static sharing policy decides (and
+                            // preempts) before the free list is touched.
+                            // Evictable: the write wave has fully retired
+                            // (freeing a slot mid-write would let the
+                            // reallocated address collide with the
+                            // in-flight wave) and no copy's read has
+                            // initiated (refs still equals the fanout) —
+                            // the behavioral model's rule, so the two stay
+                            // cycle-exact under every policy.
+                            let mgr = &mut self.mgr;
+                            let capped = self.degraded && mgr.occupancy() >= self.admission_cap;
+                            if self.ctl.shed(c, capped) {
+                                self.ctl.counters.recovery_shed += 1;
+                                self.ctl.drop(c, id, DropReason::BufferFull);
+                            } else if self.ctl.admit(
+                                Arrival {
                                     c,
-                                );
-                            if refused {
-                                self.counters.policy_drops += 1;
-                                if let Some(p) = &self.probe {
-                                    p.emit(
-                                        c,
-                                        ProbeEvent::Drop {
-                                            id,
-                                            reason: DropReason::AdmissionPolicy,
-                                        },
-                                    );
-                                }
-                            } else {
-                                match if shed { None } else { self.mgr.alloc(desc) } {
+                                    id,
+                                    dst: desc.dst.index(),
+                                    occupancy: mgr.occupancy(),
+                                    capacity: self.cfg.slots,
+                                },
+                                mgr,
+                                |mgr, j| mgr.queue_len_live(PortId(j)),
+                                |mgr, victim| {
+                                    let a = mgr.rearmost_matching(PortId(victim), |d, refs| {
+                                        d.write_start.is_some_and(|ws| c >= ws + s as Cycle)
+                                            && refs == d.fanout()
+                                    })?;
+                                    Some(mgr.evict(a).id)
+                                },
+                            ) {
+                                match mgr.alloc(desc) {
                                     Some(addr) => {
                                         st.addr = Some(addr);
                                         st.pending.push_back(PendingWrite {
@@ -949,21 +708,7 @@ impl PipelinedSwitch {
                                             deadline: c + s as Cycle,
                                         });
                                     }
-                                    None => {
-                                        self.counters.dropped_buffer_full += 1;
-                                        if shed {
-                                            self.counters.recovery_shed += 1;
-                                        }
-                                        if let Some(p) = &self.probe {
-                                            p.emit(
-                                                c,
-                                                ProbeEvent::Drop {
-                                                    id,
-                                                    reason: DropReason::BufferFull,
-                                                },
-                                            );
-                                        }
-                                    }
+                                    None => self.ctl.drop(c, id, DropReason::BufferFull),
                                 }
                             }
                         }
@@ -974,15 +719,13 @@ impl PipelinedSwitch {
                     }
                     st.chk = st.chk.rotate_left(1) ^ *word;
                     self.latch_loads.push((i, st.k, *word));
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::LatchLoad {
-                                input: i,
-                                stage: st.k,
-                            },
-                        );
-                    }
+                    self.ctl.emit(
+                        c,
+                        ProbeEvent::LatchLoad {
+                            input: i,
+                            stage: st.k,
+                        },
+                    );
                     st.k += 1;
                     if st.k == s {
                         st.k = 0;
@@ -1017,16 +760,7 @@ impl PipelinedSwitch {
                                 // slot outright.
                                 st.pending.remove(pos);
                                 let d = self.mgr.release(addr);
-                                self.counters.corrupt_drops += 1;
-                                if let Some(p) = &self.probe {
-                                    p.emit(
-                                        c,
-                                        ProbeEvent::Drop {
-                                            id: d.id,
-                                            reason: DropReason::Truncated,
-                                        },
-                                    );
-                                }
+                                self.ctl.drop(c, d.id, DropReason::Truncated);
                             } else if self.mgr.descriptor(addr).is_some_and(|d| d.id == st.cur_id) {
                                 // Write wave already streaming stale latch
                                 // words: poison so the read side drops it
@@ -1063,16 +797,7 @@ impl PipelinedSwitch {
                 let addr = front.addr;
                 self.inputs[i].pending.pop_front();
                 let d = self.mgr.release(addr);
-                self.counters.latch_overruns += 1;
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        c,
-                        ProbeEvent::Drop {
-                            id: d.id,
-                            reason: DropReason::LatchOverrun,
-                        },
-                    );
-                }
+                self.ctl.drop(c, d.id, DropReason::LatchOverrun);
             }
         }
 
@@ -1123,25 +848,22 @@ impl PipelinedSwitch {
         if !reads.is_empty() && !writes.is_empty() {
             // §3.2 collision: the single initiation port must stagger one
             // of the contenders to a later cycle.
-            self.counters.rw_collisions += 1;
+            self.ctl.counters.rw_collisions += 1;
         }
         let decision = self.arb.decide(&reads, &writes);
         if had_work {
-            if let Some(p) = &self.probe {
-                let outcome = match decision {
-                    Decision::Read(_) => ArbOutcome::Read,
-                    Decision::Write(_) => ArbOutcome::Write,
-                    Decision::Idle => ArbOutcome::Idle,
-                };
-                p.emit(
-                    c,
-                    ProbeEvent::Arbitration {
-                        reads: reads.len(),
-                        writes: writes.len(),
-                        outcome,
+            self.ctl.emit(
+                c,
+                ProbeEvent::Arbitration {
+                    reads: reads.len(),
+                    writes: writes.len(),
+                    outcome: match decision {
+                        Decision::Read(_) => ArbOutcome::Read,
+                        Decision::Write(_) => ArbOutcome::Write,
+                        Decision::Idle => ArbOutcome::Idle,
                     },
-                );
-            }
+                },
+            );
         }
         match decision {
             Decision::Read(j) => {
@@ -1150,7 +872,7 @@ impl PipelinedSwitch {
                 // With ECC armed, correct single-bit upsets in place
                 // *before* the checksum verdict: a corrected slot passes
                 // the scrub and is delivered instead of dropped.
-                if self.cfg.recovery.ecc && fully_written {
+                if self.ctl.ecc_on() && fully_written {
                     self.scrub_slot(addr, c);
                 }
                 // Integrity scrub at read initiation (the ECC check a real
@@ -1167,34 +889,15 @@ impl PipelinedSwitch {
                     // next head-of-line packet. Multicast copies each take
                     // this path; count once, when the slot is freed.
                     if freed {
-                        self.counters.corrupt_drops += 1;
-                        if let Some(p) = &self.probe {
-                            p.emit(
-                                c,
-                                ProbeEvent::Drop {
-                                    id: d.id,
-                                    reason: drop_reason(
-                                        d.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch),
-                                    ),
-                                },
-                            );
-                        }
+                        let why = d.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch);
+                        self.ctl.drop(c, d.id, drop_reason(why));
                     }
                 } else {
                     self.out_next_init[j.index()] = c + s as Cycle;
-                    if !self.policy_static {
-                        // BShare queueing-delay signal: birth-to-read.
-                        self.policy.on_read(j.index(), c - d.birth);
-                    }
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::ReadWave {
-                                output: j.index(),
-                                addr: addr.index(),
-                                fused: false,
-                            },
-                        );
+                    // BShare queueing-delay signal: birth-to-read.
+                    self.ctl.on_read(j.index(), c - d.birth);
+                    if self.ctl.probed() {
+                        self.ctl.read_wave(c, j.index(), addr.index(), false);
                         // §3.4: any unfused read started later than the
                         // packet's earliest opportunity — the initiation
                         // slot staggered the output's start.
@@ -1206,7 +909,7 @@ impl PipelinedSwitch {
                             }
                         });
                         if earliest.is_some_and(|e| c > e) {
-                            p.emit(
+                            self.ctl.emit(
                                 c,
                                 ProbeEvent::StaggeredStart {
                                     output: j.index(),
@@ -1217,14 +920,7 @@ impl PipelinedSwitch {
                         // Cut-through (unfused form): the read overlaps a
                         // write wave still depositing this packet.
                         if d.write_start.is_some_and(|ws| c < ws + s as Cycle) {
-                            p.emit(
-                                c,
-                                ProbeEvent::CutThrough {
-                                    output: j.index(),
-                                    id: d.id,
-                                    fused: false,
-                                },
-                            );
+                            self.ctl.cut_through(c, j.index(), d.id, false);
                         }
                     }
                     self.push_wave(ActiveWave {
@@ -1245,15 +941,7 @@ impl PipelinedSwitch {
                     .pop_front()
                     .expect("arbiter granted a write with no pending request");
                 self.mgr.mark_write_started(pw.addr, c);
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        c,
-                        ProbeEvent::WriteWave {
-                            input: i.index(),
-                            addr: pw.addr.index(),
-                        },
-                    );
-                }
+                self.ctl.write_wave(c, i.index(), pw.addr.index());
                 let mut wave = ActiveWave {
                     start: c,
                     addr: pw.addr,
@@ -1287,29 +975,11 @@ impl PipelinedSwitch {
                         debug_assert_eq!(addr2, pw.addr);
                         debug_assert_eq!(d2.id, id);
                         self.out_next_init[dst.index()] = c + s as Cycle;
-                        if !self.policy_static {
-                            // BShare queueing-delay signal (fused read).
-                            self.policy.on_read(dst.index(), c - d2.birth);
-                        }
-                        self.counters.fused_reads += 1;
-                        if let Some(p) = &self.probe {
-                            p.emit(
-                                c,
-                                ProbeEvent::ReadWave {
-                                    output: dst.index(),
-                                    addr: pw.addr.index(),
-                                    fused: true,
-                                },
-                            );
-                            p.emit(
-                                c,
-                                ProbeEvent::CutThrough {
-                                    output: dst.index(),
-                                    id,
-                                    fused: true,
-                                },
-                            );
-                        }
+                        // BShare queueing-delay signal (fused read).
+                        self.ctl.on_read(dst.index(), c - d2.birth);
+                        self.ctl.counters.fused_reads += 1;
+                        self.ctl.read_wave(c, dst.index(), pw.addr.index(), true);
+                        self.ctl.cut_through(c, dst.index(), id, true);
                         wave.read_to = Some(OutBinding {
                             out: dst,
                             id,
@@ -1325,7 +995,7 @@ impl PipelinedSwitch {
                 if had_work {
                     // Requests existed but none was servable — possible
                     // only with a broken policy; diagnostic.
-                    self.counters.idle_with_work += 1;
+                    self.ctl.counters.idle_with_work += 1;
                 }
             }
         }
@@ -1430,49 +1100,20 @@ impl PipelinedSwitch {
                 }
             }
         }
-        if let Some(p) = &self.probe {
-            let occ = self.mgr.occupancy() as u64;
-            if occ != self.last_occ {
-                self.last_occ = occ;
-                p.emit(
-                    c,
-                    ProbeEvent::Gauge {
-                        gauge: GaugeKind::Occupancy,
-                        index: 0,
-                        value: occ,
-                    },
-                );
-            }
+        if self.ctl.probed() {
+            self.ctl.gauge_occupancy(c, self.mgr.occupancy());
             for j in 0..self.cfg.n_out {
-                let depth = self.mgr.queue_len(PortId(j)) as u64;
-                if depth != self.last_qdepth[j] {
-                    self.last_qdepth[j] = depth;
-                    p.emit(
-                        c,
-                        ProbeEvent::Gauge {
-                            gauge: GaugeKind::QueueDepth,
-                            index: j,
-                            value: depth,
-                        },
-                    );
-                }
+                self.ctl
+                    .gauge_queue_depth(c, j, self.mgr.queue_len(PortId(j)));
             }
         }
         self.cycle = c + 1;
         self.wire_out = wire_out;
         &self.wire_out
     }
-
-    /// Run `n` idle cycles (no input words), collecting outputs via `f`.
-    pub fn idle_cycles(&mut self, n: usize, mut f: impl FnMut(Cycle, &[Option<u64>])) {
-        let empty = vec![None; self.cfg.n_in];
-        for _ in 0..n {
-            let c = self.cycle;
-            let out = self.tick(&empty);
-            f(c, out);
-        }
-    }
 }
+
+crate::word::word_switch!(PipelinedSwitch);
 
 impl simkernel::Horizon for PipelinedSwitch {
     fn now(&self) -> Cycle {
@@ -1627,6 +1268,7 @@ impl OutputCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WordSwitch as _;
     use simkernel::cell::Packet;
 
     /// Drive a 2×2 switch (4 stages, 4-word packets) with one packet and

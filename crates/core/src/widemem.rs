@@ -27,17 +27,15 @@
 //! explicit, costly machinery. The tests pin the behavioral consequences;
 //! `vlsimodel` prices the silicon (§5.2).
 
-use crate::events::SwitchCounters;
-use crate::policy::{AdmitDecision, PolicyEngine, PolicyKind, PolicyView, SharingPolicy};
-use crate::recovery::{RecoveryConfig, RecoveryReport, RecoveryWindows};
+use crate::ctl::{Arrival, ControlPlane};
+use crate::policy::PolicyKind;
+use crate::recovery::RecoveryConfig;
 use crate::rtl::integrity_checksum;
 use membank::wide::WideMemory;
 use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle};
 use std::collections::VecDeque;
-use telemetry::{
-    DropReason, GaugeKind, ProbeEvent, ProbeHandle, RecoveryTag, SharedRecorder, TelemetryConfig,
-};
+use telemetry::{DropReason, RecoveryTag};
 
 /// Configuration of the wide-memory switch.
 #[derive(Debug, Clone)]
@@ -108,9 +106,6 @@ struct Staged {
     birth: Cycle,
     /// Earliest cycle the memory may store it (completion + 1).
     ready: Cycle,
-    /// A bypass transmission already took this packet; storing it would
-    /// duplicate it.
-    bypassed: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -147,10 +142,8 @@ pub struct WideMemorySwitchRtl {
     staging: Vec<Option<Staged>>,
     outs: Vec<OutState>,
     cycle: Cycle,
-    counters: SwitchCounters,
-    probe: Option<ProbeHandle>,
-    /// Last occupancy gauge emitted (probe attached only).
-    last_occ: u64,
+    /// Counters, probe, sharing policy and recovery ledger.
+    ctl: ControlPlane,
     /// Reusable per-cycle output buffer (hot path: must not allocate).
     wire_out: Vec<Option<u64>>,
     /// Packets that had to be dropped because the staging row was still
@@ -164,15 +157,6 @@ pub struct WideMemorySwitchRtl {
     /// Rows currently in circulation (free + occupied); drops below
     /// `cfg.slots` once retirements outrun the spare pool.
     capacity: usize,
-    /// Declared recovery windows (failover settle periods) — in-window
-    /// loss is excused by the conformance oracle, and the window lengths
-    /// are the MTTR numerator of the chaos campaign.
-    recovery_windows: RecoveryWindows,
-    /// The buffer-sharing policy (store admission / preemption).
-    policy: PolicyEngine,
-    /// Cached `policy.is_static()` — the store path branches on this
-    /// once per packet to keep the static pool at its pre-policy cost.
-    policy_static: bool,
 }
 
 impl WideMemorySwitchRtl {
@@ -203,60 +187,36 @@ impl WideMemorySwitchRtl {
                 cfg.n
             ],
             cycle: 0,
-            counters: SwitchCounters::default(),
-            probe: None,
-            last_occ: 0,
+            // Natural settle time of one failover: one packet time.
+            ctl: ControlPlane::new(cfg.n, s, cfg.policy, cfg.recovery, s as u64),
             wire_out: vec![None; cfg.n],
             staging_overruns: 0,
             spare_pool: (cfg.slots..depth).rev().map(Addr).collect(),
             row_corrections: vec![0; depth],
             capacity: cfg.slots,
-            recovery_windows: RecoveryWindows::default(),
-            policy: cfg.policy.engine(cfg.n, cfg.packet_words()),
-            policy_static: cfg.policy.is_static(),
             cfg,
         }
     }
 
-    /// Build a switch with telemetry per `tel`: returns the switch and
-    /// the attached recorder (if `tel` enables one).
-    pub fn with_telemetry(
-        cfg: WideSwitchConfig,
-        tel: &TelemetryConfig,
-    ) -> (Self, Option<SharedRecorder>) {
-        let mut sw = Self::new(cfg);
-        let rec = tel.recorder();
-        if let Some(r) = &rec {
-            sw.attach_probe(r.handle());
-        }
-        (sw, rec)
+    /// Memory rows currently holding a packet.
+    pub fn occupancy(&self) -> usize {
+        self.capacity - self.free.len()
     }
 
-    /// Attach a probe sink (headers, whole-packet memory ops, bypass
-    /// cut-throughs, drops, departures, occupancy gauges).
-    pub fn attach_probe(&mut self, probe: ProbeHandle) {
-        self.probe = Some(probe);
-    }
-
-    /// Aggregate counters.
-    pub fn counters(&self) -> SwitchCounters {
-        self.counters
-    }
-
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.cycle
+    /// Packet size in words.
+    pub fn packet_words(&self) -> usize {
+        self.cfg.packet_words()
     }
 
     /// Fault injection (testbench only): flip the bits of `mask` in link
-    /// word `word_k` of memory slot `addr`. Returns `true` when the slot
+    /// word `word` of memory row `slot`. Returns `true` when the row
     /// currently holds a live (queued, not yet fetched) packet — i.e. the
     /// upset can reach the fetch-time scrub.
-    pub fn inject_memory_fault(&mut self, addr: Addr, word_k: usize, mask: u64) -> bool {
-        self.mem.inject_fault(addr, word_k, mask);
+    pub fn inject_upset(&mut self, slot: usize, word: usize, mask: u64) -> bool {
+        self.mem.inject_fault(Addr(slot), word, mask);
         self.queues
             .iter()
-            .any(|q| q.iter().any(|&(a, ..)| a == addr))
+            .any(|q| q.iter().any(|&(a, ..)| a == Addr(slot)))
     }
 
     /// ECC-scrub every code word of row `addr`, charging corrections to
@@ -265,72 +225,30 @@ impl WideMemorySwitchRtl {
     /// pending fetch.
     fn scrub_row(&mut self, addr: Addr, c: Cycle) -> bool {
         let (fixed, dead) = self.mem.scrub_packet(addr);
+        let (row, fixed, dead) = (addr.index(), u64::from(fixed), u64::from(dead));
         if fixed > 0 {
-            self.counters.ecc_corrected += u64::from(fixed);
-            self.row_corrections[addr.index()] += u64::from(fixed);
-            if let Some(p) = &self.probe {
-                p.emit(
-                    c,
-                    ProbeEvent::Recovery {
-                        tag: RecoveryTag::EccCorrected,
-                        index: addr.index(),
-                        info: u64::from(fixed),
-                    },
-                );
-            }
+            self.row_corrections[row] += fixed;
+            self.ctl
+                .recovery(c, RecoveryTag::EccCorrected, row, fixed, fixed);
         }
         if dead > 0 {
-            self.counters.ecc_uncorrectable += u64::from(dead);
-            if let Some(p) = &self.probe {
-                p.emit(
-                    c,
-                    ProbeEvent::Recovery {
-                        tag: RecoveryTag::EccUncorrectable,
-                        index: addr.index(),
-                        info: u64::from(dead),
-                    },
-                );
-            }
+            self.ctl
+                .recovery(c, RecoveryTag::EccUncorrectable, row, dead, dead);
         }
-        self.cfg.recovery.failover_enabled()
-            && self.row_corrections[addr.index()] >= self.cfg.recovery.failover_threshold
+        self.ctl.over_threshold(self.row_corrections[row])
     }
 
     /// Mask row `addr` out of circulation and promote a spare in its
     /// place (hot failover). With the spare pool dry the buffer shrinks —
     /// degraded mode: same semantics, less capacity.
     fn retire_row(&mut self, addr: Addr, c: Cycle) {
-        self.counters.bank_failovers += 1;
-        let settle = if self.cfg.recovery.degrade_window > 0 {
-            self.cfg.recovery.degrade_window
-        } else {
-            self.cfg.packet_words() as u64
-        };
-        self.recovery_windows.open(c, settle);
-        if let Some(p) = &self.probe {
-            p.emit(
-                c,
-                ProbeEvent::Recovery {
-                    tag: RecoveryTag::BankFailover,
-                    index: addr.index(),
-                    info: self.spare_pool.len() as u64,
-                },
-            );
-        }
+        self.ctl.failover(c, addr.index(), self.spare_pool.len());
         match self.spare_pool.pop() {
             Some(spare) => self.free.push(spare),
             None => {
                 self.capacity -= 1;
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        c,
-                        ProbeEvent::Recovery {
-                            tag: RecoveryTag::DegradedEnter,
-                            index: addr.index(),
-                            info: self.capacity as u64,
-                        },
-                    );
-                }
+                self.ctl
+                    .degraded_enter(c, addr.index(), self.capacity as u64);
             }
         }
     }
@@ -346,24 +264,6 @@ impl WideMemorySwitchRtl {
         self.spare_pool.len()
     }
 
-    /// Declared recovery windows (failover settle spans).
-    pub fn recovery_windows(&self) -> &RecoveryWindows {
-        &self.recovery_windows
-    }
-
-    /// Snapshot of the recovery ledger.
-    pub fn recovery_report(&self) -> RecoveryReport {
-        RecoveryReport {
-            corrections: self.counters.ecc_corrected,
-            uncorrectable: self.counters.ecc_uncorrectable,
-            failovers: self.counters.bank_failovers,
-            shed: self.counters.recovery_shed,
-            retries: 0,
-            retry_give_ups: 0,
-            windows: self.recovery_windows.clone(),
-        }
-    }
-
     /// True when nothing is buffered or in flight.
     pub fn is_quiescent(&self) -> bool {
         self.free.len() == self.capacity
@@ -375,58 +275,33 @@ impl WideMemorySwitchRtl {
                 .all(|o| o.tx.is_none() && o.next.is_none() && o.bypass.is_none())
     }
 
-    /// One non-static store-admission decision. Every queued packet is
-    /// fully written and not yet in transmission (the fetch frees its row
-    /// immediately), so any queue entry is evictable; push-out takes the
-    /// rearmost entry of the victim queue.
-    fn policy_admit(&mut self, dst: usize) -> bool {
-        let qlens: Vec<usize> = self.queues.iter().map(VecDeque::len).collect();
-        let decision = self.policy.admit(&PolicyView {
-            occupancy: self.capacity - self.free.len(),
-            capacity: self.capacity,
-            n_out: self.cfg.n,
-            dst,
-            qlens: &qlens,
-        });
-        match decision {
-            AdmitDecision::Accept => true,
-            AdmitDecision::Reject => false,
-            AdmitDecision::Preempt { victim } => match self.queues[victim].pop_back() {
-                Some((addr, vid, _, _)) => {
-                    self.free.push(addr);
-                    self.counters.policy_preempts += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            self.cycle,
-                            ProbeEvent::Drop {
-                                id: vid,
-                                reason: DropReason::Preempted,
-                            },
-                        );
-                    }
-                    true
-                }
-                None => false,
-            },
-        }
-    }
-
     /// Store staged packet `i` into the wide memory (one whole-packet
     /// write, this cycle's single memory operation), or count the drop
-    /// if no slot is free.
+    /// if the sharing policy refuses it or no slot is free.
     fn write_staged(&mut self, i: usize) {
         let st = self.staging[i].take().expect("write_staged on empty row");
-        if !self.policy_static && !self.policy_admit(st.dst) {
-            self.counters.policy_drops += 1;
-            if let Some(p) = &self.probe {
-                p.emit(
-                    self.cycle,
-                    ProbeEvent::Drop {
-                        id: st.id,
-                        reason: DropReason::AdmissionPolicy,
-                    },
-                );
-            }
+        let c = self.cycle;
+        // Every queued packet is fully written and not yet in
+        // transmission (the fetch frees its row immediately), so any
+        // queue entry is evictable; push-out takes the rearmost entry of
+        // the victim queue.
+        let admitted = self.ctl.admit(
+            Arrival {
+                c,
+                id: st.id,
+                dst: st.dst,
+                occupancy: self.capacity - self.free.len(),
+                capacity: self.capacity,
+            },
+            &mut (&mut self.queues, &mut self.free),
+            |(queues, _), j| queues[j].len(),
+            |(queues, free), victim| {
+                let (addr, id, ..) = queues[victim].pop_back()?;
+                free.push(addr);
+                Some(id)
+            },
+        );
+        if !admitted {
             return;
         }
         match self.free.pop() {
@@ -436,28 +311,9 @@ impl WideMemorySwitchRtl {
                     .expect("one op per cycle");
                 let sum = integrity_checksum(st.words.iter().copied());
                 self.queues[st.dst].push_back((addr, st.id, st.birth, sum));
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        self.cycle,
-                        ProbeEvent::WriteWave {
-                            input: i,
-                            addr: addr.index(),
-                        },
-                    );
-                }
+                self.ctl.write_wave(c, i, addr.index());
             }
-            None => {
-                self.counters.dropped_buffer_full += 1;
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        self.cycle,
-                        ProbeEvent::Drop {
-                            id: st.id,
-                            reason: DropReason::BufferFull,
-                        },
-                    );
-                }
-            }
+            None => self.ctl.drop(c, st.id, DropReason::BufferFull),
         }
     }
 
@@ -490,18 +346,7 @@ impl WideMemorySwitchRtl {
                     let k = bp.k + 1;
                     if k == s {
                         self.outs[j].bypass = None;
-                        self.counters.departed += 1;
-                        if let Some(p) = &self.probe {
-                            p.emit(
-                                c,
-                                ProbeEvent::Departed {
-                                    output: j,
-                                    id: bp.id,
-                                    birth: bp.birth,
-                                    latency: c - bp.birth,
-                                },
-                            );
-                        }
+                        self.ctl.departed(c, j, bp.id, bp.birth);
                     } else {
                         self.outs[j].bypass = Some(BypassTx { k, ..bp });
                     }
@@ -519,18 +364,7 @@ impl WideMemorySwitchRtl {
                 let (done, id, birth) = (*k == s, *id, *birth);
                 if done {
                     self.outs[j].tx = None;
-                    self.counters.departed += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Departed {
-                                output: j,
-                                id,
-                                birth,
-                                latency: c - birth,
-                            },
-                        );
-                    }
+                    self.ctl.departed(c, j, id, birth);
                 }
             }
         }
@@ -553,9 +387,9 @@ impl WideMemorySwitchRtl {
         let mut mem_busy = false;
         let urgent = (0..n)
             .filter(|&i| {
-                self.staging[i].as_ref().is_some_and(|st| {
-                    st.ready <= c && !st.bypassed && deadline(st) < c + n as Cycle
-                })
+                self.staging[i]
+                    .as_ref()
+                    .is_some_and(|st| st.ready <= c && deadline(st) < c + n as Cycle)
             })
             .min_by_key(|&i| deadline(self.staging[i].as_ref().expect("checked")));
         if let Some(i) = urgent {
@@ -571,48 +405,24 @@ impl WideMemorySwitchRtl {
             }
             if let Some(&(addr, id, birth, sum)) = self.queues[j].front() {
                 self.queues[j].pop_front();
-                if !self.policy_static {
-                    // BShare queueing-delay signal: birth-to-fetch.
-                    self.policy.on_read(j, c - birth);
-                }
+                // BShare queueing-delay signal: birth-to-fetch.
+                self.ctl.on_read(j, c - birth);
                 // ECC pass over the row before the fetch samples it: a
                 // single-bit upset per code word is corrected in place, so
                 // the checksum scrub below sees clean data.
-                let retire = if self.cfg.recovery.ecc {
-                    self.scrub_row(addr, c)
-                } else {
-                    false
-                };
+                let retire = self.ctl.ecc_on() && self.scrub_row(addr, c);
                 let words = self.mem.read_packet(addr).expect("one op per cycle");
                 if retire {
                     self.retire_row(addr, c);
                 } else {
                     self.free.push(addr);
                 }
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        c,
-                        ProbeEvent::ReadWave {
-                            output: j,
-                            addr: addr.index(),
-                            fused: false,
-                        },
-                    );
-                }
+                self.ctl.read_wave(c, j, addr.index(), false);
                 // Integrity scrub at fetch: the wide organization checks a
                 // whole packet in one access (its ECC word is as wide as
                 // the memory). Mismatch → detect-and-drop.
                 if integrity_checksum(words.iter().copied()) != sum {
-                    self.counters.corrupt_drops += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Drop {
-                                id,
-                                reason: DropReason::Checksum,
-                            },
-                        );
-                    }
+                    self.ctl.drop(c, id, DropReason::Checksum);
                 } else {
                     self.outs[j].next = Some((words, id, birth));
                 }
@@ -623,21 +433,10 @@ impl WideMemorySwitchRtl {
         if !mem_busy {
             // Oldest staged packet wins the write slot.
             let cand = (0..n)
-                .filter(|&i| {
-                    self.staging[i]
-                        .as_ref()
-                        .is_some_and(|st| st.ready <= c && !st.bypassed)
-                })
+                .filter(|&i| self.staging[i].as_ref().is_some_and(|st| st.ready <= c))
                 .min_by_key(|&i| self.staging[i].as_ref().expect("checked").ready);
             if let Some(i) = cand {
                 self.write_staged(i);
-            } else if let Some(i) = (0..n).find(|&i| {
-                self.staging[i]
-                    .as_ref()
-                    .is_some_and(|st| st.ready <= c && st.bypassed)
-            }) {
-                // Bypassed packets are already on the wire; discard.
-                self.staging[i] = None;
             }
         }
 
@@ -656,11 +455,8 @@ impl WideMemorySwitchRtl {
             if k == 0 {
                 let (dst, id) = Packet::decode_header(*word);
                 assert!(dst < n, "bad destination {dst}");
-                self.counters.arrived += 1;
                 self.asm_meta[i] = Some((dst, id, c, false));
-                if let Some(p) = &self.probe {
-                    p.emit(c, ProbeEvent::HeaderArrived { input: i, id, dst });
-                }
+                self.ctl.header(c, i, id, dst);
                 // Cut-through over the bypass crossbar: output idle (no
                 // tx, no next, no bypass) and nothing pending for it —
                 // neither queued in the memory nor sitting in a staging
@@ -669,11 +465,7 @@ impl WideMemorySwitchRtl {
                 // by a later packet of the same flow (FIFO violation).
                 if self.cfg.cut_through_crossbar {
                     let out = &self.outs[dst];
-                    let staged_pending = self
-                        .staging
-                        .iter()
-                        .flatten()
-                        .any(|st| !st.bypassed && st.dst == dst);
+                    let staged_pending = self.staging.iter().flatten().any(|st| st.dst == dst);
                     if out.tx.is_none()
                         && out.next.is_none()
                         && out.bypass.is_none()
@@ -686,17 +478,8 @@ impl WideMemorySwitchRtl {
                             id,
                             birth: c,
                         });
-                        self.counters.fused_reads += 1; // bypass cut-throughs
-                        if let Some(p) = &self.probe {
-                            p.emit(
-                                c,
-                                ProbeEvent::CutThrough {
-                                    output: dst,
-                                    id,
-                                    fused: false,
-                                },
-                            );
-                        }
+                        self.ctl.counters.fused_reads += 1; // bypass cut-throughs
+                        self.ctl.cut_through(c, dst, id, false);
                         if let Some(meta) = self.asm_meta[i].as_mut() {
                             meta.3 = true; // mark as bypassed
                         }
@@ -708,36 +491,27 @@ impl WideMemorySwitchRtl {
             if k + 1 == s {
                 self.asm_fill[i] = 0;
                 let (dst, id, birth, bypassed) = self.asm_meta[i].take().expect("header seen");
-                let staged = Staged {
-                    words: self.assembly[i].words.clone(),
-                    dst,
-                    id,
-                    birth,
-                    ready: c + 1,
-                    bypassed,
-                };
+                // A bypassed packet is already on the wire, straight from
+                // this row; the bypass finishes before the row refills
+                // (transmission lags arrival by 2 cycles), so there is
+                // nothing to stage.
                 if bypassed {
-                    // The bypass is still reading this row; it finishes
-                    // before the row refills (transmission lags arrival
-                    // by 2 cycles), so nothing to stage.
-                    self.counters.fused_reads += 0;
-                } else if self.staging[i].is_none() {
-                    self.staging[i] = Some(staged);
+                    continue;
+                }
+                if self.staging[i].is_none() {
+                    self.staging[i] = Some(Staged {
+                        words: self.assembly[i].words.clone(),
+                        dst,
+                        id,
+                        birth,
+                        ready: c + 1,
+                    });
                 } else {
                     // Staging row occupied — overrun. With double
                     // buffering this takes memory starvation for > S
                     // cycles; without, it is the expected failure mode.
                     self.staging_overruns += 1;
-                    self.counters.latch_overruns += 1;
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::Drop {
-                                id,
-                                reason: DropReason::LatchOverrun,
-                            },
-                        );
-                    }
+                    self.ctl.drop(c, id, DropReason::LatchOverrun);
                 }
             }
         }
@@ -751,41 +525,21 @@ impl WideMemorySwitchRtl {
                 if self.asm_fill[i] == 1 {
                     if let Some(st) = self.staging[i].take() {
                         self.staging_overruns += 1;
-                        self.counters.latch_overruns += 1;
-                        if let Some(p) = &self.probe {
-                            p.emit(
-                                c,
-                                ProbeEvent::Drop {
-                                    id: st.id,
-                                    reason: DropReason::LatchOverrun,
-                                },
-                            );
-                        }
+                        self.ctl.drop(c, st.id, DropReason::LatchOverrun);
                     }
                 }
             }
         }
 
-        if let Some(p) = &self.probe {
-            let occ = (self.cfg.slots - self.free.len()) as u64;
-            if occ != self.last_occ {
-                self.last_occ = occ;
-                p.emit(
-                    c,
-                    ProbeEvent::Gauge {
-                        gauge: GaugeKind::Occupancy,
-                        index: 0,
-                        value: occ,
-                    },
-                );
-            }
-        }
+        self.ctl.gauge_occupancy(c, self.occupancy());
 
         self.cycle = c + 1;
         self.wire_out = wire_out;
         &self.wire_out
     }
 }
+
+crate::word::word_switch!(WideMemorySwitchRtl);
 
 impl simkernel::Horizon for WideMemorySwitchRtl {
     fn now(&self) -> Cycle {
@@ -822,6 +576,7 @@ impl simkernel::Horizon for WideMemorySwitchRtl {
 mod tests {
     use super::*;
     use crate::rtl::OutputCollector;
+    use crate::WordSwitch as _;
 
     fn run_packets(
         cfg: WideSwitchConfig,
@@ -1035,9 +790,7 @@ mod tests {
         let now = sw.now();
         let out = sw.tick(&[None, None]);
         col.observe(now, out);
-        let live: Vec<usize> = (0..8)
-            .filter(|&a| sw.inject_memory_fault(Addr(a), 2, 1))
-            .collect();
+        let live: Vec<usize> = (0..8).filter(|&a| sw.inject_upset(a, 2, 1)).collect();
         assert_eq!(live.len(), 1, "one slot holds the packet");
         simkernel::run_until_quiescent(200, "scrub drain", |_| {
             if sw.is_quiescent() {
@@ -1073,7 +826,7 @@ mod tests {
         let out = sw.tick(&[None, None]);
         col.observe(now, out);
         let live = (0..sw.capacity)
-            .filter(|&a| sw.inject_memory_fault(Addr(a), 2, 1))
+            .filter(|&a| sw.inject_upset(a, 2, 1))
             .count();
         assert_eq!(live, 1, "one row holds the packet");
         simkernel::run_until_quiescent(200, "ecc drain", |_| {

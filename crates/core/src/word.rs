@@ -1,0 +1,174 @@
+//! One interface over the three word-level organizations.
+//!
+//! §5 of the paper compares three memory organizations of the *same*
+//! shared buffer. Harnesses that drive "a word-level switch, whichever" —
+//! the conformance driver, the fabric's word elements, the chaos
+//! campaign, the cross-organization tests — hold a
+//! `Box<dyn WordSwitch>` built by [`WordOrg::build`] instead of matching
+//! over the concrete types.
+
+use crate::config::SwitchConfig;
+use crate::events::SwitchCounters;
+use crate::ibank::{InterleavedSwitch, InterleavedSwitchConfig};
+use crate::policy::PolicyKind;
+use crate::recovery::{RecoveryConfig, RecoveryReport, RecoveryWindows};
+use crate::rtl::PipelinedSwitch;
+use crate::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
+use telemetry::ProbeHandle;
+
+/// A word-level shared-buffer switch, whatever its memory organization.
+/// The clock (`now`, `next_event`, `jump_to`) comes from
+/// [`simkernel::Horizon`].
+pub trait WordSwitch: simkernel::Horizon {
+    /// One clock cycle: words in on every input link, words out on every
+    /// output link (valid until the next tick).
+    fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>];
+    /// Aggregate counters.
+    fn counters(&self) -> SwitchCounters;
+    /// Nothing buffered, nothing in flight.
+    fn is_quiescent(&self) -> bool;
+    /// Buffer slots currently allocated.
+    fn occupancy(&self) -> usize;
+    /// Packet size in words.
+    fn packet_words(&self) -> usize;
+    /// Stream every subsequent tick's events into `probe`.
+    fn attach_probe(&mut self, probe: ProbeHandle);
+    /// Spares exhausted: running on reduced capacity for good.
+    fn is_degraded(&self) -> bool;
+    /// Spare banks / rows / columns still in reserve.
+    fn spares_remaining(&self) -> usize;
+    /// Corrections, failovers, shed packets and declared windows so far.
+    fn recovery_report(&self) -> RecoveryReport;
+    /// The declared-outage ledger.
+    fn recovery_windows(&self) -> &RecoveryWindows;
+    /// Fault injection (testbench only): flip the bits of `mask` in word
+    /// `word` of buffer slot `slot`, as a single-event upset would. True
+    /// when the struck word is live packet data a reader can still reach.
+    fn inject_upset(&mut self, slot: usize, word: usize, mask: u64) -> bool;
+}
+
+/// What is the same for every organization: the inherent `attach_probe`,
+/// `counters` and `now` (inherent because `benchmark/`, the examples and
+/// the facade crate call them without the trait in scope) and the
+/// [`WordSwitch`] impl, which delegates to the control plane or to the
+/// organization's own inherent method of the same name. Invoked once in
+/// each organization's module.
+macro_rules! word_switch {
+    ($t:ty) => {
+        impl $t {
+            /// Attach a probe sink; every subsequent tick streams
+            /// structured [`telemetry::ProbeEvent`]s into it. With no
+            /// probe attached the emission sites cost one predictable
+            /// branch each (the perf gate holds this).
+            pub fn attach_probe(&mut self, probe: telemetry::ProbeHandle) {
+                self.ctl.attach_probe(probe);
+            }
+
+            /// Aggregate counters.
+            pub fn counters(&self) -> crate::events::SwitchCounters {
+                self.ctl.counters
+            }
+
+            /// Current cycle (the one the next `tick` will execute).
+            pub fn now(&self) -> simkernel::ids::Cycle {
+                self.cycle
+            }
+        }
+
+        impl crate::word::WordSwitch for $t {
+            fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>] {
+                <$t>::tick(self, wire_in)
+            }
+            fn counters(&self) -> crate::events::SwitchCounters {
+                self.ctl.counters
+            }
+            fn is_quiescent(&self) -> bool {
+                <$t>::is_quiescent(self)
+            }
+            fn occupancy(&self) -> usize {
+                <$t>::occupancy(self)
+            }
+            fn packet_words(&self) -> usize {
+                <$t>::packet_words(self)
+            }
+            fn attach_probe(&mut self, probe: telemetry::ProbeHandle) {
+                self.ctl.attach_probe(probe);
+            }
+            fn is_degraded(&self) -> bool {
+                <$t>::is_degraded(self)
+            }
+            fn spares_remaining(&self) -> usize {
+                <$t>::spares_remaining(self)
+            }
+            fn recovery_report(&self) -> crate::recovery::RecoveryReport {
+                self.ctl.recovery_report()
+            }
+            fn recovery_windows(&self) -> &crate::recovery::RecoveryWindows {
+                self.ctl.recovery_windows()
+            }
+            fn inject_upset(&mut self, slot: usize, word: usize, mask: u64) -> bool {
+                <$t>::inject_upset(self, slot, word, mask)
+            }
+        }
+    };
+}
+pub(crate) use word_switch;
+
+/// The three word-level memory organizations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WordOrg {
+    /// Pipelined memory (§3, the paper's design).
+    Pipelined,
+    /// One wide memory with double buffering and a bypass crossbar (fig. 3).
+    Wide,
+    /// Interleaved one-packet-per-bank memory (fig. 4), store-and-forward.
+    Interleaved,
+}
+
+impl WordOrg {
+    /// All organizations, in reporting order.
+    pub const ALL: [WordOrg; 3] = [WordOrg::Pipelined, WordOrg::Wide, WordOrg::Interleaved];
+
+    /// Stable label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            WordOrg::Pipelined => "pipelined",
+            WordOrg::Wide => "wide",
+            WordOrg::Interleaved => "interleaved",
+        }
+    }
+
+    /// An `n × n` switch of this organization with `slots` packet slots
+    /// and otherwise paper-default configuration.
+    pub fn build(
+        &self,
+        n: usize,
+        slots: usize,
+        recovery: RecoveryConfig,
+        policy: PolicyKind,
+    ) -> Box<dyn WordSwitch> {
+        match self {
+            WordOrg::Pipelined => Box::new(PipelinedSwitch::new(
+                SwitchConfig::symmetric(n, slots)
+                    .with_recovery(recovery)
+                    .with_policy(policy),
+            )),
+            WordOrg::Wide => Box::new(WideMemorySwitchRtl::new(
+                WideSwitchConfig::fig3(n, slots)
+                    .with_recovery(recovery)
+                    .with_policy(policy),
+            )),
+            WordOrg::Interleaved => Box::new(InterleavedSwitch::new(
+                InterleavedSwitchConfig::symmetric(n, slots)
+                    .with_recovery(recovery)
+                    .with_policy(policy),
+            )),
+        }
+    }
+}
+
+impl std::fmt::Display for WordOrg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}

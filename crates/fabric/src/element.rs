@@ -35,9 +35,8 @@
 //!   paper's pipelined-memory switch at cell level, with cut-through,
 //!   read-priority arbitration and the shared slot pool. The clock is
 //!   the switch's word clock; a cell occupies a link for `S = 2k` cycles.
-//! - [`WordElement`] — a word-level RTL organization per node
-//!   ([`PipelinedSwitch`], [`WideMemorySwitchRtl`] or
-//!   [`InterleavedSwitch`]): cells are expanded into synthesized
+//! - [`WordElement`] — a word-level RTL organization per node (any
+//!   [`WordOrg`], behind [`WordSwitch`]): cells are expanded into synthesized
 //!   `S`-word packets at the input links and re-identified from the
 //!   delivered headers at the output links, so every control *and data*
 //!   word of every hop is simulated.
@@ -48,9 +47,8 @@ use simkernel::ids::Cycle;
 use std::collections::{HashMap, VecDeque};
 use switch_core::behavioral::BehavioralSwitch;
 use switch_core::config::SwitchConfig;
-use switch_core::ibank::{InterleavedSwitch, InterleavedSwitchConfig};
-use switch_core::rtl::{OutputCollector, PipelinedSwitch};
-use switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
+use switch_core::rtl::OutputCollector;
+use switch_core::{PolicyKind, RecoveryConfig, WordOrg, WordSwitch};
 
 /// A cell landing on an element input port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,27 +154,19 @@ impl ElementKind {
     /// Build one element of radix `k` with routing table `route`
     /// (`route[dst]` = local output port toward global terminal `dst`).
     pub fn build(&self, k: usize, route: Vec<u16>) -> Box<dyn FabricElement> {
-        match *self {
-            ElementKind::Scalar { capacity } => Box::new(ScalarElement::new(k, capacity, route)),
-            ElementKind::Behavioral { slots } => Box::new(BehavioralElement::new(k, slots, route)),
-            ElementKind::WordRtl { slots } => Box::new(WordElement::new(
-                WordCore::Rtl(PipelinedSwitch::new(SwitchConfig::symmetric(k, slots))),
-                k,
-                route,
-            )),
-            ElementKind::WordWide { slots } => Box::new(WordElement::new(
-                WordCore::Wide(WideMemorySwitchRtl::new(WideSwitchConfig::fig3(k, slots))),
-                k,
-                route,
-            )),
-            ElementKind::WordIbank { banks } => Box::new(WordElement::new(
-                WordCore::Ibank(InterleavedSwitch::new(InterleavedSwitchConfig::symmetric(
-                    k, banks,
-                ))),
-                k,
-                route,
-            )),
-        }
+        let (org, slots) = match *self {
+            ElementKind::Scalar { capacity } => {
+                return Box::new(ScalarElement::new(k, capacity, route))
+            }
+            ElementKind::Behavioral { slots } => {
+                return Box::new(BehavioralElement::new(k, slots, route))
+            }
+            ElementKind::WordRtl { slots } => (WordOrg::Pipelined, slots),
+            ElementKind::WordWide { slots } => (WordOrg::Wide, slots),
+            ElementKind::WordIbank { banks } => (WordOrg::Interleaved, banks),
+        };
+        let core = org.build(k, slots, RecoveryConfig::default(), PolicyKind::Static);
+        Box::new(WordElement::new(core, k, route))
     }
 }
 
@@ -480,52 +470,13 @@ impl FabricElement for BehavioralElement {
 // Word-level element
 // ---------------------------------------------------------------------
 
-/// The word-level cores a [`WordElement`] can wrap. One core lives per
-/// fabric node behind the element's own `Box`, so the size spread
-/// between organizations costs nothing per tick.
-#[allow(clippy::large_enum_variant)]
-pub enum WordCore {
-    /// Pipelined-memory RTL (the paper's organization).
-    Rtl(PipelinedSwitch),
-    /// Wide-memory (fig. 3) RTL.
-    Wide(WideMemorySwitchRtl),
-    /// Interleaved-bank (fig. 4) RTL.
-    Ibank(InterleavedSwitch),
-}
-
-impl WordCore {
-    fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>] {
-        match self {
-            WordCore::Rtl(sw) => sw.tick(wire_in),
-            WordCore::Wide(sw) => sw.tick(wire_in),
-            WordCore::Ibank(sw) => sw.tick(wire_in),
-        }
-    }
-
-    fn counters(&self) -> switch_core::events::SwitchCounters {
-        match self {
-            WordCore::Rtl(sw) => sw.counters(),
-            WordCore::Wide(sw) => sw.counters(),
-            WordCore::Ibank(sw) => sw.counters(),
-        }
-    }
-
-    fn is_quiescent(&self) -> bool {
-        match self {
-            WordCore::Rtl(sw) => sw.is_quiescent(),
-            WordCore::Wide(sw) => sw.is_quiescent(),
-            WordCore::Ibank(sw) => sw.is_quiescent(),
-        }
-    }
-}
-
 /// A word-level RTL switch per node: cells become `S`-word synthesized
 /// packets on the input links and are recovered from delivered headers
 /// on the output links. Every cycle of the window is simulated densely —
 /// the word cores own their per-cycle wave machinery, so there is no
 /// safe multi-cycle skip to exploit here.
 pub struct WordElement {
-    core: WordCore,
+    core: Box<dyn WordSwitch>,
     route: Vec<u16>,
     s: usize,
     /// Per input: the packet currently being clocked onto the wire and
@@ -547,7 +498,7 @@ pub struct WordElement {
 
 impl WordElement {
     /// Wrap `core` as a `k×k` fabric node.
-    pub fn new(core: WordCore, k: usize, route: Vec<u16>) -> Self {
+    pub fn new(core: Box<dyn WordSwitch>, k: usize, route: Vec<u16>) -> Self {
         let s = 2 * k;
         WordElement {
             core,
@@ -628,8 +579,7 @@ impl FabricElement for WordElement {
     fn occupancy(&self) -> u64 {
         // Dropped packets arrived but will never depart — exclude them
         // or residual accounting would double-count every loss.
-        let ctr = self.core.counters();
-        ctr.arrived - ctr.departed - ctr.dropped_buffer_full
+        self.core.counters().in_flight()
     }
 
     fn queue_depth(&self, _j: usize) -> u64 {
@@ -641,7 +591,9 @@ impl FabricElement for WordElement {
     }
 
     fn dropped(&self) -> u64 {
-        self.core.counters().dropped_buffer_full
+        // Every loss class, not just buffer-full.
+        let ctr = self.core.counters();
+        ctr.arrived - ctr.departed - ctr.in_flight()
     }
 
     fn is_idle(&self) -> bool {

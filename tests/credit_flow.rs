@@ -11,69 +11,13 @@ use telegraphos::simkernel::cell::Packet;
 use telegraphos::simkernel::SplitMix64;
 use telegraphos::switch_core::config::SwitchConfig;
 use telegraphos::switch_core::credit::CreditedInput;
-use telegraphos::switch_core::ibank::{InterleavedSwitch, InterleavedSwitchConfig};
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch};
-use telegraphos::switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
+use telegraphos::switch_core::{PolicyKind, RecoveryConfig, WordOrg};
+use telegraphos::traffic::PacketFeeder;
 
-/// Word-level switch under test: the credit protocol (§4.2) is
-/// organization-agnostic, so the lossy-return tests run against every
-/// memory organization, not just the pipelined one.
-enum AnySwitch {
-    Pipelined(Box<PipelinedSwitch>),
-    Wide(Box<WideMemorySwitchRtl>),
-    Interleaved(Box<InterleavedSwitch>),
-}
-
-impl AnySwitch {
-    /// Build `org` at (n, slots); returns the switch and its packet
-    /// length in words (identical across organizations by construction).
-    fn build(org: &str, n: usize, slots: usize) -> (Self, usize) {
-        match org {
-            "pipelined" => {
-                let cfg = SwitchConfig::symmetric(n, slots);
-                let s = cfg.stages();
-                (AnySwitch::Pipelined(Box::new(PipelinedSwitch::new(cfg))), s)
-            }
-            "wide" => {
-                let cfg = WideSwitchConfig::fig3(n, slots);
-                let s = cfg.packet_words();
-                (AnySwitch::Wide(Box::new(WideMemorySwitchRtl::new(cfg))), s)
-            }
-            "interleaved" => {
-                let cfg = InterleavedSwitchConfig::symmetric(n, slots);
-                let s = cfg.packet_words();
-                (
-                    AnySwitch::Interleaved(Box::new(InterleavedSwitch::new(cfg))),
-                    s,
-                )
-            }
-            other => panic!("unknown organization {other}"),
-        }
-    }
-
-    fn tick(&mut self, wire: &[Option<u64>]) -> &[Option<u64>] {
-        match self {
-            AnySwitch::Pipelined(sw) => sw.tick(wire),
-            AnySwitch::Wide(sw) => sw.tick(wire),
-            AnySwitch::Interleaved(sw) => sw.tick(wire),
-        }
-    }
-
-    fn now(&self) -> u64 {
-        match self {
-            AnySwitch::Pipelined(sw) => sw.now(),
-            AnySwitch::Wide(sw) => sw.now(),
-            AnySwitch::Interleaved(sw) => sw.now(),
-        }
-    }
-
-    fn counters(&self) -> telegraphos::switch_core::events::SwitchCounters {
-        match self {
-            AnySwitch::Pipelined(sw) => sw.counters(),
-            AnySwitch::Wide(sw) => sw.counters(),
-            AnySwitch::Interleaved(sw) => sw.counters(),
-        }
-    }
+/// One scripted link serializer per input.
+fn links(n: usize, s: usize) -> Vec<PacketFeeder> {
+    (0..n).map(|i| PacketFeeder::scripted(i, s)).collect()
 }
 
 /// Drive an n×n switch at full demand with *uncredited* senders (the
@@ -84,26 +28,19 @@ fn drive(n: usize, slots: usize, _credits: Option<u32>, cycles: u64) -> (usize, 
     let mut sw = PipelinedSwitch::new(cfg);
     let mut col = OutputCollector::new(n, s);
     let mut rng = SplitMix64::new(99);
-    let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
+    let mut current = links(n, s);
     let mut next_id = 1u64;
 
     for _ in 0..cycles {
         let now = sw.now();
         let mut wire = vec![None; n];
         for i in 0..n {
-            if current[i].is_none() {
+            if !current[i].busy() {
                 let dst = rng.below_usize(n);
-                let p = Packet::synth(next_id, i, dst, s, now);
+                current[i].push(Packet::synth(next_id, i, dst, s, now));
                 next_id += 1;
-                current[i] = Some((p, 0));
             }
-            if let Some((p, k)) = current[i].as_mut() {
-                wire[i] = Some(p.words[*k]);
-                *k += 1;
-                if *k == s {
-                    current[i] = None;
-                }
-            }
+            wire[i] = current[i].tick(now);
         }
         let out = sw.tick(&wire);
         col.observe(now, out);
@@ -123,7 +60,7 @@ fn drive_credited(n: usize, slots: usize, credits_per_input: u32, cycles: u64) -
     let mut senders: Vec<CreditedInput<usize>> = (0..n)
         .map(|_| CreditedInput::new(credits_per_input, 1))
         .collect();
-    let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
+    let mut current = links(n, s);
     let mut next_id = 1u64;
     let mut id_to_input: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
 
@@ -131,22 +68,15 @@ fn drive_credited(n: usize, slots: usize, credits_per_input: u32, cycles: u64) -
         let now = sw.now();
         let mut wire = vec![None; n];
         for i in 0..n {
-            if current[i].is_none() {
+            if !current[i].busy() {
                 senders[i].offer(rng.below_usize(n));
                 if let Some(dst) = senders[i].poll(now) {
-                    let p = Packet::synth(next_id, i, dst, s, now);
+                    current[i].push(Packet::synth(next_id, i, dst, s, now));
                     id_to_input.insert(next_id, i);
                     next_id += 1;
-                    current[i] = Some((p, 0));
                 }
             }
-            if let Some((p, k)) = current[i].as_mut() {
-                wire[i] = Some(p.words[*k]);
-                *k += 1;
-                if *k == s {
-                    current[i] = None;
-                }
-            }
+            wire[i] = current[i].tick(now);
         }
         let out = sw.tick(&wire);
         col.observe(now, out);
@@ -194,7 +124,7 @@ fn uncredited_senders_drop_at_same_buffer_size() {
 /// against the ledger's ground truth, resyncing on a detected leak.
 /// Returns (delivered, leaks_detected, credits_recovered, final_credits).
 fn drive_credited_lossy(
-    org: &str,
+    org: WordOrg,
     n: usize,
     slots: usize,
     credits_per_input: u32,
@@ -202,13 +132,14 @@ fn drive_credited_lossy(
     lose_every: u64,
     audit_period: u64,
 ) -> (usize, u64, u64, Vec<u32>) {
-    let (mut sw, s) = AnySwitch::build(org, n, slots);
+    let mut sw = org.build(n, slots, RecoveryConfig::default(), PolicyKind::Static);
+    let s = sw.packet_words();
     let mut col = OutputCollector::new(n, s);
     let mut rng = SplitMix64::new(7);
     let mut senders: Vec<CreditedInput<usize>> = (0..n)
         .map(|_| CreditedInput::new(credits_per_input, 1))
         .collect();
-    let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
+    let mut current = links(n, s);
     let mut next_id = 1u64;
     let mut id_to_input: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
     let mut launched = vec![0u64; n];
@@ -221,23 +152,16 @@ fn drive_credited_lossy(
         let now = sw.now();
         let mut wire = vec![None; n];
         for i in 0..n {
-            if current[i].is_none() {
+            if !current[i].busy() {
                 senders[i].offer(rng.below_usize(n));
                 if let Some(dst) = senders[i].poll(now) {
-                    let p = Packet::synth(next_id, i, dst, s, now);
+                    current[i].push(Packet::synth(next_id, i, dst, s, now));
                     id_to_input.insert(next_id, i);
                     launched[i] += 1;
                     next_id += 1;
-                    current[i] = Some((p, 0));
                 }
             }
-            if let Some((p, k)) = current[i].as_mut() {
-                wire[i] = Some(p.words[*k]);
-                *k += 1;
-                if *k == s {
-                    current[i] = None;
-                }
-            }
+            wire[i] = current[i].tick(now);
         }
         let out = sw.tick(&wire);
         col.observe(now, out);
@@ -294,7 +218,7 @@ fn lost_credit_returns_bleed_the_link_dry_without_audit() {
     // the failure mode the audit exists to catch.
     let n = 4;
     let (delivered, leaks, recovered, credits) =
-        drive_credited_lossy("pipelined", n, 4 * n, 4, 20_000, 4, u64::MAX);
+        drive_credited_lossy(WordOrg::Pipelined, n, 4 * n, 4, 20_000, 4, u64::MAX);
     assert_eq!(leaks, 0, "no audit, no detection");
     assert_eq!(recovered, 0);
     assert!(
@@ -316,14 +240,14 @@ fn credit_audit_detects_loss_and_resync_restores_throughput() {
     // and keep throughput near the lossless link's.
     let n = 4;
     let (d_lossy, leaks, recovered, _) =
-        drive_credited_lossy("pipelined", n, 4 * n, 4, 20_000, 4, 100);
+        drive_credited_lossy(WordOrg::Pipelined, n, 4 * n, 4, 20_000, 4, 100);
     assert!(leaks > 0, "audit must detect the leaked credits");
     assert!(
         recovered >= leaks,
         "each detected leak recovers >= 1 credit"
     );
     let (d_clean, clean_leaks, clean_recovered, _) =
-        drive_credited_lossy("pipelined", n, 4 * n, 4, 20_000, u64::MAX, 100);
+        drive_credited_lossy(WordOrg::Pipelined, n, 4 * n, 4, 20_000, u64::MAX, 100);
     assert_eq!(clean_leaks, 0, "false positive: audit fired without loss");
     assert_eq!(clean_recovered, 0);
     assert!(
@@ -338,7 +262,7 @@ fn credit_audit_detects_loss_and_resync_restores_throughput() {
 /// Each must (a) wedge without an audit, (b) detect and recover with
 /// one, (c) keep throughput, and (d) never drop — the in-helper
 /// buffer-full assertion.
-fn lossy_credit_roundtrip(org: &str) {
+fn lossy_credit_roundtrip(org: WordOrg) {
     let n = 4;
     let (wedged, _, _, credits) = drive_credited_lossy(org, n, 4 * n, 4, 20_000, 4, u64::MAX);
     assert!(
@@ -363,10 +287,10 @@ fn lossy_credit_roundtrip(org: &str) {
 
 #[test]
 fn wide_memory_survives_lossy_credit_returns() {
-    lossy_credit_roundtrip("wide");
+    lossy_credit_roundtrip(WordOrg::Wide);
 }
 
 #[test]
 fn interleaved_survives_lossy_credit_returns() {
-    lossy_credit_roundtrip("interleaved");
+    lossy_credit_roundtrip(WordOrg::Interleaved);
 }

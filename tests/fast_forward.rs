@@ -16,17 +16,15 @@
 //! are bounded by the next strike), so the detection/correction
 //! counters must also come out byte-identical.
 
-use telegraphos::membank::interleaved::BankId;
 use telegraphos::simkernel::cell::Packet;
-use telegraphos::simkernel::ids::{Addr, Cycle};
+use telegraphos::simkernel::ids::Cycle;
 use telegraphos::simkernel::{Horizon, SplitMix64};
 use telegraphos::switch_core::behavioral::{BehavioralDeparture, BehavioralSwitch};
 use telegraphos::switch_core::config::SwitchConfig;
 use telegraphos::switch_core::events::SwitchCounters;
-use telegraphos::switch_core::ibank::{InterleavedSwitch, InterleavedSwitchConfig};
 use telegraphos::switch_core::recovery::RecoveryConfig;
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch};
-use telegraphos::switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
+use telegraphos::switch_core::{PolicyKind, WordOrg, WordSwitch};
 
 /// One scheduled launch: header enters input `input` at cycle `at`.
 #[derive(Debug, Clone, Copy)]
@@ -71,123 +69,25 @@ fn bursty_schedule(n: usize, s: usize, bursts: usize, seed: u64) -> Vec<Offer> {
     offers
 }
 
-/// The three word-level organizations behind one interface.
-enum Word {
-    Pipelined(Box<PipelinedSwitch>),
-    Wide(Box<WideMemorySwitchRtl>),
-    Interleaved(Box<InterleavedSwitch>),
-}
-
-impl Word {
-    fn build(org: &str, n: usize, slots: usize) -> (Self, usize) {
-        match org {
-            "pipelined" => {
-                let cfg = SwitchConfig::symmetric(n, slots);
-                let s = cfg.stages();
-                (Word::Pipelined(Box::new(PipelinedSwitch::new(cfg))), s)
-            }
-            "wide" => {
-                let cfg = WideSwitchConfig::fig3(n, slots);
-                let s = cfg.packet_words();
-                (Word::Wide(Box::new(WideMemorySwitchRtl::new(cfg))), s)
-            }
-            "interleaved" => {
-                let cfg = InterleavedSwitchConfig::symmetric(n, slots);
-                let s = cfg.packet_words();
-                (Word::Interleaved(Box::new(InterleavedSwitch::new(cfg))), s)
-            }
-            other => panic!("unknown org {other}"),
-        }
+/// `org` at `(n, slots)`. `armed` turns the ECC recovery overlay on
+/// and, for the pipelined RTL, selects store-and-forward with the full
+/// integrity machinery (mirroring the chaos harness), so injected upsets
+/// are scrubbed on read instead of silently corrupting deliveries.
+fn build(org: WordOrg, n: usize, slots: usize, armed: bool) -> Box<dyn WordSwitch> {
+    if !armed {
+        return org.build(n, slots, RecoveryConfig::default(), PolicyKind::Static);
     }
-
-    fn tick(&mut self, wire: &[Option<u64>]) -> &[Option<u64>] {
-        match self {
-            Word::Pipelined(sw) => sw.tick(wire),
-            Word::Wide(sw) => sw.tick(wire),
-            Word::Interleaved(sw) => sw.tick(wire),
-        }
+    let rec = RecoveryConfig::ecc_only();
+    if org != WordOrg::Pipelined {
+        return org.build(n, slots, rec, PolicyKind::Static);
     }
-
-    fn now(&self) -> Cycle {
-        match self {
-            Word::Pipelined(sw) => sw.now(),
-            Word::Wide(sw) => sw.now(),
-            Word::Interleaved(sw) => sw.now(),
-        }
-    }
-
-    fn next_event(&self) -> Option<Cycle> {
-        match self {
-            Word::Pipelined(sw) => sw.next_event(),
-            Word::Wide(sw) => sw.next_event(),
-            Word::Interleaved(sw) => sw.next_event(),
-        }
-    }
-
-    fn jump_to(&mut self, target: Cycle) {
-        match self {
-            Word::Pipelined(sw) => Horizon::jump_to(&mut **sw, target),
-            Word::Wide(sw) => Horizon::jump_to(&mut **sw, target),
-            Word::Interleaved(sw) => Horizon::jump_to(&mut **sw, target),
-        }
-    }
-
-    fn counters(&self) -> SwitchCounters {
-        match self {
-            Word::Pipelined(sw) => sw.counters(),
-            Word::Wide(sw) => sw.counters(),
-            Word::Interleaved(sw) => sw.counters(),
-        }
-    }
-
-    /// Like [`Word::build`], but ECC-armed: recovery overlay on,
-    /// store-and-forward with the full integrity machinery (mirroring
-    /// the chaos harness), so injected upsets are scrubbed on read
-    /// instead of silently corrupting deliveries.
-    fn build_armed(org: &str, n: usize, slots: usize) -> (Self, usize) {
-        let rec = RecoveryConfig::ecc_only();
-        match org {
-            "pipelined" => {
-                let mut cfg = SwitchConfig::symmetric(n, slots);
-                cfg.cut_through = false;
-                cfg.fused_cut_through = false;
-                cfg.integrity.checksum = true;
-                cfg.integrity.payload_check = true;
-                cfg.integrity.harden = true;
-                let cfg = cfg.with_recovery(rec);
-                let s = cfg.stages();
-                (Word::Pipelined(Box::new(PipelinedSwitch::new(cfg))), s)
-            }
-            "wide" => {
-                let cfg = WideSwitchConfig::fig3(n, slots).with_recovery(rec);
-                let s = cfg.packet_words();
-                (Word::Wide(Box::new(WideMemorySwitchRtl::new(cfg))), s)
-            }
-            "interleaved" => {
-                let cfg = InterleavedSwitchConfig::symmetric(n, slots).with_recovery(rec);
-                let s = cfg.packet_words();
-                (Word::Interleaved(Box::new(InterleavedSwitch::new(cfg))), s)
-            }
-            other => panic!("unknown org {other}"),
-        }
-    }
-
-    /// Apply one strike, mapping its raw coordinates into this
-    /// organization's address space (`ecc_only` arms no spares, so the
-    /// primary range is the whole address space).
-    fn inject(&mut self, st: &Strike, s: usize, slots: usize) {
-        match self {
-            Word::Pipelined(sw) => {
-                let _ = sw.inject_bank_fault(st.a % s, Addr(st.b % slots), st.mask);
-            }
-            Word::Wide(sw) => {
-                let _ = sw.inject_memory_fault(Addr(st.b % slots), st.a % s, st.mask);
-            }
-            Word::Interleaved(sw) => {
-                let _ = sw.inject_bank_fault(BankId(st.b % slots), st.a % s, st.mask);
-            }
-        }
-    }
+    let mut cfg = SwitchConfig::symmetric(n, slots);
+    cfg.cut_through = false;
+    cfg.fused_cut_through = false;
+    cfg.integrity.checksum = true;
+    cfg.integrity.payload_check = true;
+    cfg.integrity.harden = true;
+    Box::new(PipelinedSwitch::new(cfg.with_recovery(rec)))
 }
 
 /// One memory strike: at cycle `at`, xor `mask` into the word addressed
@@ -228,99 +128,31 @@ fn strike_schedule(offers: &[Offer], s: usize, count: usize, seed: u64) -> Vec<S
     strikes
 }
 
+/// One delivery: `(id, output, first, last, payload-intact)`.
+type Delivered = (u64, usize, Cycle, Cycle, bool);
+
 /// Replay `offers` on a word-level organization; `fast` routes the
 /// inter-burst gaps through the horizon kernel, dense ticks every cycle.
-/// Returns the delivered (id, output, first, last) stream plus counters.
+/// With `strikes`, the switch is ECC-armed and the strike schedule rides
+/// along, each strike mapped into the organization's address space
+/// (`ecc_only` arms no spares, so the primary range is the whole space)
+/// and injected at the same absolute cycle in dense and fast runs (the
+/// fast path bounds each jump by the next strike), so the
+/// detection/correction counters must come out byte-identical.
+/// Deliveries carry their payload verdict — a double-bit strike may
+/// legitimately kill a packet, as long as it kills it identically on
+/// both paths. Returns the delivery stream plus counters.
 fn run_word(
-    org: &str,
+    org: WordOrg,
     n: usize,
     offers: &[Offer],
+    strikes: Option<&[Strike]>,
     fast: bool,
-) -> (Vec<(u64, usize, Cycle, Cycle)>, SwitchCounters) {
-    let (mut sw, s) = Word::build(org, n, 4 * n);
-    let mut col = OutputCollector::new(n, s);
-    let mut current: Vec<Option<(Vec<u64>, usize)>> = vec![None; n];
-    let mut wire = vec![None; n];
-    let mut deliveries = Vec::new();
-    let mut k = 0;
-    let mut grace = 0u64;
-    loop {
-        let now = sw.now();
-        let exhausted = k == offers.len();
-        let idle = exhausted && current.iter().all(Option::is_none) && sw.next_event().is_none();
-        if idle {
-            grace += 1;
-            if grace > s as u64 + 4 {
-                break;
-            }
-        } else {
-            grace = 0;
-        }
-        assert!(now < 1_000_000, "{org} failed to drain");
-        if fast && !idle && current.iter().all(Option::is_none) {
-            let horizon = match sw.next_event() {
-                None => Some(u64::MAX),
-                Some(e) if e > now => Some(e),
-                Some(_) => None,
-            };
-            if let Some(h) = horizon {
-                let mut target = h;
-                if let Some(o) = offers.get(k) {
-                    target = target.min(o.at);
-                }
-                if target > now && target != u64::MAX {
-                    sw.jump_to(target);
-                    continue;
-                }
-            }
-        }
-        while k < offers.len() && offers[k].at == now {
-            let o = offers[k];
-            k += 1;
-            assert!(current[o.input].is_none(), "schedule violates framing");
-            let p = Packet::synth(o.id, o.input, o.dst, s, now);
-            current[o.input] = Some((p.words, 0));
-        }
-        for (w, slot) in wire.iter_mut().zip(current.iter_mut()) {
-            *w = None;
-            if let Some((words, i)) = slot {
-                *w = Some(words[*i]);
-                *i += 1;
-                if *i == words.len() {
-                    *slot = None;
-                }
-            }
-        }
-        let out = sw.tick(&wire);
-        col.observe(now, out);
-        for d in col.take() {
-            assert!(d.verify_payload(), "{org}: corrupted payload");
-            deliveries.push((d.id, d.output.index(), d.first_cycle, d.last_cycle));
-        }
-    }
-    (deliveries, sw.counters())
-}
-
-/// One delivery under fault injection: `(id, output, first, last,
-/// payload-intact)`.
-type FaultedDelivery = (u64, usize, Cycle, Cycle, bool);
-
-/// [`run_word`] with a strike schedule riding along on an ECC-armed
-/// switch: strikes are injected at identical absolute cycles in the
-/// dense and fast runs (the fast path bounds each jump by the next
-/// strike), so detection/correction counters must come out
-/// byte-identical. Deliveries carry their payload verdict instead of
-/// asserting it — a double-bit strike may legitimately kill a packet,
-/// as long as it kills it identically on both paths.
-fn run_word_faulted(
-    org: &str,
-    n: usize,
-    offers: &[Offer],
-    strikes: &[Strike],
-    fast: bool,
-) -> (Vec<FaultedDelivery>, SwitchCounters) {
+) -> (Vec<Delivered>, SwitchCounters) {
     let slots = 4 * n;
-    let (mut sw, s) = Word::build_armed(org, n, slots);
+    let mut sw = build(org, n, slots, strikes.is_some());
+    let strikes = strikes.unwrap_or(&[]);
+    let s = sw.packet_words();
     let mut col = OutputCollector::new(n, s);
     let mut current: Vec<Option<(Vec<u64>, usize)>> = vec![None; n];
     let mut wire = vec![None; n];
@@ -331,7 +163,8 @@ fn run_word_faulted(
     loop {
         let now = sw.now();
         while f < strikes.len() && strikes[f].at == now {
-            sw.inject(&strikes[f], s, slots);
+            let st = &strikes[f];
+            sw.inject_upset(st.b % slots, st.a % s, st.mask);
             f += 1;
         }
         let exhausted = k == offers.len() && f == strikes.len();
@@ -344,7 +177,7 @@ fn run_word_faulted(
         } else {
             grace = 0;
         }
-        assert!(now < 1_000_000, "{org} failed to drain under faults");
+        assert!(now < 1_000_000, "{org} failed to drain");
         if fast && !idle && current.iter().all(Option::is_none) {
             let horizon = match sw.next_event() {
                 None => Some(u64::MAX),
@@ -458,12 +291,15 @@ fn run_behavioral(
 #[test]
 fn word_orgs_fast_forward_is_bit_exact() {
     let n = 4;
-    for org in ["pipelined", "wide", "interleaved"] {
+    for org in WordOrg::ALL {
         for seed in 0..6u64 {
-            let s = Word::build(org, n, 4 * n).1;
-            let offers = bursty_schedule(n, s, 8, 0x5EED + seed);
-            let (dense_d, dense_c) = run_word(org, n, &offers, false);
-            let (fast_d, fast_c) = run_word(org, n, &offers, true);
+            let offers = bursty_schedule(n, 2 * n, 8, 0x5EED + seed);
+            let (dense_d, dense_c) = run_word(org, n, &offers, None, false);
+            let (fast_d, fast_c) = run_word(org, n, &offers, None, true);
+            assert!(
+                dense_d.iter().all(|d| d.4),
+                "{org} seed {seed}: corrupted payload"
+            );
             assert_eq!(
                 dense_d, fast_d,
                 "{org} seed {seed}: departure streams diverged"
@@ -477,13 +313,13 @@ fn word_orgs_fast_forward_is_bit_exact() {
 fn word_orgs_fast_forward_is_bit_exact_under_fault_injection() {
     let n = 4;
     let (mut corrected, mut detected) = (0u64, 0u64);
-    for org in ["pipelined", "wide", "interleaved"] {
+    for org in WordOrg::ALL {
         for seed in 0..4u64 {
-            let s = Word::build(org, n, 4 * n).1;
+            let s = 2 * n;
             let offers = bursty_schedule(n, s, 8, 0xFA17 + seed);
             let strikes = strike_schedule(&offers, s, 24, 0xECC0 + seed);
-            let (dense_d, dense_c) = run_word_faulted(org, n, &offers, &strikes, false);
-            let (fast_d, fast_c) = run_word_faulted(org, n, &offers, &strikes, true);
+            let (dense_d, dense_c) = run_word(org, n, &offers, Some(&strikes), false);
+            let (fast_d, fast_c) = run_word(org, n, &offers, Some(&strikes), true);
             assert_eq!(
                 dense_d, fast_d,
                 "{org} seed {seed}: faulted departure streams diverged"
@@ -500,6 +336,46 @@ fn word_orgs_fast_forward_is_bit_exact_under_fault_injection() {
     // actually corrected or detect-dropped anything.
     assert!(corrected > 0, "no strike was ever ECC-corrected");
     assert!(detected > 0, "no double-bit strike was ever detected");
+}
+
+/// What every harness over `Box<dyn WordSwitch>` relies on: the horizon
+/// reports "no event ever" exactly when the switch is quiescent, and an
+/// upset `inject_upset` reports live is caught downstream. ECC-armed, so
+/// a single-bit strike is corrected (or, failing that, detect-dropped).
+#[test]
+fn word_switch_contract_holds_for_every_organization() {
+    let n = 4;
+    for org in WordOrg::ALL {
+        let slots = 4 * n;
+        let mut sw = build(org, n, slots, true);
+        let s = sw.packet_words();
+        // Every input sends to output 0 at once, so packets queue up in
+        // the buffer and one of them is struck while it waits.
+        let packets: Vec<Packet> = (0..n)
+            .map(|i| Packet::synth(i as u64 + 1, i, 0, s, 0))
+            .collect();
+        let mut struck = false;
+        for k in 0..1_000 {
+            assert_eq!(
+                sw.next_event().is_none(),
+                sw.is_quiescent(),
+                "{org} cycle {k}: horizon and quiescence disagree"
+            );
+            if k >= s && sw.is_quiescent() {
+                break;
+            }
+            let wire: Vec<_> = packets.iter().map(|p| p.words.get(k).copied()).collect();
+            sw.tick(&wire);
+            struck = struck || (0..slots).any(|slot| sw.inject_upset(slot, 1, 1));
+        }
+        assert!(sw.is_quiescent(), "{org} failed to drain");
+        assert!(struck, "{org}: no upset ever landed on live data");
+        let c = sw.counters();
+        assert!(
+            c.integrity_detections() > 0 || c.ecc_corrected > 0,
+            "{org}: live upset went unnoticed: {c:?}"
+        );
+    }
 }
 
 #[test]

@@ -133,6 +133,7 @@ fn slot_freed_only_after_last_copy_claimed() {
 fn multicast_under_load_conserves() {
     // Random mix of unicast and multicast on all inputs at high load.
     use telegraphos::simkernel::SplitMix64;
+    use telegraphos::traffic::PacketFeeder;
     let n = 4;
     let cfg = SwitchConfig::symmetric(n, 32);
     let s = cfg.stages();
@@ -141,13 +142,13 @@ fn multicast_under_load_conserves() {
     let mut rng = SplitMix64::new(13);
     let mut next_id = 1u64;
     let mut expected_copies = 0u64;
-    let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
+    let mut current: Vec<PacketFeeder> = (0..n).map(|i| PacketFeeder::scripted(i, s)).collect();
     let mut launched_fanout: std::collections::HashMap<u64, u32> = Default::default();
     for _ in 0..20_000u64 {
         let now = sw.now();
         let mut wire = vec![None; n];
         for i in 0..n {
-            if current[i].is_none() && rng.chance(0.6) {
+            if !current[i].busy() && rng.chance(0.6) {
                 let p = if rng.chance(0.3) {
                     // Multicast to a random non-empty mask.
                     let mask = (rng.below(1 << n) as u16).max(1);
@@ -158,15 +159,9 @@ fn multicast_under_load_conserves() {
                 let (mask, _) = Packet::decode_header_any(p.words[0]);
                 launched_fanout.insert(next_id, mask.count_ones());
                 next_id += 1;
-                current[i] = Some((p, 0));
+                current[i].push(p);
             }
-            if let Some((p, k)) = current[i].as_mut() {
-                wire[i] = Some(p.words[*k]);
-                *k += 1;
-                if *k == s {
-                    current[i] = None;
-                }
-            }
+            wire[i] = current[i].tick(now);
         }
         let out = sw.tick(&wire);
         col.observe(now, out);
@@ -175,16 +170,7 @@ fn multicast_under_load_conserves() {
     let mut guard = 0;
     while !sw.is_quiescent() && guard < 10_000 {
         let now = sw.now();
-        let mut wire = vec![None; n];
-        for i in 0..n {
-            if let Some((p, k)) = current[i].as_mut() {
-                wire[i] = Some(p.words[*k]);
-                *k += 1;
-                if *k == s {
-                    current[i] = None;
-                }
-            }
-        }
+        let wire: Vec<_> = current.iter_mut().map(|f| f.tick(now)).collect();
         let out = sw.tick(&wire);
         col.observe(now, out);
         guard += 1;

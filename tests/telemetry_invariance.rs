@@ -9,20 +9,17 @@
 //! VCD export of a tiny deterministic run byte-for-byte alongside.
 
 use std::fmt::Write as _;
-use telegraphos::membank::interleaved::BankId;
 use telegraphos::simkernel::cell::Packet;
-use telegraphos::simkernel::ids::{Addr, Cycle};
-use telegraphos::simkernel::{Horizon, SplitMix64};
+use telegraphos::simkernel::ids::Cycle;
+use telegraphos::simkernel::SplitMix64;
 use telegraphos::switch_core::behavioral::BehavioralSwitch;
 use telegraphos::switch_core::config::SwitchConfig;
 use telegraphos::switch_core::events::SwitchCounters;
-use telegraphos::switch_core::ibank::{InterleavedSwitch, InterleavedSwitchConfig};
 use telegraphos::switch_core::recovery::RecoveryConfig;
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch};
-use telegraphos::switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
-use telegraphos::switch_core::PolicyKind;
+use telegraphos::switch_core::{PolicyKind, WordOrg, WordSwitch};
 use telegraphos::telemetry::{
-    vcd, NullSink, Probe, ProbeEvent, ProbeHandle, Recorder, Shared, TelemetryConfig,
+    vcd, GaugeKind, NullSink, Probe, ProbeEvent, ProbeHandle, Recorder, Shared, TelemetryConfig,
 };
 use telegraphos::traffic::{DestDist, PacketFeeder};
 
@@ -89,163 +86,34 @@ impl Sink {
     }
 }
 
-/// The three word-level organizations behind one interface.
-enum Word {
-    Pipelined(Box<PipelinedSwitch>),
-    Wide(Box<WideMemorySwitchRtl>),
-    Interleaved(Box<InterleavedSwitch>),
-}
-
-impl Word {
-    fn build(org: &str, n: usize, slots: usize, sink: Sink) -> (Self, usize) {
-        let probe = sink.build();
-        match org {
-            "pipelined" => {
-                let cfg = SwitchConfig::symmetric(n, slots);
-                let s = cfg.stages();
-                let mut sw = PipelinedSwitch::new(cfg);
-                if let Some(p) = probe {
-                    sw.attach_probe(p);
-                }
-                (Word::Pipelined(Box::new(sw)), s)
-            }
-            "wide" => {
-                let cfg = WideSwitchConfig::fig3(n, slots);
-                let s = cfg.packet_words();
-                let mut sw = WideMemorySwitchRtl::new(cfg);
-                if let Some(p) = probe {
-                    sw.attach_probe(p);
-                }
-                (Word::Wide(Box::new(sw)), s)
-            }
-            "interleaved" => {
-                let cfg = InterleavedSwitchConfig::symmetric(n, slots);
-                let s = cfg.packet_words();
-                let mut sw = InterleavedSwitch::new(cfg);
-                if let Some(p) = probe {
-                    sw.attach_probe(p);
-                }
-                (Word::Interleaved(Box::new(sw)), s)
-            }
-            other => panic!("unknown org {other}"),
-        }
+/// `org` at `(n, slots)` with recovery and sharing policy as given and
+/// `probe` (if any) attached.
+fn build(
+    org: WordOrg,
+    n: usize,
+    slots: usize,
+    rec: RecoveryConfig,
+    policy: PolicyKind,
+    probe: Option<ProbeHandle>,
+) -> Box<dyn WordSwitch> {
+    let mut sw = org.build(n, slots, rec, policy);
+    if let Some(p) = probe {
+        sw.attach_probe(p);
     }
-
-    fn tick(&mut self, wire: &[Option<u64>]) -> &[Option<u64>] {
-        match self {
-            Word::Pipelined(sw) => sw.tick(wire),
-            Word::Wide(sw) => sw.tick(wire),
-            Word::Interleaved(sw) => sw.tick(wire),
-        }
-    }
-
-    fn now(&self) -> Cycle {
-        match self {
-            Word::Pipelined(sw) => sw.now(),
-            Word::Wide(sw) => sw.now(),
-            Word::Interleaved(sw) => sw.now(),
-        }
-    }
-
-    fn next_event(&self) -> Option<Cycle> {
-        match self {
-            Word::Pipelined(sw) => sw.next_event(),
-            Word::Wide(sw) => sw.next_event(),
-            Word::Interleaved(sw) => sw.next_event(),
-        }
-    }
-
-    fn counters(&self) -> SwitchCounters {
-        match self {
-            Word::Pipelined(sw) => sw.counters(),
-            Word::Wide(sw) => sw.counters(),
-            Word::Interleaved(sw) => sw.counters(),
-        }
-    }
-
-    /// `org` at `(n, slots)` with recovery and sharing policy set and
-    /// `probe` attached.
-    fn build_with(
-        org: &str,
-        n: usize,
-        slots: usize,
-        rec: RecoveryConfig,
-        policy: PolicyKind,
-        probe: ProbeHandle,
-    ) -> Self {
-        match org {
-            "pipelined" => {
-                let cfg = SwitchConfig::symmetric(n, slots)
-                    .with_recovery(rec)
-                    .with_policy(policy);
-                let mut sw = PipelinedSwitch::new(cfg);
-                sw.attach_probe(probe);
-                Word::Pipelined(Box::new(sw))
-            }
-            "wide" => {
-                let cfg = WideSwitchConfig::fig3(n, slots)
-                    .with_recovery(rec)
-                    .with_policy(policy);
-                let mut sw = WideMemorySwitchRtl::new(cfg);
-                sw.attach_probe(probe);
-                Word::Wide(Box::new(sw))
-            }
-            "interleaved" => {
-                let cfg = InterleavedSwitchConfig::symmetric(n, slots)
-                    .with_recovery(rec)
-                    .with_policy(policy);
-                let mut sw = InterleavedSwitch::new(cfg);
-                sw.attach_probe(probe);
-                Word::Interleaved(Box::new(sw))
-            }
-            other => panic!("unknown org {other}"),
-        }
-    }
-
-    fn is_quiescent(&self) -> bool {
-        match self {
-            Word::Pipelined(sw) => sw.is_quiescent(),
-            Word::Wide(sw) => sw.is_quiescent(),
-            Word::Interleaved(sw) => sw.is_quiescent(),
-        }
-    }
-
-    /// Flip `mask` in word `word` of buffer slot `slot`.
-    fn inject_upset(&mut self, slot: usize, word: usize, mask: u64) {
-        match self {
-            Word::Pipelined(sw) => {
-                let _ = sw.inject_bank_fault(word, Addr(slot), mask);
-            }
-            Word::Wide(sw) => {
-                let _ = sw.inject_memory_fault(Addr(slot), word, mask);
-            }
-            Word::Interleaved(sw) => {
-                let _ = sw.inject_bank_fault(BankId(slot), word, mask);
-            }
-        }
-    }
-
-    fn is_degraded(&self) -> bool {
-        match self {
-            Word::Pipelined(sw) => sw.is_degraded(),
-            Word::Wide(sw) => sw.is_degraded(),
-            Word::Interleaved(sw) => sw.is_degraded(),
-        }
-    }
-
-    fn recovery_spans(&self) -> Vec<(Cycle, Cycle)> {
-        match self {
-            Word::Pipelined(sw) => sw.recovery_windows().spans().to_vec(),
-            Word::Wide(sw) => sw.recovery_windows().spans().to_vec(),
-            Word::Interleaved(sw) => sw.recovery_windows().spans().to_vec(),
-        }
-    }
+    sw
 }
 
 /// Replay `offers` densely on a word-level organization with `sink`
 /// attached; returns the delivery stream plus counters.
-fn run_word(org: &str, n: usize, offers: &[Offer], sink: Sink) -> (Vec<Delivery>, SwitchCounters) {
-    let (mut sw, s) = Word::build(org, n, 4 * n, sink);
+fn run_word(
+    org: WordOrg,
+    n: usize,
+    offers: &[Offer],
+    sink: Sink,
+) -> (Vec<Delivery>, SwitchCounters) {
+    let (rec, policy) = (RecoveryConfig::default(), PolicyKind::Static);
+    let mut sw = build(org, n, 4 * n, rec, policy, sink.build());
+    let s = sw.packet_words();
     let mut col = OutputCollector::new(n, s);
     let mut current: Vec<Option<(Vec<u64>, usize)>> = vec![None; n];
     let mut wire = vec![None; n];
@@ -334,9 +202,9 @@ fn run_behavioral(n: usize, offers: &[Offer], sink: Sink) -> (Vec<Delivery>, (u6
 #[test]
 fn word_orgs_are_probe_invariant() {
     let n = 4;
-    for org in ["pipelined", "wide", "interleaved"] {
+    for org in WordOrg::ALL {
         for seed in 0..4u64 {
-            let s = Word::build(org, n, 4 * n, Sink::Off).1;
+            let s = 2 * n;
             let offers = bursty_schedule(n, s, 6, 0x7E1E + seed);
             let (off_d, off_c) = run_word(org, n, &offers, Sink::Off);
             let (null_d, null_c) = run_word(org, n, &offers, Sink::Null);
@@ -411,6 +279,50 @@ fn vcd_export_matches_the_golden_file() {
     );
 }
 
+/// Once retirements outrun the spare pool, the wide organization's
+/// occupancy gauge must keep following the rows still in circulation: it
+/// used to count the retired rows as occupied and never returned to 0.
+#[test]
+fn wide_occupancy_gauge_returns_to_zero_in_degraded_mode() {
+    let (n, slots) = (2, 8);
+    let rec = Shared::new(Recorder::unbounded());
+    // ECC on, retire a row at its first correction, no spares.
+    let recovery = RecoveryConfig::full(0, 1);
+    let mut sw = build(
+        WordOrg::Wide,
+        n,
+        slots,
+        recovery,
+        PolicyKind::Static,
+        Some(rec.handle()),
+    );
+    let s = sw.packet_words();
+    // Two packets for output 0 at once: one takes the bypass, the other
+    // is stored — and struck while it waits in the memory.
+    let (a, b) = (Packet::synth(1, 0, 0, s, 0), Packet::synth(2, 1, 0, s, 0));
+    let mut struck = false;
+    for k in 0..200 {
+        sw.tick(&[a.words.get(k).copied(), b.words.get(k).copied()]);
+        struck = struck || (0..slots).any(|row| sw.inject_upset(row, 1, 1));
+        if k >= s && sw.is_quiescent() {
+            break;
+        }
+    }
+    assert!(struck, "no upset ever landed on a stored packet");
+    assert!(sw.is_quiescent(), "failed to drain");
+    assert_eq!(sw.counters().departed, 2);
+    assert!(sw.is_degraded(), "the struck row must retire with no spare");
+    let last_occupancy = rec.entries().iter().rev().find_map(|e| match e.event {
+        ProbeEvent::Gauge {
+            gauge: GaugeKind::Occupancy,
+            value,
+            ..
+        } => Some(value),
+        _ => None,
+    });
+    assert_eq!(last_occupancy, Some(0), "drained, yet the gauge reads busy");
+}
+
 /// FNV-1a; `fmt::Write` so probe events hash without allocating.
 struct Fnv(u64);
 
@@ -457,7 +369,7 @@ impl Probe for DigestSink {
 /// slots under 2000 cycles of uniform random traffic, drained. With
 /// `upsets`, single-bit strikes rain on the primary slots throughout.
 fn golden_row(
-    org: &str,
+    org: WordOrg,
     load: f64,
     policy: PolicyKind,
     rec: RecoveryConfig,
@@ -469,7 +381,7 @@ fn golden_row(
         h: Fnv::new(),
         events: 0,
     });
-    let mut sw = Word::build_with(org, n, slots, rec, policy, sink.handle());
+    let mut sw = build(org, n, slots, rec, policy, Some(sink.handle()));
     let mut feeders: Vec<PacketFeeder> = (0..n)
         .map(|i| PacketFeeder::random(i, s, load, DestDist::uniform(n), 0x601D, n as u64))
         .collect();
@@ -502,14 +414,14 @@ fn golden_row(
     }
     let ctr = sw.counters();
     let mut state = Fnv::new();
-    write!(state, "{ctr:?} {:?}", sw.recovery_spans()).expect("hashing cannot fail");
+    write!(state, "{ctr:?} {:?}", sw.recovery_windows().spans()).expect("hashing cannot fail");
     let tag = if upsets {
         assert!(ctr.ecc_corrected > 0, "{org}: no upset was ever corrected");
         assert!(ctr.bank_failovers > 0, "{org}: no bank ever failed over");
         // The wide organization's degraded-mode occupancy gauge is not
         // pinned (it read high by the retired rows before PR 13).
         assert!(
-            org != "wide" || !sw.is_degraded(),
+            org != WordOrg::Wide || !sw.is_degraded(),
             "wide cell must keep spares"
         );
         "ecc-failover".to_string()
@@ -535,7 +447,7 @@ fn switch_digests_match_the_golden_file() {
          # recovery windows | every (cycle, ProbeEvent) in order.\n\
          # org load policy delivered events deliveries state probe\n",
     );
-    for org in ["pipelined", "wide", "interleaved"] {
+    for org in WordOrg::ALL {
         for load in [0.1, 0.5, 0.95] {
             for policy in PolicyKind::all_default() {
                 let row = golden_row(org, load, policy, RecoveryConfig::default(), false);
@@ -544,7 +456,7 @@ fn switch_digests_match_the_golden_file() {
         }
         // Spare columns/banks run out (degraded mode is pinned); the
         // wide organization keeps spare rows in hand, see `golden_row`.
-        let spares = if org == "wide" { 16 } else { 1 };
+        let spares = if org == WordOrg::Wide { 16 } else { 1 };
         let rec = RecoveryConfig::full(spares, 2);
         let row = golden_row(org, 0.5, PolicyKind::Static, rec, true);
         writeln!(doc, "{row}").expect("string write");

@@ -182,7 +182,7 @@ fn all_three_organizations_detect_the_same_upset() {
         wcol.observe(now, out);
     }
     let live: Vec<usize> = (0..8)
-        .filter(|&a| wsw.inject_memory_fault(Addr(a), WORD_K, MASK))
+        .filter(|&a| wsw.inject_upset(a, WORD_K, MASK))
         .collect();
     assert_eq!(live.len(), 1, "one wide slot holds the packet");
     run_until_quiescent(200, "wide upset drain", |_| {
