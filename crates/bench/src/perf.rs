@@ -809,13 +809,21 @@ pub fn gate(fresh: &PerfReport, baseline: &Baseline) -> Vec<String> {
             fresh.fabric.speedup, fresh.fabric.cores, fab_floor
         ));
     }
+    // The RTL against its scalar twin, which shares the banks, the buffer
+    // manager and the packet helpers: under load the flat datapath must at
+    // least match it; the idle-dominated point only must not regress past
+    // noise.
     for p in &fresh.rtl {
-        if p.speedup < 0.85 {
+        let floor = if p.load > 0.5 { 1.0 } else { 0.85 };
+        if p.speedup < floor {
             violations.push(format!(
-                "RTL rework at load {:.0}%: {:.2}x vs scalar reference — slower than the \
-                 pre-rework model",
+                "RTL at load {:.0}%: {:.2}x vs scalar reference ({:.1} vs {:.1} ns/cycle), \
+                 below the {:.2}x floor",
                 p.load * 100.0,
-                p.speedup
+                p.speedup,
+                p.bitparallel_ns,
+                p.scalar_ref_ns,
+                floor
             ));
         }
     }
@@ -1029,12 +1037,20 @@ mod tests {
                     speedup: 0.8, // a regression vs the scalar reference
                 },
             ],
-            rtl: vec![RtlCompare {
-                load: 0.80,
-                scalar_ref_ns: 400.0,
-                bitparallel_ns: 500.0,
-                speedup: 0.8, // below the 0.85x no-regression floor
-            }],
+            rtl: vec![
+                RtlCompare {
+                    load: 0.80,
+                    scalar_ref_ns: 400.0,
+                    bitparallel_ns: 420.0,
+                    speedup: 0.95, // below the 1.0x floor under load
+                },
+                RtlCompare {
+                    load: 0.10,
+                    scalar_ref_ns: 80.0,
+                    bitparallel_ns: 90.0,
+                    speedup: 0.89, // idle-dominated: only 0.85x is asked
+                },
+            ],
             ff: vec![],
             e6: vec![],
             telemetry: TelemetryCheck {
@@ -1049,7 +1065,7 @@ mod tests {
         assert_eq!(v.len(), 3, "two dense floors + rtl floor: {v:?}");
         assert!(v.iter().any(|m| m.contains("95%")));
         assert!(v.iter().any(|m| m.contains("50%")));
-        assert!(v.iter().any(|m| m.contains("RTL")));
+        assert!(v.iter().any(|m| m.contains("RTL at load 80%")));
     }
 
     #[test]

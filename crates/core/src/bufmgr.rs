@@ -84,9 +84,17 @@ impl Descriptor {
         self.dsts.count_ones()
     }
 
-    /// Iterate the destination outputs.
-    pub fn destinations(&self) -> impl Iterator<Item = PortId> + '_ {
-        (0..32).filter(|j| self.dsts & (1 << j) != 0).map(PortId)
+    /// Iterate the destination outputs, lowest first.
+    #[inline]
+    pub fn destinations(&self) -> impl Iterator<Item = PortId> {
+        let mut rest = self.dsts;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let j = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                PortId(j)
+            })
+        })
     }
 }
 
@@ -129,6 +137,7 @@ impl BufferManager {
     }
 
     /// Slots currently allocated.
+    #[inline]
     pub fn occupancy(&self) -> usize {
         self.slots.len() - self.free.len()
     }
@@ -194,20 +203,20 @@ impl BufferManager {
     /// on every destination queue. `None` when the buffer is full.
     pub fn alloc(&mut self, desc: Descriptor) -> Option<Addr> {
         let addr = self.free.pop()?;
-        let dsts: Vec<PortId> = desc.destinations().collect();
-        debug_assert!(!dsts.is_empty());
+        debug_assert!(desc.dsts != 0);
         let slot = &mut self.slots[addr.index()];
         debug_assert!(slot.desc.is_none(), "free-list invariant violated");
         slot.refs = desc.fanout();
         let gen = slot.gen;
-        slot.desc = Some(desc);
-        for d in dsts {
+        for d in desc.destinations() {
             self.queues[d.index()].push_back((addr, gen));
         }
+        slot.desc = Some(desc);
         Some(addr)
     }
 
     /// Record that the write wave for `addr` initiated at `ws`.
+    #[inline]
     pub fn mark_write_started(&mut self, addr: Addr, ws: Cycle) {
         let d = self.slots[addr.index()]
             .desc
@@ -218,6 +227,7 @@ impl BufferManager {
     }
 
     /// The descriptor at `addr`, if allocated.
+    #[inline]
     pub fn descriptor(&self, addr: Addr) -> Option<&Descriptor> {
         self.slots[addr.index()].desc.as_ref()
     }
@@ -225,6 +235,7 @@ impl BufferManager {
     /// Record the ingress-computed checksum for the packet at `addr`.
     /// No-op if the slot was already freed (cut-through read outran the
     /// tail) — the checksum would have nothing left to protect.
+    #[inline]
     pub fn set_checksum(&mut self, addr: Addr, sum: u64) {
         if let Some(d) = self.slots[addr.index()].desc.as_mut() {
             d.checksum = Some(sum);
@@ -247,6 +258,7 @@ impl BufferManager {
 
     /// The head-of-queue descriptor for an output, skipping (and
     /// discarding) stale entries whose slot was freed or reallocated.
+    #[inline]
     pub fn head(&mut self, out: PortId) -> Option<(Addr, &Descriptor)> {
         let q = &mut self.queues[out.index()];
         while let Some(&(addr, gen)) = q.front() {
@@ -269,6 +281,7 @@ impl BufferManager {
     /// a descriptor copy, and whether the slot was freed. Panics if the
     /// queue is empty — the caller must have observed a head via
     /// [`BufferManager::head`].
+    #[inline]
     pub fn pop_and_free(&mut self, out: PortId) -> (Addr, Descriptor, bool) {
         loop {
             let (addr, gen) = self.queues[out.index()]

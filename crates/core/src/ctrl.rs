@@ -2,9 +2,9 @@
 //!
 //! §3.3: "we only need to generate the control signals for the first
 //! memory stage; the control signals for subsequent stages are delayed
-//! versions of the former." The RTL switch computes per-stage controls
-//! from its wave list (equivalent and convenient for tracing); this
-//! module implements the *hardware* structure — one
+//! versions of the former." The RTL switch reads its per-stage controls
+//! off its wave ring (one control word per initiation cycle, never copied
+//! from stage to stage); this module implements the *hardware* structure — one
 //! [`simkernel::reg::DelayLine`] of control words, clocked once per cycle
 //! — and a checker that asserts, cycle by cycle, that the two views are
 //! identical. [`rtl::PipelinedSwitch`](crate::rtl::PipelinedSwitch) can
@@ -134,39 +134,66 @@ mod tests {
 
     #[test]
     fn checker_validates_switch_under_random_traffic() {
-        // The structural fig. 5 assertion, end to end: the RTL switch's
-        // actual stage controls equal a real delay line's outputs, every
-        // cycle, under heavy random traffic.
+        // The structural fig. 5 assertion, end to end: the stage controls
+        // the RTL switch reads off its wave ring equal a real delay
+        // line's outputs, every cycle, under heavy random traffic — with
+        // fused cut-through, store-and-forward, multicast headers, and ECC
+        // armed with an upset struck into a buffered packet.
         let n = 4;
-        let cfg = SwitchConfig::symmetric(n, 16);
-        let s = cfg.stages();
-        let mut sw = PipelinedSwitch::new(cfg);
-        let mut checker = ControlChecker::new(s);
-        let mut rng = SplitMix64::new(3);
-        let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
-        let mut next_id = 1u64;
-        let mut wire = vec![None; n];
-        for _ in 0..5_000u64 {
-            let now = sw.now();
-            for i in 0..n {
-                if current[i].is_none() && rng.chance(0.7) {
-                    let p = Packet::synth(next_id, i, rng.below_usize(n), s, now);
-                    next_id += 1;
-                    current[i] = Some((p, 0));
+        let base = SwitchConfig::symmetric(n, 16);
+        let mut store_and_forward = base.clone();
+        store_and_forward.cut_through = false;
+        store_and_forward.fused_cut_through = false;
+        let mut ecc = store_and_forward.clone();
+        ecc.recovery = crate::recovery::RecoveryConfig::ecc_only();
+        for (what, cfg, multicast, upset_at) in [
+            ("cut-through", base.clone(), false, None),
+            ("store-and-forward", store_and_forward, false, None),
+            ("multicast", base, true, None),
+            ("ecc", ecc, false, Some(1_000)),
+        ] {
+            let s = cfg.stages();
+            let mut sw = PipelinedSwitch::new(cfg);
+            let mut checker = ControlChecker::new(s);
+            let mut rng = SplitMix64::new(3);
+            let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
+            let mut next_id = 1u64;
+            let mut wire = vec![None; n];
+            for t in 0..5_000u64 {
+                let now = sw.now();
+                for i in 0..n {
+                    if current[i].is_none() && rng.chance(0.7) {
+                        let p = if multicast {
+                            let mask = 1 + rng.below_usize((1 << n) - 1) as u16;
+                            Packet::synth_multicast(next_id, i, mask, s, now)
+                        } else {
+                            Packet::synth(next_id, i, rng.below_usize(n), s, now)
+                        };
+                        next_id += 1;
+                        current[i] = Some((p, 0));
+                    }
+                    wire[i] = current[i].as_mut().map(|(p, k)| {
+                        let w = p.words[*k];
+                        *k += 1;
+                        w
+                    });
+                    if current[i].as_ref().is_some_and(|(p, k)| *k == p.size_words) {
+                        current[i] = None;
+                    }
                 }
-                wire[i] = current[i].as_mut().map(|(p, k)| {
-                    let w = p.words[*k];
-                    *k += 1;
-                    w
-                });
-                if current[i].as_ref().is_some_and(|(p, k)| *k == p.size_words) {
-                    current[i] = None;
+                sw.tick(&wire);
+                checker.check(&sw.stage_controls());
+                if upset_at == Some(t) {
+                    let live = (0..16).any(|a| sw.inject_bank_fault(s - 1, Addr(a), 1).is_some());
+                    assert!(live, "{what}: no buffered packet to strike");
                 }
             }
-            sw.tick(&wire);
-            checker.check(sw.stage_controls());
+            assert_eq!(checker.cycles_checked(), 5_000, "{what}");
+            assert!(sw.counters().departed > 1_000, "{what}");
+            if upset_at.is_some() {
+                assert!(sw.counters().ecc_corrected > 0, "{what}: upset never met");
+            }
         }
-        assert_eq!(checker.cycles_checked(), 5_000);
     }
 
     #[test]

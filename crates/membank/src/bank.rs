@@ -160,6 +160,7 @@ impl SramBank {
     }
 
     /// Single-bit upsets corrected in place so far.
+    #[inline]
     pub fn ecc_corrections(&self) -> u64 {
         self.ecc.as_ref().map_or(0, |e| e.corrections)
     }
@@ -173,6 +174,7 @@ impl SramBank {
     /// single flipped bit in place. Models the transparent correction
     /// logic on the array's read path, so it does not consume the port
     /// budget. No-op ([`EccOutcome::Clean`]) on a bank without ECC.
+    #[inline]
     pub fn scrub(&mut self, addr: Addr) -> EccOutcome {
         let Some(ecc) = &mut self.ecc else {
             return EccOutcome::Clean;
@@ -226,6 +228,7 @@ impl SramBank {
 
     /// Mask a value to the declared width (what the physical array would
     /// actually store).
+    #[inline]
     fn mask(&self, v: u64) -> u64 {
         if self.width_bits == 64 {
             v
@@ -235,6 +238,7 @@ impl SramBank {
     }
 
     /// Open a new cycle; must be monotonically non-decreasing.
+    #[inline]
     pub fn begin_cycle(&mut self, cycle: Cycle) {
         debug_assert!(cycle >= self.cycle, "time must not run backwards");
         if cycle != self.cycle {
@@ -244,6 +248,21 @@ impl SramBank {
         }
     }
 
+    /// The violation report, kept out of line: the access path the
+    /// switches cross every cycle inlines down to the port test alone.
+    #[cold]
+    #[inline(never)]
+    fn violation(&self, what: &str) -> PortViolation {
+        PortViolation {
+            cycle: self.cycle,
+            detail: format!(
+                "{what} rejected ({:?}: {} reads, {} writes already this cycle)",
+                self.ports, self.reads_this_cycle, self.writes_this_cycle
+            ),
+        }
+    }
+
+    #[inline]
     fn check_read(&self) -> Result<(), PortViolation> {
         let ok = match self.ports {
             PortKind::SinglePort => self.reads_this_cycle + self.writes_this_cycle < 1,
@@ -252,16 +271,11 @@ impl SramBank {
         if ok {
             Ok(())
         } else {
-            Err(PortViolation {
-                cycle: self.cycle,
-                detail: format!(
-                    "read rejected ({:?}: {} reads, {} writes already this cycle)",
-                    self.ports, self.reads_this_cycle, self.writes_this_cycle
-                ),
-            })
+            Err(self.violation("read"))
         }
     }
 
+    #[inline]
     fn check_write(&self) -> Result<(), PortViolation> {
         let ok = match self.ports {
             PortKind::SinglePort => self.reads_this_cycle + self.writes_this_cycle < 1,
@@ -270,17 +284,12 @@ impl SramBank {
         if ok {
             Ok(())
         } else {
-            Err(PortViolation {
-                cycle: self.cycle,
-                detail: format!(
-                    "write rejected ({:?}: {} reads, {} writes already this cycle)",
-                    self.ports, self.reads_this_cycle, self.writes_this_cycle
-                ),
-            })
+            Err(self.violation("write"))
         }
     }
 
     /// Read the word at `addr` in the current cycle.
+    #[inline]
     pub fn read(&mut self, addr: Addr) -> Result<u64, PortViolation> {
         self.check_read()?;
         let v = *self
@@ -293,6 +302,7 @@ impl SramBank {
     }
 
     /// Write `value` (masked to width) at `addr` in the current cycle.
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: u64) -> Result<(), PortViolation> {
         self.check_write()?;
         let masked = self.mask(value);
@@ -311,6 +321,7 @@ impl SramBank {
     }
 
     /// Debug peek that bypasses the port discipline (testbench only).
+    #[inline]
     pub fn peek(&self, addr: Addr) -> u64 {
         self.data[addr.index()]
     }

@@ -103,6 +103,7 @@ impl Packet {
     /// above. The value `0xFF` in the low byte is the multicast escape
     /// (see [`Packet::encode_header_multicast`]), so unicast destinations
     /// are limited to `0..=254`.
+    #[inline]
     pub fn encode_header(dst: usize, id: u64) -> u64 {
         debug_assert!(dst < 255, "header encodes unicast dst in 0..=254");
         (id << 8) | dst as u64
@@ -130,6 +131,7 @@ impl Packet {
     /// for the mask decodes to the empty mask — an invalid header the
     /// switch's framing check rejects — rather than tripping a shift
     /// overflow in the decoder.
+    #[inline]
     pub fn decode_header_any(header: u64) -> (u32, u64) {
         if header & 0xff == 0xff {
             (((header >> 8) & 0xffff) as u32, header >> 24)
@@ -166,6 +168,7 @@ impl Packet {
     }
 
     /// The deterministic payload word `k` of packet `id` (k ≥ 1).
+    #[inline]
     pub fn payload_word(id: u64, k: usize) -> u64 {
         // SplitMix-style mix keeps words distinct across packets and
         // positions, which makes any mis-wired datapath fail loudly.
