@@ -1,0 +1,142 @@
+//! Departure-exact pins of the §2 architecture zoo (`crates/baselines`).
+//!
+//! The slot-level models are the comparison the paper's tables rest on;
+//! their representation may change (it is the hot path of E1/E4/E12/E15),
+//! their behaviour may not: every cell must leave the same output in the
+//! same slot, in the same RNG order, as when the golden file was written.
+
+use baselines::input_smoothing::InputSmoothingSwitch;
+use baselines::model::CellSwitch;
+use baselines::sched::{IslipScheduler, PimScheduler, Rr2dScheduler};
+use baselines::voq::VoqSwitch;
+use bench_harness::e15;
+use simkernel::cell::Cell;
+use std::fmt::Write as _;
+use traffic::sources::CellSource;
+use traffic::{Bernoulli, DestDist};
+
+const SLOTS: u64 = 4_000;
+
+/// FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn words(&mut self, xs: &[u64]) {
+        for b in xs.iter().flat_map(|x| x.to_le_bytes()) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// One `baselines::harness::run`-style run (ids assigned per arrival,
+/// `occupancy()` polled after every tick), reduced to one golden row.
+fn golden_row(arch: &str, model: &mut dyn CellSwitch, load: f64, cap: Option<usize>) -> String {
+    let n = model.ports();
+    let mut src = Bernoulli::new(n, load, DestDist::uniform(n), 0xBA5E);
+    let mut dests = vec![None; n];
+    let mut arrivals: Vec<Option<Cell>> = vec![None; n];
+    let mut out: Vec<Option<Cell>> = vec![None; n];
+    let mut digest = Fnv::new();
+    let (mut next_id, mut departed, mut peak) = (0u64, 0u64, 0usize);
+    for now in 0..SLOTS {
+        src.poll(now, &mut dests);
+        for (i, d) in dests.iter().enumerate() {
+            arrivals[i] = d.map(|dst| {
+                next_id += 1;
+                Cell::new(next_id, i, dst, now)
+            });
+        }
+        model.tick(now, &arrivals, &mut out);
+        for (j, c) in out.iter().enumerate() {
+            if let Some(c) = c {
+                assert_eq!(c.dst.index(), j, "{arch}: cell left the wrong output");
+                digest.words(&[now, j as u64, c.id.0]);
+                departed += 1;
+            }
+        }
+        peak = peak.max(model.occupancy());
+    }
+    let (dropped, occupancy) = (model.dropped(), model.occupancy());
+    assert_eq!(
+        next_id,
+        departed + dropped + occupancy as u64,
+        "{arch}: conservation"
+    );
+    let cap = cap.map_or("inf".to_string(), |c| c.to_string());
+    format!(
+        "{arch} | {n} {load} {cap} {departed} {dropped} {occupancy} {peak} {:#018x}",
+        digest.0
+    )
+}
+
+/// A refactor of `crates/baselines` must leave
+/// `tests/golden/baseline_digests.txt` byte-identical; regenerate it
+/// (`UPDATE_GOLDEN=1`) only when simulated behaviour is meant to change.
+#[test]
+fn baseline_digests_match_the_golden_file() {
+    let mut doc = String::from(
+        "# 4000 slots of uniform Bernoulli traffic (seed 0xBA5E), harness-style ids.\n\
+         # FNV-1a of every (slot, output, id) departure in output order.\n\
+         # architecture | n load capacity departed dropped occupancy peak digest\n",
+    );
+    let loads = [0.5, 0.9, 0.995];
+    let caps = [None, Some(4)];
+    for (arch, factory) in e15::zoo(8) {
+        for load in loads {
+            for cap in caps {
+                let row = golden_row(&arch, factory(cap).as_mut(), load, cap);
+                writeln!(doc, "{row}").expect("string write");
+            }
+        }
+    }
+    // Not in the zoo (E3 only), but its state is kept the same way.
+    for load in loads {
+        for b in [4, 16] {
+            let mut model = InputSmoothingSwitch::new(8, b, 5);
+            let row = golden_row("input smoothing [HlKa88]", &mut model, load, Some(b));
+            writeln!(doc, "{row}").expect("string write");
+        }
+    }
+    let n = 16;
+    for load in loads {
+        for cap in caps {
+            let voqs: [(&str, Box<dyn CellSwitch>); 3] = [
+                (
+                    "VOQ + PIM",
+                    Box::new(VoqSwitch::new(n, cap, PimScheduler::new(4, 2))),
+                ),
+                (
+                    "VOQ + iSLIP",
+                    Box::new(VoqSwitch::new(n, cap, IslipScheduler::new(n, 4))),
+                ),
+                (
+                    "VOQ + 2DRR",
+                    Box::new(VoqSwitch::new(n, cap, Rr2dScheduler::new())),
+                ),
+            ];
+            for (arch, mut model) in voqs {
+                let row = golden_row(arch, model.as_mut(), load, cap);
+                writeln!(doc, "{row}").expect("string write");
+            }
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/baseline_digests.txt"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &doc).expect("rewrite golden");
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    for (got, want) in doc.lines().zip(golden.lines()) {
+        assert_eq!(
+            got, want,
+            "baseline digest drifted from tests/golden/baseline_digests.txt"
+        );
+    }
+    assert_eq!(doc.lines().count(), golden.lines().count());
+}
