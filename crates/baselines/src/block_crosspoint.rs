@@ -31,6 +31,7 @@ pub struct BlockCrosspointSwitch {
     /// Per-output round-robin pointer over input groups.
     rr: Vec<usize>,
     dropped: u64,
+    occupancy: usize,
 }
 
 impl BlockCrosspointSwitch {
@@ -47,6 +48,7 @@ impl BlockCrosspointSwitch {
             queues: vec![VecDeque::new(); g * g * n],
             rr: vec![0; n],
             dropped: 0,
+            occupancy: 0,
         }
     }
 
@@ -78,6 +80,7 @@ impl CellSwitch for BlockCrosspointSwitch {
                     self.dropped += 1;
                 } else {
                     self.pool_used[blk] += 1;
+                    self.occupancy += 1;
                     self.queues[blk * n + c.dst.index()].push_back(*c);
                 }
             }
@@ -89,6 +92,7 @@ impl CellSwitch for BlockCrosspointSwitch {
                 let blk = bi * g + bo;
                 if let Some(c) = self.queues[blk * n + j].pop_front() {
                     self.pool_used[blk] -= 1;
+                    self.occupancy -= 1;
                     out[j] = Some(c);
                     self.rr[j] = (bi + 1) % g;
                     break;
@@ -98,7 +102,7 @@ impl CellSwitch for BlockCrosspointSwitch {
     }
 
     fn occupancy(&self) -> usize {
-        self.pool_used.iter().sum()
+        self.occupancy
     }
 
     fn dropped(&self) -> u64 {

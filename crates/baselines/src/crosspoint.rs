@@ -6,7 +6,7 @@
 //! notes it "needs … a total memory capacity considerably higher than" the
 //! shared architectures for the same loss.
 
-use crate::model::{clear_out, CellSwitch};
+use crate::model::{all_ports, clear_out, next_port_from, port_bit, CellSwitch, PortMask};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
@@ -20,19 +20,24 @@ pub struct CrosspointSwitch {
     dropped: u64,
     /// Round-robin pointers, one per output column.
     rr: Vec<usize>,
+    /// Per output column, the inputs whose crosspoint queue holds a cell.
+    backlog: Vec<PortMask>,
+    occupancy: usize,
 }
 
 impl CrosspointSwitch {
     /// An `n×n` crosspoint switch; each of the `n²` queues holds at most
     /// `per_queue` cells (`None` = unbounded).
     pub fn new(n: usize, per_queue: Option<usize>) -> Self {
-        assert!(n > 0);
+        all_ports(n);
         CrosspointSwitch {
             n,
             queues: vec![VecDeque::new(); n * n],
             per_queue,
             dropped: 0,
             rr: vec![0; n],
+            backlog: vec![0; n],
+            occupancy: 0,
         }
     }
 }
@@ -42,35 +47,38 @@ impl CellSwitch for CrosspointSwitch {
         self.n
     }
 
-    #[allow(clippy::needless_range_loop)] // per-column hardware scan
     fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
         clear_out(out);
         let n = self.n;
         for (i, a) in arrivals.iter().enumerate() {
             if let Some(c) = a {
-                let q = &mut self.queues[i * n + c.dst.index()];
+                let j = c.dst.index();
+                let q = &mut self.queues[i * n + j];
                 if self.per_queue.is_some_and(|cap| q.len() >= cap) {
                     self.dropped += 1;
                 } else {
                     q.push_back(*c);
+                    self.backlog[j] |= port_bit(i);
+                    self.occupancy += 1;
                 }
             }
         }
         // Each output serves its column round-robin across inputs.
-        for j in 0..n {
-            for k in 0..n {
-                let i = (self.rr[j] + k) % n;
-                if let Some(c) = self.queues[i * n + j].pop_front() {
-                    out[j] = Some(c);
-                    self.rr[j] = (i + 1) % n;
-                    break;
+        for (j, o) in out.iter_mut().enumerate() {
+            if let Some(i) = next_port_from(self.backlog[j], self.rr[j]) {
+                let q = &mut self.queues[i * n + j];
+                *o = q.pop_front();
+                if q.is_empty() {
+                    self.backlog[j] &= !port_bit(i);
                 }
+                self.occupancy -= 1;
+                self.rr[j] = (i + 1) % n;
             }
         }
     }
 
     fn occupancy(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.occupancy
     }
 
     fn dropped(&self) -> u64 {
@@ -138,5 +146,32 @@ mod tests {
         let mut out2 = vec![None; 2];
         sw2.tick(0, &[Some(cell(1, 0, 0)), None], &mut out2);
         assert_eq!(sw2.dropped(), 1);
+    }
+
+    #[test]
+    fn backlog_masks_and_occupancy_equal_a_rescan_of_the_queues() {
+        let n = 5;
+        let mut sw = CrosspointSwitch::new(n, Some(2));
+        let mut rng = simkernel::SplitMix64::new(4);
+        let mut out = vec![None; n];
+        for now in 0..3_000u64 {
+            let load = if now % 200 < 120 { 0.95 } else { 0.1 };
+            let arr: Vec<Option<Cell>> = (0..n)
+                .map(|i| {
+                    rng.chance(load)
+                        .then(|| cell(now, i, rng.below_usize(n).min(2)))
+                })
+                .collect();
+            sw.tick(now, &arr, &mut out);
+            for j in 0..n {
+                let rescan = (0..n)
+                    .filter(|&i| !sw.queues[i * n + j].is_empty())
+                    .fold(0, |set, i| set | port_bit(i));
+                assert_eq!(sw.backlog[j], rescan, "column {j}, slot {now}");
+            }
+            let total = sw.queues.iter().map(VecDeque::len).sum::<usize>();
+            assert_eq!(sw.occupancy(), total);
+        }
+        assert!(sw.dropped() > 0);
     }
 }

@@ -6,81 +6,124 @@
 //! saturation throughput to `2 − √2 ≈ 0.586` for large `n` under uniform
 //! iid traffic — the number experiment E1 regenerates.
 
-use crate::model::{clear_out, CellSwitch};
+use crate::model::{all_ports, clear_out, port_bit, ports_in, random_port, CellSwitch, PortMask};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
 use simkernel::SplitMix64;
 use std::collections::VecDeque;
 
+/// One FIFO per input with uniform-random head-of-line contention — the
+/// input side of [`InputFifoSwitch`] and of the speedup fabric.
+#[derive(Debug)]
+pub(crate) struct HolQueues {
+    queues: Vec<VecDeque<Cell>>,
+    capacity: Option<usize>,
+    /// Per output, the inputs whose head-of-line cell wants it; follows
+    /// every push and pop.
+    contenders: Vec<PortMask>,
+    cells: usize,
+    rng: SplitMix64,
+}
+
+impl HolQueues {
+    pub(crate) fn new(n: usize, capacity: Option<usize>, seed: u64) -> Self {
+        all_ports(n);
+        HolQueues {
+            queues: vec![VecDeque::new(); n],
+            capacity,
+            contenders: vec![0; n],
+            cells: 0,
+            rng: SplitMix64::new(seed),
+        }
+    }
+
+    /// Cells queued at all inputs.
+    pub(crate) fn cells(&self) -> usize {
+        self.cells
+    }
+
+    /// Queue `cell` at input `i`; `false` (cell refused) when that queue
+    /// is at capacity.
+    pub(crate) fn push(&mut self, i: usize, cell: Cell) -> bool {
+        let q = &mut self.queues[i];
+        if self.capacity.is_some_and(|cap| q.len() >= cap) {
+            return false;
+        }
+        if q.is_empty() {
+            self.contenders[cell.dst.index()] |= port_bit(i);
+        }
+        q.push_back(cell);
+        self.cells += 1;
+        true
+    }
+
+    /// One contention round: every output some head-of-line cell wants
+    /// takes one of them, uniformly at random; the losers stay blocked.
+    /// `deliver(j, cell)` gets each winner. Returns whether any cell moved.
+    pub(crate) fn round(&mut self, mut deliver: impl FnMut(usize, Cell)) -> bool {
+        let mut winners: PortMask = 0;
+        for (j, contenders) in self.contenders.iter_mut().enumerate() {
+            if *contenders == 0 {
+                continue;
+            }
+            let winner = random_port(*contenders, &mut self.rng);
+            *contenders &= !port_bit(winner);
+            winners |= port_bit(winner);
+            let cell = self.queues[winner].pop_front();
+            deliver(j, cell.expect("contender has a head-of-line cell"));
+        }
+        // The cells behind the winners reach the head of line only now:
+        // they were not in this round.
+        for i in ports_in(winners) {
+            if let Some(head) = self.queues[i].front() {
+                self.contenders[head.dst.index()] |= port_bit(i);
+            }
+        }
+        self.cells -= winners.count_ones() as usize;
+        winners != 0
+    }
+}
+
 /// FIFO-input-queued switch.
 #[derive(Debug)]
 pub struct InputFifoSwitch {
-    queues: Vec<VecDeque<Cell>>,
-    capacity: Option<usize>,
+    inputs: HolQueues,
     dropped: u64,
-    rng: SplitMix64,
-    /// Scratch: contenders per output.
-    contenders: Vec<Vec<usize>>,
 }
 
 impl InputFifoSwitch {
     /// An `n×n` switch with per-input queue `capacity` (`None` =
     /// unbounded, the setting for saturation studies).
     pub fn new(n: usize, capacity: Option<usize>, seed: u64) -> Self {
-        assert!(n > 0);
         InputFifoSwitch {
-            queues: vec![VecDeque::new(); n],
-            capacity,
+            inputs: HolQueues::new(n, capacity, seed),
             dropped: 0,
-            rng: SplitMix64::new(seed),
-            contenders: vec![Vec::new(); n],
         }
     }
 
     /// Length of one input queue.
     pub fn queue_len(&self, i: usize) -> usize {
-        self.queues[i].len()
+        self.inputs.queues[i].len()
     }
 }
 
 impl CellSwitch for InputFifoSwitch {
     fn ports(&self) -> usize {
-        self.queues.len()
+        self.inputs.queues.len()
     }
 
     fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
         clear_out(out);
-        // Enqueue arrivals.
         for (i, a) in arrivals.iter().enumerate() {
             if let Some(c) = a {
-                if self.capacity.is_some_and(|cap| self.queues[i].len() >= cap) {
-                    self.dropped += 1;
-                } else {
-                    self.queues[i].push_back(*c);
-                }
+                self.dropped += u64::from(!self.inputs.push(i, *c));
             }
         }
-        // HOL contention: collect contenders per output.
-        for v in self.contenders.iter_mut() {
-            v.clear();
-        }
-        for (i, q) in self.queues.iter().enumerate() {
-            if let Some(head) = q.front() {
-                self.contenders[head.dst.index()].push(i);
-            }
-        }
-        // Uniform random winner per output; losers stay blocked.
-        for (j, c) in self.contenders.iter().enumerate() {
-            if c.is_empty() {
-                continue;
-            }
-            let winner = c[self.rng.below_usize(c.len())];
-            out[j] = self.queues[winner].pop_front();
-        }
+        self.inputs.round(|j, cell| out[j] = Some(cell));
     }
 
     fn occupancy(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.inputs.cells()
     }
 
     fn dropped(&self) -> u64 {
@@ -163,5 +206,38 @@ mod tests {
         // silence unused warnings for the n=1 instance
         sw.tick(0, &[None], &mut out);
         assert_eq!(sw.dropped(), 0);
+    }
+
+    #[test]
+    fn contender_masks_and_count_equal_a_rescan_of_the_heads() {
+        let n = 5;
+        let mut q = HolQueues::new(n, Some(3), 6);
+        let mut rng = SplitMix64::new(17);
+        let mut refused = 0;
+        for now in 0..3_000u64 {
+            let load = if now % 200 < 120 { 0.95 } else { 0.1 };
+            for i in 0..n {
+                if rng.chance(load) {
+                    refused += u64::from(!q.push(i, cell(now, i, rng.below_usize(n))));
+                }
+            }
+            // Two rounds a slot, as a speedup-2 fabric runs them.
+            for _ in 0..2 {
+                let mut taken: PortMask = 0;
+                q.round(|j, c| {
+                    assert_eq!(c.dst.index(), j);
+                    taken |= port_bit(j);
+                });
+                for j in 0..n {
+                    let rescan = (0..n)
+                        .filter(|&i| q.queues[i].front().is_some_and(|h| h.dst.index() == j))
+                        .fold(0, |set, i| set | port_bit(i));
+                    assert_eq!(q.contenders[j], rescan, "output {j}, slot {now}");
+                }
+                assert_eq!(q.cells(), q.queues.iter().map(VecDeque::len).sum::<usize>());
+                assert!(taken.count_ones() as usize <= n);
+            }
+        }
+        assert!(refused > 0);
     }
 }

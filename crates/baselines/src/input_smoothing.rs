@@ -30,6 +30,9 @@ pub struct InputSmoothingSwitch {
     slot_in_frame: usize,
     dropped: u64,
     rng: SplitMix64,
+    occupancy: usize,
+    /// Scratch: one frame's cells per output.
+    batches: Vec<Vec<Cell>>,
 }
 
 impl InputSmoothingSwitch {
@@ -44,6 +47,8 @@ impl InputSmoothingSwitch {
             slot_in_frame: 0,
             dropped: 0,
             rng: SplitMix64::new(seed),
+            occupancy: 0,
+            batches: vec![Vec::new(); n],
         }
     }
 
@@ -66,6 +71,7 @@ impl CellSwitch for InputSmoothingSwitch {
             if let Some(c) = a {
                 debug_assert!(self.frames[i].len() < self.b);
                 self.frames[i].push(*c);
+                self.occupancy += 1;
             }
         }
         self.slot_in_frame += 1;
@@ -73,17 +79,17 @@ impl CellSwitch for InputSmoothingSwitch {
             self.slot_in_frame = 0;
             // Frame boundary: submit everything through the big switch;
             // each output accepts at most b cells, random knockout beyond.
-            let mut batches: Vec<Vec<Cell>> = vec![Vec::new(); self.n];
             for f in self.frames.iter_mut() {
                 for c in f.drain(..) {
-                    batches[c.dst.index()].push(c);
+                    self.batches[c.dst.index()].push(c);
                 }
             }
-            for (j, batch) in batches.iter_mut().enumerate() {
+            for (j, batch) in self.batches.iter_mut().enumerate() {
                 while batch.len() > self.b {
                     let victim = self.rng.below_usize(batch.len());
                     batch.swap_remove(victim);
                     self.dropped += 1;
+                    self.occupancy -= 1;
                 }
                 debug_assert!(self.out_q[j].is_empty(), "frame pacing keeps ≤ b");
                 self.out_q[j].extend(batch.drain(..));
@@ -91,12 +97,12 @@ impl CellSwitch for InputSmoothingSwitch {
         }
         for (j, q) in self.out_q.iter_mut().enumerate() {
             out[j] = q.pop_front();
+            self.occupancy -= usize::from(out[j].is_some());
         }
     }
 
     fn occupancy(&self) -> usize {
-        self.frames.iter().map(Vec::len).sum::<usize>()
-            + self.out_q.iter().map(VecDeque::len).sum::<usize>()
+        self.occupancy
     }
 
     fn dropped(&self) -> u64 {

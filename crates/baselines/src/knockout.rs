@@ -22,6 +22,8 @@ pub struct KnockoutSwitch {
     dropped_knockout: u64,
     dropped_overflow: u64,
     rng: SplitMix64,
+    occupancy: usize,
+    /// Scratch: this slot's arrivals per output.
     staging: Vec<Vec<Cell>>,
 }
 
@@ -37,6 +39,7 @@ impl KnockoutSwitch {
             dropped_knockout: 0,
             dropped_overflow: 0,
             rng: SplitMix64::new(seed),
+            occupancy: 0,
             staging: vec![Vec::new(); n],
         }
     }
@@ -73,14 +76,16 @@ impl CellSwitch for KnockoutSwitch {
                     self.dropped_overflow += 1;
                 } else {
                     q.push_back(c);
+                    self.occupancy += 1;
                 }
             }
             out[j] = self.queues[j].pop_front();
+            self.occupancy -= usize::from(out[j].is_some());
         }
     }
 
     fn occupancy(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.occupancy
     }
 
     fn dropped(&self) -> u64 {

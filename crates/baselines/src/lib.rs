@@ -22,6 +22,18 @@
 //! All models implement [`CellSwitch`] so experiments sweep architectures
 //! generically; [`harness::run`] measures utilization/latency/loss for any
 //! model × workload pair.
+//!
+//! ## Cost of a slot
+//!
+//! The harness calls `tick` and then `occupancy` once per slot, millions
+//! of times per table, so neither allocates (a growing queue aside) nor rescans: port sets
+//! (request relations, head-of-line contenders, matched ports) are
+//! [`model::PortMask`] words kept current by every push and pop, every
+//! `occupancy()` is a counter, and per-slot scratch lives in the model.
+//! Random picks index a mask's set bits in ascending order, i.e. in the
+//! order of the candidate list the mask stands for, so a model draws the
+//! same random numbers for the same decisions as a list-based one would.
+//! The price is a width limit: [`model::MAX_PORTS`] ports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +57,7 @@ pub use harness::{run, RunStats};
 pub use input_fifo::InputFifoSwitch;
 pub use input_smoothing::InputSmoothingSwitch;
 pub use knockout::KnockoutSwitch;
-pub use model::CellSwitch;
+pub use model::{CellSwitch, PortMask};
 pub use output_queued::OutputQueuedSwitch;
 pub use sched::{IslipScheduler, PimScheduler, Rr2dScheduler, Scheduler};
 pub use shared::{PrizmaSwitch, SharedBufferSwitch, WideMemorySwitch};

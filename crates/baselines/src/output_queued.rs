@@ -18,6 +18,7 @@ pub struct OutputQueuedSwitch {
     queues: Vec<VecDeque<Cell>>,
     capacity: Option<usize>,
     dropped: u64,
+    occupancy: usize,
 }
 
 impl OutputQueuedSwitch {
@@ -29,6 +30,7 @@ impl OutputQueuedSwitch {
             queues: vec![VecDeque::new(); n],
             capacity,
             dropped: 0,
+            occupancy: 0,
         }
     }
 
@@ -53,15 +55,17 @@ impl CellSwitch for OutputQueuedSwitch {
                 self.dropped += 1;
             } else {
                 q.push_back(*a);
+                self.occupancy += 1;
             }
         }
         for (j, q) in self.queues.iter_mut().enumerate() {
             out[j] = q.pop_front();
+            self.occupancy -= usize::from(out[j].is_some());
         }
     }
 
     fn occupancy(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.occupancy
     }
 
     fn dropped(&self) -> u64 {

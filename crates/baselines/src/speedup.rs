@@ -6,24 +6,23 @@
 //! equivalent to input queueing operating at a reduced input load. Output
 //! queues are also needed here."
 
+use crate::input_fifo::HolQueues;
 use crate::model::{clear_out, CellSwitch};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
-use simkernel::SplitMix64;
 use std::collections::VecDeque;
 
 /// Speedup-`s` switch: FIFO input queues, `s` fabric passes per slot,
 /// output queues.
 #[derive(Debug)]
 pub struct SpeedupSwitch {
-    n: usize,
     speedup: usize,
-    in_q: Vec<VecDeque<Cell>>,
+    inputs: HolQueues,
     out_q: Vec<VecDeque<Cell>>,
-    in_cap: Option<usize>,
     out_cap: Option<usize>,
+    /// Cells in the output queues.
+    out_cells: usize,
     dropped: u64,
-    rng: SplitMix64,
 }
 
 impl SpeedupSwitch {
@@ -35,77 +34,54 @@ impl SpeedupSwitch {
         out_cap: Option<usize>,
         seed: u64,
     ) -> Self {
-        assert!(n > 0 && speedup >= 1);
+        assert!(speedup >= 1);
         SpeedupSwitch {
-            n,
             speedup,
-            in_q: vec![VecDeque::new(); n],
+            inputs: HolQueues::new(n, in_cap, seed),
             out_q: vec![VecDeque::new(); n],
-            in_cap,
             out_cap,
+            out_cells: 0,
             dropped: 0,
-            rng: SplitMix64::new(seed),
         }
     }
 }
 
 impl CellSwitch for SpeedupSwitch {
     fn ports(&self) -> usize {
-        self.n
+        self.out_q.len()
     }
 
     fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
         clear_out(out);
-        let n = self.n;
         for (i, a) in arrivals.iter().enumerate() {
             if let Some(c) = a {
-                if self.in_cap.is_some_and(|cap| self.in_q[i].len() >= cap) {
-                    self.dropped += 1;
-                } else {
-                    self.in_q[i].push_back(*c);
-                }
+                self.dropped += u64::from(!self.inputs.push(i, *c));
             }
         }
-        // `speedup` fabric passes: each pass is one HOL contention round,
-        // with outputs accepting at most `speedup` deliveries per slot.
-        let mut delivered = vec![0usize; n];
+        // `speedup` fabric passes: each pass is one HOL contention round
+        // delivering at most one cell per output, so no output accepts
+        // more than `speedup` deliveries per slot.
         for _ in 0..self.speedup {
-            let mut contenders: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (i, q) in self.in_q.iter().enumerate() {
-                if let Some(head) = q.front() {
-                    let j = head.dst.index();
-                    if delivered[j] < self.speedup {
-                        contenders[j].push(i);
-                    }
-                }
-            }
-            let mut any = false;
-            for (j, cands) in contenders.iter().enumerate() {
-                if cands.is_empty() {
-                    continue;
-                }
-                let winner = cands[self.rng.below_usize(cands.len())];
-                let c = self.in_q[winner].pop_front().expect("contender has head");
+            let moved = self.inputs.round(|j, cell| {
                 if self.out_cap.is_some_and(|cap| self.out_q[j].len() >= cap) {
                     self.dropped += 1;
                 } else {
-                    self.out_q[j].push_back(c);
+                    self.out_q[j].push_back(cell);
+                    self.out_cells += 1;
                 }
-                delivered[j] += 1;
-                any = true;
-            }
-            if !any {
+            });
+            if !moved {
                 break;
             }
         }
         for (j, q) in self.out_q.iter_mut().enumerate() {
             out[j] = q.pop_front();
+            self.out_cells -= usize::from(out[j].is_some());
         }
     }
 
     fn occupancy(&self) -> usize {
-        self.in_q.iter().map(VecDeque::len).sum::<usize>()
-            + self.out_q.iter().map(VecDeque::len).sum::<usize>()
+        self.inputs.cells() + self.out_cells
     }
 
     fn dropped(&self) -> u64 {
@@ -120,6 +96,7 @@ impl CellSwitch for SpeedupSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkernel::SplitMix64;
 
     fn cell(id: u64, src: usize, dst: usize) -> Cell {
         Cell::new(id, src, dst, 0)
@@ -133,7 +110,7 @@ mod tests {
         // Both cells crossed the fabric; input queues are empty, one cell
         // departed, one waits at the output.
         assert!(out[0].is_some());
-        assert_eq!(sw.in_q.iter().map(VecDeque::len).sum::<usize>(), 0);
+        assert_eq!(sw.inputs.cells(), 0);
         assert_eq!(sw.out_q[0].len(), 1);
     }
 
@@ -143,7 +120,7 @@ mod tests {
         let mut out = vec![None; 2];
         sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
         // Only one cell crossed; the loser is still in its input queue.
-        assert_eq!(sw.in_q.iter().map(VecDeque::len).sum::<usize>(), 1);
+        assert_eq!(sw.inputs.cells(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! that of output/shared queueing at loads 0.6–0.9 (\[AOST93 fig. 3\]) —
 //! experiment E4 regenerates that comparison.
 
-use crate::model::{clear_out, CellSwitch};
+use crate::model::{all_ports, clear_out, port_bit, CellSwitch, PortMask};
 use crate::sched::Scheduler;
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
@@ -22,28 +22,37 @@ pub struct VoqSwitch<S: Scheduler> {
     capacity: Option<usize>,
     sched: S,
     dropped: u64,
-    requests: Vec<bool>,
+    /// The request relation "VOQ(i, j) non-empty", by input and by
+    /// output, kept current by every push and pop.
+    rows: Vec<PortMask>,
+    cols: Vec<PortMask>,
+    /// Cells buffered at each input, and in the whole switch.
+    held: Vec<usize>,
+    occupancy: usize,
     matching: Vec<Option<usize>>,
 }
 
 impl<S: Scheduler> VoqSwitch<S> {
     /// An `n×n` VOQ switch.
     pub fn new(n: usize, capacity: Option<usize>, sched: S) -> Self {
-        assert!(n > 0);
+        all_ports(n);
         VoqSwitch {
             n,
             queues: vec![VecDeque::new(); n * n],
             capacity,
             sched,
             dropped: 0,
-            requests: vec![false; n * n],
+            rows: vec![0; n],
+            cols: vec![0; n],
+            held: vec![0; n],
+            occupancy: 0,
             matching: vec![None; n],
         }
     }
 
     /// Total cells buffered at one input.
     pub fn input_occupancy(&self, i: usize) -> usize {
-        (0..self.n).map(|j| self.queues[i * self.n + j].len()).sum()
+        self.held[i]
     }
 
     /// Access the scheduler (e.g. to read its name).
@@ -62,33 +71,38 @@ impl<S: Scheduler> CellSwitch for VoqSwitch<S> {
         let n = self.n;
         for (i, a) in arrivals.iter().enumerate() {
             if let Some(c) = a {
-                if self
-                    .capacity
-                    .is_some_and(|cap| self.input_occupancy(i) >= cap)
-                {
+                if self.capacity.is_some_and(|cap| self.held[i] >= cap) {
                     self.dropped += 1;
                 } else {
-                    self.queues[i * n + c.dst.index()].push_back(*c);
+                    let j = c.dst.index();
+                    self.queues[i * n + j].push_back(*c);
+                    self.rows[i] |= port_bit(j);
+                    self.cols[j] |= port_bit(i);
+                    self.held[i] += 1;
+                    self.occupancy += 1;
                 }
             }
         }
-        for (idx, q) in self.queues.iter().enumerate() {
-            self.requests[idx] = !q.is_empty();
-        }
-        self.sched.schedule(n, &self.requests, &mut self.matching);
+        self.sched
+            .schedule(&self.rows, &self.cols, &mut self.matching);
         for (i, m) in self.matching.iter().enumerate() {
-            if let Some(j) = m {
-                let c = self.queues[i * n + j]
-                    .pop_front()
-                    .expect("scheduler granted an empty VOQ");
-                debug_assert!(out[*j].is_none(), "two inputs matched to one output");
-                out[*j] = Some(c);
+            if let Some(j) = *m {
+                let q = &mut self.queues[i * n + j];
+                let c = q.pop_front().expect("scheduler granted an empty VOQ");
+                if q.is_empty() {
+                    self.rows[i] &= !port_bit(j);
+                    self.cols[j] &= !port_bit(i);
+                }
+                self.held[i] -= 1;
+                self.occupancy -= 1;
+                debug_assert!(out[j].is_none(), "two inputs matched to one output");
+                out[j] = Some(c);
             }
         }
     }
 
     fn occupancy(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.occupancy
     }
 
     fn dropped(&self) -> u64 {
@@ -192,5 +206,44 @@ mod tests {
             "queues diverged: {}",
             sw.occupancy()
         );
+    }
+
+    #[test]
+    fn masks_and_counters_equal_a_rescan_of_the_queues() {
+        let n = 5;
+        let mut sw = VoqSwitch::new(n, Some(3), PimScheduler::new(2, 8));
+        let mut rng = simkernel::SplitMix64::new(21);
+        let mut out = vec![None; n];
+        for now in 0..3_000u64 {
+            // Overload in bursts so queues fill, drop and drain empty.
+            let load = if now % 200 < 120 { 0.95 } else { 0.1 };
+            let arr: Vec<Option<Cell>> = (0..n)
+                .map(|i| {
+                    rng.chance(load)
+                        .then(|| cell(now, i, rng.below_usize(n).min(3)))
+                })
+                .collect();
+            sw.tick(now, &arr, &mut out);
+            for i in 0..n {
+                let lens = (0..n).map(|j| sw.queues[i * n + j].len());
+                assert_eq!(sw.input_occupancy(i), lens.sum::<usize>());
+                for j in 0..n {
+                    let backlog = !sw.queues[i * n + j].is_empty();
+                    assert_eq!(
+                        sw.rows[i] & port_bit(j) != 0,
+                        backlog,
+                        "row {i}, slot {now}"
+                    );
+                    assert_eq!(
+                        sw.cols[j] & port_bit(i) != 0,
+                        backlog,
+                        "col {j}, slot {now}"
+                    );
+                }
+            }
+            let total = sw.queues.iter().map(VecDeque::len).sum::<usize>();
+            assert_eq!(sw.occupancy(), total);
+        }
+        assert!(sw.dropped() > 0 && sw.occupancy() <= 3 * n);
     }
 }

@@ -2,6 +2,7 @@
 //! complexity §2.1 warns about ("a more complicated scheduler is
 //! needed"); here it is software cost across sizes.
 
+use baselines::model::{port_bit, PortMask};
 use baselines::sched::{IslipScheduler, PimScheduler, Rr2dScheduler, Scheduler};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simkernel::SplitMix64;
@@ -10,12 +11,19 @@ fn bench_schedulers(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler_matching");
     for &n in &[8usize, 16, 32] {
         let mut rng = SplitMix64::new(7);
-        let requests: Vec<bool> = (0..n * n).map(|_| rng.chance(0.6)).collect();
+        // 60 % of the n² VOQs non-empty, as row and column masks.
+        let (mut rows, mut cols): (Vec<PortMask>, Vec<PortMask>) = (vec![0; n], vec![0; n]);
+        for (i, j) in (0..n * n).map(|x| (x / n, x % n)) {
+            if rng.chance(0.6) {
+                rows[i] |= port_bit(j);
+                cols[j] |= port_bit(i);
+            }
+        }
         g.bench_with_input(BenchmarkId::new("pim4", n), &n, |b, &n| {
             let mut s = PimScheduler::new(4, 1);
             let mut m = vec![None; n];
             b.iter(|| {
-                s.schedule(n, &requests, &mut m);
+                s.schedule(&rows, &cols, &mut m);
                 std::hint::black_box(m.iter().flatten().count())
             });
         });
@@ -23,7 +31,7 @@ fn bench_schedulers(c: &mut Criterion) {
             let mut s = IslipScheduler::new(n, 4);
             let mut m = vec![None; n];
             b.iter(|| {
-                s.schedule(n, &requests, &mut m);
+                s.schedule(&rows, &cols, &mut m);
                 std::hint::black_box(m.iter().flatten().count())
             });
         });
@@ -31,7 +39,7 @@ fn bench_schedulers(c: &mut Criterion) {
             let mut s = Rr2dScheduler::new();
             let mut m = vec![None; n];
             b.iter(|| {
-                s.schedule(n, &requests, &mut m);
+                s.schedule(&rows, &cols, &mut m);
                 std::hint::black_box(m.iter().flatten().count())
             });
         });

@@ -18,6 +18,10 @@
 //! strictly additive, so the minimum estimates true cost.
 
 use crate::e06;
+use baselines::harness::run as harness_run;
+use baselines::model::{clear_out, CellSwitch};
+use baselines::sched::{IslipScheduler, PimScheduler, Rr2dScheduler};
+use baselines::{InputFifoSwitch, OutputQueuedSwitch, SharedBufferSwitch, VoqSwitch};
 use fabric::{topo, ElementKind, Fabric, Pattern, Workload};
 use simkernel::SplitMix64;
 use std::fmt::Write as _;
@@ -27,7 +31,7 @@ use switch_core::config::SwitchConfig;
 use switch_core::reference::{BehavioralSwitchRef, PipelinedSwitchRef};
 use switch_core::rtl::PipelinedSwitch;
 use telemetry::{NullSink, ProbeHandle};
-use traffic::{DestDist, PacketFeeder};
+use traffic::{Bernoulli, DestDist, PacketFeeder};
 
 /// One fast-forward-vs-dense measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -135,6 +139,28 @@ pub struct FabricPerf {
     pub bit_exact: bool,
 }
 
+/// The slot-level zoo (`crates/baselines`) as a rung of the ladder: each
+/// architecture driven through `baselines::harness::run` at
+/// [`ZooPerf::PORTS`] ports and [`ZooPerf::LOAD`] for [`ZooPerf::SLOTS`]
+/// slots, next to the same run over a model that does nothing (source,
+/// statistics and the per-slot `occupancy()` poll). Recorded, not gated.
+#[derive(Debug, Clone, Default)]
+pub struct ZooPerf {
+    /// The harness over a null model, ns per slot.
+    pub null_model_ns: f64,
+    /// (architecture, ns per slot, harness included).
+    pub slot_ns: Vec<(&'static str, f64)>,
+}
+
+impl ZooPerf {
+    /// Switch size of the rung (E15's full-depth size).
+    pub const PORTS: usize = 16;
+    /// Offered load per input.
+    pub const LOAD: f64 = 0.8;
+    /// Slots per run.
+    pub const SLOTS: u64 = 30_000;
+}
+
 /// The full measurement set behind `BENCH_core.json`.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
@@ -154,6 +180,8 @@ pub struct PerfReport {
     pub e6: Vec<E6Wall>,
     /// Telemetry-off vs NullSink overhead on the behavioral hot path.
     pub telemetry: TelemetryCheck,
+    /// The slot-level comparison architectures, ns per slot.
+    pub zoo: ZooPerf,
     /// Fabric-runtime sequential vs sharded scaling check.
     pub fabric: FabricPerf,
 }
@@ -346,6 +374,73 @@ fn min_of<R: PartialEq + std::fmt::Debug>(k: usize, mut f: impl FnMut() -> (f64,
         best = best.min(secs);
     }
     (best, first)
+}
+
+/// A slot-level model that buffers nothing and delivers nothing: what is
+/// left of a harness run is the harness.
+struct NullModel(usize);
+
+impl CellSwitch for NullModel {
+    fn ports(&self) -> usize {
+        self.0
+    }
+    fn tick(
+        &mut self,
+        _now: u64,
+        _arr: &[Option<simkernel::Cell>],
+        out: &mut [Option<simkernel::Cell>],
+    ) {
+        clear_out(out);
+    }
+    fn occupancy(&self) -> usize {
+        0
+    }
+    fn dropped(&self) -> u64 {
+        0
+    }
+    fn name(&self) -> &'static str {
+        "null"
+    }
+}
+
+/// Measure the zoo rung (see [`ZooPerf`]).
+fn measure_zoo(reps: usize) -> ZooPerf {
+    type Make = fn(usize) -> Box<dyn CellSwitch>;
+    let zoo: [(&'static str, Make); 6] = [
+        ("input_fifo", |n| Box::new(InputFifoSwitch::new(n, None, 1))),
+        ("voq_pim", |n| {
+            Box::new(VoqSwitch::new(n, None, PimScheduler::new(4, 2)))
+        }),
+        ("voq_islip", |n| {
+            Box::new(VoqSwitch::new(n, None, IslipScheduler::new(n, 4)))
+        }),
+        ("voq_2drr", |n| {
+            Box::new(VoqSwitch::new(n, None, Rr2dScheduler::new()))
+        }),
+        ("output_queued", |n| {
+            Box::new(OutputQueuedSwitch::new(n, None))
+        }),
+        ("shared", |n| Box::new(SharedBufferSwitch::new(n, None))),
+    ];
+    let n = ZooPerf::PORTS;
+    let slot_ns = |make: Make| {
+        let (secs, _) = min_of(reps, || {
+            let mut model = make(n);
+            let mut src = Bernoulli::new(n, ZooPerf::LOAD, DestDist::uniform(n), 0x200);
+            time(|| {
+                let s = harness_run(model.as_mut(), &mut src, ZooPerf::SLOTS, 0);
+                (s.samples, s.final_occupancy)
+            })
+        });
+        secs * 1e9 / ZooPerf::SLOTS as f64
+    };
+    ZooPerf {
+        null_model_ns: slot_ns(|n| Box::new(NullModel(n))),
+        slot_ns: zoo
+            .iter()
+            .map(|&(arch, make)| (arch, slot_ns(make)))
+            .collect(),
+    }
 }
 
 /// Run every measurement.
@@ -550,6 +645,7 @@ pub fn measure(quick: bool) -> PerfReport {
         ff,
         e6,
         telemetry,
+        zoo: measure_zoo(reps),
         fabric,
     }
 }
@@ -615,6 +711,19 @@ pub fn to_json(r: &PerfReport) -> String {
         r.telemetry.ratio,
         r.telemetry.departures_match
     );
+    let _ = write!(
+        s,
+        "  \"baselines\": {{\"zoo_ports\": {}, \"zoo_load\": {:.2}, \"zoo_slots\": {}, \
+         \"slot_ns\": {{\"null_model\": {:.1}",
+        ZooPerf::PORTS,
+        ZooPerf::LOAD,
+        ZooPerf::SLOTS,
+        r.zoo.null_model_ns
+    );
+    for (arch, ns) in &r.zoo.slot_ns {
+        let _ = write!(s, ", \"{arch}\": {ns:.1}");
+    }
+    s.push_str("}},\n");
     let _ = writeln!(
         s,
         "  \"fabric\": {{\"cores\": {}, \"fabric_seq_mcells\": {:.2}, \
@@ -693,6 +802,17 @@ pub fn render(r: &PerfReport) -> String {
             "DIVERGED"
         }
     );
+    let _ = write!(
+        s,
+        "  baselines {0}x{0} @ {1:.0}%, ns/slot under the harness: null model {2:.0}",
+        ZooPerf::PORTS,
+        ZooPerf::LOAD * 100.0,
+        r.zoo.null_model_ns
+    );
+    for (arch, ns) in &r.zoo.slot_ns {
+        let _ = write!(s, ", {arch} {ns:.0}");
+    }
+    s.push('\n');
     let _ = writeln!(
         s,
         "  fabric omega-1024 behavioral: seq {:.2} Mcells/s, 4-shard {:.2} Mcells/s — \
@@ -942,9 +1062,21 @@ mod tests {
                 ratio: 1.1,
                 departures_match: true,
             },
+            zoo: ZooPerf {
+                null_model_ns: 150.0,
+                slot_ns: vec![("input_fifo", 555.5), ("voq_pim", 900.0)],
+            },
             fabric: ok_fabric(),
         };
-        let b = parse_baseline(&to_json(&r)).expect("parses");
+        let json = to_json(&r);
+        assert!(
+            json.contains(
+                "\"baselines\": {\"zoo_ports\": 16, \"zoo_load\": 0.80, \"zoo_slots\": 30000, \
+                 \"slot_ns\": {\"null_model\": 150.0, \"input_fifo\": 555.5, \"voq_pim\": 900.0}},\n"
+            ),
+            "{json}"
+        );
+        let b = parse_baseline(&json).expect("parses");
         assert_eq!(b.ff.len(), 2);
         assert!((b.ff[0].1 - 10.0).abs() < 1e-6);
         assert!((b.ff[0].2 - 0.8123).abs() < 1e-6);
@@ -980,6 +1112,7 @@ mod tests {
                 ratio: 1.0,
                 departures_match: true,
             },
+            zoo: ZooPerf::default(),
             fabric: ok_fabric(),
         };
         let v = gate(&bad, &base);
@@ -1009,6 +1142,7 @@ mod tests {
                 ratio: 2.0,
                 departures_match: false,
             },
+            zoo: ZooPerf::default(),
             fabric: ok_fabric(),
         };
         let v = gate(&bad, &base);
@@ -1059,6 +1193,7 @@ mod tests {
                 ratio: 1.0,
                 departures_match: true,
             },
+            zoo: ZooPerf::default(),
             fabric: ok_fabric(),
         };
         let v = gate(&bad, &base);
@@ -1084,6 +1219,7 @@ mod tests {
                 ratio: 1.0,
                 departures_match: true,
             },
+            zoo: ZooPerf::default(),
             fabric: FabricPerf {
                 cores: 4,
                 seq_mcells: 1.0,

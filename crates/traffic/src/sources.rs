@@ -94,16 +94,16 @@ struct PortState {
 
 impl BurstyOnOff {
     /// `ports` inputs at long-run `load`, with geometric bursts of the
-    /// given `mean_burst ≥ 1` cells.
+    /// given `mean_burst ≥ 1` cells. At load 0 no input ever sends.
     pub fn new(ports: usize, load: f64, mean_burst: f64, dist: DestDist, seed: u64) -> Self {
-        assert!(ports > 0 && (0.0..1.0).contains(&load) || load == 1.0);
+        assert!(ports > 0, "a bursty source needs at least one port");
+        assert!(
+            (0.0..=1.0).contains(&load),
+            "load must be in [0, 1], got {load}"
+        );
         assert!(mean_burst >= 1.0);
-        // load = mean_burst / (mean_burst + mean_gap)
-        let mean_gap = if load >= 1.0 {
-            0.0
-        } else {
-            mean_burst * (1.0 - load) / load
-        };
+        // load = mean_burst / (mean_burst + mean_gap); infinite at load 0.
+        let mean_gap = mean_burst * (1.0 - load) / load;
         let mut root = SplitMix64::new(seed);
         BurstyOnOff {
             mean_burst,
@@ -128,6 +128,9 @@ impl BurstyOnOff {
     fn draw_gap(mean: f64, rng: &mut SplitMix64) -> u64 {
         if mean <= 0.0 {
             return 0;
+        }
+        if mean.is_infinite() {
+            return u64::MAX; // load 0: the gap outlasts any run
         }
         // Geometric with support {0, 1, ...} and mean `mean`.
         rng.geometric(1.0 / (1.0 + mean))
@@ -314,6 +317,28 @@ mod tests {
         let mean: f64 = runs.iter().map(|&r| r as f64).sum::<f64>() / runs.len() as f64;
         // Same-dest adjacent bursts merge occasionally, inflating slightly.
         assert!((mean - 16.0).abs() < 3.0, "mean burst {mean}");
+    }
+
+    #[test]
+    fn bursty_zero_load_never_sends() {
+        let mut s = BurstyOnOff::new(2, 0.0, 4.0, DestDist::uniform(4), 5);
+        let mut out = vec![None; 2];
+        for now in 0..10_000 {
+            s.poll(now, &mut out);
+            assert_eq!(out, [None, None], "slot {now}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one port")]
+    fn bursty_without_ports_is_rejected_even_at_full_load() {
+        BurstyOnOff::new(0, 1.0, 4.0, DestDist::uniform(4), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "load must be in [0, 1]")]
+    fn bursty_load_above_one_is_rejected() {
+        BurstyOnOff::new(2, 1.5, 4.0, DestDist::uniform(4), 5);
     }
 
     #[test]
