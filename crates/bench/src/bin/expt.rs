@@ -8,9 +8,8 @@
 //! expt fuzz         differential conformance fuzz campaign
 //!   --seeds N       campaign width (default 256)
 //!   --base 0xHEX    base seed (default: the canonical campaign seed)
-//! expt bench        perf-regression harness; writes BENCH_core.json
-//!   --gate          compare against the committed BENCH_core.json
-//!                   baseline instead of overwriting it
+//! expt bench        perf gate: in-process ratios against constant floors;
+//!                   reads and writes no file, exits nonzero if one breaks
 //! expt check-determinism <id>...|all|fuzz
 //!                   run each id at two worker counts in this process and
 //!                   fail on the first differing report line
@@ -33,11 +32,9 @@
 //!
 //! Experiment grids run through the deterministic parallel engine in
 //! `bench_harness::sweep`; output is bit-identical for every `--jobs`
-//! value. Running `all` also writes `BENCH_sweeps.json` (wall-clock,
-//! points/sec, and event-horizon skip efficiency per experiment) to the
-//! current directory.
+//! value. No invocation writes a file it was not given a path for:
+//! wall-clock numbers are recorded by the `benchmark/` package.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// A malformed command line: say why and exit with status 2.
@@ -59,10 +56,7 @@ where
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let list = args.iter().any(|a| a == "--list" || a == "-l");
-    let seq = args.iter().any(|a| a == "--seq");
+    let (mut quick, mut smoke, mut list, mut seq) = (false, false, false, false);
     let mut jobs: Option<usize> = None;
     let mut jobs_pair: Option<(usize, usize)> = None;
     let mut seeds: Option<u64> = None;
@@ -76,7 +70,15 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = || it.next().map(|s| s.as_str()).unwrap_or("");
-        if a == "--seeds" {
+        if a == "--quick" || a == "-q" {
+            quick = true;
+        } else if a == "--smoke" {
+            smoke = true;
+        } else if a == "--list" || a == "-l" {
+            list = true;
+        } else if a == "--seq" {
+            seq = true;
+        } else if a == "--seeds" {
             seeds = Some(positive(a, "positive integer", value()));
         } else if a == "--base" {
             let v = value();
@@ -121,7 +123,14 @@ fn main() -> ExitCode {
             });
         } else if a == "--watchdog" {
             watchdog = Some(positive(a, "positive cycle count", value()));
-        } else if !a.starts_with('-') {
+        } else if a == "--gate" {
+            bad_usage(
+                "--gate is gone: plain 'expt bench' is the gate (constant floors, no baseline file)"
+                    .into(),
+            );
+        } else if a.starts_with('-') {
+            bad_usage(format!("unknown flag '{a}' (try --list)"));
+        } else {
             ids.push(a.to_lowercase());
         }
     }
@@ -164,45 +173,18 @@ fn main() -> ExitCode {
             eprintln!("'bench' is a standalone harness; drop the other ids");
             return ExitCode::from(2);
         }
-        let gate = args.iter().any(|a| a == "--gate");
-        let report = bench_harness::perf::measure(quick);
-        print!("{}", bench_harness::perf::render(&report));
-        if gate {
-            let path = "BENCH_core.json";
-            let Ok(committed) = std::fs::read_to_string(path) else {
-                eprintln!("[--gate: no committed {path} baseline found]");
-                return ExitCode::FAILURE;
-            };
-            let Some(baseline) = bench_harness::perf::parse_baseline(&committed) else {
-                eprintln!("[--gate: committed {path} is not parseable]");
-                return ExitCode::FAILURE;
-            };
-            let violations = bench_harness::perf::gate(&report, &baseline);
-            return if violations.is_empty() {
-                println!("[gate: within tolerance of committed {path}]");
-                ExitCode::SUCCESS
-            } else {
-                for v in &violations {
-                    eprintln!("[gate violation: {v}]");
-                }
-                ExitCode::FAILURE
-            };
+        println!("perf gate: in-process ratios against constant floors");
+        let verdicts = bench_harness::perf::run(quick);
+        for v in &verdicts {
+            println!("  {} {}", if v.pass { "ok  " } else { "FAIL" }, v.line);
         }
-        let path = "BENCH_core.json";
-        return match std::fs::write(path, bench_harness::perf::to_json(&report)) {
-            Ok(()) => {
-                eprintln!("[wrote {path}]");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("[could not write {path}: {e}]");
-                ExitCode::FAILURE
-            }
+        return if verdicts.iter().all(|v| v.pass) {
+            println!("[gate: every floor held]");
+            ExitCode::SUCCESS
+        } else {
+            eprintln!("[gate: a floor broke (the FAIL lines above)]");
+            ExitCode::FAILURE
         };
-    }
-    if args.iter().any(|a| a == "--gate") {
-        eprintln!("--gate only applies to 'expt bench'");
-        return ExitCode::from(2);
     }
 
     if let Some(at) = ids.iter().position(|i| i == "check-determinism") {
@@ -306,7 +288,7 @@ fn main() -> ExitCode {
             "usage: expt [--quick] [--smoke] [--jobs N | --seq] [--watchdog N] <e1..e19 | x1..x5 | all>...\n       \
              expt e18 [--policy static|dt|pushout|occamy|bshare]\n       \
              expt fuzz [--seeds N] [--base 0xHEX] [--jobs N | --seq]\n       \
-             expt bench [--quick] [--gate]\n       \
+             expt bench [--quick]\n       \
              expt check-determinism <id>...|all|fuzz [--jobs A,B] [--seeds N]\n       \
              expt trace <e5|e6> [--vcd PATH] [--metrics PATH] [--last N] [--smoke]\n\nexperiments:"
         );
@@ -314,7 +296,7 @@ fn main() -> ExitCode {
             eprintln!("  {id}");
         }
         eprintln!("  fuzz  (differential conformance campaign; see EXPERIMENTS.md)");
-        eprintln!("  bench (perf-regression harness; writes/gates BENCH_core.json)");
+        eprintln!("  bench (perf gate: in-process ratios against constant floors; no file read or written)");
         eprintln!("  trace (telemetry export: VCD waveform + metrics JSON; see DESIGN.md §10)");
         return if list {
             ExitCode::SUCCESS
@@ -344,15 +326,11 @@ fn main() -> ExitCode {
         v
     };
 
-    let wall_start = std::time::Instant::now();
-    // (id, secs, points, cycles_skipped, cycles_executed)
-    let mut timings: Vec<(&str, f64, u64, u64, u64)> = Vec::new();
     for (i, id) in selected.iter().enumerate() {
         if i > 0 {
             println!("\n{}\n", "=".repeat(90));
         }
         let t0 = std::time::Instant::now();
-        let points_before = bench_harness::sweep::points_run();
         let skipped_before = simkernel::horizon::ff_skipped();
         let executed_before = simkernel::horizon::ff_executed();
         // `id` was validated against ALL above, but a registry mismatch
@@ -363,7 +341,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         };
         let secs = t0.elapsed().as_secs_f64();
-        let points = bench_harness::sweep::points_run() - points_before;
         let skipped = simkernel::horizon::ff_skipped() - skipped_before;
         let executed = simkernel::horizon::ff_executed() - executed_before;
         println!("{report}");
@@ -377,65 +354,10 @@ fn main() -> ExitCode {
         } else {
             println!("[{id} completed in {secs:.1}s]");
         }
-        timings.push((id, secs, points, skipped, executed));
     }
 
-    if run_all {
-        let path = "BENCH_sweeps.json";
-        match std::fs::write(
-            path,
-            sweeps_json(&timings, wall_start.elapsed().as_secs_f64(), quick),
-        ) {
-            Ok(()) => eprintln!("[wrote {path}]"),
-            Err(e) => {
-                // An unwritable output file is a failed run, not a
-                // footnote: CI consumes this JSON.
-                eprintln!("[could not write {path}: {e}]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     match watchdog_verdict() {
         Ok(()) => ExitCode::SUCCESS,
         Err(code) => code,
     }
-}
-
-/// Render the machine-readable sweep report (hand-rolled JSON: the
-/// workspace builds offline, without serde).
-fn sweeps_json(timings: &[(&str, f64, u64, u64, u64)], total_secs: f64, quick: bool) -> String {
-    let total_points: u64 = timings.iter().map(|t| t.2).sum();
-    let total_skipped: u64 = timings.iter().map(|t| t.3).sum();
-    let total_executed: u64 = timings.iter().map(|t| t.4).sum();
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"threads\": {},", bench_harness::sweep::jobs());
-    let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(s, "  \"total_seconds\": {total_secs:.3},");
-    let _ = writeln!(s, "  \"total_points\": {total_points},");
-    let _ = writeln!(
-        s,
-        "  \"points_per_second\": {:.3},",
-        total_points as f64 / total_secs.max(1e-9)
-    );
-    let _ = writeln!(s, "  \"cycles_skipped\": {total_skipped},");
-    let _ = writeln!(s, "  \"cycles_executed\": {total_executed},");
-    let _ = writeln!(
-        s,
-        "  \"ff_skip_fraction\": {:.4},",
-        total_skipped as f64 / ((total_skipped + total_executed) as f64).max(1.0)
-    );
-    s.push_str("  \"experiments\": [\n");
-    for (k, (id, secs, points, skipped, executed)) in timings.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"id\": \"{id}\", \"seconds\": {secs:.3}, \"points\": {points}, \
-             \"points_per_second\": {:.3}, \"cycles_skipped\": {skipped}, \
-             \"cycles_executed\": {executed}}}",
-            *points as f64 / secs.max(1e-9)
-        );
-        s.push_str(if k + 1 < timings.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
 }

@@ -149,29 +149,6 @@ pub fn measure_dense(n: usize, p: f64, cycles: u64, seed: u64) -> f64 {
     extra_latency(&sw, cycles, n, p)
 }
 
-/// The pre-fast-forward implementation of this experiment: per-cycle
-/// Bernoulli draws fused with dense stepping, exactly as the drive loop
-/// ran before the event-horizon kernel existed. Kept as the wall-time
-/// "before" side of the comparison `expt bench` tracks (it samples the
-/// same renewal process, so its statistic agrees with [`measure`] to
-/// sampling noise, but it must pay for both the O(cycles × n) draws and
-/// the per-cycle ticks).
-pub fn measure_reference(n: usize, p: f64, cycles: u64, seed: u64) -> f64 {
-    let cfg = SwitchConfig::symmetric(n, 4 * n.max(8));
-    let s = cfg.stages();
-    let q = start_prob(p, s);
-    let mut sw = BehavioralSwitch::new(cfg);
-    let mut rng = SplitMix64::new(seed);
-    let mut arr = vec![None; n];
-    for _ in 0..cycles {
-        for (i, a) in arr.iter_mut().enumerate() {
-            *a = (sw.input_free(i) && rng.chance(q)).then(|| rng.below_usize(n));
-        }
-        sw.tick(&arr);
-    }
-    extra_latency(&sw, cycles, n, p)
-}
-
 /// Sweep the `sizes × loads` grid, one parallel point per (n, p).
 pub fn rows(quick: bool) -> Vec<E6Row> {
     let cycles = if quick { 80_000 } else { 400_000 };
@@ -224,17 +201,10 @@ mod tests {
     fn fast_forward_replay_matches_dense_replay() {
         // The fast-forwarding `measure` must be *bit*-identical to a
         // dense per-cycle replay of the same arrival schedule: same
-        // departure stream, same float accumulation. The pre-PR fused
-        // loop samples the same renewal process from a different stream,
-        // so it agrees statistically, not bitwise.
+        // departure stream, same float accumulation.
         let (n, p, cycles, seed) = (4usize, 0.15f64, 30_000u64, 0xD5u64);
         let dense = measure_dense(n, p, cycles, seed);
         let fast = measure(n, p, cycles, seed);
-        let reference = measure_reference(n, p, cycles, seed);
-        assert!(
-            (reference - fast).abs() < 0.1,
-            "pre-fast-forward reference {reference} vs event-driven {fast}"
-        );
         assert_eq!(
             dense.to_bits(),
             fast.to_bits(),

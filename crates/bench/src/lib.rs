@@ -34,6 +34,15 @@
 //! | [`e17`] | extension | chaos campaign: recovery ladder, MTTR, degraded throughput |
 //! | [`e18`] | extension | buffer-sharing policy lab: admission policies under incast/hotspot/on-off |
 //! | [`e19`] | extension | fabric scaling: component-graph networks of real elements, 64–1024 endpoints |
+//! | [`x01`] | extension of §2 | hotspot traffic across architectures: sharing donates idle memory to the hot output |
+//! | [`x02`] | extension of §2.1 | bursty on/off traffic: loss vs burst length at fixed load and memory |
+//! | [`x03`] | extension of §3.2/§5.2 | word-level organization shoot-out: pipelined vs wide memory, with and without crossbar |
+//! | [`x04`] | extension of §3.5 | how far the pipelined organization scales: quantum, throughput, pins, area vs ports |
+//! | [`x05`] | extension of §1 | switches as building blocks of multistage omega fabrics |
+//!
+//! [`perf`] is not an experiment: it is the pass/fail perf gate behind
+//! `expt bench`. Wall-clock numbers are recorded by the `benchmark/`
+//! package at the repository root, nowhere in this crate.
 
 #![forbid(unsafe_code)]
 
@@ -73,7 +82,8 @@ pub const ALL: &[&str] = &[
     "e16", "e17", "e18", "e19", "x1", "x2", "x3", "x4", "x5",
 ];
 
-/// Run one experiment by id ("e1".."e15"); `quick` shrinks run lengths.
+/// Run one experiment by id (e1–e19, x1–x5: the entries of [`ALL`]);
+/// `quick` shrinks run lengths.
 pub fn run_experiment(id: &str, quick: bool) -> Option<String> {
     Some(match id {
         "e1" => e01::run(quick),

@@ -1,0 +1,75 @@
+//! The `expt` command line, driven through the real binary: what it
+//! rejects, what it lists, and that running an experiment leaves nothing
+//! behind in the working directory.
+
+use std::process::{Command, Output};
+
+fn expt(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_expt"))
+        .args(args)
+        .output()
+        .expect("the expt binary runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn unknown_flag_is_rejected_by_name() {
+    for (args, flag) in [
+        (&["--quik", "--seq", "e14"][..], "--quik"),
+        (&["e14", "-x"], "-x"),
+        (&["bench", "--gat"], "--gat"),
+    ] {
+        let out = expt(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains(&format!("unknown flag '{flag}'")));
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+    }
+}
+
+#[test]
+fn the_removed_gate_flag_points_at_plain_bench() {
+    let out = expt(&["bench", "--gate"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("plain 'expt bench'"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "nothing may be measured");
+}
+
+#[test]
+fn list_names_every_experiment() {
+    let out = expt(&["--list"]);
+    assert_eq!(out.status.code(), Some(0));
+    let listing = stderr(&out);
+    let listed: Vec<&str> = listing
+        .lines()
+        .filter_map(|l| l.strip_prefix("  "))
+        .filter(|id| bench_harness::ALL.contains(id))
+        .collect();
+    assert_eq!(listed, bench_harness::ALL);
+    assert_eq!(listed.len(), 24);
+}
+
+#[test]
+fn running_an_experiment_leaves_no_file_behind() {
+    let cwd = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("expt_cli_cwd");
+    std::fs::create_dir_all(&cwd).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_expt"))
+        .args(["--quick", "e14"])
+        .current_dir(&cwd)
+        .output()
+        .expect("the expt binary runs");
+    let left: Vec<_> = std::fs::read_dir(&cwd)
+        .expect("temp dir lists")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&cwd).expect("temp dir removes");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("E14"));
+    assert!(left.is_empty(), "left behind: {left:?}");
+}

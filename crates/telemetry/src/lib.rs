@@ -8,7 +8,7 @@
 //!   `if let Some(p) = &self.probe { p.emit(cycle, ProbeEvent::…) }`
 //!   so that with no probe attached the hot path pays exactly one
 //!   predictable branch and constructs nothing — the perf gate
-//!   (`expt bench --gate`) holds this property.
+//!   (`expt bench`) holds this property.
 //! * **Sinks live in the harness.** A [`Probe`] implementation decides
 //!   what to do with the stream: record it ([`Recorder`]), aggregate it
 //!   ([`metrics::Metrics`]), discard it ([`NullSink`]), or fan it out
