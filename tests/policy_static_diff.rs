@@ -17,11 +17,19 @@
 //! that skipped a policy-visible event would desynchronize the two —
 //! all four organizations must agree with the dense drive under every
 //! policy. The batched leg does the same for `tick_idle_batch`.
+//!
+//! The twins are "frozen"; `tests/golden/reference_digests.txt` makes
+//! that checkable. It pins the references' *own* departures, counters
+//! and probe streams on every cell of the grid, so an edit to
+//! `reference.rs` shows as a moved digest — and, since the live models
+//! are held equal to the twins on exactly those cells, so does a change
+//! to the live models that an edited twin would otherwise follow.
 
 use simkernel::cell::Packet;
 use simkernel::ids::Cycle;
 use simkernel::Horizon;
 use simkernel::SplitMix64;
+use std::fmt::Write as _;
 use switch_core::behavioral::{BehavioralDeparture, BehavioralSwitch};
 use switch_core::config::SwitchConfig;
 use switch_core::ibank::{InterleavedSwitch, InterleavedSwitchConfig};
@@ -86,6 +94,16 @@ fn grid_schedule(
         }
     }
     offers
+}
+
+/// The grid cell `(load, skew)` as the behavioral twins are offered it.
+fn cell_offers(s: usize, load: f64, skew: bool) -> Vec<conformance::Offer> {
+    grid_schedule(s, load, skew, 2_500, 0xD1F + (load * 100.0) as u64)
+}
+
+/// The grid cell `(load, skew)` as the pipelined twins are offered it.
+fn word_offers(s: usize, load: f64, skew: bool) -> Vec<conformance::Offer> {
+    grid_schedule(s, load, skew, 1_500, 0x57A7 + (load * 100.0) as u64)
 }
 
 /// Drive a cell-level twin densely over `offers` until quiescent.
@@ -189,7 +207,7 @@ fn behavioral_matches_scalar_reference_under_every_policy() {
         let cfg = SwitchConfig::symmetric(N, SLOTS).with_policy(policy);
         let s = cfg.stages();
         for (load, skew) in GRID {
-            let offers = grid_schedule(s, load, skew, 2_500, 0xD1F + (load * 100.0) as u64);
+            let offers = cell_offers(s, load, skew);
             let (d_new, c_new, e_new) = drive_cell!(BehavioralSwitch, cfg, offers);
             let (d_ref, c_ref, e_ref) = drive_cell!(BehavioralSwitchRef, cfg, offers);
             assert!(
@@ -226,7 +244,7 @@ fn rtl_matches_scalar_reference_under_every_policy() {
         let cfg = SwitchConfig::symmetric(N, SLOTS).with_policy(policy);
         let s = cfg.stages();
         for (load, skew) in GRID {
-            let offers = grid_schedule(s, load, skew, 1_500, 0x57A7 + (load * 100.0) as u64);
+            let offers = word_offers(s, load, skew);
             let rec_new = Shared::new(Recorder::unbounded());
             let mut sw_new = PipelinedSwitch::new(cfg.clone());
             sw_new.attach_probe(rec_new.handle());
@@ -424,4 +442,145 @@ fn high_load_grid_exercises_every_policy_decision_kind() {
             "{policy:?}: the 95% grid never triggered a policy decision"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// 6. The references themselves, pinned
+// ---------------------------------------------------------------------------
+
+/// FNV-1a; `fmt::Write` so counters and probe events hash as they print.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn words(&mut self, xs: &[u64]) {
+        for b in xs.iter().flat_map(|x| x.to_le_bytes()) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// One row of `tests/golden/reference_digests.txt`, from what one twin
+/// did on one grid cell: `delivered` packets hashed into `deliveries`,
+/// its final counters as they print, and its probe stream.
+fn reference_row(
+    twin: &str,
+    (load, skew): (f64, bool),
+    policy: PolicyKind,
+    (delivered, deliveries): (usize, Fnv),
+    counters: &dyn std::fmt::Debug,
+    events: &ProbeLog,
+) -> String {
+    let mut state = Fnv::new();
+    write!(state, "{counters:?}").expect("hashing cannot fail");
+    let mut probe = Fnv::new();
+    for e in events {
+        probe.words(&[e.cycle]);
+        write!(probe, "{}", e.event).expect("hashing cannot fail");
+    }
+    let shape = if skew { "incast" } else { "uniform" };
+    format!(
+        "{twin} {load:.2} {shape} {} {delivered} {} {:#018x} {:#018x} {:#018x}",
+        policy.token(),
+        events.len(),
+        deliveries.0,
+        state.0,
+        probe.0
+    )
+}
+
+/// The frozen twins' own behaviour on every grid cell × policy the
+/// equality tests above drive them over. `reference.rs` is only a
+/// reference while it does not move: a change there must leave
+/// `tests/golden/reference_digests.txt` byte-identical; regenerate it
+/// (`UPDATE_GOLDEN=1`) only when the reference is *meant* to change.
+#[test]
+fn reference_digests_match_the_golden_file() {
+    let mut doc = String::from(
+        "# switch_core::reference twins, 4x4, 16 slots, on the policy_static_diff GRID.\n\
+         # FNV-1a of: departures / deliveries in order | final counters | every\n\
+         # (cycle, ProbeEvent) in order.\n\
+         # twin load shape policy delivered events deliveries state probe\n",
+    );
+    for policy in PolicyKind::all_default() {
+        let cfg = SwitchConfig::symmetric(N, SLOTS).with_policy(policy);
+        let s = cfg.stages();
+        for cell in GRID {
+            let offers = cell_offers(s, cell.0, cell.1);
+            let (deps, counts, events) = drive_cell!(BehavioralSwitchRef, cfg, offers);
+            let mut h = Fnv::new();
+            for d in &deps {
+                h.words(&[
+                    d.id,
+                    d.input as u64,
+                    d.output as u64,
+                    d.birth,
+                    d.read_start,
+                    d.done,
+                    u64::from(d.output_was_idle),
+                ]);
+            }
+            let row = reference_row(
+                "behavioral-ref",
+                cell,
+                policy,
+                (deps.len(), h),
+                &counts,
+                &events,
+            );
+            writeln!(doc, "{row}").expect("string write");
+        }
+    }
+    for policy in PolicyKind::all_default() {
+        let cfg = SwitchConfig::symmetric(N, SLOTS).with_policy(policy);
+        let s = cfg.stages();
+        for cell in GRID {
+            let offers = word_offers(s, cell.0, cell.1);
+            let rec = Shared::new(Recorder::unbounded());
+            let mut sw = PipelinedSwitchRef::new(cfg.clone());
+            sw.attach_probe(rec.handle());
+            let (deliveries, counters) = drive_word_dense!(sw, s, offers);
+            let mut h = Fnv::new();
+            for &(id, output, first, last) in &deliveries {
+                h.words(&[id, output as u64, first, last]);
+            }
+            let events: ProbeLog = rec.with(|r| r.iter().cloned().collect());
+            let row = reference_row(
+                "pipelined-ref",
+                cell,
+                policy,
+                (deliveries.len(), h),
+                &counters,
+                &events,
+            );
+            writeln!(doc, "{row}").expect("string write");
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/reference_digests.txt"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &doc).expect("rewrite golden");
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file present");
+    for (got, want) in doc.lines().zip(golden.lines()) {
+        assert_eq!(
+            got, want,
+            "reference digest drifted from tests/golden/reference_digests.txt"
+        );
+    }
+    assert_eq!(doc.lines().count(), golden.lines().count());
 }
