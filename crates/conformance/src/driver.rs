@@ -1,20 +1,19 @@
 //! Drivers: replay one [`Scenario`] against each memory organization.
 //!
 //! All four organizations see the *same* offered schedule through the
-//! same launch logic (the internal `Launcher`): in credited mode each input holds a
-//! [`CreditedInput`] sender whose credits return when *that
-//! organization* delivers the packet's tail word, so backpressure timing
-//! is native to each model; in open mode packets launch at exactly
-//! `Offer::at`. Word-level organizations are fed word by word on the
-//! input wires and observed through an [`OutputCollector`]; the
-//! behavioral model is fed per-cell arrivals and reports departures
-//! directly.
+//! same drive loop (the internal `Drive`, over `dyn Switch`): in credited
+//! mode each input holds a [`CreditedInput`] sender whose credits return
+//! when *that organization* delivers the packet's tail word, so
+//! backpressure timing is native to each model; in open mode packets
+//! launch at exactly `Offer::at`. Word-level organizations are fed word
+//! by word on the input wires and observed through an
+//! [`OutputCollector`]; the behavioral model is fed per-cell arrivals and
+//! reports departures directly.
 
-use crate::scenario::Scenario;
+use crate::scenario::{Offer, Scenario};
 use simkernel::cell::Packet;
 use simkernel::error::SimError;
 use simkernel::ids::Cycle;
-use simkernel::Horizon;
 use std::collections::{HashMap, VecDeque};
 use switch_core::behavioral::BehavioralSwitch;
 use switch_core::config::SwitchConfig;
@@ -23,7 +22,7 @@ use switch_core::events::SwitchCounters;
 use switch_core::faultsim::{Fault, FaultAction, FaultKind, FaultPlan};
 use switch_core::recovery::{RecoveryConfig, RecoveryReport};
 use switch_core::rtl::OutputCollector;
-use switch_core::WordOrg;
+use switch_core::{Switch, WordOrg};
 use telemetry::ProbeHandle;
 
 /// The four memory organizations under differential test.
@@ -125,19 +124,34 @@ pub struct RunOutcome {
     pub recovery: RecoveryReport,
 }
 
-/// Shared launch logic: turns the scenario's offers into per-cycle
-/// launches, under credit backpressure or open-loop timing.
-struct Launcher {
+/// Hard cap on simulated cycles past the scenario horizon before a run is
+/// declared hung (a divergence in its own right).
+const DRAIN_CAP: Cycle = 200_000;
+
+/// The organization-independent skeleton of a run: turns the scenario's
+/// offers into per-cycle launches (under credit backpressure or open-loop
+/// timing), decides which cycles are ticked and which are jumped and when
+/// the run is over, and keeps the ledger of launches and deliveries.
+/// `run_word` and `run_behavioral` supply what differs — how a launch
+/// reaches the inputs and how outputs become [`Delivery`]s.
+struct Drive {
+    /// Packet time in cycles.
     s: Cycle,
-    pending: Vec<VecDeque<crate::scenario::Offer>>,
-    senders: Option<Vec<CreditedInput<crate::scenario::Offer>>>,
+    pending: Vec<VecDeque<Offer>>,
+    senders: Option<Vec<CreditedInput<Offer>>>,
     next_free: Vec<Cycle>,
-    stalls: u64,
-    same_cycle_starts: u64,
+    /// Per input: launches minus deliveries of ids it launched (the
+    /// testbench's own ledger, audited against the senders' at the end).
+    outstanding: Vec<i64>,
+    cap: Cycle,
+    grace: Cycle,
+    outcome: RunOutcome,
 }
 
-impl Launcher {
-    fn new(sc: &Scenario, probe: Option<&ProbeHandle>) -> Launcher {
+impl Drive {
+    /// A run of `sc` on `sw`, with `probe` (if any) attached to the model
+    /// and to the credited senders.
+    fn new(sc: &Scenario, org: Org, sw: &mut dyn Switch, probe: Option<ProbeHandle>) -> Drive {
         let mut pending = vec![VecDeque::new(); sc.n];
         for o in &sc.offers {
             pending[o.input].push_back(*o);
@@ -145,27 +159,93 @@ impl Launcher {
         let senders = sc.credited.then(|| {
             (0..sc.n)
                 .map(|i| {
-                    let mut s: CreditedInput<crate::scenario::Offer> =
-                        CreditedInput::new(sc.credits_per_input(), 1);
-                    if let Some(p) = probe {
+                    let mut s: CreditedInput<Offer> = CreditedInput::new(sc.credits_per_input(), 1);
+                    if let Some(p) = &probe {
                         s.attach_probe(p.clone(), i);
                     }
                     s
                 })
                 .collect()
         });
-        Launcher {
+        if let Some(p) = probe {
+            sw.attach_probe(p);
+        }
+        Drive {
             s: sc.stages() as Cycle,
             pending,
             senders,
             next_free: vec![0; sc.n],
-            stalls: 0,
-            same_cycle_starts: 0,
+            outstanding: vec![0; sc.n],
+            cap: sc.horizon + DRAIN_CAP,
+            grace: 0,
+            outcome: RunOutcome {
+                org,
+                launches: Vec::new(),
+                deliveries: Vec::new(),
+                counters: SwitchCounters::default(),
+                payload_failures: 0,
+                stalls: 0,
+                same_cycle_starts: 0,
+                idle_head_latencies: Vec::new(),
+                error: None,
+                recovery: RecoveryReport::default(),
+            },
         }
     }
 
-    /// Launches starting at `now` (at most one per input).
-    fn poll(&mut self, now: Cycle) -> Vec<crate::scenario::Offer> {
+    /// The next cycle to tick, or `None` when the run is over (drained, or
+    /// the watchdog fired). `wires_idle`: no launched packet is still being
+    /// clocked onto an input; `next_due`: the earliest cycle the caller
+    /// must see for a reason of its own (a scheduled fault).
+    fn next_cycle(
+        &mut self,
+        sw: &mut dyn Switch,
+        wires_idle: bool,
+        next_due: Option<Cycle>,
+    ) -> Option<Cycle> {
+        loop {
+            let now = sw.now();
+            // The buffer manager can be empty while tail words are still on
+            // the output wires, so idle-ness must persist for a full packet
+            // time before the run is considered drained.
+            let idle = self.exhausted() && wires_idle && sw.is_quiescent();
+            if idle {
+                self.grace += 1;
+                if self.grace > self.s + 4 {
+                    return None;
+                }
+            } else {
+                self.grace = 0;
+            }
+            if now >= self.cap {
+                self.outcome.error = Some(SimError::Watchdog {
+                    limit: self.cap,
+                    context: format!("{} failed to drain", self.outcome.org),
+                });
+                return None;
+            }
+            // Event-horizon fast-forward (DESIGN.md §6): with the input wires
+            // idle, no credited backlog stalling, and the switch reporting no
+            // state change before `e`, jump the clock to the next launch /
+            // fault / model event instead of ticking through the gap. Bounding
+            // the jump by `next_due` keeps every fault injected at its exact
+            // scheduled cycle, so departures stay bit-identical.
+            if !idle && wires_idle {
+                let limit = next_due.map_or(self.cap, |t| t.min(self.cap));
+                if let Some(target) = self.jump_target(now, sw.next_event(), limit) {
+                    simkernel::horizon::note_skipped(target - now);
+                    sw.jump_to(target);
+                    continue;
+                }
+            }
+            simkernel::horizon::note_executed(1);
+            return Some(now);
+        }
+    }
+
+    /// The offers whose headers enter the switch at `now` (at most one
+    /// per input), recorded as launches.
+    fn launch(&mut self, now: Cycle) -> Vec<Offer> {
         let mut started = Vec::new();
         if let Some(senders) = &mut self.senders {
             for (q, sender) in self.pending.iter_mut().zip(senders.iter_mut()) {
@@ -178,17 +258,11 @@ impl Launcher {
                     continue;
                 }
                 match sender.poll(now) {
-                    Some(o) => {
-                        self.next_free[i] = now + self.s;
-                        started.push(o);
-                    }
-                    None => {
-                        if sender.backlog() > 0 {
-                            // Link free, work queued, zero credits: the
-                            // shared buffer's reservation is exhausted.
-                            self.stalls += 1;
-                        }
-                    }
+                    Some(o) => started.push(o),
+                    // Link free, work queued, zero credits: the shared
+                    // buffer's reservation is exhausted.
+                    None if sender.backlog() > 0 => self.outcome.stalls += 1,
+                    None => {}
                 }
             }
         } else {
@@ -198,27 +272,24 @@ impl Launcher {
                         self.next_free[i] <= now,
                         "schedule violates wire framing on input {i} at cycle {now}"
                     );
-                    let o = q.pop_front().expect("checked non-empty");
-                    self.next_free[i] = now + self.s;
-                    started.push(o);
+                    started.push(q.pop_front().expect("checked non-empty"));
                 }
             }
         }
+        for o in &started {
+            self.next_free[o.input] = now + self.s;
+            self.outstanding[o.input] += 1;
+            self.outcome.launches.push(Launch {
+                id: o.id,
+                input: o.input,
+                dst: o.dst,
+                at: now,
+            });
+        }
         if started.len() >= 2 {
-            self.same_cycle_starts += 1;
+            self.outcome.same_cycle_starts += 1;
         }
         started
-    }
-
-    /// Earliest offer time still queued upstream of the senders. Fronts
-    /// are always `>= now` (earlier offers were transferred or launched
-    /// by previous polls), so this bounds how far a driver may
-    /// fast-forward without missing a launch.
-    fn earliest_pending(&self) -> Option<Cycle> {
-        self.pending
-            .iter()
-            .filter_map(|q| q.front().map(|o| o.at))
-            .min()
     }
 
     /// True when any credited sender holds queued work. Stall cycles are
@@ -239,15 +310,12 @@ impl Launcher {
         if self.any_backlog() || next_event.is_some_and(|e| e <= now) {
             return None;
         }
-        let pending = self.earliest_pending().unwrap_or(limit);
+        // Offers still upstream of the senders: fronts are always `>= now`
+        // (earlier ones were transferred or launched by previous polls).
+        let fronts = self.pending.iter().filter_map(|q| q.front());
+        let pending = fronts.map(|o| o.at).min().unwrap_or(limit);
         let target = next_event.unwrap_or(limit).min(pending).min(limit);
         (target > now).then_some(target)
-    }
-
-    fn credit_return(&mut self, input: usize, now: Cycle) {
-        if let Some(senders) = &mut self.senders {
-            senders[input].return_credit(now);
-        }
     }
 
     /// No offer will ever launch again.
@@ -255,37 +323,39 @@ impl Launcher {
         self.pending.iter().all(VecDeque::is_empty) && !self.any_backlog()
     }
 
-    /// Final credit-conservation audit against the testbench ledger: an
-    /// input's outstanding packets are its launches minus the deliveries
-    /// of ids it launched (a corrupted header that names no launched id
-    /// returns nothing, and shows up here as a leak).
-    fn audit(
-        &self,
-        launches: &[Launch],
-        deliveries: &[Delivery],
-        org: Org,
-    ) -> Result<(), SimError> {
-        let Some(senders) = &self.senders else {
-            return Ok(());
-        };
-        let input_of: HashMap<u64, usize> = launches.iter().map(|l| (l.id, l.input)).collect();
-        let mut outstanding = vec![0u32; senders.len()];
-        for l in launches {
-            outstanding[l.input] += 1;
+    /// Record a delivery observed at `now`; its credit goes back to the
+    /// `input` that launched it — `None` when a corrupted header no longer
+    /// names a launched id, and the credit is lost with it.
+    fn deliver(&mut self, now: Cycle, d: Delivery, input: Option<usize>) {
+        self.outcome.deliveries.push(d);
+        if let Some(i) = input {
+            self.outstanding[i] -= 1;
+            if let Some(senders) = &mut self.senders {
+                senders[i].return_credit(now);
+            }
         }
-        for i in deliveries.iter().filter_map(|d| input_of.get(&d.id)) {
-            outstanding[*i] = outstanding[*i].saturating_sub(1);
-        }
-        for (i, sender) in senders.iter().enumerate() {
-            sender.audit(outstanding[i], &format!("{org} input {i}"))?;
+    }
+
+    /// Final credit-conservation audit: what each sender believes is
+    /// outstanding against the testbench ledger.
+    fn audit(&self) -> Result<(), SimError> {
+        for (i, sender) in self.senders.iter().flatten().enumerate() {
+            let outstanding = u32::try_from(self.outstanding[i]).unwrap_or(0);
+            sender.audit(outstanding, &format!("{} input {i}", self.outcome.org))?;
         }
         Ok(())
     }
-}
 
-/// Hard cap on simulated cycles past the scenario horizon before a run is
-/// declared hung (a divergence in its own right).
-const DRAIN_CAP: Cycle = 200_000;
+    /// The outcome, with the model's own counters and recovery ledger.
+    fn finish(mut self, sw: &dyn Switch) -> RunOutcome {
+        if self.outcome.error.is_none() {
+            self.outcome.error = self.audit().err();
+        }
+        self.outcome.counters = sw.counters();
+        self.outcome.recovery = sw.recovery_report();
+        self.outcome
+    }
+}
 
 /// Replay `sc` on organization `org` and report everything it did.
 pub fn run(sc: &Scenario, org: Org) -> RunOutcome {
@@ -316,64 +386,24 @@ fn run_word(sc: &Scenario, org: Org, word: WordOrg, probe: Option<ProbeHandle>) 
         RecoveryConfig::default()
     };
     let mut sw = word.build(n, sc.slots, rec, sc.policy);
-    if let Some(p) = &probe {
-        sw.attach_probe(p.clone());
-    }
     // Faults strike the pipelined RTL only: the other organizations stay
     // clean references, so any effective upset becomes a divergence.
     let mut plan = sc.fault.filter(|_| word == WordOrg::Pipelined).map(|f| {
         let cfg = SwitchConfig::symmetric(n, sc.slots);
         FaultPlan::generate(FaultKind::BankUpset, f.rate, sc.horizon, &cfg, f.seed)
     });
-    let mut col = OutputCollector::new(n, s);
-    let mut launcher = Launcher::new(sc, probe.as_ref());
-    let mut current: Vec<Option<(Vec<u64>, usize)>> = (0..n).map(|_| None).collect();
-    let mut launches = Vec::new();
-    let mut deliveries = Vec::new();
-    let mut id_input: HashMap<u64, usize> = HashMap::new();
-    let mut payload_failures = 0u64;
-    let mut error = None;
-    let cap = sc.horizon + DRAIN_CAP;
-    let mut grace: Cycle = 0;
-    let mut wire: Vec<Option<u64>> = vec![None; n];
     let mut due_faults: Vec<Fault> = Vec::new();
-    loop {
-        let now = sw.now();
-        // The buffer manager can be empty while tail words are still on
-        // the output wires, so idle-ness must persist for a full packet
-        // time before the run is considered drained.
-        let idle = launcher.exhausted() && current.iter().all(Option::is_none) && sw.is_quiescent();
-        if idle {
-            grace += 1;
-            if grace > s as Cycle + 4 {
-                break;
-            }
-        } else {
-            grace = 0;
-        }
-        if now >= cap {
-            error = Some(SimError::Watchdog {
-                limit: cap,
-                context: format!("{org} failed to drain"),
-            });
-            break;
-        }
-        // Event-horizon fast-forward (DESIGN.md §6): with the input wires
-        // idle, no credited backlog stalling, and the switch reporting no
-        // state change before `e`, jump the clock to the next launch /
-        // fault / model event instead of ticking through the gap. Bounding
-        // the jump by `plan.next_due()` keeps every fault injected at its
-        // exact scheduled cycle, so departures stay bit-identical.
-        if !idle && current.iter().all(Option::is_none) {
-            let next_fault = plan.as_ref().and_then(FaultPlan::next_due);
-            let limit = next_fault.map_or(cap, |t| t.min(cap));
-            if let Some(target) = launcher.jump_target(now, sw.next_event(), limit) {
-                simkernel::horizon::note_skipped(target - now);
-                sw.jump_to(target);
-                continue;
-            }
-        }
-        simkernel::horizon::note_executed(1);
+    let mut col = OutputCollector::new(n, s);
+    // Per input: the words of the launched packet not yet on the wire.
+    let mut current: Vec<std::vec::IntoIter<u64>> = vec![Vec::new().into_iter(); n];
+    let mut wire: Vec<Option<u64>> = vec![None; n];
+    let mut id_input: HashMap<u64, usize> = HashMap::new();
+    let mut drive = Drive::new(sc, org, &mut *sw, probe);
+    while let Some(now) = drive.next_cycle(
+        &mut *sw,
+        current.iter().all(|words| words.as_slice().is_empty()),
+        plan.as_ref().and_then(FaultPlan::next_due),
+    ) {
         if let Some(plan) = &mut plan {
             plan.take_due_into(now, &mut due_faults);
             for f in due_faults.drain(..) {
@@ -382,181 +412,74 @@ fn run_word(sc: &Scenario, org: Org, word: WordOrg, probe: Option<ProbeHandle>) 
                 }
             }
         }
-        for o in launcher.poll(now) {
-            let p = Packet::synth(o.id, o.input, o.dst, s, now);
-            launches.push(Launch {
-                id: o.id,
-                input: o.input,
-                dst: o.dst,
-                at: now,
-            });
+        for o in drive.launch(now) {
             id_input.insert(o.id, o.input);
-            debug_assert!(current[o.input].is_none(), "launch while wire busy");
-            current[o.input] = Some((p.words, 0));
+            debug_assert!(current[o.input].as_slice().is_empty(), "wire busy");
+            current[o.input] = Packet::synth(o.id, o.input, o.dst, s, now)
+                .words
+                .into_iter();
         }
-        for (w, slot) in wire.iter_mut().zip(current.iter_mut()) {
-            *w = None;
-            if let Some((words, k)) = slot {
-                *w = Some(words[*k]);
-                *k += 1;
-                if *k == words.len() {
-                    *slot = None;
-                }
-            }
+        for (w, words) in wire.iter_mut().zip(&mut current) {
+            *w = words.next();
         }
-        let out = sw.tick(&wire);
-        col.observe(now, out);
+        col.observe(now, sw.tick(&wire));
         for d in col.take() {
             if !d.verify_payload() {
-                payload_failures += 1;
+                drive.outcome.payload_failures += 1;
             }
-            deliveries.push(Delivery {
+            let delivery = Delivery {
                 id: d.id,
                 output: d.output.index(),
                 first: d.first_cycle,
                 last: d.last_cycle,
-            });
-            // Return the credit to whoever launched this id; a corrupted
-            // header that no longer names a launched id returns nothing,
-            // and the final audit reports the leak.
-            if let Some(&input) = id_input.get(&d.id) {
-                launcher.credit_return(input, now);
-            }
+            };
+            drive.deliver(now, delivery, id_input.get(&d.id).copied());
         }
     }
-    if error.is_none() {
-        error = launcher.audit(&launches, &deliveries, org).err();
-    }
-    RunOutcome {
-        org,
-        launches,
-        deliveries,
-        counters: sw.counters(),
-        payload_failures,
-        stalls: launcher.stalls,
-        same_cycle_starts: launcher.same_cycle_starts,
-        idle_head_latencies: Vec::new(),
-        error,
-        recovery: sw.recovery_report(),
-    }
+    drive.finish(&*sw)
 }
 
 fn run_behavioral(sc: &Scenario, probe: Option<ProbeHandle>) -> RunOutcome {
-    let n = sc.n;
-    let cfg = SwitchConfig::symmetric(n, sc.slots).with_policy(sc.policy);
+    let cfg = SwitchConfig::symmetric(sc.n, sc.slots).with_policy(sc.policy);
     let mut sw = BehavioralSwitch::new(cfg);
-    let mut launcher = Launcher::new(sc, probe.as_ref());
-    if let Some(p) = probe {
-        sw.attach_probe(p);
-    }
     // The behavioral model numbers packets internally; recover scenario
     // ids through the (input, birth) pair — unique because each input
     // launches at most one header per cycle.
     let mut key_to_id: HashMap<(usize, Cycle), u64> = HashMap::new();
-    let mut launches = Vec::new();
-    let mut deliveries = Vec::new();
-    let mut idle_head_latencies = Vec::new();
-    let mut error = None;
-    let mut arrivals: Vec<Option<usize>> = vec![None; n];
-    let cap = sc.horizon + DRAIN_CAP;
-    let mut now: Cycle = 0;
-    let mut grace: Cycle = 0;
-    loop {
-        let idle = launcher.exhausted() && sw.is_quiescent();
-        if idle {
-            grace += 1;
-            if grace > sc.stages() as Cycle + 4 {
-                break;
-            }
-        } else {
-            grace = 0;
-        }
-        if now >= cap {
-            error = Some(SimError::Watchdog {
-                limit: cap,
-                context: "behavioral failed to drain".to_string(),
-            });
-            break;
-        }
-        // Event-horizon fast-forward, behavioral flavor: the model's
-        // fine-grained horizon covers in-flight transmissions and queued
-        // write/read schedules, so the clock may jump straight to the
-        // next departure edge or the next pending offer.
-        if !idle {
-            if let Some(target) = launcher.jump_target(now, Horizon::next_event(&sw), cap) {
-                simkernel::horizon::note_skipped(target - now);
-                Horizon::jump_to(&mut sw, target);
-                now = target;
-                continue;
-            }
-        }
-        simkernel::horizon::note_executed(1);
+    let mut arrivals: Vec<Option<usize>> = vec![None; sc.n];
+    let mut drive = Drive::new(sc, Org::Behavioral, &mut sw, probe);
+    // A cell arrives whole: no wire is ever mid-packet, and the model's
+    // fine-grained horizon (in-flight transmissions, queued write/read
+    // schedules) is all that bounds a jump.
+    while let Some(now) = drive.next_cycle(&mut sw, true, None) {
         arrivals.fill(None);
-        for o in launcher.poll(now) {
+        for o in drive.launch(now) {
             debug_assert!(sw.input_free(o.input), "launch while input busy");
             arrivals[o.input] = Some(o.dst);
             key_to_id.insert((o.input, now), o.id);
-            launches.push(Launch {
-                id: o.id,
-                input: o.input,
-                dst: o.dst,
-                at: now,
-            });
         }
-        let departures = sw.tick(&arrivals).to_vec();
-        for d in departures {
+        for d in sw.tick(&arrivals) {
             let id = *key_to_id
                 .get(&(d.input, d.birth))
                 .expect("departure for a packet that was never launched");
-            deliveries.push(Delivery {
+            let delivery = Delivery {
                 id,
                 output: d.output,
                 first: d.read_start + 1,
                 last: d.done,
-            });
+            };
             if d.output_was_idle {
-                idle_head_latencies.push(d.head_latency());
+                drive.outcome.idle_head_latencies.push(d.head_latency());
             }
-            launcher.credit_return(d.input, now);
+            drive.deliver(now, delivery, Some(d.input));
         }
-        now += 1;
     }
-    if error.is_none() {
-        error = launcher
-            .audit(&launches, &deliveries, Org::Behavioral)
-            .err();
-    }
-    let counters = SwitchCounters {
-        // The behavioral model counts only *accepted* packets in
-        // `arrived`; the RTL counts every header (including policy-
-        // refused ones). Normalize to the RTL convention so one
-        // conservation law covers both.
-        arrived: sw.arrived + sw.dropped + sw.policy_drops,
-        departed: deliveries.len() as u64,
-        dropped_buffer_full: sw.dropped,
-        latch_overruns: sw.overruns,
-        policy_drops: sw.policy_drops,
-        policy_preempts: sw.policy_preempts,
-        ..SwitchCounters::default()
-    };
-    RunOutcome {
-        org: Org::Behavioral,
-        launches,
-        deliveries,
-        counters,
-        payload_failures: 0,
-        stalls: launcher.stalls,
-        same_cycle_starts: launcher.same_cycle_starts,
-        idle_head_latencies,
-        error,
-        recovery: RecoveryReport::default(),
-    }
+    drive.finish(&sw)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Offer, Scenario};
 
     fn tiny(credited: bool) -> Scenario {
         Scenario {

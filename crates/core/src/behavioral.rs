@@ -34,12 +34,11 @@
 
 use crate::arbiter::{Arbiter, Decision, ReadReq, WriteReq};
 use crate::config::SwitchConfig;
-use crate::policy::{AdmitDecision, PolicyEngine, PolicyView, SharingPolicy};
+use crate::ctl::{Arrival, ControlPlane};
+use crate::recovery::RecoveryConfig;
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
-use telemetry::{
-    ArbOutcome, DropReason, GaugeKind, ProbeEvent, ProbeHandle, SharedRecorder, TelemetryConfig,
-};
+use telemetry::{ArbOutcome, DropReason, ProbeEvent};
 
 /// A departed packet, as reported by the behavioral model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,23 +188,12 @@ pub struct BehavioralSwitch {
     ready_base: Cycle,
     arb: Arbiter,
     cycle: Cycle,
-    /// Packets dropped because the buffer pool was full.
-    pub dropped: u64,
-    /// Packets lost to latch overrun (must remain 0; see `rtl` docs).
-    pub overruns: u64,
-    /// Packets accepted.
-    pub arrived: u64,
-    /// Packets rejected by a non-static sharing policy (DESIGN.md §12).
-    pub policy_drops: u64,
-    /// Buffered packets evicted by the sharing policy for an arrival.
-    pub policy_preempts: u64,
-    /// The buffer-sharing policy (admission/preemption decisions).
-    policy: PolicyEngine,
-    /// Cached `policy.is_static()` — the dense path branches on this
-    /// once per arrival to keep the static pool at its pre-policy cost.
-    policy_static: bool,
-    /// Scratch for the policy's live queue-length view (cold path).
-    scratch_qlens: Vec<usize>,
+    /// Counters, probe and sharing policy — the control plane the
+    /// word-level organizations own too (DESIGN.md §14). There are no
+    /// memory words here, so its recovery ladder stays disarmed.
+    ctl: ControlPlane,
+    /// Packets accepted so far; the next one's id is `accepted + 1`.
+    accepted: u64,
     /// Every departure, written once at read initiation. One initiation
     /// per cycle and `done = rs + S` make done cycles strictly increasing
     /// in push order, so `departures[..committed]` is exactly the
@@ -217,9 +205,6 @@ pub struct BehavioralSwitch {
     /// Index into `departures` where this cycle's completions start —
     /// `tick` returns `&departures[dep_mark..committed]`.
     dep_mark: usize,
-    probe: Option<ProbeHandle>,
-    /// Last occupancy gauge emitted (probe attached only).
-    last_occ: u64,
     /// Reusable per-cycle scratch (hot path: one `tick` per simulated
     /// cycle, millions per experiment — these must not allocate).
     scratch_masks: Vec<Option<u32>>,
@@ -246,58 +231,30 @@ impl BehavioralSwitch {
             welig_at: vec![Cycle::MAX; cfg.n_in],
             wdead_at: vec![Cycle::MAX; cfg.n_in],
             tx_next_done: Cycle::MAX,
-            wide_ports: cfg.n_in > 64 || cfg.n_out > 64,
+            wide_ports: cfg.n_in > 64, // `validate` caps `n_out` at 32
             ready_base: if cfg.cut_through { 1 } else { stages as Cycle },
             arb: Arbiter::new(cfg.arbiter),
             cycle: 0,
-            dropped: 0,
-            overruns: 0,
-            arrived: 0,
+            ctl: ControlPlane::new(cfg.n_out, stages, cfg.policy, RecoveryConfig::default(), 0),
+            accepted: 0,
             departures: Vec::new(),
             committed: 0,
             dep_mark: 0,
-            probe: None,
-            last_occ: 0,
             scratch_masks: Vec::with_capacity(cfg.n_in),
             scratch_reads: Vec::with_capacity(cfg.n_out),
             scratch_writes: Vec::with_capacity(cfg.n_in),
-            policy_drops: 0,
-            policy_preempts: 0,
-            policy: cfg.policy.engine(cfg.n_out, stages),
-            policy_static: cfg.policy.is_static(),
-            scratch_qlens: Vec::with_capacity(cfg.n_out),
             cfg,
         }
-    }
-
-    /// Build a switch with telemetry per `tel`: returns the switch and
-    /// the attached recorder (if `tel` enables one).
-    pub fn with_telemetry(
-        cfg: SwitchConfig,
-        tel: &TelemetryConfig,
-    ) -> (Self, Option<SharedRecorder>) {
-        let mut sw = Self::new(cfg);
-        let rec = tel.recorder();
-        if let Some(r) = &rec {
-            sw.attach_probe(r.handle());
-        }
-        (sw, rec)
-    }
-
-    /// Attach a probe sink; the cell-level model streams header/wave/
-    /// departure/gauge events (no per-word events — it has no words).
-    pub fn attach_probe(&mut self, probe: ProbeHandle) {
-        self.probe = Some(probe);
-    }
-
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.cycle
     }
 
     /// Packet slots currently occupied.
     pub fn occupancy(&self) -> usize {
         self.buf_used
+    }
+
+    /// Packet size in words (the quantum, `n_in + n_out`).
+    pub fn packet_words(&self) -> usize {
+        self.stages
     }
 
     /// True when an arrival can be offered on input `i` this cycle (the
@@ -336,13 +293,15 @@ impl BehavioralSwitch {
         &self.departures[self.dep_mark..self.committed]
     }
 
-    /// Monomorphization split: the probe field is set once (or never),
-    /// so the per-cycle kernel is compiled twice — with every telemetry
-    /// emission site folded away, and with them live — and the `PROBED`
+    /// Monomorphization split: the probe is attached once (or never),
+    /// so the per-cycle kernel is compiled twice — with every call that
+    /// only emits folded away, and with them live — and the `PROBED`
     /// branch is taken once per entry instead of several times per cycle.
+    /// What also counts (`departed`, `drop`) is called in both, and pays
+    /// the control plane's one predictable branch per packet.
     #[inline]
     fn dispatch_advance(&mut self, arrivals: &[Option<u32>]) {
-        if self.probe.is_some() {
+        if self.ctl.probed() {
             self.advance::<true>(arrivals);
         } else {
             self.advance::<false>(arrivals);
@@ -358,7 +317,7 @@ impl BehavioralSwitch {
         self.dep_mark = self.committed;
 
         // 1. Completed transmission.
-        self.complete_tx::<PROBED>(c);
+        self.complete_tx(c);
 
         // 2. Arrivals.
         for (i, a) in arrivals.iter().enumerate() {
@@ -371,31 +330,25 @@ impl BehavioralSwitch {
                 let excess = mask.checked_shr(self.cfg.n_out as u32).unwrap_or(0);
                 assert!(*mask != 0 && excess == 0, "bad destination mask {mask:#x}");
                 self.arriving[i] = self.stages - 1;
-                if self.policy_static {
-                    if self.buf_used == self.cfg.slots {
-                        self.dropped += 1;
-                        if PROBED {
-                            if let Some(p) = &self.probe {
-                                // Dropped before an id was assigned (ids number
-                                // accepted packets); 0 marks "no id".
-                                p.emit(
-                                    c,
-                                    ProbeEvent::Drop {
-                                        id: 0,
-                                        reason: DropReason::BufferFull,
-                                    },
-                                );
-                            }
-                        }
-                        continue;
-                    }
-                } else if !self.policy_admit::<PROBED>(*mask, c) {
+                let primary = mask.trailing_zeros() as usize;
+                // Every offered header counts as arrived (the RTL's
+                // convention); only an accepted one is announced, below.
+                // A refusal precedes the id, which numbers accepted
+                // packets: its drop event says 0, "no id".
+                self.ctl.counters.arrived += 1;
+                // The static pool never consults the policy, and the
+                // call stays out of line: inlined, the policy path costs
+                // the dense loop 3–5 % (the dense floors of `expt bench`).
+                if !self.cfg.policy.is_static() && !self.admitted_by_policy(primary, c) {
                     continue;
                 }
-                self.arrived += 1;
+                if self.buf_used == self.cfg.slots {
+                    self.ctl.drop(c, 0, DropReason::BufferFull);
+                    continue;
+                }
+                self.accepted += 1;
                 self.buf_used += 1;
-                let id = self.arrived;
-                let primary = mask.trailing_zeros() as usize;
+                let id = self.accepted;
                 let output_was_idle = mask.count_ones() == 1
                     && self.queues[primary].is_empty()
                     && self.out_next_init[primary] <= c + 1;
@@ -408,16 +361,9 @@ impl BehavioralSwitch {
                     output_was_idle,
                 };
                 if PROBED {
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::HeaderArrived {
-                                input: i,
-                                id,
-                                dst: primary,
-                            },
-                        );
-                    }
+                    let (input, dst) = (i, primary);
+                    let event = ProbeEvent::HeaderArrived { input, id, dst };
+                    self.ctl.emit(c, event);
                 }
                 let slot = match self.free_slab.pop() {
                     Some(sl) => {
@@ -453,7 +399,9 @@ impl BehavioralSwitch {
         // 3. Latch-overrun sweep; 4. arbitration.
         self.sweep_if_overdue(c);
         self.arbitrate::<PROBED>(c);
-        self.emit_occupancy::<PROBED>(c);
+        if PROBED {
+            self.ctl.gauge_occupancy(c, self.buf_used);
+        }
         self.cycle = c + 1;
     }
 
@@ -469,7 +417,7 @@ impl BehavioralSwitch {
     /// `departures[dep_mark..committed]` (also the window
     /// [`BehavioralSwitch::tick`] would return).
     pub fn tick_idle_batch(&mut self, n: u64) {
-        if self.probe.is_some() {
+        if self.ctl.probed() {
             self.idle_batch_impl::<true>(n);
         } else {
             self.idle_batch_impl::<false>(n);
@@ -481,10 +429,12 @@ impl BehavioralSwitch {
         let end = self.cycle + n;
         while self.cycle < end {
             let c = self.cycle;
-            self.complete_tx::<PROBED>(c);
+            self.complete_tx(c);
             self.sweep_if_overdue(c);
             self.arbitrate::<PROBED>(c);
-            self.emit_occupancy::<PROBED>(c);
+            if PROBED {
+                self.ctl.gauge_occupancy(c, self.buf_used);
+            }
             self.cycle = c + 1;
         }
         // Link pacing: under idle input the `arriving` counters only
@@ -501,22 +451,10 @@ impl BehavioralSwitch {
     /// distinct: at most one transmission completes per cycle, and it is
     /// always the next uncommitted departure.
     #[inline]
-    fn complete_tx<const PROBED: bool>(&mut self, c: Cycle) {
+    fn complete_tx(&mut self, c: Cycle) {
         if self.tx_next_done == c {
-            if PROBED {
-                if let Some(p) = &self.probe {
-                    let d = &self.departures[self.committed];
-                    p.emit(
-                        c,
-                        ProbeEvent::Departed {
-                            output: d.output,
-                            id: d.id,
-                            birth: d.birth,
-                            latency: c - d.birth,
-                        },
-                    );
-                }
-            }
+            let d = &self.departures[self.committed];
+            self.ctl.departed(c, d.output, d.id, d.birth);
             self.committed += 1;
             self.tx_next_done = self
                 .departures
@@ -542,24 +480,8 @@ impl BehavioralSwitch {
                     }
                     let slot = front.slot;
                     self.pending[i].pop_front();
-                    let p = self.packets[slot].take().expect("live packet");
-                    for j in 0..self.cfg.n_out {
-                        if p.dsts & (1 << j) != 0 {
-                            self.queues[j].retain(|&sl| sl != slot);
-                        }
-                    }
-                    self.free_slab.push(slot);
-                    self.buf_used -= 1;
-                    self.overruns += 1;
-                    if let Some(probe) = &self.probe {
-                        probe.emit(
-                            c,
-                            ProbeEvent::Drop {
-                                id: p.id,
-                                reason: DropReason::LatchOverrun,
-                            },
-                        );
-                    }
+                    let id = self.remove_packet(slot);
+                    self.ctl.drop(c, id, DropReason::LatchOverrun);
                 }
             }
             // Queue heads and pending fronts moved arbitrarily: rebuild
@@ -598,21 +520,7 @@ impl BehavioralSwitch {
             }
             decision = self.arb.decide(&reads, &writes);
             if PROBED && (!reads.is_empty() || !writes.is_empty()) {
-                if let Some(p) = &self.probe {
-                    let outcome = match decision {
-                        Decision::Read(_) => ArbOutcome::Read,
-                        Decision::Write(_) => ArbOutcome::Write,
-                        Decision::Idle => ArbOutcome::Idle,
-                    };
-                    p.emit(
-                        c,
-                        ProbeEvent::Arbitration {
-                            reads: reads.len(),
-                            writes: writes.len(),
-                            outcome,
-                        },
-                    );
-                }
+                self.probe_arbitration(c, reads.len(), writes.len(), decision);
             }
             self.scratch_reads = reads;
             self.scratch_writes = writes;
@@ -633,21 +541,8 @@ impl BehavioralSwitch {
             } else {
                 decision = self.arb.decide_dense(read_mask, write_mask, &self.wdead_at);
                 if PROBED {
-                    if let Some(p) = &self.probe {
-                        let outcome = match decision {
-                            Decision::Read(_) => ArbOutcome::Read,
-                            Decision::Write(_) => ArbOutcome::Write,
-                            Decision::Idle => ArbOutcome::Idle,
-                        };
-                        p.emit(
-                            c,
-                            ProbeEvent::Arbitration {
-                                reads: read_mask.count_ones() as usize,
-                                writes: write_mask.count_ones() as usize,
-                                outcome,
-                            },
-                        );
-                    }
+                    let (reads, writes) = (read_mask.count_ones(), write_mask.count_ones());
+                    self.probe_arbitration(c, reads as usize, writes as usize, decision);
                 }
             }
         }
@@ -670,15 +565,7 @@ impl BehavioralSwitch {
                 let dsts = self.packets[pw.slot].as_ref().expect("live").dsts;
                 let fusable = self.cfg.fused_cut_through;
                 if PROBED {
-                    if let Some(p) = &self.probe {
-                        p.emit(
-                            c,
-                            ProbeEvent::WriteWave {
-                                input: i,
-                                addr: pw.slot,
-                            },
-                        );
-                    }
+                    self.ctl.write_wave(c, i, pw.slot);
                 }
                 // The write wave makes this packet readable wherever it
                 // heads a destination queue; the first idle such output
@@ -702,73 +589,56 @@ impl BehavioralSwitch {
         }
     }
 
-    /// Cold path: one non-static admission decision. Returns true when
-    /// the arrival may take a slot (a preemption has already freed one
-    /// if the policy demanded it); on false the packet was refused and
-    /// counted as a declared policy drop.
-    fn policy_admit<const PROBED: bool>(&mut self, mask: u32, c: Cycle) -> bool {
-        let dst = mask.trailing_zeros() as usize;
-        let mut qlens = std::mem::take(&mut self.scratch_qlens);
-        qlens.clear();
-        qlens.extend(self.queues.iter().map(|q| q.len()));
-        let decision = self.policy.admit(&PolicyView {
+    /// Does the sharing policy let an arrival for output `dst` in? The
+    /// shared control plane decides, charges and announces a refusal,
+    /// and on a preemption evicts the rearmost *evictable* packet of the
+    /// victim queue.
+    #[cold]
+    fn admitted_by_policy(&mut self, dst: usize, c: Cycle) -> bool {
+        let s = self.stages as Cycle;
+        let arrival = Arrival {
+            c,
+            id: 0,
+            dst,
             occupancy: self.buf_used,
             capacity: self.cfg.slots,
-            n_out: self.cfg.n_out,
-            dst,
-            qlens: &qlens,
-        });
-        self.scratch_qlens = qlens;
-        let admitted = match decision {
-            AdmitDecision::Accept => true,
-            AdmitDecision::Reject => false,
-            AdmitDecision::Preempt { victim } => self.evict_rearmost::<PROBED>(victim, c),
         };
-        if !admitted {
-            self.policy_drops += 1;
-            if PROBED {
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        c,
-                        ProbeEvent::Drop {
-                            id: 0,
-                            reason: DropReason::AdmissionPolicy,
-                        },
-                    );
-                }
-            }
+        // The eviction closure only names the victim's slab slot (both
+        // closures read the queues); it is reclaimed once `admit` is back.
+        let mut evicted = None;
+        let admitted = self.ctl.admit(
+            arrival,
+            &mut evicted,
+            |_, j| self.queues[j].len(),
+            |evicted, victim| {
+                // Evictable: the write wave has fully retired (`c ≥ ws +
+                // S` — freeing a slot mid-write would let the reallocated
+                // address collide with the in-flight wave on the RTL
+                // model) and no copy is in transmission (`refs` still
+                // equals the fanout; reads pop their queue entry at
+                // initiation, so queued entries can only lose refs
+                // through other queues of a multicast).
+                let (slot, id) = self.queues[victim].iter().rev().find_map(|&slot| {
+                    let ws = self.wstart[slot];
+                    let p = self.packets[slot].as_ref().expect("queued slot is live");
+                    let evictable =
+                        ws != Cycle::MAX && c >= ws + s && p.refs == p.dsts.count_ones();
+                    evictable.then_some((slot, p.id))
+                })?;
+                *evicted = Some(slot);
+                Some(id)
+            },
+        );
+        if let Some(slot) = evicted {
+            self.remove_packet(slot);
         }
         admitted
     }
 
-    /// Evict the rearmost *evictable* packet of output queue `victim`:
-    /// its write wave must have fully retired (`c ≥ ws + S` — freeing a
-    /// slot mid-write would let the reallocated address collide with the
-    /// in-flight wave on the RTL model) and no copy may be in
-    /// transmission (`refs` still equals the fanout; reads pop their
-    /// queue entry at initiation, so queued entries can only lose refs
-    /// through other queues of a multicast). The victim leaves *all* its
-    /// queues and frees its slot. False when nothing qualifies.
-    fn evict_rearmost<const PROBED: bool>(&mut self, victim: usize, c: Cycle) -> bool {
-        let s = self.stages as Cycle;
-        let q = &self.queues[victim];
-        let mut found = None;
-        for idx in (0..q.len()).rev() {
-            let slot = q[idx];
-            let ws = self.wstart[slot];
-            if ws == Cycle::MAX || c < ws + s {
-                continue;
-            }
-            let p = self.packets[slot].as_ref().expect("queued slot is live");
-            if p.refs != p.dsts.count_ones() {
-                continue;
-            }
-            found = Some(slot);
-            break;
-        }
-        let Some(slot) = found else {
-            return false;
-        };
+    /// Packet `slot` is lost (evicted by the sharing policy, or swept as
+    /// a latch overrun): it leaves *all* its queues and frees its slot.
+    /// Returns its id.
+    fn remove_packet(&mut self, slot: usize) -> u64 {
         let p = self.packets[slot].take().expect("live packet");
         for j in 0..self.cfg.n_out {
             if p.dsts & (1 << j) != 0 {
@@ -778,41 +648,22 @@ impl BehavioralSwitch {
         }
         self.free_slab.push(slot);
         self.buf_used -= 1;
-        self.policy_preempts += 1;
-        if PROBED {
-            if let Some(pr) = &self.probe {
-                pr.emit(
-                    c,
-                    ProbeEvent::Drop {
-                        id: p.id,
-                        reason: DropReason::Preempted,
-                    },
-                );
-            }
-        }
-        true
+        p.id
     }
 
-    /// Tail step: occupancy gauge, emitted only on change.
-    #[inline]
-    fn emit_occupancy<const PROBED: bool>(&mut self, c: Cycle) {
-        if !PROBED {
-            return;
-        }
-        if let Some(p) = &self.probe {
-            let occ = self.buf_used as u64;
-            if occ != self.last_occ {
-                self.last_occ = occ;
-                p.emit(
-                    c,
-                    ProbeEvent::Gauge {
-                        gauge: GaugeKind::Occupancy,
-                        index: 0,
-                        value: occ,
-                    },
-                );
-            }
-        }
+    /// Telemetry for one arbitration (probed instantiation only).
+    fn probe_arbitration(&self, c: Cycle, reads: usize, writes: usize, decision: Decision) {
+        let outcome = match decision {
+            Decision::Read(_) => ArbOutcome::Read,
+            Decision::Write(_) => ArbOutcome::Write,
+            Decision::Idle => ArbOutcome::Idle,
+        };
+        let event = ProbeEvent::Arbitration {
+            reads,
+            writes,
+            outcome,
+        };
+        self.ctl.emit(c, event);
     }
 
     fn start_read<const PROBED: bool>(&mut self, j: usize, c: Cycle, fused: bool) {
@@ -837,10 +688,8 @@ impl BehavioralSwitch {
         if PROBED {
             self.probe_read(j, c, fused, slot, &dep);
         }
-        if !self.policy_static {
-            // BShare queueing-delay signal: birth-to-read latency.
-            self.policy.on_read(j, c - dep.birth);
-        }
+        // BShare queueing-delay signal: birth-to-read latency.
+        self.ctl.on_read(j, c - dep.birth);
         if free {
             self.packets[slot] = None;
             self.free_slab.push(slot);
@@ -856,32 +705,17 @@ impl BehavioralSwitch {
     /// instantiation of the kernel).
     #[cold]
     fn probe_read(&self, j: usize, c: Cycle, fused: bool, slot: usize, dep: &BehavioralDeparture) {
-        let Some(p) = &self.probe else { return };
         // A fused read starts on the write wave itself; an unfused one
         // measures its stagger against the packet's write start (`c` for
         // heads granted their read before any write wave — impossible
         // today, but kept defensive).
         let ws = self.wstart[slot];
         let ws = if ws == Cycle::MAX { c } else { ws };
-        p.emit(
-            c,
-            ProbeEvent::ReadWave {
-                output: j,
-                addr: slot,
-                fused,
-            },
-        );
+        self.ctl.read_wave(c, j, slot, fused);
         // Cut-through: the read overlaps the write wave still
         // depositing this packet (always true for the fused form).
         if fused || (self.cfg.cut_through && c < ws + self.stages as Cycle) {
-            p.emit(
-                c,
-                ProbeEvent::CutThrough {
-                    output: j,
-                    id: dep.id,
-                    fused,
-                },
-            );
+            self.ctl.cut_through(c, j, dep.id, fused);
         }
         if !fused {
             let earliest = if self.cfg.cut_through {
@@ -890,13 +724,11 @@ impl BehavioralSwitch {
                 ws + self.stages as Cycle
             };
             if c > earliest {
-                p.emit(
-                    c,
-                    ProbeEvent::StaggeredStart {
-                        output: j,
-                        id: dep.id,
-                    },
-                );
+                let event = ProbeEvent::StaggeredStart {
+                    output: j,
+                    id: dep.id,
+                };
+                self.ctl.emit(c, event);
             }
         }
     }
@@ -1051,6 +883,8 @@ impl simkernel::BatchTick for BehavioralSwitch {
     }
 }
 
+crate::word::switch!(BehavioralSwitch);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1137,7 +971,7 @@ mod tests {
         cfg.slots = 1;
         let mut sw = BehavioralSwitch::new(cfg);
         sw.tick(&[Some(0), Some(0)]);
-        assert_eq!(sw.dropped, 1);
+        assert_eq!(sw.counters().dropped_buffer_full, 1);
         drain(&mut sw);
     }
 
@@ -1160,8 +994,9 @@ mod tests {
             sw.tick(&arr);
         }
         let d = sw.departures().len() as u64;
-        assert_eq!(sw.dropped, 0, "no drops at full permutation load");
-        assert_eq!(sw.overruns, 0, "no overruns ever");
+        let ctr = sw.counters();
+        assert_eq!(ctr.dropped_buffer_full, 0, "no drops at full load");
+        assert_eq!(ctr.latch_overruns, 0, "no overruns ever");
         // Each output should have carried ~cycles/s packets.
         let expect = (cycles / s as u64) * n as u64;
         assert!(
@@ -1187,7 +1022,11 @@ mod tests {
             }
             sw.tick(&arr);
         }
-        assert_eq!(sw.overruns, 0, "latch overruns must be impossible");
+        assert_eq!(
+            sw.counters().latch_overruns,
+            0,
+            "latch overruns must be impossible"
+        );
         assert!(sw.departures().len() > 10_000);
     }
 
@@ -1205,14 +1044,16 @@ mod tests {
             sw.tick(&arr);
         }
         drain(&mut sw);
-        let total_offered = sw.arrived + sw.dropped;
+        let ctr = sw.counters();
         assert_eq!(
-            sw.arrived,
+            ctr.arrived - ctr.dropped_buffer_full,
             sw.departures().len() as u64,
             "every accepted packet departs"
         );
-        assert!(total_offered > 5_000);
-        assert_eq!(sw.overruns, 0);
+        assert_eq!(ctr.departed, sw.departures().len() as u64);
+        assert_eq!(ctr.in_flight(), 0);
+        assert!(ctr.arrived > 5_000);
+        assert_eq!(ctr.latch_overruns, 0);
     }
 
     #[test]
@@ -1245,6 +1086,6 @@ mod wide_port_tests {
         let mut out = Vec::new();
         sw.drain_into(300, &mut out).expect("drain");
         assert_eq!(sw.departures().len(), 1);
-        assert_eq!(sw.overruns, 0);
+        assert_eq!(sw.counters().latch_overruns, 0);
     }
 }

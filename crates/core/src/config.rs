@@ -136,7 +136,12 @@ impl SwitchConfig {
     pub fn validate(&self) {
         assert!(self.n_in >= 1, "need at least one input");
         assert!(self.n_out >= 1, "need at least one output");
-        assert!(self.n_out < 255, "dst encoding uses 8 bits (255 reserved)");
+        assert!(
+            self.n_out <= 32,
+            "destination sets are 32-bit masks (packet header, descriptor, \
+             cell-level arrivals): at most 32 outputs, not {}",
+            self.n_out
+        );
         assert!(self.slots >= 1, "need at least one buffer slot");
         assert!(
             (1..=64).contains(&self.word_bits),
@@ -196,6 +201,16 @@ mod tests {
     fn fused_without_cut_through_rejected() {
         let mut c = SwitchConfig::symmetric(2, 4);
         c.cut_through = false;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 outputs")]
+    fn more_than_32_outputs_rejected() {
+        // Output 35 of 40 would shift past a `u32` destination mask: the
+        // behavioral model re-routed it to output 3 in release builds.
+        let mut c = SwitchConfig::symmetric(4, 4);
+        c.n_out = 40;
         c.validate();
     }
 

@@ -1,14 +1,16 @@
-//! The organization-independent control plane of a word-level switch.
+//! The organization-independent control plane of a switch model.
 //!
 //! The paper keeps the bookkeeping around the shared buffer "independent
 //! of the pipelined memory" (§3.3): counters, telemetry, the sharing
 //! policy and the detect → correct → degrade recovery ladder are the same
-//! whether the buffer is a pipelined memory, one wide memory (fig. 3) or
-//! interleaved banks (fig. 4). [`ControlPlane`] is that bookkeeping,
-//! owned by composition by [`PipelinedSwitch`](crate::rtl::PipelinedSwitch),
-//! [`WideMemorySwitchRtl`](crate::widemem::WideMemorySwitchRtl) and
-//! [`InterleavedSwitch`](crate::ibank::InterleavedSwitch); the
-//! organizations keep their `tick` datapath, their storage and their
+//! whether the buffer is a pipelined memory, one wide memory (fig. 3),
+//! interleaved banks (fig. 4) or the cell-level model that has no words
+//! at all. [`ControlPlane`] is that bookkeeping, owned by composition by
+//! [`PipelinedSwitch`](crate::rtl::PipelinedSwitch),
+//! [`WideMemorySwitchRtl`](crate::widemem::WideMemorySwitchRtl),
+//! [`InterleavedSwitch`](crate::ibank::InterleavedSwitch) and
+//! [`BehavioralSwitch`](crate::behavioral::BehavioralSwitch); the
+//! models keep their `tick` datapath, their storage and their
 //! eviction rule. One method per event pairs the counter with its probe
 //! emission, so a new drop reason, recovery tag or policy is one edit
 //! here (DESIGN.md §14).
@@ -52,7 +54,8 @@ pub(crate) struct ControlPlane {
     /// Cached `policy.is_static()`: the admission path branches on it
     /// once per arrival, keeping the static pool at its pre-policy cost.
     policy_static: bool,
-    /// Scratch for the policy's live queue-length view (cold path).
+    /// Scratch for the policy's live queue-length view (cold path;
+    /// allocated by the first non-static admission).
     qlens: Vec<usize>,
     recovery: RecoveryConfig,
     /// Declared recovery outages; loss inside a window is excused by the
@@ -66,6 +69,7 @@ impl ControlPlane {
     /// A control plane for `n_out` outputs and `packet_words`-word
     /// packets. `natural_settle` is the organization's own failover
     /// settle time, used when `recovery.degrade_window` is 0.
+    #[inline] // into each model's constructor: short scenarios are construction-bound
     pub(crate) fn new(
         n_out: usize,
         packet_words: usize,
@@ -80,7 +84,7 @@ impl ControlPlane {
             last_qdepth: vec![0; n_out],
             policy: policy.engine(n_out, packet_words),
             policy_static: policy.is_static(),
-            qlens: Vec::with_capacity(n_out),
+            qlens: Vec::new(),
             recovery,
             windows: RecoveryWindows::new(),
             settle: if recovery.degrade_window == 0 {

@@ -88,5 +88,5 @@ pub use recovery::{
 pub use rtl::{DeliveredPacket, PipelinedSwitch};
 pub use vcroute::{RoutingTable, TranslatedSwitch};
 pub use widemem::{WideMemorySwitchRtl, WideSwitchConfig};
-pub use word::{WordOrg, WordSwitch};
+pub use word::{Switch, WordOrg, WordSwitch};
 pub use wrr::WrrMux;

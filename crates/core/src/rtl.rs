@@ -1822,7 +1822,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 128 pipeline stages")]
     fn more_than_128_stages_are_rejected() {
-        PipelinedSwitch::new(SwitchConfig::symmetric(65, 4));
+        // Asymmetric: 32 outputs is the ceiling of the destination mask.
+        let mut cfg = SwitchConfig::symmetric(29, 4);
+        cfg.n_in = 100;
+        PipelinedSwitch::new(cfg);
     }
 
     #[test]

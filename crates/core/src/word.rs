@@ -1,9 +1,12 @@
-//! One interface over the three word-level organizations.
+//! One interface over the four switch models.
 //!
 //! §5 of the paper compares three memory organizations of the *same*
-//! shared buffer. Harnesses that drive "a word-level switch, whichever" —
-//! the conformance driver, the fabric's word elements, the chaos
-//! campaign, the cross-organization tests — hold a
+//! shared buffer, and the cell-level behavioral model is that buffer
+//! again without its words. What all four answer is [`Switch`]; what
+//! needs memory words is [`WordSwitch`]. Harnesses that drive "a switch,
+//! whichever" (the conformance driver's skeleton) take a `dyn Switch`;
+//! those that drive "a word-level switch, whichever" — the fabric's word
+//! elements, the chaos campaign, the cross-organization tests — hold a
 //! `Box<dyn WordSwitch>` built by [`WordOrg::build`] instead of matching
 //! over the concrete types.
 
@@ -16,13 +19,10 @@ use crate::rtl::PipelinedSwitch;
 use crate::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
 use telemetry::ProbeHandle;
 
-/// A word-level shared-buffer switch, whatever its memory organization.
-/// The clock (`now`, `next_event`, `jump_to`) comes from
-/// [`simkernel::Horizon`].
-pub trait WordSwitch: simkernel::Horizon {
-    /// One clock cycle: words in on every input link, words out on every
-    /// output link (valid until the next tick).
-    fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>];
+/// A shared-buffer switch, word-level or cell-level. The clock (`now`,
+/// `next_event`, `jump_to`) comes from [`simkernel::Horizon`]; how a
+/// cycle is fed — words or cells — is the concrete type's business.
+pub trait Switch: simkernel::Horizon {
     /// Aggregate counters.
     fn counters(&self) -> SwitchCounters;
     /// Nothing buffered, nothing in flight.
@@ -33,12 +33,19 @@ pub trait WordSwitch: simkernel::Horizon {
     fn packet_words(&self) -> usize;
     /// Stream every subsequent tick's events into `probe`.
     fn attach_probe(&mut self, probe: ProbeHandle);
+    /// Corrections, failovers, shed packets and declared windows so far.
+    fn recovery_report(&self) -> RecoveryReport;
+}
+
+/// A word-level shared-buffer switch, whatever its memory organization.
+pub trait WordSwitch: Switch {
+    /// One clock cycle: words in on every input link, words out on every
+    /// output link (valid until the next tick).
+    fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>];
     /// Spares exhausted: running on reduced capacity for good.
     fn is_degraded(&self) -> bool;
     /// Spare banks / rows / columns still in reserve.
     fn spares_remaining(&self) -> usize;
-    /// Corrections, failovers, shed packets and declared windows so far.
-    fn recovery_report(&self) -> RecoveryReport;
     /// The declared-outage ledger.
     fn recovery_windows(&self) -> &RecoveryWindows;
     /// Fault injection (testbench only): flip the bits of `mask` in word
@@ -47,13 +54,12 @@ pub trait WordSwitch: simkernel::Horizon {
     fn inject_upset(&mut self, slot: usize, word: usize, mask: u64) -> bool;
 }
 
-/// What is the same for every organization: the inherent `attach_probe`,
+/// What is the same for every model: the inherent `attach_probe`,
 /// `counters` and `now` (inherent because `benchmark/`, the examples and
 /// the facade crate call them without the trait in scope) and the
-/// [`WordSwitch`] impl, which delegates to the control plane or to the
-/// organization's own inherent method of the same name. Invoked once in
-/// each organization's module.
-macro_rules! word_switch {
+/// [`Switch`] impl, which delegates to the control plane or to the
+/// model's own inherent method of the same name.
+macro_rules! switch {
     ($t:ty) => {
         impl $t {
             /// Attach a probe sink; every subsequent tick streams
@@ -75,10 +81,7 @@ macro_rules! word_switch {
             }
         }
 
-        impl crate::word::WordSwitch for $t {
-            fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>] {
-                <$t>::tick(self, wire_in)
-            }
+        impl crate::word::Switch for $t {
             fn counters(&self) -> crate::events::SwitchCounters {
                 self.ctl.counters
             }
@@ -94,14 +97,29 @@ macro_rules! word_switch {
             fn attach_probe(&mut self, probe: telemetry::ProbeHandle) {
                 self.ctl.attach_probe(probe);
             }
+            fn recovery_report(&self) -> crate::recovery::RecoveryReport {
+                self.ctl.recovery_report()
+            }
+        }
+    };
+}
+pub(crate) use switch;
+
+/// [`switch!`] plus the [`WordSwitch`] impl. Invoked once in each
+/// word-level organization's module.
+macro_rules! word_switch {
+    ($t:ty) => {
+        crate::word::switch!($t);
+
+        impl crate::word::WordSwitch for $t {
+            fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>] {
+                <$t>::tick(self, wire_in)
+            }
             fn is_degraded(&self) -> bool {
                 <$t>::is_degraded(self)
             }
             fn spares_remaining(&self) -> usize {
                 <$t>::spares_remaining(self)
-            }
-            fn recovery_report(&self) -> crate::recovery::RecoveryReport {
-                self.ctl.recovery_report()
             }
             fn recovery_windows(&self) -> &crate::recovery::RecoveryWindows {
                 self.ctl.recovery_windows()

@@ -354,7 +354,8 @@ pub struct BehavioralElement {
     slots: usize,
     /// Switch-internal packet id -> the fabric cell it carries.
     in_flight: IdRing,
-    /// Mirrored admission counter (must track `sw.arrived`).
+    /// Mirrored admission counter (must track the switch's `arrived −
+    /// dropped_buffer_full`).
     accepted: u64,
     offers: Vec<Option<usize>>,
 }
@@ -363,7 +364,6 @@ impl BehavioralElement {
     /// A `k×k` behavioral switch with `slots` packet slots, paper-default
     /// policies.
     pub fn new(k: usize, slots: usize, route: Vec<u16>) -> Self {
-        assert!(k <= 32, "behavioral elements encode dst as a u32 mask");
         BehavioralElement {
             sw: BehavioralSwitch::new(SwitchConfig::symmetric(k, slots)),
             route,
@@ -394,10 +394,12 @@ impl BehavioralElement {
     }
 }
 
-// SAFETY: the only non-`Send` state in `BehavioralSwitch` is its probe
-// handle (`Option<Rc<RefCell<dyn Probe>>>`). This adapter constructs the
-// switch itself, never attaches a probe and exposes no way to, so the
-// field is always `None` — there is no `Rc` to race on.
+// SAFETY: the only non-`Send` state in `BehavioralSwitch` is the probe
+// handle (`Option<Rc<RefCell<dyn Probe>>>`) inside its control plane
+// (`core::ctl::ControlPlane::probe`, private to `switch_core` and set
+// only by `attach_probe`). This adapter constructs the switch itself,
+// never attaches a probe and exposes no way to, so the field is always
+// `None` — there is no `Rc` to race on.
 unsafe impl Send for BehavioralElement {}
 
 impl FabricElement for BehavioralElement {
@@ -436,7 +438,11 @@ impl FabricElement for BehavioralElement {
             }
             self.sw.tick(&self.offers);
             debug_assert_eq!(
-                self.sw.arrived, self.accepted,
+                self.accepted,
+                {
+                    let ctr = self.sw.counters();
+                    ctr.arrived - ctr.dropped_buffer_full
+                },
                 "admission mirror diverged from the switch"
             );
             self.harvest(from, to, outbox);
@@ -458,7 +464,7 @@ impl FabricElement for BehavioralElement {
     }
 
     fn dropped(&self) -> u64 {
-        self.sw.dropped
+        self.sw.counters().dropped_buffer_full
     }
 
     fn is_idle(&self) -> bool {

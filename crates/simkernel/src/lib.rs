@@ -8,17 +8,12 @@
 //! * state lives in [`reg::Reg`] registers with **two-phase** semantics —
 //!   combinational logic computes `next` values during a cycle, and a clock
 //!   edge ([`reg::Reg::tick`]) commits them atomically;
-//! * anything that owns registers implements [`Clocked`] and is ticked once
-//!   per cycle by a [`sim::Simulator`];
 //! * randomness comes only from the seedable, reproducible
 //!   [`rng::SplitMix64`], so every simulation in the workspace is
 //!   deterministic given its seed.
 //!
 //! The kernel also carries the small vocabulary types shared across the
-//! workspace ([`ids`], [`cell`]) and the [`wave`] bookkeeping used by the
-//! pipelined-memory model of the paper: a *wave* is an operation that starts
-//! at pipeline stage 0 in some cycle and visits stage `k` exactly `k` cycles
-//! later — the central mechanism of Katevenis et al., SIGCOMM 1995.
+//! workspace ([`ids`], [`cell`]).
 //!
 //! ## Design notes
 //!
@@ -42,10 +37,8 @@ pub mod horizon;
 pub mod ids;
 pub mod reg;
 pub mod rng;
-pub mod sim;
 pub mod trace;
 pub mod watchdog;
-pub mod wave;
 
 pub use cell::{Cell, CellId, Packet, PacketId};
 pub use error::{run_until_quiescent, run_until_quiescent_escalating, SimError};
@@ -53,6 +46,4 @@ pub use horizon::{advance_to, advance_to_batched, BatchTick, Horizon};
 pub use ids::{Addr, Cycle, PortId, StageId};
 pub use reg::Reg;
 pub use rng::{split_seed, SplitMix64};
-pub use sim::{Clocked, Simulator};
 pub use trace::{Trace, TraceEntry};
-pub use wave::{Wave, WaveKind};

@@ -9,8 +9,6 @@
 //! * [`LatencyStats`] — latency collector (mean, max, percentiles) with
 //!   warmup filtering;
 //! * [`ThroughputMeter`] / [`LossMeter`] — offered vs carried accounting;
-//! * [`BatchMeans`] — confidence intervals for steady-state means from a
-//!   single run (the standard batch-means method);
 //! * [`saturation_search`] — bisection for the saturation load of a switch,
 //!   the quantity behind the paper's "input queueing saturates at ≈ 58.6 %"
 //!   claim.
@@ -18,14 +16,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod histogram;
 pub mod latency;
 pub mod meters;
 pub mod saturation;
 pub mod welford;
 
-pub use batch::BatchMeans;
 pub use histogram::Histogram;
 pub use latency::LatencyStats;
 pub use meters::{LossMeter, ThroughputMeter};

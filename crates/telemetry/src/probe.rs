@@ -172,9 +172,9 @@ pub fn fanout(sinks: Vec<ProbeHandle>) -> ProbeHandle {
 /// Opt-in telemetry for model constructors: disabled by default, or a
 /// recorder with an optional flight-recorder window.
 ///
-/// Models offer `with_telemetry(cfg, &TelemetryConfig)` constructors
-/// that return the model plus the attached [`SharedRecorder`] (if any);
-/// harnesses that need a different sink attach a [`ProbeHandle`]
+/// `PipelinedSwitch::with_telemetry(cfg, &TelemetryConfig)` returns the
+/// model plus the attached [`SharedRecorder`] (if any); harnesses that
+/// need a different sink, or another model, attach a [`ProbeHandle`]
 /// directly via the models' `attach_probe`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TelemetryConfig {

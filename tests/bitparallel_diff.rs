@@ -74,10 +74,28 @@ fn load_schedule(n: usize, s: usize, load: f64, cycles: u64, seed: u64) -> Vec<O
 
 type ProbeLog = Vec<telegraphos::simkernel::TraceEntry<ProbeEvent>>;
 
+/// The live model's counters as the twin's `(arrived, dropped, overruns)`
+/// fields have them: its `arrived` counts accepted packets only, where
+/// `counters()` counts every offered header.
+fn live_counts(sw: &BehavioralSwitch) -> (u64, u64, u64) {
+    let c = sw.counters();
+    assert_eq!(c.policy_drops + c.policy_preempts, 0, "static pool");
+    (
+        c.arrived - c.dropped_buffer_full,
+        c.dropped_buffer_full,
+        c.latch_overruns,
+    )
+}
+
+fn ref_counts(sw: &BehavioralSwitchRef) -> (u64, u64, u64) {
+    (sw.arrived, sw.dropped, sw.overruns)
+}
+
 /// Drive a cell-level model (either twin — they share a method set but
-/// not a trait) densely over `offers`, probe attached, until quiescent.
+/// not a trait; `$counts` reads its counters) densely over `offers`,
+/// probe attached, until quiescent.
 macro_rules! drive_cell {
-    ($ty:ty, $cfg:expr, $offers:expr) => {{
+    ($ty:ty, $counts:expr, $cfg:expr, $offers:expr) => {{
         let mut sw = <$ty>::new($cfg.clone());
         let rec = Shared::new(Recorder::unbounded());
         sw.attach_probe(rec.handle());
@@ -102,7 +120,7 @@ macro_rules! drive_cell {
             assert!(guard < 100_000, "cell model failed to drain");
         }
         let deps: Vec<BehavioralDeparture> = sw.departures().to_vec();
-        let counts = (sw.arrived, sw.dropped, sw.overruns);
+        let counts = $counts(&sw);
         let events: ProbeLog = rec.with(|r| r.iter().cloned().collect());
         (deps, counts, events)
     }};
@@ -172,8 +190,8 @@ fn behavioral_matches_scalar_reference_on_load_grid() {
     for load in LOADS {
         for seed in 0..2u64 {
             let offers = load_schedule(4, s, load, 3_000, 0xB17 + seed + (load * 100.0) as u64);
-            let (d_new, c_new, e_new) = drive_cell!(BehavioralSwitch, cfg, offers);
-            let (d_ref, c_ref, e_ref) = drive_cell!(BehavioralSwitchRef, cfg, offers);
+            let (d_new, c_new, e_new) = drive_cell!(BehavioralSwitch, live_counts, cfg, offers);
+            let (d_ref, c_ref, e_ref) = drive_cell!(BehavioralSwitchRef, ref_counts, cfg, offers);
             assert!(!d_ref.is_empty(), "load {load}: workload too thin");
             assert_eq!(
                 d_new, d_ref,
@@ -238,7 +256,7 @@ fn all_four_organizations_match_the_reference_oracle() {
     for load in LOADS {
         let offers = load_schedule(n, s, load, 2_000, 0x4C6 + (load * 100.0) as u64);
         // Oracle: the frozen scalar behavioral reference.
-        let (d_ref, _, _) = drive_cell!(BehavioralSwitchRef, cfg, offers);
+        let (d_ref, _, _) = drive_cell!(BehavioralSwitchRef, ref_counts, cfg, offers);
         let mut oracle: Vec<(usize, Cycle, Cycle)> = d_ref
             .iter()
             .map(|d| (d.output, d.read_start + 1, d.done))
@@ -246,7 +264,7 @@ fn all_four_organizations_match_the_reference_oracle() {
         oracle.sort_unstable();
         assert!(!oracle.is_empty(), "load {load}: workload too thin");
         // The bit-parallel behavioral model against the oracle.
-        let (d_bhv, _, _) = drive_cell!(BehavioralSwitch, cfg, offers);
+        let (d_bhv, _, _) = drive_cell!(BehavioralSwitch, live_counts, cfg, offers);
         let mut bhv: Vec<(usize, Cycle, Cycle)> = d_bhv
             .iter()
             .map(|d| (d.output, d.read_start + 1, d.done))
@@ -328,11 +346,7 @@ fn behavioral_idle_batch_equals_scalar_idle_ticks() {
     }
     assert_eq!(a.now(), b.now(), "clocks diverged");
     assert_eq!(a.departures(), b.departures(), "departures diverged");
-    assert_eq!(
-        (a.arrived, a.dropped, a.overruns),
-        (b.arrived, b.dropped, b.overruns),
-        "counters diverged"
-    );
+    assert_eq!(a.counters(), b.counters(), "counters diverged");
     let ea: ProbeLog = rec_a.with(|r| r.iter().cloned().collect());
     let eb: ProbeLog = rec_b.with(|r| r.iter().cloned().collect());
     assert_eq!(ea, eb, "probe streams diverged");
@@ -434,9 +448,8 @@ fn batched_fast_forward_driver_equals_per_cycle_driver() {
             }
             assert!(sw.is_quiescent(), "failed to drain by target");
             let deps = sw.departures().to_vec();
-            let counts = (sw.arrived, sw.dropped, sw.overruns);
             let events: ProbeLog = rec.with(|r| r.iter().cloned().collect());
-            (sw.now(), deps, counts, events)
+            (sw.now(), deps, sw.counters(), events)
         };
         let per_cycle = run(false);
         let batched = run(true);

@@ -24,7 +24,7 @@ use telegraphos::switch_core::config::SwitchConfig;
 use telegraphos::switch_core::events::SwitchCounters;
 use telegraphos::switch_core::recovery::RecoveryConfig;
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch};
-use telegraphos::switch_core::{PolicyKind, WordOrg, WordSwitch};
+use telegraphos::switch_core::{PolicyKind, Switch, WordOrg, WordSwitch};
 
 /// One scheduled launch: header enters input `input` at cycle `at`.
 #[derive(Debug, Clone, Copy)]
@@ -236,7 +236,7 @@ fn run_behavioral(
     n: usize,
     offers: &[Offer],
     fast: bool,
-) -> (Vec<BehavioralDeparture>, (u64, u64, u64), u64) {
+) -> (Vec<BehavioralDeparture>, SwitchCounters, u64) {
     let cfg = SwitchConfig::symmetric(n, 4 * n);
     let s = cfg.stages();
     let mut sw = BehavioralSwitch::new(cfg);
@@ -284,8 +284,7 @@ fn run_behavioral(
         }
         sw.tick(&arr);
     }
-    let counters = (sw.arrived, sw.dropped, sw.overruns);
-    (sw.departures().to_vec(), counters, skipped)
+    (sw.departures().to_vec(), sw.counters(), skipped)
 }
 
 #[test]
@@ -338,13 +337,63 @@ fn word_orgs_fast_forward_is_bit_exact_under_fault_injection() {
     assert!(detected > 0, "no double-bit strike was ever detected");
 }
 
-/// What every harness over `Box<dyn WordSwitch>` relies on: the horizon
-/// reports "no event ever" exactly when the switch is quiescent, and an
-/// upset `inject_upset` reports live is caught downstream. ECC-armed, so
-/// a single-bit strike is corrected (or, failing that, detect-dropped).
+/// What every harness over `dyn Switch` relies on, whichever of the four
+/// models is behind it: the horizon reports "no event ever" exactly when
+/// the switch is quiescent, and the counters account for every header —
+/// never more gone than arrived, nothing in flight at quiescence.
+fn assert_switch_contract(sw: &dyn Switch, who: &str, k: usize) {
+    assert_eq!(
+        sw.next_event().is_none(),
+        sw.is_quiescent(),
+        "{who} cycle {k}: horizon and quiescence disagree"
+    );
+    let c = sw.counters();
+    let gone = c.departed
+        + c.dropped_buffer_full
+        + c.latch_overruns
+        + c.corrupt_drops
+        + c.policy_drops
+        + c.policy_preempts;
+    assert!(
+        c.arrived >= gone,
+        "{who} cycle {k}: in_flight underflows: {c:?}"
+    );
+    if sw.is_quiescent() {
+        assert_eq!(c.in_flight(), 0, "{who} cycle {k}: quiescent, yet {c:?}");
+    }
+}
+
+/// The [`Switch`] contract on all four models, and what every harness
+/// over `Box<dyn WordSwitch>` relies on besides: an upset `inject_upset`
+/// reports live is caught downstream. ECC-armed, so a single-bit strike
+/// is corrected (or, failing that, detect-dropped).
 #[test]
 fn word_switch_contract_holds_for_every_organization() {
     let n = 4;
+    // The cell-level model: every input offers output 0 again and again
+    // into two slots, so headers are refused (static pool) or buffered
+    // packets pushed out, and each loss class passes through `in_flight`.
+    for policy in [PolicyKind::Static, PolicyKind::PushOut] {
+        let cfg = SwitchConfig::symmetric(n, 2).with_policy(policy);
+        let s = cfg.stages();
+        let mut sw = BehavioralSwitch::new(cfg);
+        let who = format!("behavioral {policy:?}");
+        for k in 0..1_000 {
+            assert_switch_contract(&sw, &who, k);
+            if k >= 6 * s && sw.is_quiescent() {
+                break;
+            }
+            let offer = (k < 6 * s && k % s == 0).then_some(0);
+            sw.tick(&vec![offer; n]);
+        }
+        assert!(sw.is_quiescent(), "{who} failed to drain");
+        let c = sw.counters();
+        assert_eq!(c.arrived, 6 * n as u64, "{who}: {c:?}");
+        assert!(
+            c.dropped_buffer_full + c.policy_drops + c.policy_preempts > 0,
+            "{who}: two slots never overflowed: {c:?}"
+        );
+    }
     for org in WordOrg::ALL {
         let slots = 4 * n;
         let mut sw = build(org, n, slots, true);
@@ -356,11 +405,7 @@ fn word_switch_contract_holds_for_every_organization() {
             .collect();
         let mut struck = false;
         for k in 0..1_000 {
-            assert_eq!(
-                sw.next_event().is_none(),
-                sw.is_quiescent(),
-                "{org} cycle {k}: horizon and quiescence disagree"
-            );
+            assert_switch_contract(&*sw, org.label(), k);
             if k >= s && sw.is_quiescent() {
                 break;
             }

@@ -42,9 +42,13 @@ fn behavioral_structural_invariants() {
             guard += 1;
         }
         assert!(sw.is_quiescent(), "case {case}");
-        assert_eq!(sw.overruns, 0, "case {case}: latch overruns are impossible");
+        let ctr = sw.counters();
         assert_eq!(
-            sw.arrived,
+            ctr.latch_overruns, 0,
+            "case {case}: latch overruns are impossible"
+        );
+        assert_eq!(
+            ctr.arrived - ctr.dropped_buffer_full,
             sw.departures().len() as u64,
             "case {case}: conservation: every accepted packet departs exactly once"
         );

@@ -106,9 +106,37 @@ fn word_offers(s: usize, load: f64, skew: bool) -> Vec<conformance::Offer> {
     grid_schedule(s, load, skew, 1_500, 0x57A7 + (load * 100.0) as u64)
 }
 
-/// Drive a cell-level twin densely over `offers` until quiescent.
+/// `(arrived, dropped, overruns, policy_drops, policy_preempts)` as the
+/// frozen twin's public fields have them.
+type CellCounts = (u64, u64, u64, u64, u64);
+
+fn ref_counts(sw: &BehavioralSwitchRef) -> CellCounts {
+    (
+        sw.arrived,
+        sw.dropped,
+        sw.overruns,
+        sw.policy_drops,
+        sw.policy_preempts,
+    )
+}
+
+/// The live model's `counters()` in the twin's convention: its `arrived`
+/// counts accepted packets only, `counters()` every offered header.
+fn live_counts(sw: &BehavioralSwitch) -> CellCounts {
+    let c = sw.counters();
+    (
+        c.arrived - c.dropped_buffer_full - c.policy_drops,
+        c.dropped_buffer_full,
+        c.latch_overruns,
+        c.policy_drops,
+        c.policy_preempts,
+    )
+}
+
+/// Drive a cell-level twin densely over `offers` until quiescent;
+/// `$counts` reads its counters.
 macro_rules! drive_cell {
-    ($ty:ty, $cfg:expr, $offers:expr) => {{
+    ($ty:ty, $counts:expr, $cfg:expr, $offers:expr) => {{
         let mut sw = <$ty>::new($cfg.clone());
         let rec = Shared::new(Recorder::unbounded());
         sw.attach_probe(rec.handle());
@@ -132,13 +160,7 @@ macro_rules! drive_cell {
             assert!(guard < 100_000, "cell model failed to drain");
         }
         let deps: Vec<BehavioralDeparture> = sw.departures().to_vec();
-        let counts = (
-            sw.arrived,
-            sw.dropped,
-            sw.overruns,
-            sw.policy_drops,
-            sw.policy_preempts,
-        );
+        let counts: CellCounts = $counts(&sw);
         let events: ProbeLog = rec.with(|r| r.iter().cloned().collect());
         (deps, counts, events)
     }};
@@ -208,8 +230,8 @@ fn behavioral_matches_scalar_reference_under_every_policy() {
         let s = cfg.stages();
         for (load, skew) in GRID {
             let offers = cell_offers(s, load, skew);
-            let (d_new, c_new, e_new) = drive_cell!(BehavioralSwitch, cfg, offers);
-            let (d_ref, c_ref, e_ref) = drive_cell!(BehavioralSwitchRef, cfg, offers);
+            let (d_new, c_new, e_new) = drive_cell!(BehavioralSwitch, live_counts, cfg, offers);
+            let (d_ref, c_ref, e_ref) = drive_cell!(BehavioralSwitchRef, ref_counts, cfg, offers);
             assert!(
                 !d_ref.is_empty(),
                 "{policy:?} load {load}: workload too thin"
@@ -403,11 +425,7 @@ fn behavioral_idle_batch_equals_scalar_ticks_under_every_policy() {
             b.departures(),
             "{policy:?}: departures diverged"
         );
-        assert_eq!(
-            (a.arrived, a.dropped, a.policy_drops, a.policy_preempts),
-            (b.arrived, b.dropped, b.policy_drops, b.policy_preempts),
-            "{policy:?}: counters diverged"
-        );
+        assert_eq!(a.counters(), b.counters(), "{policy:?}: counters diverged");
         let ea: ProbeLog = rec_a.with(|r| r.iter().cloned().collect());
         let eb: ProbeLog = rec_b.with(|r| r.iter().cloned().collect());
         assert_eq!(ea, eb, "{policy:?}: probe streams diverged");
@@ -436,7 +454,7 @@ fn high_load_grid_exercises_every_policy_decision_kind() {
             continue;
         }
         let cfg = SwitchConfig::symmetric(N, SLOTS).with_policy(policy);
-        let (_, c, _) = drive_cell!(BehavioralSwitch, cfg, offers);
+        let (_, c, _) = drive_cell!(BehavioralSwitch, live_counts, cfg, offers);
         assert!(
             c.3 + c.4 > 0,
             "{policy:?}: the 95% grid never triggered a policy decision"
@@ -519,7 +537,7 @@ fn reference_digests_match_the_golden_file() {
         let s = cfg.stages();
         for cell in GRID {
             let offers = cell_offers(s, cell.0, cell.1);
-            let (deps, counts, events) = drive_cell!(BehavioralSwitchRef, cfg, offers);
+            let (deps, counts, events) = drive_cell!(BehavioralSwitchRef, ref_counts, cfg, offers);
             let mut h = Fnv::new();
             for d in &deps {
                 h.words(&[

@@ -9,7 +9,9 @@
 use telegraphos::simkernel::SplitMix64;
 use telegraphos::switch_core::behavioral::BehavioralSwitch;
 use telegraphos::switch_core::config::SwitchConfig;
+use telegraphos::switch_core::events::SwitchCounters;
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch};
+use telegraphos::switch_core::PolicyKind;
 use telegraphos::traffic::{DestDist, PacketFeeder};
 
 /// Departure record comparable across models: (output, head-word cycle,
@@ -21,7 +23,7 @@ fn run_rtl(
     load: f64,
     cycles: u64,
     seed: u64,
-) -> (Vec<(u64, usize, usize)>, Vec<Dep>) {
+) -> (Vec<(u64, usize, usize)>, Vec<Dep>, SwitchCounters) {
     let s = cfg.stages();
     let n = cfg.n_in;
     let mut sw = PipelinedSwitch::new(cfg.clone());
@@ -67,10 +69,14 @@ fn run_rtl(
         .map(|d| (d.output.index(), d.first_cycle, d.last_cycle))
         .collect();
     deps.sort_unstable();
-    (schedule, deps)
+    (schedule, deps, sw.counters())
 }
 
-fn run_behavioral(cfg: &SwitchConfig, schedule: &[(u64, usize, usize)], horizon: u64) -> Vec<Dep> {
+fn run_behavioral(
+    cfg: &SwitchConfig,
+    schedule: &[(u64, usize, usize)],
+    horizon: u64,
+) -> (Vec<Dep>, SwitchCounters) {
     let n = cfg.n_in;
     let mut sw = BehavioralSwitch::new(cfg.clone());
     let mut idx = 0;
@@ -91,19 +97,36 @@ fn run_behavioral(cfg: &SwitchConfig, schedule: &[(u64, usize, usize)], horizon:
         .map(|d| (d.output, d.read_start + 1, d.done))
         .collect();
     deps.sort_unstable();
-    deps
+    (deps, sw.counters())
+}
+
+/// The counters both models keep, in the one convention they share.
+fn shared_counters(c: SwitchCounters) -> [u64; 6] {
+    [
+        c.arrived,
+        c.departed,
+        c.dropped_buffer_full,
+        c.latch_overruns,
+        c.policy_drops,
+        c.policy_preempts,
+    ]
 }
 
 fn check_equivalence(n: usize, slots: usize, load: f64, cycles: u64, seed: u64) {
-    let cfg = SwitchConfig::symmetric(n, slots);
-    let (schedule, rtl_deps) = run_rtl(&cfg, load, cycles, seed);
+    check_equivalence_of(SwitchConfig::symmetric(n, slots), load, cycles, seed);
+}
+
+/// Same departures, same counters; returns the latter.
+fn check_equivalence_of(cfg: SwitchConfig, load: f64, cycles: u64, seed: u64) -> SwitchCounters {
+    let n = cfg.n_in;
+    let (schedule, rtl_deps, rtl_ctr) = run_rtl(&cfg, load, cycles, seed);
     assert!(
         schedule.len() > 20,
         "workload too thin to be meaningful ({} packets)",
         schedule.len()
     );
     let horizon = cycles + 20_000;
-    let bhv_deps = run_behavioral(&cfg, &schedule, horizon);
+    let (bhv_deps, bhv_ctr) = run_behavioral(&cfg, &schedule, horizon);
     assert_eq!(
         rtl_deps.len(),
         bhv_deps.len(),
@@ -115,6 +138,12 @@ fn check_equivalence(n: usize, slots: usize, load: f64, cycles: u64, seed: u64) 
             "departure schedule diverged (n={n}, load={load}, seed={seed})"
         );
     }
+    assert_eq!(
+        shared_counters(bhv_ctr),
+        shared_counters(rtl_ctr),
+        "counters diverged (n={n}, load={load}, seed={seed}): {bhv_ctr:?} vs {rtl_ctr:?}"
+    );
+    bhv_ctr
 }
 
 #[test]
@@ -136,6 +165,19 @@ fn equivalence_4x4_moderate_load() {
 fn equivalence_4x4_overload_with_tiny_buffer() {
     // Buffer-full drops must also match exactly.
     check_equivalence(4, 2, 0.9, 4_000, 4);
+}
+
+#[test]
+fn counters_agree_when_eight_slots_overflow() {
+    // One convention for both models: `arrived` counts every offered
+    // header, refused ones included, and `departed` counts tails.
+    let cfg = SwitchConfig::symmetric(4, 8);
+    let c = check_equivalence_of(cfg.clone(), 0.95, 4_000, 7);
+    assert!(c.dropped_buffer_full > 0, "static: never overflowed: {c:?}");
+    assert_eq!(c.policy_drops + c.policy_preempts, 0, "static: {c:?}");
+    let c = check_equivalence_of(cfg.with_policy(PolicyKind::PushOut), 0.95, 4_000, 7);
+    assert!(c.policy_preempts > 0, "push-out: never preempted: {c:?}");
+    assert_eq!(c.in_flight(), 0, "push-out: {c:?}");
 }
 
 #[test]
@@ -192,7 +234,7 @@ fn equivalence_store_and_forward_mode() {
         deps.sort_unstable();
         (schedule, deps)
     };
-    let bhv = run_behavioral(&cfg, &schedule, 30_000);
+    let (bhv, _) = run_behavioral(&cfg, &schedule, 30_000);
     assert_eq!(rtl_deps, bhv, "store-and-forward mode diverged");
 }
 

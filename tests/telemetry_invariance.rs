@@ -160,7 +160,7 @@ fn run_word(
 }
 
 /// Replay `offers` on the behavioral model with `sink` attached.
-fn run_behavioral(n: usize, offers: &[Offer], sink: Sink) -> (Vec<Delivery>, (u64, u64, u64)) {
+fn run_behavioral(n: usize, offers: &[Offer], sink: Sink) -> (Vec<Delivery>, SwitchCounters) {
     let cfg = SwitchConfig::symmetric(n, 4 * n);
     let s = cfg.stages();
     let mut sw = BehavioralSwitch::new(cfg);
@@ -196,7 +196,7 @@ fn run_behavioral(n: usize, offers: &[Offer], sink: Sink) -> (Vec<Delivery>, (u6
         .iter()
         .map(|d| (d.id, d.output, d.birth, d.done))
         .collect();
-    (departures, (sw.arrived, sw.dropped, sw.overruns))
+    (departures, sw.counters())
 }
 
 #[test]
