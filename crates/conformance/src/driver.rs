@@ -6,22 +6,22 @@
 //! when *that organization* delivers the packet's tail word, so
 //! backpressure timing is native to each model; in open mode packets
 //! launch at exactly `Offer::at`. Word-level organizations are fed word
-//! by word on the input wires and observed through an
-//! [`OutputCollector`]; the behavioral model is fed per-cell arrivals and
-//! reports departures directly.
+//! by word on the input wires and framed word by word as they leave; the
+//! behavioral model is fed per-cell arrivals and reports departures
+//! directly. The bookkeeping is indexed, not hashed, and allocated once per
+//! run: cursors into the offers, an id-sorted table of who launched what,
+//! and the launch log itself as the `(birth, input) → id` index.
 
 use crate::scenario::{Offer, Scenario};
 use simkernel::cell::Packet;
 use simkernel::error::SimError;
 use simkernel::ids::Cycle;
-use std::collections::{HashMap, VecDeque};
 use switch_core::behavioral::BehavioralSwitch;
 use switch_core::config::SwitchConfig;
 use switch_core::credit::CreditedInput;
 use switch_core::events::SwitchCounters;
 use switch_core::faultsim::{Fault, FaultAction, FaultKind, FaultPlan};
 use switch_core::recovery::{RecoveryConfig, RecoveryReport};
-use switch_core::rtl::OutputCollector;
 use switch_core::{Switch, WordOrg};
 use telemetry::ProbeHandle;
 
@@ -134,10 +134,17 @@ const DRAIN_CAP: Cycle = 200_000;
 /// the run is over, and keeps the ledger of launches and deliveries.
 /// `run_word` and `run_behavioral` supply what differs — how a launch
 /// reaches the inputs and how outputs become [`Delivery`]s.
-struct Drive {
+struct Drive<'a> {
     /// Packet time in cycles.
     s: Cycle,
-    pending: Vec<VecDeque<Offer>>,
+    offers: &'a [Offer],
+    /// Per input, the index in `offers` of its next offer still upstream
+    /// of its sender, and per offer the one after it on the same input
+    /// (`offers.len()`: none): the schedule as per-input queues.
+    head: Vec<usize>,
+    next: Vec<usize>,
+    /// Offers queued in a sender, waiting for the link or a credit.
+    backlog: usize,
     senders: Option<Vec<CreditedInput<Offer>>>,
     next_free: Vec<Cycle>,
     /// Per input: launches minus deliveries of ids it launched (the
@@ -145,16 +152,20 @@ struct Drive {
     outstanding: Vec<i64>,
     cap: Cycle,
     grace: Cycle,
+    /// Cycles jumped and ticked: `finish` folds them into the
+    /// process-wide pair of `simkernel::horizon`, once.
+    skipped: u64,
+    executed: u64,
     outcome: RunOutcome,
 }
 
-impl Drive {
+impl<'a> Drive<'a> {
     /// A run of `sc` on `sw`, with `probe` (if any) attached to the model
     /// and to the credited senders.
-    fn new(sc: &Scenario, org: Org, sw: &mut dyn Switch, probe: Option<ProbeHandle>) -> Drive {
-        let mut pending = vec![VecDeque::new(); sc.n];
-        for o in &sc.offers {
-            pending[o.input].push_back(*o);
+    fn new(sc: &'a Scenario, org: Org, sw: &mut dyn Switch, probe: Option<ProbeHandle>) -> Self {
+        let (mut head, mut next) = (vec![sc.offers.len(); sc.n], vec![0; sc.offers.len()]);
+        for (k, o) in sc.offers.iter().enumerate().rev() {
+            next[k] = std::mem::replace(&mut head[o.input], k);
         }
         let senders = sc.credited.then(|| {
             (0..sc.n)
@@ -172,16 +183,21 @@ impl Drive {
         }
         Drive {
             s: sc.stages() as Cycle,
-            pending,
+            offers: &sc.offers,
+            head,
+            next,
+            backlog: 0,
             senders,
             next_free: vec![0; sc.n],
             outstanding: vec![0; sc.n],
             cap: sc.horizon + DRAIN_CAP,
             grace: 0,
+            skipped: 0,
+            executed: 0,
             outcome: RunOutcome {
                 org,
-                launches: Vec::new(),
-                deliveries: Vec::new(),
+                launches: Vec::with_capacity(sc.offers.len()),
+                deliveries: Vec::with_capacity(sc.offers.len()),
                 counters: SwitchCounters::default(),
                 payload_failures: 0,
                 stalls: 0,
@@ -208,7 +224,8 @@ impl Drive {
             // The buffer manager can be empty while tail words are still on
             // the output wires, so idle-ness must persist for a full packet
             // time before the run is considered drained.
-            let idle = self.exhausted() && wires_idle && sw.is_quiescent();
+            let launched_all = self.outcome.launches.len() == self.offers.len();
+            let idle = launched_all && wires_idle && sw.is_quiescent();
             if idle {
                 self.grace += 1;
                 if self.grace > self.s + 4 {
@@ -233,94 +250,83 @@ impl Drive {
             if !idle && wires_idle {
                 let limit = next_due.map_or(self.cap, |t| t.min(self.cap));
                 if let Some(target) = self.jump_target(now, sw.next_event(), limit) {
-                    simkernel::horizon::note_skipped(target - now);
+                    self.skipped += target - now;
                     sw.jump_to(target);
                     continue;
                 }
             }
-            simkernel::horizon::note_executed(1);
+            self.executed += 1;
             return Some(now);
         }
     }
 
-    /// The offers whose headers enter the switch at `now` (at most one
-    /// per input), recorded as launches.
-    fn launch(&mut self, now: Cycle) -> Vec<Offer> {
-        let mut started = Vec::new();
-        if let Some(senders) = &mut self.senders {
-            for (q, sender) in self.pending.iter_mut().zip(senders.iter_mut()) {
-                while q.front().is_some_and(|o| o.at <= now) {
-                    sender.offer(q.pop_front().expect("checked non-empty"));
+    /// The packets whose headers enter the switch at `now` (at most one
+    /// per input, in input order): the launches this call recorded, which
+    /// keeps the log in the `(at, input)` order `launched_id` searches.
+    fn launch(&mut self, now: Cycle) -> &[Launch] {
+        let mark = self.outcome.launches.len();
+        debug_assert!(self.outcome.launches.last().is_none_or(|l| l.at < now));
+        for i in 0..self.head.len() {
+            // Credited, every due offer joins its sender, which releases
+            // one once the link is free and a credit allows; open-loop, an
+            // offer launches at exactly `at`.
+            let front = self.offers.get(self.head[i]);
+            let launched = if let Some(senders) = &mut self.senders {
+                while let Some(o) = self.offers.get(self.head[i]).filter(|o| o.at <= now) {
+                    senders[i].offer(*o);
+                    self.backlog += 1;
+                    self.head[i] = self.next[self.head[i]];
                 }
-            }
-            for (i, sender) in senders.iter_mut().enumerate() {
                 if self.next_free[i] > now {
                     continue;
                 }
-                match sender.poll(now) {
-                    Some(o) => started.push(o),
-                    // Link free, work queued, zero credits: the shared
-                    // buffer's reservation is exhausted.
-                    None if sender.backlog() > 0 => self.outcome.stalls += 1,
-                    None => {}
-                }
-            }
-        } else {
-            for (i, q) in self.pending.iter_mut().enumerate() {
-                if q.front().is_some_and(|o| o.at == now) {
+                let released = senders[i].poll(now);
+                self.backlog -= usize::from(released.is_some());
+                // Link free, work queued, zero credits: the shared
+                // buffer's reservation is exhausted.
+                self.outcome.stalls += u64::from(released.is_none() && senders[i].backlog() > 0);
+                released
+            } else {
+                let due = front.filter(|o| o.at == now).copied();
+                if due.is_some() {
                     assert!(
                         self.next_free[i] <= now,
                         "schedule violates wire framing on input {i} at cycle {now}"
                     );
-                    started.push(q.pop_front().expect("checked non-empty"));
+                    self.head[i] = self.next[self.head[i]];
                 }
+                due
+            };
+            if let Some(o) = launched {
+                self.next_free[i] = now + self.s;
+                self.outstanding[i] += 1;
+                self.outcome.launches.push(Launch {
+                    id: o.id,
+                    input: i,
+                    dst: o.dst,
+                    at: now,
+                });
             }
         }
-        for o in &started {
-            self.next_free[o.input] = now + self.s;
-            self.outstanding[o.input] += 1;
-            self.outcome.launches.push(Launch {
-                id: o.id,
-                input: o.input,
-                dst: o.dst,
-                at: now,
-            });
-        }
-        if started.len() >= 2 {
-            self.outcome.same_cycle_starts += 1;
-        }
-        started
-    }
-
-    /// True when any credited sender holds queued work. Stall cycles are
-    /// counted per cycle while backlog waits on credits, so time may only
-    /// be skipped when every backlog is empty.
-    fn any_backlog(&self) -> bool {
-        self.senders
-            .as_ref()
-            .is_some_and(|ss| ss.iter().any(|s| s.backlog() > 0))
+        self.outcome.same_cycle_starts += u64::from(self.outcome.launches.len() - mark >= 2);
+        &self.outcome.launches[mark..]
     }
 
     /// Where the clock may jump from `now` without missing anything: the
     /// model's `next_event` (quiescent: `limit`), the next pending offer or
     /// `limit`, whichever is first. `None` — tick densely — when the model
-    /// changes state this cycle, a backlog is stalling on credits, or that
-    /// point is `now`.
+    /// changes state this cycle, a backlog is stalling on credits (stall
+    /// cycles are counted per cycle), or that point is `now`.
     fn jump_target(&self, now: Cycle, next_event: Option<Cycle>, limit: Cycle) -> Option<Cycle> {
-        if self.any_backlog() || next_event.is_some_and(|e| e <= now) {
+        if self.backlog > 0 || next_event.is_some_and(|e| e <= now) {
             return None;
         }
         // Offers still upstream of the senders: fronts are always `>= now`
         // (earlier ones were transferred or launched by previous polls).
-        let fronts = self.pending.iter().filter_map(|q| q.front());
+        let fronts = self.head.iter().filter_map(|&k| self.offers.get(k));
         let pending = fronts.map(|o| o.at).min().unwrap_or(limit);
         let target = next_event.unwrap_or(limit).min(pending).min(limit);
         (target > now).then_some(target)
-    }
-
-    /// No offer will ever launch again.
-    fn exhausted(&self) -> bool {
-        self.pending.iter().all(VecDeque::is_empty) && !self.any_backlog()
     }
 
     /// Record a delivery observed at `now`; its credit goes back to the
@@ -336,24 +342,86 @@ impl Drive {
         }
     }
 
-    /// Final credit-conservation audit: what each sender believes is
-    /// outstanding against the testbench ledger.
-    fn audit(&self) -> Result<(), SimError> {
+    /// The outcome, with the model's own counters and recovery ledger,
+    /// after the final credit-conservation audit: what each sender believes
+    /// is outstanding against the testbench ledger.
+    fn finish(mut self, sw: &dyn Switch) -> RunOutcome {
         for (i, sender) in self.senders.iter().flatten().enumerate() {
             let outstanding = u32::try_from(self.outstanding[i]).unwrap_or(0);
-            sender.audit(outstanding, &format!("{} input {i}", self.outcome.org))?;
+            let audit = sender.audit(outstanding, &format!("{} input {i}", self.outcome.org));
+            self.outcome.error = self.outcome.error.take().or(audit.err());
         }
-        Ok(())
-    }
-
-    /// The outcome, with the model's own counters and recovery ledger.
-    fn finish(mut self, sw: &dyn Switch) -> RunOutcome {
-        if self.outcome.error.is_none() {
-            self.outcome.error = self.audit().err();
-        }
+        simkernel::horizon::note_skipped(self.skipped);
+        simkernel::horizon::note_executed(self.executed);
         self.outcome.counters = sw.counters();
         self.outcome.recovery = sw.recovery_report();
         self.outcome
+    }
+}
+
+/// Which input launched which packet: one row per offered id, sorted by
+/// id, `None` until the packet launches. A delivered header that names no
+/// row (corrupted) or an unlaunched one returns no credit; one that names
+/// another launched id returns that input's.
+struct IdTable(Vec<(u64, Option<usize>)>);
+
+impl IdTable {
+    fn new(offers: &[Offer]) -> IdTable {
+        let mut rows: Vec<(u64, Option<usize>)> = offers.iter().map(|o| (o.id, None)).collect();
+        rows.sort_unstable_by_key(|r| r.0);
+        let unique = rows.windows(2).all(|w| w[0].0 < w[1].0);
+        assert!(unique, "two offers carry the same packet id");
+        IdTable(rows)
+    }
+
+    fn launch(&mut self, id: u64, input: usize) {
+        let k = self.0.binary_search_by_key(&id, |r| r.0);
+        self.0[k.expect("launched ids are offered ids")].1 = Some(input);
+    }
+
+    fn input_of(&self, id: u64) -> Option<usize> {
+        let k = self.0.binary_search_by_key(&id, |r| r.0).ok()?;
+        self.0[k].1
+    }
+}
+
+/// One output link's packet in progress: the link's words framed into
+/// [`Delivery`]s as they leave the switch, keeping only what the run reads.
+#[derive(Clone, Copy, Default)]
+struct Frame {
+    first: Cycle,
+    /// Words seen so far; 0 between packets.
+    seen: usize,
+    id: u64,
+    /// `DeliveredPacket::verify_payload` of the words so far: the header
+    /// addressed this link, the others are `Packet::payload_word(id, k)`.
+    ok: bool,
+}
+
+impl Frame {
+    /// The word of cycle `now` on this link, `j`, of `s`-word packets: on
+    /// a packet's last word its delivery, with `ok` its payload verdict.
+    fn observe(&mut self, s: usize, now: Cycle, j: usize, word: Option<u64>) -> Option<Delivery> {
+        let Some(word) = word else {
+            assert!(
+                self.seen == 0,
+                "output link {j} idled mid-packet at cycle {now}"
+            );
+            return None;
+        };
+        if self.seen == 0 {
+            let (mask, id) = Packet::decode_header_any(word);
+            (self.first, self.id, self.ok) = (now, id, mask & (1 << j) != 0);
+        } else {
+            self.ok &= word == Packet::payload_word(self.id, self.seen);
+        }
+        self.seen = (self.seen + 1) % s;
+        (self.seen == 0).then_some(Delivery {
+            id: self.id,
+            output: j,
+            first: self.first,
+            last: now,
+        })
     }
 }
 
@@ -393,15 +461,16 @@ fn run_word(sc: &Scenario, org: Org, word: WordOrg, probe: Option<ProbeHandle>) 
         FaultPlan::generate(FaultKind::BankUpset, f.rate, sc.horizon, &cfg, f.seed)
     });
     let mut due_faults: Vec<Fault> = Vec::new();
-    let mut col = OutputCollector::new(n, s);
-    // Per input: the words of the launched packet not yet on the wire.
-    let mut current: Vec<std::vec::IntoIter<u64>> = vec![Vec::new().into_iter(); n];
+    let mut frames = vec![Frame::default(); n];
+    let mut ids = IdTable::new(&sc.offers);
+    // Per input: id and destination of the launched packet and which word
+    // (header, then the synthetic payload; `s`: none) is next onto the wire.
+    let mut sending: Vec<(u64, usize, usize)> = vec![(0, 0, s); n];
     let mut wire: Vec<Option<u64>> = vec![None; n];
-    let mut id_input: HashMap<u64, usize> = HashMap::new();
     let mut drive = Drive::new(sc, org, &mut *sw, probe);
     while let Some(now) = drive.next_cycle(
         &mut *sw,
-        current.iter().all(|words| words.as_slice().is_empty()),
+        sending.iter().all(|&(_, _, k)| k == s),
         plan.as_ref().and_then(FaultPlan::next_due),
     ) {
         if let Some(plan) = &mut plan {
@@ -412,40 +481,40 @@ fn run_word(sc: &Scenario, org: Org, word: WordOrg, probe: Option<ProbeHandle>) 
                 }
             }
         }
-        for o in drive.launch(now) {
-            id_input.insert(o.id, o.input);
-            debug_assert!(current[o.input].as_slice().is_empty(), "wire busy");
-            current[o.input] = Packet::synth(o.id, o.input, o.dst, s, now)
-                .words
-                .into_iter();
+        for l in drive.launch(now) {
+            ids.launch(l.id, l.input);
+            debug_assert!(sending[l.input].2 == s, "wire busy");
+            sending[l.input] = (l.id, l.dst, 0);
         }
-        for (w, words) in wire.iter_mut().zip(&mut current) {
-            *w = words.next();
-        }
-        col.observe(now, sw.tick(&wire));
-        for d in col.take() {
-            if !d.verify_payload() {
-                drive.outcome.payload_failures += 1;
-            }
-            let delivery = Delivery {
-                id: d.id,
-                output: d.output.index(),
-                first: d.first_cycle,
-                last: d.last_cycle,
+        for (w, (id, dst, k)) in wire.iter_mut().zip(&mut sending) {
+            *w = match *k {
+                0 => Some(Packet::encode_header(*dst, *id)),
+                k if k < s => Some(Packet::payload_word(*id, k)),
+                _ => None,
             };
-            drive.deliver(now, delivery, id_input.get(&d.id).copied());
+            *k = (*k + 1).min(s);
+        }
+        for (j, &word) in sw.tick(&wire).iter().enumerate() {
+            if let Some(delivery) = frames[j].observe(s, now, j, word) {
+                drive.outcome.payload_failures += u64::from(!frames[j].ok);
+                drive.deliver(now, delivery, ids.input_of(delivery.id));
+            }
         }
     }
     drive.finish(&*sw)
 }
 
+/// The scenario id of the packet `input` launched at `birth` (the
+/// behavioral model numbers packets internally): each input launches at
+/// most one header per cycle, and `launches` is in `(at, input)` order.
+fn launched_id(launches: &[Launch], input: usize, birth: Cycle) -> u64 {
+    let k = launches.binary_search_by_key(&(birth, input), |l| (l.at, l.input));
+    launches[k.expect("departure for a packet that was never launched")].id
+}
+
 fn run_behavioral(sc: &Scenario, probe: Option<ProbeHandle>) -> RunOutcome {
     let cfg = SwitchConfig::symmetric(sc.n, sc.slots).with_policy(sc.policy);
     let mut sw = BehavioralSwitch::new(cfg);
-    // The behavioral model numbers packets internally; recover scenario
-    // ids through the (input, birth) pair — unique because each input
-    // launches at most one header per cycle.
-    let mut key_to_id: HashMap<(usize, Cycle), u64> = HashMap::new();
     let mut arrivals: Vec<Option<usize>> = vec![None; sc.n];
     let mut drive = Drive::new(sc, Org::Behavioral, &mut sw, probe);
     // A cell arrives whole: no wire is ever mid-packet, and the model's
@@ -453,17 +522,13 @@ fn run_behavioral(sc: &Scenario, probe: Option<ProbeHandle>) -> RunOutcome {
     // schedules) is all that bounds a jump.
     while let Some(now) = drive.next_cycle(&mut sw, true, None) {
         arrivals.fill(None);
-        for o in drive.launch(now) {
-            debug_assert!(sw.input_free(o.input), "launch while input busy");
-            arrivals[o.input] = Some(o.dst);
-            key_to_id.insert((o.input, now), o.id);
+        for l in drive.launch(now) {
+            debug_assert!(sw.input_free(l.input), "launch while input busy");
+            arrivals[l.input] = Some(l.dst);
         }
         for d in sw.tick(&arrivals) {
-            let id = *key_to_id
-                .get(&(d.input, d.birth))
-                .expect("departure for a packet that was never launched");
             let delivery = Delivery {
-                id,
+                id: launched_id(&drive.outcome.launches, d.input, d.birth),
                 output: d.output,
                 first: d.read_start + 1,
                 last: d.done,
@@ -480,6 +545,7 @@ fn run_behavioral(sc: &Scenario, probe: Option<ProbeHandle>) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use switch_core::rtl::OutputCollector;
 
     fn tiny(credited: bool) -> Scenario {
         Scenario {
@@ -579,5 +645,177 @@ mod tests {
             r.stalls > 0,
             "store-and-forward holds the bank past the second offer time"
         );
+    }
+
+    /// What the links of `word` carry, cycle by cycle, when `sc` (open
+    /// loop) is replayed densely from `Packet::synth` words with its bank
+    /// upsets injected and no recovery armed.
+    fn recorded_outputs(sc: &Scenario, word: WordOrg) -> Vec<Vec<Option<u64>>> {
+        let (n, s) = (sc.n, sc.stages());
+        let mut sw = word.build(n, sc.slots, RecoveryConfig::default(), sc.policy);
+        let cfg = SwitchConfig::symmetric(n, sc.slots);
+        let mut plan = sc
+            .fault
+            .map(|f| FaultPlan::generate(FaultKind::BankUpset, f.rate, sc.horizon, &cfg, f.seed));
+        let mut due = Vec::new();
+        let mut sending: Vec<std::vec::IntoIter<u64>> = vec![Vec::new().into_iter(); n];
+        let mut stream = Vec::new();
+        // 64 packet times past the horizon drain any buffer a scenario has.
+        for now in 0..sc.horizon + 64 * s as Cycle {
+            if let Some(plan) = &mut plan {
+                plan.take_due_into(now, &mut due);
+                for f in due.drain(..) {
+                    if let FaultAction::BankUpset { stage, slot, mask } = f.action {
+                        sw.inject_upset(slot.index(), stage, mask);
+                    }
+                }
+            }
+            for o in sc.offers.iter().filter(|o| o.at == now) {
+                sending[o.input] = Packet::synth(o.id, o.input, o.dst, s, now)
+                    .words
+                    .into_iter();
+            }
+            let wire: Vec<Option<u64>> = sending.iter_mut().map(Iterator::next).collect();
+            stream.push(sw.tick(&wire).to_vec());
+        }
+        stream
+    }
+
+    /// `(id, output, first, last, payload ok)` per packet, in link order
+    /// within a cycle.
+    type Framed = Vec<(u64, usize, Cycle, Cycle, bool)>;
+
+    fn through_collector(stream: &[Vec<Option<u64>>], s: usize) -> Framed {
+        let mut col = OutputCollector::new(stream[0].len(), s);
+        for (now, out) in stream.iter().enumerate() {
+            col.observe(now as Cycle, out);
+        }
+        let row = |d: &switch_core::rtl::DeliveredPacket| {
+            let (first, last) = (d.first_cycle, d.last_cycle);
+            (d.id, d.output.index(), first, last, d.verify_payload())
+        };
+        col.take().iter().map(row).collect()
+    }
+
+    fn through_frames(stream: &[Vec<Option<u64>>], s: usize) -> Framed {
+        let mut frames = vec![Frame::default(); stream[0].len()];
+        let mut rows = Vec::new();
+        for (now, out) in stream.iter().enumerate() {
+            for (j, &word) in out.iter().enumerate() {
+                if let Some(d) = frames[j].observe(s, now as Cycle, j, word) {
+                    rows.push((d.id, d.output, d.first, d.last, frames[j].ok));
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn frames_agree_with_the_output_collector_on_recorded_streams() {
+        // Upsets with no recovery armed: some delivered payload word
+        // really is corrupt, so the `ok` column is exercised both ways.
+        let mut corrupt = 0;
+        for seed in 0..6u64 {
+            let mut sc = Scenario::generate_base(seed).with_fault(0.3, seed ^ 0xFA17);
+            sc.credited = false;
+            for word in WordOrg::ALL {
+                let stream = recorded_outputs(&sc, word);
+                let rows = through_frames(&stream, sc.stages());
+                assert_eq!(
+                    rows,
+                    through_collector(&stream, sc.stages()),
+                    "seed {seed} {word}"
+                );
+                assert!(!rows.is_empty(), "seed {seed} {word}: nothing delivered");
+                corrupt += rows.iter().filter(|r| !r.4).count();
+                // The driver strikes the pipelined RTL only, and must put
+                // the same words on its wires as this dense replay did.
+                if word == WordOrg::Pipelined {
+                    let r = run(&sc, Org::Pipelined);
+                    let same = |(d, row): (&Delivery, &(u64, usize, Cycle, Cycle, bool))| {
+                        (d.id, d.output, d.first, d.last) == (row.0, row.1, row.2, row.3)
+                    };
+                    assert_eq!(r.deliveries.len(), rows.len(), "seed {seed}");
+                    assert!(r.deliveries.iter().zip(&rows).all(same), "seed {seed}");
+                    let failed = rows.iter().filter(|r| !r.4).count() as u64;
+                    assert_eq!(r.payload_failures, failed, "seed {seed}");
+                }
+            }
+        }
+        assert!(corrupt > 0, "no corrupt payload ever reached a link");
+    }
+
+    #[test]
+    fn frames_agree_with_the_output_collector_on_bad_headers() {
+        let s = 4;
+        let good = Packet::synth(5, 0, 0, s, 0).words;
+        // Addressed to link 1, seen on link 0.
+        let misrouted = Packet::synth(7, 0, 1, s, 0).words;
+        // One id bit flipped in the header: the payload is another packet's.
+        let mut renamed = Packet::synth(9, 0, 1, s, 0).words;
+        renamed[0] = Packet::encode_header(1, 9 ^ 4);
+        let mut stream = vec![vec![None, None]];
+        for k in 0..s {
+            stream.push(vec![Some(misrouted[k]), Some(renamed[k])]);
+        }
+        for &w in &good {
+            stream.push(vec![Some(w), None]);
+        }
+        let rows = through_frames(&stream, s);
+        assert_eq!(rows, through_collector(&stream, s));
+        let expected = vec![
+            (7, 0, 1, 4, false),
+            (9 ^ 4, 1, 1, 4, false),
+            (5, 0, 5, 8, true),
+        ];
+        assert_eq!(rows, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "output link 1 idled mid-packet at cycle 2")]
+    fn a_link_that_drops_a_word_is_caught() {
+        let words = Packet::synth(3, 0, 1, 4, 0).words;
+        let stream = vec![
+            vec![None, Some(words[0])],
+            vec![None, Some(words[1])],
+            vec![None, None],
+        ];
+        through_frames(&stream, 4);
+    }
+
+    #[test]
+    fn id_table_returns_the_input_of_launched_ids_only() {
+        let mut ids = IdTable::new(&tiny(true).offers);
+        assert_eq!(ids.input_of(1), None, "offered, not launched yet");
+        ids.launch(2, 1);
+        assert_eq!(ids.input_of(2), Some(1));
+        assert_eq!(ids.input_of(1), None, "still upstream");
+        assert_eq!(ids.input_of(3), None, "never offered: a corrupted header");
+        ids.launch(1, 0);
+        assert_eq!(ids.input_of(1), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "two offers carry the same packet id")]
+    fn duplicate_offer_ids_are_rejected() {
+        let mut sc = tiny(false);
+        sc.offers[1].id = sc.offers[0].id;
+        run(&sc, Org::Pipelined);
+    }
+
+    #[test]
+    fn the_launch_log_is_the_behavioral_id_index() {
+        let r = run(&tiny(true), Org::Behavioral);
+        for l in &r.launches {
+            assert_eq!(launched_id(&r.launches, l.input, l.at), l.id);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "departure for a packet that was never launched")]
+    fn a_departure_nobody_launched_panics() {
+        let r = run(&tiny(false), Org::Behavioral);
+        // Input 1 launched at cycle 2, not at cycle 0.
+        launched_id(&r.launches, 1, 0);
     }
 }

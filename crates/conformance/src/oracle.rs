@@ -9,7 +9,6 @@ use crate::driver::{run, Org, RunOutcome};
 use crate::scenario::Scenario;
 use simkernel::error::SimError;
 use simkernel::ids::Cycle;
-use std::collections::{BTreeSet, HashMap};
 
 /// Per-scenario statistics the campaign aggregates: coverage counters
 /// (did the schedule actually reach the §3.2 corner cases?) and the §3.4
@@ -195,75 +194,61 @@ fn check_one(sc: &Scenario, r: &RunOutcome) -> Result<(), SimError> {
         ));
     }
     // Per-flow FIFO: on every (input, dst) flow, deliveries ordered by
-    // wire time must preserve launch order.
-    let mut launch_pos: HashMap<u64, usize> = HashMap::new();
-    for (k, l) in r.launches.iter().enumerate() {
-        launch_pos.insert(l.id, k);
-    }
-    let flow_of: HashMap<u64, (usize, usize)> = r
-        .launches
+    // wire time must preserve launch order. Sorted rows scanned once, so
+    // the violation reported is the first in (flow, wire time) order.
+    let mut launch_pos: Vec<(u64, usize)> = r.launches.iter().map(|l| l.id).zip(0..).collect();
+    launch_pos.sort_unstable();
+    // (input, dst, first, id, launch position) per delivery of a launched id.
+    let mut flows: Vec<(usize, usize, Cycle, u64, usize)> = r
+        .deliveries
         .iter()
-        .map(|l| (l.id, (l.input, l.dst)))
+        .filter_map(|d| {
+            let k = launch_pos.binary_search_by_key(&d.id, |&(id, _)| id).ok()?;
+            let l = &r.launches[launch_pos[k].1];
+            Some((l.input, l.dst, d.first, d.id, launch_pos[k].1))
+        })
         .collect();
-    let mut per_flow: HashMap<(usize, usize), Vec<(Cycle, u64)>> = HashMap::new();
-    for d in &r.deliveries {
-        if let Some(&flow) = flow_of.get(&d.id) {
-            per_flow.entry(flow).or_default().push((d.first, d.id));
-        }
-    }
-    for ((input, dst), mut seq) in per_flow {
-        seq.sort_unstable();
-        let mut prev: Option<usize> = None;
-        for (first, id) in seq {
-            let pos = launch_pos[&id];
-            if let Some(p) = prev {
-                if pos <= p {
-                    return Err(div(
-                        &format!("{org}-flow-fifo"),
-                        format!(
-                            "flow {input}->{dst}: packet {id} (launch #{pos}) delivered at \
-                             cycle {first} after a later-launched packet (launch #{p})"
-                        ),
-                    ));
-                }
-            }
-            prev = Some(pos);
+    flows.sort_unstable();
+    for w in flows.windows(2) {
+        let ((input, dst, first, id, pos), p) = (w[1], w[0].4);
+        if (w[0].0, w[0].1) == (input, dst) && pos <= p {
+            return Err(div(
+                &format!("{org}-flow-fifo"),
+                format!(
+                    "flow {input}->{dst}: packet {id} (launch #{pos}) delivered at \
+                     cycle {first} after a later-launched packet (launch #{p})"
+                ),
+            ));
         }
     }
     // Output-link framing: transmissions are contiguous and never overlap.
-    let mut per_out: HashMap<usize, Vec<(Cycle, Cycle, u64)>> = HashMap::new();
-    for d in &r.deliveries {
-        per_out
-            .entry(d.output)
-            .or_default()
-            .push((d.first, d.last, d.id));
-    }
-    for (out, mut seq) in per_out {
-        seq.sort_unstable();
-        let mut prev_last: Option<Cycle> = None;
-        for (first, last, id) in seq {
-            if last != first + s - 1 {
-                return Err(div(
-                    &format!("{org}-framing"),
-                    format!(
-                        "output {out}: packet {id} occupied cycles {first}..={last}, \
-                         not {s} contiguous words"
-                    ),
-                ));
-            }
-            if let Some(pl) = prev_last {
-                if first <= pl {
-                    return Err(div(
-                        &format!("{org}-framing"),
-                        format!(
-                            "output {out}: packet {id} starts at {first} before the \
-                             previous transmission ended at {pl}"
-                        ),
-                    ));
-                }
-            }
-            prev_last = Some(last);
+    let mut frames: Vec<(usize, Cycle, Cycle, u64)> = r
+        .deliveries
+        .iter()
+        .map(|d| (d.output, d.first, d.last, d.id))
+        .collect();
+    frames.sort_unstable();
+    let mut prev: Option<(usize, Cycle)> = None; // (output, last cycle)
+    for (out, first, last, id) in frames {
+        if last != first + s - 1 {
+            return Err(div(
+                &format!("{org}-framing"),
+                format!(
+                    "output {out}: packet {id} occupied cycles {first}..={last}, \
+                     not {s} contiguous words"
+                ),
+            ));
         }
+        if let Some((_, pl)) = prev.filter(|&(o, pl)| o == out && first <= pl) {
+            return Err(div(
+                &format!("{org}-framing"),
+                format!(
+                    "output {out}: packet {id} starts at {first} before the \
+                     previous transmission ended at {pl}"
+                ),
+            ));
+        }
+        prev = Some((out, last));
     }
     Ok(())
 }
@@ -336,14 +321,23 @@ fn check_rtl_behavioral_exact(rtl: &RunOutcome, bhv: &RunOutcome) -> Result<(), 
 /// Under credit backpressure no organization may lose a packet, so all
 /// four must deliver exactly the same id set.
 fn check_delivered_sets_equal(runs: &[RunOutcome]) -> Result<(), SimError> {
-    let sets: Vec<BTreeSet<u64>> = runs
+    let sets: Vec<Vec<u64>> = runs
         .iter()
-        .map(|r| r.deliveries.iter().map(|d| d.id).collect())
+        .map(|r| {
+            let mut ids: Vec<u64> = r.deliveries.iter().map(|d| d.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        })
         .collect();
+    // The first four ids of sorted `a` that sorted `b` lacks.
+    let beyond = |a: &[u64], b: &[u64]| -> Vec<u64> {
+        let lacking = a.iter().filter(|id| b.binary_search(id).is_err());
+        lacking.take(4).copied().collect()
+    };
     for (r, set) in runs.iter().zip(&sets).skip(1) {
         if *set != sets[0] {
-            let missing: Vec<u64> = sets[0].difference(set).take(4).copied().collect();
-            let extra: Vec<u64> = set.difference(&sets[0]).take(4).copied().collect();
+            let (missing, extra) = (beyond(&sets[0], set), beyond(set, &sets[0]));
             return Err(div(
                 &format!("delivered-set-{}", r.org),
                 format!(
@@ -478,5 +472,73 @@ mod tests {
             fully_exact >= 9,
             "only {fully_exact}/12 armed runs were corrected to full exactness"
         );
+    }
+
+    /// A 2x2 open-loop run of `launches` (id, input, dst; one per cycle)
+    /// and `deliveries` (id, output, first), counters balanced, so only
+    /// the ordering clauses of `check_one` can object.
+    fn hand_built(
+        launches: &[(u64, usize, usize)],
+        deliveries: &[(u64, usize, Cycle)],
+    ) -> (Scenario, RunOutcome) {
+        let mut sc = Scenario::generate_base(0).with_offers(Vec::new());
+        (sc.n, sc.credited) = (2, false);
+        let mut r = run(&sc, Org::Pipelined);
+        let launch = |(&(id, input, dst), at)| crate::driver::Launch { id, input, dst, at };
+        r.launches = launches.iter().zip(0..).map(launch).collect();
+        let s = sc.stages() as Cycle;
+        r.deliveries = deliveries
+            .iter()
+            .map(|&(id, output, first)| crate::driver::Delivery {
+                id,
+                output,
+                first,
+                last: first + s - 1,
+            })
+            .collect();
+        r.counters.arrived = launches.len() as u64;
+        r.counters.departed = deliveries.len() as u64;
+        (sc, r)
+    }
+
+    #[test]
+    fn the_reported_violation_does_not_depend_on_hash_order() {
+        // Four flows, each delivering its second launch first; then two
+        // links, each with overlapping transmissions. Whichever clause
+        // objects must name the same, lowest, flow or link on every call.
+        let reversed = hand_built(
+            &[
+                (1, 0, 0),
+                (2, 0, 0),
+                (3, 0, 1),
+                (4, 0, 1),
+                (5, 1, 0),
+                (6, 1, 0),
+                (7, 1, 1),
+                (8, 1, 1),
+            ],
+            &[
+                (2, 0, 10),
+                (1, 0, 20),
+                (4, 1, 10),
+                (3, 1, 20),
+                (6, 0, 30),
+                (5, 0, 40),
+                (8, 1, 30),
+                (7, 1, 40),
+            ],
+        );
+        let overlapping = hand_built(
+            &[(1, 0, 0), (2, 1, 0), (3, 0, 1), (4, 1, 1)],
+            &[(1, 0, 2), (2, 0, 4), (3, 1, 2), (4, 1, 3)],
+        );
+        for ((sc, r), named) in [(reversed, "flow 0->0: "), (overlapping, "output 0: ")] {
+            let texts: std::collections::BTreeSet<String> = (0..64)
+                .map(|_| check_one(&sc, &r).expect_err("violation").to_string())
+                .collect();
+            assert_eq!(texts.len(), 1, "one input, several reports: {texts:?}");
+            let text = texts.first().expect("one text");
+            assert!(text.contains(named), "{text:?} does not name {named:?}");
+        }
     }
 }

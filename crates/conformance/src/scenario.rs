@@ -86,7 +86,10 @@ pub struct Scenario {
     pub credited: bool,
     /// Offered per-input load the schedule was drawn at (diagnostic).
     pub load: f64,
-    /// Arrival schedule, sorted by `at`.
+    /// Arrival schedule, sorted by `at`. Packet ids are unique — generated
+    /// schedules number them 1.. and shrinking only removes offers — and
+    /// the word-level drivers refuse a hand-built schedule that repeats
+    /// one: their id table could not say which input to credit.
     pub offers: Vec<Offer>,
     /// Fault-plan horizon in cycles. Kept fixed while shrinking so the
     /// surviving offers still meet the same absolute-time faults.
