@@ -32,24 +32,29 @@ struct Leg {
 }
 
 /// Dense path: the frozen scalar reference (`switch_core::reference`)
-/// against the bit-parallel model. Full load carries the bit-parallel
-/// rework's claim (≥ 2× measured, backed off to absorb runner jitter);
-/// below it the model must not fall behind its scalar twin past noise.
+/// against the bit-parallel model. Full load carries the claim of the
+/// bit-parallel rework and of the wake calendar after it (2.5–2.75×
+/// measured, backed off to absorb runner jitter); below it the model
+/// must not fall behind its scalar twin past noise.
 #[rustfmt::skip] // one leg per row
 const DENSE_LEGS: [Leg; 3] = [
     Leg { load: 0.10, seed: 0xDA,  floor: 0.9 },
     Leg { load: 0.50, seed: 0x102, floor: 0.9 },
-    Leg { load: 0.95, seed: 0x12F, floor: 1.5 },
+    Leg { load: 0.95, seed: 0x12F, floor: 2.0 },
 ];
 
 /// Fast-forward: one `tick` per cycle against the event-horizon kernel.
-/// At 10 % load the kernel must pay for itself (≥ 3× measured, backed
-/// off likewise); with little to skip it must not halve the speed. Each
-/// leg comes with the fraction of cycles skipped on its schedule, which
-/// the seed determines (full length; a quick run sits within 0.005).
+/// At 10 % load the kernel must pay for itself: 2.5–2.6× measured,
+/// backed off by a factor 1.5. The measurement is that low because an
+/// idle `tick` costs one wake-calendar read (≈ 15 ns/cycle per-cycle
+/// against ≈ 6 event-driven): a faster per-cycle side lowers this ratio
+/// while both sides gain. With little to skip the kernel must not halve
+/// the speed. Each leg comes with the fraction of cycles skipped on its
+/// schedule, which the seed determines (full length; a quick run sits
+/// within 0.005).
 #[rustfmt::skip] // one leg per row
 const FF_LEGS: [(Leg, f64); 3] = [
-    (Leg { load: 0.10, seed: 0xFA,  floor: 2.5 }, 0.8165),
+    (Leg { load: 0.10, seed: 0xFA,  floor: 1.7 }, 0.8165),
     (Leg { load: 0.50, seed: 0x122, floor: 0.5 }, 0.1251),
     (Leg { load: 0.95, seed: 0x14F, floor: 0.5 }, 0.0001),
 ];
@@ -431,7 +436,7 @@ mod tests {
     #[test]
     fn dense_floors_bite() {
         let mut r = passing();
-        r.dense[2].after_ns = 80.0; // 1.25x at 95 %: under the 1.5x floor
+        r.dense[2].after_ns = 80.0; // 1.25x at 95 %: under the 2.0x floor
         breaks_one(&r, "bit-parallel) at load 95%");
         let mut r = passing();
         r.dense[1].after_ns = 80.0; // the same 1.25x passes at 50 %...
@@ -457,7 +462,7 @@ mod tests {
     #[test]
     fn fast_forward_floors_bite() {
         let mut r = passing();
-        r.ff[0].0.after_ns = 50.0; // 2.0x at 10 %: under the 2.5x floor
+        r.ff[0].0.after_ns = 62.5; // 1.6x at 10 %: under the 1.7x floor
         breaks_one(&r, "horizon) at load 10%");
         let mut r = passing();
         r.ff[2].0.after_ns = 95.0; // 1.05x is all there is to win at 95 %...

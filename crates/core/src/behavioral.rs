@@ -15,27 +15,34 @@
 //! cycles `[a, a+S-1]`; a packet departing on output `j` occupies it for
 //! `[rs+1, rs+S]` where `rs` is its read-wave initiation cycle.
 //!
-//! ## The bit-parallel dense path
+//! ## Request state on a wake calendar
 //!
 //! The per-cycle hot loop never walks the output queues or the packet
-//! slab. Instead the model maintains three flat arrays — `ready_at[j]`
-//! (earliest read-initiation cycle for output `j`'s current head,
-//! `Cycle::MAX` when none), `welig_at[i]` / `wdead_at[i]` (eligibility
-//! and latch deadline of input `i`'s front pending write) — and each
-//! cycle folds them into packed `u64` request masks with branchless
-//! compares. The masks feed [`Arbiter::decide_dense`]; popcounts feed
-//! the arbitration probe event. The arrays are refreshed only at the
-//! control points where the underlying state can change (queue push,
-//! write grant, read initiation, overrun), so a steady-state cycle costs
-//! a handful of word operations instead of pointer-chasing scans. The
-//! scalar-reference twin ([`crate::reference::BehavioralSwitchRef`]) and
-//! the differential property test pin this path byte-identical —
-//! departures, counters, and probe streams — to the pre-rework model.
+//! slab, and it does not visit the ports either. Three flat arrays are
+//! the ground truth — `ready_at[j]` (earliest read-initiation cycle for
+//! output `j`'s current head, `Cycle::MAX` when none), `welig_at[i]` /
+//! `wdead_at[i]` (eligibility and latch deadline of input `i`'s front
+//! pending write) — and are written only at the control points where
+//! that state changes (queue push, write grant, read initiation,
+//! eviction, overrun), through one setter each. The setters also *keep*
+//! the packed `u64` request masks: a start that has come sets its mask
+//! bit, a future one is marked on a small ring indexed by cycle (every
+//! timer of the control lies at most `S` ahead), and each executed cycle
+//! ORs its own slot into the masks. The masks feed
+//! [`Arbiter::decide_dense`] as they stand, popcounts the arbitration
+//! probe event; a cycle in which nothing is due costs a calendar read
+//! and two compares at any port count, and link pacing is a comparison
+//! (`free_at`), so jumps and idle batches replay nothing. The scalar
+//! twin ([`crate::reference::BehavioralSwitchRef`]) and the differential
+//! tests pin departures, counters and probe streams byte-identical to
+//! the pre-rework model; debug builds re-derive masks and ring from the
+//! arrays after every cycle.
 
 use crate::arbiter::{Arbiter, Decision, ReadReq, WriteReq};
 use crate::config::SwitchConfig;
 use crate::ctl::{Arrival, ControlPlane};
 use crate::recovery::RecoveryConfig;
+use crate::rtl::bits;
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
 use telemetry::{ArbOutcome, DropReason, ProbeEvent};
@@ -67,12 +74,13 @@ impl BehavioralDeparture {
     /// Cut-through latency: first word out minus header in.
     /// The uncontended minimum is 2 (write wave at `a+1`, fused read).
     pub fn head_latency(&self) -> u64 {
-        (self.read_start + 1).saturating_sub(self.birth)
+        self.read_start + 1 - self.birth
     }
 
-    /// Full-packet latency: tail out minus header in.
+    /// Full-packet latency: tail out minus header in (a read never
+    /// starts before its header's write wave, so neither underflows).
     pub fn tail_latency(&self) -> u64 {
-        self.done.saturating_sub(self.birth)
+        self.done - self.birth
     }
 }
 
@@ -144,6 +152,11 @@ impl PendingRing {
     }
 }
 
+/// The two request classes of the kept masks and of a wake-calendar
+/// slot: reads by output, writes by input.
+const READS: usize = 0;
+const WRITES: usize = 1;
+
 /// The behavioral switch.
 #[derive(Debug)]
 pub struct BehavioralSwitch {
@@ -160,8 +173,12 @@ pub struct BehavioralSwitch {
     buf_used: usize,
     /// Per-input: pending write requests.
     pending: Vec<PendingRing>,
-    /// Per-input: cycles remaining of the packet currently on the wire.
-    arriving: Vec<usize>,
+    /// Per-input: first cycle the link can carry a new header (`a + S`
+    /// for the last header at `a`).
+    free_at: Vec<Cycle>,
+    /// Maximum of `free_at` — the last header's `a + S`, since cycles
+    /// only grow.
+    links_free_at: Cycle,
     /// Per-output FIFO of slab indices.
     queues: Vec<VecDeque<usize>>,
     /// Per-output: earliest next read initiation.
@@ -177,11 +194,19 @@ pub struct BehavioralSwitch {
     /// Latch deadline of each input's front pending write (`Cycle::MAX`
     /// when none) — doubles as the overrun-sweep guard.
     wdead_at: Vec<Cycle>,
+    /// Kept request masks `[read_req, write_req]`: bit `j` of the first
+    /// ⇔ `ready_at[j] <=` the executing cycle, bit `i` of the second
+    /// likewise for `welig_at`.
+    req: [u64; 2],
+    /// The wake calendar, `(S + 1).next_power_of_two()` slots: slot
+    /// `t & (len - 1)` holds, as `[outputs, inputs]`, the ports whose
+    /// request starts at the future cycle `t`.
+    wake: Vec<[u64; 2]>,
     /// Earliest `done` cycle among in-flight transmissions (`Cycle::MAX`
     /// when none).
     tx_next_done: Cycle,
-    /// More ports than a machine word: fall back to slice-based
-    /// arbitration (cold; no shipped configuration hits this).
+    /// More inputs than a machine word: no masks, no calendar — requests
+    /// are slices re-derived from the cycle arrays each cycle (cold).
     wide_ports: bool,
     /// Cycles from write-wave start to head readiness: 1 under
     /// cut-through, `S` store-and-forward (precomputed from `cfg`).
@@ -205,9 +230,7 @@ pub struct BehavioralSwitch {
     /// Index into `departures` where this cycle's completions start —
     /// `tick` returns `&departures[dep_mark..committed]`.
     dep_mark: usize,
-    /// Reusable per-cycle scratch (hot path: one `tick` per simulated
-    /// cycle, millions per experiment — these must not allocate).
-    scratch_masks: Vec<Option<u32>>,
+    /// Reusable request slices of the `wide_ports` fallback.
     scratch_reads: Vec<ReadReq>,
     scratch_writes: Vec<WriteReq>,
 }
@@ -224,12 +247,15 @@ impl BehavioralSwitch {
             free_slab: Vec::new(),
             buf_used: 0,
             pending: vec![PendingRing::new(); cfg.n_in],
-            arriving: vec![0; cfg.n_in],
+            free_at: vec![0; cfg.n_in],
+            links_free_at: 0,
             queues: vec![VecDeque::new(); cfg.n_out],
             out_next_init: vec![0; cfg.n_out],
             ready_at: vec![Cycle::MAX; cfg.n_out],
             welig_at: vec![Cycle::MAX; cfg.n_in],
             wdead_at: vec![Cycle::MAX; cfg.n_in],
+            req: [0; 2],
+            wake: vec![[0; 2]; (stages + 1).next_power_of_two()],
             tx_next_done: Cycle::MAX,
             wide_ports: cfg.n_in > 64, // `validate` caps `n_out` at 32
             ready_base: if cfg.cut_through { 1 } else { stages as Cycle },
@@ -240,7 +266,6 @@ impl BehavioralSwitch {
             departures: Vec::new(),
             committed: 0,
             dep_mark: 0,
-            scratch_masks: Vec::with_capacity(cfg.n_in),
             scratch_reads: Vec::with_capacity(cfg.n_out),
             scratch_writes: Vec::with_capacity(cfg.n_in),
             cfg,
@@ -260,7 +285,7 @@ impl BehavioralSwitch {
     /// True when an arrival can be offered on input `i` this cycle (the
     /// link is not mid-packet).
     pub fn input_free(&self, i: usize) -> bool {
-        self.arriving[i] == 0
+        self.cycle >= self.free_at[i]
     }
 
     /// Packets queued for output `j` (including one mid-transmission).
@@ -276,20 +301,25 @@ impl BehavioralSwitch {
     /// Returns the packets whose tail word completed this cycle. The
     /// slice borrows internal scratch and is valid until the next tick.
     pub fn tick(&mut self, arrivals: &[Option<usize>]) -> &[BehavioralDeparture] {
-        // Reuse the mask buffer across cycles; `mem::take` sidesteps the
-        // simultaneous borrow of the buffer and `&mut self`.
-        let mut masks = std::mem::take(&mut self.scratch_masks);
-        masks.clear();
-        masks.extend(arrivals.iter().map(|a| a.map(|d| 1u32 << d)));
-        self.dispatch_advance(&masks);
-        self.scratch_masks = masks;
+        let n_out = self.cfg.n_out;
+        self.dispatch_advance(arrivals.len(), |i| {
+            arrivals[i].map(|d| {
+                // Before the shift: in a release build `1 << 35` wraps to
+                // `1 << 3` and the packet would leave on output 3.
+                assert!(
+                    d < n_out,
+                    "input {i}: destination {d} out of range (n_out = {n_out})"
+                );
+                1u32 << d
+            })
+        });
         &self.departures[self.dep_mark..self.committed]
     }
 
     /// Like [`BehavioralSwitch::tick`] but arrivals carry destination
     /// bitmasks (multicast parity with the RTL model).
     pub fn tick_masks(&mut self, arrivals: &[Option<u32>]) -> &[BehavioralDeparture] {
-        self.dispatch_advance(arrivals);
+        self.dispatch_advance(arrivals.len(), |i| arrivals[i]);
         &self.departures[self.dep_mark..self.committed]
     }
 
@@ -299,19 +329,22 @@ impl BehavioralSwitch {
     /// branch is taken once per entry instead of several times per cycle.
     /// What also counts (`departed`, `drop`) is called in both, and pays
     /// the control plane's one predictable branch per packet.
+    /// `arrival(i)` is input `i`'s offered destination mask, so `tick`
+    /// and `tick_masks` share the kernel without a converted copy.
     #[inline]
-    fn dispatch_advance(&mut self, arrivals: &[Option<u32>]) {
+    fn dispatch_advance(&mut self, len: usize, arrival: impl Fn(usize) -> Option<u32>) {
+        assert_eq!(len, self.cfg.n_in);
         if self.ctl.probed() {
-            self.advance::<true>(arrivals);
+            self.advance::<true>(arrival);
         } else {
-            self.advance::<false>(arrivals);
+            self.advance::<false>(arrival);
         }
     }
 
     /// One cycle of the model; this cycle's completed departures are
     /// `departures[dep_mark..committed]` afterwards.
-    fn advance<const PROBED: bool>(&mut self, arrivals: &[Option<u32>]) {
-        assert_eq!(arrivals.len(), self.cfg.n_in);
+    #[inline]
+    fn advance<const PROBED: bool>(&mut self, arrival: impl Fn(usize) -> Option<u32>) {
         let c = self.cycle;
         let s = self.stages as Cycle;
         self.dep_mark = self.committed;
@@ -320,16 +353,16 @@ impl BehavioralSwitch {
         self.complete_tx(c);
 
         // 2. Arrivals.
-        for (i, a) in arrivals.iter().enumerate() {
-            if self.arriving[i] > 0 {
-                assert!(a.is_none(), "arrival offered mid-packet on input {i}");
-                self.arriving[i] -= 1;
-                continue;
-            }
-            if let Some(mask) = a {
+        for i in 0..self.cfg.n_in {
+            if let Some(mask) = arrival(i) {
+                assert!(
+                    c >= self.free_at[i],
+                    "arrival offered mid-packet on input {i}"
+                );
                 let excess = mask.checked_shr(self.cfg.n_out as u32).unwrap_or(0);
-                assert!(*mask != 0 && excess == 0, "bad destination mask {mask:#x}");
-                self.arriving[i] = self.stages - 1;
+                assert!(mask != 0 && excess == 0, "bad destination mask {mask:#x}");
+                self.free_at[i] = c + s;
+                self.links_free_at = c + s;
                 let primary = mask.trailing_zeros() as usize;
                 // Every offered header counts as arrived (the RTL's
                 // convention); only an accepted one is announced, below.
@@ -355,7 +388,7 @@ impl BehavioralSwitch {
                 let pkt = BhvPacket {
                     id,
                     input: i,
-                    dsts: *mask,
+                    dsts: mask,
                     refs: mask.count_ones(),
                     birth: c,
                     output_was_idle,
@@ -377,10 +410,8 @@ impl BehavioralSwitch {
                         self.packets.len() - 1
                     }
                 };
-                for j in 0..self.cfg.n_out {
-                    if mask & (1 << j) != 0 {
-                        self.queues[j].push_back(slot);
-                    }
+                for j in bits(mask) {
+                    self.queues[j].push_back(slot);
                 }
                 self.pending[i].push_back(PendingArrival {
                     slot,
@@ -388,30 +419,22 @@ impl BehavioralSwitch {
                     deadline: c + s,
                 });
                 if self.pending[i].len() == 1 {
-                    self.welig_at[i] = c + 1;
-                    self.wdead_at[i] = c + s;
+                    self.refresh_write(i);
                 }
-                // No `ready_at` refresh: a fresh queue head has no write
-                // wave yet, so its readiness stays `Cycle::MAX` either way.
+                // No readiness refresh: a fresh queue head has no write
+                // wave yet, so its `ready_at` stays `Cycle::MAX` either way.
             }
         }
 
-        // 3. Latch-overrun sweep; 4. arbitration.
-        self.sweep_if_overdue(c);
-        self.arbitrate::<PROBED>(c);
-        if PROBED {
-            self.ctl.gauge_occupancy(c, self.buf_used);
-        }
-        self.cycle = c + 1;
+        self.close_cycle::<PROBED>(c);
     }
 
-    /// Run `n` input-idle cycles as one fused batch — the bit-parallel
-    /// kernel's multi-cycle entry point. Identical observable behavior
-    /// to `n` calls of [`BehavioralSwitch::tick`] with all-`None`
-    /// arrivals (same grants, probes, counters, departures), but the
-    /// per-tick wrapper, the arrival scan, and the per-cycle link-pacing
-    /// decrements are hoisted out of the loop: control can only change
-    /// at arbitration decisions, so everything else fuses.
+    /// Run `n` input-idle cycles as one fused batch — the kernel's
+    /// multi-cycle entry point. Identical observable behavior to `n`
+    /// calls of [`BehavioralSwitch::tick`] with all-`None` arrivals (same
+    /// grants, probes, counters, departures) without the per-tick wrapper
+    /// and the arrival scan; link pacing is a comparison against
+    /// `free_at`, so there is nothing to replay for it.
     ///
     /// Afterwards this batch's completed departures are
     /// `departures[dep_mark..committed]` (also the window
@@ -430,19 +453,28 @@ impl BehavioralSwitch {
         while self.cycle < end {
             let c = self.cycle;
             self.complete_tx(c);
-            self.sweep_if_overdue(c);
-            self.arbitrate::<PROBED>(c);
-            if PROBED {
-                self.ctl.gauge_occupancy(c, self.buf_used);
-            }
-            self.cycle = c + 1;
+            self.close_cycle::<PROBED>(c);
         }
-        // Link pacing: under idle input the `arriving` counters only
-        // drain, so the per-cycle decrements collapse to one subtract.
-        let n = usize::try_from(n).unwrap_or(usize::MAX);
-        for a in &mut self.arriving {
-            *a = a.saturating_sub(n);
+    }
+
+    /// The rest of cycle `c` once completions and arrivals are in: wake
+    /// the requests that start now (their calendar slot ORed into the
+    /// kept masks and zeroed), 3. latch-overrun sweep, 4. arbitration.
+    /// With nothing due and nothing requesting this is one calendar read
+    /// and two compares, whatever the port count.
+    #[inline]
+    fn close_cycle<const PROBED: bool>(&mut self, c: Cycle) {
+        let slot = c as usize & (self.wake.len() - 1);
+        let due = std::mem::take(&mut self.wake[slot]);
+        self.req = [self.req[READS] | due[READS], self.req[WRITES] | due[WRITES]];
+        self.sweep_if_overdue(c);
+        self.arbitrate::<PROBED>(c);
+        if PROBED {
+            self.ctl.gauge_occupancy(c, self.buf_used);
         }
+        #[cfg(debug_assertions)]
+        self.assert_calendar(c);
+        self.cycle = c + 1;
     }
 
     /// Step 1: completed transmission — the cached next done-cycle turns
@@ -464,13 +496,14 @@ impl BehavioralSwitch {
     }
 
     /// Step 3: latch-overrun sweep (diagnostic; unreachable under
-    /// shipped policies) — guarded by the cached front deadlines, so
-    /// the steady state pays one compare per input.
+    /// shipped policies). A front is eligible before its deadline, so
+    /// only one already requesting can be overdue: the guard visits the
+    /// set bits of the write mask (the maskless wide fallback scans).
     #[inline]
     fn sweep_if_overdue(&mut self, c: Cycle) {
-        let mut overdue = false;
-        for &d in &self.wdead_at {
-            overdue |= d < c;
+        let mut overdue = self.wide_ports && self.wdead_at.iter().any(|&d| d < c);
+        for i in bits(self.req[WRITES]) {
+            overdue |= self.wdead_at[i] < c;
         }
         if overdue {
             for i in 0..self.cfg.n_in {
@@ -486,19 +519,23 @@ impl BehavioralSwitch {
             }
             // Queue heads and pending fronts moved arbitrarily: rebuild
             // the flat request state (cold path).
-            self.rebuild_request_state();
+            for j in 0..self.cfg.n_out {
+                self.refresh_ready(j);
+            }
+            for i in 0..self.cfg.n_in {
+                self.refresh_write(i);
+            }
         }
     }
 
-    /// Step 4: arbitration — fold the flat readiness arrays into packed
-    /// request masks (one branchless compare per port), let the arbiter
-    /// pick from the machine words, and execute the grant.
+    /// Step 4: arbitration — the arbiter picks from the kept request
+    /// masks as they stand, and the grant is executed.
     #[inline]
     fn arbitrate<const PROBED: bool>(&mut self, c: Cycle) {
         let decision;
         if self.wide_ports {
-            // Cold fallback for >64-port fabrics: same flat arrays,
-            // slice-based requests.
+            // Cold fallback for more than 64 inputs: slice-based
+            // requests derived from the cycle arrays.
             let mut reads = std::mem::take(&mut self.scratch_reads);
             reads.clear();
             for (j, &r) in self.ready_at.iter().enumerate() {
@@ -524,26 +561,16 @@ impl BehavioralSwitch {
             }
             self.scratch_reads = reads;
             self.scratch_writes = writes;
-        } else {
-            let mut read_mask = 0u64;
-            for (j, &r) in self.ready_at.iter().enumerate() {
-                read_mask |= ((r <= c) as u64) << j;
-            }
-            let mut write_mask = 0u64;
-            for (i, &e) in self.welig_at.iter().enumerate() {
-                write_mask |= ((e <= c) as u64) << i;
-            }
+        } else if self.req == [0; 2] {
             // No requests → the arbiter idles without touching its state;
-            // skip the call on the (low-load) common path. The popcounts
-            // feed only the probe event, so they live in its branch.
-            if read_mask | write_mask == 0 {
-                decision = Decision::Idle;
-            } else {
-                decision = self.arb.decide_dense(read_mask, write_mask, &self.wdead_at);
-                if PROBED {
-                    let (reads, writes) = (read_mask.count_ones(), write_mask.count_ones());
-                    self.probe_arbitration(c, reads as usize, writes as usize, decision);
-                }
+            // skip the call on the (low-load) common path.
+            decision = Decision::Idle;
+        } else {
+            let [reads, writes] = self.req;
+            decision = self.arb.decide_dense(reads, writes, &self.wdead_at);
+            if PROBED {
+                let (reads, writes) = (reads.count_ones(), writes.count_ones());
+                self.probe_arbitration(c, reads as usize, writes as usize, decision);
             }
         }
         match decision {
@@ -551,16 +578,7 @@ impl BehavioralSwitch {
             Decision::Write(i) => {
                 let i = i.index();
                 let pw = self.pending[i].pop_front().expect("granted");
-                match self.pending[i].front() {
-                    None => {
-                        self.welig_at[i] = Cycle::MAX;
-                        self.wdead_at[i] = Cycle::MAX;
-                    }
-                    Some(f) => {
-                        self.welig_at[i] = f.eligible;
-                        self.wdead_at[i] = f.deadline;
-                    }
-                }
+                self.refresh_write(i);
                 self.wstart[pw.slot] = c;
                 let dsts = self.packets[pw.slot].as_ref().expect("live").dsts;
                 let fusable = self.cfg.fused_cut_through;
@@ -569,19 +587,18 @@ impl BehavioralSwitch {
                 }
                 // The write wave makes this packet readable wherever it
                 // heads a destination queue; the first idle such output
-                // (ascending) fuses a read onto the write wave.
-                let head_ready = c + self.ready_base;
+                // (ascending) fuses a read onto the write wave, and
+                // `start_read` leaves that output's readiness set.
                 let mut fused_done = false;
-                let mut m = dsts;
-                while m != 0 {
-                    let j = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if self.queues[j].front() == Some(&pw.slot) {
-                        self.ready_at[j] = head_ready.max(self.out_next_init[j]);
-                        if fusable && !fused_done && c >= self.out_next_init[j] {
-                            self.start_read::<PROBED>(j, c, true);
-                            fused_done = true;
-                        }
+                for j in bits(dsts) {
+                    if self.queues[j].front() != Some(&pw.slot) {
+                        continue;
+                    }
+                    if fusable && !fused_done && c >= self.out_next_init[j] {
+                        self.start_read::<PROBED>(j, c, true);
+                        fused_done = true;
+                    } else {
+                        self.refresh_ready(j);
                     }
                 }
             }
@@ -640,11 +657,9 @@ impl BehavioralSwitch {
     /// Returns its id.
     fn remove_packet(&mut self, slot: usize) -> u64 {
         let p = self.packets[slot].take().expect("live packet");
-        for j in 0..self.cfg.n_out {
-            if p.dsts & (1 << j) != 0 {
-                self.queues[j].retain(|&sl| sl != slot);
-                self.refresh_ready(j);
-            }
+        for j in bits(p.dsts) {
+            self.queues[j].retain(|&sl| sl != slot);
+            self.refresh_ready(j);
         }
         self.free_slab.push(slot);
         self.buf_used -= 1;
@@ -733,40 +748,83 @@ impl BehavioralSwitch {
         }
     }
 
-    /// Recompute `ready_at[j]` from output `j`'s queue head — control-
-    /// point maintenance of the dense-path arrays.
+    /// The only writer of `ready_at`: output `j`'s request start,
+    /// recomputed from its queue head (`Cycle::MAX` when the queue is empty
+    /// or the head has no write wave yet) and moved on the wake calendar.
     fn refresh_ready(&mut self, j: usize) {
-        self.ready_at[j] = match self.queues[j].front() {
-            None => Cycle::MAX,
-            Some(&slot) => {
-                let ws = self.wstart[slot];
-                if ws == Cycle::MAX {
-                    Cycle::MAX
-                } else {
-                    (ws + self.ready_base).max(self.out_next_init[j])
-                }
-            }
+        let t = match self.queues[j].front().map(|&slot| self.wstart[slot]) {
+            None | Some(Cycle::MAX) => Cycle::MAX,
+            Some(ws) => (ws + self.ready_base).max(self.out_next_init[j]),
         };
+        let old = self.ready_at[j];
+        self.ready_at[j] = t;
+        self.reschedule::<READS>(j, old, t);
     }
 
-    /// Full rebuild of the dense-path request arrays. Cold path: only an
-    /// overrun sweep rearranges queues arbitrarily enough to need it.
-    fn rebuild_request_state(&mut self) {
-        for j in 0..self.cfg.n_out {
-            self.refresh_ready(j);
+    /// The only writer of `welig_at` / `wdead_at`: input `i`'s write
+    /// request, recomputed from its front pending write (`Cycle::MAX`
+    /// twice when none) and moved on the wake calendar.
+    fn refresh_write(&mut self, i: usize) {
+        let front = self.pending[i].front();
+        let old = self.welig_at[i];
+        self.welig_at[i] = front.map_or(Cycle::MAX, |f| f.eligible);
+        self.wdead_at[i] = front.map_or(Cycle::MAX, |f| f.deadline);
+        self.reschedule::<WRITES>(i, old, self.welig_at[i]);
+    }
+
+    /// Move one port's entry on the wake calendar (class `K`: [`READS`]
+    /// by output, [`WRITES`] by input) from request start `old` to `t`.
+    /// The old entry is retracted from the kept mask and from slot `old`
+    /// — it sits in exactly one of them, or in neither when `old` is
+    /// `Cycle::MAX`, and clearing a clear bit is harmless — then a start
+    /// that has come sets the mask and a future one marks slot `t`.
+    /// `S + 1` slots (rounded up to a power of two) never alias: a header
+    /// at `a` asks to be written from `a + 1` and a later front already
+    /// has; a head is readable `1` or `S` cycles after its write wave
+    /// began; an output re-initiates `S` after a read began — every start
+    /// set in cycle `c` is `<= c + S`, and slot `c` itself may still be
+    /// waiting for this cycle's wake.
+    #[inline]
+    fn reschedule<const K: usize>(&mut self, port: usize, old: Cycle, t: Cycle) {
+        if self.wide_ports {
+            return; // no masks to keep, and `port` may be >= 64
         }
-        for i in 0..self.cfg.n_in {
-            match self.pending[i].front() {
-                None => {
-                    self.welig_at[i] = Cycle::MAX;
-                    self.wdead_at[i] = Cycle::MAX;
-                }
-                Some(f) => {
-                    self.welig_at[i] = f.eligible;
-                    self.wdead_at[i] = f.deadline;
-                }
+        debug_assert!(t == Cycle::MAX || t <= self.cycle + self.stages as Cycle);
+        let (bit, m) = (1u64 << port, self.wake.len() - 1);
+        self.req[K] &= !bit;
+        self.wake[old as usize & m][K] &= !bit;
+        if t <= self.cycle {
+            self.req[K] |= bit;
+        } else if t != Cycle::MAX {
+            self.wake[t as usize & m][K] |= bit;
+        }
+    }
+
+    /// DESIGN.md §6 invariant (1), checked at the end of every executed
+    /// cycle `c` of a debug build: each request start in the cycle arrays
+    /// is in the kept mask if it has come and in its calendar slot if it
+    /// has not, and no other bit is set anywhere.
+    #[cfg(debug_assertions)]
+    fn assert_calendar(&self, c: Cycle) {
+        if self.wide_ports {
+            return;
+        }
+        let m = self.wake.len() - 1;
+        let mut live = 0;
+        for (k, at) in [&self.ready_at, &self.welig_at].into_iter().enumerate() {
+            for (p, &t) in at.iter().enumerate() {
+                let slot = self.wake[t as usize & m][k];
+                let word = if t <= c { self.req[k] } else { slot };
+                let held = t == Cycle::MAX || word >> p & 1 == 1;
+                assert!(held, "cycle {c}: class {k} port {p}, due {t}, is not held");
+                live += u32::from(t != Cycle::MAX);
             }
         }
+        let mut set = self.req[READS].count_ones() + self.req[WRITES].count_ones();
+        for [reads, writes] in &self.wake {
+            set += reads.count_ones() + writes.count_ones();
+        }
+        assert_eq!(set, live, "cycle {c}: a stale bit on the wake calendar");
     }
 
     /// All departures so far (accumulating).
@@ -794,9 +852,7 @@ impl BehavioralSwitch {
 
     /// True when the switch holds nothing.
     pub fn is_quiescent(&self) -> bool {
-        self.buf_used == 0
-            && self.tx_next_done == Cycle::MAX
-            && self.arriving.iter().all(|&a| a == 0)
+        self.buf_used == 0 && self.tx_next_done == Cycle::MAX && self.cycle >= self.links_free_at
     }
 
     /// Run idle cycles until quiescent, appending completed departures to
@@ -807,15 +863,8 @@ impl BehavioralSwitch {
         limit: u64,
         out: &mut Vec<BehavioralDeparture>,
     ) -> Result<Cycle, simkernel::SimError> {
-        // The idle-arrival mask is all-None every cycle; reuse the mask
-        // scratch shape via `tick_masks` on a cleared `scratch_masks`.
-        let n_in = self.cfg.n_in;
         simkernel::horizon::drain(self, limit, "behavioral drain", |sw| {
-            let mut masks = std::mem::take(&mut sw.scratch_masks);
-            masks.clear();
-            masks.resize(n_in, None);
-            sw.dispatch_advance(&masks);
-            sw.scratch_masks = masks;
+            sw.tick_idle_batch(1);
             out.extend_from_slice(&sw.departures[sw.dep_mark..sw.committed]);
         })
     }
@@ -830,18 +879,22 @@ impl simkernel::Horizon for BehavioralSwitch {
     /// Under idle input the only state transitions are: a transmission
     /// completing (`tx_next_done`), a pending write becoming
     /// eligible, and a queued packet becoming read-ready at its output's
-    /// next initiation slot. Everything else — the `arriving` link
-    /// counters — is pure bookkeeping that `jump_to` replays in O(1).
+    /// next initiation slot. Link pacing is a comparison against
+    /// `free_at`, which a jump does not touch.
     fn next_event(&self) -> Option<Cycle> {
         if self.is_quiescent() {
             return None;
         }
-        // The dense-path arrays already hold every schedulable event:
-        // `tx_next_done` (a transmission completing), `welig_at` (a
-        // pending write becoming eligible — heads with write_start ==
-        // None are covered here), `ready_at` (a queued head becoming
-        // read-ready, `out_next_init` folded in).
         let now = self.cycle;
+        if self.req != [0; 2] {
+            return Some(now); // a standing request: arbitration acts now
+        }
+        // The cycle arrays hold every schedulable event: `tx_next_done`
+        // (a transmission completing), `welig_at` (a pending write
+        // becoming eligible — heads with no write wave yet are covered
+        // here), `ready_at` (a queued head becoming read-ready,
+        // `out_next_init` folded in). The calendar is indexed by cycle,
+        // not ordered, so the minimum is read off the arrays.
         let mut ev = self.tx_next_done;
         for &e in &self.welig_at {
             ev = ev.min(e);
@@ -852,24 +905,21 @@ impl simkernel::Horizon for BehavioralSwitch {
         if ev != Cycle::MAX {
             return Some(ev);
         }
-        // No scheduled event but not quiescent: either only the
-        // `arriving` link counters are still draining (skippable —
-        // the "event" is quiescence itself), or something is live
-        // that we failed to account for (conservative dense tick).
+        // No scheduled event but not quiescent: either only the links
+        // are still carrying dropped packets (skippable — the "event" is
+        // quiescence itself), or something is live that we failed to
+        // account for (conservative dense tick).
         if self.buf_used == 0 && self.tx_next_done == Cycle::MAX {
-            let max_arr = self.arriving.iter().copied().max().unwrap_or(0) as Cycle;
-            Some(now + max_arr)
+            Some(self.links_free_at)
         } else {
             Some(now)
         }
     }
 
+    /// No wake-calendar slot lies in `[now, target)`: the horizon
+    /// contract caps `target` at `next_event`, the earliest of them.
     fn jump_to(&mut self, target: Cycle) {
         debug_assert!(target >= self.cycle, "jump_to moves time forward only");
-        let delta = (target - self.cycle) as usize;
-        for a in &mut self.arriving {
-            *a = a.saturating_sub(delta);
-        }
         // Dense idle ticking through a dead span leaves last cycle's
         // completion window empty; match that.
         self.dep_mark = self.committed;
@@ -1054,6 +1104,39 @@ mod tests {
         assert_eq!(ctr.in_flight(), 0);
         assert!(ctr.arrived > 5_000);
         assert_eq!(ctr.latch_overruns, 0);
+    }
+
+    #[test]
+    fn preempting_a_queue_head_retracts_its_wake_from_the_calendar() {
+        // 3 x 1, S = 4, two slots, push-out. A and P arrive together, X
+        // two cycles later; A cuts through, P is read at 5, and X —
+        // written at 3, long retired — heads the queue with its
+        // readiness on the calendar at 9, the output's next initiation.
+        let mut cfg = SwitchConfig::symmetric(3, 2).with_policy(crate::PolicyKind::PushOut);
+        cfg.n_out = 1;
+        let mut sw = BehavioralSwitch::new(cfg);
+        let slot_of = |sw: &BehavioralSwitch, t: Cycle| sw.wake[t as usize & (sw.wake.len() - 1)];
+        sw.tick(&[Some(0), Some(0), None]);
+        sw.tick(&[None; 3]);
+        sw.tick(&[None, None, Some(0)]);
+        sw.tick_idle_batch(4);
+        assert_eq!((sw.now(), sw.queue_len(0), sw.occupancy()), (7, 1, 1));
+        assert_eq!((sw.ready_at[0], sw.req[READS]), (9, 0));
+        assert_eq!(slot_of(&sw, 9), [1, 0], "X wakes output 0 at cycle 9");
+        // Y fills the pool; D, in the same cycle, pushes out the rearmost
+        // *evictable* packet of the only queue. Y has no write wave yet,
+        // so X goes — the head, while its wake is still on the calendar.
+        sw.tick(&[Some(0), Some(0), None]);
+        assert_eq!(sw.counters().policy_preempts, 1);
+        assert_eq!((sw.queue_len(0), sw.occupancy()), (2, 2));
+        // The new head is unwritten: no read is due any more. A stale bit
+        // would start a read at 9 for a head that is not ready (or, on an
+        // emptied queue, `expect("read from empty queue")`).
+        assert_eq!((sw.ready_at[0], sw.req[READS]), (Cycle::MAX, 0));
+        assert_eq!(slot_of(&sw, 9), [0, 0], "X's wake was retracted");
+        assert_eq!(slot_of(&sw, 8), [0, 0b11], "Y and D ask to be written at 8");
+        let ids: Vec<u64> = drain(&mut sw).iter().map(|d| d.id).collect();
+        assert_eq!(ids, vec![2, 4, 5], "P, then Y and D; X (id 3) was evicted");
     }
 
     #[test]

@@ -274,9 +274,10 @@ pub struct PipelinedSwitch {
     idle_wire: Vec<Option<u64>>,
 }
 
-/// The set bits of `mask`, lowest first.
+/// The set bits of `mask` (any unsigned width), lowest first.
 #[inline]
-fn bits(mut mask: u128) -> impl Iterator<Item = usize> {
+pub(crate) fn bits(mask: impl Into<u128>) -> impl Iterator<Item = usize> {
+    let mut mask = mask.into();
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let k = mask.trailing_zeros() as usize;

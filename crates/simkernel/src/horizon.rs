@@ -34,7 +34,7 @@
 //! Answering *early* (`Some(now)` when a longer skip was legal) costs
 //! performance, never correctness; answering *late* is a model bug —
 //! the equivalence property test (`tests/fast_forward.rs` in
-//! `switch-core`) hunts exactly that by comparing dense and
+//! the root package) hunts exactly that by comparing dense and
 //! fast-forwarded runs over randomized bursty schedules.
 //!
 //! Parallelism stays in the bench harness (DESIGN.md §6); time-skipping

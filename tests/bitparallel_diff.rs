@@ -8,7 +8,10 @@
 //!
 //! 1. `BehavioralSwitch` vs [`BehavioralSwitchRef`]: departures (every
 //!    field), arrival/drop/overrun counters, and the *full probe event
-//!    stream* must match exactly.
+//!    stream* must match exactly — and again, in lockstep through
+//!    `tick_masks` with multicast, on the grid of shapes, arbitration
+//!    policies and cut-through modes the wake calendar is sensitive to,
+//!    the `n_in > 64` fallback included.
 //! 2. `PipelinedSwitch` vs [`PipelinedSwitchRef`]: delivered packets,
 //!    `SwitchCounters`, and the probe stream must match exactly.
 //! 3. All four memory organizations against the behavioral reference as
@@ -207,6 +210,125 @@ fn behavioral_matches_scalar_reference_on_load_grid() {
             );
         }
     }
+}
+
+/// One cell of the wake-calendar grid: the live model and the scalar
+/// twin in lockstep over one mask schedule (`tick_masks`), compared
+/// every cycle — the departures each tick returns, link pacing on every
+/// input, quiescence — and at the end on the departure log, the
+/// counters and, where `probed`, the whole probe stream. Returns the
+/// departure count.
+fn lockstep_cell(cfg: &SwitchConfig, load: f64, seed: u64, probed: bool) -> usize {
+    let (n_in, n_out, s) = (cfg.n_in, cfg.n_out, cfg.stages() as u64);
+    let what = format!(
+        "{n_in}x{n_out} {:?} ct={} load {load}",
+        cfg.arbiter, cfg.cut_through
+    );
+    let mut live = BehavioralSwitch::new(cfg.clone());
+    let mut twin = BehavioralSwitchRef::new(cfg.clone());
+    let (rec_live, rec_twin) = (
+        Shared::new(Recorder::unbounded()),
+        Shared::new(Recorder::unbounded()),
+    );
+    if probed {
+        live.attach_probe(rec_live.handle());
+        twin.attach_probe(rec_twin.handle());
+    }
+    // 80 % unicast, 20 % a random non-empty destination set.
+    let mut rng = SplitMix64::new(seed);
+    let all = u32::MAX >> (32 - n_out);
+    let mut arr: Vec<Option<u32>> = vec![None; n_in];
+    let offered_cycles = 40 * s;
+    let mut t = 0u64;
+    while t < offered_cycles || !twin.is_quiescent() {
+        assert!(t < offered_cycles + 100_000, "{what}: failed to drain");
+        for (i, a) in arr.iter_mut().enumerate() {
+            assert_eq!(
+                live.input_free(i),
+                twin.input_free(i),
+                "{what}: link pacing of input {i} at cycle {t}"
+            );
+            *a = None;
+            if t < offered_cycles && twin.input_free(i) && rng.chance(load / s as f64) {
+                let unicast = 1u32 << rng.below_usize(n_out);
+                let multicast = rng.next_u64() as u32 & all;
+                *a = Some(if multicast != 0 && rng.chance(0.2) {
+                    multicast
+                } else {
+                    unicast
+                });
+            }
+        }
+        assert_eq!(
+            live.tick_masks(&arr),
+            twin.tick_masks(&arr),
+            "{what}: departures of cycle {t}"
+        );
+        assert_eq!(
+            live.is_quiescent(),
+            twin.is_quiescent(),
+            "{what}: quiescence after cycle {t}"
+        );
+        t += 1;
+    }
+    assert_eq!(live.departures(), twin.departures(), "{what}: log");
+    assert_eq!(live_counts(&live), ref_counts(&twin), "{what}: counters");
+    let e_live: ProbeLog = rec_live.with(|r| r.iter().cloned().collect());
+    let e_twin: ProbeLog = rec_twin.with(|r| r.iter().cloned().collect());
+    assert_eq!(e_live.is_empty(), !probed, "{what}: probe attached");
+    assert_eq!(e_live, e_twin, "{what}: probe streams");
+    live.departures().len()
+}
+
+/// What the wake calendar is sensitive to, against the scalar twin:
+/// `S` not a power of two, asymmetric shapes, the smallest ring (1 x 1),
+/// the widest mask words (16 x 16), every arbitration policy, and
+/// store-and-forward, whose `ready_base = S` lands on the farthest
+/// slot. 65 x 4 is the `n_in > 64` fallback, which keeps no mask and no
+/// calendar and in a debug build would panic on a shift by 64 or more.
+#[test]
+fn wake_calendar_matches_scalar_reference_on_the_shape_grid() {
+    use telegraphos::switch_core::arbiter::ArbiterPolicy::{
+        Alternate, ReadPriority, WritePriority,
+    };
+    let shapes = [(3, 3), (5, 2), (2, 6), (7, 8), (1, 1), (16, 16), (65, 4)];
+    let mut cells = 0;
+    for (k, &(n_in, n_out)) in shapes.iter().enumerate() {
+        let mut cell = 0;
+        let mut departed = 0;
+        for arbiter in [ReadPriority, WritePriority, Alternate] {
+            for cut_through in [true, false] {
+                for load in LOADS {
+                    let mut cfg = SwitchConfig::symmetric(n_in, 2 * n_out + 2);
+                    cfg.n_out = n_out;
+                    cfg.arbiter = arbiter;
+                    cfg.cut_through = cut_through;
+                    cfg.fused_cut_through = cut_through;
+                    // One probed cell per shape, a different corner of
+                    // the grid for each; the rest run the unprobed kernel.
+                    let seed = 0xCA1 + 1_000 * k as u64 + cell;
+                    departed += lockstep_cell(&cfg, load, seed, cell == 5 * k as u64 % 18);
+                    cell += 1;
+                }
+            }
+        }
+        assert!(departed > 100, "{n_in}x{n_out}: workload too thin");
+        cells += cell;
+    }
+    assert_eq!(cells, 126);
+}
+
+/// An out-of-range destination is refused by name before it is shifted
+/// into a mask: a release build used to wrap `1 << 35` to `1 << 3` and
+/// deliver the packet to output 3, a debug build to die of "shift left
+/// with overflow". CI runs this file in both profiles.
+#[test]
+#[should_panic(expected = "input 0: destination 35 out of range (n_out = 8)")]
+fn an_out_of_range_destination_panics_in_both_profiles() {
+    let mut sw = BehavioralSwitch::new(SwitchConfig::symmetric(8, 64));
+    let mut arr = vec![None; 8];
+    arr[0] = Some(35);
+    sw.tick(&arr);
 }
 
 // ---------------------------------------------------------------------------
