@@ -51,11 +51,6 @@ impl InputSmoothingSwitch {
             batches: vec![Vec::new(); n],
         }
     }
-
-    /// Frame length (= per-input buffer size).
-    pub fn frame_len(&self) -> usize {
-        self.b
-    }
 }
 
 impl CellSwitch for InputSmoothingSwitch {

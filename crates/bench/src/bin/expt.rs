@@ -21,8 +21,6 @@
 //!   --last N        flight-recorder window (default 4096 events)
 //!   --smoke         validate the exports, write nothing
 //! expt --quick ...  shrink run lengths (CI-sized)
-//! expt --smoke ...  shrink campaign grids below --quick (determinism
-//!                   cross-checks re-run experiments several times)
 //! expt --jobs N     sweep-engine worker count (default: all cores)
 //! expt --seq        fully sequential (same as --jobs 1)
 //! expt --watchdog N override every drain-loop budget with N cycles and
@@ -139,7 +137,10 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     bench_harness::sweep::set_jobs(if seq { 1 } else { jobs.unwrap_or(0) });
-    bench_harness::sweep::set_smoke(smoke);
+    if smoke && !ids.iter().any(|i| i == "trace") {
+        eprintln!("--smoke only applies to 'expt trace'; --quick is the CI-sized depth");
+        return ExitCode::from(2);
+    }
     if policy.is_some() && !ids.iter().any(|i| i == "e18" || i == "all") {
         eprintln!("--policy only applies to 'expt e18'");
         return ExitCode::from(2);
@@ -200,7 +201,10 @@ fn main() -> ExitCode {
             bad_usage(format!("unknown experiment '{id}' (try --list)"));
         }
         if ids.is_empty() || jobs.is_some() || seq {
-            bad_usage("usage: expt [--quick | --smoke] check-determinism <id>...|all|fuzz [--jobs A,B] [--seeds N]".into());
+            bad_usage(
+                "usage: expt [--quick] check-determinism <id>...|all|fuzz [--jobs A,B] [--seeds N]"
+                    .into(),
+            );
         }
         let pair = jobs_pair.unwrap_or((1, 8));
         for id in &ids {
@@ -285,7 +289,7 @@ fn main() -> ExitCode {
 
     if list || ids.is_empty() {
         eprintln!(
-            "usage: expt [--quick] [--smoke] [--jobs N | --seq] [--watchdog N] <e1..e19 | x1..x5 | all>...\n       \
+            "usage: expt [--quick] [--jobs N | --seq] [--watchdog N] <e1..e19 | x1..x5 | all>...\n       \
              expt e18 [--policy static|dt|pushout|occamy|bshare]\n       \
              expt fuzz [--seeds N] [--base 0xHEX] [--jobs N | --seq]\n       \
              expt bench [--quick]\n       \

@@ -10,7 +10,7 @@
 use simkernel::cell::Packet;
 use switch_core::config::SwitchConfig;
 use switch_core::rtl::{OutputCollector, PipelinedSwitch, StageCtrl};
-use telemetry::{SharedRecorder, TelemetryConfig};
+use telemetry::{Recorder, Shared, SharedRecorder};
 
 /// One rendered cycle of the scenario.
 #[derive(Debug, Clone)]
@@ -36,8 +36,9 @@ pub fn scenario() -> (
 ) {
     let cfg = SwitchConfig::symmetric(2, 8);
     let s = cfg.stages();
-    let (mut sw, rec) = PipelinedSwitch::with_telemetry(cfg, &TelemetryConfig::unbounded());
-    let rec = rec.expect("unbounded() always enables a recorder");
+    let mut sw = PipelinedSwitch::new(cfg);
+    let rec = Shared::new(Recorder::unbounded());
+    sw.attach_probe(rec.handle());
     let a = Packet::synth(0xA, 0, 1, s, 0);
     let b = Packet::synth(0xB, 1, 1, s, 0);
     let c_pkt = Packet::synth(0xC, 0, 0, s, 4);

@@ -10,6 +10,7 @@
 //! formula.
 
 use crate::{sweep, table};
+use simkernel::cell::header_chance;
 use simkernel::SplitMix64;
 use switch_core::behavioral::BehavioralSwitch;
 use switch_core::config::SwitchConfig;
@@ -32,16 +33,6 @@ pub fn formula(p: f64, n: usize) -> f64 {
     (p / 4.0) * (n as f64 - 1.0) / n as f64
 }
 
-/// Per-idle-cycle start probability giving long-run link load `p` on a
-/// link whose packets occupy `s` word cycles.
-fn start_prob(p: f64, s: usize) -> f64 {
-    if p >= 1.0 {
-        1.0
-    } else {
-        p / (p + s as f64 * (1.0 - p))
-    }
-}
-
 /// The arrival schedule at load `p`: each input is a renewal process —
 /// free for a geometric number of cycles (the same per-idle-cycle start
 /// probability `q` a dense Bernoulli drive loop would use), then busy
@@ -56,7 +47,7 @@ fn arrival_schedule(
     cycles: u64,
     seed: u64,
 ) -> Vec<(u64, usize, usize)> {
-    let q = start_prob(p, s);
+    let q = header_chance(p, s);
     let mut sched = Vec::new();
     for i in 0..n {
         let mut rng = SplitMix64::stream(seed, i as u64);

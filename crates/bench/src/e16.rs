@@ -88,7 +88,7 @@ pub struct CampaignRow {
 /// forward, full integrity machinery. Store-and-forward because only a
 /// fully written slot can be scrubbed — the cut-through trade-off the
 /// report footnote spells out.
-fn campaign_config() -> SwitchConfig {
+pub(crate) fn campaign_config() -> SwitchConfig {
     let mut cfg = SwitchConfig::symmetric(4, 16);
     cfg.cut_through = false;
     cfg.fused_cut_through = false;
@@ -332,15 +332,8 @@ pub fn run_point(spec: &CampaignSpec) -> CampaignRow {
 /// The campaign grid: a fault-free baseline plus every fault class at
 /// each rate, seeds split per point.
 pub fn specs(quick: bool) -> Vec<CampaignSpec> {
-    let smoke = sweep::smoke();
-    let cycles = if smoke {
-        1_500
-    } else if quick {
-        4_000
-    } else {
-        30_000
-    };
-    let rates: &[f64] = if smoke { &[0.01] } else { &[0.002, 0.01] };
+    let cycles = if quick { 4_000 } else { 30_000 };
+    let rates = [0.002, 0.01];
     let base_seed = 0xE16;
     let mut specs = vec![CampaignSpec {
         kind: None,
@@ -349,7 +342,7 @@ pub fn specs(quick: bool) -> Vec<CampaignSpec> {
         seed: split_seed(base_seed, 0),
     }];
     for kind in FaultKind::ALL {
-        for &rate in rates {
+        for rate in rates {
             let idx = specs.len() as u64;
             specs.push(CampaignSpec {
                 kind: Some(kind),

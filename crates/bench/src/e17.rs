@@ -34,13 +34,12 @@
 //! in the process-wide ledger the `expt --watchdog` flag reports.
 
 use crate::{sweep, table};
-use simkernel::cell::Packet;
+use simkernel::cell::{header_chance, Packet};
 use simkernel::ids::Cycle;
 use simkernel::rng::split_seed;
 use simkernel::SplitMix64;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use switch_core::config::SwitchConfig;
 use switch_core::faultsim::{FAULT_STREAM, TRAFFIC_STREAM};
 use switch_core::recovery::{
     RecoveryConfig, RecoveryWindows, RetryConfig, RetryReceiver, RetrySender, RxVerdict,
@@ -147,20 +146,14 @@ fn recovery() -> RecoveryConfig {
     RecoveryConfig::full(SPARES, THRESHOLD)
 }
 
-fn rtl_config() -> SwitchConfig {
-    let mut cfg = SwitchConfig::symmetric(N, SLOTS);
-    cfg.cut_through = false;
-    cfg.fused_cut_through = false;
-    cfg.integrity.checksum = true;
-    cfg.integrity.payload_check = true;
-    cfg.integrity.harden = true;
-    cfg.with_recovery(recovery())
-}
-
 /// `org` with the full recovery ladder armed.
 fn build(org: WordOrg) -> Box<dyn WordSwitch> {
     match org {
-        WordOrg::Pipelined => Box::new(PipelinedSwitch::new(rtl_config())),
+        WordOrg::Pipelined => {
+            let cfg = crate::e16::campaign_config().with_recovery(recovery());
+            debug_assert_eq!((cfg.n_in, cfg.slots), (N, SLOTS));
+            Box::new(PipelinedSwitch::new(cfg))
+        }
         _ => org.build(N, SLOTS, recovery(), PolicyKind::Static),
     }
 }
@@ -280,13 +273,7 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
     let mut trng = SplitMix64::stream(spec.seed, TRAFFIC_STREAM);
     let mut rngs: Vec<SplitMix64> = (0..N).map(|_| trng.fork()).collect();
     let mut frng = SplitMix64::stream(spec.seed, FAULT_STREAM);
-    // Per-cycle header probability yielding busy-fraction `load` when
-    // each start occupies the wire for S cycles.
-    let q = if spec.load >= 1.0 {
-        1.0
-    } else {
-        spec.load / (spec.load + s as f64 * (1.0 - spec.load))
-    };
+    let q = header_chance(spec.load, s);
     // A frame spends S words on the wire, so its strike probability is
     // the per-word rate compounded over the frame (capped well short of
     // certain loss so the replay bound is exercised, not saturated).
@@ -447,21 +434,13 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
 /// process across rate × load, plus the two wire-fault classes behind
 /// the link-retry pair on the pipelined RTL.
 pub fn specs(quick: bool) -> Vec<ChaosSpec> {
-    let smoke = sweep::smoke();
-    let cycles = if smoke {
-        1_500
-    } else if quick {
-        4_000
-    } else {
-        30_000
-    };
-    let rates: &[f64] = if smoke { &[0.01] } else { &[0.002, 0.01] };
-    let loads: &[f64] = if smoke { &[0.6] } else { &[0.5, 0.9] };
+    let cycles = if quick { 4_000 } else { 30_000 };
+    let (rates, loads) = ([0.002, 0.01], [0.5, 0.9]);
     let base_seed = 0xE17;
     let mut specs = Vec::new();
     for org in WordOrg::ALL {
-        for &rate in rates {
-            for &load in loads {
+        for rate in rates {
+            for load in loads {
                 let idx = specs.len() as u64;
                 specs.push(ChaosSpec {
                     org,
@@ -475,7 +454,7 @@ pub fn specs(quick: bool) -> Vec<ChaosSpec> {
         }
     }
     for fault in [ChaosFault::WireCorrupt, ChaosFault::WireDrop] {
-        for &rate in rates {
+        for rate in rates {
             let idx = specs.len() as u64;
             specs.push(ChaosSpec {
                 org: WordOrg::Pipelined,

@@ -35,6 +35,7 @@
 
 use crate::{sweep, table};
 use conformance::{Offer, Org, PolicyKind, Scenario};
+use simkernel::cell::header_chance;
 use simkernel::ids::Cycle;
 use simkernel::rng::split_seed;
 use simkernel::SplitMix64;
@@ -127,16 +128,6 @@ static POLICY_FILTER: Mutex<Option<PolicyKind>> = Mutex::new(None);
 /// Restrict the campaign to one policy (`None` restores the full grid).
 pub fn set_policy_filter(policy: Option<PolicyKind>) {
     *POLICY_FILTER.lock().expect("filter lock") = policy;
-}
-
-/// Per-cycle header probability yielding busy-fraction `load` when each
-/// start occupies the wire for S cycles.
-fn header_chance(load: f64, s: usize) -> f64 {
-    if load >= 1.0 {
-        1.0
-    } else {
-        load / (load + s as f64 * (1.0 - load))
-    }
 }
 
 /// Build the offered schedule for one (shape, load) cell. One generator
@@ -251,19 +242,8 @@ pub fn run_point(spec: &PolicySpec) -> PolicyRow {
 /// seed is derived from the point's *coordinates*, never its index, so
 /// a `--policy` filter leaves the surviving rows bit-identical.
 pub fn specs(quick: bool) -> Vec<PolicySpec> {
-    let smoke = sweep::smoke();
-    let cycles = if smoke {
-        1_200
-    } else if quick {
-        4_000
-    } else {
-        24_000
-    };
-    let loads: &[f64] = if smoke || quick {
-        &[0.9]
-    } else {
-        &[0.6, 0.9, 1.0]
-    };
+    let cycles = if quick { 4_000 } else { 24_000 };
+    let loads: &[f64] = if quick { &[0.9] } else { &[0.6, 0.9, 1.0] };
     let filter = *POLICY_FILTER.lock().expect("filter lock");
     let mut specs = Vec::new();
     for (shape_ix, &shape) in Shape::ALL.iter().enumerate() {

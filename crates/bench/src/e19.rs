@@ -33,10 +33,13 @@
 //! cells/sec rates are printed *after* the table on `completed in`
 //! lines, which the CI determinism diffs strip.
 //!
-//! Each point runs the fabric with `jobs = sweep::jobs()`, so the CI
-//! `--jobs 1` vs `--jobs 4` cross-check exercises the sharded executor
-//! itself: identical tables prove the conservative-window runtime is
-//! bit-exact under real campaign traffic, not just unit fixtures.
+//! The points run in grid order on the calling thread and each one
+//! shards its fabric over `sweep::jobs()` workers: this campaign spends
+//! `--jobs` inside the model (DESIGN.md §6), not on the grid, so the
+//! wall rates below are the sharded executor's and CI's `--jobs 1,8`
+//! cross-check exercises that executor itself — identical tables prove
+//! the conservative-window runtime is bit-exact under real campaign
+//! traffic, not just unit fixtures.
 
 use crate::{sweep, table};
 use fabric::{topo, ElementKind, Fabric, Pattern, Topology, Workload};
@@ -252,13 +255,7 @@ pub fn run_point(spec: &FabricSpec) -> FabricRow {
 
 /// The campaign grid: fabric × organization × pattern.
 pub fn specs(quick: bool) -> Vec<FabricSpec> {
-    let slots = if sweep::smoke() {
-        256
-    } else if quick {
-        1_024
-    } else {
-        4_096
-    };
+    let slots = if quick { 1_024 } else { 4_096 };
     let mut specs = Vec::new();
     for (fab_ix, &fab) in Fab::ALL.iter().enumerate() {
         for kind in fab.kinds() {
@@ -276,9 +273,12 @@ pub fn specs(quick: bool) -> Vec<FabricSpec> {
     specs
 }
 
-/// Run the whole campaign through the deterministic sweep engine.
+/// Run the whole campaign: the points one after another on the calling
+/// thread, each fabric sharded over `sweep::jobs()` workers — one level
+/// of fan-out, so at most `jobs` threads of the process are ever
+/// runnable and a point's wall rate measures the executor it names.
 pub fn rows(quick: bool) -> Vec<FabricRow> {
-    sweep::map(&specs(quick), run_point)
+    specs(quick).iter().map(run_point).collect()
 }
 
 /// Render the report.
@@ -381,8 +381,7 @@ mod tests {
         }
     }
 
-    /// A grid point shrunk to test size (the global smoke flag is left
-    /// alone so concurrently-running campaign tests keep their grids).
+    /// A grid point shrunk to test size.
     fn small(spec: FabricSpec) -> FabricSpec {
         FabricSpec { slots: 160, ..spec }
     }

@@ -10,6 +10,7 @@
 //! strictly additive, so the minimum estimates true cost.
 
 use fabric::{topo, ElementKind, Fabric, Pattern, Workload};
+use simkernel::cell::header_chance;
 use simkernel::SplitMix64;
 use std::time::Instant;
 use switch_core::behavioral::BehavioralSwitch;
@@ -111,7 +112,7 @@ type Schedule = [(u64, usize, usize)];
 /// simulation replaying the exact RNG draw order of a dense drive loop.
 fn schedule(p: f64, total: u64, seed: u64) -> Vec<(u64, usize, usize)> {
     let (n, s) = (config().n_in, config().stages());
-    let q = p / (p + s as f64 * (1.0 - p));
+    let q = header_chance(p, s);
     let mut rng = SplitMix64::new(seed);
     let mut busy = vec![0usize; n];
     let mut sched = Vec::new();

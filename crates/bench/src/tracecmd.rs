@@ -19,6 +19,7 @@
 //! (`vcd::validate`, `metrics::validate_json`), so `--smoke` is just a
 //! run with the file writes skipped.
 
+use simkernel::cell::header_chance;
 use simkernel::trace::TraceEntry;
 use simkernel::SplitMix64;
 use std::fmt::Write as _;
@@ -111,7 +112,7 @@ fn trace_e6(window: usize) -> Traced {
     // e06-style arrivals at 40 % offered load: per-input busy counters,
     // one header probability draw per idle input per cycle.
     let p = 0.4;
-    let q = p / (p + s as f64 * (1.0 - p));
+    let q = header_chance(p, s);
     let mut rng = SplitMix64::new(0xE6);
     let mut busy = vec![0usize; n];
     let mut arr: Vec<Option<usize>> = vec![None; n];

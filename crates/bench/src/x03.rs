@@ -7,7 +7,7 @@
 //! machinery each needs to avoid loss.
 
 use crate::{sweep, table};
-use simkernel::cell::Packet;
+use simkernel::cell::{header_chance, Packet};
 use simkernel::SplitMix64;
 use switch_core::config::SwitchConfig;
 use switch_core::rtl::{OutputCollector, PipelinedSwitch};
@@ -34,7 +34,7 @@ pub struct X3Row {
 fn schedule(n: usize, s: usize, cycles: u64, load: f64, seed: u64) -> Vec<Vec<Option<u64>>> {
     let mut rng = SplitMix64::new(seed);
     let mut wires = vec![vec![None; n]; cycles as usize];
-    let q = load / (load + s as f64 * (1.0 - load));
+    let q = header_chance(load, s);
     let mut id = 1u64;
     for i in 0..n {
         let mut t = 0usize;

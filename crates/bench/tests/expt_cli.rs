@@ -41,6 +41,30 @@ fn the_removed_gate_flag_points_at_plain_bench() {
     assert!(out.stdout.is_empty(), "nothing may be measured");
 }
 
+/// The expiry ledger reaches the exit code: a budget no drain can meet
+/// fails the run after, not instead of, its table.
+#[test]
+fn an_expired_watchdog_fails_the_run_after_its_table() {
+    let out = expt(&["--watchdog", "1", "--quick", "e16"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("drains failed to reach quiescence"),
+        "{}",
+        stderr(&out)
+    );
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(table.starts_with("E16"), "{table}");
+    assert!(table.contains("[e16 completed in"), "{table}");
+}
+
+#[test]
+fn smoke_outside_trace_is_rejected_naming_trace() {
+    let out = expt(&["--smoke", "e17"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("'expt trace'"), "{}", stderr(&out));
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
 #[test]
 fn list_names_every_experiment() {
     let out = expt(&["--list"]);

@@ -13,7 +13,7 @@ use crate::shrink::shrink;
 use simkernel::error::SimError;
 use simkernel::split_seed;
 use std::fmt;
-use telemetry::{flight, TelemetryConfig};
+use telemetry::{flight, Recorder, Shared};
 
 /// Cycles of probe events retained when a failing seed is replayed for
 /// its post-mortem dump (the flight-recorder window).
@@ -67,9 +67,7 @@ impl fmt::Display for Failure {
 /// Replay the shrunk reproducer on the pipelined RTL with a bounded
 /// flight recorder attached and render the post-mortem event window.
 fn record_post_mortem(shrunk: &Scenario, shrunk_error: &SimError) -> String {
-    let rec = TelemetryConfig::last(POST_MORTEM_WINDOW)
-        .recorder()
-        .expect("last(w) always enables a recorder");
+    let rec = Shared::new(Recorder::bounded(POST_MORTEM_WINDOW));
     let _ = run_with(shrunk, Org::Pipelined, Some(rec.handle()));
     flight::post_mortem_shared(&format!("{shrunk_error}"), &rec)
 }

@@ -11,6 +11,7 @@
 //! (assigned at generation time), so a shrunk schedule still names the
 //! same packets as the original.
 
+use simkernel::cell::header_chance;
 use simkernel::ids::Cycle;
 use simkernel::SplitMix64;
 use std::fmt;
@@ -138,7 +139,7 @@ impl Scenario {
         if pg.chance(0.25) {
             let shape = *pg.choose(&[4u8, 5]);
             let s = sc.stages();
-            let q = sc.header_chance();
+            let q = header_chance(sc.load, s);
             sc.offers = Self::shaped_offers(&mut pg, sc.n, s, q, sc.horizon, shape);
         }
         sc
@@ -164,13 +165,7 @@ impl Scenario {
         // 0 = uniform, 1 = hotspot, 2 = permutation, 3 = synchronized.
         let pattern = *g.choose(&[0u8, 1, 2, 3]);
         let horizon = 48 * s as Cycle;
-        // Per-cycle header probability that yields busy-fraction `load`
-        // when each start occupies the wire for S cycles.
-        let q = if load >= 1.0 {
-            1.0
-        } else {
-            load / (load + s as f64 * (1.0 - load))
-        };
+        let q = header_chance(load, s);
         let mut offers = Vec::new();
         let mut next_free = vec![0 as Cycle; n];
         for t in 0..horizon {
@@ -223,17 +218,6 @@ impl Scenario {
             fault: None,
             recovery: false,
             policy: PolicyKind::Static,
-        }
-    }
-
-    /// Per-cycle header probability that yields busy-fraction `load`
-    /// when each start occupies the wire for `S` cycles.
-    fn header_chance(&self) -> f64 {
-        if self.load >= 1.0 {
-            1.0
-        } else {
-            let s = self.stages() as f64;
-            self.load / (self.load + s * (1.0 - self.load))
         }
     }
 

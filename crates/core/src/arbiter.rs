@@ -30,17 +30,6 @@ pub enum ArbiterPolicy {
     Alternate,
 }
 
-/// How the winning read is chosen among competing outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPolicy {
-    /// Rotating round-robin pointer (default; fair).
-    #[default]
-    RoundRobin,
-    /// Lowest-numbered output wins (unfair; exists to make the fairness
-    /// tests demonstrate *why* round-robin matters).
-    Fixed,
-}
-
 /// A pending read request: output `port` wants to start a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadReq {
@@ -73,7 +62,6 @@ pub enum Decision {
 #[derive(Debug, Clone)]
 pub struct Arbiter {
     policy: ArbiterPolicy,
-    read_policy: ReadPolicy,
     rr_read: usize,
     last_was_read: bool,
 }
@@ -83,16 +71,9 @@ impl Arbiter {
     pub fn new(policy: ArbiterPolicy) -> Self {
         Arbiter {
             policy,
-            read_policy: ReadPolicy::RoundRobin,
             rr_read: 0,
             last_was_read: false,
         }
-    }
-
-    /// Override the read selection policy.
-    pub fn with_read_policy(mut self, rp: ReadPolicy) -> Self {
-        self.read_policy = rp;
-        self
     }
 
     /// Choose the wave to initiate this cycle.
@@ -103,25 +84,16 @@ impl Arbiter {
     /// may reorder them.
     pub fn decide(&mut self, reads: &[ReadReq], writes: &[WriteReq]) -> Decision {
         let pick_read = |s: &Self| -> Option<PortId> {
-            if reads.is_empty() {
-                return None;
-            }
-            match s.read_policy {
-                ReadPolicy::Fixed => reads.iter().map(|r| r.port).min(),
-                ReadPolicy::RoundRobin => {
-                    // First requesting port at or after the pointer,
-                    // wrapping.
-                    reads.iter().map(|r| r.port).min_by_key(|p| {
-                        let i = p.index();
-                        if i >= s.rr_read {
-                            i - s.rr_read
-                        } else {
-                            // wrapped: order after the non-wrapped ones
-                            i + usize::MAX / 2
-                        }
-                    })
+            // First requesting port at or after the pointer, wrapping.
+            reads.iter().map(|r| r.port).min_by_key(|p| {
+                let i = p.index();
+                if i >= s.rr_read {
+                    i - s.rr_read
+                } else {
+                    // wrapped: order after the non-wrapped ones
+                    i + usize::MAX / 2
                 }
-            }
+            })
         };
         let pick_write = || -> Option<PortId> {
             writes
@@ -169,8 +141,7 @@ impl Arbiter {
     /// Decision-for-decision identical to `decide` — same round-robin
     /// wrap order, same EDF tie-break on the lowest port, same policy
     /// state updates — which the `dense_matches_scalar_*` property tests
-    /// pin over randomized request sequences. Ports ≥ 64 cannot be
-    /// encoded; callers with wider fabrics use the slice form.
+    /// pin over randomized request sequences.
     pub fn decide_dense(
         &mut self,
         read_mask: u64,
@@ -181,21 +152,15 @@ impl Arbiter {
             if read_mask == 0 {
                 return None;
             }
-            let port = match s.read_policy {
-                ReadPolicy::Fixed => read_mask.trailing_zeros(),
-                ReadPolicy::RoundRobin => {
-                    // First requesting port at or after the pointer,
-                    // wrapping: mask off the ports below the pointer and
-                    // take the lowest set bit; fall back to the lowest
-                    // overall when everything wrapped.
-                    let at_or_after =
-                        read_mask & (u64::MAX.checked_shl(s.rr_read as u32)).unwrap_or(0);
-                    if at_or_after != 0 {
-                        at_or_after.trailing_zeros()
-                    } else {
-                        read_mask.trailing_zeros()
-                    }
-                }
+            // First requesting port at or after the pointer, wrapping:
+            // mask off the ports below the pointer and take the lowest
+            // set bit; fall back to the lowest overall when everything
+            // wrapped.
+            let at_or_after = read_mask & (u64::MAX.checked_shl(s.rr_read as u32)).unwrap_or(0);
+            let port = if at_or_after != 0 {
+                at_or_after.trailing_zeros()
+            } else {
+                read_mask.trailing_zeros()
             };
             Some(PortId(port as usize))
         };
@@ -307,14 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_read_policy_starves_high_ports() {
-        let mut a = Arbiter::new(ArbiterPolicy::ReadPriority).with_read_policy(ReadPolicy::Fixed);
-        for _ in 0..5 {
-            assert_eq!(a.decide(&[r(0), r(1)], &[]), Decision::Read(PortId(0)));
-        }
-    }
-
-    #[test]
     fn alternate_interleaves_classes() {
         let mut a = Arbiter::new(ArbiterPolicy::Alternate);
         let reads = [r(0)];
@@ -341,10 +298,10 @@ mod tests {
     /// request sequence and assert every decision matches. The sequence
     /// matters (rr pointer and alternation state evolve), so this is a
     /// stateful equivalence check, not a single-shot one.
-    fn check_dense_matches_scalar(policy: ArbiterPolicy, rp: ReadPolicy, seed: u64) {
+    fn check_dense_matches_scalar(policy: ArbiterPolicy, seed: u64) {
         let n = 7usize; // odd, off power-of-two, exercises rr wrap
-        let mut scalar = Arbiter::new(policy).with_read_policy(rp);
-        let mut dense = Arbiter::new(policy).with_read_policy(rp);
+        let mut scalar = Arbiter::new(policy);
+        let mut dense = Arbiter::new(policy);
         let mut rng = simkernel::SplitMix64::new(seed);
         for step in 0..2_000u64 {
             let read_mask = rng.next_u64() & rng.next_u64() & ((1u64 << n) - 1);
@@ -377,10 +334,8 @@ mod tests {
             ArbiterPolicy::WritePriority,
             ArbiterPolicy::Alternate,
         ] {
-            for rp in [ReadPolicy::RoundRobin, ReadPolicy::Fixed] {
-                for seed in 0..4u64 {
-                    check_dense_matches_scalar(policy, rp, 0xA5B + seed);
-                }
+            for seed in 0..4u64 {
+                check_dense_matches_scalar(policy, 0xA5B + seed);
             }
         }
     }

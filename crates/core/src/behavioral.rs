@@ -36,9 +36,11 @@
 //! twin ([`crate::reference::BehavioralSwitchRef`]) and the differential
 //! tests pin departures, counters and probe streams byte-identical to
 //! the pre-rework model; debug builds re-derive masks and ring from the
-//! arrays after every cycle.
+//! arrays after every cycle. One word per mask is the model's width:
+//! [`BehavioralSwitch::new`] rejects more than 64 inputs (outputs are
+//! capped at 32 by the destination mask), and there is no maskless path.
 
-use crate::arbiter::{Arbiter, Decision, ReadReq, WriteReq};
+use crate::arbiter::{Arbiter, Decision};
 use crate::config::SwitchConfig;
 use crate::ctl::{Arrival, ControlPlane};
 use crate::recovery::RecoveryConfig;
@@ -75,12 +77,6 @@ impl BehavioralDeparture {
     /// The uncontended minimum is 2 (write wave at `a+1`, fused read).
     pub fn head_latency(&self) -> u64 {
         self.read_start + 1 - self.birth
-    }
-
-    /// Full-packet latency: tail out minus header in (a read never
-    /// starts before its header's write wave, so neither underflows).
-    pub fn tail_latency(&self) -> u64 {
-        self.done - self.birth
     }
 }
 
@@ -205,9 +201,6 @@ pub struct BehavioralSwitch {
     /// Earliest `done` cycle among in-flight transmissions (`Cycle::MAX`
     /// when none).
     tx_next_done: Cycle,
-    /// More inputs than a machine word: no masks, no calendar — requests
-    /// are slices re-derived from the cycle arrays each cycle (cold).
-    wide_ports: bool,
     /// Cycles from write-wave start to head readiness: 1 under
     /// cut-through, `S` store-and-forward (precomputed from `cfg`).
     ready_base: Cycle,
@@ -230,15 +223,20 @@ pub struct BehavioralSwitch {
     /// Index into `departures` where this cycle's completions start —
     /// `tick` returns `&departures[dep_mark..committed]`.
     dep_mark: usize,
-    /// Reusable request slices of the `wide_ports` fallback.
-    scratch_reads: Vec<ReadReq>,
-    scratch_writes: Vec<WriteReq>,
 }
 
 impl BehavioralSwitch {
     /// Build from a configuration (same struct as the RTL model).
     pub fn new(cfg: SwitchConfig) -> Self {
         cfg.validate();
+        // The kept request masks hold one bit per port (`validate` caps
+        // `n_out` at 32).
+        assert!(
+            cfg.n_in <= 64,
+            "the cell-level model keeps its write requests in one u64: \
+             at most 64 inputs, not {}",
+            cfg.n_in
+        );
         let stages = cfg.stages();
         BehavioralSwitch {
             stages,
@@ -257,7 +255,6 @@ impl BehavioralSwitch {
             req: [0; 2],
             wake: vec![[0; 2]; (stages + 1).next_power_of_two()],
             tx_next_done: Cycle::MAX,
-            wide_ports: cfg.n_in > 64, // `validate` caps `n_out` at 32
             ready_base: if cfg.cut_through { 1 } else { stages as Cycle },
             arb: Arbiter::new(cfg.arbiter),
             cycle: 0,
@@ -266,8 +263,6 @@ impl BehavioralSwitch {
             departures: Vec::new(),
             committed: 0,
             dep_mark: 0,
-            scratch_reads: Vec::with_capacity(cfg.n_out),
-            scratch_writes: Vec::with_capacity(cfg.n_in),
             cfg,
         }
     }
@@ -498,10 +493,10 @@ impl BehavioralSwitch {
     /// Step 3: latch-overrun sweep (diagnostic; unreachable under
     /// shipped policies). A front is eligible before its deadline, so
     /// only one already requesting can be overdue: the guard visits the
-    /// set bits of the write mask (the maskless wide fallback scans).
+    /// set bits of the write mask.
     #[inline]
     fn sweep_if_overdue(&mut self, c: Cycle) {
-        let mut overdue = self.wide_ports && self.wdead_at.iter().any(|&d| d < c);
+        let mut overdue = false;
         for i in bits(self.req[WRITES]) {
             overdue |= self.wdead_at[i] < c;
         }
@@ -533,35 +528,7 @@ impl BehavioralSwitch {
     #[inline]
     fn arbitrate<const PROBED: bool>(&mut self, c: Cycle) {
         let decision;
-        if self.wide_ports {
-            // Cold fallback for more than 64 inputs: slice-based
-            // requests derived from the cycle arrays.
-            let mut reads = std::mem::take(&mut self.scratch_reads);
-            reads.clear();
-            for (j, &r) in self.ready_at.iter().enumerate() {
-                if r <= c {
-                    reads.push(ReadReq {
-                        port: simkernel::ids::PortId(j),
-                    });
-                }
-            }
-            let mut writes = std::mem::take(&mut self.scratch_writes);
-            writes.clear();
-            for (i, &e) in self.welig_at.iter().enumerate() {
-                if e <= c {
-                    writes.push(WriteReq {
-                        port: simkernel::ids::PortId(i),
-                        deadline: self.wdead_at[i],
-                    });
-                }
-            }
-            decision = self.arb.decide(&reads, &writes);
-            if PROBED && (!reads.is_empty() || !writes.is_empty()) {
-                self.probe_arbitration(c, reads.len(), writes.len(), decision);
-            }
-            self.scratch_reads = reads;
-            self.scratch_writes = writes;
-        } else if self.req == [0; 2] {
+        if self.req == [0; 2] {
             // No requests → the arbiter idles without touching its state;
             // skip the call on the (low-load) common path.
             decision = Decision::Idle;
@@ -786,9 +753,6 @@ impl BehavioralSwitch {
     /// waiting for this cycle's wake.
     #[inline]
     fn reschedule<const K: usize>(&mut self, port: usize, old: Cycle, t: Cycle) {
-        if self.wide_ports {
-            return; // no masks to keep, and `port` may be >= 64
-        }
         debug_assert!(t == Cycle::MAX || t <= self.cycle + self.stages as Cycle);
         let (bit, m) = (1u64 << port, self.wake.len() - 1);
         self.req[K] &= !bit;
@@ -806,9 +770,6 @@ impl BehavioralSwitch {
     /// has not, and no other bit is set anywhere.
     #[cfg(debug_assertions)]
     fn assert_calendar(&self, c: Cycle) {
-        if self.wide_ports {
-            return;
-        }
         let m = self.wake.len() - 1;
         let mut live = 0;
         for (k, at) in [&self.ready_at, &self.welig_at].into_iter().enumerate() {
@@ -1137,6 +1098,15 @@ mod tests {
         assert_eq!(slot_of(&sw, 8), [0, 0b11], "Y and D ask to be written at 8");
         let ids: Vec<u64> = drain(&mut sw).iter().map(|d| d.id).collect();
         assert_eq!(ids, vec![2, 4, 5], "P, then Y and D; X (id 3) was evicted");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 inputs")]
+    fn more_than_64_inputs_are_rejected() {
+        // Asymmetric: 32 outputs is the ceiling of the destination mask.
+        let mut cfg = SwitchConfig::symmetric(4, 4);
+        cfg.n_in = 65;
+        BehavioralSwitch::new(cfg);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl<T> CreditedInput<T> {
         self.credits
     }
 
-    /// The initial (maximum) credit allotment.
-    pub fn initial_credits(&self) -> u32 {
-        self.initial
-    }
-
     /// Packets waiting for credits.
     pub fn backlog(&self) -> usize {
         self.queue.len()

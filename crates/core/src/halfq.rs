@@ -129,11 +129,6 @@ impl HalfQuantumBuffer {
         self.mems[0].stages()
     }
 
-    /// Free slots in each half.
-    pub fn free_slots(&self) -> (usize, usize) {
-        (self.free[0].len(), self.free[1].len())
-    }
-
     /// Current cycle.
     pub fn now(&self) -> Cycle {
         self.mems[0].now()

@@ -45,8 +45,6 @@ pub struct InterleavedSwitchConfig {
     pub n: usize,
     /// Banks (= packet slots `M`).
     pub banks: usize,
-    /// Checksum scrub at transmission start (detect-and-drop).
-    pub scrub: bool,
     /// Fault-recovery machinery. One packet per bank makes this the most
     /// natural failover organization: a bank whose cumulative ECC
     /// corrections cross the threshold is retired from the allocation
@@ -61,13 +59,12 @@ pub struct InterleavedSwitchConfig {
 }
 
 impl InterleavedSwitchConfig {
-    /// Symmetric `n×n` switch with `banks` one-packet banks and the
-    /// scrub on — the configuration the conformance fuzzer drives.
+    /// Symmetric `n×n` switch with `banks` one-packet banks — the
+    /// configuration the conformance fuzzer drives.
     pub fn symmetric(n: usize, banks: usize) -> Self {
         InterleavedSwitchConfig {
             n,
             banks,
-            scrub: true,
             recovery: RecoveryConfig::default(),
             policy: PolicyKind::Static,
         }
@@ -255,8 +252,8 @@ impl InterleavedSwitch {
                         if self.ctl.ecc_on() {
                             self.scrub_bank(head.bank, c);
                         }
-                        let scrub_fail = self.cfg.scrub
-                            && integrity_checksum((0..s).map(|k| self.mem.peek_word(head.bank, k)))
+                        let scrub_fail =
+                            integrity_checksum((0..s).map(|k| self.mem.peek_word(head.bank, k)))
                                 != head.sum;
                         if scrub_fail {
                             // Detect-and-drop: the initiation slot is

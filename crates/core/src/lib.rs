@@ -70,7 +70,7 @@ pub mod widemem;
 pub mod word;
 pub mod wrr;
 
-pub use arbiter::{ArbiterPolicy, ReadPolicy};
+pub use arbiter::ArbiterPolicy;
 pub use behavioral::BehavioralSwitch;
 pub use bufmgr::BufferManager;
 pub use config::SwitchConfig;

@@ -43,9 +43,7 @@ use crate::events::IntegrityReason;
 use membank::bank::{PortKind, SramBank};
 use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle, PortId};
-use telemetry::{
-    ArbOutcome, DropReason, FaultTag, ProbeEvent, SharedRecorder, TelemetryConfig, WaveDir,
-};
+use telemetry::{ArbOutcome, DropReason, FaultTag, ProbeEvent, WaveDir};
 
 /// Map an integrity verdict onto the probe stream's drop vocabulary.
 pub(crate) fn drop_reason(r: IntegrityReason) -> DropReason {
@@ -355,20 +353,6 @@ impl PipelinedSwitch {
             idle_wire: vec![None; cfg.n_in],
             cfg,
         }
-    }
-
-    /// Build a switch with telemetry per `tel`: returns the switch and
-    /// the attached recorder (if `tel` enables one).
-    pub fn with_telemetry(
-        cfg: SwitchConfig,
-        tel: &TelemetryConfig,
-    ) -> (Self, Option<SharedRecorder>) {
-        let mut sw = Self::new(cfg);
-        let rec = tel.recorder();
-        if let Some(r) = &rec {
-            sw.attach_probe(r.handle());
-        }
-        (sw, rec)
     }
 
     /// The configuration this switch was built with.

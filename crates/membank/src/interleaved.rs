@@ -21,12 +21,15 @@ pub struct BankId(pub usize);
 pub struct InterleavedMemory {
     banks: Vec<SramBank>,
     occupied: Vec<bool>,
+    /// Set entries of `occupied`.
+    in_use: usize,
     free: Vec<BankId>,
     packet_words: usize,
     /// Banks masked out by hot failover: never allocated again.
     retired: Vec<bool>,
     /// Spare banks not yet promoted into the allocation pool.
     spare_pool: Vec<BankId>,
+    /// Banks retired so far: the set entries of `retired`.
     failovers: u64,
 }
 
@@ -49,6 +52,7 @@ impl InterleavedMemory {
                 .map(|_| SramBank::new(packet_words, word_bits, PortKind::SinglePort))
                 .collect(),
             occupied: vec![false; total],
+            in_use: 0,
             free: (0..m).rev().map(BankId).collect(),
             packet_words,
             retired: vec![false; total],
@@ -60,7 +64,9 @@ impl InterleavedMemory {
     /// Number of banks in the nominal allocation pool (= packet capacity
     /// `M`); spares in reserve are not counted until promoted.
     pub fn banks(&self) -> usize {
-        self.banks.len() - self.spare_pool.len() - self.retired.iter().filter(|&&r| r).count()
+        let retired = self.failovers as usize;
+        debug_assert_eq!(retired, self.retired.iter().filter(|&&r| r).count());
+        self.banks.len() - self.spare_pool.len() - retired
     }
 
     /// Words per packet.
@@ -70,7 +76,8 @@ impl InterleavedMemory {
 
     /// Banks currently holding a packet.
     pub fn occupied_count(&self) -> usize {
-        self.occupied.iter().filter(|&&o| o).count()
+        debug_assert_eq!(self.in_use, self.occupied.iter().filter(|&&o| o).count());
+        self.in_use
     }
 
     /// Claim a free bank for an incoming packet; `None` when full (the
@@ -79,6 +86,7 @@ impl InterleavedMemory {
     pub fn allocate(&mut self) -> Option<BankId> {
         let b = self.free.pop()?;
         self.occupied[b.0] = true;
+        self.in_use += 1;
         Some(b)
     }
 
@@ -87,6 +95,7 @@ impl InterleavedMemory {
     pub fn release(&mut self, b: BankId) {
         assert!(self.occupied[b.0], "releasing a free bank");
         self.occupied[b.0] = false;
+        self.in_use -= 1;
         if !self.retired[b.0] {
             self.free.push(b);
         }

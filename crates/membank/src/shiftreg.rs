@@ -8,28 +8,18 @@
 //! full register chain (no random access, hence no cut-through), and
 //! `vlsimodel` carries the 4× area factor.
 //!
-//! The *semantics* are a physical word-by-word shift, but the *model*
-//! realizes each shift as an O(1) rotation of a circular buffer: moving
-//! the head pointer back one slot relabels every word one position later
-//! in the chain, which is exactly what copying all of them would do.
-//! Validity is a packed bitset (64 slots per machine word) and occupancy
-//! is maintained incrementally, so no operation scans the chain.
+//! The model is the chain itself: a queue of `length` word registers,
+//! each holding a word or nothing, that moves one place per clock.
 
 use simkernel::ids::Cycle;
+use std::collections::VecDeque;
 
 /// A `length`-word shift register: words pushed in one end emerge,
 /// unchanged and in order, exactly `length` cycles later.
 #[derive(Debug, Clone)]
 pub struct ShiftRegisterBank {
-    /// Word storage, addressed physically; logical chain position `i`
-    /// lives at physical index `(head + i) % length`.
-    slots: Vec<u64>,
-    /// Validity bits over *physical* slot indices, packed 64 per word.
-    valid: Vec<u64>,
-    /// Physical index of logical slot 0 (the input end of the chain).
-    head: usize,
-    /// Valid words currently in the chain, maintained incrementally.
-    occupied: usize,
+    /// The chain, input end at the front; always `length` registers.
+    chain: VecDeque<Option<u64>>,
     cycle: Cycle,
     shifted_this_cycle: bool,
 }
@@ -39,10 +29,7 @@ impl ShiftRegisterBank {
     pub fn new(length: usize) -> Self {
         assert!(length >= 1);
         ShiftRegisterBank {
-            slots: vec![0; length],
-            valid: vec![0; length.div_ceil(64)],
-            head: 0,
-            occupied: 0,
+            chain: vec![None; length].into(),
             cycle: 0,
             shifted_this_cycle: false,
         }
@@ -50,7 +37,7 @@ impl ShiftRegisterBank {
 
     /// Chain length in words.
     pub fn length(&self) -> usize {
-        self.slots.len()
+        self.chain.len()
     }
 
     /// Open a new cycle.
@@ -58,21 +45,6 @@ impl ShiftRegisterBank {
         if cycle != self.cycle {
             self.cycle = cycle;
             self.shifted_this_cycle = false;
-        }
-    }
-
-    #[inline]
-    fn is_valid(&self, phys: usize) -> bool {
-        self.valid[phys >> 6] & (1u64 << (phys & 63)) != 0
-    }
-
-    #[inline]
-    fn set_valid(&mut self, phys: usize, v: bool) {
-        let (word, bit) = (phys >> 6, 1u64 << (phys & 63));
-        if v {
-            self.valid[word] |= bit;
-        } else {
-            self.valid[word] &= !bit;
         }
     }
 
@@ -85,44 +57,13 @@ impl ShiftRegisterBank {
             "a shift register shifts once per cycle"
         );
         self.shifted_this_cycle = true;
-        // The physical slot just before `head` is the logical far end of
-        // the chain; after the rotation it is also exactly where the new
-        // head lands, so the word falling out and the word pushed in share
-        // one physical slot.
-        let tail = if self.head == 0 {
-            self.slots.len() - 1
-        } else {
-            self.head - 1
-        };
-        let out = self.is_valid(tail).then(|| self.slots[tail]);
-        if out.is_some() {
-            self.occupied -= 1;
-        }
-        self.head = tail;
-        match input {
-            Some(w) => {
-                self.slots[tail] = w;
-                self.set_valid(tail, true);
-                self.occupied += 1;
-            }
-            None => {
-                self.set_valid(tail, false);
-            }
-        }
-        out
+        self.chain.push_front(input);
+        self.chain.pop_back().expect("length >= 1")
     }
 
     /// Words of valid data currently in the chain.
     pub fn occupancy(&self) -> usize {
-        debug_assert_eq!(
-            self.occupied,
-            self.valid
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum::<usize>(),
-            "incremental occupancy out of sync with validity bits"
-        );
-        self.occupied
+        self.chain.iter().flatten().count()
     }
 }
 
@@ -186,8 +127,7 @@ mod tests {
 
     #[test]
     fn long_chain_wraps_correctly() {
-        // Exercise the circular wrap across many multiples of the length,
-        // with a chain longer than one validity word.
+        // Many multiples of the length through a long chain.
         let len = 70;
         let mut s = ShiftRegisterBank::new(len);
         let mut out = Vec::new();

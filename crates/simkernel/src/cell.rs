@@ -196,6 +196,18 @@ impl Packet {
     }
 }
 
+/// Per-idle-cycle header probability that keeps a link busy a fraction
+/// `load` of the time when every packet occupies it for `words` cycles.
+/// The experiment tables are pinned to this expression's rounding:
+/// keep the operand order.
+pub fn header_chance(load: f64, words: usize) -> f64 {
+    if load >= 1.0 {
+        1.0
+    } else {
+        load / (load + words as f64 * (1.0 - load))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,10 +21,8 @@ use std::fmt;
 /// A typed, structured simulation failure.
 ///
 /// Every fault-campaign outcome that is not "detected and survived"
-/// lands here: hangs trip the watchdog, credit-conservation violations
-/// that cannot be resynced report as leaks, and integrity cross-check
-/// failures (a corrupted packet delivered without being counted) report
-/// as integrity faults.
+/// lands here: hangs trip the watchdog, and credit-conservation
+/// violations that cannot be resynced report as leaks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The simulation failed to reach quiescence within its cycle budget.
@@ -45,13 +43,6 @@ pub enum SimError {
         actual_outstanding: u32,
         /// Which link / sender (for the error message).
         context: String,
-    },
-    /// A datapath-integrity invariant failed: corruption escaped the
-    /// detection machinery, or a cross-check between the testbench
-    /// ledger and the switch counters disagreed.
-    IntegrityFault {
-        /// Human-readable description of the violated invariant.
-        detail: String,
     },
     /// Two models that are claimed equivalent disagreed on an observable
     /// (a departure schedule, a delivered-packet set, a FIFO order). The
@@ -90,7 +81,6 @@ impl fmt::Display for SimError {
                 "credit leak on {context}: sender counts {expected_outstanding} \
                  outstanding, ground truth {actual_outstanding}"
             ),
-            SimError::IntegrityFault { detail } => write!(f, "integrity fault: {detail}"),
             SimError::Divergence { check, detail } => {
                 write!(f, "divergence [{check}]: {detail}")
             }
@@ -305,10 +295,6 @@ mod tests {
             context: "input 1".into(),
         };
         assert!(l.to_string().contains("input 1"));
-        let i = SimError::IntegrityFault {
-            detail: "silent corruption".into(),
-        };
-        assert!(i.to_string().contains("silent corruption"));
         let d = SimError::Divergence {
             check: "rtl-vs-behavioral".into(),
             detail: "departure schedules differ".into(),

@@ -37,7 +37,6 @@ pub struct Trace<E> {
     capacity: Option<usize>,
     dropped: u64,
     recorded: u64,
-    enabled: bool,
 }
 
 impl<E> Default for Trace<E> {
@@ -54,7 +53,6 @@ impl<E> Trace<E> {
             capacity: None,
             dropped: 0,
             recorded: 0,
-            enabled: true,
         }
     }
 
@@ -66,35 +64,13 @@ impl<E> Trace<E> {
             capacity: Some(capacity),
             dropped: 0,
             recorded: 0,
-            enabled: true,
         }
-    }
-
-    /// A disabled trace: records nothing, costs (almost) nothing. Used by
-    /// long statistical runs where tracing would dominate runtime.
-    pub fn disabled() -> Self {
-        Trace {
-            entries: VecDeque::new(),
-            capacity: None,
-            dropped: 0,
-            recorded: 0,
-            enabled: false,
-        }
-    }
-
-    /// Whether this trace records events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Record an event. O(1): a full bounded trace evicts its oldest
     /// entry (ring-buffer pop) rather than shifting the whole backlog.
     pub fn record(&mut self, cycle: Cycle, event: E) {
         self.recorded += 1;
-        if !self.enabled {
-            self.dropped += 1;
-            return;
-        }
         if let Some(cap) = self.capacity {
             if self.entries.len() == cap {
                 self.entries.pop_front();
@@ -125,7 +101,7 @@ impl<E> Trace<E> {
         self.recorded
     }
 
-    /// Number of events not retained (evicted or disabled).
+    /// Number of events evicted from a bounded window.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -192,15 +168,6 @@ mod tests {
         assert_eq!(t.recorded(), t.len() as u64 + t.dropped());
         let kept: Vec<u64> = t.iter().map(|e| e.event).collect();
         assert_eq!(kept, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut t = Trace::disabled();
-        t.record(1, "x");
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 1);
-        assert_eq!(t.recorded(), 1);
     }
 
     #[test]

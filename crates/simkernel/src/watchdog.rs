@@ -31,11 +31,6 @@ pub fn limit_or(default: u64) -> u64 {
     }
 }
 
-/// Is a budget override installed?
-pub fn limit_is_set() -> bool {
-    LIMIT.load(Ordering::Relaxed) != 0
-}
-
 /// Record one watchdog expiry (a drain that exhausted its budget and, if
 /// escalation was attempted, stayed wedged through it).
 pub fn note_expiry() {
@@ -62,9 +57,7 @@ mod tests {
     #[test]
     fn override_and_ledger_roundtrip() {
         assert_eq!(limit_or(40_000), 40_000, "no override installed yet");
-        assert!(!limit_is_set());
         set_limit(500);
-        assert!(limit_is_set());
         assert_eq!(limit_or(40_000), 500);
         set_limit(0);
         assert_eq!(limit_or(7), 7, "override removable");

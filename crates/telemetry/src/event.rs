@@ -97,15 +97,12 @@ impl fmt::Display for DropReason {
 pub enum FaultTag {
     /// A packet left the switch with corrupted payload (egress check).
     CorruptDelivered,
-    /// A stuck control signal suppressed a bank write.
-    WriteSuppressed,
 }
 
 impl fmt::Display for FaultTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             FaultTag::CorruptDelivered => "corrupt-delivered",
-            FaultTag::WriteSuppressed => "write-suppressed",
         })
     }
 }
@@ -124,20 +121,9 @@ pub enum RecoveryTag {
     /// A repeatedly-failing bank was masked out and a spare promoted
     /// (index = stage/bank, info = corrections that tripped failover).
     BankFailover,
-    /// A link-level retransmission was issued after a NAK (index =
-    /// input, info = sequence number).
-    LinkRetry,
-    /// The receiver rejected a packet and requested replay (index =
-    /// input, info = sequence number).
-    LinkNak,
     /// Degraded mode entered: admission throttled while recovery runs
     /// (index = stage/bank that triggered it, info = window length).
     DegradedEnter,
-    /// Degraded mode left; full arbitration capacity restored.
-    DegradedExit,
-    /// Watchdog escalation ran a drain-and-resync attempt instead of
-    /// declaring the run hung (index = 0, info = recovered credits).
-    WatchdogResync,
 }
 
 impl fmt::Display for RecoveryTag {
@@ -146,11 +132,7 @@ impl fmt::Display for RecoveryTag {
             RecoveryTag::EccCorrected => "ecc-corrected",
             RecoveryTag::EccUncorrectable => "ecc-uncorrectable",
             RecoveryTag::BankFailover => "bank-failover",
-            RecoveryTag::LinkRetry => "link-retry",
-            RecoveryTag::LinkNak => "link-nak",
             RecoveryTag::DegradedEnter => "degraded-enter",
-            RecoveryTag::DegradedExit => "degraded-exit",
-            RecoveryTag::WatchdogResync => "watchdog-resync",
         })
     }
 }

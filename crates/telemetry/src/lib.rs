@@ -34,6 +34,4 @@ pub mod probe;
 pub mod vcd;
 
 pub use event::{ArbOutcome, DropReason, FaultTag, GaugeKind, ProbeEvent, RecoveryTag, WaveDir};
-pub use probe::{
-    fanout, Fanout, NullSink, Probe, ProbeHandle, Recorder, Shared, SharedRecorder, TelemetryConfig,
-};
+pub use probe::{fanout, Fanout, NullSink, Probe, ProbeHandle, Recorder, Shared, SharedRecorder};

@@ -6,6 +6,11 @@
 //! (`Rc<RefCell<dyn Probe>>`) so one sink can watch several models — or
 //! several sinks one model, via [`Fanout`] — without threading mutable
 //! borrows through tick phases.
+//!
+//! There is one way to switch telemetry on: build the sink, keep it, and
+//! hand the model a handle — `let rec = Shared::new(Recorder::unbounded())`
+//! (or `::bounded(window)` for a flight recorder), then
+//! `model.attach_probe(rec.handle())`.
 
 use crate::event::ProbeEvent;
 use simkernel::ids::Cycle;
@@ -169,54 +174,6 @@ pub fn fanout(sinks: Vec<ProbeHandle>) -> ProbeHandle {
     ProbeHandle::new(Fanout { sinks })
 }
 
-/// Opt-in telemetry for model constructors: disabled by default, or a
-/// recorder with an optional flight-recorder window.
-///
-/// `PipelinedSwitch::with_telemetry(cfg, &TelemetryConfig)` returns the
-/// model plus the attached [`SharedRecorder`] (if any); harnesses that
-/// need a different sink, or another model, attach a [`ProbeHandle`]
-/// directly via the models' `attach_probe`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TelemetryConfig {
-    /// Attach a recorder at construction.
-    pub enabled: bool,
-    /// Keep only the last `window` events (None = unbounded).
-    pub window: Option<usize>,
-}
-
-impl TelemetryConfig {
-    /// No telemetry (the hot-path default).
-    pub fn off() -> Self {
-        TelemetryConfig::default()
-    }
-
-    /// Record everything.
-    pub fn unbounded() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            window: None,
-        }
-    }
-
-    /// Flight recorder: keep the last `window` events.
-    pub fn last(window: usize) -> Self {
-        TelemetryConfig {
-            enabled: true,
-            window: Some(window),
-        }
-    }
-
-    /// Build the recorder this configuration asks for.
-    pub fn recorder(&self) -> Option<SharedRecorder> {
-        self.enabled.then(|| {
-            Shared::new(match self.window {
-                Some(w) => Recorder::bounded(w),
-                None => Recorder::unbounded(),
-            })
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,24 +223,6 @@ mod tests {
         assert_eq!(a.entries().len(), 4);
         assert_eq!(b.entries().len(), 1, "bounded sink keeps the window");
         assert_eq!(b.with(|r| r.dropped()), 3);
-    }
-
-    #[test]
-    fn telemetry_config_builds_the_right_recorder() {
-        assert!(TelemetryConfig::off().recorder().is_none());
-        let rec = TelemetryConfig::last(2).recorder().expect("enabled");
-        let h = rec.handle();
-        for c in 0..5u64 {
-            h.emit(
-                c,
-                ProbeEvent::WaveLaunched {
-                    addr: 0,
-                    write: true,
-                },
-            );
-        }
-        assert_eq!(rec.entries().len(), 2);
-        assert_eq!(rec.with(|r| r.trace().recorded()), 5);
     }
 
     #[test]

@@ -85,18 +85,14 @@ fn signal_table(topo: &Topo) -> Vec<Signal> {
 }
 
 /// Code for the `recovery` signal: 0 = idle, else the ladder step that
-/// fired this cycle (matches [`RecoveryTag`]'s declaration order + 1).
+/// fired this cycle (the codes are the waveform's vocabulary: fixed).
 fn recovery_code(tag: &crate::event::RecoveryTag) -> u64 {
     use crate::event::RecoveryTag as T;
     match tag {
         T::EccCorrected => 1,
         T::EccUncorrectable => 2,
         T::BankFailover => 3,
-        T::LinkRetry => 4,
-        T::LinkNak => 5,
         T::DegradedEnter => 6,
-        T::DegradedExit => 7,
-        T::WatchdogResync => 8,
     }
 }
 

@@ -66,7 +66,11 @@ impl PacketFeeder {
     ) -> Self {
         assert!(packet_words >= 1);
         assert!((0.0..=1.0).contains(&load));
-        assert!(id_stride as usize > port || id_stride == 0 && port == 0 || id_stride > 0);
+        assert!(
+            id_stride as usize > port || (id_stride == 0 && port == 0),
+            "ids port + k*id_stride collide across feeders unless id_stride \
+             ({id_stride}) exceeds port ({port})"
+        );
         // With geometric idle gaps of mean g, utilization = L/(L+g);
         // solve g for the requested load, then the per-idle-cycle start
         // probability q satisfies g = (1-q)/q.
@@ -245,6 +249,13 @@ mod tests {
             }
         }
         assert!(ids.len() > 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "id_stride (4) exceeds port (5)")]
+    fn a_port_at_or_past_the_id_stride_is_rejected() {
+        // Ids 5 + 4k would collide with port 1's 1 + 4k.
+        PacketFeeder::random(5, 4, 0.9, DestDist::uniform(4), 7, 4);
     }
 
     #[test]

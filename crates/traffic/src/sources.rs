@@ -219,11 +219,6 @@ impl TraceSource {
         }
         TraceSource { ports, schedule }
     }
-
-    /// Number of scheduled slots.
-    pub fn len_slots(&self) -> usize {
-        self.schedule.len()
-    }
 }
 
 impl CellSource for TraceSource {

@@ -6,6 +6,7 @@
 //! cargo run --release --example ablations
 //! ```
 
+use telegraphos::simkernel::cell::header_chance;
 use telegraphos::simkernel::SplitMix64;
 use telegraphos::switch_core::arbiter::ArbiterPolicy;
 use telegraphos::switch_core::behavioral::BehavioralSwitch;
@@ -19,11 +20,11 @@ const CYCLES: u64 = 50_000;
 /// latency).
 fn quality(cfg: SwitchConfig) -> (f64, f64) {
     let n = cfg.n_in;
-    let s = cfg.stages() as f64;
+    let s = cfg.stages();
     let mut sw = BehavioralSwitch::new(cfg);
     let mut rng = SplitMix64::new(11);
     let load = 0.4;
-    let q = load / (load + s * (1.0 - load));
+    let q = header_chance(load, s);
     let mut arr = vec![None; n];
     for _ in 0..CYCLES {
         for (i, a) in arr.iter_mut().enumerate() {
@@ -32,7 +33,7 @@ fn quality(cfg: SwitchConfig) -> (f64, f64) {
         sw.tick(&arr);
     }
     let departed = sw.departures().len() as f64;
-    let util = departed * s / CYCLES as f64 / n as f64;
+    let util = departed * s as f64 / CYCLES as f64 / n as f64;
     let lat = sw
         .departures()
         .iter()

@@ -8,7 +8,7 @@
 use telegraphos::simkernel::cell::Packet;
 use telegraphos::switch_core::config::SwitchConfig;
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch, StageCtrl};
-use telegraphos::telemetry::TelemetryConfig;
+use telegraphos::telemetry::{Recorder, Shared};
 
 fn main() {
     // A 4×4 switch: 8 pipeline stages, 8-word packets — the Telegraphos
@@ -22,8 +22,9 @@ fn main() {
         cfg.slots,
         cfg.capacity_bits() / 1024
     );
-    let (mut sw, rec) = PipelinedSwitch::with_telemetry(cfg, &TelemetryConfig::unbounded());
-    let rec = rec.expect("unbounded() always enables a recorder");
+    let mut sw = PipelinedSwitch::new(cfg);
+    let rec = Shared::new(Recorder::unbounded());
+    sw.attach_probe(rec.handle());
 
     // Three packets: two collide on output 2, one has output 0 to itself.
     let packets = [

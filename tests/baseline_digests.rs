@@ -5,32 +5,20 @@
 //! their behaviour may not: every cell must leave the same output in the
 //! same slot, in the same RNG order, as when the golden file was written.
 
+mod common;
+
 use baselines::input_smoothing::InputSmoothingSwitch;
 use baselines::model::CellSwitch;
 use baselines::sched::{IslipScheduler, PimScheduler, Rr2dScheduler};
 use baselines::voq::VoqSwitch;
 use bench_harness::e15;
+use common::{check_golden, Fnv};
 use simkernel::cell::Cell;
 use std::fmt::Write as _;
 use traffic::sources::CellSource;
 use traffic::{Bernoulli, DestDist};
 
 const SLOTS: u64 = 4_000;
-
-/// FNV-1a over little-endian words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn words(&mut self, xs: &[u64]) {
-        for b in xs.iter().flat_map(|x| x.to_le_bytes()) {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
 
 /// One `baselines::harness::run`-style run (ids assigned per arrival,
 /// `occupancy()` polled after every tick), reduced to one golden row.
@@ -124,19 +112,5 @@ fn baseline_digests_match_the_golden_file() {
             }
         }
     }
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/baseline_digests.txt"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &doc).expect("rewrite golden");
-    }
-    let golden = std::fs::read_to_string(path).expect("golden file present");
-    for (got, want) in doc.lines().zip(golden.lines()) {
-        assert_eq!(
-            got, want,
-            "baseline digest drifted from tests/golden/baseline_digests.txt"
-        );
-    }
-    assert_eq!(doc.lines().count(), golden.lines().count());
+    check_golden("baseline_digests.txt", &doc);
 }

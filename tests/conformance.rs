@@ -3,6 +3,9 @@
 //! path, cross-`--jobs` determinism, and the minimal reproducer the
 //! fuzzer once caught the wide-memory model with.
 
+mod common;
+
+use common::{check_golden, Fnv};
 use conformance::engine::CAMPAIGN_BASE_SEED;
 use conformance::oracle::check_runs;
 use conformance::{check_scenario, run, run_seed, shrink, Offer, Org, Scenario, SeedOutcome};
@@ -97,26 +100,6 @@ fn wide_memory_write_starvation_reproducer_stays_fixed() {
     assert_eq!(stats.delivered, 15, "credited mode may not lose packets");
 }
 
-/// FNV-1a; `fmt::Write` so outcomes hash as they print.
-struct Fnv(u64);
-
-impl Fnv {
-    fn of(x: &dyn std::fmt::Debug) -> u64 {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        write!(h, "{x:?}").expect("hashing cannot fail");
-        h.0
-    }
-}
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
 /// Everything the testbench reports about the first 256 campaign seeds:
 /// the `Debug` rendering of each organization's whole `RunOutcome`
 /// (launches, deliveries, counters, payload failures, stalls, same-cycle
@@ -176,19 +159,5 @@ fn conformance_digests_match_the_golden_file() {
         "vacuous pin: credit stall {stalled}, buffer-full drop {full}, ECC correction \
          {corrected}, non-static policy drop {policy_dropped}"
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/conformance_digests.txt"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &doc).expect("rewrite golden");
-    }
-    let golden = std::fs::read_to_string(path).expect("golden file present");
-    for (got, want) in doc.lines().zip(golden.lines()) {
-        assert_eq!(
-            got, want,
-            "conformance digest drifted from tests/golden/conformance_digests.txt"
-        );
-    }
-    assert_eq!(doc.lines().count(), golden.lines().count());
+    check_golden("conformance_digests.txt", &doc);
 }

@@ -25,6 +25,9 @@
 //! are held equal to the twins on exactly those cells, so does a change
 //! to the live models that an edited twin would otherwise follow.
 
+mod common;
+
+use common::{check_golden, Fnv};
 use simkernel::cell::Packet;
 use simkernel::ids::Cycle;
 use simkernel::Horizon;
@@ -466,30 +469,6 @@ fn high_load_grid_exercises_every_policy_decision_kind() {
 // 6. The references themselves, pinned
 // ---------------------------------------------------------------------------
 
-/// FNV-1a; `fmt::Write` so counters and probe events hash as they print.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn words(&mut self, xs: &[u64]) {
-        for b in xs.iter().flat_map(|x| x.to_le_bytes()) {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
 /// One row of `tests/golden/reference_digests.txt`, from what one twin
 /// did on one grid cell: `delivered` packets hashed into `deliveries`,
 /// its final counters as they print, and its probe stream.
@@ -586,19 +565,5 @@ fn reference_digests_match_the_golden_file() {
             writeln!(doc, "{row}").expect("string write");
         }
     }
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/reference_digests.txt"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &doc).expect("rewrite golden");
-    }
-    let golden = std::fs::read_to_string(path).expect("golden file present");
-    for (got, want) in doc.lines().zip(golden.lines()) {
-        assert_eq!(
-            got, want,
-            "reference digest drifted from tests/golden/reference_digests.txt"
-        );
-    }
-    assert_eq!(doc.lines().count(), golden.lines().count());
+    check_golden("reference_digests.txt", &doc);
 }

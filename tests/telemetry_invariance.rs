@@ -8,6 +8,9 @@
 //! must be byte-identical across all three. A golden-file test pins the
 //! VCD export of a tiny deterministic run byte-for-byte alongside.
 
+mod common;
+
+use common::{check_golden, Fnv};
 use std::fmt::Write as _;
 use telegraphos::simkernel::cell::Packet;
 use telegraphos::simkernel::ids::Cycle;
@@ -19,7 +22,7 @@ use telegraphos::switch_core::recovery::RecoveryConfig;
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch};
 use telegraphos::switch_core::{PolicyKind, WordOrg, WordSwitch};
 use telegraphos::telemetry::{
-    vcd, GaugeKind, NullSink, Probe, ProbeEvent, ProbeHandle, Recorder, Shared, TelemetryConfig,
+    vcd, GaugeKind, NullSink, Probe, ProbeEvent, ProbeHandle, Recorder, Shared,
 };
 use telegraphos::traffic::{DestDist, PacketFeeder};
 
@@ -247,8 +250,9 @@ fn behavioral_is_probe_invariant() {
 fn tiny_traced_run() -> String {
     let cfg = SwitchConfig::symmetric(2, 8);
     let s = cfg.stages();
-    let (mut sw, rec) = PipelinedSwitch::with_telemetry(cfg, &TelemetryConfig::unbounded());
-    let rec = rec.expect("unbounded() always enables a recorder");
+    let mut sw = PipelinedSwitch::new(cfg);
+    let rec = Shared::new(Recorder::unbounded());
+    sw.attach_probe(rec.handle());
     let p = Packet::synth(1, 0, 1, s, 0);
     for k in 0..16 {
         let wire = [p.words.get(k).copied(), None];
@@ -267,16 +271,7 @@ fn tiny_traced_run() -> String {
 fn vcd_export_matches_the_golden_file() {
     let doc = tiny_traced_run();
     vcd::validate(&doc).expect("well-formed VCD");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tiny.vcd");
-        std::fs::write(path, &doc).expect("rewrite golden");
-    }
-    let golden = include_str!("golden/tiny.vcd");
-    assert_eq!(
-        doc, golden,
-        "VCD export drifted from tests/golden/tiny.vcd; if the change is \
-         intentional, rerun this test with UPDATE_GOLDEN=1 and review the diff"
-    );
+    check_golden("tiny.vcd", &doc);
 }
 
 /// Once retirements outrun the spare pool, the wide organization's
@@ -321,34 +316,6 @@ fn wide_occupancy_gauge_returns_to_zero_in_degraded_mode() {
         _ => None,
     });
     assert_eq!(last_occupancy, Some(0), "drained, yet the gauge reads busy");
-}
-
-/// FNV-1a; `fmt::Write` so probe events hash without allocating.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn words(&mut self, xs: &[u64]) {
-        for x in xs {
-            self.bytes(&x.to_le_bytes());
-        }
-    }
-}
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
 }
 
 /// Folds every `(cycle, event)` of a probe stream, in order.
@@ -461,19 +428,5 @@ fn switch_digests_match_the_golden_file() {
         let row = golden_row(org, 0.5, PolicyKind::Static, rec, true);
         writeln!(doc, "{row}").expect("string write");
     }
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/switch_digests.txt"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &doc).expect("rewrite golden");
-    }
-    let golden = std::fs::read_to_string(path).expect("golden file present");
-    for (got, want) in doc.lines().zip(golden.lines()) {
-        assert_eq!(
-            got, want,
-            "switch digest drifted from tests/golden/switch_digests.txt"
-        );
-    }
-    assert_eq!(doc.lines().count(), golden.lines().count());
+    check_golden("switch_digests.txt", &doc);
 }

@@ -6,7 +6,7 @@
 //! input buffering and a bypass crossbar to do it, and without the
 //! bypass its cut-through latency degrades by a full packet time.
 
-use telegraphos::simkernel::cell::Packet;
+use telegraphos::simkernel::cell::{header_chance, Packet};
 use telegraphos::simkernel::ids::Addr;
 use telegraphos::simkernel::{run_until_quiescent, SplitMix64};
 use telegraphos::switch_core::config::SwitchConfig;
@@ -19,7 +19,7 @@ use telegraphos::switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
 fn schedule(n: usize, s: usize, cycles: u64, load: f64, seed: u64) -> Vec<Vec<Option<u64>>> {
     let mut rng = SplitMix64::new(seed);
     let mut wires = vec![vec![None; n]; cycles as usize];
-    let q = load / (load + s as f64 * (1.0 - load));
+    let q = header_chance(load, s);
     let mut next_id = 1u64;
     for i in 0..n {
         let mut t = 0usize;
