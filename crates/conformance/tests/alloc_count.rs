@@ -1,5 +1,6 @@
-//! `driver::run` allocates its tables once per run: the number of heap
-//! allocations must not depend on how many packets the scenario offers.
+//! `driver::run` allocates its tables once per run, and so does each of
+//! the four models it drives: the number of heap allocations must not
+//! depend on how many packets the scenario offers.
 //! (Buffers that *grow* — the delivery log of a run that outlives its
 //! reservation, the model's own queues — `realloc`; they are not counted.)
 //!
@@ -37,7 +38,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Four ports at full load for `packets` packet times per input.
-fn back_to_back(packets: u64, credited: bool) -> Scenario {
+fn back_to_back(packets: u64, credited: bool, recovery: bool) -> Scenario {
     let (n, s) = (4usize, 8u64);
     let mut offers = Vec::new();
     for k in 0..packets {
@@ -59,7 +60,7 @@ fn back_to_back(packets: u64, credited: bool) -> Scenario {
         offers,
         horizon: packets * s,
         fault: None,
-        recovery: false,
+        recovery,
         policy: PolicyKind::Static,
     }
 }
@@ -75,17 +76,19 @@ fn allocations_of(sc: &Scenario, org: Org) -> u64 {
 
 #[test]
 fn a_run_allocates_the_same_number_of_times_for_100_offers_as_for_20() {
-    for credited in [false, true] {
-        let (short, long) = (back_to_back(5, credited), back_to_back(25, credited));
+    // Both paths of the driver, word-level and cell-level, on all four
+    // models; the last round arms ECC, whose check codes are a sidecar
+    // `membank` rewrites at every store.
+    for (credited, recovery) in [(false, false), (true, false), (false, true)] {
+        let short = back_to_back(5, credited, recovery);
+        let long = back_to_back(25, credited, recovery);
         assert_eq!((short.offers.len(), long.offers.len()), (20, 100));
-        // Both paths of the driver, word-level and cell-level, on every
-        // model that does not allocate per packet itself (the wide memory
-        // moves each packet's words through a `Vec` of its own).
-        for org in [Org::Pipelined, Org::Behavioral, Org::Interleaved] {
+        for org in Org::ALL {
             let (few, many) = (allocations_of(&short, org), allocations_of(&long, org));
             assert_eq!(
                 few, many,
-                "{org}, credited {credited}: {few} allocations for 20 offers, {many} for 100"
+                "{org}, credited {credited}, recovery {recovery}: \
+                 {few} allocations for 20 offers, {many} for 100"
             );
         }
     }

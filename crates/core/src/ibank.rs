@@ -31,7 +31,7 @@
 use crate::ctl::{Arrival, ControlPlane};
 use crate::policy::PolicyKind;
 use crate::recovery::RecoveryConfig;
-use crate::rtl::integrity_checksum;
+use crate::rtl::{bits, integrity_checksum, mask_where};
 use membank::interleaved::{BankId, InterleavedMemory};
 use simkernel::cell::Packet;
 use simkernel::ids::Cycle;
@@ -117,15 +117,23 @@ struct Stored {
 }
 
 /// The interleaved one-packet-per-bank shared-buffer switch.
+///
+/// Which inputs are in mid-packet, which outputs transmit and which have
+/// a packet queued are kept as `u128` masks beside `arriving`, `tx` and
+/// `queues`, so a cycle visits the outputs that have work.
 #[derive(Debug)]
 pub struct InterleavedSwitch {
     cfg: InterleavedSwitchConfig,
     mem: InterleavedMemory,
     arriving: Vec<Option<Arriving>>,
+    arriving_mask: u128,
     queues: Vec<VecDeque<Stored>>,
+    /// Outputs whose queue is non-empty.
+    queued: u128,
     /// Per output: (bank, next word index, id, birth) of the packet in
     /// transmission.
     tx: Vec<Option<(BankId, usize, u64, Cycle)>>,
+    tx_mask: u128,
     cycle: Cycle,
     /// Counters, probe, sharing policy and recovery ledger.
     ctl: ControlPlane,
@@ -138,6 +146,12 @@ impl InterleavedSwitch {
     /// Build the switch.
     pub fn new(cfg: InterleavedSwitchConfig) -> Self {
         assert!(cfg.n >= 1 && cfg.banks >= 1);
+        assert!(
+            cfg.n <= 128,
+            "the interleaved model keeps its port sets in `u128` masks: \
+             at most 128 ports, this configuration has {}",
+            cfg.n
+        );
         let s = cfg.packet_words();
         let mut mem =
             InterleavedMemory::new_with_spares(cfg.banks, cfg.recovery.spare_banks, s, 64);
@@ -147,8 +161,11 @@ impl InterleavedSwitch {
         InterleavedSwitch {
             mem,
             arriving: vec![None; cfg.n],
+            arriving_mask: 0,
             queues: vec![VecDeque::new(); cfg.n],
+            queued: 0,
             tx: vec![None; cfg.n],
+            tx_mask: 0,
             cycle: 0,
             // Natural settle time of one failover: one packet time.
             ctl: ControlPlane::new(cfg.n, s, cfg.policy, cfg.recovery, s as u64),
@@ -169,11 +186,17 @@ impl InterleavedSwitch {
     }
 
     /// True when nothing is buffered or in flight.
+    #[inline]
     pub fn is_quiescent(&self) -> bool {
-        self.mem.occupied_count() == 0
-            && self.arriving.iter().all(Option::is_none)
-            && self.tx.iter().all(Option::is_none)
-            && self.queues.iter().all(VecDeque::is_empty)
+        self.mem.occupied_count() == 0 && (self.arriving_mask | self.tx_mask | self.queued) == 0
+    }
+
+    /// Every mask equals a rescan of the state it summarizes.
+    fn masks_hold(&self) -> bool {
+        let n = self.cfg.n;
+        self.arriving_mask == mask_where(n, |i| self.arriving[i].is_some())
+            && self.tx_mask == mask_where(n, |j| self.tx[j].is_some())
+            && self.queued == mask_where(n, |j| !self.queues[j].is_empty())
     }
 
     /// ECC-scrub every word of bank `b`; retire the bank when its
@@ -234,39 +257,37 @@ impl InterleavedSwitch {
         //    tick: the tail read already used the bank's port, so a
         //    same-cycle reallocation could not legally write it.
         // ------------------------------------------------------------------
-        let mut freed = std::mem::take(&mut self.scratch_freed);
-        freed.clear();
-        let mut wire_out = std::mem::take(&mut self.wire_out);
-        wire_out.clear();
-        wire_out.resize(n, None);
-        for (j, out) in wire_out.iter_mut().enumerate() {
-            if self.tx[j].is_none() {
-                if let Some(&head) = self.queues[j].front() {
-                    if head.ready <= c {
-                        self.queues[j].pop_front();
-                        // ECC pass over the bank before the checksum
-                        // samples it: single-bit upsets are corrected in
-                        // place, and a bank failing repeatedly is retired
-                        // (it drains this packet first, then leaves the
-                        // pool on release).
-                        if self.ctl.ecc_on() {
-                            self.scrub_bank(head.bank, c);
-                        }
-                        let scrub_fail =
-                            integrity_checksum((0..s).map(|k| self.mem.peek_word(head.bank, k)))
-                                != head.sum;
-                        if scrub_fail {
-                            // Detect-and-drop: the initiation slot is
-                            // spent; the bank is freed immediately.
-                            freed.push(head.bank);
-                            self.ctl.drop(c, head.id, DropReason::Checksum);
-                        } else {
-                            self.tx[j] = Some((head.bank, 0, head.id, head.birth));
-                            // BShare queueing-delay signal:
-                            // birth-to-transmission-start.
-                            self.ctl.on_read(j, c - head.birth);
-                            self.ctl.read_wave(c, j, head.bank.0, false);
-                        }
+        self.scratch_freed.clear();
+        self.wire_out.fill(None);
+        for j in bits(self.tx_mask | self.queued) {
+            if self.tx_mask >> j & 1 == 0 {
+                let head = *self.queues[j].front().expect("queued bit set");
+                if head.ready <= c {
+                    self.queues[j].pop_front();
+                    if self.queues[j].is_empty() {
+                        self.queued &= !(1 << j);
+                    }
+                    // ECC pass over the bank before the checksum
+                    // samples it: single-bit upsets are corrected in
+                    // place, and a bank failing repeatedly is retired
+                    // (it drains this packet first, then leaves the
+                    // pool on release).
+                    if self.ctl.ecc_on() {
+                        self.scrub_bank(head.bank, c);
+                    }
+                    let stored = self.mem.peek_packet(head.bank);
+                    if integrity_checksum(stored.iter().copied()) != head.sum {
+                        // Detect-and-drop: the initiation slot is
+                        // spent; the bank is freed immediately.
+                        self.scratch_freed.push(head.bank);
+                        self.ctl.drop(c, head.id, DropReason::Checksum);
+                    } else {
+                        self.tx[j] = Some((head.bank, 0, head.id, head.birth));
+                        self.tx_mask |= 1 << j;
+                        // BShare queueing-delay signal:
+                        // birth-to-transmission-start.
+                        self.ctl.on_read(j, c - head.birth);
+                        self.ctl.read_wave(c, j, head.bank.0, false);
                     }
                 }
             }
@@ -275,12 +296,13 @@ impl InterleavedSwitch {
                     .mem
                     .read_word(*bank, *k)
                     .expect("output owns its bank's port");
-                *out = Some(w);
+                self.wire_out[j] = Some(w);
                 *k += 1;
-                let (done, b, id, birth) = (*k == s, *bank, *id, *birth);
-                if done {
+                if *k == s {
+                    let (b, id, birth) = (*bank, *id, *birth);
                     self.tx[j] = None;
-                    freed.push(b);
+                    self.tx_mask &= !(1 << j);
+                    self.scratch_freed.push(b);
                     self.ctl.departed(c, j, id, birth);
                 }
             }
@@ -318,11 +340,14 @@ impl InterleavedSwitch {
                         occupancy: self.mem.occupied_count(),
                         capacity: self.mem.banks(),
                     },
-                    &mut (&mut self.queues, &mut self.mem),
-                    |(queues, _), j| queues[j].len(),
-                    |(queues, mem), victim| {
+                    &mut (&mut self.queues, &mut self.mem, &mut self.queued),
+                    |(queues, ..), j| queues[j].len(),
+                    |(queues, mem, queued), victim| {
                         let ix = queues[victim].iter().rposition(|st| st.ready <= c)?;
                         let st = queues[victim].remove(ix)?;
+                        if queues[victim].is_empty() {
+                            **queued &= !(1 << victim);
+                        }
                         mem.release(st.bank);
                         Some(st.id)
                     },
@@ -341,6 +366,7 @@ impl InterleavedSwitch {
                     k: 0,
                     sum: 0,
                 });
+                self.arriving_mask |= 1 << i;
             }
             let ar = self.arriving[i].as_mut().expect("header just decoded");
             if let Some(bank) = ar.bank {
@@ -352,7 +378,9 @@ impl InterleavedSwitch {
             ar.k += 1;
             if ar.k == s {
                 let ar = self.arriving[i].take().expect("tail of a live packet");
+                self.arriving_mask &= !(1 << i);
                 if let Some(bank) = ar.bank {
+                    self.queued |= 1 << ar.dst;
                     self.queues[ar.dst].push_back(Stored {
                         bank,
                         id: ar.id,
@@ -364,10 +392,9 @@ impl InterleavedSwitch {
             }
         }
 
-        for &b in &freed {
+        for &b in &self.scratch_freed {
             self.mem.release(b);
         }
-        self.scratch_freed = freed;
 
         if self.ctl.probed() {
             self.ctl.gauge_occupancy(c, self.mem.occupied_count());
@@ -376,8 +403,9 @@ impl InterleavedSwitch {
             }
         }
 
+        debug_assert!(self.masks_hold(), "a port mask drifted from its state");
+
         self.cycle = c + 1;
-        self.wire_out = wire_out;
         &self.wire_out
     }
 }
@@ -397,12 +425,12 @@ impl simkernel::Horizon for InterleavedSwitch {
         if self.is_quiescent() {
             return None;
         }
-        if self.tx.iter().any(Option::is_some) || self.arriving.iter().any(Option::is_some) {
+        if (self.tx_mask | self.arriving_mask) != 0 {
             return Some(self.cycle);
         }
-        self.queues
-            .iter()
-            .filter_map(|q| q.front().map(|head| head.ready.max(self.cycle)))
+        bits(self.queued)
+            .filter_map(|j| self.queues[j].front())
+            .map(|head| head.ready.max(self.cycle))
             .min()
             // Not quiescent yet nothing queued, transmitting, or
             // arriving: unaccounted activity — conservative dense tick.
@@ -422,6 +450,7 @@ impl simkernel::Horizon for InterleavedSwitch {
 mod tests {
     use super::*;
     use crate::rtl::OutputCollector;
+    use crate::word::testkit::random_traffic;
     use crate::WordSwitch as _;
 
     fn run_schedule(
@@ -608,56 +637,8 @@ mod tests {
 
     #[test]
     fn conservation_under_random_traffic() {
-        use simkernel::SplitMix64;
         let cfg = InterleavedSwitchConfig::symmetric(4, 16);
-        let s = cfg.packet_words();
-        let n = cfg.n;
-        let mut sw = InterleavedSwitch::new(cfg);
-        let mut col = OutputCollector::new(n, s);
-        let mut rng = SplitMix64::new(17);
-        let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
-        let mut next_id = 1u64;
-        for _ in 0..20_000u64 {
-            let now = sw.now();
-            let mut wire = vec![None; n];
-            for i in 0..n {
-                if current[i].is_none() && rng.chance(0.5) {
-                    let p = Packet::synth(next_id, i, rng.below_usize(n), s, now);
-                    next_id += 1;
-                    current[i] = Some((p, 0));
-                }
-                if let Some((p, k)) = current[i].as_mut() {
-                    wire[i] = Some(p.words[*k]);
-                    *k += 1;
-                    if *k == s {
-                        current[i] = None;
-                    }
-                }
-            }
-            let out = sw.tick(&wire);
-            col.observe(now, out);
-        }
-        simkernel::run_until_quiescent(5_000, "interleaved random-traffic drain", |_| {
-            if sw.is_quiescent() {
-                return true;
-            }
-            let now = sw.now();
-            let mut wire = vec![None; n];
-            for i in 0..n {
-                if let Some((p, k)) = current[i].as_mut() {
-                    wire[i] = Some(p.words[*k]);
-                    *k += 1;
-                    if *k == s {
-                        current[i] = None;
-                    }
-                }
-            }
-            let out = sw.tick(&wire);
-            col.observe(now, out);
-            false
-        })
-        .expect("failed to drain");
-        let pkts = col.take();
+        let (pkts, sw) = random_traffic(InterleavedSwitch::new(cfg), 4, 17, 20_000);
         let ctr = sw.counters();
         assert!(pkts.iter().all(|p| p.verify_payload()));
         assert_eq!(
@@ -666,5 +647,28 @@ mod tests {
             "conservation violated"
         );
         assert!(pkts.len() > 3_000);
+    }
+
+    #[test]
+    fn masks_follow_the_queues_through_push_out_and_drain() {
+        // Eight banks under more traffic than they hold: push-out removes
+        // entries from inside a queue — the one place a queue empties
+        // outside transmission start — and the drain then empties
+        // everything. `tick` re-derives every mask from the state it
+        // summarizes in a debug build, so the 3000 cycles are 3000 checks.
+        let cfg = InterleavedSwitchConfig::symmetric(4, 8).with_policy(PolicyKind::PushOut);
+        let (pkts, sw) = random_traffic(InterleavedSwitch::new(cfg), 4, 33, 3_000);
+        let ctr = sw.counters();
+        assert!(ctr.policy_preempts > 0, "nothing was ever pushed out");
+        assert!(pkts.iter().all(|p| p.verify_payload()));
+        assert_eq!(ctr.departed, pkts.len() as u64);
+        assert_eq!(ctr.in_flight(), 0, "conservation violated: {ctr:?}");
+        assert!(sw.is_quiescent() && sw.masks_hold());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 128 ports")]
+    fn more_than_128_ports_are_rejected() {
+        InterleavedSwitch::new(InterleavedSwitchConfig::symmetric(129, 8));
     }
 }

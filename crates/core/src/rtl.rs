@@ -285,6 +285,12 @@ pub(crate) fn bits(mask: impl Into<u128>) -> impl Iterator<Item = usize> {
     })
 }
 
+/// The mask of the ports `0..n` that `set` holds for — what a kept mask
+/// is checked against.
+pub(crate) fn mask_where(n: usize, set: impl Fn(usize) -> bool) -> u128 {
+    (0..n).filter(|&p| set(p)).fold(0, |m, p| m | 1 << p)
+}
+
 impl PipelinedSwitch {
     /// Build a switch from a validated configuration.
     pub fn new(cfg: SwitchConfig) -> Self {

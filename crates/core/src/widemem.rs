@@ -30,7 +30,7 @@
 use crate::ctl::{Arrival, ControlPlane};
 use crate::policy::PolicyKind;
 use crate::recovery::RecoveryConfig;
-use crate::rtl::integrity_checksum;
+use crate::rtl::{bits, integrity_checksum, mask_where};
 use membank::wide::WideMemory;
 use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle};
@@ -93,14 +93,10 @@ impl WideSwitchConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Assembly {
-    words: Vec<u64>,
-}
-
-#[derive(Debug, Clone)]
+/// A fully assembled packet waiting for its memory write slot; its words
+/// are input `i`'s row of `staging_words`.
+#[derive(Debug, Clone, Copy)]
 struct Staged {
-    words: Vec<u64>,
     dst: usize,
     id: u64,
     birth: Cycle,
@@ -108,12 +104,16 @@ struct Staged {
     ready: Cycle,
 }
 
+/// One output link. Its words are rows `2j` and `2j + 1` of `out_rows`
+/// (output double buffering): `tx` reads row `2j + tx_row`, a fetch fills
+/// the other, and promoting `next` to `tx` flips `tx_row`.
 #[derive(Debug, Clone)]
 struct OutState {
-    /// Words being transmitted, next index.
-    tx: Option<(Vec<u64>, usize, u64, Cycle)>,
-    /// Fetched packet waiting its turn (output double buffering).
-    next: Option<(Vec<u64>, u64, Cycle)>,
+    tx_row: usize,
+    /// Packet being transmitted: (next word index, id, birth).
+    tx: Option<(usize, u64, Cycle)>,
+    /// Fetched packet waiting its turn: (id, birth).
+    next: Option<(u64, Cycle)>,
     /// Bypass (cut-through) feed: (input, started_at). While set, words
     /// are taken straight from that input's assembly row.
     bypass: Option<BypassTx>,
@@ -129,6 +129,12 @@ struct BypassTx {
 }
 
 /// The wide-memory shared-buffer switch (fig. 3).
+///
+/// Every word buffer is built once by [`WideMemorySwitchRtl::new`] and a
+/// packet moves between them by copy or by flipping which row is which;
+/// the port sets a cycle asks about (who is staged, which queue holds a
+/// packet, which output is busy) are kept as `u128` masks beside the
+/// state they summarize, so a cycle visits the ports that have work.
 #[derive(Debug)]
 pub struct WideMemorySwitchRtl {
     cfg: WideSwitchConfig,
@@ -136,11 +142,26 @@ pub struct WideMemorySwitchRtl {
     free: Vec<Addr>,
     /// Per output: (slot, id, birth, checksum stamped at write time).
     queues: Vec<VecDeque<(Addr, u64, Cycle, u64)>>,
-    assembly: Vec<Assembly>,
+    /// Outputs whose queue is non-empty.
+    queued: u128,
+    /// Input `i`'s assembly row is words `i * S ..`.
+    assembly: Vec<u64>,
     asm_fill: Vec<usize>,
-    asm_meta: Vec<Option<(usize, u64, Cycle, bool)>>, // dst, id, birth, dropped
+    /// Inputs in mid-packet (`asm_fill != 0`).
+    arriving: u128,
+    asm_meta: Vec<Option<(usize, u64, Cycle, bool)>>, // dst, id, birth, bypassed
+    /// Input `i`'s staging row is words `i * S ..`.
+    staging_words: Vec<u64>,
     staging: Vec<Option<Staged>>,
+    /// Inputs whose staging row is occupied.
+    staged: u128,
+    /// Row `r` is words `r * S ..`; two rows per output, see [`OutState`].
+    out_rows: Vec<u64>,
     outs: Vec<OutState>,
+    /// Outputs with `tx`, `next`, `bypass` set.
+    tx_busy: u128,
+    next_full: u128,
+    bypassing: u128,
     cycle: Cycle,
     /// Counters, probe, sharing policy and recovery ledger.
     ctl: ControlPlane,
@@ -163,6 +184,12 @@ impl WideMemorySwitchRtl {
     /// Build the switch.
     pub fn new(cfg: WideSwitchConfig) -> Self {
         assert!(cfg.n >= 1 && cfg.slots >= 1);
+        assert!(
+            cfg.n <= 128,
+            "the wide-memory model keeps its port sets in `u128` masks: \
+             at most 128 ports, this configuration has {}",
+            cfg.n
+        );
         let s = cfg.packet_words();
         let spares = cfg.recovery.spare_banks;
         let depth = cfg.slots + spares;
@@ -174,18 +201,27 @@ impl WideMemorySwitchRtl {
             mem,
             free: (0..cfg.slots).rev().map(Addr).collect(),
             queues: vec![VecDeque::new(); cfg.n],
-            assembly: vec![Assembly { words: vec![0; s] }; cfg.n],
+            queued: 0,
+            assembly: vec![0; cfg.n * s],
             asm_fill: vec![0; cfg.n],
+            arriving: 0,
             asm_meta: vec![None; cfg.n],
+            staging_words: vec![0; cfg.n * s],
             staging: vec![None; cfg.n],
+            staged: 0,
+            out_rows: vec![0; 2 * cfg.n * s],
             outs: vec![
                 OutState {
+                    tx_row: 0,
                     tx: None,
                     next: None,
                     bypass: None
                 };
                 cfg.n
             ],
+            tx_busy: 0,
+            next_full: 0,
+            bypassing: 0,
             cycle: 0,
             // Natural settle time of one failover: one packet time.
             ctl: ControlPlane::new(cfg.n, s, cfg.policy, cfg.recovery, s as u64),
@@ -265,14 +301,27 @@ impl WideMemorySwitchRtl {
     }
 
     /// True when nothing is buffered or in flight.
+    #[inline]
     pub fn is_quiescent(&self) -> bool {
         self.free.len() == self.capacity
-            && self.staging.iter().all(Option::is_none)
-            && self.asm_fill.iter().all(|&k| k == 0)
-            && self
-                .outs
-                .iter()
-                .all(|o| o.tx.is_none() && o.next.is_none() && o.bypass.is_none())
+            && (self.staged | self.arriving | self.tx_busy | self.next_full | self.bypassing) == 0
+    }
+
+    /// Every mask equals a rescan of the state it summarizes.
+    fn masks_hold(&self) -> bool {
+        let n = self.cfg.n;
+        self.queued == mask_where(n, |j| !self.queues[j].is_empty())
+            && self.arriving == mask_where(n, |i| self.asm_fill[i] != 0)
+            && self.staged == mask_where(n, |i| self.staging[i].is_some())
+            && self.tx_busy == mask_where(n, |j| self.outs[j].tx.is_some())
+            && self.next_full == mask_where(n, |j| self.outs[j].next.is_some())
+            && self.bypassing == mask_where(n, |j| self.outs[j].bypass.is_some())
+    }
+
+    /// The packet in staging row `i`, which the `staged` mask says is there.
+    #[inline]
+    fn staged_at(&self, i: usize) -> Staged {
+        self.staging[i].expect("staged bit set")
     }
 
     /// Store staged packet `i` into the wide memory (one whole-packet
@@ -280,6 +329,7 @@ impl WideMemorySwitchRtl {
     /// if the sharing policy refuses it or no slot is free.
     fn write_staged(&mut self, i: usize) {
         let st = self.staging[i].take().expect("write_staged on empty row");
+        self.staged &= !(1 << i);
         let c = self.cycle;
         // Every queued packet is fully written and not yet in
         // transmission (the fetch frees its row immediately), so any
@@ -293,10 +343,13 @@ impl WideMemorySwitchRtl {
                 occupancy: self.capacity - self.free.len(),
                 capacity: self.capacity,
             },
-            &mut (&mut self.queues, &mut self.free),
-            |(queues, _), j| queues[j].len(),
-            |(queues, free), victim| {
+            &mut (&mut self.queues, &mut self.free, &mut self.queued),
+            |(queues, ..), j| queues[j].len(),
+            |(queues, free, queued), victim| {
                 let (addr, id, ..) = queues[victim].pop_back()?;
+                if queues[victim].is_empty() {
+                    **queued &= !(1 << victim);
+                }
                 free.push(addr);
                 Some(id)
             },
@@ -306,11 +359,14 @@ impl WideMemorySwitchRtl {
         }
         match self.free.pop() {
             Some(addr) => {
+                let s = self.cfg.packet_words();
+                let words = &self.staging_words[i * s..][..s];
                 self.mem
-                    .write_packet(addr, &st.words)
+                    .write_packet(addr, words)
                     .expect("one op per cycle");
-                let sum = integrity_checksum(st.words.iter().copied());
+                let sum = integrity_checksum(words.iter().copied());
                 self.queues[st.dst].push_back((addr, st.id, st.birth, sum));
+                self.queued |= 1 << st.dst;
                 self.ctl.write_wave(c, i, addr.index());
             }
             None => self.ctl.drop(c, st.id, DropReason::BufferFull),
@@ -319,7 +375,6 @@ impl WideMemorySwitchRtl {
 
     /// Advance one cycle: words in, words out. The returned slice
     /// borrows internal scratch and is valid until the next tick.
-    #[allow(clippy::needless_range_loop)] // per-port hardware scan over several arrays
     pub fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>] {
         assert_eq!(wire_in.len(), self.cfg.n);
         let c = self.cycle;
@@ -330,42 +385,46 @@ impl WideMemorySwitchRtl {
         // ------------------------------------------------------------------
         // 1. Output links transmit (from tx rows or over the bypass).
         // ------------------------------------------------------------------
-        let mut wire_out = std::mem::take(&mut self.wire_out);
-        wire_out.clear();
-        wire_out.resize(n, None);
-        for j in 0..n {
+        self.wire_out.fill(None);
+        for j in bits(self.tx_busy | self.next_full | self.bypassing) {
+            let bit = 1u128 << j;
             // Bypass transmission reads the source assembly row directly.
             // The word sent in cycle c arrived two cycles earlier (input
             // latch → crossbar → output register), so transmission starts
             // at birth + 2 — the same cut-through latency the pipelined
             // organization achieves without any of this hardware.
-            if let Some(bp) = self.outs[j].bypass {
+            if let Some(bp) = self.outs[j].bypass.as_mut() {
                 if c >= bp.birth + 2 {
-                    let word = self.assembly[bp.input].words[bp.k];
-                    wire_out[j] = Some(word);
-                    let k = bp.k + 1;
-                    if k == s {
+                    self.wire_out[j] = Some(self.assembly[bp.input * s + bp.k]);
+                    bp.k += 1;
+                    if bp.k == s {
+                        let (id, birth) = (bp.id, bp.birth);
                         self.outs[j].bypass = None;
-                        self.ctl.departed(c, j, bp.id, bp.birth);
-                    } else {
-                        self.outs[j].bypass = Some(BypassTx { k, ..bp });
+                        self.bypassing &= !bit;
+                        self.ctl.departed(c, j, id, birth);
                     }
                 }
                 continue;
             }
-            if self.outs[j].tx.is_none() {
-                if let Some((words, id, birth)) = self.outs[j].next.take() {
-                    self.outs[j].tx = Some((words, 0, id, birth));
-                }
+            if self.tx_busy & bit == 0 {
+                // `next` is set (the output has no bypass and no tx, yet
+                // it is in the walk): its row becomes the tx row.
+                let out = &mut self.outs[j];
+                let (id, birth) = out.next.take().expect("next_full bit set");
+                out.tx = Some((0, id, birth));
+                out.tx_row ^= 1;
+                self.next_full &= !bit;
+                self.tx_busy |= bit;
             }
-            if let Some((words, k, id, birth)) = self.outs[j].tx.as_mut() {
-                wire_out[j] = Some(words[*k]);
-                *k += 1;
-                let (done, id, birth) = (*k == s, *id, *birth);
-                if done {
-                    self.outs[j].tx = None;
-                    self.ctl.departed(c, j, id, birth);
-                }
+            let row = 2 * j + self.outs[j].tx_row;
+            let (k, id, birth) = self.outs[j].tx.as_mut().expect("tx_busy bit set");
+            self.wire_out[j] = Some(self.out_rows[row * s + *k]);
+            *k += 1;
+            if *k == s {
+                let (id, birth) = (*id, *birth);
+                self.outs[j].tx = None;
+                self.tx_busy &= !bit;
+                self.ctl.departed(c, j, id, birth);
             }
         }
 
@@ -383,59 +442,58 @@ impl WideMemorySwitchRtl {
         //    overflows the staging row: a packet loss credits cannot
         //    prevent. Found by the differential conformance fuzzer.
         // ------------------------------------------------------------------
-        let deadline = |st: &Staged| st.ready + s as Cycle - 1;
-        let mut mem_busy = false;
-        let urgent = (0..n)
-            .filter(|&i| {
-                self.staging[i]
-                    .as_ref()
-                    .is_some_and(|st| st.ready <= c && deadline(st) < c + n as Cycle)
-            })
-            .min_by_key(|&i| deadline(self.staging[i].as_ref().expect("checked")));
-        if let Some(i) = urgent {
+        // Staged inputs in ascending order, so ties break towards the
+        // lowest input.
+        let deadline = |st: Staged| st.ready + s as Cycle - 1;
+        let urgent = bits(self.staged)
+            .map(|i| (i, self.staged_at(i)))
+            .filter(|&(_, st)| st.ready <= c && deadline(st) < c + n as Cycle)
+            .min_by_key(|&(_, st)| deadline(st));
+        let fetch = self.queued & !self.next_full;
+        if let Some((i, _)) = urgent {
             self.write_staged(i);
-            mem_busy = true;
-        }
-        for j in 0..n {
-            if mem_busy {
-                break;
+        } else if fetch != 0 {
+            // The lowest output with a queued packet and room for it.
+            let j = fetch.trailing_zeros() as usize;
+            let (addr, id, birth, sum) = self.queues[j].pop_front().expect("queued bit set");
+            if self.queues[j].is_empty() {
+                self.queued &= !(1 << j);
             }
-            if self.outs[j].next.is_some() {
-                continue;
+            // BShare queueing-delay signal: birth-to-fetch.
+            self.ctl.on_read(j, c - birth);
+            // ECC pass over the row before the fetch samples it: a
+            // single-bit upset per code word is corrected in place, so
+            // the checksum scrub below sees clean data.
+            let retire = self.ctl.ecc_on() && self.scrub_row(addr, c);
+            let words = self.mem.read_packet(addr).expect("one op per cycle");
+            // Integrity scrub at fetch: the wide organization checks a
+            // whole packet in one access (its ECC word is as wide as
+            // the memory). Mismatch → detect-and-drop, further down.
+            let intact = integrity_checksum(words.iter().copied()) == sum;
+            if intact {
+                // Into the row `tx` is not reading.
+                let row = 2 * j + (self.outs[j].tx_row ^ 1);
+                self.out_rows[row * s..][..s].copy_from_slice(words);
             }
-            if let Some(&(addr, id, birth, sum)) = self.queues[j].front() {
-                self.queues[j].pop_front();
-                // BShare queueing-delay signal: birth-to-fetch.
-                self.ctl.on_read(j, c - birth);
-                // ECC pass over the row before the fetch samples it: a
-                // single-bit upset per code word is corrected in place, so
-                // the checksum scrub below sees clean data.
-                let retire = self.ctl.ecc_on() && self.scrub_row(addr, c);
-                let words = self.mem.read_packet(addr).expect("one op per cycle");
-                if retire {
-                    self.retire_row(addr, c);
-                } else {
-                    self.free.push(addr);
-                }
-                self.ctl.read_wave(c, j, addr.index(), false);
-                // Integrity scrub at fetch: the wide organization checks a
-                // whole packet in one access (its ECC word is as wide as
-                // the memory). Mismatch → detect-and-drop.
-                if integrity_checksum(words.iter().copied()) != sum {
-                    self.ctl.drop(c, id, DropReason::Checksum);
-                } else {
-                    self.outs[j].next = Some((words, id, birth));
-                }
-                mem_busy = true;
-                break;
+            if retire {
+                self.retire_row(addr, c);
+            } else {
+                self.free.push(addr);
             }
-        }
-        if !mem_busy {
+            self.ctl.read_wave(c, j, addr.index(), false);
+            if intact {
+                self.outs[j].next = Some((id, birth));
+                self.next_full |= 1 << j;
+            } else {
+                self.ctl.drop(c, id, DropReason::Checksum);
+            }
+        } else {
             // Oldest staged packet wins the write slot.
-            let cand = (0..n)
-                .filter(|&i| self.staging[i].as_ref().is_some_and(|st| st.ready <= c))
-                .min_by_key(|&i| self.staging[i].as_ref().expect("checked").ready);
-            if let Some(i) = cand {
+            let cand = bits(self.staged)
+                .map(|i| (i, self.staged_at(i).ready))
+                .filter(|&(_, ready)| ready <= c)
+                .min_by_key(|&(_, ready)| ready);
+            if let Some((i, _)) = cand {
                 self.write_staged(i);
             }
         }
@@ -455,7 +513,6 @@ impl WideMemorySwitchRtl {
             if k == 0 {
                 let (dst, id) = Packet::decode_header(*word);
                 assert!(dst < n, "bad destination {dst}");
-                self.asm_meta[i] = Some((dst, id, c, false));
                 self.ctl.header(c, i, id, dst);
                 // Cut-through over the bypass crossbar: output idle (no
                 // tx, no next, no bypass) and nothing pending for it —
@@ -463,33 +520,29 @@ impl WideMemorySwitchRtl {
                 // row awaiting its write slot. Staged packets count: one
                 // stuck behind a busy memory would otherwise be overtaken
                 // by a later packet of the same flow (FIFO violation).
-                if self.cfg.cut_through_crossbar {
-                    let out = &self.outs[dst];
-                    let staged_pending = self.staging.iter().flatten().any(|st| st.dst == dst);
-                    if out.tx.is_none()
-                        && out.next.is_none()
-                        && out.bypass.is_none()
-                        && self.queues[dst].is_empty()
-                        && !staged_pending
-                    {
-                        self.outs[dst].bypass = Some(BypassTx {
-                            input: i,
-                            k: 0,
-                            id,
-                            birth: c,
-                        });
-                        self.ctl.counters.fused_reads += 1; // bypass cut-throughs
-                        self.ctl.cut_through(c, dst, id, false);
-                        if let Some(meta) = self.asm_meta[i].as_mut() {
-                            meta.3 = true; // mark as bypassed
-                        }
-                    }
+                let pending = self.tx_busy | self.next_full | self.bypassing | self.queued;
+                let bypassed = self.cfg.cut_through_crossbar
+                    && pending >> dst & 1 == 0
+                    && !bits(self.staged).any(|from| self.staged_at(from).dst == dst);
+                if bypassed {
+                    self.outs[dst].bypass = Some(BypassTx {
+                        input: i,
+                        k: 0,
+                        id,
+                        birth: c,
+                    });
+                    self.bypassing |= 1 << dst;
+                    self.ctl.counters.fused_reads += 1; // bypass cut-throughs
+                    self.ctl.cut_through(c, dst, id, false);
                 }
+                self.asm_meta[i] = Some((dst, id, c, bypassed));
+                self.arriving |= 1 << i;
             }
-            self.assembly[i].words[k] = *word;
+            self.assembly[i * s + k] = *word;
             self.asm_fill[i] = k + 1;
             if k + 1 == s {
                 self.asm_fill[i] = 0;
+                self.arriving &= !(1 << i);
                 let (dst, id, birth, bypassed) = self.asm_meta[i].take().expect("header seen");
                 // A bypassed packet is already on the wire, straight from
                 // this row; the bypass finishes before the row refills
@@ -499,13 +552,15 @@ impl WideMemorySwitchRtl {
                     continue;
                 }
                 if self.staging[i].is_none() {
+                    let row = i * s..(i + 1) * s;
+                    self.staging_words[row.clone()].copy_from_slice(&self.assembly[row]);
                     self.staging[i] = Some(Staged {
-                        words: self.assembly[i].words.clone(),
                         dst,
                         id,
                         birth,
                         ready: c + 1,
                     });
+                    self.staged |= 1 << i;
                 } else {
                     // Staging row occupied — overrun. With double
                     // buffering this takes memory starvation for > S
@@ -521,20 +576,20 @@ impl WideMemorySwitchRtl {
         // packet starts arriving while staging is full, the staged packet
         // is overwritten (dropped).
         if !self.cfg.double_buffering {
-            for i in 0..n {
+            for i in bits(self.staged & self.arriving) {
                 if self.asm_fill[i] == 1 {
-                    if let Some(st) = self.staging[i].take() {
-                        self.staging_overruns += 1;
-                        self.ctl.drop(c, st.id, DropReason::LatchOverrun);
-                    }
+                    let st = self.staging[i].take().expect("staged bit set");
+                    self.staged &= !(1 << i);
+                    self.staging_overruns += 1;
+                    self.ctl.drop(c, st.id, DropReason::LatchOverrun);
                 }
             }
         }
 
         self.ctl.gauge_occupancy(c, self.occupancy());
+        debug_assert!(self.masks_hold(), "a port mask drifted from its state");
 
         self.cycle = c + 1;
-        self.wire_out = wire_out;
         &self.wire_out
     }
 }
@@ -576,6 +631,7 @@ impl simkernel::Horizon for WideMemorySwitchRtl {
 mod tests {
     use super::*;
     use crate::rtl::OutputCollector;
+    use crate::word::testkit::random_traffic;
     use crate::WordSwitch as _;
 
     fn run_packets(
@@ -883,56 +939,8 @@ mod tests {
 
     #[test]
     fn conservation_under_random_traffic() {
-        use simkernel::SplitMix64;
-        let cfg = WideSwitchConfig::fig3(4, 32);
-        let s = cfg.packet_words();
-        let n = cfg.n;
-        let mut sw = WideMemorySwitchRtl::new(cfg);
-        let mut col = OutputCollector::new(n, s);
-        let mut rng = SplitMix64::new(21);
-        let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
-        let mut next_id = 1u64;
-        for _ in 0..20_000u64 {
-            let now = sw.now();
-            let mut wire = vec![None; n];
-            for i in 0..n {
-                if current[i].is_none() && rng.chance(0.5) {
-                    let p = Packet::synth(next_id, i, rng.below_usize(n), s, now);
-                    next_id += 1;
-                    current[i] = Some((p, 0));
-                }
-                if let Some((p, k)) = current[i].as_mut() {
-                    wire[i] = Some(p.words[*k]);
-                    *k += 1;
-                    if *k == s {
-                        current[i] = None;
-                    }
-                }
-            }
-            let out = sw.tick(&wire);
-            col.observe(now, out);
-        }
-        simkernel::run_until_quiescent(5_000, "wide-switch random-traffic drain", |_| {
-            if sw.is_quiescent() {
-                return true;
-            }
-            let now = sw.now();
-            let mut wire = vec![None; n];
-            for i in 0..n {
-                if let Some((p, k)) = current[i].as_mut() {
-                    wire[i] = Some(p.words[*k]);
-                    *k += 1;
-                    if *k == s {
-                        current[i] = None;
-                    }
-                }
-            }
-            let out = sw.tick(&wire);
-            col.observe(now, out);
-            false
-        })
-        .expect("failed to drain");
-        let pkts = col.take();
+        let sw = WideMemorySwitchRtl::new(WideSwitchConfig::fig3(4, 32));
+        let (pkts, sw) = random_traffic(sw, 4, 21, 20_000);
         let ctr = sw.counters();
         assert!(pkts.iter().all(|p| p.verify_payload()));
         assert_eq!(
@@ -942,5 +950,29 @@ mod tests {
         );
         assert_eq!(ctr.latch_overruns, 0, "double buffering must suffice");
         assert!(pkts.len() > 5_000);
+    }
+
+    #[test]
+    fn masks_follow_the_queues_through_push_out_and_drain() {
+        // Eight rows under more traffic than they hold: push-out empties
+        // queues from the rear — the one place a queue empties outside
+        // the fetch path — and the drain then empties everything. `tick`
+        // re-derives every mask from the state it summarizes in a debug
+        // build, so the 3000 cycles are 3000 checks.
+        let mut cfg = WideSwitchConfig::fig3(4, 8).with_policy(PolicyKind::PushOut);
+        cfg.cut_through_crossbar = false;
+        let (pkts, sw) = random_traffic(WideMemorySwitchRtl::new(cfg), 4, 33, 3_000);
+        let ctr = sw.counters();
+        assert!(ctr.policy_preempts > 0, "nothing was ever pushed out");
+        assert!(pkts.iter().all(|p| p.verify_payload()));
+        assert_eq!(ctr.departed, pkts.len() as u64);
+        assert_eq!(ctr.in_flight(), 0, "conservation violated: {ctr:?}");
+        assert!(sw.is_quiescent() && sw.masks_hold());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 128 ports")]
+    fn more_than_128_ports_are_rejected() {
+        WideMemorySwitchRtl::new(WideSwitchConfig::fig3(129, 8));
     }
 }

@@ -190,3 +190,53 @@ impl std::fmt::Display for WordOrg {
         f.write_str(self.label())
     }
 }
+
+#[cfg(test)]
+pub(crate) mod testkit {
+    use super::WordSwitch;
+    use crate::rtl::{DeliveredPacket, OutputCollector};
+    use simkernel::cell::Packet;
+    use simkernel::SplitMix64;
+
+    /// Drive the `n × n` switch `sw` with `cycles` of uniform traffic, a
+    /// packet starting on every idle input with probability ½, and drain
+    /// it: what was delivered, and the quiescent switch.
+    pub(crate) fn random_traffic<S: WordSwitch>(
+        mut sw: S,
+        n: usize,
+        seed: u64,
+        cycles: u64,
+    ) -> (Vec<DeliveredPacket>, S) {
+        let s = sw.packet_words();
+        let mut col = OutputCollector::new(n, s);
+        let mut rng = SplitMix64::new(seed);
+        let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
+        let mut wire = vec![None; n];
+        let mut next_id = 1u64;
+        loop {
+            let now = sw.now();
+            let feeding = now < cycles;
+            if !feeding && current.iter().all(Option::is_none) && sw.is_quiescent() {
+                break;
+            }
+            assert!(now < cycles + 5_000, "failed to drain");
+            for i in 0..n {
+                if feeding && current[i].is_none() && rng.chance(0.5) {
+                    let p = Packet::synth(next_id, i, rng.below_usize(n), s, now);
+                    next_id += 1;
+                    current[i] = Some((p, 0));
+                }
+                wire[i] = None;
+                if let Some((p, k)) = current[i].as_mut() {
+                    wire[i] = Some(p.words[*k]);
+                    *k += 1;
+                    if *k == s {
+                        current[i] = None;
+                    }
+                }
+            }
+            col.observe(now, sw.tick(&wire));
+        }
+        (col.take(), sw)
+    }
+}

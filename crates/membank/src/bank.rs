@@ -326,6 +326,13 @@ impl SramBank {
         self.data[addr.index()]
     }
 
+    /// Every stored word at once, bypassing the port discipline like
+    /// [`SramBank::peek`] — what a checksum over the whole array folds.
+    #[inline]
+    pub fn peek_all(&self) -> &[u64] {
+        &self.data
+    }
+
     /// Fault injection: flip the bits of `mask` at `addr`, bypassing the
     /// port discipline. Testbench-only — used by the fault-injection
     /// suite to prove that the end-to-end integrity checks detect real

@@ -31,6 +31,9 @@ pub struct InterleavedMemory {
     spare_pool: Vec<BankId>,
     /// Banks retired so far: the set entries of `retired`.
     failovers: u64,
+    /// The open cycle. A bank hears of it at its next access, not at
+    /// [`InterleavedMemory::begin_cycle`]: a cycle costs what it touches.
+    cycle: Cycle,
 }
 
 impl InterleavedMemory {
@@ -58,6 +61,7 @@ impl InterleavedMemory {
             retired: vec![false; total],
             spare_pool: (m..total).map(BankId).collect(),
             failovers: 0,
+            cycle: 0,
         }
     }
 
@@ -162,22 +166,31 @@ impl InterleavedMemory {
     }
 
     /// Open a new cycle on all banks.
+    #[inline]
     pub fn begin_cycle(&mut self, cycle: Cycle) {
-        for b in &mut self.banks {
-            b.begin_cycle(cycle);
-        }
+        self.cycle = cycle;
+    }
+
+    /// Bank `b`, told the open cycle: its port budget is that cycle's.
+    #[inline]
+    fn clocked(&mut self, b: BankId) -> &mut SramBank {
+        let bank = &mut self.banks[b.0];
+        bank.begin_cycle(self.cycle);
+        bank
     }
 
     /// Stream word `k` of the packet into bank `b` (one per cycle per bank).
+    #[inline]
     pub fn write_word(&mut self, b: BankId, k: usize, w: u64) -> Result<(), PortViolation> {
         assert!(k < self.packet_words);
-        self.banks[b.0].write(Addr(k), w)
+        self.clocked(b).write(Addr(k), w)
     }
 
     /// Stream word `k` of the packet out of bank `b`.
+    #[inline]
     pub fn read_word(&mut self, b: BankId, k: usize) -> Result<u64, PortViolation> {
         assert!(k < self.packet_words);
-        self.banks[b.0].read(Addr(k))
+        self.clocked(b).read(Addr(k))
     }
 
     /// Observe word `k` of bank `b` without consuming the bank's port —
@@ -188,6 +201,12 @@ impl InterleavedMemory {
     pub fn peek_word(&self, b: BankId, k: usize) -> u64 {
         assert!(k < self.packet_words);
         self.banks[b.0].peek(Addr(k))
+    }
+
+    /// All `packet_words` words of bank `b` on the same side channel.
+    #[inline]
+    pub fn peek_packet(&self, b: BankId) -> &[u64] {
+        self.banks[b.0].peek_all()
     }
 
     /// Fault injection (testbench only): flip the bits of `mask` in word
@@ -239,6 +258,31 @@ mod tests {
         assert_eq!(m.peek_word(b, 0), 0x77);
         m.begin_cycle(1);
         assert_eq!(m.read_word(b, 0).unwrap(), 0x77);
+    }
+
+    #[test]
+    fn a_bank_learns_the_cycle_at_its_next_access() {
+        let one_access_only = |m: &mut InterleavedMemory, b: BankId| {
+            m.write_word(b, 0, 1).unwrap();
+            assert!(m.read_word(b, 0).is_err(), "second access in one cycle");
+            assert!(m.write_word(b, 1, 2).is_err(), "second access in one cycle");
+        };
+        let mut m = InterleavedMemory::new_with_spares(2, 1, 4, 16);
+        let (a, b) = (m.allocate().unwrap(), m.allocate().unwrap());
+        m.begin_cycle(0);
+        one_access_only(&mut m, a);
+        // `b` sat out cycles 0..=6, `a` 1..=6: each is good for exactly
+        // one access in cycle 7, whatever it did or did not do before.
+        m.begin_cycle(7);
+        one_access_only(&mut m, b);
+        one_access_only(&mut m, a);
+        assert_eq!(m.peek_packet(a), [1, 0, 0, 0]);
+        // A spare promoted by `retire` has never been clocked at all.
+        let spare = m.retire(a).expect("one spare in reserve");
+        assert_eq!(m.allocate(), Some(spare));
+        one_access_only(&mut m, spare);
+        m.begin_cycle(8);
+        assert_eq!(m.read_word(spare, 0).unwrap(), 1);
     }
 
     #[test]

@@ -5,16 +5,17 @@
 //! consequences the paper draws (§3.2) — input double-buffering because a
 //! packet can only be stored once fully assembled and the memory may be
 //! busy at that exact cycle, and a separate cut-through bypass path —
-//! live in `baselines::widemem_switch`; this module is just the memory.
+//! live in `switch_core::widemem`; this module is just the memory.
 
 use crate::bank::{ecc_code, scrub_word, EccOutcome, PortKind, PortViolation, SramBank};
 use simkernel::ids::{Addr, Cycle};
 
 /// ECC sidecar for the wide organization: one SEC-DED code per link word
-/// of every slot. Allocated only by [`WideMemory::enable_ecc`].
+/// of every slot, laid out like the data. Allocated only by
+/// [`WideMemory::enable_ecc`].
 #[derive(Debug, Clone)]
 struct WideEcc {
-    codes: Vec<Vec<u8>>,
+    codes: Vec<u8>,
     corrections: u64,
     uncorrectable: u64,
 }
@@ -27,7 +28,9 @@ pub struct WideMemory {
     /// keep packet data alongside (the discipline, not the bits, is what
     /// the single `SramBank` enforces).
     gate: SramBank,
-    slots: Vec<Vec<u64>>,
+    /// Slot `a` is words `a * packet_words ..` of one flat array: storing
+    /// or fetching a packet moves words, never an allocation.
+    rows: Vec<u64>,
     packet_words: usize,
     word_bits: u32,
     ecc: Option<Box<WideEcc>>,
@@ -40,7 +43,7 @@ impl WideMemory {
         assert!(packet_words >= 1);
         WideMemory {
             gate: SramBank::new(depth, 1, PortKind::SinglePort),
-            slots: vec![vec![0; packet_words]; depth],
+            rows: vec![0; depth * packet_words],
             packet_words,
             word_bits,
             ecc: None,
@@ -52,11 +55,7 @@ impl WideMemory {
     pub fn enable_ecc(&mut self) {
         if self.ecc.is_none() {
             self.ecc = Some(Box::new(WideEcc {
-                codes: self
-                    .slots
-                    .iter()
-                    .map(|row| row.iter().map(|&w| ecc_code(w)).collect())
-                    .collect(),
+                codes: self.rows.iter().map(|&w| ecc_code(w)).collect(),
                 corrections: 0,
                 uncorrectable: 0,
             }));
@@ -78,18 +77,24 @@ impl WideMemory {
         self.ecc.as_ref().map_or(0, |e| e.uncorrectable)
     }
 
+    /// Where slot `addr` lies in the flat arrays.
+    #[inline]
+    fn span(&self, addr: Addr) -> std::ops::Range<usize> {
+        let at = addr.index() * self.packet_words;
+        at..at + self.packet_words
+    }
+
     /// Scrub every link word of slot `addr` against its code, correcting
     /// single-bit upsets in place. Rides the sense amplifiers of a
     /// scheduled access, so it does not consume the port budget. Returns
     /// `(corrected, uncorrectable)` word counts for this slot.
     pub fn scrub_packet(&mut self, addr: Addr) -> (u32, u32) {
+        let span = self.span(addr);
         let Some(ecc) = &mut self.ecc else {
             return (0, 0);
         };
-        let row = &mut self.slots[addr.index()];
-        let codes = &mut ecc.codes[addr.index()];
         let (mut fixed, mut dead) = (0u32, 0u32);
-        for (w, c) in row.iter_mut().zip(codes.iter()) {
+        for (w, c) in self.rows[span.clone()].iter_mut().zip(&ecc.codes[span]) {
             match scrub_word(*w, *c) {
                 (EccOutcome::Clean, _) => {}
                 (EccOutcome::Corrected { .. }, repaired) => {
@@ -106,7 +111,7 @@ impl WideMemory {
 
     /// Packet slots.
     pub fn depth(&self) -> usize {
-        self.slots.len()
+        self.gate.depth()
     }
 
     /// Link words per packet (the memory's width in link words).
@@ -116,23 +121,27 @@ impl WideMemory {
 
     /// Total capacity in bits.
     pub fn capacity_bits(&self) -> u64 {
-        (self.depth() * self.packet_words) as u64 * self.word_bits as u64
+        self.rows.len() as u64 * self.word_bits as u64
     }
 
     /// Open a new cycle.
+    #[inline]
     pub fn begin_cycle(&mut self, cycle: Cycle) {
         self.gate.begin_cycle(cycle);
     }
 
-    fn mask(&self, v: u64) -> u64 {
+    /// The bits a `word_bits`-wide array stores of each link word.
+    #[inline]
+    fn word_mask(&self) -> u64 {
         if self.word_bits == 64 {
-            v
+            u64::MAX
         } else {
-            v & ((1u64 << self.word_bits) - 1)
+            (1u64 << self.word_bits) - 1
         }
     }
 
     /// Store a whole packet at `addr` (one cycle, one access).
+    #[inline]
     pub fn write_packet(&mut self, addr: Addr, words: &[u64]) -> Result<(), PortViolation> {
         assert_eq!(
             words.len(),
@@ -140,20 +149,25 @@ impl WideMemory {
             "wide memory stores whole packets only"
         );
         self.gate.write(addr, 0)?; // consume the port budget
-        let masked: Vec<u64> = words.iter().map(|&w| self.mask(w)).collect();
-        if let Some(ecc) = &mut self.ecc {
-            let codes = &mut ecc.codes[addr.index()];
-            codes.clear();
-            codes.extend(masked.iter().map(|&w| ecc_code(w)));
+        let (span, mask) = (self.span(addr), self.word_mask());
+        let row = &mut self.rows[span.clone()];
+        for (stored, &w) in row.iter_mut().zip(words) {
+            *stored = w & mask;
         }
-        self.slots[addr.index()] = masked;
+        if let Some(ecc) = &mut self.ecc {
+            for (c, &w) in ecc.codes[span].iter_mut().zip(row.iter()) {
+                *c = ecc_code(w);
+            }
+        }
         Ok(())
     }
 
-    /// Retrieve a whole packet from `addr` (one cycle, one access).
-    pub fn read_packet(&mut self, addr: Addr) -> Result<Vec<u64>, PortViolation> {
+    /// Retrieve a whole packet from `addr` (one cycle, one access). The
+    /// words are the memory's own row, valid until its next access.
+    #[inline]
+    pub fn read_packet(&mut self, addr: Addr) -> Result<&[u64], PortViolation> {
         self.gate.read(addr)?;
-        Ok(self.slots[addr.index()].clone())
+        Ok(&self.rows[self.span(addr)])
     }
 
     /// Fault injection (testbench only): flip the bits of `mask` in link
@@ -163,8 +177,8 @@ impl WideMemory {
     /// upset in a `word_bits`-wide array would be.
     pub fn inject_fault(&mut self, addr: Addr, word_k: usize, mask: u64) {
         assert!(word_k < self.packet_words);
-        let cur = self.slots[addr.index()][word_k];
-        self.slots[addr.index()][word_k] = self.mask(cur ^ mask);
+        let at = self.span(addr).start + word_k;
+        self.rows[at] = (self.rows[at] ^ mask) & self.word_mask();
     }
 }
 
@@ -178,7 +192,7 @@ mod tests {
         m.begin_cycle(0);
         m.write_packet(Addr(2), &[1, 2, 3, 0x1FFFF]).unwrap();
         m.begin_cycle(1);
-        assert_eq!(m.read_packet(Addr(2)).unwrap(), vec![1, 2, 3, 0xFFFF]);
+        assert_eq!(m.read_packet(Addr(2)).unwrap(), [1, 2, 3, 0xFFFF]);
     }
 
     #[test]
@@ -207,7 +221,7 @@ mod tests {
         m.write_packet(Addr(3), &[1, 2, 3, 4]).unwrap();
         m.inject_fault(Addr(3), 1, 0b100);
         m.begin_cycle(1);
-        assert_eq!(m.read_packet(Addr(3)).unwrap(), vec![1, 6, 3, 4]);
+        assert_eq!(m.read_packet(Addr(3)).unwrap(), [1, 6, 3, 4]);
     }
 
     #[test]
@@ -219,7 +233,7 @@ mod tests {
         m.inject_fault(Addr(5), 2, 0b1000);
         assert_eq!(m.scrub_packet(Addr(5)), (1, 0));
         m.begin_cycle(1);
-        assert_eq!(m.read_packet(Addr(5)).unwrap(), vec![0xA, 0xB, 0xC, 0xD]);
+        assert_eq!(m.read_packet(Addr(5)).unwrap(), [0xA, 0xB, 0xC, 0xD]);
         assert_eq!(m.ecc_corrections(), 1);
         // A double upset in one word is detected, not repaired.
         m.inject_fault(Addr(5), 0, 0b11);

@@ -333,85 +333,62 @@ impl Probe for DigestSink {
     }
 }
 
-/// One cell of `tests/golden/switch_digests.txt`: an `n × n` switch of
-/// `slots` packet slots, the traffic it sees and the probe hashing it.
-struct Cell {
-    sw: Box<dyn WordSwitch>,
-    sink: Shared<DigestSink>,
-    n: usize,
-    slots: usize,
+/// The `delivered events deliveries state probe` columns of one row of
+/// `tests/golden/switch_digests.txt`: the `n × n` switch `sw` (`slots`
+/// packet slots) under 2000 cycles of uniform random traffic at `load`,
+/// drained, its whole probe stream hashed. With `upsets`, single-bit
+/// strikes rain on the primary slots throughout.
+fn digest_columns(
+    sw: &mut dyn WordSwitch,
+    what: &str,
+    (n, slots): (usize, usize),
     load: f64,
-}
-
-impl Cell {
-    /// `sw` with a hashing probe attached.
-    fn probed(mut sw: Box<dyn WordSwitch>, n: usize, slots: usize, load: f64) -> Cell {
-        let sink = Shared::new(DigestSink {
-            h: Fnv::new(),
-            events: 0,
-        });
-        sw.attach_probe(sink.handle());
-        Cell {
-            sw,
-            sink,
-            n,
-            slots,
-            load,
+    upsets: bool,
+) -> String {
+    let (s, cycles) = (2 * n, 2_000);
+    let sink = Shared::new(DigestSink {
+        h: Fnv::new(),
+        events: 0,
+    });
+    sw.attach_probe(sink.handle());
+    let mut feeders: Vec<PacketFeeder> = (0..n)
+        .map(|i| PacketFeeder::random(i, s, load, DestDist::uniform(n), 0x601D, n as u64))
+        .collect();
+    let mut col = OutputCollector::new(n, s);
+    let mut strikes = SplitMix64::new(0xECC);
+    let mut deliveries = Fnv::new();
+    let mut delivered = 0u64;
+    let mut wire = vec![None; n];
+    let mut quiet = 0;
+    while quiet <= s + 4 {
+        let now = sw.now();
+        assert!(now < cycles + 100_000, "{what} failed to drain");
+        if now == cycles {
+            feeders.iter_mut().for_each(PacketFeeder::halt);
         }
-    }
-
-    /// 2000 cycles of uniform random traffic, drained; with `upsets`,
-    /// single-bit strikes rain on the primary slots throughout. Returns
-    /// the `delivered events deliveries state probe` columns of the row.
-    fn run(&mut self, what: &str, upsets: bool) -> String {
-        let Cell {
-            sw,
-            sink,
-            n,
-            slots,
-            load,
-        } = self;
-        let (n, slots, cycles) = (*n, *slots, 2_000);
-        let s = 2 * n;
-        let mut feeders: Vec<PacketFeeder> = (0..n)
-            .map(|i| PacketFeeder::random(i, s, *load, DestDist::uniform(n), 0x601D, n as u64))
-            .collect();
-        let mut col = OutputCollector::new(n, s);
-        let mut strikes = SplitMix64::new(0xECC);
-        let mut deliveries = Fnv::new();
-        let mut delivered = 0u64;
-        let mut wire = vec![None; n];
-        let mut quiet = 0;
-        while quiet <= s + 4 {
-            let now = sw.now();
-            assert!(now < cycles + 100_000, "{what} failed to drain");
-            if now == cycles {
-                feeders.iter_mut().for_each(PacketFeeder::halt);
-            }
-            if upsets && strikes.chance(0.25) {
-                let (slot, word) = (strikes.below_usize(slots), strikes.below_usize(s));
-                sw.inject_upset(slot, word, 1 << strikes.below_usize(64));
-            }
-            for (w, f) in wire.iter_mut().zip(feeders.iter_mut()) {
-                *w = f.tick(now);
-            }
-            col.observe(now, sw.tick(&wire));
-            for d in col.take() {
-                deliveries.words(&[d.id, d.output.index() as u64, d.first_cycle, d.last_cycle]);
-                delivered += 1;
-            }
-            let busy = now < cycles || wire.iter().any(Option::is_some) || !sw.is_quiescent();
-            quiet = if busy { 0 } else { quiet + 1 };
+        if upsets && strikes.chance(0.25) {
+            let (slot, word) = (strikes.below_usize(slots), strikes.below_usize(s));
+            sw.inject_upset(slot, word, 1 << strikes.below_usize(64));
         }
-        let ctr = sw.counters();
-        let mut state = Fnv::new();
-        write!(state, "{ctr:?} {:?}", sw.recovery_windows().spans()).expect("hashing cannot fail");
-        let (probe, events) = sink.with(|k| (k.h.0, k.events));
-        format!(
-            "{delivered} {events} {:#018x} {:#018x} {probe:#018x}",
-            deliveries.0, state.0
-        )
+        for (w, f) in wire.iter_mut().zip(feeders.iter_mut()) {
+            *w = f.tick(now);
+        }
+        col.observe(now, sw.tick(&wire));
+        for d in col.take() {
+            deliveries.words(&[d.id, d.output.index() as u64, d.first_cycle, d.last_cycle]);
+            delivered += 1;
+        }
+        let busy = now < cycles || wire.iter().any(Option::is_some) || !sw.is_quiescent();
+        quiet = if busy { 0 } else { quiet + 1 };
     }
+    let ctr = sw.counters();
+    let mut state = Fnv::new();
+    write!(state, "{ctr:?} {:?}", sw.recovery_windows().spans()).expect("hashing cannot fail");
+    let (probe, events) = sink.with(|k| (k.h.0, k.events));
+    format!(
+        "{delivered} {events} {:#018x} {:#018x} {probe:#018x}",
+        deliveries.0, state.0
+    )
 }
 
 /// One row of the file's first block: a 4×4 switch with 8 slots.
@@ -422,17 +399,16 @@ fn golden_row(
     rec: RecoveryConfig,
     upsets: bool,
 ) -> String {
-    let (n, slots) = (4, 8);
-    let mut cell = Cell::probed(org.build(n, slots, rec, policy), n, slots, load);
-    let digests = cell.run(org.label(), upsets);
+    let mut sw = org.build(4, 8, rec, policy);
+    let digests = digest_columns(sw.as_mut(), org.label(), (4, 8), load, upsets);
     let tag = if upsets {
-        let ctr = cell.sw.counters();
+        let ctr = sw.counters();
         assert!(ctr.ecc_corrected > 0, "{org}: no upset was ever corrected");
         assert!(ctr.bank_failovers > 0, "{org}: no bank ever failed over");
         // The wide organization's degraded-mode occupancy gauge is not
         // pinned (it read high by the retired rows before PR 13).
         assert!(
-            org != WordOrg::Wide || !cell.sw.is_degraded(),
+            org != WordOrg::Wide || !sw.is_degraded(),
             "wide cell must keep spares"
         );
         "ecc-failover".to_string()
@@ -485,15 +461,13 @@ fn switch_digests_match_the_golden_file() {
     ] {
         for load in [0.5, 0.95] {
             for policy in [PolicyKind::Static, PolicyKind::PushOut] {
-                let (n, slots) = (4, 8);
-                let sw = WideMemorySwitchRtl::new(WideSwitchConfig {
+                let mut sw = WideMemorySwitchRtl::new(WideSwitchConfig {
                     double_buffering,
                     cut_through_crossbar,
-                    ..WideSwitchConfig::fig3(n, slots).with_policy(policy)
+                    ..WideSwitchConfig::fig3(4, 8).with_policy(policy)
                 });
-                let mut cell = Cell::probed(Box::new(sw), n, slots, load);
-                let digests = cell.run(label, false);
-                let overruns = cell.sw.counters().latch_overruns;
+                let digests = digest_columns(&mut sw, label, (4, 8), load, false);
+                let overruns = sw.counters().latch_overruns;
                 assert!(
                     double_buffering || overruns > 0,
                     "{label} {load}: a single input row never overran"
@@ -514,10 +488,9 @@ fn switch_digests_match_the_golden_file() {
             (16, 16, PolicyKind::PushOut),
         ] {
             let label = format!("{org}:{n}:{slots}");
-            let sw = org.build(n, slots, RecoveryConfig::default(), policy);
-            let mut cell = Cell::probed(sw, n, slots, 0.8);
-            let digests = cell.run(&label, false);
-            let preempts = cell.sw.counters().policy_preempts;
+            let mut sw = org.build(n, slots, RecoveryConfig::default(), policy);
+            let digests = digest_columns(sw.as_mut(), &label, (n, slots), 0.8, false);
+            let preempts = sw.counters().policy_preempts;
             assert!(
                 policy == PolicyKind::Static || preempts > 0,
                 "{label} {}: nothing was ever evicted",
