@@ -121,11 +121,6 @@ fn main() -> ExitCode {
             });
         } else if a == "--watchdog" {
             watchdog = Some(positive(a, "positive cycle count", value()));
-        } else if a == "--gate" {
-            bad_usage(
-                "--gate is gone: plain 'expt bench' is the gate (constant floors, no baseline file)"
-                    .into(),
-            );
         } else if a.starts_with('-') {
             bad_usage(format!("unknown flag '{a}' (try --list)"));
         } else {
@@ -309,26 +304,15 @@ fn main() -> ExitCode {
         };
     }
 
-    let run_all = ids.iter().any(|i| i == "all");
-    let selected: Vec<&str> = if run_all {
+    let selected: Vec<&str> = if ids.iter().any(|i| i == "all") {
         bench_harness::ALL.to_vec()
     } else {
-        let mut v = Vec::new();
-        for id in &ids {
-            if bench_harness::ALL.contains(&id.as_str()) {
-                v.push(
-                    bench_harness::ALL[bench_harness::ALL
-                        .iter()
-                        .position(|a| a == id)
-                        .expect("checked")],
-                );
-            } else {
-                eprintln!("unknown experiment '{id}' (try --list)");
-                return ExitCode::from(2);
-            }
-        }
-        v
+        ids.iter().map(String::as_str).collect()
     };
+    if let Some(id) = selected.iter().find(|id| !bench_harness::ALL.contains(id)) {
+        eprintln!("unknown experiment '{id}' (try --list)");
+        return ExitCode::from(2);
+    }
 
     for (i, id) in selected.iter().enumerate() {
         if i > 0 {
@@ -337,13 +321,7 @@ fn main() -> ExitCode {
         let t0 = std::time::Instant::now();
         let skipped_before = simkernel::horizon::ff_skipped();
         let executed_before = simkernel::horizon::ff_executed();
-        // `id` was validated against ALL above, but a registry mismatch
-        // (id listed, module arm missing) must not take the whole run
-        // down with a panic — report and fail with a clean exit code.
-        let Some(report) = bench_harness::run_experiment(id, quick) else {
-            eprintln!("experiment '{id}' is listed but not runnable (registry mismatch)");
-            return ExitCode::FAILURE;
-        };
+        let report = bench_harness::run_experiment(id, quick).expect("a listed id");
         let secs = t0.elapsed().as_secs_f64();
         let skipped = simkernel::horizon::ff_skipped() - skipped_before;
         let executed = simkernel::horizon::ff_executed() - executed_before;

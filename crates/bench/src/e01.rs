@@ -71,27 +71,19 @@ pub fn rows(quick: bool) -> Vec<E1Row> {
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    table::render(
+        "E1: input FIFO queueing saturation vs [KaHM87] (paper §2.1: \"saturates at about 60%\", asymptote 0.586)",
+        &["n", "measured", "theory", "err"],
+        rows(quick).iter().map(|r| {
             vec![
                 r.n.to_string(),
                 table::f3(r.measured),
                 table::f3(r.theory),
                 format!("{:+.1}%", 100.0 * (r.measured - r.theory) / r.theory),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "E1: input FIFO queueing saturation vs [KaHM87] (paper §2.1: \"saturates at about 60%\", asymptote 0.586)",
-        &["n", "measured", "theory", "err"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nHOL blocking: the measured saturation must fall toward 2-sqrt(2)=0.586 as n grows.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -77,25 +77,10 @@ pub fn torus_saturation_fraction(k: usize, lanes: usize, cycles: u64, seed: u64)
 /// Run the experiment.
 pub fn run(quick: bool) -> String {
     let (k, cycles) = if quick { (8, 8_000) } else { (16, 30_000) };
-    let mut body = Vec::new();
-    for lanes in [1usize, 2, 4] {
-        for r in sweep(k, lanes, cycles, 0xE2) {
-            body.push(vec![
-                r.lanes.to_string(),
-                table::f3(r.offered),
-                table::f3(r.carried),
-                table::f3(r.capacity_fraction),
-                table::f1(r.latency),
-            ]);
-        }
-    }
-    let mut s = table::render(
-        &format!(
-            "E2: wormhole saturation, {k}x{k} mesh, 20-flit messages, 16-flit buffers (paper §2.1 / [Dally90 fig 8])"
-        ),
-        &["lanes", "offered f/n/c", "carried f/n/c", "cap frac", "latency"],
-        &body,
-    );
+    let rows: Vec<E2Row> = [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|lanes| sweep(k, lanes, cycles, 0xE2))
+        .collect();
     // The four saturation points (mesh 1/4 lanes, torus 2/4 lanes) are
     // independent full-length runs — one sweep point each.
     let sat = engine::map(&[(false, 1usize), (false, 4), (true, 2), (true, 4)], {
@@ -108,19 +93,33 @@ pub fn run(quick: bool) -> String {
         }
     });
     let (s1, s4, t2, t4) = (sat[0], sat[1], sat[2], sat[3]);
-    s.push_str(&format!(
-        "\nMesh: 1-lane saturation {:.2} of DOR capacity; 4-lane {:.2} (+{:.0}%).\n\
-         TORUS (Dally's k-ary 2-cube proper, dateline VC classes): baseline\n\
-         2 lanes (= one usable lane + deadlock class) saturates at {:.2} of\n\
-         capacity — the paper's 'about 25%' — and 4 lanes recover to {:.2}.\n\
-         Shape and, on the torus, the absolute fraction both reproduce.\n",
-        s1,
-        s4,
-        100.0 * (s4 - s1) / s1,
-        t2,
-        t4,
-    ));
-    s
+    table::render(
+        &format!(
+            "E2: wormhole saturation, {k}x{k} mesh, 20-flit messages, 16-flit buffers (paper §2.1 / [Dally90 fig 8])"
+        ),
+        &["lanes", "offered f/n/c", "carried f/n/c", "cap frac", "latency"],
+        rows.iter().map(|r| {
+            vec![
+                r.lanes.to_string(),
+                table::f3(r.offered),
+                table::f3(r.carried),
+                table::f3(r.capacity_fraction),
+                table::f1(r.latency),
+            ]
+        }),
+        &format!(
+            "\nMesh: 1-lane saturation {:.2} of DOR capacity; 4-lane {:.2} (+{:.0}%).\n\
+             TORUS (Dally's k-ary 2-cube proper, dateline VC classes): baseline\n\
+             2 lanes (= one usable lane + deadlock class) saturates at {:.2} of\n\
+             capacity — the paper's 'about 25%' — and 4 lanes recover to {:.2}.\n\
+             Shape and, on the torus, the absolute fraction both reproduce.\n",
+            s1,
+            s4,
+            100.0 * (s4 - s1) / s1,
+            t2,
+            t4,
+        ),
+    )
 }
 
 #[cfg(test)]

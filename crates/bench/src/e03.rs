@@ -84,96 +84,60 @@ pub fn rows(quick: bool) -> Vec<E3Row> {
     };
     let seed = 0xE3;
 
+    // Per architecture: label, [HlKa88]'s buffer, the search bracket of
+    // its size parameter, cells per unit of that parameter, and the model
+    // at a candidate size.
+    type Arch = (
+        &'static str,
+        usize,
+        (usize, usize),
+        usize,
+        fn(usize, usize, u64) -> Box<dyn CellSwitch>,
+    );
+    let archs: [Arch; 3] = [
+        ("shared buffering", 86, (8, 512), 1, |n, b, _| {
+            Box::new(SharedBufferSwitch::new(n, Some(b)))
+        }),
+        ("output queueing", 178, (1, 128), n, |n, b, _| {
+            Box::new(OutputQueuedSwitch::new(n, Some(b)))
+        }),
+        ("input smoothing", 1300, (2, 256), n, |n, b, seed| {
+            Box::new(InputSmoothingSwitch::new(n, b, seed))
+        }),
+    ];
     // Each architecture's whole bisection is one (coarse) sweep point:
     // the three searches are independent and run in parallel.
-    sweep::map(
-        &["shared buffering", "output queueing", "input smoothing"],
-        |&arch| match arch {
-            "shared buffering" => {
-                let (shared, loss) = size_for_loss(
-                    |b| Box::new(SharedBufferSwitch::new(n, Some(b))),
-                    n,
-                    load,
-                    target,
-                    8,
-                    512,
-                    slots,
-                    seed,
-                );
-                E3Row {
-                    arch,
-                    total_buffer: shared,
-                    paper: 86,
-                    loss_at_size: loss,
-                }
-            }
-            "output queueing" => {
-                let (per_out, loss) = size_for_loss(
-                    |b| Box::new(OutputQueuedSwitch::new(n, Some(b))),
-                    n,
-                    load,
-                    target,
-                    1,
-                    128,
-                    slots,
-                    seed,
-                );
-                E3Row {
-                    arch,
-                    total_buffer: per_out * n,
-                    paper: 178,
-                    loss_at_size: loss,
-                }
-            }
-            _ => {
-                let (frame, loss) = size_for_loss(
-                    |b| Box::new(InputSmoothingSwitch::new(n, b, seed)),
-                    n,
-                    load,
-                    target,
-                    2,
-                    256,
-                    slots,
-                    seed,
-                );
-                E3Row {
-                    arch,
-                    total_buffer: frame * n,
-                    paper: 1300,
-                    loss_at_size: loss,
-                }
-            }
-        },
-    )
+    sweep::map(&archs, |&(arch, paper, (lo, hi), unit, build)| {
+        let (size, loss) =
+            size_for_loss(|b| build(n, b, seed), n, load, target, lo, hi, slots, seed);
+        E3Row {
+            arch,
+            total_buffer: size * unit,
+            paper,
+            loss_at_size: loss,
+        }
+    })
 }
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
     let target = if quick { "1e-2 (quick)" } else { "1e-3" };
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    table::render(
+        &format!(
+            "E3: total buffer (cells) for loss <= {target} @ 16x16, load 0.8, uniform iid (paper §2.2 / [HlKa88])"
+        ),
+        &["architecture", "buffer", "paper(1e-3)", "loss@size"],
+        rows(quick).iter().map(|r| {
             vec![
                 r.arch.to_string(),
                 r.total_buffer.to_string(),
                 r.paper.to_string(),
                 format!("{:.1e}", r.loss_at_size),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        &format!(
-            "E3: total buffer (cells) for loss <= {target} @ 16x16, load 0.8, uniform iid (paper §2.2 / [HlKa88])"
-        ),
-        &["architecture", "buffer", "paper(1e-3)", "loss@size"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nThe ordering shared << output-queued << input-smoothing, and the\n\
          roughly 2x / 15x blowups, are the paper's argument for shared buffering.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -56,24 +56,19 @@ pub fn rows(quick: bool) -> Vec<E4Row> {
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let body: Vec<Vec<String>> = rows(quick)
-        .iter()
-        .map(|r| {
+    table::render(
+        "E4: mean cell latency, 16x16, uniform iid — scheduled input buffering (VOQ+PIM) vs output queueing (paper §2.2 / [AOST93 fig 3])",
+        &["load", "VOQ+PIM", "output-q", "ratio"],
+        rows(quick).iter().map(|r| {
             vec![
                 format!("{:.1}", r.load),
                 format!("{:.2}", r.voq_latency),
                 format!("{:.2}", r.oq_latency),
                 format!("{:.2}x", r.ratio),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "E4: mean cell latency, 16x16, uniform iid — scheduled input buffering (VOQ+PIM) vs output queueing (paper §2.2 / [AOST93 fig 3])",
-        &["load", "VOQ+PIM", "output-q", "ratio"],
-        &body,
-    );
-    s.push_str("\nPaper: output/shared queueing 'about twice faster' at loads 0.6-0.9.\n");
-    s
+        }),
+        "\nPaper: output/shared queueing 'about twice faster' at loads 0.6-0.9.\n",
+    )
 }
 
 #[cfg(test)]

@@ -160,28 +160,21 @@ pub fn rows(quick: bool) -> Vec<E6Row> {
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let body: Vec<Vec<String>> = rows(quick)
-        .iter()
-        .map(|r| {
+    table::render(
+        "E6: staggered-initiation cut-through latency increase, measured vs (p/4)(n-1)/n (paper §3.4)",
+        &["n", "load", "measured", "formula"],
+        rows(quick).iter().map(|r| {
             vec![
                 r.n.to_string(),
                 format!("{:.1}", r.load),
                 format!("{:.4}", r.measured_extra),
                 format!("{:.4}", r.formula),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "E6: staggered-initiation cut-through latency increase, measured vs (p/4)(n-1)/n (paper §3.4)",
-        &["n", "load", "measured", "formula"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nAt 40% load the increase is about a tenth of a cycle — the paper's\n\
          'negligible'. (Measured values include second-order queueing effects the\n\
          first-order formula ignores, so they sit slightly above it at higher load.)\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

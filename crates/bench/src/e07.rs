@@ -32,33 +32,27 @@ pub fn halfq_demo(n: usize, cycles: u64) -> (u64, u64) {
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let rows = quantum_table(&[32, 64, 128], 5.0, 16);
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    let cycles = if quick { 2_000 } else { 50_000 };
+    let n = 8;
+    let (reads, writes) = halfq_demo(n, cycles);
+    table::render(
+        "E7: packet-size quantum vs buffer throughput at 5 ns cycle (paper §3.5: '50 to 200 Gbits/s')",
+        &["quantum B", "width bits", "aggregate Gb/s", "per-link Gb/s (16+16)"],
+        quantum_table(&[32, 64, 128], 5.0, 16).iter().map(|r| {
             vec![
                 r.quantum_bytes.to_string(),
                 r.buffer_width_bits.to_string(),
                 format!("{:.1}", r.aggregate_gbps),
                 format!("{:.2}", r.per_link_gbps),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "E7: packet-size quantum vs buffer throughput at 5 ns cycle (paper §3.5: '50 to 200 Gbits/s')",
-        &["quantum B", "width bits", "aggregate Gb/s", "per-link Gb/s (16+16)"],
-        &body,
-    );
-    let cycles = if quick { 2_000 } else { 50_000 };
-    let n = 8;
-    let (reads, writes) = halfq_demo(n, cycles);
-    s.push_str(&format!(
-        "\nHalf-quantum organization (two pipelined memories of n={n} stages,\n\
-         packets of {n} words): sustained {writes} writes and {reads} reads over\n\
-         {cycles} cycles — one write AND one read initiation per cycle, double the\n\
-         single-memory budget, as §3.5 requires for half-size packets.\n",
-    ));
-    s
+        }),
+        &format!(
+            "\nHalf-quantum organization (two pipelined memories of n={n} stages,\n\
+             packets of {n} words): sustained {writes} writes and {reads} reads over\n\
+             {cycles} cycles — one write AND one read initiation per cycle, double the\n\
+             single-memory budget, as §3.5 requires for half-size packets.\n",
+        ),
+    )
 }
 
 #[cfg(test)]

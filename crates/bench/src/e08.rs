@@ -2,7 +2,6 @@
 //! functional run of each configuration on the RTL model.
 
 use crate::table;
-use simkernel::SplitMix64;
 use switch_core::config::SwitchConfig;
 use switch_core::rtl::{OutputCollector, PipelinedSwitch};
 use traffic::{DestDist, PacketFeeder};
@@ -50,31 +49,13 @@ pub fn functional_run(p: &Prototype, load: f64, cycles: u64, seed: u64) -> (usiz
     .expect("switch failed to drain — hang caught by the watchdog");
     let delivered = col.take();
     let intact = delivered.iter().all(|d| d.verify_payload());
-    let _ = SplitMix64::new(seed);
     (delivered.len(), intact, sw.counters().latch_overruns)
 }
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
     let cycles = if quick { 5_000 } else { 50_000 };
-    let mut body = Vec::new();
-    for p in telegraphos_table() {
-        p.validate();
-        let (delivered, intact, overruns) = functional_run(&p, 0.8, cycles, 0xE8);
-        body.push(vec![
-            p.name.to_string(),
-            format!("{}x{}", p.n, p.n),
-            format!("{}", p.word_bits),
-            p.stages.to_string(),
-            p.packet_bytes.to_string(),
-            format!("{}", p.capacity_bits() / 1024),
-            format!("{:.3}", p.link_gbps_worst()),
-            format!("{:.1}", p.aggregate_gbps_worst()),
-            delivered.to_string(),
-            format!("{intact}/{overruns}"),
-        ]);
-    }
-    let mut s = table::render(
+    table::render(
         "E8: the Telegraphos prototypes (§4) — paper parameters + functional RTL run at load 0.8",
         &[
             "prototype",
@@ -88,14 +69,26 @@ pub fn run(quick: bool) -> String {
             "delivered",
             "intact/overruns",
         ],
-        &body,
-    );
-    s.push_str(
+        telegraphos_table().into_iter().map(|p| {
+            p.validate();
+            let (delivered, intact, overruns) = functional_run(&p, 0.8, cycles, 0xE8);
+            vec![
+                p.name.to_string(),
+                format!("{}x{}", p.n, p.n),
+                format!("{}", p.word_bits),
+                p.stages.to_string(),
+                p.packet_bytes.to_string(),
+                format!("{}", p.capacity_bits() / 1024),
+                format!("{:.3}", p.link_gbps_worst()),
+                format!("{:.1}", p.aggregate_gbps_worst()),
+                delivered.to_string(),
+                format!("{intact}/{overruns}"),
+            ]
+        }),
         "\nPaper rates: I = 107 Mb/s (13.3 MHz x 8b), II = 400 Mb/s (16b/40ns),\n\
          III = 1 Gb/s worst case (16b/16ns), 64 Kbit buffer. 'intact' = every\n\
          delivered payload bit-exact; 'overruns' must be 0.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -6,35 +6,18 @@ use vlsimodel::floorplan::telegraphos_ii_floorplan;
 /// Render the report.
 pub fn run(_quick: bool) -> String {
     let fp = telegraphos_ii_floorplan();
-    let body = vec![
-        vec![
-            "8 SRAM megacells (256x16)".to_string(),
-            format!("{:.1}", fp.sram_mm2),
-            "11".to_string(),
-        ],
-        vec![
-            "peripheral datapath".to_string(),
-            format!("{:.1}", fp.peripheral_mm2),
-            "15".to_string(),
-        ],
-        vec![
-            "memory-bus routing".to_string(),
-            format!("{:.1}", fp.routing_mm2),
-            "5.5".to_string(),
-        ],
-        vec![
-            "TOTAL shared buffer".to_string(),
-            format!("{:.1}", fp.total_mm2()),
-            "32".to_string(),
-        ],
-    ];
-    let mut s = table::render(
+    table::render(
         "E9: Telegraphos II shared-buffer floorplan, 0.7um std-cell (paper §4.2 fig 6; chip 8.5x8.5 mm2)",
         &["block", "model mm2", "paper mm2"],
-        &body,
-    );
-    s.push_str("\nModel constants are calibrated to the compiled-SRAM macro (1.5x0.9 mm2)\nand the reported peripheral/routing areas; see vlsimodel::tech docs.\n");
-    s
+        [
+            ("8 SRAM megacells (256x16)", fp.sram_mm2, "11"),
+            ("peripheral datapath", fp.peripheral_mm2, "15"),
+            ("memory-bus routing", fp.routing_mm2, "5.5"),
+            ("TOTAL shared buffer", fp.total_mm2(), "32"),
+        ]
+        .map(|(block, model, paper)| vec![block.into(), format!("{model:.1}"), paper.into()]),
+        "\nModel constants are calibrated to the compiled-SRAM macro (1.5x0.9 mm2)\nand the reported peripheral/routing areas; see vlsimodel::tech docs.\n",
+    )
 }
 
 #[cfg(test)]

@@ -35,33 +35,28 @@ pub fn rows() -> Vec<E10Row> {
 
 /// Render the report.
 pub fn run(_quick: bool) -> String {
-    let body: Vec<Vec<String>> = rows()
-        .iter()
-        .map(|r| {
+    let (dec, reg) = decoder_vs_pipe_register(256);
+    table::render(
+        "E10: word-line Elmore delay vs span (1.0um full custom, 16-bit stages) — fig 7",
+        &["cells spanned", "one line ns", "split/stage ns", "penalty"],
+        rows().iter().map(|r| {
             vec![
                 r.cells.to_string(),
                 format!("{:.3}", r.unsplit_ns),
                 format!("{:.3}", r.split_ns),
                 format!("{:.0}x", r.unsplit_ns / r.split_ns.max(1e-12)),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "E10: word-line Elmore delay vs span (1.0um full custom, 16-bit stages) — fig 7",
-        &["cells spanned", "one line ns", "split/stage ns", "penalty"],
-        &body,
-    );
-    let (dec, reg) = decoder_vs_pipe_register(256);
-    s.push_str(&format!(
-        "\nWide memory's word line spans all stages (rightmost row); splitting it per\n\
-         stage restores speed but costs a decoder per block — fig 7(b) replaces those\n\
-         with decoded-address pipeline registers, {:.1}x smaller ({:.0} vs {:.0} units\n\
-         for a 256-row bank), which is the paper's §4.4 measurement.\n",
-        dec / reg,
-        dec,
-        reg
-    ));
-    s
+        }),
+        &format!(
+            "\nWide memory's word line spans all stages (rightmost row); splitting it per\n\
+             stage restores speed but costs a decoder per block — fig 7(b) replaces those\n\
+             with decoded-address pipeline registers, {:.1}x smaller ({:.0} vs {:.0} units\n\
+             for a 256-row bank), which is the paper's §4.4 measurement.\n",
+            dec / reg,
+            dec,
+            reg
+        ),
+    )
 }
 
 #[cfg(test)]

@@ -48,65 +48,52 @@ pub fn run(quick: bool) -> String {
     let f = Factor22::compute();
     let cycles = if quick { 5_000 } else { 50_000 };
     let (delivered, intact, overruns) = functional_run(&p, 0.9, cycles, 0xE11);
-    let body = vec![
-        vec!["links".into(), "8 in + 8 out".into(), "8+8".into()],
-        vec![
-            "buffer capacity".into(),
-            format!(
-                "{} Kbit ({} pkts x {} b)",
-                p.capacity_bits() / 1024,
-                256,
-                256
-            ),
-            "64 Kbit".into(),
-        ],
-        vec![
-            "worst-case cycle".into(),
-            format!("{} ns", fc.cycle_worst_ns),
-            "16 ns".into(),
-        ],
-        vec![
-            "per-link rate (worst)".into(),
-            format!("{:.1} Gb/s", p.link_gbps_worst()),
-            "1 Gb/s".into(),
-        ],
-        vec![
-            "per-link rate (typ)".into(),
-            format!("{:.1} Gb/s", p.link_gbps_typ()),
-            "1.6 Gb/s".into(),
-        ],
-        vec![
-            "aggregate".into(),
-            format!("{:.0} Gb/s", p.aggregate_gbps_worst()),
-            "16 Gb/s (fig 8)".into(),
-        ],
-        vec![
-            "peripheral area".into(),
-            format!("{periph:.1} mm2"),
-            "~9 mm2".into(),
-        ],
-        vec![
-            "fc vs sc factor".into(),
-            format!(
-                "{:.1} (links {:.0}x, clock {:.1}x, area {:.1}x)",
-                f.combined(),
-                f.links,
-                f.clock,
-                f.area
-            ),
-            "~22 (2 x 2.5 x 4.5)".into(),
-        ],
-    ];
-    let mut s = table::render(
+    let factor = format!(
+        "{:.1} (links {:.0}x, clock {:.1}x, area {:.1}x)",
+        f.combined(),
+        f.links,
+        f.clock,
+        f.area
+    );
+    table::render(
         "E11: Telegraphos III — 1.0um full-custom pipelined buffer (paper §4.4, fig 8)",
         &["quantity", "model", "paper"],
-        &body,
-    );
-    s.push_str(&format!(
-        "\nFunctional RTL run at the 8x8x16-stage geometry, load 0.9: {delivered}\n\
-         packets delivered, payloads intact: {intact}, latch overruns: {overruns}.\n",
-    ));
-    s
+        [
+            ("links", "8 in + 8 out".to_string(), "8+8"),
+            (
+                "buffer capacity",
+                format!("{} Kbit (256 pkts x 256 b)", p.capacity_bits() / 1024),
+                "64 Kbit",
+            ),
+            (
+                "worst-case cycle",
+                format!("{} ns", fc.cycle_worst_ns),
+                "16 ns",
+            ),
+            (
+                "per-link rate (worst)",
+                format!("{:.1} Gb/s", p.link_gbps_worst()),
+                "1 Gb/s",
+            ),
+            (
+                "per-link rate (typ)",
+                format!("{:.1} Gb/s", p.link_gbps_typ()),
+                "1.6 Gb/s",
+            ),
+            (
+                "aggregate",
+                format!("{:.0} Gb/s", p.aggregate_gbps_worst()),
+                "16 Gb/s (fig 8)",
+            ),
+            ("peripheral area", format!("{periph:.1} mm2"), "~9 mm2"),
+            ("fc vs sc factor", factor, "~22 (2 x 2.5 x 4.5)"),
+        ]
+        .map(|(quantity, model, paper)| vec![quantity.into(), model, paper.into()]),
+        &format!(
+            "\nFunctional RTL run at the 8x8x16-stage geometry, load 0.9: {delivered}\n\
+             packets delivered, payloads intact: {intact}, latch overruns: {overruns}.\n",
+        ),
+    )
 }
 
 #[cfg(test)]

@@ -61,42 +61,39 @@ pub fn run(quick: bool) -> String {
     };
     let (h_i, h_s) = heights(n, 0.8, target, slots, 0xE12);
     let cmp = Fig9Comparison::new(n, 16, h_i, h_s);
-    let body = vec![
-        vec![
-            "buffer width (cells)".into(),
-            cmp.buffer_width_cells.to_string(),
-            cmp.buffer_width_cells.to_string(),
-        ],
-        vec!["height H (cells)".into(), h_i.to_string(), h_s.to_string()],
-        vec![
-            "storage area (cell units)".into(),
-            cmp.buffer_area_input().to_string(),
-            cmp.buffer_area_shared().to_string(),
-        ],
-        vec![
-            "crossbar-size blocks".into(),
-            format!("{} (xbar + scheduler)", cmp.blocks_input),
-            format!("{} (in + out datapath)", cmp.blocks_shared),
-        ],
-        vec![
-            "total area (cell units)".into(),
-            format!("{:.0}", cmp.total_area(false, 0.5)),
-            format!("{:.0}", cmp.total_area(true, 0.5)),
-        ],
-    ];
-    let mut s = table::render(
+    table::render(
         &format!(
             "E12: input vs shared buffering silicon at equal loss ({target:.0e} @ 16x16, load 0.8) — paper §5.1 fig 9"
         ),
         &["quantity", "input buffering", "shared buffering"],
-        &body,
-    );
-    s.push_str(
+        [
+            (
+                "buffer width (cells)",
+                cmp.buffer_width_cells.to_string(),
+                cmp.buffer_width_cells.to_string(),
+            ),
+            ("height H (cells)", h_i.to_string(), h_s.to_string()),
+            (
+                "storage area (cell units)",
+                cmp.buffer_area_input().to_string(),
+                cmp.buffer_area_shared().to_string(),
+            ),
+            (
+                "crossbar-size blocks",
+                format!("{} (xbar + scheduler)", cmp.blocks_input),
+                format!("{} (in + out datapath)", cmp.blocks_shared),
+            ),
+            (
+                "total area (cell units)",
+                format!("{:.0}", cmp.total_area(false, 0.5)),
+                format!("{:.0}", cmp.total_area(true, 0.5)),
+            ),
+        ]
+        .map(|(quantity, input, shared)| vec![quantity.into(), input, shared]),
         "\nPaper: 'the single crossbar and the scheduler of the input buffers occupy\n\
          comparable area with the two crossbars of the shared buffer, while H_s < H_i\n\
          for similar performance. Thus shared buffering has better cost-performance.'\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

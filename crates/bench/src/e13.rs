@@ -8,33 +8,18 @@ use vlsimodel::tech::Technology;
 pub fn run(_quick: bool) -> String {
     let tech = Technology::es2_100_full_custom();
     let (wide, pipe, savings) = wide_vs_pipelined(8, 16, 256, &tech);
-    let body = vec![
-        vec![
-            "wide memory ([KaSC91] adjusted)".into(),
-            format!("{wide:.1}"),
-            "13".into(),
-        ],
-        vec![
-            "pipelined (Telegraphos III)".into(),
-            format!("{pipe:.1}"),
-            "9".into(),
-        ],
-        vec![
-            "pipelined savings".into(),
-            format!("{:.0}%", savings * 100.0),
-            "~30%".into(),
-        ],
-    ];
-    let mut s = table::render(
+    table::render(
         "E13: peripheral circuitry area, wide vs pipelined shared buffer at Telegraphos III parameters (paper §5.2)",
         &["organization", "model mm2", "paper mm2"],
-        &body,
-    );
-    s.push_str(
+        [
+            ("wide memory ([KaSC91] adjusted)", format!("{wide:.1}"), "13"),
+            ("pipelined (Telegraphos III)", format!("{pipe:.1}"), "9"),
+            ("pipelined savings", format!("{:.0}%", savings * 100.0), "~30%"),
+        ]
+        .map(|(org, model, paper)| vec![org.into(), model, paper.into()]),
         "\nThe wide organization pays for double input buffering and the cut-through\n\
          bypass; the pipelined organization eliminates both (§3.2-3.3).\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

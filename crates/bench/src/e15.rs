@@ -155,33 +155,26 @@ pub fn rows(quick: bool) -> Vec<E15Row> {
 /// Render the report.
 pub fn run(quick: bool) -> String {
     let n = if quick { 8 } else { 16 };
-    let body: Vec<Vec<String>> = rows(quick)
-        .iter()
-        .map(|r| {
+    table::render(
+        &format!(
+            "E15: architecture sweep, {n}x{n}, uniform iid (figs 1-2) — saturation / latency@0.5 / loss@0.9 with ~4 cells/port"
+        ),
+        &["architecture", "saturation", "latency@0.5", "loss@0.9 tight"],
+        rows(quick).iter().map(|r| {
             vec![
                 r.arch.clone(),
                 table::f3(r.saturation),
                 format!("{:.2}", r.latency_half),
                 format!("{:.1e}", r.loss_tight),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        &format!(
-            "E15: architecture sweep, {n}x{n}, uniform iid (figs 1-2) — saturation / latency@0.5 / loss@0.9 with ~4 cells/port"
-        ),
-        &["architecture", "saturation", "latency@0.5", "loss@0.9 tight"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nExpected shape (paper §2): input FIFO ~0.59-0.62; scheduled VOQ, speedup-2,\n\
          crosspoint, output and shared queueing ~1.0. NOTE: the loss column's budget\n\
          is per QUEUE, so total memory differs wildly across architectures (e.g.\n\
          crosspoint holds n^2 queues = 16x the shared pool's total here) — that is\n\
          itself the paper's §2.1 point about crosspoint memory cost. E3 is the\n\
          equal-total comparison, where shared buffering dominates.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -357,33 +357,12 @@ pub fn specs(quick: bool) -> Vec<CampaignSpec> {
 
 /// Run the whole campaign through the deterministic sweep engine.
 pub fn rows(quick: bool) -> Vec<CampaignRow> {
-    let points = specs(quick);
-    sweep::map(&points, run_point)
+    sweep::map(&specs(quick), run_point)
 }
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.kind.clone(),
-                format!("{:.3}", r.rate),
-                r.sent.to_string(),
-                r.delivered_ok.to_string(),
-                r.misrouted.to_string(),
-                r.spurious.to_string(),
-                r.lost.to_string(),
-                r.effective.to_string(),
-                r.detected.to_string(),
-                format!("{:.3}", r.coverage),
-                format!("{}/{}", r.credits_recovered, r.credits_lost),
-                if r.drained { "ok" } else { "HANG" }.to_string(),
-            ]
-        })
-        .collect();
-    let mut s = table::render(
+    table::render(
         "E16: fault-injection campaign (extension) — 4x4 store-and-forward, checksum scrub +\n\
          egress check + hardened framing + credit audit",
         &[
@@ -400,9 +379,22 @@ pub fn run(quick: bool) -> String {
             "cr rec/lost",
             "drain",
         ],
-        &body,
-    );
-    s.push_str(
+        rows(quick).iter().map(|r| {
+            vec![
+                r.kind.clone(),
+                format!("{:.3}", r.rate),
+                r.sent.to_string(),
+                r.delivered_ok.to_string(),
+                r.misrouted.to_string(),
+                r.spurious.to_string(),
+                r.lost.to_string(),
+                r.effective.to_string(),
+                r.detected.to_string(),
+                format!("{:.3}", r.coverage),
+                format!("{}/{}", r.credits_recovered, r.credits_lost),
+                if r.drained { "ok" } else { "HANG" }.to_string(),
+            ]
+        }),
         "\nExtension beyond the paper: each row injects one fault class at the given per-cycle\n\
          rate from its own SplitMix64 stream (bit-reproducible at any --jobs). 'eff' counts\n\
          faults that could reach a reader; 'det' their typed detections — scrub drops at read\n\
@@ -411,8 +403,7 @@ pub fn run(quick: bool) -> String {
          without tripping the payload machinery ('mis'); only a link CRC covering the header\n\
          (the ledger's stand-in here) catches it. Whole packets eaten at the header ('lost')\n\
          are erasures, visible to sequence/credit accounting, not to the datapath.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

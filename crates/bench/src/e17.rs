@@ -40,35 +40,13 @@ use simkernel::rng::split_seed;
 use simkernel::SplitMix64;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use switch_core::faultsim::{FAULT_STREAM, TRAFFIC_STREAM};
+use switch_core::faultsim::{FaultKind, FAULT_STREAM, TRAFFIC_STREAM};
 use switch_core::recovery::{
     RecoveryConfig, RecoveryWindows, RetryConfig, RetryReceiver, RetrySender, RxVerdict,
 };
 use switch_core::rtl::{integrity_checksum, OutputCollector, PipelinedSwitch};
 use switch_core::{PolicyKind, WordOrg, WordSwitch};
 use traffic::PacketFeeder;
-
-/// Fault process of one campaign point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosFault {
-    /// Per-cycle single-bit upset somewhere in the buffer memory.
-    BankUpset,
-    /// Per-frame bit corruption on the input wire (link retry replays).
-    WireCorrupt,
-    /// Whole frames eaten on the input wire (receiver timeout NAKs).
-    WireDrop,
-}
-
-impl ChaosFault {
-    /// Stable report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChaosFault::BankUpset => "bank-upset",
-            ChaosFault::WireCorrupt => "wire-corrupt",
-            ChaosFault::WireDrop => "wire-drop",
-        }
-    }
-}
 
 /// One campaign point.
 #[derive(Debug, Clone, Copy)]
@@ -78,8 +56,8 @@ pub struct ChaosSpec {
     /// pipelined RTL, spare rows for the wide memory, spare whole banks
     /// for the interleaved one.
     pub org: WordOrg,
-    /// Fault process.
-    pub fault: ChaosFault,
+    /// Fault process: a bank upset, or one of the two wire faults.
+    pub fault: FaultKind,
     /// Per-cycle (bank-upset) or per-word-on-the-wire (wire faults)
     /// strike probability.
     pub rate: f64,
@@ -267,7 +245,7 @@ impl LinkStation {
 /// Run one campaign point.
 pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
     let s = 2 * N;
-    let wire_faults = spec.fault != ChaosFault::BankUpset;
+    let wire_faults = spec.fault != FaultKind::BankUpset;
     let mut sw = build(spec.org);
     let mut col = OutputCollector::new(N, s);
     let mut trng = SplitMix64::stream(spec.seed, TRAFFIC_STREAM);
@@ -314,7 +292,7 @@ pub fn run_point(spec: &ChaosSpec) -> ChaosRow {
                     links[i].backlog.push_back(p.words);
                 }
                 let struck = frng.chance(frame_rate);
-                let drop = spec.fault == ChaosFault::WireDrop;
+                let drop = spec.fault == FaultKind::WireDrop;
                 links[i].transfer(struck, drop, &mut retry_windows, now);
                 if !streams[i].busy() {
                     if let Some(words) = links[i].accepted.pop_front() {
@@ -444,7 +422,7 @@ pub fn specs(quick: bool) -> Vec<ChaosSpec> {
                 let idx = specs.len() as u64;
                 specs.push(ChaosSpec {
                     org,
-                    fault: ChaosFault::BankUpset,
+                    fault: FaultKind::BankUpset,
                     rate,
                     load,
                     cycles,
@@ -453,7 +431,7 @@ pub fn specs(quick: bool) -> Vec<ChaosSpec> {
             }
         }
     }
-    for fault in [ChaosFault::WireCorrupt, ChaosFault::WireDrop] {
+    for fault in [FaultKind::WireCorrupt, FaultKind::WireDrop] {
         for rate in rates {
             let idx = specs.len() as u64;
             specs.push(ChaosSpec {
@@ -471,16 +449,33 @@ pub fn specs(quick: bool) -> Vec<ChaosSpec> {
 
 /// Run the whole campaign through the deterministic sweep engine.
 pub fn rows(quick: bool) -> Vec<ChaosRow> {
-    let points = specs(quick);
-    sweep::map(&points, run_point)
+    sweep::map(&specs(quick), run_point)
 }
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    table::render(
+        "E17: chaos campaign (extension) — recovery ladder under fault-rate x load:\n\
+         ECC correction, spare-bank failover, link retry, graceful degradation",
+        &[
+            "org",
+            "fault",
+            "rate",
+            "load",
+            "sent",
+            "deliv",
+            "corr",
+            "uncor",
+            "fo",
+            "epis",
+            "mttr",
+            "loss-w",
+            "retry/aband",
+            "degr-tput",
+            "tput",
+            "drain",
+        ],
+        rows(quick).iter().map(|r| {
             vec![
                 r.org.clone(),
                 r.fault.clone(),
@@ -502,32 +497,7 @@ pub fn run(quick: bool) -> String {
                 format!("{:.1}", r.tput),
                 if r.drained { "ok" } else { "HANG" }.to_string(),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "E17: chaos campaign (extension) — recovery ladder under fault-rate x load:\n\
-         ECC correction, spare-bank failover, link retry, graceful degradation",
-        &[
-            "org",
-            "fault",
-            "rate",
-            "load",
-            "sent",
-            "deliv",
-            "corr",
-            "uncor",
-            "fo",
-            "epis",
-            "mttr",
-            "loss-w",
-            "retry/aband",
-            "degr-tput",
-            "tput",
-            "drain",
-        ],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nEvery row arms the full recovery ladder (SEC-DED ECC, 2 spare banks, failover after\n\
          4 corrections on one bank). 'corr' upsets were repaired in place; 'uncor' words were\n\
          beyond SEC-DED (two strikes on one word) and detect-dropped; 'fo' banks/rows were\n\
@@ -537,8 +507,7 @@ pub fn run(quick: bool) -> String {
          oracle excuses; loss never occurs outside a declared window. 'degr-tput' is\n\
          deliveries per kilocycle after spares ran out and the switch entered permanent\n\
          degraded mode ('-' when it never did); 'tput' the whole-run figure.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]
@@ -578,6 +547,14 @@ mod tests {
         for r in rows.iter().filter(|r| r.episodes > 0) {
             let mttr = r.mttr.expect("episodes imply a measurable MTTR");
             assert!(mttr >= 1.0, "windows are at least one cycle long");
+        }
+    }
+
+    #[test]
+    fn every_row_names_its_fault_by_its_fault_kind_label() {
+        let labels = FaultKind::ALL.map(|k| k.label());
+        for r in rows(true) {
+            assert!(labels.contains(&r.fault.as_str()), "{}: {}", r.org, r.fault);
         }
     }
 

@@ -271,16 +271,19 @@ pub fn specs(quick: bool) -> Vec<PolicySpec> {
 
 /// Run the whole campaign through the deterministic sweep engine.
 pub fn rows(quick: bool) -> Vec<PolicyRow> {
-    let points = specs(quick);
-    sweep::map(&points, run_point)
+    sweep::map(&specs(quick), run_point)
 }
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    table::render(
+        "E18: buffer-sharing policy lab (extension) — admission policies under\n\
+         incast / hotspot / on-off traffic, all four memory organizations",
+        &[
+            "shape", "org", "policy", "load", "offered", "deliv", "lost", "p-drop", "preempt",
+            "loss%", "delay", "burst",
+        ],
+        rows(quick).iter().map(|r| {
             vec![
                 r.shape.clone(),
                 r.org.clone(),
@@ -295,18 +298,7 @@ pub fn run(quick: bool) -> String {
                 r.mean_delay.map_or("-".to_string(), |d| format!("{d:.1}")),
                 r.burst_absorbed.to_string(),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "E18: buffer-sharing policy lab (extension) — admission policies under\n\
-         incast / hotspot / on-off traffic, all four memory organizations",
-        &[
-            "shape", "org", "policy", "load", "offered", "deliv", "lost", "p-drop", "preempt",
-            "loss%", "delay", "burst",
-        ],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nEvery policy x organization pair faces the identical offered schedule (the traffic\n\
          seed depends only on shape x load), so rows differ only in admission decisions.\n\
          'lost' counts every non-delivered arrival: buffer-full drops plus the policy's own\n\
@@ -316,8 +308,7 @@ pub fn run(quick: bool) -> String {
          Under incast the static pool lets the hot queue monopolize the buffer and cross\n\
          traffic pays; dt / pushout / occamy keep headroom and deliver more of the same\n\
          offered schedule.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -284,35 +284,7 @@ pub fn rows(quick: bool) -> Vec<FabricRow> {
 /// Render the report.
 pub fn run(quick: bool) -> String {
     let rows = rows(quick);
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.fabric.clone(),
-                r.endpoints.to_string(),
-                r.elements.to_string(),
-                r.org.clone(),
-                r.pattern.clone(),
-                r.offered.to_string(),
-                r.delivered.to_string(),
-                format!("{:.3}", r.carried),
-                r.dropped.to_string(),
-                r.residual.to_string(),
-                format!("{:.1}", r.mean_latency),
-                r.p99_latency.to_string(),
-            ]
-        })
-        .collect();
-    let mut s = table::render(
-        "E19: fabric scaling (extension) — component-graph networks of real switch\n\
-         elements, 64 to 1024 endpoints, conservative-window sharded runtime",
-        &[
-            "fabric", "n", "elems", "org", "traffic", "offered", "deliv", "carried", "drop",
-            "resid", "mean", "p99",
-        ],
-        &body,
-    );
-    s.push_str(
+    let mut footer = String::from(
         "\nEvery organization on a given fabric faces the identical offered schedule (the\n\
          traffic seed depends only on topology x pattern). 'carried' is delivered/offered\n\
          at the finite drain horizon; 'resid' counts cells still queued when it closed —\n\
@@ -335,7 +307,7 @@ pub fn run(quick: bool) -> String {
                 secs += r.wall_secs;
             }
             if secs > 0.0 {
-                s.push_str(&format!(
+                footer.push_str(&format!(
                     "[e19 {} {}: {:.2}M cells/s wall; completed in {:.2}s]\n",
                     fab.label(),
                     kind.label(),
@@ -345,7 +317,31 @@ pub fn run(quick: bool) -> String {
             }
         }
     }
-    s
+    table::render(
+        "E19: fabric scaling (extension) — component-graph networks of real switch\n\
+         elements, 64 to 1024 endpoints, conservative-window sharded runtime",
+        &[
+            "fabric", "n", "elems", "org", "traffic", "offered", "deliv", "carried", "drop",
+            "resid", "mean", "p99",
+        ],
+        rows.iter().map(|r| {
+            vec![
+                r.fabric.clone(),
+                r.endpoints.to_string(),
+                r.elements.to_string(),
+                r.org.clone(),
+                r.pattern.clone(),
+                r.offered.to_string(),
+                r.delivered.to_string(),
+                format!("{:.3}", r.carried),
+                r.dropped.to_string(),
+                r.residual.to_string(),
+                format!("{:.1}", r.mean_latency),
+                r.p99_latency.to_string(),
+            ]
+        }),
+        &footer,
+    )
 }
 
 #[cfg(test)]

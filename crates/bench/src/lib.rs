@@ -8,10 +8,12 @@
 //! binary defaults to full runs.
 //!
 //! Experiment grids execute through the deterministic parallel engine
-//! in [`sweep`]: every module submits its independent points to
+//! in [`sweep`]: a module with a grid submits its independent points to
 //! [`sweep::map`], which fans them out over a worker pool (`expt
 //! --jobs N`, default all cores) and returns rows in canonical grid
-//! order — bit-identical to a sequential run (`expt --seq`).
+//! order — bit-identical to a sequential run (`expt --seq`). E5, E7–E9,
+//! E11, E13 and E14 have no grid, and E19 runs its points in order, each
+//! fabric sharded over [`sweep::jobs`] workers.
 //!
 //! | Module | Paper locus | Claim regenerated |
 //! |--------|------------|-------------------|
@@ -76,42 +78,55 @@ pub mod x03;
 pub mod x04;
 pub mod x05;
 
-/// All paper experiment ids, in order.
-pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "x1", "x2", "x3", "x4", "x5",
+/// An experiment id and the function that renders its report (`quick`
+/// shrinks run lengths).
+type Entry = (&'static str, fn(bool) -> String);
+
+/// Every experiment, in order. [`ALL`], [`run_experiment`] and `expt` all
+/// read this one list.
+const REGISTRY: [Entry; 24] = [
+    ("e1", e01::run),
+    ("e2", e02::run),
+    ("e3", e03::run),
+    ("e4", e04::run),
+    ("e5", e05::run),
+    ("e6", e06::run),
+    ("e7", e07::run),
+    ("e8", e08::run),
+    ("e9", e09::run),
+    ("e10", e10::run),
+    ("e11", e11::run),
+    ("e12", e12::run),
+    ("e13", e13::run),
+    ("e14", e14::run),
+    ("e15", e15::run),
+    ("e16", e16::run),
+    ("e17", e17::run),
+    ("e18", e18::run),
+    ("e19", e19::run),
+    ("x1", x01::run),
+    ("x2", x02::run),
+    ("x3", x03::run),
+    ("x4", x04::run),
+    ("x5", x05::run),
 ];
 
-/// Run one experiment by id (e1–e19, x1–x5: the entries of [`ALL`]);
-/// `quick` shrinks run lengths.
+/// All experiment ids, in order.
+pub const ALL: &[&str] = &{
+    let mut ids = [""; REGISTRY.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = REGISTRY[i].0;
+        i += 1;
+    }
+    ids
+};
+
+/// Run one experiment by id (an entry of [`ALL`]); `quick` shrinks run
+/// lengths. `None` for an unknown id.
 pub fn run_experiment(id: &str, quick: bool) -> Option<String> {
-    Some(match id {
-        "e1" => e01::run(quick),
-        "e2" => e02::run(quick),
-        "e3" => e03::run(quick),
-        "e4" => e04::run(quick),
-        "e5" => e05::run(quick),
-        "e6" => e06::run(quick),
-        "e7" => e07::run(quick),
-        "e8" => e08::run(quick),
-        "e9" => e09::run(quick),
-        "e10" => e10::run(quick),
-        "e11" => e11::run(quick),
-        "e12" => e12::run(quick),
-        "e13" => e13::run(quick),
-        "e14" => e14::run(quick),
-        "e15" => e15::run(quick),
-        "e16" => e16::run(quick),
-        "e17" => e17::run(quick),
-        "e18" => e18::run(quick),
-        "e19" => e19::run(quick),
-        "x1" => x01::run(quick),
-        "x2" => x02::run(quick),
-        "x3" => x03::run(quick),
-        "x4" => x04::run(quick),
-        "x5" => x05::run(quick),
-        _ => return None,
-    })
+    let (_, run) = REGISTRY.iter().find(|(known, _)| *known == id)?;
+    Some(run(quick))
 }
 
 /// The lines of `report` two runs of the same computation must agree on.

@@ -110,7 +110,8 @@ type Schedule = [(u64, usize, usize)];
 
 /// The e06-style arrival schedule at load `p`: per-input busy-counter
 /// simulation replaying the exact RNG draw order of a dense drive loop.
-fn schedule(p: f64, total: u64, seed: u64) -> Vec<(u64, usize, usize)> {
+/// `expt trace e6` replays it too.
+pub(crate) fn schedule(p: f64, total: u64, seed: u64) -> Vec<(u64, usize, usize)> {
     let (n, s) = (config().n_in, config().stages());
     let q = header_chance(p, s);
     let mut rng = SplitMix64::new(seed);
@@ -186,7 +187,7 @@ fn behavioral_ff(sched: &Schedule, total: u64) -> (u64, u64) {
 }
 
 /// One `tick` per simulated cycle, no idle batching.
-fn per_cycle(sched: &Schedule, total: u64, mut tick: impl FnMut(&[Option<usize>])) {
+pub(crate) fn per_cycle(sched: &Schedule, total: u64, mut tick: impl FnMut(&[Option<usize>])) {
     let mut arr = vec![None; config().n_in];
     let mut k = 0;
     for t in 0..total {

@@ -1,10 +1,17 @@
 //! Minimal fixed-width table rendering for experiment reports.
 
-/// Render a table: header row + data rows, columns padded to content.
-pub fn render(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+/// Render a report: `title`, the header row, a rule, the data rows with
+/// columns padded to content, then `footer` verbatim (`""` for none).
+pub fn render(
+    title: &str,
+    header: &[&str],
+    rows: impl IntoIterator<Item = Vec<String>>,
+    footer: &str,
+) -> String {
+    let rows: Vec<Vec<String>> = rows.into_iter().collect();
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for r in rows {
+    for r in &rows {
         assert_eq!(r.len(), cols, "row width mismatch");
         for (i, cell) in r.iter().enumerate() {
             widths[i] = widths[i].max(cell.len());
@@ -28,10 +35,11 @@ pub fn render(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     s.push('\n');
     s.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
     s.push('\n');
-    for r in rows {
+    for r in &rows {
         s.push_str(&fmt_row(r));
         s.push('\n');
     }
+    s.push_str(footer);
     s
 }
 
@@ -49,22 +57,27 @@ pub fn f1(x: f64) -> String {
 mod tests {
     use super::*;
 
+    fn two_rows() -> Vec<Vec<String>> {
+        vec![vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]]
+    }
+
     #[test]
     fn renders_aligned() {
-        let out = render(
-            "T",
-            &["a", "bbbb"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
-        assert!(out.contains("T\n"));
-        assert!(out.lines().count() >= 4);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines[1].len(), lines[3].len());
+        let out = render("T", &["a", "bbbb"], two_rows(), "");
+        assert_eq!(out, "T\n  a  bbbb\n---------\n  1     2\n333     4\n");
+    }
+
+    #[test]
+    fn footer_follows_the_rows_exactly_once() {
+        let footer = "\nfooter line\n";
+        let out = render("T", &["a", "bbbb"], two_rows(), footer);
+        assert_eq!(out.matches("footer line").count(), 1);
+        assert_eq!(out, render("T", &["a", "bbbb"], two_rows(), "") + footer);
     }
 
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn checks_width() {
-        render("T", &["a"], &[vec!["1".into(), "2".into()]]);
+        render("T", &["a"], [vec!["1".into(), "2".into()]], "");
     }
 }

@@ -19,9 +19,8 @@
 //! (`vcd::validate`, `metrics::validate_json`), so `--smoke` is just a
 //! run with the file writes skipped.
 
-use simkernel::cell::header_chance;
+use crate::perf;
 use simkernel::trace::TraceEntry;
-use simkernel::SplitMix64;
 use std::fmt::Write as _;
 use switch_core::behavioral::BehavioralSwitch;
 use switch_core::config::SwitchConfig;
@@ -109,31 +108,16 @@ fn trace_e6(window: usize) -> Traced {
     let met = Shared::new(Metrics::new(n, window, 512));
     sw.attach_probe(fanout(vec![rec.handle(), met.handle()]));
 
-    // e06-style arrivals at 40 % offered load: per-input busy counters,
-    // one header probability draw per idle input per cycle.
-    let p = 0.4;
-    let q = header_chance(p, s);
-    let mut rng = SplitMix64::new(0xE6);
-    let mut busy = vec![0usize; n];
-    let mut arr: Vec<Option<usize>> = vec![None; n];
-    for _ in 0..E6_CYCLES {
-        arr.fill(None);
-        for (i, b) in busy.iter_mut().enumerate() {
-            if *b == 0 {
-                if rng.chance(q) {
-                    arr[i] = Some(rng.below_usize(n));
-                    *b = s - 1;
-                }
-            } else {
-                *b -= 1;
-            }
-        }
-        sw.tick(&arr);
-    }
-    arr.fill(None);
+    // The perf gate's e06-style arrivals at 40 % offered load (its switch
+    // has the same four ports), one tick per cycle.
+    let sched = perf::schedule(0.4, E6_CYCLES, 0xE6);
+    perf::per_cycle(&sched, E6_CYCLES, |arr| {
+        sw.tick(arr);
+    });
+    let idle = vec![None; n];
     let mut guard = 0;
     while !sw.is_quiescent() && guard < 100 * s {
-        sw.tick(&arr);
+        sw.tick(&idle);
         guard += 1;
     }
 

@@ -62,50 +62,49 @@ pub fn rows(quick: bool) -> Vec<X1Row> {
     let slots = if quick { 40_000 } else { 200_000 };
     // The grid is (hotspot fraction × architecture); the model is built
     // *inside* the worker so every point is a self-contained simulation.
-    const ARCHS: [&str; 4] = [
-        "shared, unfenced",
-        "shared + threshold",
-        "output-queued",
-        "crosspoint",
-    ];
     let mut points = Vec::new();
     for &hf in &[0.0, 0.03, 0.2] {
-        for arch in ARCHS {
-            points.push((arch, hf));
+        for (arch, build) in ARCHS {
+            points.push((arch, build, hf));
         }
     }
-    sweep::map(&points, |&(arch, hf)| {
-        let model: Box<dyn CellSwitch> = match arch {
-            "shared, unfenced" => Box::new(SharedBufferSwitch::new(n, Some(total))),
-            "shared + threshold" => {
-                Box::new(SharedBufferSwitch::new(n, Some(total)).with_threshold(total / 4))
-            }
-            "output-queued" => Box::new(OutputQueuedSwitch::new(n, Some(total / n))),
-            _ => Box::new(CrosspointSwitch::new(n, Some(total / (n * n) + 1))),
-        };
-        measure(arch, model, n, load, hf, slots)
+    sweep::map(&points, |&(arch, build, hf)| {
+        measure(arch, build(n, total), n, load, hf, slots)
     })
 }
 
+/// An architecture's label and its model at `(n, total)` cells of memory.
+pub(crate) type Arch = (&'static str, fn(usize, usize) -> Box<dyn CellSwitch>);
+
+/// The architectures of the table.
+pub(crate) const ARCHS: [Arch; 4] = [
+    ("shared, unfenced", |n, total| {
+        Box::new(SharedBufferSwitch::new(n, Some(total)))
+    }),
+    ("shared + threshold", |n, total| {
+        Box::new(SharedBufferSwitch::new(n, Some(total)).with_threshold(total / 4))
+    }),
+    ("output-queued", |n, total| {
+        Box::new(OutputQueuedSwitch::new(n, Some(total / n)))
+    }),
+    ("crosspoint", |n, total| {
+        Box::new(CrosspointSwitch::new(n, Some(total / (n * n) + 1)))
+    }),
+];
+
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let body: Vec<Vec<String>> = rows(quick)
-        .iter()
-        .map(|r| {
+    table::render(
+        "X1 (extension): hotspot traffic, 16x16 @ 0.6 load, equal TOTAL memory (64 cells)",
+        &["architecture", "hot frac", "loss", "latency"],
+        rows(quick).iter().map(|r| {
             vec![
                 r.arch.to_string(),
                 format!("{:.2}", r.hot_frac),
                 format!("{:.2e}", r.loss),
                 format!("{:.2}", r.latency),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "X1 (extension): hotspot traffic, 16x16 @ 0.6 load, equal TOTAL memory (64 cells)",
-        &["architecture", "hot frac", "loss", "latency"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nBelow the hot output's saturation, sharing wins: the pool donates idle\n\
          outputs' memory to the hot one. Once the hot output is OVERSUBSCRIBED\n\
          (hf = 0.2 here), the unfenced pool exhibits buffer hogging — the hot queue\n\
@@ -113,8 +112,7 @@ pub fn run(quick: bool) -> String {
          thresholds (total/4 here) restore isolation at shared-memory cost. The\n\
          Telegraphos answer is different but equivalent in effect: per-link credits\n\
          bound each source's pool usage (tests/credit_flow.rs).\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -5,12 +5,11 @@
 //! slot-level architectures: loss vs burst length at fixed load and
 //! fixed total memory.
 
+use crate::x01::Arch;
 use crate::{sweep, table};
 use baselines::harness::run as harness_run;
 use baselines::input_fifo::InputFifoSwitch;
 use baselines::model::CellSwitch;
-use baselines::output_queued::OutputQueuedSwitch;
-use baselines::shared::SharedBufferSwitch;
 use traffic::{BurstyOnOff, DestDist};
 
 /// One (architecture, burst length) measurement.
@@ -51,57 +50,47 @@ pub fn rows(quick: bool) -> Vec<X2Row> {
     let total = 128usize;
     let load = 0.6;
     let slots = if quick { 40_000 } else { 300_000 };
-    const ARCHS: [&str; 4] = [
-        "shared, unfenced",
-        "shared + threshold",
-        "output-queued",
-        "input-fifo",
-    ];
     let mut points = Vec::new();
     for &b in &[1.0, 8.0, 32.0] {
-        for arch in ARCHS {
-            points.push((arch, b));
+        for (arch, build) in ARCHS {
+            points.push((arch, build, b));
         }
     }
-    sweep::map(&points, |&(arch, b)| {
-        let model: Box<dyn CellSwitch> = match arch {
-            "shared, unfenced" => Box::new(SharedBufferSwitch::new(n, Some(total))),
-            "shared + threshold" => {
-                Box::new(SharedBufferSwitch::new(n, Some(total)).with_threshold(total / 4))
-            }
-            "output-queued" => Box::new(OutputQueuedSwitch::new(n, Some(total / n))),
-            _ => Box::new(InputFifoSwitch::new(n, Some(total / n), 7)),
-        };
-        measure(arch, model, n, load, b, slots)
+    sweep::map(&points, |&(arch, build, b)| {
+        measure(arch, build(n, total), n, load, b, slots)
     })
 }
 
+/// X1's partitioned and shared organizations, with input FIFOs in place
+/// of crosspoint queues; each builds its model at `(n, total)` cells.
+const ARCHS: [Arch; 4] = [
+    crate::x01::ARCHS[0],
+    crate::x01::ARCHS[1],
+    crate::x01::ARCHS[2],
+    ("input-fifo", |n, total| {
+        Box::new(InputFifoSwitch::new(n, Some(total / n), 7))
+    }),
+];
+
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let body: Vec<Vec<String>> = rows(quick)
-        .iter()
-        .map(|r| {
+    table::render(
+        "X2 (extension): bursty on/off traffic, 16x16 @ 0.6 load, equal TOTAL memory (128 cells)",
+        &["architecture", "mean burst", "loss", "p99 latency"],
+        rows(quick).iter().map(|r| {
             vec![
                 r.arch.to_string(),
                 format!("{:.0}", r.mean_burst),
                 format!("{:.2e}", r.loss),
                 r.p99.to_string(),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "X2 (extension): bursty on/off traffic, 16x16 @ 0.6 load, equal TOTAL memory (128 cells)",
-        &["architecture", "mean burst", "loss", "p99 latency"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nBursts longer than a partition are the §2.1 failure mode; the shared pool\n\
          absorbs a burst whole. But at long bursts MANY simultaneous bursts collide\n\
          and the unfenced pool is hogged by the deepest queues (cold outputs drop\n\
          too); a per-output threshold (total/4) keeps sharing's absorption while\n\
          fencing the hogs — matching or beating the partitioned designs everywhere.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use simkernel::SplitMix64;
 use switch_core::config::SwitchConfig;
 use switch_core::rtl::{OutputCollector, PipelinedSwitch};
 use switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
+use switch_core::WordSwitch;
 
 /// Result of one organization's run.
 #[derive(Debug, Clone)]
@@ -65,79 +66,65 @@ pub fn rows(quick: bool) -> Vec<X3Row> {
         pkts.iter().map(|d| d.first_cycle).sum::<u64>() as f64 / pkts.len().max(1) as f64
     };
 
-    const ORGS: [(&str, Option<bool>, &str); 3] = [
+    // Per organization: label, the switch, and the extra hardware it
+    // needs (qualitative, from the model's structure).
+    type Org = (&'static str, fn(usize) -> Box<dyn WordSwitch>, &'static str);
+    const ORGS: [Org; 3] = [
         (
             "pipelined (fig 4, paper)",
-            None,
+            |n| Box::new(PipelinedSwitch::new(SwitchConfig::symmetric(n, 64))),
             "single latch row, no bypass",
         ),
         (
             "wide + cut-through xbar (fig 3)",
-            Some(true),
+            |n| wide(n, true),
             "double latch rows + bypass xbar",
         ),
-        ("wide, no bypass", Some(false), "double latch rows"),
+        ("wide, no bypass", |n| wide(n, false), "double latch rows"),
     ];
-    sweep::map(&ORGS, |&(org, crossbar, hardware)| {
-        let (pkts, lost) = match crossbar {
-            None => {
-                let mut sw = PipelinedSwitch::new(SwitchConfig::symmetric(n, 64));
-                let mut col = OutputCollector::new(n, s);
-                let idle = vec![None; n];
-                for row in &wires {
-                    let now = sw.now();
-                    let o = sw.tick(row);
-                    col.observe(now, o);
-                }
-                let mut guard = 0;
-                while !sw.is_quiescent() && guard < 10_000 {
-                    let now = sw.now();
-                    let o = sw.tick(&idle);
-                    col.observe(now, o);
-                    guard += 1;
-                }
-                let c = sw.counters();
-                (col.take(), c.dropped_buffer_full + c.latch_overruns)
-            }
-            Some(xbar) => {
-                let mut cfg = WideSwitchConfig::fig3(n, 64);
-                cfg.cut_through_crossbar = xbar;
-                let mut sw = WideMemorySwitchRtl::new(cfg);
-                let mut col = OutputCollector::new(n, s);
-                let idle = vec![None; n];
-                for row in &wires {
-                    let now = sw.now();
-                    let o = sw.tick(row);
-                    col.observe(now, o);
-                }
-                let mut guard = 0;
-                while !sw.is_quiescent() && guard < 10_000 {
-                    let now = sw.now();
-                    let o = sw.tick(&idle);
-                    col.observe(now, o);
-                    guard += 1;
-                }
-                let c = sw.counters();
-                (col.take(), c.dropped_buffer_full + c.latch_overruns)
-            }
-        };
+    sweep::map(&ORGS, |&(org, build, hardware)| {
+        let mut sw = build(n);
+        let mut col = OutputCollector::new(n, s);
+        let idle = vec![None; n];
+        for row in &wires {
+            let now = sw.now();
+            let o = sw.tick(row);
+            col.observe(now, o);
+        }
+        let mut guard = 0;
+        while !sw.is_quiescent() && guard < 10_000 {
+            let now = sw.now();
+            let o = sw.tick(&idle);
+            col.observe(now, o);
+            guard += 1;
+        }
+        let c = sw.counters();
+        let pkts = col.take();
         X3Row {
             org,
             delivered: pkts.len(),
             mean_first: mean_first(&pkts),
-            lost,
+            lost: c.dropped_buffer_full + c.latch_overruns,
             hardware,
         }
     })
+}
+
+/// The fig-3 wide-memory switch, with or without its cut-through crossbar.
+fn wide(n: usize, crossbar: bool) -> Box<dyn WordSwitch> {
+    let mut cfg = WideSwitchConfig::fig3(n, 64);
+    cfg.cut_through_crossbar = crossbar;
+    Box::new(WideMemorySwitchRtl::new(cfg))
 }
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
     let rows = rows(quick);
     let base = rows[0].mean_first;
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    table::render(
+        "X3 (extension): identical word schedules through the fig-3 and fig-4 organizations (4x4, load 0.5)",
+        &["organization", "delivered", "mean 1st-word cyc", "vs pipelined", "lost", "extra hardware"],
+        rows.iter().map(|r| {
             vec![
                 r.org.to_string(),
                 r.delivered.to_string(),
@@ -146,19 +133,11 @@ pub fn run(quick: bool) -> String {
                 r.lost.to_string(),
                 r.hardware.to_string(),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "X3 (extension): identical word schedules through the fig-3 and fig-4 organizations (4x4, load 0.5)",
-        &["organization", "delivered", "mean 1st-word cyc", "vs pipelined", "lost", "extra hardware"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nThe pipelined organization matches the wide memory WITH its bypass crossbar\n\
          on latency while needing neither the crossbar nor the second latch row —\n\
          §3.2's argument as a head-to-head run (silicon priced in E13).\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -53,9 +53,10 @@ pub fn rows() -> Vec<X4Row> {
 
 /// Render the report.
 pub fn run(_quick: bool) -> String {
-    let body: Vec<Vec<String>> = rows()
-        .iter()
-        .map(|r| {
+    table::render(
+        "X4 (extension): pipelined-buffer scaling at 1.0um full custom, 16-bit words (paper §3.5's scalability argument)",
+        &["switch", "quantum B", "half-q B", "buffer Gb/s", "chip I/O Gb/s", "periph mm2"],
+        rows().iter().map(|r| {
             vec![
                 format!("{}x{}", r.n, r.n),
                 r.quantum_bytes.to_string(),
@@ -64,14 +65,7 @@ pub fn run(_quick: bool) -> String {
                 format!("{:.1}", r.chip_io_gbps),
                 format!("{:.1}", r.periph_mm2),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "X4 (extension): pipelined-buffer scaling at 1.0um full custom, 16-bit words (paper §3.5's scalability argument)",
-        &["switch", "quantum B", "half-q B", "buffer Gb/s", "chip I/O Gb/s", "periph mm2"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nBuffer throughput equals chip I/O demand by construction (the buffer is\n\
          sized to the links), so the memory is NEVER the binding constraint —\n\
          §3.5's point. What binds first as n grows: chip I/O pins (Gb/s column)\n\
@@ -79,8 +73,7 @@ pub fn run(_quick: bool) -> String {
          half-quantum split keeps a 16x16 switch at a 32-byte effective quantum,\n\
          below an ATM cell). Past that, block-crosspoint partitioning (§2.2)\n\
          continues the scaling with pipelined buffers as the blocks.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -154,9 +154,10 @@ pub fn rows(quick: bool) -> Vec<X5Row> {
 
 /// Render the report.
 pub fn run(quick: bool) -> String {
-    let body: Vec<Vec<String>> = rows(quick)
-        .iter()
-        .map(|r| {
+    table::render(
+        "X5 (extension): 64-terminal omega fabrics of shared-buffer elements (paper intro: switches as building blocks)",
+        &["element", "pool", "offered", "carried", "latency", "loss"],
+        rows(quick).iter().map(|r| {
             vec![
                 format!("{0}x{0}", r.k),
                 match r.element_pool {
@@ -168,22 +169,14 @@ pub fn run(quick: bool) -> String {
                 format!("{:.1}", r.latency),
                 format!("{:.1e}", r.loss),
             ]
-        })
-        .collect();
-    let mut s = table::render(
-        "X5 (extension): 64-terminal omega fabrics of shared-buffer elements (paper intro: switches as building blocks)",
-        &["element", "pool", "offered", "carried", "latency", "loss"],
-        &body,
-    );
-    s.push_str(
+        }),
         "\nLarger (4x4) elements need fewer stages -> lower latency at the same\n\
          terminal count; tiny per-element pools lose cells under internal\n\
          contention exactly as the single-switch sizing experiments (E3) predict.\n\
          Uniform traffic through an omega network concentrates internally, so\n\
          per-element buffering is what makes the composition work — the paper's\n\
          buffered-building-block thesis at fabric scale.\n",
-    );
-    s
+    )
 }
 
 #[cfg(test)]

@@ -21,24 +21,13 @@ fn unknown_flag_is_rejected_by_name() {
         (&["--quik", "--seq", "e14"][..], "--quik"),
         (&["e14", "-x"], "-x"),
         (&["bench", "--gat"], "--gat"),
+        (&["bench", "--gate"], "--gate"),
     ] {
         let out = expt(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stderr(&out).contains(&format!("unknown flag '{flag}'")));
         assert!(out.stdout.is_empty(), "{args:?} must not run anything");
     }
-}
-
-#[test]
-fn the_removed_gate_flag_points_at_plain_bench() {
-    let out = expt(&["bench", "--gate"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr(&out).contains("plain 'expt bench'"),
-        "{}",
-        stderr(&out)
-    );
-    assert!(out.stdout.is_empty(), "nothing may be measured");
 }
 
 /// The expiry ledger reaches the exit code: a budget no drain can meet

@@ -115,8 +115,7 @@ pub struct PipelinedMemory {
     /// vector through memory each cycle).
     waves: Vec<Option<ActiveWave>>,
     /// Ring occupancy as a machine word: bit `s` set when `waves[s]` is
-    /// live. Maintained for `stages ≤ 128`; longer pipelines scan the
-    /// ring instead.
+    /// live.
     live_mask: u128,
     /// Live entries in the wave ring.
     waves_live: usize,
@@ -138,6 +137,11 @@ impl PipelinedMemory {
     /// `stages` words.
     pub fn new(stages: usize, depth: usize, width_bits: u32) -> Self {
         assert!(stages >= 1);
+        assert!(
+            stages <= 128,
+            "the pipelined memory keeps its wave ring's occupancy in a `u128`: \
+             at most 128 stages, this memory has {stages}"
+        );
         PipelinedMemory {
             banks: (0..stages)
                 .map(|_| SramBank::new(depth, width_bits, PortKind::SinglePort))
@@ -268,9 +272,7 @@ impl PipelinedMemory {
             debug_assert!(self.waves[slot].is_none(), "wave ring slot collision");
             self.waves[slot] = Some(w);
             self.waves_live += 1;
-            if let Some(bit) = 1u128.checked_shl(slot as u32) {
-                self.live_mask |= bit;
-            }
+            self.live_mask |= 1u128 << slot;
         }
         // Reuse the completion buffer across cycles; `mem::take`
         // sidesteps the simultaneous borrow of the buffer and `&mut self`.
@@ -281,29 +283,15 @@ impl PipelinedMemory {
             // `now - stages + 1` sits at slot `(now + 1) % stages`), so
             // probe events and completions keep initiation order.
             let first = ((now + 1) % stages as Cycle) as usize;
-            if stages <= 128 {
-                // Two ascending passes over the occupancy word — slots
-                // `first..stages`, then `0..first` — visit live slots in
-                // ring order without touching empty ones.
-                let low = (1u128 << first) - 1;
-                for mut m in [self.live_mask & !low, self.live_mask & low] {
-                    while m != 0 {
-                        let slot = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        self.sweep_slot(slot, now, stages, &mut done);
-                    }
-                }
-            } else {
-                let mut slot = first;
-                for _ in 0..stages {
-                    let this = slot;
-                    slot += 1;
-                    if slot == stages {
-                        slot = 0;
-                    }
-                    if self.waves[this].is_some() {
-                        self.sweep_slot(this, now, stages, &mut done);
-                    }
+            // Two ascending passes over the occupancy word — slots
+            // `first..stages`, then `0..first` — visit live slots in ring
+            // order without touching empty ones.
+            let low = (1u128 << first) - 1;
+            for mut m in [self.live_mask & !low, self.live_mask & low] {
+                while m != 0 {
+                    let slot = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    self.sweep_slot(slot, now, stages, &mut done);
                 }
             }
         }
@@ -391,9 +379,7 @@ impl PipelinedMemory {
         if k + 1 == stages {
             let w = self.waves[slot].take().expect("retiring wave vanished");
             self.waves_live -= 1;
-            if let Some(bit) = 1u128.checked_shl(slot as u32) {
-                self.live_mask &= !bit;
-            }
+            self.live_mask &= !(1u128 << slot);
             if let Body::Read(words) = w.body {
                 done.push(CompletedRead {
                     addr: w.addr,
@@ -581,6 +567,12 @@ mod tests {
         let done = m.drain();
         assert_eq!(done[0].words, vec![9, 9], "no silent correction");
         assert_eq!(m.ecc_totals(), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 128 stages")]
+    fn more_than_128_stages_are_rejected() {
+        PipelinedMemory::new(129, 4, 16);
     }
 
     #[test]

@@ -1,21 +1,43 @@
 //! Smoke test: every experiment module runs to completion in quick mode
-//! and produces a non-trivial report mentioning what it measured.
+//! and produces a non-trivial report mentioning what it measured. One
+//! `#[test]` per experiment, so the test harness runs them side by side.
 
 use bench_harness::{run_experiment, ALL};
 
-#[test]
-fn every_experiment_runs_quick() {
-    for id in ALL {
-        let out = run_experiment(id, true).unwrap_or_else(|| panic!("{id} unknown"));
-        assert!(out.len() > 100, "{id}: report suspiciously short:\n{out}");
-        let cites = out.to_lowercase();
-        assert!(
-            cites.contains("paper") || cites.contains("extension"),
-            "{id}: report must cite the paper claim it regenerates (or be \
-             marked an extension)"
-        );
-    }
+/// One quick run of `id`: a report of some length that cites the paper
+/// claim it regenerates (or is marked an extension).
+fn runs_quick(id: &str) {
+    let out = run_experiment(id, true).unwrap_or_else(|| panic!("{id} unknown"));
+    assert!(out.len() > 100, "{id}: report suspiciously short:\n{out}");
+    let cites = out.to_lowercase();
+    assert!(
+        cites.contains("paper") || cites.contains("extension"),
+        "{id}: report must cite the paper claim it regenerates (or be \
+         marked an extension)"
+    );
 }
+
+/// `LISTED` (the ids below, in order) plus one test per id in the module
+/// `every_experiment_runs_quick`.
+macro_rules! every_experiment_runs_quick {
+    ($($id:ident)*) => {
+        const LISTED: &[&str] = &[$(stringify!($id)),*];
+
+        mod every_experiment_runs_quick {
+            $(
+                #[test]
+                fn $id() {
+                    super::runs_quick(stringify!($id));
+                }
+            )*
+        }
+    };
+}
+
+every_experiment_runs_quick!(
+    e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 e19
+    x1 x2 x3 x4 x5
+);
 
 #[test]
 fn unknown_experiment_rejected() {
@@ -24,9 +46,8 @@ fn unknown_experiment_rejected() {
 
 /// The registry itself is part of the contract: every paper experiment
 /// (e1–e19) and every extension (x1–x5) must be listed — in order — and
-/// must dispatch to a module. Dropping an id from `ALL` would otherwise
-/// silently remove it from `expt all`, CI's quick run, and the smoke
-/// test above.
+/// each must have its smoke test above. Dropping an id from `ALL` would
+/// otherwise silently remove it from `expt all` and CI's quick runs.
 #[test]
 fn registry_is_complete_and_ordered() {
     let expected: Vec<String> = (1..=19)
@@ -38,10 +59,5 @@ fn registry_is_complete_and_ordered() {
         expected.iter().map(String::as_str).collect::<Vec<_>>(),
         "experiment registry drifted from the e01–e19/x01–x05 grid"
     );
-    for id in ALL {
-        assert!(
-            run_experiment(id, true).is_some(),
-            "{id} is listed but does not dispatch to a module"
-        );
-    }
+    assert_eq!(LISTED, ALL, "every registered experiment has a smoke test");
 }
