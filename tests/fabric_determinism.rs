@@ -11,7 +11,8 @@
 //! each other is not enough: `tests/golden/fabric_digests.txt` holds the
 //! digests the per-window executor produced for this ladder before the
 //! run-ahead rule replaced it, and the run-ahead must reproduce them at
-//! any `jobs` and at any chunk width.
+//! any `jobs` and at any chunk width. Its omega-64 rows also pin the three
+//! word-level elements.
 //!
 //! Alongside: the link-latency law (every delivered cell pays at least
 //! `hops × link_latency` cycles, scaled by the element cell time) and
@@ -58,6 +59,21 @@ fn kinds_for(topology: &Topology) -> Vec<ElementKind> {
     kinds
 }
 
+/// The golden kinds of a ladder rung: [`kinds_for`], plus the three
+/// word-level organizations on omega-64 only (one run each is ≈ 0.03 s in
+/// release, far more in a test build, so the other tests leave them out).
+fn golden_kinds_for(name: &str, topology: &Topology) -> Vec<ElementKind> {
+    let mut kinds = kinds_for(topology);
+    if name == "omega-64" {
+        kinds.extend([
+            ElementKind::WordRtl { slots: 16 },
+            ElementKind::WordWide { slots: 16 },
+            ElementKind::WordIbank { banks: 16 },
+        ]);
+    }
+    kinds
+}
+
 const PATTERNS: [Pattern; 2] = [Pattern::Uniform, Pattern::Hotspot { hot_frac: 0.25 }];
 
 #[test]
@@ -73,7 +89,7 @@ fn run_ahead_reproduces_the_per_window_executor_digests() {
         .collect();
     let mut checked = 0;
     for (name, topology) in ladder() {
-        for kind in kinds_for(&topology) {
+        for kind in golden_kinds_for(name, &topology) {
             for pattern in PATTERNS {
                 let key = format!("{name} {} {}", kind.label(), pattern.label());
                 let want = golden
