@@ -1067,9 +1067,6 @@ mod tests {
         fn occupancy(&self) -> u64 {
             0
         }
-        fn queue_depth(&self, _: usize) -> u64 {
-            0
-        }
         fn accepted(&self) -> u64 {
             0
         }

@@ -82,18 +82,6 @@ impl Topology {
         }
     }
 
-    /// Minimum hop count over all (src, dst) pairs — the floor used by
-    /// the link-latency property test.
-    pub fn min_hops(&self) -> usize {
-        let mut min = usize::MAX;
-        for src in 0..self.endpoints {
-            for dst in 0..self.endpoints {
-                min = min.min(self.hops(src, dst));
-            }
-        }
-        min
-    }
-
     /// Structural audit: every input port has exactly one driver, every
     /// output port a valid target, and every (src, dst) pair routes.
     pub fn validate(&self) {
@@ -415,7 +403,11 @@ mod tests {
             let t = omega(k, s);
             assert_eq!(t.endpoints, k.pow(s as u32));
             t.validate();
-            assert_eq!(t.min_hops(), s, "omega path length is the stage count");
+            assert_eq!(
+                t.hops(0, t.endpoints - 1),
+                s,
+                "omega path length is the stage count"
+            );
         }
     }
 
@@ -424,7 +416,7 @@ mod tests {
         for (k, s) in [(2, 3), (2, 6), (4, 2), (4, 3)] {
             let t = banyan(k, s);
             t.validate();
-            assert_eq!(t.min_hops(), s);
+            assert_eq!(t.hops(0, t.endpoints - 1), s);
         }
     }
 
@@ -434,7 +426,7 @@ mod tests {
             let t = clos2(leaves, down);
             assert_eq!(t.endpoints, leaves * down);
             t.validate();
-            assert_eq!(t.min_hops(), 1, "same-leaf traffic turns in one hop");
+            assert_eq!(t.hops(0, 1), 1, "same-leaf traffic turns in one hop");
             assert_eq!(t.hops(0, t.endpoints - 1), 3, "cross-leaf = up, over, down");
         }
     }
@@ -445,7 +437,7 @@ mod tests {
             let t = fat_tree(k);
             assert_eq!(t.endpoints, k * k * k / 4);
             t.validate();
-            assert_eq!(t.min_hops(), 1, "same-edge traffic turns in one hop");
+            assert_eq!(t.hops(0, 1), 1, "same-edge traffic turns in one hop");
             assert_eq!(
                 t.hops(0, t.endpoints - 1),
                 5,
