@@ -9,7 +9,8 @@
 //!
 //! * [`rtl::PipelinedSwitch`] — a **word-level, register-transfer-accurate
 //!   model**: real input latch rows, a shared output register row, real
-//!   SRAM banks (port-checked), a control-signal pipeline, the read/write
+//!   SRAM banks (port-checked), a wave ring holding each stage-0 control
+//!   word once (fig. 5: stage `k` obeys it `k` cycles later), the read/write
 //!   wave arbiter, buffer management (free list + per-output descriptor
 //!   queues) and automatic cut-through. Every timing claim of §3.2–§3.4 is
 //!   observable on this model cycle by cycle.
@@ -56,7 +57,6 @@ pub mod bufmgr;
 pub mod config;
 pub mod credit;
 mod ctl;
-pub mod ctrl;
 pub mod events;
 pub mod faultsim;
 pub mod halfq;
@@ -75,7 +75,6 @@ pub use behavioral::BehavioralSwitch;
 pub use bufmgr::BufferManager;
 pub use config::SwitchConfig;
 pub use credit::CreditedInput;
-pub use ctrl::{ControlChecker, ControlPipeline};
 pub use events::IntegrityReason;
 pub use faultsim::{Fault, FaultAction, FaultKind, FaultPlan, WireFaults};
 pub use halfq::HalfQuantumBuffer;

@@ -1426,6 +1426,79 @@ mod tests {
         assert_eq!(sw.stage_controls()[0], StageCtrl::Nop);
     }
 
+    #[test]
+    fn stage_controls_are_delayed_copies_of_stage_0() {
+        // Fig. 5 / §3.3: the controls of stage k are "delayed versions" of
+        // stage 0's. Every cycle, each stage k ≥ 1 must execute what stage
+        // 0 executed k cycles earlier (`history[k − 1]`), under heavy
+        // random traffic — with fused cut-through, store-and-forward,
+        // multicast headers, and ECC armed with an upset struck into a
+        // buffered packet.
+        let n = 4;
+        let base = SwitchConfig::symmetric(n, 16);
+        let mut store_and_forward = base.clone();
+        store_and_forward.cut_through = false;
+        store_and_forward.fused_cut_through = false;
+        let mut ecc = store_and_forward.clone();
+        ecc.recovery = crate::recovery::RecoveryConfig::ecc_only();
+        for (what, cfg, multicast, upset_at) in [
+            ("cut-through", base.clone(), false, None),
+            ("store-and-forward", store_and_forward, false, None),
+            ("multicast", base, true, None),
+            ("ecc", ecc, false, Some(1_000)),
+        ] {
+            let s = cfg.stages();
+            let mut sw = PipelinedSwitch::new(cfg);
+            let mut history = std::collections::VecDeque::from(vec![StageCtrl::Nop; s - 1]);
+            let mut rng = simkernel::SplitMix64::new(3);
+            let mut current: Vec<Option<(Packet, usize)>> = vec![None; n];
+            let mut next_id = 1u64;
+            let mut wire = vec![None; n];
+            for t in 0..5_000u64 {
+                let now = sw.now();
+                for i in 0..n {
+                    if current[i].is_none() && rng.chance(0.7) {
+                        let p = if multicast {
+                            let mask = 1 + rng.below_usize((1 << n) - 1) as u16;
+                            Packet::synth_multicast(next_id, i, mask, s, now)
+                        } else {
+                            Packet::synth(next_id, i, rng.below_usize(n), s, now)
+                        };
+                        next_id += 1;
+                        current[i] = Some((p, 0));
+                    }
+                    wire[i] = current[i].as_mut().map(|(p, k)| {
+                        let w = p.words[*k];
+                        *k += 1;
+                        w
+                    });
+                    if current[i].as_ref().is_some_and(|(p, k)| *k == p.size_words) {
+                        current[i] = None;
+                    }
+                }
+                sw.tick(&wire);
+                let row = sw.stage_controls();
+                for k in 1..s {
+                    assert_eq!(
+                        row[k],
+                        history[k - 1],
+                        "{what}, cycle {t}: stage {k} is not stage 0 of {k} cycles earlier"
+                    );
+                }
+                history.pop_back();
+                history.push_front(row[0]);
+                if upset_at == Some(t) {
+                    let live = (0..16).any(|a| sw.inject_bank_fault(s - 1, Addr(a), 1).is_some());
+                    assert!(live, "{what}: no buffered packet to strike");
+                }
+            }
+            assert!(sw.counters().departed > 1_000, "{what}");
+            if upset_at.is_some() {
+                assert!(sw.counters().ecc_corrected > 0, "{what}: upset never met");
+            }
+        }
+    }
+
     /// Feed `packets` word-streams back to back on input 0, then idle to
     /// quiescence; returns delivered packets and the switch.
     fn feed_and_drain(

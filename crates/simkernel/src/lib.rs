@@ -4,10 +4,8 @@
 //! It models *synchronous digital hardware* the way an RTL designer thinks
 //! about it:
 //!
-//! * time advances in integer [`Cycle`]s of a single clock;
-//! * state lives in [`reg::Reg`] registers with **two-phase** semantics —
-//!   combinational logic computes `next` values during a cycle, and a clock
-//!   edge ([`reg::Reg::tick`]) commits them atomically;
+//! * time advances in integer [`Cycle`]s of a single clock, and a model
+//!   advances one cycle per `tick`;
 //! * randomness comes only from the seedable, reproducible
 //!   [`rng::SplitMix64`], so every simulation in the workspace is
 //!   deterministic given its seed.
@@ -35,7 +33,6 @@ pub mod cell;
 pub mod error;
 pub mod horizon;
 pub mod ids;
-pub mod reg;
 pub mod rng;
 pub mod trace;
 pub mod watchdog;
@@ -44,6 +41,5 @@ pub use cell::{Cell, CellId, Packet, PacketId};
 pub use error::{run_until_quiescent, run_until_quiescent_escalating, SimError};
 pub use horizon::{advance_to, advance_to_batched, BatchTick, Horizon};
 pub use ids::{Addr, Cycle, PortId, StageId};
-pub use reg::Reg;
 pub use rng::{split_seed, SplitMix64};
 pub use trace::{Trace, TraceEntry};
