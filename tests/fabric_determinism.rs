@@ -18,7 +18,15 @@
 //! `hops × link_latency` cycles, scaled by the element cell time) and
 //! cell conservation (offered = delivered + dropped + residual) on
 //! every topology the builders produce.
+//!
+//! Last, `tests/golden/x05_rows.txt` pins every field of the X5 report
+//! rows: X5 drives the scalar omega fabric with no cycle-level twin, so
+//! the golden table is its oracle.
 
+mod common;
+
+use bench_harness::x05;
+use std::fmt::Write as _;
 use telegraphos::fabric::{topo, ElementKind, Fabric, FabricRun, Pattern, Topology, Workload};
 
 /// The topology ladder under test: omega / banyan / folded Clos /
@@ -274,4 +282,29 @@ fn behavioral_fabric_latency_scales_with_cell_time() {
             );
         }
     }
+}
+
+#[test]
+fn x5_rows_match_the_golden_file() {
+    let mut doc = String::from(
+        "# X5 rows at 4000 slots, seed 0x55, every f64 as its to_bits() hex. Captured at\n\
+         # commit 442b4f8, where these rows were byte-identical to netsim's own\n\
+         # scalar omega model; this table replaces that legacy comparison.\n\
+         # k stages pool load | offered carried latency loss\n",
+    );
+    for (k, stages, pool, load) in x05::grid() {
+        let r = x05::measure(k, stages, pool, load, 4_000, 0x55);
+        assert_eq!((r.k, r.element_pool), (k, pool));
+        let pool = pool.map_or("inf".to_string(), |p| p.to_string());
+        writeln!(
+            doc,
+            "{k} {stages} {pool} {load} | {:#018x} {:#018x} {:#018x} {:#018x}",
+            r.offered.to_bits(),
+            r.carried.to_bits(),
+            r.latency.to_bits(),
+            r.loss.to_bits()
+        )
+        .expect("string write");
+    }
+    common::check_golden("x05_rows.txt", &doc);
 }
