@@ -40,7 +40,7 @@
 //! | [`x02`] | extension of §2.1 | bursty on/off traffic: loss vs burst length at fixed load and memory |
 //! | [`x03`] | extension of §3.2/§5.2 | word-level organization shoot-out: pipelined vs wide memory, with and without crossbar |
 //! | [`x04`] | extension of §3.5 | how far the pipelined organization scales: quantum, throughput, pins, area vs ports |
-//! | [`x05`] | extension of §1 | switches as building blocks of multistage omega fabrics |
+//! | [`x05`] | extension of §1 | switches as building blocks of multi-stage omega fabrics |
 //!
 //! [`perf`] is not an experiment: it is the pass/fail perf gate behind
 //! `expt bench`. Wall-clock numbers are recorded by the `benchmark/`

@@ -27,10 +27,9 @@
 //!
 //! Three adapters ship:
 //!
-//! - [`ScalarElement`] — the slot-level shared-buffer element, bit-exact
-//!   with `netsim::multistage::OmegaNetwork`'s private element (enqueue
+//! - [`ScalarElement`] — the slot-level shared-buffer element: enqueue
 //!   all arrivals in port order with a pool-capacity check, then pop one
-//!   cell per output per cycle). A cell costs one cycle per hop.
+//!   cell per output per cycle. A cell costs one cycle per hop.
 //! - [`BehavioralElement`] — a real [`BehavioralSwitch`] per node: the
 //!   paper's pipelined-memory switch at cell level, with cut-through,
 //!   read-priority arbitration and the shared slot pool. The clock is
@@ -97,7 +96,7 @@ pub trait FabricElement: Send {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElementKind {
     /// Slot-level shared-buffer element (1 cycle per cell per hop);
-    /// `None` = unbounded pool, like the omega oracle's default.
+    /// `None` = unbounded pool.
     Scalar {
         /// Shared pool capacity in cells.
         capacity: Option<usize>,
@@ -170,9 +169,8 @@ impl ElementKind {
 // Scalar element
 // ---------------------------------------------------------------------
 
-/// Slot-level shared-buffer element, the scalar baseline: behaviorally
-/// identical (and pinned by test to be bit-identical in a fabric) to the
-/// private element inside `netsim::multistage::OmegaNetwork`.
+/// The slot-level shared-buffer element: one cell per output per cycle
+/// from a shared pool of `capacity` cells.
 pub struct ScalarElement {
     route: Vec<u16>,
     queues: Vec<VecDeque<Cell>>,
@@ -227,7 +225,7 @@ impl FabricElement for ScalarElement {
             }
             let c = self.cursor;
             // Enqueue this cycle's arrivals in port order (inbox sort),
-            // dropping on a full pool — exactly the oracle's admission.
+            // dropping on a full pool.
             while let Some(a) = inbox.get(next).filter(|a| a.cycle == c) {
                 if self.capacity.is_some_and(|cap| self.pool >= cap) {
                     self.dropped += 1;

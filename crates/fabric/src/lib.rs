@@ -1,7 +1,7 @@
-//! Sharded fabric runtime: multistage networks of real switch elements.
+//! Sharded fabric runtime: multi-stage networks of real switch elements.
 //!
 //! The paper closes by positioning its pipelined-memory shared-buffer
-//! switch as a *building block* for larger multistage switches and
+//! switch as a *building block* for larger multi-stage switches and
 //! networks. This crate is that composition layer: a component-graph
 //! runtime where every node is a real switch element — the cell-level
 //! behavioral pipelined-memory switch, a word-level RTL organization, or

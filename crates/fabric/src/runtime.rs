@@ -113,7 +113,7 @@ const DEFAULT_SAMPLE_EVERY: u64 = 64;
 /// grow with the depth (64 costs +30 % peak RSS for no more speed).
 const RUN_AHEAD: u64 = 8;
 
-/// A multistage network instantiated with real elements.
+/// A multi-stage network instantiated with real elements.
 pub struct Fabric {
     topo: Topology,
     kind: ElementKind,
@@ -990,6 +990,23 @@ mod tests {
             let (cycle, cell) = run.delivered[7][0];
             assert_eq!(cycle - cell.birth, 3 * lat, "3 hops at latency {lat}");
         }
+    }
+
+    #[test]
+    fn contention_buffers_inside_the_fabric() {
+        // Two cells for terminal 3 in the same cycle: one waits in a
+        // shared pool, and both arrive, one slot apart.
+        let mut f = Fabric::new(topo::omega(2, 2), ElementKind::Scalar { capacity: None });
+        let windows = f.windows_for(1, 10);
+        let run = f.run_with(windows, |from, _to, inj| {
+            if from == 0 {
+                inj.push((0, 0, Cell::new(1, 0, 3, 0)));
+                inj.push((1, 0, Cell::new(2, 1, 3, 0)));
+            }
+        });
+        assert_eq!(run.delivered_total(), 2);
+        let cycles: Vec<Cycle> = run.delivered[3].iter().map(|&(c, _)| c).collect();
+        assert_eq!(cycles[1] - cycles[0], 1, "delivered at {cycles:?}");
     }
 
     #[test]

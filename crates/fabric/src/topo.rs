@@ -31,7 +31,7 @@ pub enum Target {
     Terminal(u32),
 }
 
-/// A multistage network as an explicit element graph.
+/// A multi-stage network as an explicit element graph.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Short builder name ("omega", "banyan", "clos2", "fattree").
@@ -127,9 +127,7 @@ fn digit(dest: usize, stage: usize, k: usize, stages: usize) -> usize {
 
 /// Omega network: `k^stages` terminals, `stages` rows of `k×k` elements,
 /// a perfect shuffle into every stage (including stage 0 from the
-/// terminals), last-stage outputs wired straight to terminals. Matches
-/// `netsim::multistage::OmegaNetwork` wiring exactly — that scalar model
-/// is the differential oracle for this builder.
+/// terminals), last-stage outputs wired straight to terminals.
 pub fn omega(k: usize, stages: usize) -> Topology {
     assert!(k >= 2 && stages >= 1);
     let n = k.pow(stages as u32);

@@ -11,10 +11,6 @@
 //!   configurable virtual-channel lanes, reproducing the \[Dally90\]
 //!   saturation behavior (experiment E2): deep messages + shallow FIFO
 //!   buffers + 1 lane ⇒ heavy channel-blocking chains;
-//! * [`multistage`] — omega networks composed of shared-buffer switch
-//!   elements, demonstrating the "building block" use of the paper's
-//!   switch (experiment E15's fabric scenarios and the `lan_fabric`
-//!   example);
 //! * [`rtlnet`] — chains of *word-level* pipelined switches with
 //!   per-hop virtual-circuit label swapping and registered inter-switch
 //!   wires: the Telegraphos system in miniature, cut-through compounding
@@ -23,10 +19,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod multistage;
 pub mod rtlnet;
 pub mod wormhole;
 
-pub use multistage::OmegaNetwork;
 pub use rtlnet::{ChainDelivery, RtlChain};
 pub use wormhole::{MeshConfig, WormholeMesh};

@@ -3,15 +3,15 @@
 //! for high performance distributed computing").
 //!
 //! 64 workstations connect through an omega network of 2×2 shared-buffer
-//! switch elements (6 stages); link-level credit flow control paces the
+//! switch elements (6 stages); end-to-end credit flow control paces the
 //! hosts. We measure end-to-end latency and fabric throughput, then show
-//! what credits buy: zero loss with bounded element buffers.
+//! what credits buy: far less loss with bounded element buffers.
 //!
 //! ```sh
 //! cargo run --release --example lan_fabric
 //! ```
 
-use telegraphos::netsim::multistage::OmegaNetwork;
+use telegraphos::fabric::{topo, Arrival, ElementKind, FabricElement, Target};
 use telegraphos::simkernel::cell::Cell;
 use telegraphos::simkernel::SplitMix64;
 use telegraphos::switch_core::credit::CreditedInput;
@@ -40,6 +40,12 @@ fn main() {
 }
 
 /// Returns the measured loss fraction.
+///
+/// `Fabric::run_with` is open-loop, and credits need the loop closed, so
+/// the fabric's own elements are stepped here one slot at a time, in
+/// index (= stage) order. A cell emitted toward an element arrives in the
+/// next slot; a cell emitted toward a terminal is delivered in the next
+/// slot, after the hosts have polled, and returns its credit then.
 fn run_fabric(
     k: usize,
     stages: usize,
@@ -48,50 +54,87 @@ fn run_fabric(
     credits: Option<u32>,
     slots: u64,
 ) -> f64 {
-    let mut net = OmegaNetwork::new(k, stages, Some(4));
-    assert_eq!(net.terminals(), hosts);
+    let topo = topo::omega(k, stages);
+    assert_eq!(topo.endpoints, hosts);
+    let kind = ElementKind::Scalar { capacity: Some(4) };
+    let mut elems: Vec<Box<dyn FabricElement>> = topo
+        .route
+        .iter()
+        .map(|r| kind.build(k, r.clone()))
+        .collect();
+    let mut inbox: Vec<Vec<Arrival>> = vec![Vec::new(); elems.len()];
+    let mut next: Vec<Vec<Arrival>> = vec![Vec::new(); elems.len()];
+    let (mut leaving, mut left) = (Vec::<Cell>::new(), Vec::<Cell>::new());
+    let mut outbox = Vec::new();
     let mut rng = SplitMix64::new(7);
     let mut senders: Vec<CreditedInput<usize>> = (0..hosts)
         .map(|_| CreditedInput::new(credits.unwrap_or(u32::MAX), 0))
         .collect();
-    let mut offered = 0u64;
-    let mut next_id = 0u64;
-    let mut in_flight_src: Vec<u64> = vec![0; hosts]; // cells in fabric per source
-    let mut delivered_seen = 0usize;
+    let (mut offered, mut released, mut delivered, mut latency_sum) = (0u64, 0u64, 0u64, 0u64);
 
-    for now in 0..slots {
+    // Inject for `slots`, then drain.
+    for now in 0..slots + 500 {
         // Hosts generate demand; the credited sender releases it.
-        let mut arr: Vec<Option<Cell>> = vec![None; hosts];
-        for (h, sender) in senders.iter_mut().enumerate() {
-            if rng.chance(load) {
-                offered += 1;
-                sender.offer(rng.below_usize(hosts));
-            }
-            if let Some(dst) = sender.poll(now) {
-                next_id += 1;
-                arr[h] = Some(Cell::new(next_id, h, dst, now));
-                in_flight_src[h] += 1;
+        if now < slots {
+            for (h, sender) in senders.iter_mut().enumerate() {
+                if rng.chance(load) {
+                    offered += 1;
+                    sender.offer(rng.below_usize(hosts));
+                }
+                if let Some(dst) = sender.poll(now) {
+                    released += 1;
+                    let (e, port) = topo.ingress[h];
+                    let cell = Cell::new(released, h, dst, now);
+                    inbox[e as usize].push(Arrival {
+                        cycle: now,
+                        port,
+                        cell,
+                    });
+                }
             }
         }
-        net.tick(now, &arr);
-        // Return credits for cells delivered this slot.
-        for c in &net.delivered()[delivered_seen..] {
+        // Cells that left the last stage last slot reach their hosts.
+        for c in left.drain(..) {
+            delivered += 1;
+            latency_sum += now - c.birth;
             senders[c.src.index()].return_credit(now);
-            in_flight_src[c.src.index()] -= 1;
         }
-        delivered_seen = net.delivered().len();
+        for (e, elem) in elems.iter_mut().enumerate() {
+            inbox[e].sort_by_key(|a| a.port);
+            elem.run_window(now, now + 1, &inbox[e], &mut outbox);
+            inbox[e].clear();
+            for em in outbox.drain(..) {
+                match topo.wiring[e][em.port as usize] {
+                    Target::Elem { elem, port } => next[elem as usize].push(Arrival {
+                        cycle: now + 1,
+                        port,
+                        cell: em.cell,
+                    }),
+                    Target::Terminal(_) => leaving.push(em.cell),
+                }
+            }
+        }
+        std::mem::swap(&mut inbox, &mut next);
+        std::mem::swap(&mut left, &mut leaving);
     }
-    // Drain.
-    for now in slots..slots + 500 {
-        net.tick(now, &vec![None; hosts]);
-    }
-    let delivered = net.delivered().len() as u64;
-    let dropped = net.dropped();
+    let dropped: u64 = elems.iter().map(|e| e.dropped()).sum();
+    let inside: u64 = elems.iter().map(|e| e.occupancy()).sum::<u64>()
+        + inbox.iter().map(|a| a.len() as u64).sum::<u64>()
+        + left.len() as u64;
+    assert_eq!(
+        released,
+        delivered + dropped + inside,
+        "every released cell is delivered, dropped or still in the fabric"
+    );
     println!(
         "  load {load}, credits {:?}: offered {offered}, delivered {delivered}, \
          dropped-in-fabric {dropped}, mean latency {:.1} slots, backlog at hosts {}",
         credits,
-        net.mean_latency(),
+        if delivered == 0 {
+            0.0
+        } else {
+            latency_sum as f64 / delivered as f64
+        },
         senders.iter().map(|s| s.backlog()).sum::<usize>(),
     );
     dropped as f64 / (delivered + dropped).max(1) as f64

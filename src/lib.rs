@@ -13,7 +13,7 @@
 //! * [`switch_core::behavioral::BehavioralSwitch`] — the same semantics
 //!   at cell level, for statistics.
 //! * [`baselines`] — every architecture the paper compares against.
-//! * [`fabric`] — the component-graph runtime: multistage networks of
+//! * [`fabric`] — the component-graph runtime: multi-stage networks of
 //!   real elements, sharded bit-exactly across worker threads.
 //! * [`vlsimodel`] — the silicon-area and RC-delay arithmetic of §4–5.
 //! * `bench-harness` (`cargo run -p bench-harness --bin expt -- all`) —
