@@ -44,6 +44,7 @@ use simkernel::cell::{Cell, Packet};
 use simkernel::horizon::{advance_to_batched, note_executed, note_skipped};
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use switch_core::behavioral::BehavioralSwitch;
 use switch_core::config::SwitchConfig;
 use switch_core::{PolicyKind, RecoveryConfig, WordOrg, WordSwitch};
@@ -148,7 +149,7 @@ impl ElementKind {
 
     /// Build one element of radix `k` with routing table `route`
     /// (`route[dst]` = local output port toward global terminal `dst`).
-    pub fn build(&self, k: usize, route: Vec<u16>) -> Box<dyn FabricElement> {
+    pub fn build(&self, k: usize, route: Arc<[u16]>) -> Box<dyn FabricElement> {
         let (org, slots) = match *self {
             ElementKind::Scalar { capacity } => {
                 return Box::new(ScalarElement::new(k, capacity, route))
@@ -172,7 +173,7 @@ impl ElementKind {
 /// The slot-level shared-buffer element: one cell per output per cycle
 /// from a shared pool of `capacity` cells.
 pub struct ScalarElement {
-    route: Vec<u16>,
+    route: Arc<[u16]>,
     queues: Vec<VecDeque<Cell>>,
     pool: usize,
     capacity: Option<usize>,
@@ -184,7 +185,7 @@ pub struct ScalarElement {
 
 impl ScalarElement {
     /// A `k×k` element with shared pool `capacity` (`None` = unbounded).
-    pub fn new(k: usize, capacity: Option<usize>, route: Vec<u16>) -> Self {
+    pub fn new(k: usize, capacity: Option<usize>, route: Arc<[u16]>) -> Self {
         ScalarElement {
             route,
             queues: vec![VecDeque::new(); k],
@@ -340,7 +341,7 @@ impl IdRing {
 /// `IdRing` front never stalls.
 pub struct BehavioralElement {
     sw: BehavioralSwitch,
-    route: Vec<u16>,
+    route: Arc<[u16]>,
     slots: usize,
     /// Switch-internal packet id -> the fabric cell it carries.
     in_flight: IdRing,
@@ -353,7 +354,7 @@ pub struct BehavioralElement {
 impl BehavioralElement {
     /// A `k×k` behavioral switch with `slots` packet slots, paper-default
     /// policies.
-    pub fn new(k: usize, slots: usize, route: Vec<u16>) -> Self {
+    pub fn new(k: usize, slots: usize, route: Arc<[u16]>) -> Self {
         BehavioralElement {
             sw: BehavioralSwitch::new(SwitchConfig::symmetric(k, slots)),
             route,
@@ -472,7 +473,7 @@ impl FabricElement for BehavioralElement {
 /// anything, the interleaved one whenever a link carries words.
 pub struct WordElement {
     core: Box<dyn WordSwitch>,
-    route: Vec<u16>,
+    route: Arc<[u16]>,
     s: usize,
     /// Per input: the packet being clocked onto the link and the index of
     /// its next word.
@@ -485,7 +486,7 @@ pub struct WordElement {
 
 impl WordElement {
     /// Wrap `core` as a `k×k` fabric node.
-    pub fn new(core: Box<dyn WordSwitch>, k: usize, route: Vec<u16>) -> Self {
+    pub fn new(core: Box<dyn WordSwitch>, k: usize, route: Arc<[u16]>) -> Self {
         assert!(k >= 2, "word element radix {k} < 2: no room for a cell");
         WordElement {
             core,
@@ -589,7 +590,7 @@ impl FabricElement for WordElement {
 mod tests {
     use super::*;
 
-    fn identity_route(n: usize) -> Vec<u16> {
+    fn identity_route(n: usize) -> Arc<[u16]> {
         (0..n).map(|d| d as u16).collect()
     }
 
@@ -735,7 +736,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "word element radix 1 < 2")]
     fn a_radix_1_word_element_is_rejected() {
-        ElementKind::WordRtl { slots: 4 }.build(1, vec![0]);
+        ElementKind::WordRtl { slots: 4 }.build(1, Arc::new([0]));
     }
 
     /// A recorded inbox for a radix-`k` element over `windows` windows of
@@ -837,7 +838,7 @@ mod tests {
             let width = kind.cell_time(k).max(4);
             let (loaded, total) = (24u64, 40u64); // 16 idle windows drain
             let inbox = recorded_inbox(k, width, loaded, load, hot_frac, 0xA11);
-            let route: Vec<u16> = (0..k as u16).collect();
+            let route = identity_route(k);
             let narrow: Vec<(Cycle, Cycle)> =
                 (0..total).map(|w| (w * width, (w + 1) * width)).collect();
             let want = observe(&mut *kind.build(k, route.clone()), &inbox, &narrow);

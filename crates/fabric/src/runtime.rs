@@ -24,7 +24,7 @@
 //! With `done[e]` the number of windows `e` has completed, one visit
 //! (`Worker::advance`, the one step both executors are made of) takes
 //! `e` from `done[e]` to `min(min over upstream u of done[u] + 1, chunk
-//! end)` with one inbox extraction and one
+//! end)` with one in-place sort of its inbox and one
 //! [`FabricElement::run_window`] call over the whole span. The rule is
 //! conservative: the inbox of every window in the span is provably
 //! complete, so there is no rollback and no global event queue.
@@ -55,7 +55,8 @@
 //! - each input port has exactly one driver (topology invariant), so an
 //!   element's inbox keys `(cycle, port)` are unique and sorting by them
 //!   yields one canonical order no matter which thread produced which
-//!   arrival, or how late a mailbox was drained;
+//!   arrival, or how late a mailbox was drained — packed as one `u64`,
+//!   `cycle << 16 | port`, which bounds a run below cycle 2^48;
 //! - workers talk once per sweep over their block, not once per visit.
 //!   After a sweep a worker appends its cross-shard emissions to the
 //!   consumers' mailboxes and only *then* `Release`-stores the `done[e]`
@@ -155,34 +156,38 @@ impl FabricRun {
         self.delivered.iter().map(|d| d.len() as u64).sum()
     }
 
-    /// All terminal-to-terminal latencies (delivery cycle − birth).
-    pub fn latencies(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .delivered
+    /// Every delivered latency (delivery cycle − birth), unsorted.
+    fn each_latency(&self) -> impl Iterator<Item = u64> + '_ {
+        self.delivered
             .iter()
             .flatten()
             .map(|(c, cell)| c - cell.birth)
-            .collect();
+    }
+
+    /// All terminal-to-terminal latencies, ascending.
+    pub fn latencies(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = self.each_latency().collect();
         v.sort_unstable();
         v
     }
 
     /// Mean delivered latency in cycles.
     pub fn mean_latency(&self) -> f64 {
-        let l = self.latencies();
-        if l.is_empty() {
-            return 0.0;
+        match self.delivered_total() {
+            0 => 0.0,
+            n => self.each_latency().sum::<u64>() as f64 / n as f64,
         }
-        l.iter().sum::<u64>() as f64 / l.len() as f64
     }
 
-    /// 99th-percentile delivered latency in cycles.
+    /// 99th-percentile delivered latency in cycles: the value at sorted
+    /// index `(n − 1) · 99 / 100`, selected without a full sort.
     pub fn p99_latency(&self) -> u64 {
-        let l = self.latencies();
+        let mut l: Vec<u64> = self.each_latency().collect();
         if l.is_empty() {
             return 0;
         }
-        l[(l.len() - 1) * 99 / 100]
+        let i = (l.len() - 1) * 99 / 100;
+        *l.select_nth_unstable(i).1
     }
 
     /// Order-insensitive-free content digest (FNV-1a over every field in
@@ -279,27 +284,6 @@ impl FabricRun {
     }
 }
 
-/// Pull the arrivals due before `to` out of `pending`, sorted by the
-/// canonical `(cycle, port)` key, into `due`.
-fn extract_due(pending: &mut Vec<Arrival>, to: Cycle, due: &mut Vec<Arrival>) {
-    due.clear();
-    if pending.is_empty() {
-        return;
-    }
-    let mut kept = 0usize;
-    for i in 0..pending.len() {
-        let a = pending[i];
-        if a.cycle < to {
-            due.push(a);
-        } else {
-            pending[kept] = a;
-            kept += 1;
-        }
-    }
-    pending.truncate(kept);
-    due.sort_unstable_by_key(|a| (a.cycle, a.port));
-}
-
 /// For every element, the elements that drive one of its inputs
 /// (ascending, deduplicated; terminals excluded), in one flat array.
 struct Upstream {
@@ -310,8 +294,8 @@ struct Upstream {
 impl Upstream {
     fn new(topo: &Topology) -> Self {
         let mut pairs: Vec<(u32, u32)> = Vec::new(); // (driven, driver)
-        for (u, outs) in topo.wiring.iter().enumerate() {
-            for target in outs {
+        for u in 0..topo.elements() {
+            for target in topo.outputs(u) {
                 if let Target::Elem { elem, .. } = *target {
                     pairs.push((elem, u as u32));
                 }
@@ -377,6 +361,11 @@ impl<'a> Shared<'a> {
         windows: u64,
         jobs: usize,
     ) -> Self {
+        // Arrivals land up to one window past the last; all need 48 bits.
+        assert!(
+            windows.saturating_add(1).saturating_mul(latency) <= 1 << 48,
+            "{windows} windows of {latency} cycles run past cycle 2^48, the packed inbox key's limit"
+        );
         let nelem = topo.elements();
         let block = nelem.div_ceil(jobs.max(1)).max(1);
         let workers = nelem.div_ceil(block).max(1);
@@ -452,7 +441,6 @@ struct Worker<'a> {
     /// Per consumer worker: cross-shard arrivals not yet published.
     outgoing: Vec<Vec<(u32, Arrival)>>,
     inj: Vec<(usize, Cycle, Cell)>,
-    due: Vec<Arrival>,
     outbox: Vec<Emission>,
 }
 
@@ -479,7 +467,6 @@ impl<'a> Worker<'a> {
             injected: 0,
             outgoing: vec![Vec::new(); sh.workers()],
             inj: Vec::new(),
-            due: Vec::new(),
             outbox: Vec::new(),
         }
     }
@@ -600,8 +587,8 @@ impl<'a> Worker<'a> {
 
     /// The run-ahead step: take owned element `li` from window `was` as
     /// far as its upstream elements' known progress allows, at most to
-    /// `end`, with one inbox extraction and one `run_window` call over the
-    /// whole span. Returns its new `done`.
+    /// `end`, with one in-place inbox sort and one `run_window` call over
+    /// the whole span. Returns its new `done`.
     fn advance(
         &mut self,
         sh: &Shared,
@@ -634,15 +621,20 @@ impl<'a> Worker<'a> {
             self.offered += self.inj.len() as u64;
             self.injected += 1;
         }
-        extract_due(&mut self.pending[li], target * l, &mut self.due);
+        // The span's arrivals are the `(cycle, port)`-sorted prefix.
+        let inbox = &mut self.pending[li];
+        inbox.sort_unstable_by_key(|a| (a.cycle << 16) | u64::from(a.port));
+        let due = inbox.partition_point(|a| a.cycle < target * l);
         self.outbox.clear();
-        self.elems[li].run_window(was * l, target * l, &self.due, &mut self.outbox);
+        self.elems[li].run_window(was * l, target * l, &inbox[..due], &mut self.outbox);
+        inbox.drain(..due);
+        let outputs = sh.topo.outputs(e);
         for em in &self.outbox {
             debug_assert!(
                 was * l <= em.cycle && em.cycle < target * l,
                 "emission outside span"
             );
-            match sh.topo.wiring[e][em.port as usize] {
+            match outputs[em.port as usize] {
                 Target::Elem { elem, port } => {
                     let a = Arrival {
                         cycle: em.cycle + l,
@@ -950,6 +942,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::ScalarElement;
     use crate::topo;
     use crate::traffic::Pattern;
 
@@ -1120,6 +1113,83 @@ mod tests {
         }
     }
 
+    /// A scalar element that asserts the runtime's half of the element
+    /// contract on every call: spans follow each other without a gap, and
+    /// the inbox lies inside `[from, to)`, strictly ascending by `(cycle,
+    /// port)`. An arrival handed over a visit late would lie below `from`,
+    /// so with a drained run (nothing left on a link) the inbox was also
+    /// complete.
+    struct ContractChecked {
+        inner: ScalarElement,
+        next: Cycle,
+    }
+
+    impl FabricElement for ContractChecked {
+        fn run_window(
+            &mut self,
+            from: Cycle,
+            to: Cycle,
+            inbox: &[Arrival],
+            out: &mut Vec<Emission>,
+        ) {
+            assert_eq!(from, self.next, "spans are contiguous");
+            assert!(
+                inbox.iter().all(|a| from <= a.cycle && a.cycle < to),
+                "arrival outside [{from}, {to})"
+            );
+            assert!(
+                inbox
+                    .windows(2)
+                    .all(|p| (p[0].cycle, p[0].port) < (p[1].cycle, p[1].port)),
+                "inbox not strictly sorted by (cycle, port)"
+            );
+            self.next = to;
+            self.inner.run_window(from, to, inbox, out);
+        }
+        fn occupancy(&self) -> u64 {
+            self.inner.occupancy()
+        }
+        fn accepted(&self) -> u64 {
+            self.inner.accepted()
+        }
+        fn dropped(&self) -> u64 {
+            self.inner.dropped()
+        }
+        fn is_idle(&self) -> bool {
+            self.inner.is_idle()
+        }
+    }
+
+    #[test]
+    fn every_inbox_is_complete_sorted_and_inside_its_span() {
+        let kind = ElementKind::Scalar { capacity: Some(8) };
+        for t in [topo::omega(2, 3), topo::clos2(4, 4)] {
+            let want = Fabric::new(t.clone(), kind).run(300, 100, &uniform(6), 1);
+            assert_eq!(want.residual, 0, "{}: the drain empties the fabric", t.name);
+            for jobs in [1, 3] {
+                let mut f = Fabric::new(t.clone(), kind);
+                for (e, slot) in f.elements.iter_mut().enumerate() {
+                    let route = t.route[e].clone();
+                    let inner = ScalarElement::new(t.radix[e] as usize, Some(8), route);
+                    *slot = Box::new(ContractChecked { inner, next: 0 });
+                }
+                let got = f.run(300, 100, &uniform(6), jobs);
+                assert_eq!(
+                    got, want,
+                    "{} at jobs {jobs}: a checked run diverged",
+                    t.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "run past cycle 2^48")]
+    fn a_run_past_the_packed_key_is_refused_before_any_window() {
+        let mut f = Fabric::new(topo::omega(2, 2), ElementKind::Scalar { capacity: None });
+        f.run_with(1 << 48, |_, _, _| panic!("a window ran"));
+    }
+
     #[test]
     fn upstream_lists_name_every_driver_once() {
         let t = topo::omega(2, 3); // 3 stages of 4 elements
@@ -1133,7 +1203,8 @@ mod tests {
             assert!(drivers.windows(2).all(|d| d[0] < d[1]), "ascending");
             for &u in drivers {
                 assert_eq!(u as usize / 4 + 1, e / 4, "driven from the previous stage");
-                assert!(t.wiring[u as usize]
+                assert!(t
+                    .outputs(u as usize)
                     .iter()
                     .any(|tg| matches!(tg, Target::Elem { elem, .. } if *elem as usize == e)));
             }

@@ -9,13 +9,16 @@
 //! on one port are totally ordered by cycle no matter which thread
 //! produced them.
 //!
-//! Routing is self-routing by precomputed per-element tables:
-//! `route[e][dst]` names the local output port a cell for global terminal
-//! `dst` takes at element `e`. For the Omega/Banyan builders the table is
-//! the classic per-stage destination digit (most significant first); for
-//! the folded Clos and fat-tree it is deterministic d-mod-k up-routing
-//! followed by longest-prefix down-routing — no randomness, so a cell's
-//! path is a pure function of `(src, dst)`.
+//! Routing is self-routing by precomputed tables, one shared by all the
+//! elements that route alike: `route[e][dst]` names the local output port
+//! a cell for global terminal `dst` takes at element `e`. Omega/Banyan
+//! keep one table per stage, the classic destination digit (most
+//! significant first); the folded Clos and fat-tree use deterministic
+//! d-mod-k up-routing then longest-prefix down-routing, one table per
+//! leaf or edge, per pod's aggregation row, and for all spines or cores.
+//! No randomness, so a cell's path is a pure function of `(src, dst)`.
+
+use std::sync::Arc;
 
 /// Where an element output port's link lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,15 +43,50 @@ pub struct Topology {
     pub endpoints: usize,
     /// Per-element port count (all elements are square: n_in = n_out).
     pub radix: Vec<u16>,
-    /// `wiring[e][out_port]` — where that output's link lands.
-    pub wiring: Vec<Vec<Target>>,
-    /// `route[e][dst]` — local output port toward terminal `dst`.
-    pub route: Vec<Vec<u16>>,
+    /// `route[e][dst]` — local output port toward terminal `dst`; elements
+    /// that route alike share one table.
+    pub route: Vec<Arc<[u16]>>,
     /// `ingress[t]` — (element, input port) terminal `t` injects into.
     pub ingress: Vec<(u32, u16)>,
+    /// Every element's output links, element after element: output `j`
+    /// of `e` lands at `wiring[port_base[e] + j]` ([`Topology::outputs`]).
+    wiring: Vec<Target>,
+    /// `port_base[e]`: where `e`'s outputs start in `wiring`; one entry
+    /// more than there are elements.
+    port_base: Vec<u32>,
 }
 
 impl Topology {
+    /// Assemble a topology whose element `e` has `radix[e]` outputs,
+    /// listed element after element in `wiring`.
+    fn new(
+        name: &'static str,
+        endpoints: usize,
+        radix: Vec<u16>,
+        wiring: Vec<Target>,
+        route: Vec<Arc<[u16]>>,
+        ingress: Vec<(u32, u16)>,
+    ) -> Self {
+        let mut port_base = vec![0u32];
+        for &r in &radix {
+            port_base.push(port_base[port_base.len() - 1] + u32::from(r));
+        }
+        assert_eq!(
+            wiring.len(),
+            port_base[radix.len()] as usize,
+            "{name}: output arity"
+        );
+        Topology {
+            name,
+            endpoints,
+            radix,
+            route,
+            ingress,
+            wiring,
+            port_base,
+        }
+    }
+
     /// Number of elements in the graph.
     pub fn elements(&self) -> usize {
         self.radix.len()
@@ -59,6 +97,11 @@ impl Topology {
         self.radix.iter().copied().max().unwrap_or(0) as usize
     }
 
+    /// Where each output port of element `e` leads, indexed by port.
+    pub fn outputs(&self, e: usize) -> &[Target] {
+        &self.wiring[self.port_base[e] as usize..self.port_base[e + 1] as usize]
+    }
+
     /// Hop count (links traversed, terminal-to-terminal) of the unique
     /// self-routed path from `src` to `dst` — also a routing validity
     /// check: panics if the tables ever loop or mis-deliver.
@@ -67,7 +110,7 @@ impl Topology {
         let mut hops = 0usize;
         loop {
             let out = self.route[e as usize][dst] as usize;
-            let target = self.wiring[e as usize][out];
+            let target = self.outputs(e as usize)[out];
             hops += 1;
             match target {
                 Target::Terminal(t) => {
@@ -88,15 +131,12 @@ impl Topology {
         let mut drivers: Vec<Vec<u32>> =
             self.radix.iter().map(|&r| vec![0u32; r as usize]).collect();
         let mut delivered: Vec<u32> = vec![0; self.endpoints];
-        for (e, outs) in self.wiring.iter().enumerate() {
-            assert_eq!(outs.len(), self.radix[e] as usize, "output arity");
-            for t in outs {
-                match *t {
-                    Target::Elem { elem, port } => {
-                        drivers[elem as usize][port as usize] += 1;
-                    }
-                    Target::Terminal(t) => delivered[t as usize] += 1,
+        for t in &self.wiring {
+            match *t {
+                Target::Elem { elem, port } => {
+                    drivers[elem as usize][port as usize] += 1;
                 }
+                Target::Terminal(t) => delivered[t as usize] += 1,
             }
         }
         for &(e, p) in &self.ingress {
@@ -118,11 +158,14 @@ impl Topology {
     }
 }
 
-/// Base-`k` digit of `dest` consumed at `stage` (most significant first)
-/// in an `stages`-stage network — the paper's self-routing rule.
-fn digit(dest: usize, stage: usize, k: usize, stages: usize) -> usize {
-    let shift = stages - 1 - stage;
-    (dest / k.pow(shift as u32)) % k
+/// The route table of `stage` in an `stages`-stage network of `k×k`
+/// elements: each destination's base-`k` digit at that stage, most
+/// significant first — the paper's self-routing rule.
+fn digit_table(k: usize, stages: usize, stage: usize) -> Arc<[u16]> {
+    let w = k.pow((stages - 1 - stage) as u32);
+    (0..k.pow(stages as u32))
+        .map(|dst| ((dst / w) % k) as u16)
+        .collect()
 }
 
 /// Omega network: `k^stages` terminals, `stages` rows of `k×k` elements,
@@ -134,26 +177,23 @@ pub fn omega(k: usize, stages: usize) -> Topology {
     let rows = n / k;
     let shuffle = |i: usize| (i * k) % n + (i * k) / n;
     let elem = |s: usize, row: usize| (s * rows + row) as u32;
-    let mut wiring = vec![Vec::new(); stages * rows];
-    let mut route = vec![Vec::new(); stages * rows];
+    let (mut wiring, mut route) = (Vec::new(), Vec::new());
     for s in 0..stages {
+        let table = digit_table(k, stages, s);
         for row in 0..rows {
-            let e = elem(s, row) as usize;
-            route[e] = (0..n).map(|dst| digit(dst, s, k, stages) as u16).collect();
-            wiring[e] = (0..k)
-                .map(|j| {
-                    let p = row * k + j;
-                    if s + 1 == stages {
-                        Target::Terminal(p as u32)
-                    } else {
-                        let q = shuffle(p);
-                        Target::Elem {
-                            elem: elem(s + 1, q / k),
-                            port: (q % k) as u16,
-                        }
+            route.push(table.clone());
+            wiring.extend((0..k).map(|j| {
+                let p = row * k + j;
+                if s + 1 == stages {
+                    Target::Terminal(p as u32)
+                } else {
+                    let q = shuffle(p);
+                    Target::Elem {
+                        elem: elem(s + 1, q / k),
+                        port: (q % k) as u16,
                     }
-                })
-                .collect();
+                }
+            }));
         }
     }
     let ingress = (0..n)
@@ -162,14 +202,8 @@ pub fn omega(k: usize, stages: usize) -> Topology {
             (elem(0, q / k), (q % k) as u16)
         })
         .collect();
-    Topology {
-        name: "omega",
-        endpoints: n,
-        radix: vec![k as u16; stages * rows],
-        wiring,
-        route,
-        ingress,
-    }
+    let radix = vec![k as u16; stages * rows];
+    Topology::new("omega", n, radix, wiring, route, ingress)
 }
 
 /// Banyan (k-ary butterfly): same `k^stages` terminal count and the same
@@ -197,26 +231,23 @@ pub fn banyan(k: usize, stages: usize) -> Topology {
         (r / w) * (w * k) + c * w + r % w
     };
     let elem = |s: usize, row: usize| (s * rows + row) as u32;
-    let mut wiring = vec![Vec::new(); stages * rows];
-    let mut route = vec![Vec::new(); stages * rows];
+    let (mut wiring, mut route) = (Vec::new(), Vec::new());
     for s in 0..stages {
+        let table = digit_table(k, stages, s);
         for row in 0..rows {
-            let e = elem(s, row) as usize;
-            route[e] = (0..n).map(|dst| digit(dst, s, k, stages) as u16).collect();
-            wiring[e] = (0..k)
-                .map(|c| {
-                    let p = join(row, c, s);
-                    if s + 1 == stages {
-                        Target::Terminal(p as u32)
-                    } else {
-                        let (r2, c2) = split(p, s + 1);
-                        Target::Elem {
-                            elem: elem(s + 1, r2),
-                            port: c2 as u16,
-                        }
+            route.push(table.clone());
+            wiring.extend((0..k).map(|c| {
+                let p = join(row, c, s);
+                if s + 1 == stages {
+                    Target::Terminal(p as u32)
+                } else {
+                    let (r2, c2) = split(p, s + 1);
+                    Target::Elem {
+                        elem: elem(s + 1, r2),
+                        port: c2 as u16,
                     }
-                })
-                .collect();
+                }
+            }));
         }
     }
     let ingress = (0..n)
@@ -225,14 +256,8 @@ pub fn banyan(k: usize, stages: usize) -> Topology {
             (elem(0, r), c as u16)
         })
         .collect();
-    Topology {
-        name: "banyan",
-        endpoints: n,
-        radix: vec![k as u16; stages * rows],
-        wiring,
-        route,
-        ingress,
-    }
+    let radix = vec![k as u16; stages * rows];
+    Topology::new("banyan", n, radix, wiring, route, ingress)
 }
 
 /// Folded two-tier Clos (leaf-spine): `leaves` leaf elements with `down`
@@ -244,55 +269,45 @@ pub fn clos2(leaves: usize, down: usize) -> Topology {
     assert!(leaves >= 2 && down >= 1);
     let n = leaves * down;
     let spines = down;
-    let nelem = leaves + spines;
     let mut radix = vec![(2 * down) as u16; leaves];
     radix.extend(vec![leaves as u16; spines]);
-    let mut wiring = vec![Vec::new(); nelem];
-    let mut route = vec![Vec::new(); nelem];
+    let (mut wiring, mut route) = (Vec::new(), Vec::new());
     for l in 0..leaves {
-        wiring[l] = (0..2 * down)
-            .map(|j| {
-                if j < down {
-                    Target::Terminal((l * down + j) as u32)
-                } else {
-                    Target::Elem {
-                        elem: (leaves + (j - down)) as u32,
-                        port: l as u16,
+        wiring.extend((0..2 * down).map(|j| {
+            if j < down {
+                Target::Terminal((l * down + j) as u32)
+            } else {
+                Target::Elem {
+                    elem: (leaves + (j - down)) as u32,
+                    port: l as u16,
+                }
+            }
+        }));
+        route.push(
+            (0..n)
+                .map(|dst| {
+                    if dst / down == l {
+                        (dst % down) as u16
+                    } else {
+                        (down + dst % spines) as u16
                     }
-                }
-            })
-            .collect();
-        route[l] = (0..n)
-            .map(|dst| {
-                if dst / down == l {
-                    (dst % down) as u16
-                } else {
-                    (down + dst % spines) as u16
-                }
-            })
-            .collect();
+                })
+                .collect(),
+        );
     }
+    // Every spine routes by the destination's leaf alone.
+    let spine: Arc<[u16]> = (0..n).map(|dst| (dst / down) as u16).collect();
     for s in 0..spines {
-        let e = leaves + s;
-        wiring[e] = (0..leaves)
-            .map(|l| Target::Elem {
-                elem: l as u32,
-                port: (down + s) as u16,
-            })
-            .collect();
-        route[e] = (0..n).map(|dst| (dst / down) as u16).collect();
+        wiring.extend((0..leaves).map(|l| Target::Elem {
+            elem: l as u32,
+            port: (down + s) as u16,
+        }));
+        route.push(spine.clone());
     }
     let ingress = (0..n)
         .map(|t| ((t / down) as u32, (t % down) as u16))
         .collect();
-    Topology {
-        name: "clos2",
-        endpoints: n,
-        radix,
-        wiring,
-        route,
-        ingress,
-    }
+    Topology::new("clos2", n, radix, wiring, route, ingress)
 }
 
 /// Three-tier k-ary fat-tree (k even): k pods of k/2 edge + k/2
@@ -311,84 +326,75 @@ pub fn fat_tree(k: usize) -> Topology {
     let pod_of = |dst: usize| dst / (h * h);
     let edge_of = |dst: usize| (dst / h) % h;
     let host_of = |dst: usize| dst % h;
-    let mut wiring = vec![Vec::new(); nelem];
-    let mut route = vec![Vec::new(); nelem];
+    // Elements in index order: every edge, every aggregation, every core.
+    let (mut wiring, mut route) = (Vec::new(), Vec::new());
     for p in 0..k {
         for i in 0..h {
-            let e = edge(p, i) as usize;
-            wiring[e] = (0..k)
-                .map(|port| {
-                    if port < h {
-                        Target::Terminal((p * h * h + i * h + port) as u32)
-                    } else {
-                        Target::Elem {
-                            elem: agg(p, port - h),
-                            port: i as u16,
+            wiring.extend((0..k).map(|port| {
+                if port < h {
+                    Target::Terminal((p * h * h + i * h + port) as u32)
+                } else {
+                    Target::Elem {
+                        elem: agg(p, port - h),
+                        port: i as u16,
+                    }
+                }
+            }));
+            route.push(
+                (0..n)
+                    .map(|dst| {
+                        if pod_of(dst) == p && edge_of(dst) == i {
+                            host_of(dst) as u16
+                        } else {
+                            (h + dst % h) as u16
                         }
-                    }
-                })
-                .collect();
-            route[e] = (0..n)
-                .map(|dst| {
-                    if pod_of(dst) == p && edge_of(dst) == i {
-                        host_of(dst) as u16
-                    } else {
-                        (h + dst % h) as u16
-                    }
-                })
-                .collect();
-        }
-        for j in 0..h {
-            let e = agg(p, j) as usize;
-            wiring[e] = (0..k)
-                .map(|port| {
-                    if port < h {
-                        Target::Elem {
-                            elem: edge(p, port),
-                            port: (h + j) as u16,
-                        }
-                    } else {
-                        Target::Elem {
-                            elem: core(j, port - h),
-                            port: p as u16,
-                        }
-                    }
-                })
-                .collect();
-            route[e] = (0..n)
-                .map(|dst| {
-                    if pod_of(dst) == p {
-                        edge_of(dst) as u16
-                    } else {
-                        (h + (dst / h) % h) as u16
-                    }
-                })
-                .collect();
+                    })
+                    .collect(),
+            );
         }
     }
+    for p in 0..k {
+        // A pod's aggregation switches route alike.
+        let table: Arc<[u16]> = (0..n)
+            .map(|dst| {
+                if pod_of(dst) == p {
+                    edge_of(dst) as u16
+                } else {
+                    (h + (dst / h) % h) as u16
+                }
+            })
+            .collect();
+        for j in 0..h {
+            wiring.extend((0..k).map(|port| {
+                if port < h {
+                    Target::Elem {
+                        elem: edge(p, port),
+                        port: (h + j) as u16,
+                    }
+                } else {
+                    Target::Elem {
+                        elem: core(j, port - h),
+                        port: p as u16,
+                    }
+                }
+            }));
+            route.push(table.clone());
+        }
+    }
+    let table: Arc<[u16]> = (0..n).map(|dst| pod_of(dst) as u16).collect();
     for j in 0..h {
         for y in 0..h {
-            let e = core(j, y) as usize;
-            wiring[e] = (0..k)
-                .map(|p| Target::Elem {
-                    elem: agg(p, j),
-                    port: (h + y) as u16,
-                })
-                .collect();
-            route[e] = (0..n).map(|dst| pod_of(dst) as u16).collect();
+            wiring.extend((0..k).map(|p| Target::Elem {
+                elem: agg(p, j),
+                port: (h + y) as u16,
+            }));
+            route.push(table.clone());
         }
     }
     let ingress = (0..n)
         .map(|t| (edge(pod_of(t), edge_of(t)), host_of(t) as u16))
         .collect();
-    Topology {
-        name: "fattree",
-        endpoints: n,
-        radix: vec![k as u16; nelem],
-        wiring,
-        route,
-        ingress,
-    }
+    Topology::new("fattree", n, vec![k as u16; nelem], wiring, route, ingress)
 }
 
 #[cfg(test)]
@@ -453,5 +459,70 @@ mod tests {
             o.wiring, b.wiring,
             "shuffle vs butterfly inter-stage wiring"
         );
+    }
+
+    /// The distinct route tables of `t`, each with how many elements use it.
+    fn distinct_tables(t: &Topology) -> Vec<(Arc<[u16]>, usize)> {
+        let mut tables: Vec<(Arc<[u16]>, usize)> = Vec::new();
+        for r in &t.route {
+            match tables.iter_mut().find(|(a, _)| Arc::ptr_eq(a, r)) {
+                Some((_, uses)) => *uses += 1,
+                None => tables.push((r.clone(), 1)),
+            }
+        }
+        tables
+    }
+
+    #[test]
+    fn each_stage_shares_one_route_table() {
+        for (k, s) in [(2, 3), (4, 3), (2, 6)] {
+            for t in [omega(k, s), banyan(k, s)] {
+                let rows = t.endpoints / k;
+                for (e, table) in t.route.iter().enumerate() {
+                    let first = &t.route[e / rows * rows];
+                    assert!(Arc::ptr_eq(table, first), "{}: element {e} copies", t.name);
+                }
+                assert_eq!(distinct_tables(&t).len(), s, "{}: one per stage", t.name);
+            }
+        }
+    }
+
+    #[test]
+    fn folded_graphs_share_their_spine_and_core_tables() {
+        assert_eq!(
+            distinct_tables(&clos2(8, 4)).len(),
+            8 + 1,
+            "one per leaf, one for every spine"
+        );
+        assert_eq!(
+            distinct_tables(&fat_tree(4)).len(),
+            4 * 2 + 4 + 1,
+            "one per edge, one per pod's aggregation row, one for every core"
+        );
+    }
+
+    #[test]
+    fn fabric_elements_hold_the_topology_tables_not_copies() {
+        use crate::element::ElementKind;
+        use crate::runtime::Fabric;
+        let cases = [
+            (omega(2, 3), ElementKind::Scalar { capacity: None }),
+            (omega(2, 3), ElementKind::Behavioral { slots: 4 }),
+            (banyan(2, 3), ElementKind::WordRtl { slots: 4 }),
+            (clos2(4, 4), ElementKind::Scalar { capacity: Some(8) }),
+            (fat_tree(4), ElementKind::Scalar { capacity: Some(8) }),
+        ];
+        for (t, kind) in cases {
+            let (name, tables) = (t.name, distinct_tables(&t));
+            let before: Vec<usize> = tables.iter().map(|(a, _)| Arc::strong_count(a)).collect();
+            let _fabric = Fabric::new(t, kind);
+            for ((table, uses), before) in tables.iter().zip(before) {
+                assert_eq!(
+                    Arc::strong_count(table),
+                    before + uses,
+                    "{name} {kind:?}: each element using a table holds one more reference to it"
+                );
+            }
+        }
     }
 }

@@ -104,7 +104,7 @@ fn run_fabric(
             elem.run_window(now, now + 1, &inbox[e], &mut outbox);
             inbox[e].clear();
             for em in outbox.drain(..) {
-                match topo.wiring[e][em.port as usize] {
+                match topo.outputs(e)[em.port as usize] {
                     Target::Elem { elem, port } => next[elem as usize].push(Arrival {
                         cycle: now + 1,
                         port,
