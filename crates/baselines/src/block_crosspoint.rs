@@ -108,10 +108,6 @@ impl CellSwitch for BlockCrosspointSwitch {
     fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    fn name(&self) -> &'static str {
-        "block-crosspoint"
-    }
 }
 
 #[cfg(test)]

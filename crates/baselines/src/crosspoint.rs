@@ -84,10 +84,6 @@ impl CellSwitch for CrosspointSwitch {
     fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    fn name(&self) -> &'static str {
-        "crosspoint"
-    }
 }
 
 #[cfg(test)]

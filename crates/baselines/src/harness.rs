@@ -114,14 +114,14 @@ pub fn carried_at_load(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output_queued::OutputQueuedSwitch;
-    use crate::shared::SharedBufferSwitch;
+    use crate::shared::output_queued;
+    use simkernel::SharedBuffer;
     use traffic::{Bernoulli, DestDist};
 
     #[test]
     fn output_queued_carries_everything_below_one() {
         let n = 8;
-        let mut model = OutputQueuedSwitch::new(n, None);
+        let mut model = output_queued(n, None);
         let mut src = Bernoulli::new(n, 0.9, DestDist::uniform(n), 42);
         let s = run(&mut model, &mut src, 30_000, 5_000);
         assert!(
@@ -143,7 +143,7 @@ mod tests {
     fn latency_grows_with_load() {
         let n = 8;
         let measure = |load: f64| {
-            let mut model = SharedBufferSwitch::new(n, None);
+            let mut model = SharedBuffer::switch(n, None);
             let mut src = Bernoulli::new(n, load, DestDist::uniform(n), 7);
             run(&mut model, &mut src, 20_000, 4_000).mean_latency
         };

@@ -129,10 +129,6 @@ impl CellSwitch for InputFifoSwitch {
     fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    fn name(&self) -> &'static str {
-        "input-fifo"
-    }
 }
 
 #[cfg(test)]

@@ -103,10 +103,6 @@ impl CellSwitch for InputSmoothingSwitch {
     fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    fn name(&self) -> &'static str {
-        "input-smoothing"
-    }
 }
 
 #[cfg(test)]

@@ -91,10 +91,6 @@ impl CellSwitch for KnockoutSwitch {
     fn dropped(&self) -> u64 {
         self.dropped_knockout + self.dropped_overflow
     }
-
-    fn name(&self) -> &'static str {
-        "knockout"
-    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,10 @@
 //!
 //! All models implement [`CellSwitch`] so experiments sweep architectures
 //! generically; [`harness::run`] measures utilization/latency/loss for any
-//! model × workload pair.
+//! model × workload pair. Shared buffering and output queueing are not
+//! two models but two configurations of one pool of per-output FIFOs,
+//! [`simkernel::SharedBuffer`] (see [`shared`]); the fabric's scalar
+//! element is a third.
 //!
 //! ## Cost of a slot
 //!
@@ -45,7 +48,6 @@ pub mod input_fifo;
 pub mod input_smoothing;
 pub mod knockout;
 pub mod model;
-pub mod output_queued;
 pub mod sched;
 pub mod shared;
 pub mod speedup;
@@ -58,8 +60,6 @@ pub use input_fifo::InputFifoSwitch;
 pub use input_smoothing::InputSmoothingSwitch;
 pub use knockout::KnockoutSwitch;
 pub use model::{CellSwitch, PortMask};
-pub use output_queued::OutputQueuedSwitch;
 pub use sched::{IslipScheduler, PimScheduler, Rr2dScheduler, Scheduler};
-pub use shared::{PrizmaSwitch, SharedBufferSwitch, WideMemorySwitch};
 pub use speedup::SpeedupSwitch;
 pub use voq::VoqSwitch;

@@ -24,9 +24,6 @@ pub trait CellSwitch {
 
     /// Cells dropped since construction.
     fn dropped(&self) -> u64;
-
-    /// Short architecture name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Clear a departure buffer (helper for implementations).
@@ -118,9 +115,6 @@ mod tests {
         }
         fn dropped(&self) -> u64 {
             0
-        }
-        fn name(&self) -> &'static str {
-            "null"
         }
     }
 

@@ -1,200 +1,55 @@
-//! Shared (centralized) buffering at slot level, plus its wide-memory and
-//! PRIZMA variants.
+//! Shared buffering and output queueing at slot level (fig. 2).
 //!
-//! One buffer pool for the whole switch; logically one FIFO per output,
-//! all drawing slots from the pool. This is the architecture the paper
-//! argues for (optimal link utilization *and* best memory utilization);
-//! [`SharedBufferSwitch`] is the slot-level ideal used for the \[HlKa88\]
-//! buffer-sizing comparison (E3).
+//! Both are one [`SharedBuffer`]: logically one FIFO per output. Shared
+//! buffering draws every FIFO's cells from one pool — the architecture the
+//! paper argues for (optimal link utilization *and* best memory
+//! utilization) and the slot-level ideal of the \[HlKa88\] buffer-sizing
+//! comparison (E3). Output queueing ([`output_queued`]) is the same FIFOs
+//! with the capacity fence around each queue instead of around the pool,
+//! and a fence inside a bounded pool is the thresholded sharing of X1.
 //!
-//! [`WideMemorySwitch`] and [`PrizmaSwitch`] share the same slot-level
-//! queueing behavior but model the organizational penalties §3 discusses:
-//!
-//! * the **wide memory** (\[KaSC91\]) can only store a packet after it has
-//!   been fully assembled — without the extra cut-through crossbar of
-//!   fig. 3 every cell pays one extra slot of latency;
-//! * **PRIZMA** (\[DeEI95\]) stores one packet per bank, so its capacity is
-//!   exactly `M` banks — behaviorally a shared pool of `M`, its real cost
-//!   being silicon area (`vlsimodel`, E14).
+//! The wide-memory (\[KaSC91\]) and PRIZMA (\[DeEI95\]) organizations, with
+//! fig. 3's cut-through crossbar, queue exactly like the shared pool at
+//! their capacity — PRIZMA's is its bank count — so E15 runs them as
+//! [`SharedBuffer::switch`]; what sets them apart is silicon (`vlsimodel`,
+//! E13 / E14), and the wide memory *without* the crossbar is the
+//! word-level `core::widemem`.
 
 use crate::model::{clear_out, CellSwitch};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
-use std::collections::VecDeque;
+use simkernel::SharedBuffer;
 
-/// Slot-level shared-buffer switch: pool of `capacity` cells, per-output
-/// FIFO service.
-#[derive(Debug)]
-pub struct SharedBufferSwitch {
-    n: usize,
-    queues: Vec<VecDeque<Cell>>,
-    capacity: Option<usize>,
-    /// Per-output admission threshold (buffer-hogging fence): a cell is
-    /// rejected when its output already holds this many cells, even if
-    /// the pool has room. `None` = unfenced sharing.
-    per_output_cap: Option<usize>,
-    occupancy: usize,
-    dropped: u64,
-    /// Cells become eligible for departure only in the slot after arrival
-    /// (wide-memory assembly penalty) when `true`.
-    assembly_delay: bool,
-    name: &'static str,
-}
-
-impl SharedBufferSwitch {
-    /// An `n×n` shared-buffer switch with a pool of `capacity` cells
-    /// (`None` = unbounded).
-    pub fn new(n: usize, capacity: Option<usize>) -> Self {
-        assert!(n > 0);
-        SharedBufferSwitch {
-            n,
-            queues: vec![VecDeque::new(); n],
-            capacity,
-            per_output_cap: None,
-            occupancy: 0,
-            dropped: 0,
-            assembly_delay: false,
-            name: "shared-buffer",
-        }
-    }
-
-    /// Fence each output at `per_output_cap` cells — the classic defense
-    /// against buffer hogging: one oversubscribed output can then never
-    /// starve the others of pool space, at a small cost in peak sharing.
-    pub fn with_threshold(mut self, per_output_cap: usize) -> Self {
-        assert!(per_output_cap >= 1);
-        self.per_output_cap = Some(per_output_cap);
-        self.name = "shared-thresholded";
-        self
-    }
-
-    fn with(mut self, assembly_delay: bool, name: &'static str) -> Self {
-        self.assembly_delay = assembly_delay;
-        self.name = name;
-        self
-    }
-
-    /// Length of one output's logical queue.
-    pub fn queue_len(&self, j: usize) -> usize {
-        self.queues[j].len()
-    }
-}
-
-impl CellSwitch for SharedBufferSwitch {
+impl CellSwitch for SharedBuffer {
     fn ports(&self) -> usize {
-        self.n
+        self.outputs()
     }
 
-    fn tick(&mut self, now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
+    fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
         clear_out(out);
         for a in arrivals.iter().flatten() {
-            let pool_full = self.capacity.is_some_and(|cap| self.occupancy >= cap);
-            let fenced = self
-                .per_output_cap
-                .is_some_and(|cap| self.queues[a.dst.index()].len() >= cap);
-            if pool_full || fenced {
-                self.dropped += 1;
-            } else {
-                self.queues[a.dst.index()].push_back(*a);
-                self.occupancy += 1;
-            }
+            self.offer(*a);
         }
-        for (j, q) in self.queues.iter_mut().enumerate() {
-            let eligible = match q.front() {
-                None => false,
-                Some(c) => !self.assembly_delay || c.birth < now,
-            };
-            if eligible {
-                out[j] = q.pop_front();
-                self.occupancy -= 1;
-            }
-        }
+        self.depart(|j, cell| out[j] = Some(cell));
     }
 
     fn occupancy(&self) -> usize {
-        self.occupancy
+        SharedBuffer::occupancy(self)
     }
 
     fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
+        SharedBuffer::dropped(self)
     }
 }
 
-/// Wide-memory shared buffer (\[KaSC91\], fig. 3).
-///
-/// `cut_through_crossbar = false` models the organization *without* the
-/// extra bypass buses: every cell waits one slot for packet assembly
-/// before it may depart. With the crossbar, behavior equals the ideal
-/// shared buffer (at the silicon cost §5.2 quantifies).
-#[derive(Debug)]
-pub struct WideMemorySwitch(SharedBufferSwitch);
-
-impl WideMemorySwitch {
-    /// An `n×n` wide-memory switch.
-    pub fn new(n: usize, capacity: Option<usize>, cut_through_crossbar: bool) -> Self {
-        WideMemorySwitch(
-            SharedBufferSwitch::new(n, capacity).with(!cut_through_crossbar, "wide-memory"),
-        )
-    }
-}
-
-impl CellSwitch for WideMemorySwitch {
-    fn ports(&self) -> usize {
-        self.0.ports()
-    }
-    fn tick(&mut self, now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        self.0.tick(now, arrivals, out)
-    }
-    fn occupancy(&self) -> usize {
-        self.0.occupancy()
-    }
-    fn dropped(&self) -> u64 {
-        self.0.dropped()
-    }
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-}
-
-/// PRIZMA-style interleaved shared buffer (\[DeEI95\]): one packet per
-/// bank, `m` banks. Behaviorally a shared pool of exactly `m` cells; its
-/// distinguishing cost — `n×M` router/selector crossbars — is modeled in
-/// `vlsimodel` (E14).
-#[derive(Debug)]
-pub struct PrizmaSwitch(SharedBufferSwitch);
-
-impl PrizmaSwitch {
-    /// An `n×n` PRIZMA switch with `m` single-packet banks.
-    pub fn new(n: usize, m: usize) -> Self {
-        PrizmaSwitch(SharedBufferSwitch::new(n, Some(m)).with(false, "prizma"))
-    }
-
-    /// Number of banks (= packet capacity).
-    pub fn banks(&self) -> usize {
-        self.0.capacity.expect("always bounded")
-    }
-}
-
-impl CellSwitch for PrizmaSwitch {
-    fn ports(&self) -> usize {
-        self.0.ports()
-    }
-    fn tick(&mut self, now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        self.0.tick(now, arrivals, out)
-    }
-    fn occupancy(&self) -> usize {
-        self.0.occupancy()
-    }
-    fn dropped(&self) -> u64 {
-        self.0.dropped()
-    }
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
+/// Output queueing (fig. 2, left): an `n×n` switch whose outputs each own
+/// a FIFO of `per_output` cells (`None` = unbounded), able to accept cells
+/// from all inputs in the same slot (buffer write throughput ∝ n — the
+/// "high-throughput buffer" class of §2.2). Link utilization is optimal;
+/// memory utilization is worse than shared buffering's because a busy
+/// output cannot borrow another output's idle space (\[HlKa88\], E3).
+pub fn output_queued(n: usize, per_output: Option<usize>) -> SharedBuffer {
+    SharedBuffer::switch(n, None).fenced(per_output)
 }
 
 #[cfg(test)]
@@ -210,7 +65,7 @@ mod tests {
         // Capacity 3: output 0 may hold all 3 slots even while output 1
         // holds none — the memory-utilization advantage over per-output
         // partitions.
-        let mut sw = SharedBufferSwitch::new(2, Some(3));
+        let mut sw = SharedBuffer::switch(2, Some(3));
         let mut out = vec![None; 2];
         sw.tick(
             0,
@@ -236,7 +91,7 @@ mod tests {
 
     #[test]
     fn departures_fifo_per_output() {
-        let mut sw = SharedBufferSwitch::new(2, None);
+        let mut sw = SharedBuffer::switch(2, None);
         let mut out = vec![None; 2];
         sw.tick(
             0,
@@ -250,40 +105,47 @@ mod tests {
     }
 
     #[test]
-    fn wide_memory_without_crossbar_adds_one_slot() {
-        let mut ideal = WideMemorySwitch::new(2, None, true);
-        let mut wide = WideMemorySwitch::new(2, None, false);
-        let mut out = vec![None; 2];
-        ideal.tick(0, &[Some(cell(1, 0, 0, 0)), None], &mut out);
-        assert!(out[0].is_some(), "with crossbar: same-slot cut-through");
-        wide.tick(0, &[Some(cell(1, 0, 0, 0)), None], &mut out);
-        assert!(out[0].is_none(), "without crossbar: assembly delay");
-        wide.tick(1, &[None, None], &mut out);
+    fn accepts_all_simultaneous_arrivals() {
+        let mut sw = output_queued(4, None);
+        let mut out = vec![None; 4];
+        let arr: Vec<Option<Cell>> = (0..4).map(|i| Some(cell(i as u64, i, 0, 0))).collect();
+        sw.tick(0, &arr, &mut out);
+        // One departed immediately, three remain queued.
         assert!(out[0].is_some());
+        assert_eq!(sw.occupancy(), 3);
+        // They drain one per slot, FIFO.
+        for _ in 0..3 {
+            sw.tick(1, &[None, None, None, None], &mut out);
+            assert!(out[0].is_some());
+        }
+        assert_eq!(sw.occupancy(), 0);
     }
 
     #[test]
-    fn prizma_capacity_is_bank_count() {
-        let mut sw = PrizmaSwitch::new(2, 2);
-        assert_eq!(sw.banks(), 2);
+    fn per_output_capacity_drops() {
+        let mut sw = output_queued(4, Some(2));
+        let mut out = vec![None; 4];
+        let arr: Vec<Option<Cell>> = (0..4).map(|i| Some(cell(i as u64, i, 0, 0))).collect();
+        sw.tick(0, &arr, &mut out);
+        // 4 arrivals, capacity 2: two enqueue, two drop; one of the
+        // enqueued departs this slot.
+        assert_eq!(sw.dropped(), 2);
+        assert_eq!(sw.occupancy(), 1);
+    }
+
+    #[test]
+    fn work_conserving_each_output() {
+        // An output with any cell queued transmits every slot.
+        let mut sw = output_queued(2, None);
         let mut out = vec![None; 2];
-        // Fill both banks toward a blocked output... outputs always drain
-        // 1/slot, so offer 2/slot to one output for two slots.
         sw.tick(
             0,
-            &[Some(cell(1, 0, 0, 0)), Some(cell(2, 1, 0, 0))],
+            &[Some(cell(1, 0, 1, 0)), Some(cell(2, 1, 1, 0))],
             &mut out,
         );
-        sw.tick(
-            1,
-            &[Some(cell(3, 0, 0, 1)), Some(cell(4, 1, 0, 1))],
-            &mut out,
-        );
-        sw.tick(
-            2,
-            &[Some(cell(5, 0, 0, 2)), Some(cell(6, 1, 0, 2))],
-            &mut out,
-        );
-        assert!(sw.dropped() >= 1, "bank exhaustion must drop");
+        assert!(out[1].is_some());
+        assert!(out[0].is_none());
+        sw.tick(1, &[None, None], &mut out);
+        assert!(out[1].is_some());
     }
 }

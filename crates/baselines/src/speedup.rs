@@ -87,10 +87,6 @@ impl CellSwitch for SpeedupSwitch {
     fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    fn name(&self) -> &'static str {
-        "speedup"
-    }
 }
 
 #[cfg(test)]

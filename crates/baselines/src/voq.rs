@@ -108,10 +108,6 @@ impl<S: Scheduler> CellSwitch for VoqSwitch<S> {
     fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    fn name(&self) -> &'static str {
-        "voq"
-    }
 }
 
 #[cfg(test)]

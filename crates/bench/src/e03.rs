@@ -14,8 +14,8 @@ use crate::{sweep, table};
 use baselines::harness::run as harness_run;
 use baselines::input_smoothing::InputSmoothingSwitch;
 use baselines::model::CellSwitch;
-use baselines::output_queued::OutputQueuedSwitch;
-use baselines::shared::SharedBufferSwitch;
+use baselines::shared::output_queued;
+use simkernel::SharedBuffer;
 use traffic::{Bernoulli, DestDist};
 
 /// One architecture's sizing result.
@@ -96,10 +96,10 @@ pub fn rows(quick: bool) -> Vec<E3Row> {
     );
     let archs: [Arch; 3] = [
         ("shared buffering", 86, (8, 512), 1, |n, b, _| {
-            Box::new(SharedBufferSwitch::new(n, Some(b)))
+            Box::new(SharedBuffer::switch(n, Some(b)))
         }),
         ("output queueing", 178, (1, 128), n, |n, b, _| {
-            Box::new(OutputQueuedSwitch::new(n, Some(b)))
+            Box::new(output_queued(n, Some(b)))
         }),
         ("input smoothing", 1300, (2, 256), n, |n, b, seed| {
             Box::new(InputSmoothingSwitch::new(n, b, seed))
@@ -169,7 +169,7 @@ mod tests {
         // Verify minimality: one size smaller must violate the target.
         let n = 16;
         let (size, _) = size_for_loss(
-            |b| Box::new(SharedBufferSwitch::new(n, Some(b))),
+            |b| Box::new(SharedBuffer::switch(n, Some(b))),
             n,
             0.8,
             1e-2,
@@ -179,7 +179,7 @@ mod tests {
             7,
         );
         let smaller = loss_of(
-            Box::new(SharedBufferSwitch::new(n, Some(size - 1))),
+            Box::new(SharedBuffer::switch(n, Some(size - 1))),
             n,
             0.8,
             40_000,

@@ -8,8 +8,8 @@
 
 use crate::{sweep, table};
 use baselines::harness::run as harness_run;
-use baselines::output_queued::OutputQueuedSwitch;
 use baselines::sched::PimScheduler;
+use baselines::shared::output_queued;
 use baselines::voq::VoqSwitch;
 use traffic::{Bernoulli, DestDist};
 
@@ -36,7 +36,7 @@ pub fn measure(n: usize, load: f64, slots: u64, seed: u64) -> E4Row {
         harness_run(&mut m, &mut src, slots, slots / 5).mean_latency
     };
     let oq = {
-        let mut m = OutputQueuedSwitch::new(n, None);
+        let mut m = output_queued(n, None);
         let mut src = Bernoulli::new(n, load, DestDist::uniform(n), seed);
         harness_run(&mut m, &mut src, slots, slots / 5).mean_latency
     };

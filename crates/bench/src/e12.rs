@@ -9,8 +9,8 @@
 
 use crate::{sweep, table};
 use baselines::sched::IslipScheduler;
-use baselines::shared::SharedBufferSwitch;
 use baselines::voq::VoqSwitch;
+use simkernel::SharedBuffer;
 use vlsimodel::floorplan::Fig9Comparison;
 
 /// Buffer cells per port needed for loss ≤ target at the given load,
@@ -32,7 +32,7 @@ pub fn heights(n: usize, load: f64, target: f64, slots: u64, seed: u64) -> (u64,
             .0
         } else {
             crate::e03::size_for_loss(
-                |b| Box::new(SharedBufferSwitch::new(n, Some(b))),
+                |b| Box::new(SharedBuffer::switch(n, Some(b))),
                 n,
                 load,
                 target,

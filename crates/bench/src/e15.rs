@@ -12,11 +12,11 @@ use baselines::harness::{carried_at_load, run as harness_run, RunStats};
 use baselines::input_fifo::InputFifoSwitch;
 use baselines::knockout::KnockoutSwitch;
 use baselines::model::CellSwitch;
-use baselines::output_queued::OutputQueuedSwitch;
 use baselines::sched::{IslipScheduler, PimScheduler, Rr2dScheduler};
-use baselines::shared::{PrizmaSwitch, SharedBufferSwitch, WideMemorySwitch};
+use baselines::shared::output_queued;
 use baselines::speedup::SpeedupSwitch;
 use baselines::voq::VoqSwitch;
+use simkernel::SharedBuffer;
 use stats::saturation_search;
 use traffic::{Bernoulli, DestDist};
 
@@ -77,14 +77,12 @@ pub fn zoo(n: usize) -> Vec<(String, ModelFactory)> {
         ),
         (
             "output queueing".into(),
-            mk(Box::new(move |cap| {
-                Box::new(OutputQueuedSwitch::new(n, cap))
-            })),
+            mk(Box::new(move |cap| Box::new(output_queued(n, cap)))),
         ),
         (
             "SHARED buffering (paper)".into(),
             mk(Box::new(move |cap| {
-                Box::new(SharedBufferSwitch::new(n, cap.map(|c| c * n)))
+                Box::new(SharedBuffer::switch(n, cap.map(|c| c * n)))
             })),
         ),
         (
@@ -102,12 +100,14 @@ pub fn zoo(n: usize) -> Vec<(String, ModelFactory)> {
         (
             "wide memory [KaSC91]".into(),
             mk(Box::new(move |cap| {
-                Box::new(WideMemorySwitch::new(n, cap.map(|c| c * n), true))
+                Box::new(SharedBuffer::switch(n, cap.map(|c| c * n)))
             })),
         ),
         (
             "PRIZMA M=4n [DeEI95]".into(),
-            mk(Box::new(move |_| Box::new(PrizmaSwitch::new(n, 4 * n)))),
+            mk(Box::new(move |_| {
+                Box::new(SharedBuffer::switch(n, Some(4 * n)))
+            })),
         ),
     ]
 }

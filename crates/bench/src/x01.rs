@@ -11,8 +11,8 @@ use crate::{sweep, table};
 use baselines::crosspoint::CrosspointSwitch;
 use baselines::harness::run as harness_run;
 use baselines::model::CellSwitch;
-use baselines::output_queued::OutputQueuedSwitch;
-use baselines::shared::SharedBufferSwitch;
+use baselines::shared::output_queued;
+use simkernel::SharedBuffer;
 use traffic::{Bernoulli, DestDist};
 
 /// One (architecture, hotspot fraction) measurement.
@@ -79,13 +79,13 @@ pub(crate) type Arch = (&'static str, fn(usize, usize) -> Box<dyn CellSwitch>);
 /// The architectures of the table.
 pub(crate) const ARCHS: [Arch; 4] = [
     ("shared, unfenced", |n, total| {
-        Box::new(SharedBufferSwitch::new(n, Some(total)))
+        Box::new(SharedBuffer::switch(n, Some(total)))
     }),
     ("shared + threshold", |n, total| {
-        Box::new(SharedBufferSwitch::new(n, Some(total)).with_threshold(total / 4))
+        Box::new(SharedBuffer::switch(n, Some(total)).fenced(Some(total / 4)))
     }),
     ("output-queued", |n, total| {
-        Box::new(OutputQueuedSwitch::new(n, Some(total / n)))
+        Box::new(output_queued(n, Some(total / n)))
     }),
     ("crosspoint", |n, total| {
         Box::new(CrosspointSwitch::new(n, Some(total / (n * n) + 1)))

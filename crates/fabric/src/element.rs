@@ -27,9 +27,10 @@
 //!
 //! Three adapters ship:
 //!
-//! - [`ScalarElement`] — the slot-level shared-buffer element: enqueue
-//!   all arrivals in port order with a pool-capacity check, then pop one
-//!   cell per output per cycle. A cell costs one cycle per hop.
+//! - [`ScalarElement`] — the slot-level shared-buffer element: the zoo's
+//!   shared-buffer switch ([`SharedBuffer`]) with its queues keyed by the
+//!   route table, plus a skip over cycles its empty pool cannot use. A
+//!   cell costs one cycle per hop.
 //! - [`BehavioralElement`] — a real [`BehavioralSwitch`] per node: the
 //!   paper's pipelined-memory switch at cell level, with cut-through,
 //!   read-priority arbitration and the shared slot pool. The clock is
@@ -43,6 +44,7 @@
 use simkernel::cell::{Cell, Packet};
 use simkernel::horizon::{advance_to_batched, note_executed, note_skipped};
 use simkernel::ids::Cycle;
+use simkernel::SharedBuffer;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use switch_core::behavioral::BehavioralSwitch;
@@ -170,15 +172,10 @@ impl ElementKind {
 // Scalar element
 // ---------------------------------------------------------------------
 
-/// The slot-level shared-buffer element: one cell per output per cycle
-/// from a shared pool of `capacity` cells.
+/// The slot-level shared-buffer element: a [`SharedBuffer`] of `capacity`
+/// cells keyed by the route table, stepped one cycle at a time.
 pub struct ScalarElement {
-    route: Arc<[u16]>,
-    queues: Vec<VecDeque<Cell>>,
-    pool: usize,
-    capacity: Option<usize>,
-    accepted: u64,
-    dropped: u64,
+    buf: SharedBuffer,
     /// Next cycle to simulate (fast-forward cursor).
     cursor: Cycle,
 }
@@ -187,12 +184,7 @@ impl ScalarElement {
     /// A `k×k` element with shared pool `capacity` (`None` = unbounded).
     pub fn new(k: usize, capacity: Option<usize>, route: Arc<[u16]>) -> Self {
         ScalarElement {
-            route,
-            queues: vec![VecDeque::new(); k],
-            pool: 0,
-            capacity,
-            accepted: 0,
-            dropped: 0,
+            buf: SharedBuffer::new(k, capacity, route),
             cursor: 0,
         }
     }
@@ -214,7 +206,7 @@ impl FabricElement for ScalarElement {
             // Fast-forward: with an empty pool nothing can depart, so an
             // arrival-free span is dead time — jump straight to the next
             // arrival (or the window end).
-            if self.pool == 0 {
+            if self.buf.occupancy() == 0 {
                 let target = inbox.get(next).map_or(to, |a| a.cycle.min(to));
                 if target > self.cursor {
                     skipped += target - self.cursor;
@@ -225,29 +217,19 @@ impl FabricElement for ScalarElement {
                 }
             }
             let c = self.cursor;
-            // Enqueue this cycle's arrivals in port order (inbox sort),
-            // dropping on a full pool.
+            // This cycle's arrivals in port order (inbox sort), then one
+            // departure per output.
             while let Some(a) = inbox.get(next).filter(|a| a.cycle == c) {
-                if self.capacity.is_some_and(|cap| self.pool >= cap) {
-                    self.dropped += 1;
-                } else {
-                    self.accepted += 1;
-                    self.queues[self.route[a.cell.dst.index()] as usize].push_back(a.cell);
-                    self.pool += 1;
-                }
+                self.buf.offer(a.cell);
                 next += 1;
             }
-            // One departure per output per cycle.
-            for (j, q) in self.queues.iter_mut().enumerate() {
-                if let Some(cell) = q.pop_front() {
-                    self.pool -= 1;
-                    outbox.push(Emission {
-                        cycle: c,
-                        port: j as u16,
-                        cell,
-                    });
-                }
-            }
+            self.buf.depart(|j, cell| {
+                outbox.push(Emission {
+                    cycle: c,
+                    port: j as u16,
+                    cell,
+                })
+            });
             executed += 1;
             self.cursor = c + 1;
         }
@@ -259,19 +241,19 @@ impl FabricElement for ScalarElement {
     }
 
     fn occupancy(&self) -> u64 {
-        self.pool as u64
+        self.buf.occupancy() as u64
     }
 
     fn accepted(&self) -> u64 {
-        self.accepted
+        self.buf.accepted()
     }
 
     fn dropped(&self) -> u64 {
-        self.dropped
+        self.buf.dropped()
     }
 
     fn is_idle(&self) -> bool {
-        self.pool == 0
+        self.buf.occupancy() == 0
     }
 }
 

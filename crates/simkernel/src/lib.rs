@@ -11,7 +11,9 @@
 //!   deterministic given its seed.
 //!
 //! The kernel also carries the small vocabulary types shared across the
-//! workspace ([`ids`], [`cell`]).
+//! workspace ([`ids`], [`cell`]) and the slot-level shared buffer
+//! ([`shared`]) that the zoo's shared and output-queued switches and the
+//! fabric's scalar element are configurations of.
 //!
 //! ## Design notes
 //!
@@ -34,6 +36,7 @@ pub mod error;
 pub mod horizon;
 pub mod ids;
 pub mod rng;
+pub mod shared;
 pub mod trace;
 pub mod watchdog;
 
@@ -42,4 +45,5 @@ pub use error::{run_until_quiescent, run_until_quiescent_escalating, SimError};
 pub use horizon::{advance_to, advance_to_batched, BatchTick, Horizon};
 pub use ids::{Addr, Cycle, PortId, StageId};
 pub use rng::{split_seed, SplitMix64};
+pub use shared::SharedBuffer;
 pub use trace::{Trace, TraceEntry};

@@ -12,7 +12,8 @@
 //! ```
 
 use telegraphos::baselines::harness::run;
-use telegraphos::baselines::shared::SharedBufferSwitch;
+use telegraphos::baselines::shared::output_queued;
+use telegraphos::simkernel::SharedBuffer;
 use telegraphos::traffic::{Bernoulli, BurstyOnOff, DestDist};
 use telegraphos::vlsimodel::quantum::quantum_table;
 
@@ -41,7 +42,7 @@ fn main() {
     let mut hi = 512usize;
     while lo < hi {
         let mid = (lo + hi) / 2;
-        let mut sw = SharedBufferSwitch::new(n, Some(mid));
+        let mut sw = SharedBuffer::switch(n, Some(mid));
         let mut src = Bernoulli::new(n, load, DestDist::uniform(n), 42);
         let stats = run(&mut sw, &mut src, slots_run, slots_run / 10);
         if stats.loss <= 1e-3 {
@@ -59,7 +60,7 @@ fn main() {
 
     // Same pool under bursty traffic.
     for mean_burst in [4.0, 16.0] {
-        let mut sw = SharedBufferSwitch::new(n, Some(pool));
+        let mut sw = SharedBuffer::switch(n, Some(pool));
         let mut src = BurstyOnOff::new(n, load, mean_burst, DestDist::uniform(n), 43);
         let stats = run(&mut sw, &mut src, slots_run, slots_run / 10);
         println!(
@@ -72,7 +73,7 @@ fn main() {
 
     // And the headline comparison: the same pool partitioned per output.
     let per_out = pool / n;
-    let mut sw = telegraphos::baselines::output_queued::OutputQueuedSwitch::new(n, Some(per_out));
+    let mut sw = output_queued(n, Some(per_out));
     let mut src = Bernoulli::new(n, load, DestDist::uniform(n), 42);
     let stats = run(&mut sw, &mut src, slots_run, slots_run / 10);
     println!(
