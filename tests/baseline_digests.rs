@@ -7,6 +7,7 @@
 
 mod common;
 
+use baselines::harness;
 use baselines::input_smoothing::InputSmoothingSwitch;
 use baselines::model::CellSwitch;
 use baselines::sched::{IslipScheduler, PimScheduler, Rr2dScheduler};
@@ -135,4 +136,48 @@ fn baseline_digests_match_the_golden_file() {
         }
     }
     check_golden("baseline_digests.txt", &doc);
+}
+
+/// The rows above drive the models through their own loop; this pins what
+/// `baselines::harness::run` itself measures, under a uniform and a
+/// hotspot destination draw. Regenerate `tests/golden/harness_runstats.txt`
+/// (`UPDATE_GOLDEN=1`) only when simulated behaviour is meant to change.
+#[test]
+fn harness_runstats_match_the_golden_file() {
+    let mut doc = String::from(
+        "# baselines::harness::run: 4000 slots (warmup 800) of Bernoulli traffic, seed 0xBA5E.\n\
+         # offered, utilization and loss are f64 bit patterns. The mean latency is printed\n\
+         # at {:.6}: an exact integer sum / count and Welford's running mean of the same\n\
+         # samples differ by ≈ 1e-13, so it pins the samples, not the summation order.\n\
+         # architecture | dist n load capacity | samples p99 peak final | offered utilization loss | mean\n",
+    );
+    let dists = [
+        ("uniform", DestDist::uniform(8)),
+        ("hotspot", DestDist::hotspot(8, 0, 0.25)),
+    ];
+    for (name, dist) in &dists {
+        for (arch, factory) in e15::zoo(8) {
+            for load in [0.5, 0.9, 0.995] {
+                for cap in [None, Some(4)] {
+                    let mut src = Bernoulli::new(8, load, dist.clone(), 0xBA5E);
+                    let s = harness::run(factory(cap).as_mut(), &mut src, SLOTS, 800);
+                    let cap = cap.map_or("inf".to_string(), |c| c.to_string());
+                    let p99 = s.p99_latency.map_or("-".to_string(), |p| p.to_string());
+                    writeln!(
+                        doc,
+                        "{arch} | {name} 8 {load} {cap} | {} {p99} {} {} | {:#018x} {:#018x} {:#018x} | {:.6}",
+                        s.samples,
+                        s.peak_occupancy,
+                        s.final_occupancy,
+                        s.offered_load.to_bits(),
+                        s.utilization.to_bits(),
+                        s.loss.to_bits(),
+                        s.mean_latency,
+                    )
+                    .expect("string write");
+                }
+            }
+        }
+    }
+    check_golden("harness_runstats.txt", &doc);
 }
