@@ -54,13 +54,14 @@ pub fn run(
 
     for now in 0..slots {
         source.poll(now, &mut dests);
-        for (i, d) in dests.iter().enumerate() {
-            arrivals[i] = d.map(|dst| {
+        let first_id = next_id;
+        for (i, (a, d)) in arrivals.iter_mut().zip(&dests).enumerate() {
+            *a = d.map(|dst| {
                 next_id += 1;
                 Cell::new(next_id, i, dst, now)
             });
         }
-        let offered = arrivals.iter().flatten().count() as u64;
+        let offered = next_id - first_id;
         tput.slot(now);
         tput.arrivals(now, offered);
         model.tick(now, &arrivals, &mut out);

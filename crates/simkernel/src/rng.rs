@@ -52,11 +52,8 @@ impl SplitMix64 {
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 
     /// Uniform double in `[0, 1)` with 53 bits of precision.
@@ -93,6 +90,41 @@ impl SplitMix64 {
     pub fn chance(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.next_f64() < p
+    }
+
+    /// The integer form of `p` for [`SplitMix64::chance_at`]:
+    /// `ceil(p · 2^53)`. A draw `k < 2^53` passes `chance(p)` iff
+    /// `k · 2^-53 < p`, iff `k < ceil(p · 2^53)` — scaling by 2^53 is exact,
+    /// so the two tests agree for every draw.
+    pub fn chance_threshold(p: f64) -> u64 {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        (p * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// [`SplitMix64::chance`] against `chance_threshold(p)`, without the
+    /// int → float conversion: the same outcome and the same state after.
+    #[inline]
+    pub fn chance_at(&mut self, thresh: u64) -> bool {
+        (self.next_u64() >> 11) < thresh
+    }
+
+    /// `chance_at(thresh)` followed, on success, by `below(bound)`: the same
+    /// outcome and the same state after. Both candidate outputs are mixed
+    /// from the additive state up front and the state steps once or twice,
+    /// so the trial costs no branch; only a draw in Lemire's rejection zone
+    /// rewinds to after the trial and takes [`SplitMix64::below`].
+    #[inline]
+    pub fn chance_then_below(&mut self, thresh: u64, bound: u64) -> Option<u64> {
+        assert!(bound > 0, "below(0) is meaningless");
+        let s = self.state;
+        let hit = (mix(s.wrapping_add(GAMMA)) >> 11) < thresh;
+        let m = (mix(s.wrapping_add(GAMMA.wrapping_mul(2))) as u128) * (bound as u128);
+        self.state = s.wrapping_add(GAMMA.wrapping_mul(1 + hit as u64));
+        if hit & ((m as u64) < bound) {
+            self.state = s.wrapping_add(GAMMA);
+            return Some(self.below(bound));
+        }
+        hit.then_some((m >> 64) as u64)
     }
 
     /// Geometric draw: number of failures before the first success with
@@ -141,6 +173,17 @@ impl SplitMix64 {
     }
 }
 
+/// The additive step of the state (the golden ratio in 64-bit fixed point).
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The output function: the mixed value of one state.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Seed-split: the seed of the `stream`-th independent child stream of
 /// `base`.
 ///
@@ -152,7 +195,7 @@ impl SplitMix64 {
 /// every grid point its own reproducible RNG stream independent of
 /// worker count and execution order.
 pub fn split_seed(base: u64, stream: u64) -> u64 {
-    let mut g = SplitMix64::new(base.wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+    let mut g = SplitMix64::new(base.wrapping_add(stream.wrapping_mul(GAMMA)));
     g.next_u64()
 }
 
@@ -216,6 +259,48 @@ mod tests {
         let hits = (0..n).filter(|_| g.chance(0.3)).count();
         let frac = hits as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.01, "observed {frac}");
+    }
+
+    #[test]
+    fn integer_trial_and_branch_free_draw_match_chance_then_below() {
+        let ps = [0.0, 1.0, 1e-9, 0.5, 0.995, 1.0 - 1.0 / (1u64 << 53) as f64];
+        // Above 2^62 a large share of draws lands in the rejection zone.
+        let ns = [
+            1,
+            3,
+            7,
+            12,
+            1000,
+            (1 << 20) + 7,
+            (1 << 62) + 5,
+            u64::MAX / 3 * 2,
+            u64::MAX,
+        ];
+        for p in ps {
+            let thresh = SplitMix64::chance_threshold(p);
+            // The threshold identity at its edge: k = thresh - 1 passes, thresh fails.
+            let passes = |k: u64| (k as f64 * (1.0 / (1u64 << 53) as f64)) < p;
+            if thresh > 0 {
+                assert!(passes(thresh - 1), "p = {p}");
+            }
+            assert!(!passes(thresh), "p = {p}");
+            for n in ns {
+                let mut a = SplitMix64::new(p.to_bits() ^ n);
+                let mut b = a.clone();
+                let mut c = a.clone();
+                for i in 0..20_000 {
+                    let want = a.chance(p).then(|| a.below(n));
+                    assert_eq!(b.chance_then_below(thresh, n), want, "p {p} n {n} draw {i}");
+                    assert_eq!(b.state, a.state, "p {p} n {n} draw {i}");
+                    let hit = c.chance_at(thresh);
+                    assert_eq!(hit, want.is_some(), "p {p} n {n} draw {i}");
+                    if hit {
+                        c.below(n);
+                    }
+                }
+                assert_eq!(c.state, a.state, "p {p} n {n}");
+            }
+        }
     }
 
     #[test]

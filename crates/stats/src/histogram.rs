@@ -42,6 +42,7 @@ impl Histogram {
     }
 
     /// Record a value.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.total += 1;
         self.sum += v as u128;

@@ -1,14 +1,12 @@
 //! Latency collection with warmup filtering.
 
 use crate::histogram::Histogram;
-use crate::welford::Welford;
 
 /// Collects per-packet latencies, ignoring packets born before the warmup
 /// horizon so transient startup behavior does not bias steady-state means.
 #[derive(Debug, Clone)]
 pub struct LatencyStats {
     warmup: u64,
-    stats: Welford,
     hist: Histogram,
 }
 
@@ -19,36 +17,29 @@ impl LatencyStats {
     pub fn new(warmup: u64, hist_cap: usize) -> Self {
         LatencyStats {
             warmup,
-            stats: Welford::new(),
             hist: Histogram::new(hist_cap),
         }
     }
 
     /// Record a departure: a packet born at `birth` completed at `now`.
     /// Returns `true` if the sample was accepted (past warmup).
+    #[inline]
     pub fn record(&mut self, birth: u64, now: u64) -> bool {
         if birth < self.warmup {
             return false;
         }
-        let lat = now.saturating_sub(birth);
-        self.stats.push(lat as f64);
-        self.hist.record(lat);
+        self.hist.record(now.saturating_sub(birth));
         true
     }
 
     /// Number of accepted samples.
     pub fn count(&self) -> u64 {
-        self.stats.count()
+        self.hist.count()
     }
 
-    /// Mean latency of accepted samples.
+    /// Mean latency of accepted samples: their exact integer sum ÷ count.
     pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.stats.stddev()
+        self.hist.mean()
     }
 
     /// Exact percentile from the histogram.
@@ -56,14 +47,8 @@ impl LatencyStats {
         self.hist.percentile(q)
     }
 
-    /// Largest accepted latency.
-    pub fn max(&self) -> Option<f64> {
-        self.stats.max()
-    }
-
     /// Merge another collector (same warmup/cap assumed by construction).
     pub fn merge(&mut self, other: &LatencyStats) {
-        self.stats.merge(&other.stats);
         self.hist.merge(&other.hist);
     }
 }
@@ -88,7 +73,15 @@ mod tests {
             l.record(0, d);
         }
         assert_eq!(l.percentile(50.0), Some(49));
-        assert_eq!(l.max(), Some(99.0));
+    }
+
+    #[test]
+    fn mean_is_exact() {
+        let mut l = LatencyStats::new(0, 16);
+        for i in 0..1_000_000u64 {
+            l.record(0, 1 + i % 2);
+        }
+        assert_eq!(l.mean(), 1.5);
     }
 
     #[test]

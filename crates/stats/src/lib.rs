@@ -4,10 +4,10 @@
 //! throughput, packet/cell latency, and loss probability. This crate holds
 //! the collectors those experiments share:
 //!
-//! * [`Welford`] — numerically stable online mean/variance;
-//! * [`Histogram`] — integer-valued histogram with exact percentiles;
-//! * [`LatencyStats`] — latency collector (mean, max, percentiles) with
-//!   warmup filtering;
+//! * [`Histogram`] — integer-valued histogram with exact percentiles and an
+//!   exact mean (integer sum ÷ count);
+//! * [`LatencyStats`] — latency collector (mean, percentiles) with warmup
+//!   filtering;
 //! * [`ThroughputMeter`] / [`LossMeter`] — offered vs carried accounting;
 //! * [`saturation_search`] — bisection for the saturation load of a switch,
 //!   the quantity behind the paper's "input queueing saturates at ≈ 58.6 %"
@@ -20,10 +20,8 @@ pub mod histogram;
 pub mod latency;
 pub mod meters;
 pub mod saturation;
-pub mod welford;
 
 pub use histogram::Histogram;
 pub use latency::LatencyStats;
 pub use meters::{LossMeter, ThroughputMeter};
 pub use saturation::{saturation_search, SaturationResult};
-pub use welford::Welford;

@@ -34,6 +34,8 @@ pub trait CellSource {
 #[derive(Debug, Clone)]
 pub struct Bernoulli {
     load: f64,
+    /// `load` as an integer threshold (`SplitMix64::chance_threshold`).
+    thresh: u64,
     dist: DestDist,
     rngs: Vec<SplitMix64>,
 }
@@ -45,6 +47,7 @@ impl Bernoulli {
         let mut root = SplitMix64::new(seed);
         Bernoulli {
             load,
+            thresh: SplitMix64::chance_threshold(load),
             dist,
             rngs: (0..ports).map(|_| root.fork()).collect(),
         }
@@ -63,9 +66,20 @@ impl CellSource for Bernoulli {
 
     fn poll(&mut self, _now: Cycle, out: &mut [Option<usize>]) {
         assert_eq!(out.len(), self.rngs.len());
-        for (i, slot) in out.iter_mut().enumerate() {
-            let rng = &mut self.rngs[i];
-            *slot = rng.chance(self.load).then(|| self.dist.draw(rng));
+        let thresh = self.thresh;
+        let ports = out.iter_mut().zip(&mut self.rngs);
+        // The same draws as `rng.chance(load).then(|| dist.draw(rng))`.
+        match &self.dist {
+            DestDist::Uniform { n } => {
+                for (slot, rng) in ports {
+                    *slot = rng.chance_then_below(thresh, *n as u64).map(|d| d as usize);
+                }
+            }
+            dist => {
+                for (slot, rng) in ports {
+                    *slot = rng.chance_at(thresh).then(|| dist.draw(rng));
+                }
+            }
         }
     }
 }
@@ -270,6 +284,32 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn bernoulli_draws_what_chance_then_draw_draws() {
+        let dists = [
+            DestDist::uniform(8),
+            DestDist::uniform(5),
+            DestDist::hotspot(8, 3, 0.25),
+            DestDist::weighted(&[1.0, 0.0, 3.0, 0.5]),
+        ];
+        for dist in dists {
+            let n = dist.outputs();
+            for load in [0.0, 0.3, 0.995, 1.0] {
+                let mut src = Bernoulli::new(n, load, dist.clone(), 11);
+                let mut root = SplitMix64::new(11);
+                let mut rngs: Vec<SplitMix64> = (0..n).map(|_| root.fork()).collect();
+                let (mut got, mut want) = (vec![None; n], vec![None; n]);
+                for t in 0..5_000 {
+                    src.poll(t, &mut got);
+                    for (slot, rng) in want.iter_mut().zip(&mut rngs) {
+                        *slot = rng.chance(load).then(|| dist.draw(rng));
+                    }
+                    assert_eq!(got, want, "{dist:?} at load {load}, slot {t}");
+                }
+            }
+        }
     }
 
     #[test]
