@@ -18,7 +18,7 @@ use simkernel::cell::Cell;
 use simkernel::SharedBuffer;
 use std::fmt::Write as _;
 use traffic::sources::CellSource;
-use traffic::{Bernoulli, DestDist};
+use traffic::{Bernoulli, BurstyOnOff, DestDist, PermutationSource, TraceSource};
 
 const SLOTS: u64 = 4_000;
 
@@ -138,10 +138,50 @@ fn baseline_digests_match_the_golden_file() {
     check_golden("baseline_digests.txt", &doc);
 }
 
+/// One `harness::run` of `model` under `src`, reduced to one golden row.
+fn runstats_row(
+    arch: &str,
+    workload: &str,
+    model: &mut dyn CellSwitch,
+    src: &mut dyn CellSource,
+    (slots, warmup): (u64, u64),
+) -> String {
+    let s = harness::run(model, src, slots, warmup);
+    let p99 = s.p99_latency.map_or("-".to_string(), |p| p.to_string());
+    format!(
+        "{arch} | {workload} | {} {p99} {} {} | {:#018x} {:#018x} {:#018x} | {:.6}",
+        s.samples,
+        s.peak_occupancy,
+        s.final_occupancy,
+        s.offered_load.to_bits(),
+        s.utilization.to_bits(),
+        s.loss.to_bits(),
+        s.mean_latency,
+    )
+}
+
+/// A directed 8-port schedule of 48 slots: every input to output 0, then
+/// a rotating permutation, then only the even inputs to output 7.
+fn directed_trace() -> Vec<Vec<Option<usize>>> {
+    (0..48)
+        .map(|t| {
+            (0..8)
+                .map(|i| match t {
+                    0..=15 => Some(0),
+                    16..=31 => Some((i + t) % 8),
+                    _ => (i % 2 == 0).then_some(7),
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// The rows above drive the models through their own loop; this pins what
-/// `baselines::harness::run` itself measures, under a uniform and a
-/// hotspot destination draw. Regenerate `tests/golden/harness_runstats.txt`
-/// (`UPDATE_GOLDEN=1`) only when simulated behaviour is meant to change.
+/// `baselines::harness::run` itself measures, under every `traffic` source:
+/// Bernoulli with a uniform and a hotspot destination draw, bursty on/off
+/// as X2 draws it, a fixed permutation and a directed trace. Regenerate
+/// `tests/golden/harness_runstats.txt` (`UPDATE_GOLDEN=1`) only when
+/// simulated behaviour is meant to change.
 #[test]
 fn harness_runstats_match_the_golden_file() {
     let mut doc = String::from(
@@ -151,6 +191,7 @@ fn harness_runstats_match_the_golden_file() {
          # samples differ by ≈ 1e-13, so it pins the samples, not the summation order.\n\
          # architecture | dist n load capacity | samples p99 peak final | offered utilization loss | mean\n",
     );
+    let window = (SLOTS, 800);
     let dists = [
         ("uniform", DestDist::uniform(8)),
         ("hotspot", DestDist::hotspot(8, 0, 0.25)),
@@ -160,23 +201,41 @@ fn harness_runstats_match_the_golden_file() {
             for load in [0.5, 0.9, 0.995] {
                 for cap in [None, Some(4)] {
                     let mut src = Bernoulli::new(8, load, dist.clone(), 0xBA5E);
-                    let s = harness::run(factory(cap).as_mut(), &mut src, SLOTS, 800);
-                    let cap = cap.map_or("inf".to_string(), |c| c.to_string());
-                    let p99 = s.p99_latency.map_or("-".to_string(), |p| p.to_string());
-                    writeln!(
-                        doc,
-                        "{arch} | {name} 8 {load} {cap} | {} {p99} {} {} | {:#018x} {:#018x} {:#018x} | {:.6}",
-                        s.samples,
-                        s.peak_occupancy,
-                        s.final_occupancy,
-                        s.offered_load.to_bits(),
-                        s.utilization.to_bits(),
-                        s.loss.to_bits(),
-                        s.mean_latency,
-                    )
-                    .expect("string write");
+                    let cap_name = cap.map_or("inf".to_string(), |c| c.to_string());
+                    let workload = format!("{name} 8 {load} {cap_name}");
+                    let row =
+                        runstats_row(&arch, &workload, factory(cap).as_mut(), &mut src, window);
+                    writeln!(doc, "{row}").expect("string write");
                 }
             }
+        }
+    }
+    doc.push_str(
+        "# The same window under bursty on/off traffic at load 0.6 (uniform bursts, seed 0x22,\n\
+         # as X2 draws it) and a fixed permutation; then 200 slots (warmup 8) of a directed\n\
+         # 48-slot trace.\n\
+         # architecture | source n load-or-burst capacity | samples p99 peak final | offered utilization loss | mean\n",
+    );
+    for (arch, factory) in e15::zoo(8) {
+        for cap in [None, Some(4)] {
+            let cap_name = cap.map_or("inf".to_string(), |c| c.to_string());
+            for burst in [1.0, 8.0, 32.0] {
+                let mut src = BurstyOnOff::new(8, 0.6, burst, DestDist::uniform(8), 0x22);
+                let workload = format!("bursty 8 {burst} {cap_name}");
+                let row = runstats_row(&arch, &workload, factory(cap).as_mut(), &mut src, window);
+                writeln!(doc, "{row}").expect("string write");
+            }
+            for load in [0.5, 0.9, 0.995] {
+                let perm = vec![3, 7, 0, 5, 1, 6, 2, 4];
+                let mut src = PermutationSource::new(perm, load, 0xBA5E);
+                let workload = format!("permutation 8 {load} {cap_name}");
+                let row = runstats_row(&arch, &workload, factory(cap).as_mut(), &mut src, window);
+                writeln!(doc, "{row}").expect("string write");
+            }
+            let mut src = TraceSource::new(8, directed_trace());
+            let workload = format!("trace 8 - {cap_name}");
+            let row = runstats_row(&arch, &workload, factory(cap).as_mut(), &mut src, (200, 8));
+            writeln!(doc, "{row}").expect("string write");
         }
     }
     check_golden("harness_runstats.txt", &doc);
