@@ -12,7 +12,7 @@
 //! per-output FIFOs; each output serves its `g` feeding blocks round-
 //! robin, one cell per slot.
 
-use crate::model::{clear_out, CellSwitch};
+use crate::model::{CellSwitch, Row};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
@@ -68,21 +68,19 @@ impl CellSwitch for BlockCrosspointSwitch {
     }
 
     #[allow(clippy::needless_range_loop)] // per-port hardware scan
-    fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        clear_out(out);
+    fn tick(&mut self, _now: Cycle, arrivals: &Row, out: &mut Row) {
+        out.mask = 0;
         let (n, g) = (self.n, self.g);
-        for (i, a) in arrivals.iter().enumerate() {
-            if let Some(c) = a {
-                let bi = self.group_of(i);
-                let bo = self.group_of(c.dst.index());
-                let blk = bi * g + bo;
-                if self.pool_cap.is_some_and(|cap| self.pool_used[blk] >= cap) {
-                    self.dropped += 1;
-                } else {
-                    self.pool_used[blk] += 1;
-                    self.occupancy += 1;
-                    self.queues[blk * n + c.dst.index()].push_back(*c);
-                }
+        for (i, c) in arrivals.iter() {
+            let bi = self.group_of(i);
+            let bo = self.group_of(c.dst.index());
+            let blk = bi * g + bo;
+            if self.pool_cap.is_some_and(|cap| self.pool_used[blk] >= cap) {
+                self.dropped += 1;
+            } else {
+                self.pool_used[blk] += 1;
+                self.occupancy += 1;
+                self.queues[blk * n + c.dst.index()].push_back(c);
             }
         }
         for j in 0..n {
@@ -93,7 +91,7 @@ impl CellSwitch for BlockCrosspointSwitch {
                 if let Some(c) = self.queues[blk * n + j].pop_front() {
                     self.pool_used[blk] -= 1;
                     self.occupancy -= 1;
-                    out[j] = Some(c);
+                    out.put(j, c);
                     self.rr[j] = (bi + 1) % g;
                     break;
                 }
@@ -121,12 +119,12 @@ mod tests {
     #[test]
     fn g1_behaves_as_single_shared_buffer() {
         let mut sw = BlockCrosspointSwitch::new(4, 1, Some(3));
-        let mut out = vec![None; 4];
-        let arr: Vec<Option<Cell>> = (0..4).map(|i| Some(cell(i as u64, i, 0))).collect();
+        let mut out = Row::new(4);
+        let arr: Row = (0..4).map(|i| Some(cell(i as u64, i, 0))).collect();
         sw.tick(0, &arr, &mut out);
         // Pool of 3 for 4 simultaneous arrivals: one drop, one departure.
         assert_eq!(sw.dropped(), 1);
-        assert!(out[0].is_some());
+        assert!(out.get(0).is_some());
         assert_eq!(sw.occupancy(), 2);
     }
 
@@ -134,24 +132,28 @@ mod tests {
     fn gn_behaves_as_crosspoint() {
         // g = n: every block pairs exactly one input with one output.
         let mut sw = BlockCrosspointSwitch::new(2, 2, Some(1));
-        let mut out = vec![None; 2];
-        sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
+        let mut out = Row::new(2);
+        sw.tick(
+            0,
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0))]),
+            &mut out,
+        );
         // Both cells landed in different blocks (different input groups),
         // no drop despite pool capacity 1 per block.
         assert_eq!(sw.dropped(), 0);
-        assert!(out[0].is_some());
+        assert!(out.get(0).is_some());
     }
 
     #[test]
     fn pools_isolated_between_blocks() {
         let mut sw = BlockCrosspointSwitch::new(4, 2, Some(1));
-        let mut out = vec![None; 4];
+        let mut out = Row::new(4);
         // Inputs 0,1 (group 0) both to output 0 (group 0): same block,
         // pool 1 → one drop (minus the same-slot departure … departure
         // happens after enqueue, so second arrival finds pool full).
         sw.tick(
             0,
-            &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0)), None, None],
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0)), None, None]),
             &mut out,
         );
         assert_eq!(sw.dropped(), 1);
@@ -162,16 +164,16 @@ mod tests {
     #[test]
     fn output_serves_blocks_round_robin() {
         let mut sw = BlockCrosspointSwitch::new(4, 2, None);
-        let mut out = vec![None; 4];
+        let mut out = Row::new(4);
         // Cells for output 0 from both input groups.
         sw.tick(
             0,
-            &[Some(cell(1, 0, 0)), None, Some(cell(2, 2, 0)), None],
+            &Row::from([Some(cell(1, 0, 0)), None, Some(cell(2, 2, 0)), None]),
             &mut out,
         );
-        let first_src = out[0].unwrap().src.index();
-        sw.tick(1, &[None; 4], &mut out);
-        let second_src = out[0].unwrap().src.index();
+        let first_src = out.get(0).unwrap().src.index();
+        sw.tick(1, &Row::new(4), &mut out);
+        let second_src = out.get(0).unwrap().src.index();
         assert_ne!(
             sw.group_of(first_src),
             sw.group_of(second_src),

@@ -6,7 +6,7 @@
 //! notes it "needs … a total memory capacity considerably higher than" the
 //! shared architectures for the same loss.
 
-use crate::model::{all_ports, clear_out, next_port_from, port_bit, CellSwitch, PortMask};
+use crate::model::{all_ports, next_port_from, port_bit, CellSwitch, PortMask, Row};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
@@ -47,29 +47,27 @@ impl CellSwitch for CrosspointSwitch {
         self.n
     }
 
-    fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        clear_out(out);
+    fn tick(&mut self, _now: Cycle, arrivals: &Row, out: &mut Row) {
+        out.mask = 0;
         let n = self.n;
-        for (i, a) in arrivals.iter().enumerate() {
-            if let Some(c) = a {
-                let j = c.dst.index();
-                let q = &mut self.queues[i * n + j];
-                if self.per_queue.is_some_and(|cap| q.len() >= cap) {
-                    self.dropped += 1;
-                } else {
-                    q.push_back(*c);
-                    self.backlog[j] |= port_bit(i);
-                    self.occupancy += 1;
-                }
+        for (i, c) in arrivals.iter() {
+            let j = c.dst.index();
+            let q = &mut self.queues[i * n + j];
+            if self.per_queue.is_some_and(|cap| q.len() >= cap) {
+                self.dropped += 1;
+            } else {
+                q.push_back(c);
+                self.backlog[j] |= port_bit(i);
+                self.occupancy += 1;
             }
         }
         // Each output serves its column round-robin across inputs.
-        for (j, o) in out.iter_mut().enumerate() {
-            if let Some(i) = next_port_from(self.backlog[j], self.rr[j]) {
+        for (j, backlog) in self.backlog.iter_mut().enumerate() {
+            if let Some(i) = next_port_from(*backlog, self.rr[j]) {
                 let q = &mut self.queues[i * n + j];
-                *o = q.pop_front();
+                out.put(j, q.pop_front().expect("backlogged queue"));
                 if q.is_empty() {
-                    self.backlog[j] &= !port_bit(i);
+                    *backlog &= !port_bit(i);
                 }
                 self.occupancy -= 1;
                 self.rr[j] = (i + 1) % n;
@@ -99,15 +97,15 @@ mod tests {
         // Both outputs transmit in the same slot even when all cells come
         // from one input (no HOL coupling).
         let mut sw = CrosspointSwitch::new(2, None);
-        let mut out = vec![None; 2];
-        sw.tick(0, &[Some(cell(1, 0, 0)), None], &mut out);
-        sw.tick(1, &[Some(cell(2, 0, 1)), None], &mut out);
+        let mut out = Row::new(2);
+        sw.tick(0, &Row::from([Some(cell(1, 0, 0)), None]), &mut out);
+        sw.tick(1, &Row::from([Some(cell(2, 0, 1)), None]), &mut out);
         // Queue (0,1) just got cell 2; queue (0,0) drained at slot 0.
         assert!(
-            out[1].is_some() || {
-                let mut o = vec![None; 2];
-                sw.tick(2, &[None, None], &mut o);
-                o[1].is_some()
+            out.get(1).is_some() || {
+                let mut o = Row::new(2);
+                sw.tick(2, &Row::new(2), &mut o);
+                o.get(1).is_some()
             }
         );
     }
@@ -115,12 +113,16 @@ mod tests {
     #[test]
     fn column_round_robin_is_fair() {
         let mut sw = CrosspointSwitch::new(2, None);
-        let mut out = vec![None; 2];
+        let mut out = Row::new(2);
         // Load both queues of column 0.
-        sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
-        let first = out[0].unwrap().src.index();
-        sw.tick(1, &[None, None], &mut out);
-        let second = out[0].unwrap().src.index();
+        sw.tick(
+            0,
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0))]),
+            &mut out,
+        );
+        let first = out.get(0).unwrap().src.index();
+        sw.tick(1, &Row::new(2), &mut out);
+        let second = out.get(0).unwrap().src.index();
         assert_ne!(first, second, "round robin must alternate inputs");
     }
 
@@ -129,18 +131,22 @@ mod tests {
         // The §2.1 criticism: capacity is per crosspoint, so one hot pair
         // drops while every other queue is empty.
         let mut sw = CrosspointSwitch::new(2, Some(1));
-        let mut out = vec![None; 2];
-        sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
+        let mut out = Row::new(2);
+        sw.tick(
+            0,
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0))]),
+            &mut out,
+        );
         // Queue (loser, 0) holds 1 cell = its whole capacity.
         let loser = if sw.queues[0].is_empty() { 1 } else { 0 };
-        let mut arr = vec![None, None];
-        arr[loser] = Some(cell(3, loser, 0));
+        let mut arr = Row::new(2);
+        arr.put(loser, cell(3, loser, 0));
         sw.tick(1, &arr, &mut out);
         // The new arrival found its crosspoint queue... it may have
         // drained this slot; force a definite overflow instead:
         let mut sw2 = CrosspointSwitch::new(2, Some(0));
-        let mut out2 = vec![None; 2];
-        sw2.tick(0, &[Some(cell(1, 0, 0)), None], &mut out2);
+        let mut out2 = Row::new(2);
+        sw2.tick(0, &Row::from([Some(cell(1, 0, 0)), None]), &mut out2);
         assert_eq!(sw2.dropped(), 1);
     }
 
@@ -149,10 +155,10 @@ mod tests {
         let n = 5;
         let mut sw = CrosspointSwitch::new(n, Some(2));
         let mut rng = simkernel::SplitMix64::new(4);
-        let mut out = vec![None; n];
+        let mut out = Row::new(n);
         for now in 0..3_000u64 {
             let load = if now % 200 < 120 { 0.95 } else { 0.1 };
-            let arr: Vec<Option<Cell>> = (0..n)
+            let arr: Row = (0..n)
                 .map(|i| {
                     rng.chance(load)
                         .then(|| cell(now, i, rng.below_usize(n).min(2)))

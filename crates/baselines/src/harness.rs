@@ -1,9 +1,9 @@
 //! Run a model × workload pair and measure it.
 
-use crate::model::CellSwitch;
+use crate::model::{ports_in, CellSwitch, Row};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
-use stats::{LatencyStats, LossMeter, ThroughputMeter};
+use stats::LatencyStats;
 use traffic::sources::CellSource;
 
 /// Results of one measured run.
@@ -30,7 +30,8 @@ pub struct RunStats {
 /// Drive `model` with `source` for `slots` slots (first `warmup` excluded
 /// from measurement) and collect statistics.
 ///
-/// Cell ids are assigned here; the source only yields destinations.
+/// Cell ids are assigned here, over each slot's arrival mask in ascending
+/// input order; the source only yields destinations.
 pub fn run(
     model: &mut dyn CellSwitch,
     source: &mut dyn CellSource,
@@ -39,58 +40,57 @@ pub fn run(
 ) -> RunStats {
     let n = model.ports();
     assert_eq!(source.ports(), n, "source/model port mismatch");
-    let mut dests = vec![None; n];
-    let mut arrivals: Vec<Option<Cell>> = vec![None; n];
-    let mut out: Vec<Option<Cell>> = vec![None; n];
-    let mut tput = ThroughputMeter::new(n, warmup);
+    let mut dests = vec![0; n];
+    let mut arrivals = Row::new(n);
+    let mut out = Row::new(n);
     let mut latency = LatencyStats::new(warmup, 1 << 20);
-    // Drops may surface later than the slot their cells arrived in (e.g.
-    // input smoothing drops at frame boundaries), so loss is accounted as
-    // window totals: dropped / offered.
-    let mut loss = LossMeter::new(warmup);
+    // Totals over the measured window (slots from `warmup` on). Drops may
+    // surface later than the slot their cells arrived in (e.g. input
+    // smoothing drops at frame boundaries), so loss is the window's
+    // dropped / offered.
+    let (mut measured, mut offered, mut carried, mut dropped) = (0u64, 0u64, 0u64, 0u64);
     let mut next_id = 0u64;
     let mut peak = 0usize;
     let mut drops_before = model.dropped();
 
     for now in 0..slots {
-        source.poll(now, &mut dests);
-        let first_id = next_id;
-        for (i, (a, d)) in arrivals.iter_mut().zip(&dests).enumerate() {
-            *a = d.map(|dst| {
-                next_id += 1;
-                Cell::new(next_id, i, dst, now)
-            });
+        arrivals.mask = source.poll(now, &mut dests);
+        for i in ports_in(arrivals.mask) {
+            next_id += 1;
+            arrivals.cells[i] = Cell::new(next_id, i, dests[i], now);
         }
-        let offered = next_id - first_id;
-        tput.slot(now);
-        tput.arrivals(now, offered);
         model.tick(now, &arrivals, &mut out);
         let drops_now = model.dropped();
-        loss.drop(now, drops_now - drops_before);
-        loss.accept(now, offered);
+        if now >= warmup {
+            measured += 1;
+            offered += u64::from(arrivals.mask.count_ones());
+            carried += u64::from(out.mask.count_ones());
+            dropped += drops_now - drops_before;
+        }
         drops_before = drops_now;
-        let mut departed = 0u64;
-        for c in out.iter().flatten() {
-            departed += 1;
+        for (_, c) in out.iter() {
             latency.record(c.birth, now);
         }
-        tput.departures(now, departed);
         peak = peak.max(model.occupancy());
     }
 
-    // `accept` above counted all offered cells (drops included), so the
-    // loss fraction is dropped / offered, not the meter's default ratio.
-    let loss_fraction = if loss.accepted() == 0 {
-        0.0
-    } else {
-        loss.dropped() as f64 / loss.accepted() as f64
+    let per_port_slot = |cells: u64| {
+        if measured == 0 {
+            0.0
+        } else {
+            cells as f64 / (measured * n as u64) as f64
+        }
     };
     RunStats {
-        offered_load: tput.offered_load(),
-        utilization: tput.utilization(),
+        offered_load: per_port_slot(offered),
+        utilization: per_port_slot(carried),
         mean_latency: latency.mean(),
         p99_latency: latency.percentile(99.0),
-        loss: loss_fraction,
+        loss: if offered == 0 {
+            0.0
+        } else {
+            dropped as f64 / offered as f64
+        },
         peak_occupancy: peak,
         final_occupancy: model.occupancy(),
         samples: latency.count(),

@@ -12,7 +12,7 @@
 //! needs ≈ 80 cells of buffer *per input* — 15× the shared buffer's
 //! per-port requirement. Experiment E3 regenerates the comparison.
 
-use crate::model::{clear_out, CellSwitch};
+use crate::model::{all_ports, CellSwitch, Row};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
 use simkernel::SplitMix64;
@@ -38,7 +38,8 @@ pub struct InputSmoothingSwitch {
 impl InputSmoothingSwitch {
     /// An `n×n` input-smoothing switch with frame length `b`.
     pub fn new(n: usize, b: usize, seed: u64) -> Self {
-        assert!(n > 0 && b >= 1);
+        all_ports(n);
+        assert!(b >= 1);
         InputSmoothingSwitch {
             n,
             b,
@@ -58,16 +59,14 @@ impl CellSwitch for InputSmoothingSwitch {
         self.n
     }
 
-    fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        clear_out(out);
+    fn tick(&mut self, _now: Cycle, arrivals: &Row, out: &mut Row) {
+        out.mask = 0;
         // Accumulate into the current frame (≤ 1 arrival/slot keeps each
         // frame within b cells by construction).
-        for (i, a) in arrivals.iter().enumerate() {
-            if let Some(c) = a {
-                debug_assert!(self.frames[i].len() < self.b);
-                self.frames[i].push(*c);
-                self.occupancy += 1;
-            }
+        for (i, c) in arrivals.iter() {
+            debug_assert!(self.frames[i].len() < self.b);
+            self.frames[i].push(c);
+            self.occupancy += 1;
         }
         self.slot_in_frame += 1;
         if self.slot_in_frame == self.b {
@@ -91,8 +90,10 @@ impl CellSwitch for InputSmoothingSwitch {
             }
         }
         for (j, q) in self.out_q.iter_mut().enumerate() {
-            out[j] = q.pop_front();
-            self.occupancy -= usize::from(out[j].is_some());
+            if let Some(c) = q.pop_front() {
+                out.put(j, c);
+                self.occupancy -= 1;
+            }
         }
     }
 
@@ -116,14 +117,14 @@ mod tests {
     #[test]
     fn cells_wait_for_frame_boundary() {
         let mut sw = InputSmoothingSwitch::new(2, 4, 1);
-        let mut out = vec![None; 2];
-        sw.tick(0, &[Some(cell(1, 0, 0)), None], &mut out);
-        assert!(out[0].is_none(), "no departure before the frame closes");
+        let mut out = Row::new(2);
+        sw.tick(0, &Row::from([Some(cell(1, 0, 0)), None]), &mut out);
+        assert!(out.get(0).is_none(), "no departure before the frame closes");
         for now in 1..4 {
-            sw.tick(now, &[None, None], &mut out);
+            sw.tick(now, &Row::new(2), &mut out);
         }
         // Frame closed at slot 3's tick; the cell departs then/after.
-        assert!(out[0].is_some());
+        assert!(out.get(0).is_some());
     }
 
     #[test]
@@ -131,9 +132,17 @@ mod tests {
         // Frame b=2, both inputs send 2 cells each to output 0 within one
         // frame: 4 > b=2 → 2 dropped.
         let mut sw = InputSmoothingSwitch::new(2, 2, 1);
-        let mut out = vec![None; 2];
-        sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
-        sw.tick(1, &[Some(cell(3, 0, 0)), Some(cell(4, 1, 0))], &mut out);
+        let mut out = Row::new(2);
+        sw.tick(
+            0,
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0))]),
+            &mut out,
+        );
+        sw.tick(
+            1,
+            &Row::from([Some(cell(3, 0, 0)), Some(cell(4, 1, 0))]),
+            &mut out,
+        );
         assert_eq!(sw.dropped(), 2);
     }
 
@@ -145,10 +154,10 @@ mod tests {
         let b = 8;
         let mut sw = InputSmoothingSwitch::new(n, b, 3);
         let mut rng = SplitMix64::new(7);
-        let mut out = vec![None; n];
+        let mut out = Row::new(n);
         let mut id = 0;
         for now in 0..(b as u64) * 100 {
-            let arr: Vec<Option<Cell>> = (0..n)
+            let arr: Row = (0..n)
                 .map(|i| {
                     rng.chance(0.7).then(|| {
                         id += 1;

@@ -7,7 +7,7 @@
 //! cells enter interleaved per-output buffers ("shifters"), modeled here
 //! as one FIFO per output.
 
-use crate::model::{clear_out, CellSwitch};
+use crate::model::{all_ports, CellSwitch, Row};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
 use simkernel::SplitMix64;
@@ -31,7 +31,8 @@ impl KnockoutSwitch {
     /// An `n×n` knockout switch accepting at most `l` simultaneous cells
     /// per output.
     pub fn new(n: usize, l: usize, capacity: Option<usize>, seed: u64) -> Self {
-        assert!(n > 0 && l >= 1);
+        all_ports(n);
+        assert!(l >= 1);
         KnockoutSwitch {
             queues: vec![VecDeque::new(); n],
             l,
@@ -55,13 +56,13 @@ impl CellSwitch for KnockoutSwitch {
         self.queues.len()
     }
 
-    fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        clear_out(out);
+    fn tick(&mut self, _now: Cycle, arrivals: &Row, out: &mut Row) {
+        out.mask = 0;
         for s in self.staging.iter_mut() {
             s.clear();
         }
-        for a in arrivals.iter().flatten() {
-            self.staging[a.dst.index()].push(*a);
+        for (_, c) in arrivals.iter() {
+            self.staging[c.dst.index()].push(c);
         }
         for (j, batch) in self.staging.iter_mut().enumerate() {
             // Concentrator: keep a uniformly random l of the batch.
@@ -79,8 +80,10 @@ impl CellSwitch for KnockoutSwitch {
                     self.occupancy += 1;
                 }
             }
-            out[j] = self.queues[j].pop_front();
-            self.occupancy -= usize::from(out[j].is_some());
+            if let Some(c) = self.queues[j].pop_front() {
+                out.put(j, c);
+                self.occupancy -= 1;
+            }
         }
     }
 
@@ -104,19 +107,19 @@ mod tests {
     #[test]
     fn accepts_up_to_l() {
         let mut sw = KnockoutSwitch::new(4, 2, None, 1);
-        let mut out = vec![None; 4];
-        let arr: Vec<Option<Cell>> = (0..4).map(|i| Some(cell(i as u64, i, 0))).collect();
+        let mut out = Row::new(4);
+        let arr: Row = (0..4).map(|i| Some(cell(i as u64, i, 0))).collect();
         sw.tick(0, &arr, &mut out);
         assert_eq!(sw.knocked_out(), 2, "4 arrivals, l=2 → 2 knocked out");
-        assert!(out[0].is_some());
+        assert!(out.get(0).is_some());
         assert_eq!(sw.occupancy(), 1);
     }
 
     #[test]
     fn no_knockout_below_l() {
         let mut sw = KnockoutSwitch::new(4, 8, None, 1);
-        let mut out = vec![None; 4];
-        let arr: Vec<Option<Cell>> = (0..4).map(|i| Some(cell(i as u64, i, 0))).collect();
+        let mut out = Row::new(4);
+        let arr: Row = (0..4).map(|i| Some(cell(i as u64, i, 0))).collect();
         sw.tick(0, &arr, &mut out);
         assert_eq!(sw.knocked_out(), 0);
     }
@@ -128,10 +131,10 @@ mod tests {
         let n = 16;
         let mut sw = KnockoutSwitch::new(n, 8, None, 2);
         let mut rng = SplitMix64::new(5);
-        let mut out = vec![None; n];
+        let mut out = Row::new(n);
         let mut offered = 0u64;
         for now in 0..20_000u64 {
-            let arr: Vec<Option<Cell>> = (0..n)
+            let arr: Row = (0..n)
                 .map(|i| {
                     rng.chance(0.9).then(|| {
                         offered += 1;

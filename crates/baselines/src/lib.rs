@@ -29,7 +29,9 @@
 //! ## Cost of a slot
 //!
 //! The harness calls `tick` and then `occupancy` once per slot, millions
-//! of times per table, so neither allocates (a growing queue aside) nor rescans: port sets
+//! of times per table, so neither allocates (a growing queue aside) nor
+//! rescans. A slot's arrivals and departures are each a [`model::Row`]:
+//! a port mask over a row of cells, walked by set bit. Port sets
 //! (request relations, head-of-line contenders, matched ports) are
 //! [`model::PortMask`] words kept current by every push and pop, every
 //! `occupancy()` is a counter, and per-slot scratch lives in the model.
@@ -59,7 +61,7 @@ pub use harness::{run, RunStats};
 pub use input_fifo::InputFifoSwitch;
 pub use input_smoothing::InputSmoothingSwitch;
 pub use knockout::KnockoutSwitch;
-pub use model::{CellSwitch, PortMask};
+pub use model::{CellSwitch, PortMask, Row};
 pub use sched::{IslipScheduler, PimScheduler, Rr2dScheduler, Scheduler};
 pub use speedup::SpeedupSwitch;
 pub use voq::VoqSwitch;

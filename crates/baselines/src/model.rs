@@ -1,4 +1,13 @@
 //! The common interface of all slot-level switch models.
+//!
+//! A slot's cells on either side of a switch are one [`Row`]: a
+//! [`PortMask`] naming the ports that carry a cell, over a row of cells
+//! indexed by port. The harness fills the arrival row over the source's
+//! arrival mask; a model resets the departure row's mask and
+//! [`Row::put`]s each cell it sends. Walking a row means walking its set
+//! bits in ascending port order ([`Row::iter`]), so no per-port `Option`
+//! is cleared or tested, and cells are visited in the order a per-port
+//! scan would visit them.
 
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
@@ -14,10 +23,10 @@ pub trait CellSwitch {
     /// Number of ports (inputs = outputs = n).
     fn ports(&self) -> usize;
 
-    /// Advance one slot. `arrivals[i]` is the cell arriving on input `i`;
-    /// departures are written into `out[j]` for output `j` (pre-cleared by
-    /// the implementation).
-    fn tick(&mut self, now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]);
+    /// Advance one slot. `arrivals` holds the cell arriving on each input
+    /// of its mask; the model resets `out.mask` and [`Row::put`]s each
+    /// departure at its output.
+    fn tick(&mut self, now: Cycle, arrivals: &Row, out: &mut Row);
 
     /// Cells currently buffered anywhere in the switch.
     fn occupancy(&self) -> usize;
@@ -26,10 +35,67 @@ pub trait CellSwitch {
     fn dropped(&self) -> u64;
 }
 
-/// Clear a departure buffer (helper for implementations).
-pub fn clear_out(out: &mut [Option<Cell>]) {
-    for o in out.iter_mut() {
-        *o = None;
+/// One slot's cells on one side of a switch — the arrivals a harness
+/// hands a model, or the departures the model hands back: `mask` names
+/// the ports that carry a cell and `cells[p]` is port `p`'s cell. A cell
+/// whose bit is clear is stale, so nothing is cleared port by port and
+/// nothing branches on a per-port `Option`.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// The ports that carry a cell.
+    pub mask: PortMask,
+    /// Per port, its cell; meaningful only where `mask` has the bit.
+    pub cells: Vec<Cell>,
+}
+
+impl Row {
+    /// An empty row over `n` ports (refused beyond [`MAX_PORTS`]).
+    pub fn new(n: usize) -> Self {
+        all_ports(n);
+        Row {
+            mask: 0,
+            cells: vec![Cell::new(0, 0, 0, 0); n],
+        }
+    }
+
+    /// Port `p` carries `cell`.
+    #[inline]
+    pub fn put(&mut self, p: usize, cell: Cell) {
+        self.cells[p] = cell;
+        self.mask |= port_bit(p);
+    }
+
+    /// Port `p`'s cell, if it carries one.
+    pub fn get(&self, p: usize) -> Option<Cell> {
+        (self.mask & port_bit(p) != 0).then(|| self.cells[p])
+    }
+
+    /// The `(port, cell)` pairs of the row in ascending port order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Cell)> + '_ {
+        ports_in(self.mask).map(|p| (p, self.cells[p]))
+    }
+}
+
+/// `Row::from([Some(a), None])`: the array form of the `FromIterator`
+/// below.
+impl<const N: usize> From<[Option<Cell>; N]> for Row {
+    fn from(cells: [Option<Cell>; N]) -> Self {
+        cells.into_iter().collect()
+    }
+}
+
+/// Port `p` of the row carries the `p`-th item's cell, if any.
+impl FromIterator<Option<Cell>> for Row {
+    fn from_iter<I: IntoIterator<Item = Option<Cell>>>(items: I) -> Self {
+        let items: Vec<Option<Cell>> = items.into_iter().collect();
+        let mut row = Row::new(items.len());
+        for (p, cell) in items.into_iter().enumerate() {
+            if let Some(cell) = cell {
+                row.put(p, cell);
+            }
+        }
+        row
     }
 }
 
@@ -107,8 +173,8 @@ mod tests {
         fn ports(&self) -> usize {
             self.0
         }
-        fn tick(&mut self, _now: Cycle, _arr: &[Option<Cell>], out: &mut [Option<Cell>]) {
-            clear_out(out);
+        fn tick(&mut self, _now: Cycle, _arr: &Row, out: &mut Row) {
+            out.mask = 0;
         }
         fn occupancy(&self) -> usize {
             0
@@ -119,13 +185,19 @@ mod tests {
     }
 
     #[test]
-    fn clear_out_clears() {
-        let mut out = vec![Some(Cell::new(1, 0, 0, 0)), None];
-        clear_out(&mut out);
-        assert!(out.iter().all(Option::is_none));
-        let mut n = Null(2);
-        n.tick(0, &[None, None], &mut out);
-        assert_eq!(n.ports(), 2);
+    fn a_row_is_its_mask_over_its_cells() {
+        let a = Cell::new(1, 0, 2, 0);
+        let b = Cell::new(2, 3, 0, 0);
+        let mut out = Row::from([Some(b), None, None, Some(a)]);
+        assert_eq!(out.mask, port_bit(0) | port_bit(3));
+        assert_eq!(out.iter().collect::<Vec<_>>(), [(0, b), (3, a)]);
+        assert_eq!((out.get(0), out.get(1)), (Some(b), None));
+        let mut n = Null(4);
+        n.tick(0, &Row::new(4), &mut out);
+        assert_eq!((out.mask, out.get(3)), (0, None), "a tick resets the mask");
+        out.put(2, a);
+        assert_eq!(out.iter().collect::<Vec<_>>(), [(2, a)]);
+        assert_eq!(n.ports(), 4);
     }
 
     #[test]

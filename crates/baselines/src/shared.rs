@@ -15,8 +15,7 @@
 //! E13 / E14), and the wide memory *without* the crossbar is the
 //! word-level `core::widemem`.
 
-use crate::model::{clear_out, CellSwitch};
-use simkernel::cell::Cell;
+use crate::model::{CellSwitch, Row};
 use simkernel::ids::Cycle;
 use simkernel::SharedBuffer;
 
@@ -25,12 +24,12 @@ impl CellSwitch for SharedBuffer {
         self.outputs()
     }
 
-    fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        clear_out(out);
-        for a in arrivals.iter().flatten() {
-            self.offer(*a);
+    fn tick(&mut self, _now: Cycle, arrivals: &Row, out: &mut Row) {
+        out.mask = 0;
+        for (_, cell) in arrivals.iter() {
+            self.offer(cell);
         }
-        self.depart(|j, cell| out[j] = Some(cell));
+        self.depart(|j, cell| out.put(j, cell));
     }
 
     fn occupancy(&self) -> usize {
@@ -55,6 +54,7 @@ pub fn output_queued(n: usize, per_output: Option<usize>) -> SharedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkernel::cell::Cell;
 
     fn cell(id: u64, src: usize, dst: usize, birth: Cycle) -> Cell {
         Cell::new(id, src, dst, birth)
@@ -66,15 +66,15 @@ mod tests {
         // holds none — the memory-utilization advantage over per-output
         // partitions.
         let mut sw = SharedBuffer::switch(2, Some(3));
-        let mut out = vec![None; 2];
+        let mut out = Row::new(2);
         sw.tick(
             0,
-            &[Some(cell(1, 0, 0, 0)), Some(cell(2, 1, 0, 0))],
+            &Row::from([Some(cell(1, 0, 0, 0)), Some(cell(2, 1, 0, 0))]),
             &mut out,
         );
         sw.tick(
             1,
-            &[Some(cell(3, 0, 0, 1)), Some(cell(4, 1, 0, 1))],
+            &Row::from([Some(cell(3, 0, 0, 1)), Some(cell(4, 1, 0, 1))]),
             &mut out,
         );
         // Slot 0: 2 accepted, 1 departed. Slot 1: 2 more offered, pool
@@ -82,7 +82,7 @@ mod tests {
         assert_eq!(sw.dropped(), 0);
         sw.tick(
             2,
-            &[Some(cell(5, 0, 0, 2)), Some(cell(6, 1, 0, 2))],
+            &Row::from([Some(cell(5, 0, 0, 2)), Some(cell(6, 1, 0, 2))]),
             &mut out,
         );
         // Occupancy was 2 after slot 1; two arrive → 4 > 3: one drops.
@@ -92,31 +92,31 @@ mod tests {
     #[test]
     fn departures_fifo_per_output() {
         let mut sw = SharedBuffer::switch(2, None);
-        let mut out = vec![None; 2];
+        let mut out = Row::new(2);
         sw.tick(
             0,
-            &[Some(cell(1, 0, 1, 0)), Some(cell(2, 1, 1, 0))],
+            &Row::from([Some(cell(1, 0, 1, 0)), Some(cell(2, 1, 1, 0))]),
             &mut out,
         );
-        let first = out[1].unwrap().id.0;
-        sw.tick(1, &[None, None], &mut out);
-        let second = out[1].unwrap().id.0;
+        let first = out.get(1).unwrap().id.0;
+        sw.tick(1, &Row::new(2), &mut out);
+        let second = out.get(1).unwrap().id.0;
         assert_eq!((first, second), (1, 2));
     }
 
     #[test]
     fn accepts_all_simultaneous_arrivals() {
         let mut sw = output_queued(4, None);
-        let mut out = vec![None; 4];
-        let arr: Vec<Option<Cell>> = (0..4).map(|i| Some(cell(i as u64, i, 0, 0))).collect();
+        let mut out = Row::new(4);
+        let arr: Row = (0..4).map(|i| Some(cell(i as u64, i, 0, 0))).collect();
         sw.tick(0, &arr, &mut out);
         // One departed immediately, three remain queued.
-        assert!(out[0].is_some());
+        assert!(out.get(0).is_some());
         assert_eq!(sw.occupancy(), 3);
         // They drain one per slot, FIFO.
         for _ in 0..3 {
-            sw.tick(1, &[None, None, None, None], &mut out);
-            assert!(out[0].is_some());
+            sw.tick(1, &Row::new(4), &mut out);
+            assert!(out.get(0).is_some());
         }
         assert_eq!(sw.occupancy(), 0);
     }
@@ -124,8 +124,8 @@ mod tests {
     #[test]
     fn per_output_capacity_drops() {
         let mut sw = output_queued(4, Some(2));
-        let mut out = vec![None; 4];
-        let arr: Vec<Option<Cell>> = (0..4).map(|i| Some(cell(i as u64, i, 0, 0))).collect();
+        let mut out = Row::new(4);
+        let arr: Row = (0..4).map(|i| Some(cell(i as u64, i, 0, 0))).collect();
         sw.tick(0, &arr, &mut out);
         // 4 arrivals, capacity 2: two enqueue, two drop; one of the
         // enqueued departs this slot.
@@ -137,15 +137,15 @@ mod tests {
     fn work_conserving_each_output() {
         // An output with any cell queued transmits every slot.
         let mut sw = output_queued(2, None);
-        let mut out = vec![None; 2];
+        let mut out = Row::new(2);
         sw.tick(
             0,
-            &[Some(cell(1, 0, 1, 0)), Some(cell(2, 1, 1, 0))],
+            &Row::from([Some(cell(1, 0, 1, 0)), Some(cell(2, 1, 1, 0))]),
             &mut out,
         );
-        assert!(out[1].is_some());
-        assert!(out[0].is_none());
-        sw.tick(1, &[None, None], &mut out);
-        assert!(out[1].is_some());
+        assert!(out.get(1).is_some());
+        assert!(out.get(0).is_none());
+        sw.tick(1, &Row::new(2), &mut out);
+        assert!(out.get(1).is_some());
     }
 }

@@ -7,7 +7,7 @@
 //! queues are also needed here."
 
 use crate::input_fifo::HolQueues;
-use crate::model::{clear_out, CellSwitch};
+use crate::model::{CellSwitch, Row};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
@@ -51,12 +51,10 @@ impl CellSwitch for SpeedupSwitch {
         self.out_q.len()
     }
 
-    fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        clear_out(out);
-        for (i, a) in arrivals.iter().enumerate() {
-            if let Some(c) = a {
-                self.dropped += u64::from(!self.inputs.push(i, *c));
-            }
+    fn tick(&mut self, _now: Cycle, arrivals: &Row, out: &mut Row) {
+        out.mask = 0;
+        for (i, c) in arrivals.iter() {
+            self.dropped += u64::from(!self.inputs.push(i, c));
         }
         // `speedup` fabric passes: each pass is one HOL contention round
         // delivering at most one cell per output, so no output accepts
@@ -75,8 +73,10 @@ impl CellSwitch for SpeedupSwitch {
             }
         }
         for (j, q) in self.out_q.iter_mut().enumerate() {
-            out[j] = q.pop_front();
-            self.out_cells -= usize::from(out[j].is_some());
+            if let Some(c) = q.pop_front() {
+                out.put(j, c);
+                self.out_cells -= 1;
+            }
         }
     }
 
@@ -101,11 +101,15 @@ mod tests {
     #[test]
     fn speedup_two_moves_two_to_same_output() {
         let mut sw = SpeedupSwitch::new(2, 2, None, None, 1);
-        let mut out = vec![None; 2];
-        sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
+        let mut out = Row::new(2);
+        sw.tick(
+            0,
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0))]),
+            &mut out,
+        );
         // Both cells crossed the fabric; input queues are empty, one cell
         // departed, one waits at the output.
-        assert!(out[0].is_some());
+        assert!(out.get(0).is_some());
         assert_eq!(sw.inputs.cells(), 0);
         assert_eq!(sw.out_q[0].len(), 1);
     }
@@ -113,8 +117,12 @@ mod tests {
     #[test]
     fn speedup_one_equals_plain_input_queueing() {
         let mut sw = SpeedupSwitch::new(2, 1, None, None, 1);
-        let mut out = vec![None; 2];
-        sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
+        let mut out = Row::new(2);
+        sw.tick(
+            0,
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0))]),
+            &mut out,
+        );
         // Only one cell crossed; the loser is still in its input queue.
         assert_eq!(sw.inputs.cells(), 1);
     }
@@ -123,11 +131,11 @@ mod tests {
     fn conservation() {
         let mut sw = SpeedupSwitch::new(4, 2, None, None, 2);
         let mut rng = SplitMix64::new(9);
-        let mut out = vec![None; 4];
+        let mut out = Row::new(4);
         let mut offered = 0u64;
         let mut carried = 0u64;
         for now in 0..2000u64 {
-            let arr: Vec<Option<Cell>> = (0..4)
+            let arr: Row = (0..4)
                 .map(|i| {
                     rng.chance(0.8).then(|| {
                         offered += 1;
@@ -136,11 +144,11 @@ mod tests {
                 })
                 .collect();
             sw.tick(now, &arr, &mut out);
-            carried += out.iter().flatten().count() as u64;
+            carried += u64::from(out.mask.count_ones());
         }
         for now in 2000..4000u64 {
-            sw.tick(now, &[None, None, None, None], &mut out);
-            carried += out.iter().flatten().count() as u64;
+            sw.tick(now, &Row::new(4), &mut out);
+            carried += u64::from(out.mask.count_ones());
         }
         assert_eq!(offered, carried + sw.dropped() + sw.occupancy() as u64);
     }

@@ -7,7 +7,7 @@
 //! that of output/shared queueing at loads 0.6–0.9 (\[AOST93 fig. 3\]) —
 //! experiment E4 regenerates that comparison.
 
-use crate::model::{all_ports, clear_out, port_bit, CellSwitch, PortMask};
+use crate::model::{all_ports, port_bit, CellSwitch, PortMask, Row};
 use crate::sched::Scheduler;
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
@@ -66,21 +66,19 @@ impl<S: Scheduler> CellSwitch for VoqSwitch<S> {
         self.n
     }
 
-    fn tick(&mut self, _now: Cycle, arrivals: &[Option<Cell>], out: &mut [Option<Cell>]) {
-        clear_out(out);
+    fn tick(&mut self, _now: Cycle, arrivals: &Row, out: &mut Row) {
+        out.mask = 0;
         let n = self.n;
-        for (i, a) in arrivals.iter().enumerate() {
-            if let Some(c) = a {
-                if self.capacity.is_some_and(|cap| self.held[i] >= cap) {
-                    self.dropped += 1;
-                } else {
-                    let j = c.dst.index();
-                    self.queues[i * n + j].push_back(*c);
-                    self.rows[i] |= port_bit(j);
-                    self.cols[j] |= port_bit(i);
-                    self.held[i] += 1;
-                    self.occupancy += 1;
-                }
+        for (i, c) in arrivals.iter() {
+            if self.capacity.is_some_and(|cap| self.held[i] >= cap) {
+                self.dropped += 1;
+            } else {
+                let j = c.dst.index();
+                self.queues[i * n + j].push_back(c);
+                self.rows[i] |= port_bit(j);
+                self.cols[j] |= port_bit(i);
+                self.held[i] += 1;
+                self.occupancy += 1;
             }
         }
         self.sched
@@ -95,8 +93,11 @@ impl<S: Scheduler> CellSwitch for VoqSwitch<S> {
                 }
                 self.held[i] -= 1;
                 self.occupancy -= 1;
-                debug_assert!(out[j].is_none(), "two inputs matched to one output");
-                out[j] = Some(c);
+                debug_assert!(
+                    out.mask & port_bit(j) == 0,
+                    "two inputs matched to one output"
+                );
+                out.put(j, c);
             }
         }
     }
@@ -125,29 +126,33 @@ mod tests {
         // input-FIFO) and output 1. With VOQ both outputs are served in
         // the same slot.
         let mut sw = VoqSwitch::new(2, None, IslipScheduler::new(2, 2));
-        let mut out = vec![None; 2];
-        sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
+        let mut out = Row::new(2);
+        sw.tick(
+            0,
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0))]),
+            &mut out,
+        );
         // One of the →0 cells departed; queue the →1 cell on input 0.
-        sw.tick(1, &[Some(cell(3, 0, 1)), None], &mut out);
-        assert!(out[1].is_some(), "output 1 must not idle under VOQ");
+        sw.tick(1, &Row::from([Some(cell(3, 0, 1)), None]), &mut out);
+        assert!(out.get(1).is_some(), "output 1 must not idle under VOQ");
     }
 
     #[test]
     fn fifo_within_each_voq() {
         let mut sw = VoqSwitch::new(2, None, Rr2dScheduler::new());
-        let mut out = vec![None; 2];
+        let mut out = Row::new(2);
         let mut ids = Vec::new();
-        let mut record = |out: &[Option<Cell>]| {
-            if let Some(c) = out[1] {
+        let mut record = |out: &Row| {
+            if let Some(c) = out.get(1) {
                 ids.push(c.id.0);
             }
         };
-        sw.tick(0, &[Some(cell(1, 0, 1)), None], &mut out);
+        sw.tick(0, &Row::from([Some(cell(1, 0, 1)), None]), &mut out);
         record(&out);
-        sw.tick(1, &[Some(cell(2, 0, 1)), None], &mut out);
+        sw.tick(1, &Row::from([Some(cell(2, 0, 1)), None]), &mut out);
         record(&out);
         for now in 2..6 {
-            sw.tick(now, &[None, None], &mut out);
+            sw.tick(now, &Row::new(2), &mut out);
             record(&out);
         }
         let pos1 = ids.iter().position(|&x| x == 1);
@@ -159,15 +164,19 @@ mod tests {
     #[test]
     fn capacity_drops_count() {
         let mut sw = VoqSwitch::new(2, Some(1), PimScheduler::new(2, 5));
-        let mut out = vec![None; 2];
+        let mut out = Row::new(2);
         // Two cells to the same output from both inputs; each input holds
         // at most 1, so nothing drops yet.
-        sw.tick(0, &[Some(cell(1, 0, 0)), Some(cell(2, 1, 0))], &mut out);
+        sw.tick(
+            0,
+            &Row::from([Some(cell(1, 0, 0)), Some(cell(2, 1, 0))]),
+            &mut out,
+        );
         // The unmatched input still holds its cell; a new arrival there
         // exceeds capacity 1.
         let loser = if sw.input_occupancy(0) > 0 { 0 } else { 1 };
-        let mut arr = vec![None, None];
-        arr[loser] = Some(cell(3, loser, 1));
+        let mut arr = Row::new(2);
+        arr.put(loser, cell(3, loser, 1));
         sw.tick(1, &arr, &mut out);
         assert_eq!(sw.dropped(), 1);
     }
@@ -180,19 +189,19 @@ mod tests {
         let n = 8;
         let mut sw = VoqSwitch::new(n, None, IslipScheduler::new(n, 4));
         let mut rng = simkernel::SplitMix64::new(11);
-        let mut out = vec![None; n];
+        let mut out = Row::new(n);
         let mut carried = 0u64;
         let slots = 5_000u64;
         let mut id = 0;
         for now in 0..slots {
-            let arr: Vec<Option<Cell>> = (0..n)
+            let arr: Row = (0..n)
                 .map(|i| {
                     id += 1;
                     Some(cell(id, i, rng.below_usize(n)))
                 })
                 .collect();
             sw.tick(now, &arr, &mut out);
-            carried += out.iter().flatten().count() as u64;
+            carried += u64::from(out.mask.count_ones());
         }
         let util = carried as f64 / (slots * n as u64) as f64;
         assert!(util > 0.95, "iSLIP should sustain ~100 %, got {util}");
@@ -209,11 +218,11 @@ mod tests {
         let n = 5;
         let mut sw = VoqSwitch::new(n, Some(3), PimScheduler::new(2, 8));
         let mut rng = simkernel::SplitMix64::new(21);
-        let mut out = vec![None; n];
+        let mut out = Row::new(n);
         for now in 0..3_000u64 {
             // Overload in bursts so queues fill, drop and drain empty.
             let load = if now % 200 < 120 { 0.95 } else { 0.1 };
-            let arr: Vec<Option<Cell>> = (0..n)
+            let arr: Row = (0..n)
                 .map(|i| {
                     rng.chance(load)
                         .then(|| cell(now, i, rng.below_usize(n).min(3)))

@@ -8,7 +8,6 @@
 //!   exact mean (integer sum ÷ count);
 //! * [`LatencyStats`] — latency collector (mean, percentiles) with warmup
 //!   filtering;
-//! * [`ThroughputMeter`] / [`LossMeter`] — offered vs carried accounting;
 //! * [`saturation_search`] — bisection for the saturation load of a switch,
 //!   the quantity behind the paper's "input queueing saturates at ≈ 58.6 %"
 //!   claim.
@@ -18,10 +17,8 @@
 
 pub mod histogram;
 pub mod latency;
-pub mod meters;
 pub mod saturation;
 
 pub use histogram::Histogram;
 pub use latency::LatencyStats;
-pub use meters::{LossMeter, ThroughputMeter};
 pub use saturation::{saturation_search, SaturationResult};

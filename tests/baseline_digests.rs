@@ -9,7 +9,7 @@ mod common;
 
 use baselines::harness;
 use baselines::input_smoothing::InputSmoothingSwitch;
-use baselines::model::CellSwitch;
+use baselines::model::{CellSwitch, Row};
 use baselines::sched::{IslipScheduler, PimScheduler, Rr2dScheduler};
 use baselines::voq::VoqSwitch;
 use bench_harness::e15;
@@ -27,26 +27,22 @@ const SLOTS: u64 = 4_000;
 fn golden_row(arch: &str, model: &mut dyn CellSwitch, load: f64, cap: Option<usize>) -> String {
     let n = model.ports();
     let mut src = Bernoulli::new(n, load, DestDist::uniform(n), 0xBA5E);
-    let mut dests = vec![None; n];
-    let mut arrivals: Vec<Option<Cell>> = vec![None; n];
-    let mut out: Vec<Option<Cell>> = vec![None; n];
+    let mut dests = vec![0; n];
+    let (mut arrivals, mut out) = (Row::new(n), Row::new(n));
     let mut digest = Fnv::new();
     let (mut next_id, mut departed, mut peak) = (0u64, 0u64, 0usize);
     for now in 0..SLOTS {
-        src.poll(now, &mut dests);
-        for (i, d) in dests.iter().enumerate() {
-            arrivals[i] = d.map(|dst| {
-                next_id += 1;
-                Cell::new(next_id, i, dst, now)
-            });
+        let mask = src.poll(now, &mut dests);
+        arrivals.mask = 0;
+        for i in (0..n).filter(|i| mask >> i & 1 == 1) {
+            next_id += 1;
+            arrivals.put(i, Cell::new(next_id, i, dests[i], now));
         }
         model.tick(now, &arrivals, &mut out);
-        for (j, c) in out.iter().enumerate() {
-            if let Some(c) = c {
-                assert_eq!(c.dst.index(), j, "{arch}: cell left the wrong output");
-                digest.words(&[now, j as u64, c.id.0]);
-                departed += 1;
-            }
+        for (j, c) in out.iter() {
+            assert_eq!(c.dst.index(), j, "{arch}: cell left the wrong output");
+            digest.words(&[now, j as u64, c.id.0]);
+            departed += 1;
         }
         peak = peak.max(model.occupancy());
     }
