@@ -67,7 +67,6 @@ impl Bernoulli {
     /// `ports` independent inputs at the given per-slot arrival probability.
     pub fn new(ports: usize, load: f64, dist: DestDist, seed: u64) -> Self {
         checked_ports(ports);
-        assert!((0.0..=1.0).contains(&load));
         let mut root = SplitMix64::new(seed);
         Bernoulli {
             load,
