@@ -12,7 +12,8 @@
 //! digests the per-window executor produced for this ladder before the
 //! run-ahead rule replaced it, and the run-ahead must reproduce them at
 //! any `jobs` and at any chunk width. Its omega-64 rows also pin the three
-//! word-level elements.
+//! word-level elements, and its `behavioral/2` rows a two-slot behavioral
+//! pool that refuses cells on every run.
 //!
 //! Alongside: the link-latency law (every delivered cell pays at least
 //! `hops × link_latency` cycles, scaled by the element cell time) and
@@ -67,10 +68,17 @@ fn kinds_for(topology: &Topology) -> Vec<ElementKind> {
     kinds
 }
 
-/// The golden kinds of a ladder rung: [`kinds_for`], plus the three
-/// word-level organizations on omega-64 only (one run each is ≈ 0.03 s in
-/// release, far more in a test build, so the other tests leave them out).
-fn golden_kinds_for(name: &str, topology: &Topology) -> Vec<ElementKind> {
+/// The forced-drop rows: a two-slot behavioral pool, which overflows under
+/// both patterns, so cells refused at admission are pinned too (the
+/// `4 × radix` pools of [`kinds_for`] barely drop at load 0.6).
+const FORCED_DROP: ElementKind = ElementKind::Behavioral { slots: 2 };
+
+/// The golden rows of a ladder rung as `(label, kind)`: [`kinds_for`], the
+/// three word-level organizations on omega-64 only (one run each is ≈ 0.03
+/// s in release, far more in a test build, so the other tests leave them
+/// out), and [`FORCED_DROP`] on omega-64 and fattree-128, labelled
+/// `behavioral/2` so its rows cannot collide with the larger pool's.
+fn golden_kinds_for(name: &str, topology: &Topology) -> Vec<(String, ElementKind)> {
     let mut kinds = kinds_for(topology);
     if name == "omega-64" {
         kinds.extend([
@@ -79,7 +87,14 @@ fn golden_kinds_for(name: &str, topology: &Topology) -> Vec<ElementKind> {
             ElementKind::WordIbank { banks: 16 },
         ]);
     }
-    kinds
+    let mut rows: Vec<_> = kinds
+        .into_iter()
+        .map(|k| (k.label().to_string(), k))
+        .collect();
+    if matches!(name, "omega-64" | "fattree-128") {
+        rows.push(("behavioral/2".to_string(), FORCED_DROP));
+    }
+    rows
 }
 
 const PATTERNS: [Pattern; 2] = [Pattern::Uniform, Pattern::Hotspot { hot_frac: 0.25 }];
@@ -97,20 +112,24 @@ fn run_ahead_reproduces_the_per_window_executor_digests() {
         .collect();
     let mut checked = 0;
     for (name, topology) in ladder() {
-        for kind in golden_kinds_for(name, &topology) {
+        for (label, kind) in golden_kinds_for(name, &topology) {
             for pattern in PATTERNS {
-                let key = format!("{name} {} {}", kind.label(), pattern.label());
-                let want = golden
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .unwrap_or_else(|| panic!("no golden digest for {key}"))
-                    .1;
+                let key = format!("{name} {label} {}", pattern.label());
+                let want = golden.iter().find(|(k, _)| *k == key).map(|&(_, d)| d);
                 let w = workload(0xDE7E12, pattern);
                 for jobs in [1, 4] {
-                    let got = run_at(&topology, kind, &w, jobs).digest();
+                    let run = run_at(&topology, kind, &w, jobs);
+                    let got = run.digest();
+                    let want = want.unwrap_or_else(|| {
+                        panic!("no golden digest for {key} (this run: {got:#018x})")
+                    });
                     assert_eq!(
                         got, want,
-                        "{key}: digest {got:#018x} at jobs={jobs}, the per-window executor gave {want:#018x}"
+                        "{key}: digest {got:#018x} at jobs={jobs}, the golden file says {want:#018x}"
+                    );
+                    assert!(
+                        kind != FORCED_DROP || run.dropped > 0,
+                        "{key}: the two-slot pool refused nothing at jobs={jobs}"
                     );
                 }
                 checked += 1;
