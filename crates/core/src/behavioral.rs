@@ -212,6 +212,9 @@ pub struct BehavioralSwitch {
     ctl: ControlPlane,
     /// Packets accepted so far; the next one's id is `accepted + 1`.
     accepted: u64,
+    /// Inputs whose header the last executed cycle accepted (bit `i` =
+    /// input `i`); cleared wherever `dep_mark` is reset.
+    admitted: u64,
     /// Every departure, written once at read initiation. One initiation
     /// per cycle and `done = rs + S` make done cycles strictly increasing
     /// in push order, so `departures[..committed]` is exactly the
@@ -260,6 +263,7 @@ impl BehavioralSwitch {
             cycle: 0,
             ctl: ControlPlane::new(cfg.n_out, stages, cfg.policy, RecoveryConfig::default(), 0),
             accepted: 0,
+            admitted: 0,
             departures: Vec::new(),
             committed: 0,
             dep_mark: 0,
@@ -283,7 +287,16 @@ impl BehavioralSwitch {
         self.cycle >= self.free_at[i]
     }
 
-    /// Packets queued for output `j` (including one mid-transmission).
+    /// The inputs whose header the last [`BehavioralSwitch::tick`]
+    /// accepted into the pool, as a mask: bit `i` set for input `i`,
+    /// clear for an input that offered nothing or was refused. Zero after
+    /// [`BehavioralSwitch::tick_idle_batch`] or a fast-forward jump, as
+    /// after the idle ticks they stand for.
+    pub fn admitted(&self) -> u64 {
+        self.admitted
+    }
+
+    /// Packets queued for output `j` whose read has not begun.
     pub fn queue_len(&self, j: usize) -> usize {
         self.queues[j].len()
     }
@@ -343,6 +356,7 @@ impl BehavioralSwitch {
         let c = self.cycle;
         let s = self.stages as Cycle;
         self.dep_mark = self.committed;
+        self.admitted = 0;
 
         // 1. Completed transmission.
         self.complete_tx(c);
@@ -375,6 +389,7 @@ impl BehavioralSwitch {
                     continue;
                 }
                 self.accepted += 1;
+                self.admitted |= 1 << i;
                 self.buf_used += 1;
                 let id = self.accepted;
                 let output_was_idle = mask.count_ones() == 1
@@ -444,6 +459,7 @@ impl BehavioralSwitch {
 
     fn idle_batch_impl<const PROBED: bool>(&mut self, n: u64) {
         self.dep_mark = self.committed;
+        self.admitted = 0;
         let end = self.cycle + n;
         while self.cycle < end {
             let c = self.cycle;
@@ -882,8 +898,9 @@ impl simkernel::Horizon for BehavioralSwitch {
     fn jump_to(&mut self, target: Cycle) {
         debug_assert!(target >= self.cycle, "jump_to moves time forward only");
         // Dense idle ticking through a dead span leaves last cycle's
-        // completion window empty; match that.
+        // completion window and admission mask empty; match that.
         self.dep_mark = self.committed;
+        self.admitted = 0;
         self.cycle = target;
     }
 }
@@ -949,6 +966,33 @@ mod tests {
         };
         assert_eq!(run(false), run(true));
         assert_eq!(run(false).len(), 2);
+    }
+
+    #[test]
+    fn admitted_names_the_inputs_that_got_a_slot() {
+        // Static pool, two slots, three headers: the first two offering
+        // inputs in port order take the slots.
+        let mut sw = BehavioralSwitch::new(SwitchConfig::symmetric(4, 2));
+        sw.tick(&[None, Some(0), Some(1), Some(2)]);
+        assert_eq!(sw.admitted(), 0b0110);
+        assert_eq!(sw.counters().dropped_buffer_full, 1);
+        // An idle tick, like an idle batch, describes a cycle that
+        // admitted nothing.
+        sw.tick(&[None; 4]);
+        assert_eq!(sw.admitted(), 0);
+
+        // Dynamic Thresholds (α = 1, four slots): inputs 0 and 1 queue
+        // for output 0, input 2 is refused behind that queue (2 ≥ 2 free
+        // slots), and input 3, heading for an empty output, still gets a
+        // slot — an admission set no port-order prefix describes.
+        let cfg =
+            SwitchConfig::symmetric(4, 4).with_policy(crate::PolicyKind::dynamic_thresholds());
+        let mut sw = BehavioralSwitch::new(cfg);
+        sw.tick(&[Some(0), Some(0), Some(0), Some(1)]);
+        assert_eq!(sw.admitted(), 0b1011);
+        assert_eq!((sw.counters().policy_drops, sw.occupancy()), (1, 3));
+        sw.tick_idle_batch(1);
+        assert_eq!(sw.admitted(), 0);
     }
 
     #[test]

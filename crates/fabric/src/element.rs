@@ -35,6 +35,8 @@
 //!   paper's pipelined-memory switch at cell level, with cut-through,
 //!   read-priority arbitration and the shared slot pool. The clock is
 //!   the switch's word clock; a cell occupies a link for `S = 2k` cycles.
+//!   The switch says which headers it admitted; each admitted cell waits
+//!   in a FIFO per output, as its packet does inside the switch.
 //! - [`WordElement`] — a word-level RTL organization per node (any
 //!   [`WordOrg`], behind [`WordSwitch`]): a cell travels in the words of
 //!   its own `S`-word packet — header, then `src`, `dst` and `birth` — and
@@ -85,10 +87,14 @@ pub trait FabricElement: Send {
     /// Cells currently buffered inside the element.
     fn occupancy(&self) -> u64;
 
-    /// Cells accepted into the buffer so far.
+    /// Cells admitted so far and not lost since: each one has been
+    /// emitted once or is still inside.
     fn accepted(&self) -> u64;
 
-    /// Cells dropped (buffer full) so far.
+    /// Cells lost so far: refused at admission, or lost inside by a core
+    /// that can lose an admitted packet (the word-level ones count every
+    /// loss class). Each offered cell is counted once, in `accepted` or
+    /// here, and a dropped cell is never emitted.
     fn dropped(&self) -> u64;
 
     /// True when the element holds no cells and no in-flight words.
@@ -261,76 +267,25 @@ impl FabricElement for ScalarElement {
 // Behavioral element
 // ---------------------------------------------------------------------
 
-/// Switch-internal packet id → fabric cell, for ids handed out by a
-/// sequential accept counter: a ring indexed by `id − base`, where `base`
-/// is the oldest id not yet taken. Insert and take are O(1) array
-/// accesses — no hashing on the per-cell, per-hop path.
-///
-/// Cells leave out of id order (each output drains its own queue), so
-/// the ring holds `None` holes behind a waiting front. At most `slots +
-/// n_out` entries are live (buffered, or slot freed with the tail still
-/// on an output link); the ring's *length* also counts the holes, and is
-/// bounded by what the switch can accept while its oldest packet waits —
-/// at most `slots` packet times behind one output, during which every
-/// input accepts at most one packet per packet time.
-#[derive(Debug)]
-struct IdRing {
-    base: u64,
-    cells: VecDeque<Option<Cell>>,
-}
-
-impl IdRing {
-    fn new(first_id: u64) -> Self {
-        IdRing {
-            base: first_id,
-            cells: VecDeque::new(),
-        }
-    }
-
-    /// Track `cell` under `id`, which must be the next sequential id.
-    fn push(&mut self, id: u64, cell: Cell) {
-        debug_assert_eq!(
-            id,
-            self.base + self.cells.len() as u64,
-            "ids are sequential"
-        );
-        self.cells.push_back(Some(cell));
-    }
-
-    /// Remove and return the cell tracked under `id`.
-    fn take(&mut self, id: u64) -> Option<Cell> {
-        let cell = self
-            .cells
-            .get_mut(id.checked_sub(self.base)? as usize)?
-            .take();
-        while let Some(None) = self.cells.front() {
-            self.cells.pop_front();
-            self.base += 1;
-        }
-        cell
-    }
-}
-
 /// A real pipelined-memory switch per node, at cell level.
 ///
-/// The switch assigns its own internal packet ids (sequential over
-/// accepted packets, in input-port order within a cycle); the adapter
-/// mirrors the static-pool admission rule — `occupancy == slots` checked
-/// per input in port order, frees never happening between arrivals of
-/// one cycle — to predict those ids and map them back to the fabric
-/// [`Cell`]s, asserting agreement with the switch's own counters.
-/// Dropped packets never get an id, so every tracked id departs and the
-/// `IdRing` front never stalls.
+/// The switch serves each output from one FIFO in admission order, and
+/// after every tick it names the inputs it admitted
+/// ([`BehavioralSwitch::admitted`]). The adapter keeps the same FIFOs of
+/// cells: an admitted arrival joins the queue of its routed output, a
+/// refused one is never stored, and each departure takes the front of
+/// its output's queue. The front's key — arrival cycle and input — must
+/// equal the departure's, or the element stops: a packet that left the
+/// switch any other way (eviction, which no fabric pool builds, or a
+/// latch overrun, which §3.2 rules out) would otherwise shift every
+/// later cell on that output.
 pub struct BehavioralElement {
     sw: BehavioralSwitch,
     route: Arc<[u16]>,
-    slots: usize,
-    /// Switch-internal packet id -> the fabric cell it carries.
-    in_flight: IdRing,
-    /// Mirrored admission counter (must track the switch's `arrived −
-    /// dropped_buffer_full`).
-    accepted: u64,
     offers: Vec<Option<usize>>,
+    /// Per local output, the admitted cells in admission order, each
+    /// keyed `(arrival cycle << 16) | input`.
+    queued: Vec<VecDeque<(u64, Cell)>>,
 }
 
 impl BehavioralElement {
@@ -340,10 +295,8 @@ impl BehavioralElement {
         BehavioralElement {
             sw: BehavioralSwitch::new(SwitchConfig::symmetric(k, slots)),
             route,
-            slots,
-            in_flight: IdRing::new(1),
-            accepted: 0,
             offers: vec![None; k],
+            queued: vec![VecDeque::new(); k],
         }
     }
 
@@ -353,10 +306,15 @@ impl BehavioralElement {
     fn harvest(&mut self, from: Cycle, to: Cycle, outbox: &mut Vec<Emission>) {
         for d in self.sw.departures() {
             debug_assert!(from <= d.done && d.done < to);
-            let cell = self
-                .in_flight
-                .take(d.id)
-                .expect("departure for an untracked packet");
+            let (key, cell) = self.queued[d.output]
+                .pop_front()
+                .expect("departure from an empty output queue");
+            assert_eq!(
+                key,
+                (d.birth << 16) | d.input as u64,
+                "output {} left out of admission order",
+                d.output
+            );
             outbox.push(Emission {
                 cycle: d.done,
                 port: d.output as u16,
@@ -391,33 +349,22 @@ impl FabricElement for BehavioralElement {
             // Event-horizon hop to the arrival cycle (idle elements skip
             // their dead time inside the span here).
             advance_to_batched(&mut self.sw, c);
-            // Mirror admission over this cycle's arrivals, in port order.
-            let mut occ = self.sw.occupancy();
-            for o in self.offers.iter_mut() {
-                *o = None;
-            }
-            while let Some(a) = inbox.get(next).filter(|a| a.cycle == c) {
+            let group = next + inbox[next..].iter().take_while(|a| a.cycle == c).count();
+            for a in &inbox[next..group] {
                 let i = a.port as usize;
                 debug_assert!(self.sw.input_free(i), "fabric pacing violated");
                 self.offers[i] = Some(self.route[a.cell.dst.index()] as usize);
-                if occ == self.slots {
-                    // The switch will drop it; nothing to track.
-                } else {
-                    occ += 1;
-                    self.accepted += 1;
-                    self.in_flight.push(self.accepted, a.cell);
-                }
-                next += 1;
             }
             self.sw.tick(&self.offers);
-            debug_assert_eq!(
-                self.accepted,
-                {
-                    let ctr = self.sw.counters();
-                    ctr.arrived - ctr.dropped_buffer_full
-                },
-                "admission mirror diverged from the switch"
-            );
+            let admitted = self.sw.admitted();
+            for a in &inbox[next..group] {
+                let i = a.port as usize;
+                let out = self.offers[i].take().expect("offered above");
+                if admitted >> i & 1 == 1 {
+                    self.queued[out].push_back(((c << 16) | i as u64, a.cell));
+                }
+            }
+            next = group;
             self.harvest(from, to, outbox);
         }
         advance_to_batched(&mut self.sw, to);
@@ -429,7 +376,8 @@ impl FabricElement for BehavioralElement {
     }
 
     fn accepted(&self) -> u64 {
-        self.accepted
+        let ctr = self.sw.counters();
+        ctr.arrived - ctr.dropped_buffer_full
     }
 
     fn dropped(&self) -> u64 {
@@ -654,40 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn behavioral_element_mirror_survives_drops() {
-        // 2x2, one slot: two same-cycle arrivals, the second must be
-        // predicted dropped and the mirror stay in lockstep.
-        let k = 2;
-        let s = 2 * k as u64;
-        let mut e = BehavioralElement::new(k, 1, identity_route(k));
-        let mut out = Vec::new();
-        e.run_window(
-            0,
-            s,
-            &[
-                Arrival {
-                    cycle: 0,
-                    port: 0,
-                    cell: Cell::new(1, 0, 0, 0),
-                },
-                Arrival {
-                    cycle: 0,
-                    port: 1,
-                    cell: Cell::new(2, 1, 0, 0),
-                },
-            ],
-            &mut out,
-        );
-        for w in 1..6 {
-            e.run_window(w * s, (w + 1) * s, &[], &mut out);
-        }
-        assert_eq!(e.dropped(), 1);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].cell.id.0, 1);
-        assert!(e.is_idle());
-    }
-
-    #[test]
     fn word_element_delivers_the_same_cell() {
         let k = 2;
         let s = 2 * k as u64;
@@ -854,62 +768,44 @@ mod tests {
     }
 
     #[test]
-    fn id_ring_survives_out_of_order_takes() {
-        let cell = |id: u64| Cell::new(id, 0, 0, 0);
-        let mut ring = IdRing::new(1);
-        for id in 1..=5 {
-            ring.push(id, cell(id));
-        }
-        // Outputs drain independently: 3 and 2 leave before 1.
-        assert_eq!(ring.take(3), Some(cell(3)));
-        assert_eq!(ring.take(2), Some(cell(2)));
-        assert_eq!((ring.base, ring.cells.len()), (1, 5), "front waits on id 1");
-        assert_eq!(ring.take(3), None, "an id departs once");
-        assert_eq!(ring.take(1), Some(cell(1)));
-        assert_eq!(
-            (ring.base, ring.cells.len()),
-            (4, 2),
-            "holes collapse behind the front"
-        );
-        ring.push(6, cell(6));
-        assert_eq!(ring.take(5), Some(cell(5)));
-        assert_eq!(ring.take(4), Some(cell(4)));
-        assert_eq!(ring.take(6), Some(cell(6)));
-        assert_eq!((ring.base, ring.cells.len()), (7, 0));
-        assert_eq!(ring.take(6), None);
-        assert_eq!(ring.take(99), None);
-    }
-
-    #[test]
-    fn behavioral_ring_stays_bounded_under_drops_and_reordering() {
+    fn behavioral_queues_hold_exactly_the_cells_inside_the_switch() {
         // A small pool under a hot output: packets for output 0 queue up
         // while packets for the other outputs overtake them (departures
-        // out of id order), and the full pool drops (ids the mirror must
-        // not hand out). The ring may never hold more live cells than the
-        // switch can (`slots` buffered + one tail per output), its length
-        // must stay inside the documented hole bound, and every emission
-        // must carry the cell that was routed to that port.
+        // out of arrival order), and the full pool refuses cells. After
+        // every span, each output's queue must hold exactly the cells the
+        // switch still holds for it — admitted before the span's end,
+        // leaving at or after it: its queued packets plus the tail in
+        // transmission, in departure order. The recorded inbox stamps
+        // each cell's birth with its arrival cycle, which is what tells
+        // them apart from cells still to come.
         let (k, slots) = (4usize, 6usize);
         let s = 2 * k as u64;
         let windows = 400u64;
+        let route = identity_route(k);
         let inbox = recorded_inbox(k, s, windows, 0.8, 0.5, 0xB0B);
-        let mut e = BehavioralElement::new(k, slots, identity_route(k));
+        let mut e = BehavioralElement::new(k, slots, route.clone());
         let mut out = Vec::new();
-        let (mut max_live, mut max_len, mut reordered) = (0usize, 0usize, false);
+        let mut snapshots = Vec::new();
         let mut next = 0usize;
         for w in (0..windows + 16).step_by(4) {
             let (from, to) = (w * s, (w + 4) * s);
             let due_end = next + inbox[next..].iter().take_while(|a| a.cycle < to).count();
-            let before = out.len();
             e.run_window(from, to, &inbox[next..due_end], &mut out);
             next = due_end;
-            let ids: Vec<u64> = out[before..].iter().map(|em| em.cell.id.0).collect();
-            reordered |= ids.windows(2).any(|p| p[0] > p[1]);
-            max_live = max_live.max(e.in_flight.cells.iter().flatten().count());
-            max_len = max_len.max(e.in_flight.cells.len());
+            let queued: Vec<Vec<Cell>> = e
+                .queued
+                .iter()
+                .map(|q| q.iter().map(|&(_, cell)| cell).collect())
+                .collect();
+            let held: Vec<usize> = (0..k).map(|j| e.sw.queue_len(j)).collect();
+            snapshots.push((to, queued, held, e.sw.counters().in_flight()));
         }
         assert!(e.dropped() > 0, "the pool must overflow");
-        assert!(reordered, "departures must leave out of arrival order");
+        let ids: Vec<u64> = out.iter().map(|em| em.cell.id.0).collect();
+        assert!(
+            ids.windows(2).any(|p| p[0] > p[1]),
+            "departures must leave out of arrival order"
+        );
         assert_eq!(e.accepted() + e.dropped(), inbox.len() as u64);
         assert_eq!(
             out.len() as u64,
@@ -917,23 +813,39 @@ mod tests {
             "every accepted cell departs"
         );
         assert!(
-            e.is_idle() && e.in_flight.cells.is_empty(),
-            "the ring empties with the switch"
-        );
-        assert!(
-            max_live <= slots + k,
-            "{max_live} live cells in a {slots}-slot, {k}-output switch"
-        );
-        assert!(
-            max_len <= 2 * k * (slots + 1),
-            "ring grew to {max_len}: a stalled front?"
+            e.is_idle() && e.queued.iter().all(VecDeque::is_empty),
+            "the queues empty with the switch"
         );
         for em in &out {
+            let a = inbox
+                .iter()
+                .find(|a| a.cell.id == em.cell.id)
+                .expect("arrived");
+            assert_eq!(em.cell, a.cell, "cell altered in transit");
             assert_eq!(
-                em.port as usize,
-                em.cell.dst.index(),
+                em.port,
+                route[em.cell.dst.index()],
                 "cell left on the wrong port"
             );
+        }
+        for (to, queued, held, in_flight) in snapshots {
+            for (j, (queued, held)) in queued.iter().zip(held).enumerate() {
+                let inside: Vec<&Emission> = out
+                    .iter()
+                    .filter(|em| em.port as usize == j && em.cycle >= to && em.cell.birth < to)
+                    .collect();
+                let want: Vec<Cell> = inside.iter().map(|em| em.cell).collect();
+                assert_eq!(*queued, want, "output {j} at cycle {to}");
+                // The front is in transmission once its read has begun.
+                let tail = inside.first().is_some_and(|em| em.cycle - s < to);
+                assert_eq!(
+                    queued.len(),
+                    held + usize::from(tail),
+                    "output {j} at cycle {to}"
+                );
+            }
+            let total: usize = queued.iter().map(Vec::len).sum();
+            assert_eq!(total as u64, in_flight, "cycle {to}");
         }
     }
 }
