@@ -41,6 +41,13 @@ fn bad_usage(why: String) -> ! {
     std::process::exit(2)
 }
 
+/// The `--policy` tokens as `static|dt|…`, in campaign order.
+fn policy_tokens() -> String {
+    conformance::PolicyKind::all_default()
+        .map(|kind| kind.token())
+        .join("|")
+}
+
 /// A flag's value as a positive integer.
 fn positive<T>(flag: &str, what: &str, v: &str) -> T
 where
@@ -116,7 +123,8 @@ fn main() -> ExitCode {
             let v = value();
             policy = conformance::PolicyKind::parse(v).or_else(|| {
                 bad_usage(format!(
-                    "--policy needs one of static|dt|pushout|occamy|bshare, got '{v}'"
+                    "--policy needs one of {}, got '{v}'",
+                    policy_tokens()
                 ))
             });
         } else if a == "--watchdog" {
@@ -285,11 +293,12 @@ fn main() -> ExitCode {
     if list || ids.is_empty() {
         eprintln!(
             "usage: expt [--quick] [--jobs N | --seq] [--watchdog N] <e1..e19 | x1..x5 | all>...\n       \
-             expt e18 [--policy static|dt|pushout|occamy|bshare]\n       \
+             expt e18 [--policy {}]\n       \
              expt fuzz [--seeds N] [--base 0xHEX] [--jobs N | --seq]\n       \
              expt bench [--quick]\n       \
              expt check-determinism <id>...|all|fuzz [--jobs A,B] [--seeds N]\n       \
-             expt trace <e5|e6> [--vcd PATH] [--metrics PATH] [--last N] [--smoke]\n\nexperiments:"
+             expt trace <e5|e6> [--vcd PATH] [--metrics PATH] [--last N] [--smoke]\n\nexperiments:",
+            policy_tokens()
         );
         for id in bench_harness::ALL {
             eprintln!("  {id}");

@@ -55,6 +55,33 @@ fn smoke_outside_trace_is_rejected_naming_trace() {
 }
 
 #[test]
+fn an_unknown_policy_is_rejected_naming_every_token() {
+    // `dyn-thresh` was once an undocumented alias; only the tokens parse.
+    for bad in ["bogus", "dyn-thresh"] {
+        let out = expt(&["--policy", bad, "e18"]);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("got '{bad}'")), "{err}");
+        for token in ["static", "dt", "pushout", "occamy", "bshare"] {
+            assert!(err.contains(token), "{bad}: {err} must name {token}");
+        }
+        assert!(out.stdout.is_empty(), "{bad}: nothing may run");
+    }
+}
+
+#[test]
+fn policy_outside_e18_is_rejected() {
+    let out = expt(&["--policy", "dt", "e1"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("only applies to 'expt e18'"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
 fn list_names_every_experiment() {
     let out = expt(&["--list"]);
     assert_eq!(out.status.code(), Some(0));

@@ -83,12 +83,12 @@ impl Arbiter {
     /// port number) — deadlines are physical (latch reuse), so no policy
     /// may reorder them.
     pub fn decide(&mut self, reads: &[ReadReq], writes: &[WriteReq]) -> Decision {
-        let pick_read = |s: &Self| -> Option<PortId> {
+        let pick_read = |rr_read: usize| -> Option<PortId> {
             // First requesting port at or after the pointer, wrapping.
             reads.iter().map(|r| r.port).min_by_key(|p| {
                 let i = p.index();
-                if i >= s.rr_read {
-                    i - s.rr_read
+                if i >= rr_read {
+                    i - rr_read
                 } else {
                     // wrapped: order after the non-wrapped ones
                     i + usize::MAX / 2
@@ -101,35 +101,7 @@ impl Arbiter {
                 .min_by_key(|w| (w.deadline, w.port.index()))
                 .map(|w| w.port)
         };
-
-        let want_read_first = match self.policy {
-            ArbiterPolicy::ReadPriority => true,
-            ArbiterPolicy::WritePriority => false,
-            ArbiterPolicy::Alternate => !self.last_was_read,
-        };
-
-        let decision = if want_read_first {
-            pick_read(self)
-                .map(Decision::Read)
-                .or_else(|| pick_write().map(Decision::Write))
-        } else {
-            pick_write()
-                .map(Decision::Write)
-                .or_else(|| pick_read(self).map(Decision::Read))
-        }
-        .unwrap_or(Decision::Idle);
-
-        match decision {
-            Decision::Read(p) => {
-                self.rr_read = p.index() + 1;
-                self.last_was_read = true;
-            }
-            Decision::Write(_) => {
-                self.last_was_read = false;
-            }
-            Decision::Idle => {}
-        }
-        decision
+        self.choose(pick_read, pick_write)
     }
 
     /// Bit-parallel form of [`Arbiter::decide`] for the dense stepping
@@ -148,7 +120,7 @@ impl Arbiter {
         write_mask: u64,
         deadlines: &[Cycle],
     ) -> Decision {
-        let pick_read = |s: &Self| -> Option<PortId> {
+        let pick_read = |rr_read: usize| -> Option<PortId> {
             if read_mask == 0 {
                 return None;
             }
@@ -156,7 +128,7 @@ impl Arbiter {
             // mask off the ports below the pointer and take the lowest
             // set bit; fall back to the lowest overall when everything
             // wrapped.
-            let at_or_after = read_mask & (u64::MAX.checked_shl(s.rr_read as u32)).unwrap_or(0);
+            let at_or_after = read_mask & (u64::MAX.checked_shl(rr_read as u32)).unwrap_or(0);
             let port = if at_or_after != 0 {
                 at_or_after.trailing_zeros()
             } else {
@@ -179,21 +151,33 @@ impl Arbiter {
             }
             best.map(|(_, i)| PortId(i))
         };
+        self.choose(pick_read, pick_write)
+    }
 
-        let want_read_first = match self.policy {
+    /// The class rule both forms share: try the class the policy puts
+    /// first, fall back to the other, then advance the round-robin
+    /// pointer past a granted read and record which class went last.
+    /// `pick_read` takes the pointer; each picker runs at most once.
+    #[inline]
+    fn choose(
+        &mut self,
+        pick_read: impl FnOnce(usize) -> Option<PortId>,
+        pick_write: impl FnOnce() -> Option<PortId>,
+    ) -> Decision {
+        let rr_read = self.rr_read;
+        let read_first = match self.policy {
             ArbiterPolicy::ReadPriority => true,
             ArbiterPolicy::WritePriority => false,
             ArbiterPolicy::Alternate => !self.last_was_read,
         };
-
-        let decision = if want_read_first {
-            pick_read(self)
+        let decision = if read_first {
+            pick_read(rr_read)
                 .map(Decision::Read)
                 .or_else(|| pick_write().map(Decision::Write))
         } else {
             pick_write()
                 .map(Decision::Write)
-                .or_else(|| pick_read(self).map(Decision::Read))
+                .or_else(|| pick_read(rr_read).map(Decision::Read))
         }
         .unwrap_or(Decision::Idle);
 

@@ -20,7 +20,7 @@
 //! they sit inside the organizations' per-cycle `tick`.
 
 use crate::events::SwitchCounters;
-use crate::policy::{AdmitDecision, PolicyEngine, PolicyKind, PolicyView, SharingPolicy};
+use crate::policy::{AdmitDecision, PolicyEngine, PolicyKind, PolicyView};
 use crate::recovery::{RecoveryConfig, RecoveryReport, RecoveryWindows};
 use membank::EccOutcome;
 use simkernel::ids::Cycle;
@@ -236,7 +236,6 @@ impl ControlPlane {
         let decision = self.policy.admit(&PolicyView {
             occupancy: a.occupancy,
             capacity: a.capacity,
-            n_out,
             dst: a.dst,
             qlens: &self.qlens,
         });

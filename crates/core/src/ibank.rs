@@ -612,6 +612,30 @@ mod tests {
     }
 
     #[test]
+    fn occamy_refuses_arrivals_once_every_bank_is_retired() {
+        // One bank, no spare, threshold 1: the struck bank drains its
+        // packet and leaves the pool, so capacity reaches 0. The next
+        // arrival is a policy drop, not a watermark underflow.
+        let cfg = InterleavedSwitchConfig::symmetric(2, 1)
+            .with_recovery(RecoveryConfig::full(0, 1))
+            .with_policy(PolicyKind::Occamy);
+        let (pkts, mut sw) = run_one_with_upset(cfg);
+        assert_eq!(pkts.len(), 1, "retiring bank still drains its packet");
+        assert_eq!(sw.mem.banks(), 0, "the only bank is retired");
+        let s = sw.packet_words();
+        let p = Packet::synth(6, 0, 1, s, sw.now());
+        for k in 0..s {
+            sw.tick(&[Some(p.words[k]), None]);
+        }
+        for _ in 0..2 * s {
+            sw.tick(&[None, None]);
+        }
+        assert_eq!(sw.counters().policy_drops, 1);
+        assert_eq!(sw.counters().dropped_buffer_full, 0);
+        assert!(sw.is_quiescent());
+    }
+
+    #[test]
     fn repeated_corrections_retire_the_bank_spare_first() {
         // Threshold 1: the first correction retires the struck bank. The
         // retired bank drains its packet, then leaves the pool; the

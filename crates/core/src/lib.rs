@@ -79,7 +79,7 @@ pub use events::IntegrityReason;
 pub use faultsim::{Fault, FaultAction, FaultKind, FaultPlan, WireFaults};
 pub use halfq::HalfQuantumBuffer;
 pub use ibank::{InterleavedSwitch, InterleavedSwitchConfig};
-pub use policy::{AdmitDecision, PolicyEngine, PolicyKind, PolicyView, SharingPolicy};
+pub use policy::{AdmitDecision, PolicyEngine, PolicyKind, PolicyView};
 pub use recovery::{
     RecoveryConfig, RecoveryReport, RecoveryWindows, RetryConfig, RetryReceiver, RetrySender,
     RxVerdict,

@@ -3,8 +3,9 @@
 //! The paper keeps buffer management orthogonal to the pipelined memory
 //! (§3.3), which makes the admission decision a clean seam: *whether* an
 //! arriving packet gets a slot is independent of *how* words travel
-//! through the banks. This module hosts that seam as the [`SharingPolicy`]
-//! trait plus the concrete policies of the shared-buffer lineage:
+//! through the banks. This module hosts that seam as one [`PolicyEngine`]
+//! whose [`PolicyEngine::admit`] is one `match` on [`PolicyKind`], over
+//! the policies of the shared-buffer lineage:
 //!
 //! * **Static pool** — today's behavior: admit iff a free slot exists.
 //!   The zero-cost default; models keep their original admission code
@@ -17,12 +18,15 @@
 //!   the rearmost evictable packet of the longest queue.
 //! * **Occamy-style preemptive drop** — a high watermark (⅞ capacity)
 //!   below which everything is admitted; between watermark and full only
-//!   arrivals whose queue is under its fair share (`qlen · n_out ≤ occ`)
+//!   arrivals whose queue is under its fair share (`qlen · outputs ≤ occ`)
 //!   are admitted; at full, under-fair-share arrivals preempt from the
 //!   longest queue.
 //! * **BShare-style delay threshold** — admission keyed to the measured
 //!   per-output *queueing delay* (birth-to-read latency of the packet
 //!   most recently read for that output) instead of queue length.
+//!
+//! Adding a policy is one [`PolicyKind`] variant, one
+//! [`PolicyKind::token`] and one [`PolicyEngine::admit`] arm.
 //!
 //! All decisions are deterministic integer math over the same
 //! [`PolicyView`], so the word-level RTL model and the cell-level
@@ -42,8 +46,6 @@ pub struct PolicyView<'a> {
     pub occupancy: usize,
     /// Total slots (degraded-mode capacity when recovery shrank it).
     pub capacity: usize,
-    /// Number of output links.
-    pub n_out: usize,
     /// Primary destination output of the arriving packet.
     pub dst: usize,
     /// Live queue length per output, indexed by output link.
@@ -67,190 +69,6 @@ pub enum AdmitDecision {
         /// Output queue to evict from.
         victim: usize,
     },
-}
-
-/// A pluggable buffer-sharing policy: the admission decision plus the
-/// observation hooks that feed it.
-///
-/// Hooks default to no-ops so stateless policies stay zero-cost; only
-/// [`BShare`] carries state (the per-output delay signal fed by
-/// [`SharingPolicy::on_read`]).
-pub trait SharingPolicy {
-    /// Decide whether the arriving packet (bound for `view.dst`) may
-    /// take a slot, and at whose expense.
-    fn admit(&self, view: &PolicyView<'_>) -> AdmitDecision;
-
-    /// Choose an eviction victim: the longest queue, ties to the lowest
-    /// output index. Policies needing a different victim rule override.
-    fn preempt(&self, view: &PolicyView<'_>) -> Option<usize> {
-        longest_queue(view.qlens)
-    }
-
-    /// Observe a read initiation for `output` whose packet waited
-    /// `delay` cycles from header arrival to read start (the BShare
-    /// queueing-delay signal).
-    fn on_read(&mut self, output: usize, delay: Cycle) {
-        let _ = (output, delay);
-    }
-}
-
-/// The longest non-empty queue, ties broken toward the lowest output
-/// index. `None` when every queue is empty (nothing to evict).
-pub fn longest_queue(qlens: &[usize]) -> Option<usize> {
-    let (mut best, mut best_len) = (None, 0usize);
-    for (j, &len) in qlens.iter().enumerate() {
-        if len > best_len {
-            best = Some(j);
-            best_len = len;
-        }
-    }
-    best
-}
-
-/// Static pool: admit iff a free slot exists (the pre-policy behavior).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticPool;
-
-impl SharingPolicy for StaticPool {
-    fn admit(&self, view: &PolicyView<'_>) -> AdmitDecision {
-        if view.occupancy < view.capacity {
-            AdmitDecision::Accept
-        } else {
-            AdmitDecision::Reject
-        }
-    }
-}
-
-/// Dynamic Thresholds: admit iff `qlen(dst) < α · free`, with
-/// `α = alpha_num / alpha_den` in exact integer arithmetic.
-#[derive(Debug, Clone, Copy)]
-pub struct DynamicThresholds {
-    /// Numerator of α.
-    pub alpha_num: u64,
-    /// Denominator of α.
-    pub alpha_den: u64,
-}
-
-impl Default for DynamicThresholds {
-    fn default() -> Self {
-        DynamicThresholds {
-            alpha_num: 1,
-            alpha_den: 1,
-        }
-    }
-}
-
-impl SharingPolicy for DynamicThresholds {
-    fn admit(&self, view: &PolicyView<'_>) -> AdmitDecision {
-        if view.occupancy >= view.capacity {
-            return AdmitDecision::Reject;
-        }
-        let free = (view.capacity - view.occupancy) as u64;
-        let qlen = view.qlens[view.dst] as u64;
-        if qlen * self.alpha_den < self.alpha_num * free {
-            AdmitDecision::Accept
-        } else {
-            AdmitDecision::Reject
-        }
-    }
-}
-
-/// Push-out: admit freely while slots remain; at full, evict from the
-/// longest queue to make room.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PushOut;
-
-impl SharingPolicy for PushOut {
-    fn admit(&self, view: &PolicyView<'_>) -> AdmitDecision {
-        if view.occupancy < view.capacity {
-            AdmitDecision::Accept
-        } else {
-            match self.preempt(view) {
-                Some(victim) => AdmitDecision::Preempt { victim },
-                None => AdmitDecision::Reject,
-            }
-        }
-    }
-}
-
-/// Occamy-style preemptive drop: watermark at ⅞ capacity, fair-share
-/// admission above it, preemption at full for under-share arrivals.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Occamy;
-
-impl Occamy {
-    /// The high watermark: capacity minus a reserve of `max(1, cap/8)`.
-    pub fn watermark(capacity: usize) -> usize {
-        capacity - (capacity / 8).max(1)
-    }
-}
-
-impl SharingPolicy for Occamy {
-    fn admit(&self, view: &PolicyView<'_>) -> AdmitDecision {
-        let hi = Self::watermark(view.capacity);
-        if view.occupancy < hi {
-            return AdmitDecision::Accept;
-        }
-        // At or above the watermark: only under-fair-share queues grow.
-        let under_share = view.qlens[view.dst] * view.n_out <= view.occupancy;
-        if view.occupancy < view.capacity {
-            if under_share {
-                AdmitDecision::Accept
-            } else {
-                AdmitDecision::Reject
-            }
-        } else if under_share {
-            match self.preempt(view) {
-                Some(victim) => AdmitDecision::Preempt { victim },
-                None => AdmitDecision::Reject,
-            }
-        } else {
-            AdmitDecision::Reject
-        }
-    }
-}
-
-/// BShare-style delay threshold: admit while the destination's measured
-/// queueing delay (birth-to-read latency of its most recently read
-/// packet) stays within `delay_bound`; an empty queue always admits.
-#[derive(Debug, Clone)]
-pub struct BShare {
-    /// Maximum tolerated birth-to-read delay, in cycles.
-    pub delay_bound: Cycle,
-    /// Last observed birth-to-read delay per output.
-    last_delay: Vec<Cycle>,
-}
-
-impl BShare {
-    /// A BShare policy for `n_out` outputs with the given delay bound.
-    pub fn new(delay_bound: Cycle, n_out: usize) -> Self {
-        BShare {
-            delay_bound,
-            last_delay: vec![0; n_out],
-        }
-    }
-
-    /// The current delay signal for one output.
-    pub fn last_delay(&self, output: usize) -> Cycle {
-        self.last_delay[output]
-    }
-}
-
-impl SharingPolicy for BShare {
-    fn admit(&self, view: &PolicyView<'_>) -> AdmitDecision {
-        if view.occupancy >= view.capacity {
-            return AdmitDecision::Reject;
-        }
-        if view.qlens[view.dst] == 0 || self.last_delay[view.dst] <= self.delay_bound {
-            AdmitDecision::Accept
-        } else {
-            AdmitDecision::Reject
-        }
-    }
-
-    fn on_read(&mut self, output: usize, delay: Cycle) {
-        self.last_delay[output] = delay;
-    }
 }
 
 /// Configuration-level selector for a sharing policy. `Copy`, cheap to
@@ -316,117 +134,167 @@ impl PolicyKind {
         }
     }
 
-    /// Human-facing label for report tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Static => "static",
-            PolicyKind::DynamicThresholds { .. } => "dyn-thresh",
-            PolicyKind::PushOut => "push-out",
-            PolicyKind::Occamy => "occamy",
-            PolicyKind::BShare => "bshare",
-        }
-    }
-
-    /// Parse a token (as produced by [`PolicyKind::token`]); parameters
-    /// take their defaults. `None` for unknown tokens.
+    /// The inverse of [`PolicyKind::token`] over
+    /// [`PolicyKind::all_default`]: parameters take their defaults.
+    /// `None` for any other string.
     pub fn parse(s: &str) -> Option<PolicyKind> {
-        match s {
-            "static" => Some(PolicyKind::Static),
-            "dt" | "dyn-thresh" | "dynamic" => Some(PolicyKind::dynamic_thresholds()),
-            "pushout" | "push-out" => Some(PolicyKind::PushOut),
-            "occamy" => Some(PolicyKind::Occamy),
-            "bshare" => Some(PolicyKind::BShare),
-            _ => None,
-        }
+        PolicyKind::all_default()
+            .into_iter()
+            .find(|kind| kind.token() == s)
     }
 
     /// Build the runnable engine for a switch with `n_out` outputs and
     /// `stages` words per packet.
     pub fn engine(self, n_out: usize, stages: usize) -> PolicyEngine {
-        match self {
-            PolicyKind::Static => PolicyEngine::Static(StaticPool),
+        if let PolicyKind::DynamicThresholds { alpha_den, .. } = self {
+            assert!(alpha_den > 0, "alpha denominator must be positive");
+        }
+        let last_delay = match self {
+            PolicyKind::BShare => vec![0; n_out],
+            _ => Vec::new(),
+        };
+        PolicyEngine {
+            kind: self,
+            delay_bound: 2 * stages as Cycle,
+            last_delay,
+        }
+    }
+}
+
+/// The runnable policy a model embeds: its [`PolicyKind`] plus the one
+/// piece of state any policy keeps, BShare's per-output delay signal.
+/// No allocation for the other four kinds, no dynamic dispatch ever.
+#[derive(Debug, Clone)]
+pub struct PolicyEngine {
+    kind: PolicyKind,
+    /// BShare's bound on the birth-to-read delay, in cycles.
+    delay_bound: Cycle,
+    /// BShare's last observed birth-to-read delay per output (empty for
+    /// every other kind).
+    last_delay: Vec<Cycle>,
+}
+
+impl PolicyEngine {
+    /// Decide whether the arriving packet (bound for `view.dst`) may
+    /// take a slot, and at whose expense.
+    pub fn admit(&self, view: &PolicyView<'_>) -> AdmitDecision {
+        match self.kind {
+            // Admit iff a free slot exists (the pre-policy behavior).
+            PolicyKind::Static => {
+                if view.occupancy < view.capacity {
+                    AdmitDecision::Accept
+                } else {
+                    AdmitDecision::Reject
+                }
+            }
+            // Admit iff `qlen(dst) < α · free`, in exact integer math.
             PolicyKind::DynamicThresholds {
                 alpha_num,
                 alpha_den,
             } => {
-                assert!(alpha_den > 0, "alpha denominator must be positive");
-                PolicyEngine::Dt(DynamicThresholds {
-                    alpha_num: alpha_num as u64,
-                    alpha_den: alpha_den as u64,
-                })
+                if view.occupancy >= view.capacity {
+                    return AdmitDecision::Reject;
+                }
+                let free = (view.capacity - view.occupancy) as u64;
+                let qlen = view.qlens[view.dst] as u64;
+                if qlen * u64::from(alpha_den) < u64::from(alpha_num) * free {
+                    AdmitDecision::Accept
+                } else {
+                    AdmitDecision::Reject
+                }
             }
-            PolicyKind::PushOut => PolicyEngine::PushOut(PushOut),
-            PolicyKind::Occamy => PolicyEngine::Occamy(Occamy),
-            PolicyKind::BShare => PolicyEngine::BShare(BShare::new(2 * stages as Cycle, n_out)),
+            // Admit freely while slots remain; at full, evict from the
+            // longest queue to make room.
+            PolicyKind::PushOut => {
+                if view.occupancy < view.capacity {
+                    AdmitDecision::Accept
+                } else {
+                    preempt_longest(view.qlens)
+                }
+            }
+            // Watermark at ⅞ capacity, fair-share admission above it,
+            // preemption at full for under-share arrivals.
+            PolicyKind::Occamy => {
+                let hi = occamy_watermark(view.capacity);
+                if view.occupancy < hi {
+                    return AdmitDecision::Accept;
+                }
+                // At or above the watermark: only under-fair-share queues grow.
+                let under_share = view.qlens[view.dst] * view.qlens.len() <= view.occupancy;
+                if view.occupancy < view.capacity {
+                    if under_share {
+                        AdmitDecision::Accept
+                    } else {
+                        AdmitDecision::Reject
+                    }
+                } else if under_share {
+                    preempt_longest(view.qlens)
+                } else {
+                    AdmitDecision::Reject
+                }
+            }
+            // Admit while the destination's last birth-to-read delay
+            // stays within the bound; an empty queue always admits.
+            PolicyKind::BShare => {
+                if view.occupancy >= view.capacity {
+                    return AdmitDecision::Reject;
+                }
+                if view.qlens[view.dst] == 0 || self.last_delay[view.dst] <= self.delay_bound {
+                    AdmitDecision::Accept
+                } else {
+                    AdmitDecision::Reject
+                }
+            }
         }
     }
-}
 
-/// Statically-dispatched bundle of the concrete policies — what a model
-/// embeds. No allocation on the static path, no dynamic dispatch ever.
-#[derive(Debug, Clone)]
-pub enum PolicyEngine {
-    /// Static pool.
-    Static(StaticPool),
-    /// Dynamic Thresholds.
-    Dt(DynamicThresholds),
-    /// Push-out.
-    PushOut(PushOut),
-    /// Occamy preemptive drop.
-    Occamy(Occamy),
-    /// BShare delay threshold.
-    BShare(BShare),
-}
+    /// Observe a read initiation for `output` whose packet waited
+    /// `delay` cycles from header arrival to read start (the BShare
+    /// queueing-delay signal; a no-op for every other kind).
+    pub fn on_read(&mut self, output: usize, delay: Cycle) {
+        if self.kind == PolicyKind::BShare {
+            self.last_delay[output] = delay;
+        }
+    }
 
-impl PolicyEngine {
     /// True for the static pool — models guard their original (bit-exact,
     /// branch-predictable) admission code with this.
     #[inline]
     pub fn is_static(&self) -> bool {
-        matches!(self, PolicyEngine::Static(_))
+        self.kind.is_static()
     }
 
     /// The config-level kind this engine runs.
     pub fn kind(&self) -> PolicyKind {
-        match self {
-            PolicyEngine::Static(_) => PolicyKind::Static,
-            PolicyEngine::Dt(p) => PolicyKind::DynamicThresholds {
-                alpha_num: p.alpha_num as u32,
-                alpha_den: p.alpha_den as u32,
-            },
-            PolicyEngine::PushOut(_) => PolicyKind::PushOut,
-            PolicyEngine::Occamy(_) => PolicyKind::Occamy,
-            PolicyEngine::BShare(_) => PolicyKind::BShare,
-        }
+        self.kind
     }
 }
 
-impl SharingPolicy for PolicyEngine {
-    fn admit(&self, view: &PolicyView<'_>) -> AdmitDecision {
-        match self {
-            PolicyEngine::Static(p) => p.admit(view),
-            PolicyEngine::Dt(p) => p.admit(view),
-            PolicyEngine::PushOut(p) => p.admit(view),
-            PolicyEngine::Occamy(p) => p.admit(view),
-            PolicyEngine::BShare(p) => p.admit(view),
-        }
+/// Evict from the longest queue, or refuse when every queue is empty.
+fn preempt_longest(qlens: &[usize]) -> AdmitDecision {
+    match longest_queue(qlens) {
+        Some(victim) => AdmitDecision::Preempt { victim },
+        None => AdmitDecision::Reject,
     }
+}
 
-    fn preempt(&self, view: &PolicyView<'_>) -> Option<usize> {
-        match self {
-            PolicyEngine::Static(p) => p.preempt(view),
-            PolicyEngine::Dt(p) => p.preempt(view),
-            PolicyEngine::PushOut(p) => p.preempt(view),
-            PolicyEngine::Occamy(p) => p.preempt(view),
-            PolicyEngine::BShare(p) => p.preempt(view),
+/// The longest non-empty queue, ties broken toward the lowest output
+/// index. `None` when every queue is empty (nothing to evict).
+fn longest_queue(qlens: &[usize]) -> Option<usize> {
+    let (mut best, mut best_len) = (None, 0usize);
+    for (j, &len) in qlens.iter().enumerate() {
+        if len > best_len {
+            best = Some(j);
+            best_len = len;
         }
     }
+    best
+}
 
-    fn on_read(&mut self, output: usize, delay: Cycle) {
-        if let PolicyEngine::BShare(p) = self {
-            p.on_read(output, delay);
-        }
-    }
+/// Occamy's high watermark: capacity minus a reserve of `max(1, cap/8)`,
+/// floored at 0 (recovery can retire every slot).
+fn occamy_watermark(capacity: usize) -> usize {
+    capacity.saturating_sub((capacity / 8).max(1))
 }
 
 #[cfg(test)]
@@ -437,7 +305,6 @@ mod tests {
         PolicyView {
             occupancy: occ,
             capacity: cap,
-            n_out: qlens.len(),
             dst,
             qlens,
         }
@@ -445,15 +312,16 @@ mod tests {
 
     #[test]
     fn static_pool_matches_free_slot_check() {
-        let p = StaticPool;
+        let p = PolicyKind::Static.engine(2, 8);
         assert_eq!(p.admit(&view(7, 8, 0, &[7, 0])), AdmitDecision::Accept);
         assert_eq!(p.admit(&view(8, 8, 1, &[8, 0])), AdmitDecision::Reject);
     }
 
     #[test]
     fn dynamic_thresholds_caps_the_hot_queue() {
-        let p = DynamicThresholds::default(); // α = 1
-                                              // 8 slots, 5 used, hot queue holds all 5: 5 < 3 fails → reject.
+        // α = 1.
+        let p = PolicyKind::dynamic_thresholds().engine(2, 8);
+        // 8 slots, 5 used, hot queue holds all 5: 5 < 3 fails → reject.
         assert_eq!(p.admit(&view(5, 8, 0, &[5, 0])), AdmitDecision::Reject);
         // Same occupancy, cold queue: 0 < 3 → accept.
         assert_eq!(p.admit(&view(5, 8, 1, &[5, 0])), AdmitDecision::Accept);
@@ -463,7 +331,7 @@ mod tests {
 
     #[test]
     fn push_out_evicts_longest_queue_only_at_full() {
-        let p = PushOut;
+        let p = PolicyKind::PushOut.engine(2, 8);
         assert_eq!(p.admit(&view(7, 8, 1, &[6, 1])), AdmitDecision::Accept);
         assert_eq!(
             p.admit(&view(8, 8, 1, &[6, 2])),
@@ -480,9 +348,9 @@ mod tests {
 
     #[test]
     fn occamy_watermark_and_fair_share() {
-        let p = Occamy;
+        let p = PolicyKind::Occamy.engine(2, 8);
         // cap 16 → watermark 14.
-        assert_eq!(Occamy::watermark(16), 14);
+        assert_eq!(occamy_watermark(16), 14);
         assert_eq!(p.admit(&view(13, 16, 0, &[13, 0])), AdmitDecision::Accept);
         // Above watermark, hot queue over fair share (14·2 > 14): reject.
         assert_eq!(p.admit(&view(14, 16, 0, &[14, 0])), AdmitDecision::Reject);
@@ -499,7 +367,8 @@ mod tests {
 
     #[test]
     fn bshare_delay_signal_gates_admission() {
-        let mut p = BShare::new(8, 2);
+        // 4-word packets: the bound is two packet times, 8 cycles.
+        let mut p = PolicyKind::BShare.engine(2, 4);
         // No delay observed yet → admit.
         assert_eq!(p.admit(&view(4, 8, 0, &[4, 0])), AdmitDecision::Accept);
         p.on_read(0, 20); // measured delay above the bound
@@ -510,6 +379,20 @@ mod tests {
         assert_eq!(p.admit(&view(4, 8, 0, &[4, 0])), AdmitDecision::Accept);
         // Full is still full.
         assert_eq!(p.admit(&view(8, 8, 0, &[4, 4])), AdmitDecision::Reject);
+    }
+
+    #[test]
+    fn every_kind_rejects_at_zero_capacity() {
+        // Recovery can retire every slot; nothing may be admitted then.
+        for kind in PolicyKind::all_default() {
+            let p = kind.engine(2, 8);
+            assert_eq!(
+                p.admit(&view(0, 0, 0, &[0, 0])),
+                AdmitDecision::Reject,
+                "{kind:?}"
+            );
+        }
+        assert_eq!(occamy_watermark(0), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::behavioral::BehavioralDeparture;
 use crate::bufmgr::{BufferManager, Descriptor};
 use crate::config::SwitchConfig;
 use crate::events::{IntegrityReason, SwitchCounters};
-use crate::policy::{AdmitDecision, PolicyEngine, PolicyView, SharingPolicy};
+use crate::policy::{AdmitDecision, PolicyEngine, PolicyView};
 use crate::rtl::{drop_reason, integrity_checksum, StageCtrl};
 use membank::bank::{PortKind, SramBank};
 use simkernel::cell::Packet;
@@ -412,7 +412,6 @@ impl BehavioralSwitchRef {
         let decision = self.policy.admit(&PolicyView {
             occupancy: self.buf_used,
             capacity: self.cfg.slots,
-            n_out: self.cfg.n_out,
             dst,
             qlens: &qlens,
         });
@@ -771,7 +770,6 @@ impl PipelinedSwitchRef {
         let decision = policy.admit(&PolicyView {
             occupancy: mgr.occupancy(),
             capacity: slots,
-            n_out,
             dst,
             qlens: &qlens,
         });

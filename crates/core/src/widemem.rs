@@ -915,6 +915,32 @@ mod tests {
     }
 
     #[test]
+    fn occamy_refuses_arrivals_once_every_row_is_retired() {
+        // One row, no spare, threshold 1: correcting the upset retires
+        // the only row and capacity reaches 0. The next arrival is a
+        // policy drop — not a watermark underflow, and not a buffer-full
+        // drop after a wrapped watermark admitted it.
+        let mut cfg = WideSwitchConfig::fig3(2, 1)
+            .with_recovery(RecoveryConfig::full(0, 1))
+            .with_policy(PolicyKind::Occamy);
+        cfg.cut_through_crossbar = false;
+        let (pkts, mut sw) = run_one_with_upset(cfg);
+        assert_eq!(pkts.len(), 1, "corrected packet delivers");
+        assert_eq!(sw.capacity, 0, "the only row is retired");
+        let s = sw.cfg.packet_words();
+        let p = Packet::synth(6, 0, 1, s, sw.now());
+        for k in 0..s {
+            sw.tick(&[Some(p.words[k]), None]);
+        }
+        for _ in 0..2 * s {
+            sw.tick(&[None, None]);
+        }
+        assert_eq!(sw.counters().policy_drops, 1);
+        assert_eq!(sw.counters().dropped_buffer_full, 0);
+        assert!(sw.is_quiescent());
+    }
+
+    #[test]
     fn repeated_corrections_retire_the_row_spare_first() {
         // Threshold 1: the first correction retires the struck row. With
         // one spare the capacity survives; a second strike (on the
