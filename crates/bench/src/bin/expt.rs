@@ -155,13 +155,13 @@ fn main() -> ExitCode {
     // Snapshot the expiry ledger so the exit-code decision below reports
     // only drains that hung during *this* invocation.
     let wd_baseline = simkernel::watchdog::expiries();
-    let watchdog_verdict = move || -> Result<(), ExitCode> {
+    let watchdog_verdict = move || -> ExitCode {
         let Some(limit) = watchdog else {
-            return Ok(());
+            return ExitCode::SUCCESS;
         };
         let hung = simkernel::watchdog::expiries_since(wd_baseline);
         if hung == 0 {
-            return Ok(());
+            return ExitCode::SUCCESS;
         }
         eprintln!(
             "[watchdog: {hung} drain{} failed to reach quiescence under the \
@@ -169,7 +169,7 @@ fn main() -> ExitCode {
              complete but the run is marked failed]",
             if hung == 1 { "" } else { "s" }
         );
-        Err(ExitCode::FAILURE)
+        ExitCode::FAILURE
     };
 
     if ids.iter().any(|i| i == "bench") {
@@ -209,6 +209,9 @@ fn main() -> ExitCode {
                     .into(),
             );
         }
+        if base.is_some() {
+            bad_usage("--base only applies to 'expt fuzz'".into());
+        }
         let pair = jobs_pair.unwrap_or((1, 8));
         for id in &ids {
             match bench_harness::check_determinism(id, quick, seeds.unwrap_or(64), pair) {
@@ -219,7 +222,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        return ExitCode::SUCCESS;
+        return watchdog_verdict();
     }
     if jobs_pair.is_some() {
         bad_usage("--jobs A,B only applies to 'expt check-determinism'".into());
@@ -280,10 +283,7 @@ fn main() -> ExitCode {
         if !ok {
             return ExitCode::FAILURE;
         }
-        return match watchdog_verdict() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(code) => code,
-        };
+        return watchdog_verdict();
     }
     if seeds.is_some() || base.is_some() {
         eprintln!("--seeds/--base only apply to 'expt fuzz'");
@@ -347,8 +347,5 @@ fn main() -> ExitCode {
         }
     }
 
-    match watchdog_verdict() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(code) => code,
-    }
+    watchdog_verdict()
 }

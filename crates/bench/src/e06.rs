@@ -11,7 +11,7 @@
 
 use crate::{sweep, table};
 use simkernel::cell::header_chance;
-use simkernel::SplitMix64;
+use simkernel::{advance_to_batched, SplitMix64};
 use switch_core::behavioral::BehavioralSwitch;
 use switch_core::config::SwitchConfig;
 
@@ -97,14 +97,11 @@ pub fn measure(n: usize, p: f64, cycles: u64, seed: u64) -> f64 {
     let s = cfg.stages();
     let schedule = arrival_schedule(n, s, p, cycles, seed);
     let mut sw = BehavioralSwitch::new(cfg);
-    let idle: Vec<Option<usize>> = vec![None; n];
     let mut arr = vec![None; n];
     let mut k = 0;
     while k < schedule.len() {
         let t = schedule[k].0;
-        simkernel::horizon::advance_to(&mut sw, t, |m| {
-            m.tick(&idle);
-        });
+        advance_to_batched(&mut sw, t);
         arr.fill(None);
         while k < schedule.len() && schedule[k].0 == t {
             arr[schedule[k].1] = Some(schedule[k].2);
@@ -112,9 +109,7 @@ pub fn measure(n: usize, p: f64, cycles: u64, seed: u64) -> f64 {
         }
         sw.tick(&arr);
     }
-    simkernel::horizon::advance_to(&mut sw, cycles, |m| {
-        m.tick(&idle);
-    });
+    advance_to_batched(&mut sw, cycles);
     extra_latency(&sw, cycles, n, p)
 }
 

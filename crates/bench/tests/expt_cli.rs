@@ -46,6 +46,50 @@ fn an_expired_watchdog_fails_the_run_after_its_table() {
     assert!(table.contains("[e16 completed in"), "{table}");
 }
 
+/// The same verdict closes a determinism check: both runs agreeing does
+/// not excuse a drain that hung in either.
+#[test]
+fn an_expired_watchdog_fails_a_determinism_check() {
+    let out = expt(&[
+        "--watchdog",
+        "1",
+        "--quick",
+        "check-determinism",
+        "e16",
+        "--jobs",
+        "1,2",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("drains failed to reach quiescence"),
+        "{}",
+        stderr(&out)
+    );
+    let verdict = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        verdict.contains("e16: identical at --jobs 1 and --jobs 2"),
+        "{verdict}"
+    );
+}
+
+/// `check-determinism fuzz` always runs the canonical base, so a `--base`
+/// there is refused rather than silently ignored.
+#[test]
+fn base_outside_fuzz_is_rejected_by_check_determinism() {
+    let out = expt(&[
+        "--quick",
+        "--base",
+        "0x1234",
+        "check-determinism",
+        "fuzz",
+        "--seeds",
+        "4",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--base"), "{}", stderr(&out));
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
 #[test]
 fn smoke_outside_trace_is_rejected_naming_trace() {
     let out = expt(&["--smoke", "e17"]);

@@ -170,11 +170,6 @@ impl TranslatedSwitch {
         &self.inner
     }
 
-    /// The wrapped switch, mutably (probe attachment, fault injection).
-    pub fn inner_mut(&mut self) -> &mut PipelinedSwitch {
-        &mut self.inner
-    }
-
     /// Packet length in words.
     fn stages(&self) -> usize {
         self.inner.config().stages()

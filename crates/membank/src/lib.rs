@@ -25,6 +25,12 @@
 //!
 //! Data words are `u64` (the models are width-agnostic; the physical width
 //! in bits is carried as metadata and used by `vlsimodel`, not here).
+//!
+//! The models only store. Counters, probes and the recovery ladder belong
+//! to `switch-core`'s control plane (DESIGN.md §14), which arms and reads
+//! the SEC-DED codes of [`bank::SramBank`], [`wide::WideMemory`] and
+//! [`interleaved::InterleavedMemory`]; [`pipelined::PipelinedMemory`]
+//! has none of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

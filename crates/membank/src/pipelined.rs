@@ -13,10 +13,9 @@
 //! Use this model when you need *a* pipelined buffer, and `switch-core`
 //! when you need *the switch*.
 
-use crate::bank::{EccOutcome, PortKind, SramBank};
+use crate::bank::{PortKind, SramBank};
 use simkernel::ids::{Addr, Cycle};
 use std::fmt;
-use telemetry::{ProbeEvent, ProbeHandle, RecoveryTag};
 
 /// An operation wave to initiate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,11 +120,6 @@ pub struct PipelinedMemory {
     waves_live: usize,
     cycle: Cycle,
     pending: Option<ActiveWave>,
-    probe: Option<ProbeHandle>,
-    /// SEC-DED scrubbing armed on every bank (see [`SramBank::enable_ecc`]).
-    /// Kept as a plain flag so the disabled case costs one predictable
-    /// branch per sweep, nothing more.
-    ecc: bool,
     /// Reusable per-cycle scratch (hot path: must not allocate).
     scratch_done: Vec<CompletedRead>,
     scratch_drain: Vec<CompletedRead>,
@@ -151,49 +145,9 @@ impl PipelinedMemory {
             waves_live: 0,
             cycle: 0,
             pending: None,
-            probe: None,
-            ecc: false,
             scratch_done: Vec::new(),
             scratch_drain: Vec::new(),
         }
-    }
-
-    /// Attach SEC-DED check codes to every bank (idempotent). Read waves
-    /// thereafter scrub each word against its code as they sweep,
-    /// correcting single-bit upsets in place before the word leaves the
-    /// bank.
-    pub fn enable_ecc(&mut self) {
-        for b in &mut self.banks {
-            b.enable_ecc();
-        }
-        self.ecc = true;
-    }
-
-    /// Is ECC scrubbing armed?
-    pub fn ecc_enabled(&self) -> bool {
-        self.ecc
-    }
-
-    /// Cumulative `(corrections, uncorrectable)` over all banks.
-    pub fn ecc_totals(&self) -> (u64, u64) {
-        self.banks.iter().fold((0, 0), |(c, u), b| {
-            (c + b.ecc_corrections(), u + b.ecc_uncorrectable())
-        })
-    }
-
-    /// Fault injection (testbench only): flip the bits of `mask` in slot
-    /// `addr` of the stage-`stage` bank, bypassing the port discipline —
-    /// a single-event upset strikes regardless of the access schedule.
-    pub fn inject_fault(&mut self, stage: usize, addr: Addr, mask: u64) {
-        self.banks[stage].inject_fault(addr, mask);
-    }
-
-    /// Attach a probe: each initiation emits
-    /// [`ProbeEvent::WaveLaunched`] and each stage sweep
-    /// [`ProbeEvent::WaveAdvanced`] — the membank-level view of the
-    /// one-stage-per-cycle pipeline.
-    pub fn attach_probe(&mut self, probe: ProbeHandle) {
-        self.probe = Some(probe);
     }
 
     /// Number of pipeline stages (banks).
@@ -247,15 +201,6 @@ impl PipelinedMemory {
                 body: Body::Read(Vec::with_capacity(self.stages())),
             },
         };
-        if let Some(p) = &self.probe {
-            p.emit(
-                self.cycle,
-                ProbeEvent::WaveLaunched {
-                    addr: wave.addr.index(),
-                    write: matches!(wave.body, Body::Write(_)),
-                },
-            );
-        }
         self.pending = Some(wave);
         Ok(())
     }
@@ -281,7 +226,7 @@ impl PipelinedMemory {
         if self.waves_live > 0 {
             // Walk the ring oldest wave first (the wave started at
             // `now - stages + 1` sits at slot `(now + 1) % stages`), so
-            // probe events and completions keep initiation order.
+            // completions keep initiation order.
             let first = ((now + 1) % stages as Cycle) as usize;
             // Two ascending passes over the occupancy word — slots
             // `first..stages`, then `0..first` — visit live slots in ring
@@ -313,15 +258,6 @@ impl PipelinedMemory {
         let w = self.waves[slot].as_mut().expect("sweep of empty ring slot");
         let k = (now - w.start) as usize;
         debug_assert!(k < stages, "retired wave left in ring");
-        if let Some(p) = &self.probe {
-            p.emit(
-                now,
-                ProbeEvent::WaveAdvanced {
-                    stage: k,
-                    addr: w.addr.index(),
-                },
-            );
-        }
         // Each live wave sits at a distinct stage, so touching only the
         // banks that live waves visit is equivalent to opening the cycle
         // on every bank.
@@ -334,47 +270,10 @@ impl PipelinedMemory {
                 bank.write(w.addr, words[k])
                     .expect("wave stagger guarantees bank availability");
             }
-            Body::Read(out) => {
-                // Scrub rides the sense amplifiers of the scheduled read:
-                // a single-bit upset is repaired before the word leaves
-                // the bank, at no extra port cost.
-                let scrub = if self.ecc {
-                    bank.scrub(w.addr)
-                } else {
-                    EccOutcome::Clean
-                };
-                let v = bank
-                    .read(w.addr)
-                    .expect("wave stagger guarantees bank availability");
-                out.push(v);
-                match scrub {
-                    EccOutcome::Clean => {}
-                    EccOutcome::Corrected { bit } => {
-                        if let Some(p) = &self.probe {
-                            p.emit(
-                                now,
-                                ProbeEvent::Recovery {
-                                    tag: RecoveryTag::EccCorrected,
-                                    index: k,
-                                    info: u64::from(bit),
-                                },
-                            );
-                        }
-                    }
-                    EccOutcome::Uncorrectable => {
-                        if let Some(p) = &self.probe {
-                            p.emit(
-                                now,
-                                ProbeEvent::Recovery {
-                                    tag: RecoveryTag::EccUncorrectable,
-                                    index: k,
-                                    info: w.addr.index() as u64,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
+            Body::Read(out) => out.push(
+                bank.read(w.addr)
+                    .expect("wave stagger guarantees bank availability"),
+            ),
         }
         if k + 1 == stages {
             let w = self.waves[slot].take().expect("retiring wave vanished");
@@ -529,44 +428,6 @@ mod tests {
         let m = PipelinedMemory::new(16, 256, 16);
         // Telegraphos III: 16 stages × 256 slots × 16 bits = 64 Kbit.
         assert_eq!(m.capacity_bits(), 65_536);
-    }
-
-    #[test]
-    fn ecc_scrub_repairs_upsets_as_the_read_wave_sweeps() {
-        let mut m = PipelinedMemory::new(4, 8, 64);
-        m.enable_ecc();
-        let data = words(3, 4);
-        m.initiate(WaveOp::Write {
-            addr: Addr(2),
-            words: data.clone(),
-        })
-        .unwrap();
-        let _ = m.drain();
-        // One single-event upset per stage bank, all in the stored slot.
-        for stage in 0..4 {
-            m.inject_fault(stage, Addr(2), 1u64 << (stage * 7));
-        }
-        m.initiate(WaveOp::Read { addr: Addr(2) }).unwrap();
-        let done = m.drain();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].words, data, "every upset corrected in flight");
-        assert_eq!(m.ecc_totals(), (4, 0));
-    }
-
-    #[test]
-    fn ecc_disabled_reads_deliver_upsets_verbatim() {
-        let mut m = PipelinedMemory::new(2, 4, 64);
-        m.initiate(WaveOp::Write {
-            addr: Addr(0),
-            words: vec![8, 9],
-        })
-        .unwrap();
-        let _ = m.drain();
-        m.inject_fault(0, Addr(0), 1);
-        m.initiate(WaveOp::Read { addr: Addr(0) }).unwrap();
-        let done = m.drain();
-        assert_eq!(done[0].words, vec![9, 9], "no silent correction");
-        assert_eq!(m.ecc_totals(), (0, 0));
     }
 
     #[test]

@@ -14,7 +14,6 @@ use simkernel::ids::Cycle;
 use switch_core::config::SwitchConfig;
 use switch_core::rtl::OutputCollector;
 use switch_core::vcroute::{decode_delivery, encode_header_vc, TranslatedSwitch};
-use telemetry::{ProbeEvent, ProbeHandle};
 
 /// A linear chain of `hops` switches: stage `h`'s output `link` feeds
 /// stage `h+1`'s input `link` through a one-cycle registered wire.
@@ -35,7 +34,6 @@ pub struct RtlChain {
     stages_per_switch: usize,
     collector: OutputCollector,
     cycle: Cycle,
-    probe: Option<ProbeHandle>,
 }
 
 /// A delivered end-to-end packet: final egress link, outgoing label, id,
@@ -71,17 +69,7 @@ impl RtlChain {
             stages_per_switch: s,
             collector: OutputCollector::new(n, s),
             cycle: 0,
-            probe: None,
         }
-    }
-
-    /// Attach a probe to hop `hop`'s switch: its per-cycle events
-    /// (waves, bank accesses, departures) stream into `probe`. The
-    /// chain itself additionally reports each end-to-end delivery as
-    /// [`ProbeEvent::ChainDelivered`] regardless of which hop is probed.
-    pub fn attach_probe(&mut self, hop: usize, probe: ProbeHandle) {
-        self.switches[hop].inner_mut().attach_probe(probe.clone());
-        self.probe = Some(probe);
     }
 
     /// Number of hops.
@@ -177,24 +165,13 @@ impl RtlChain {
             .into_iter()
             .map(|d| {
                 let (vc, id) = decode_delivery(&d);
-                let delivery = ChainDelivery {
+                ChainDelivery {
                     egress: d.output.index(),
                     vc,
                     id,
                     head_cycle: d.first_cycle,
                     words: d.words,
-                };
-                if let Some(p) = &self.probe {
-                    p.emit(
-                        delivery.head_cycle,
-                        ProbeEvent::ChainDelivered {
-                            egress: delivery.egress,
-                            id: delivery.id,
-                            vc: delivery.vc as usize,
-                        },
-                    );
                 }
-                delivery
             })
             .collect()
     }

@@ -12,8 +12,8 @@
 //! [`Horizon`] grafts that idea onto the synchronous models without an
 //! event queue: each model *derives* its event horizon from the state it
 //! already holds (next transmission-done cycle, next eligible pending
-//! write, next output-initiation slot), and [`advance_to`] jumps the
-//! clock there in O(1) instead of ticking through the gap. The contract
+//! write, next output-initiation slot), and [`advance_to_batched`] jumps
+//! the clock there in O(1) instead of ticking through the gap. The contract
 //! is conservative by construction, so the fast path can change wall
 //! time only — never a departure cycle, a counter, or an RNG draw.
 //!
@@ -74,11 +74,10 @@ pub fn ff_executed() -> u64 {
 
 /// Skip windows at or below this width are not worth a jump: the
 /// horizon query plus the jump bookkeeping cost more than just ticking
-/// through. [`advance_to`] and [`advance_to_batched`] dense-step such
-/// windows (including the event cycle itself) in one run, with a single
-/// counter update — this is what removes the 95%-load regression where
-/// per-cycle horizon bookkeeping made fast-forward *slower* than plain
-/// dense stepping.
+/// through. [`advance_to_batched`] dense-steps such windows (including
+/// the event cycle itself) in one run, with a single counter update —
+/// this is what removes the 95%-load regression where per-cycle horizon
+/// bookkeeping made fast-forward *slower* than plain dense stepping.
 pub const DENSE_FALLTHROUGH: u64 = 4;
 
 /// A model whose idle cycles can be executed as one fused batch.
@@ -110,52 +109,25 @@ pub trait Horizon {
 
     /// Jump the clock to `target` without evaluating the intervening
     /// cycles. Only legal when `next_event()` permits it (`None`, or
-    /// `Some(e)` with `target <= e`); callers go through [`advance_to`]
-    /// or [`drain`], which enforce this.
+    /// `Some(e)` with `target <= e`); callers go through
+    /// [`advance_to_batched`] or [`drain`], which enforce this.
     fn jump_to(&mut self, target: Cycle);
 }
 
 /// Advance `m` to exactly `target`, fast-forwarding across idle spans
-/// and calling `dense_tick` (which must advance the clock by one cycle
-/// with idle input) whenever the model reports an imminent event.
+/// and running [`BatchTick::tick_idle_batch`] whenever the model reports
+/// an imminent event, so the near-window fall-through executes without
+/// any per-cycle driver overhead.
 ///
 /// Bit-exact with dense stepping by the [`Horizon`] contract; the only
 /// observable difference is wall time. Skipped/executed cycle counts
-/// fold into the process-wide efficiency counters.
-pub fn advance_to<M: Horizon>(m: &mut M, target: Cycle, mut dense_tick: impl FnMut(&mut M)) {
-    while m.now() < target {
-        let now = m.now();
-        let stop = match m.next_event() {
-            None => target,
-            Some(e) if e > now + DENSE_FALLTHROUGH => e.min(target),
-            Some(e) => {
-                // Near-zero skip window: fall through to dense stepping
-                // across the window *and* the event cycle, with one
-                // counter update for the whole run instead of per-cycle
-                // horizon bookkeeping.
-                let run_end = target.min(e.max(now) + 1);
-                while m.now() < run_end {
-                    dense_tick(m);
-                }
-                debug_assert!(m.now() > now, "dense_tick must advance the clock");
-                note_executed(m.now() - now);
-                continue;
-            }
-        };
-        note_skipped(stop - now);
-        m.jump_to(stop);
-    }
-}
-
-/// [`advance_to`] for models with a fused idle-batch path: dense runs go
-/// through [`BatchTick::tick_idle_batch`] instead of a per-cycle tick
-/// closure, so the near-window fall-through executes without any
-/// per-cycle driver overhead. On a saturated model the horizon demands
-/// dense stepping almost every cycle; consecutive dense rounds escalate
-/// the batch length (up to 8× [`DENSE_FALLTHROUGH`]) so the horizon
-/// query itself drops out of the per-cycle cost. Escalation only ever
-/// *executes* cycles it might instead have skipped — never skips cycles
-/// it should have executed — so bit-exactness is unconditional.
+/// fold into the process-wide efficiency counters. On a saturated model
+/// the horizon demands dense stepping almost every cycle; consecutive
+/// dense rounds escalate the batch length (up to 8×
+/// [`DENSE_FALLTHROUGH`]) so the horizon query itself drops out of the
+/// per-cycle cost. Escalation only ever *executes* cycles it might
+/// instead have skipped — never skips cycles it should have executed —
+/// so bit-exactness is unconditional.
 pub fn advance_to_batched<M: Horizon + BatchTick>(m: &mut M, target: Cycle) {
     let mut streak: u64 = 0;
     while m.now() < target {
@@ -272,7 +244,7 @@ mod tests {
             done_at: Some(100),
             ticked: Vec::new(),
         };
-        advance_to(&mut t, 200, toy_tick);
+        advance_to_batched(&mut t, 200);
         assert_eq!(t.now, 200);
         // Only the event cycle itself was dense-ticked.
         assert_eq!(t.ticked, vec![100]);
@@ -286,7 +258,7 @@ mod tests {
             done_at: Some(100),
             ticked: Vec::new(),
         };
-        advance_to(&mut t, 40, toy_tick);
+        advance_to_batched(&mut t, 40);
         assert_eq!(t.now, 40);
         assert!(t.ticked.is_empty());
         assert_eq!(t.done_at, Some(100));
@@ -371,11 +343,15 @@ mod tests {
             done_at: Some(100),
             ticked: Vec::new(),
         };
-        advance_to(&mut a, 200, toy_tick);
+        while a.now < 200 {
+            toy_tick(&mut a);
+        }
         advance_to_batched(&mut b, 200);
         assert_eq!(a.now, b.now);
-        assert_eq!(a.ticked, b.ticked);
         assert_eq!(a.done_at, b.done_at);
+        // Dense stepping ticked every cycle; the driver only the event.
+        assert_eq!(a.ticked.len(), 200);
+        assert_eq!(b.ticked, vec![100]);
     }
 
     #[test]
@@ -420,7 +396,7 @@ mod tests {
 
     #[test]
     fn near_window_falls_through_to_dense() {
-        // Event 2 cycles ahead: within DENSE_FALLTHROUGH, so advance_to
+        // Event 2 cycles ahead: within DENSE_FALLTHROUGH, so the driver
         // must dense-step the window and the event cycle rather than
         // jump. (The ticked vec is the proof: a jump would leave cycles
         // 0 and 1 out of it.)
@@ -429,7 +405,7 @@ mod tests {
             done_at: Some(2),
             ticked: Vec::new(),
         };
-        advance_to(&mut t, 3, toy_tick);
+        advance_to_batched(&mut t, 3);
         assert_eq!(t.now, 3);
         assert_eq!(t.ticked, vec![0, 1, 2]);
     }
@@ -443,7 +419,7 @@ mod tests {
             done_at: Some(10),
             ticked: Vec::new(),
         };
-        advance_to(&mut t, 20, toy_tick);
+        advance_to_batched(&mut t, 20);
         assert_eq!(ff_skipped() - s0, 19); // [0,10) and [11,20)
         assert_eq!(ff_executed() - e0, 1); // cycle 10
     }

@@ -1,10 +1,10 @@
 //! The structured event vocabulary every model speaks.
 //!
 //! Variants use only primitive fields (`usize`, `u64`) so the event type
-//! lives below every model crate in the dependency graph: `membank`,
-//! `switch-core`, and `netsim` all emit [`ProbeEvent`]s without this
-//! crate knowing their types. The mapping back to paper concepts is in
-//! each variant's doc comment.
+//! lives below every model crate in the dependency graph: `switch-core`
+//! and `fabric` emit [`ProbeEvent`]s without this crate knowing their
+//! types. The mapping back to paper concepts is in each variant's doc
+//! comment.
 
 use std::fmt;
 
@@ -201,21 +201,6 @@ pub enum ProbeEvent {
         /// True when fused with the packet's own write wave.
         fused: bool,
     },
-    /// A raw memory wave launched at stage 0 (membank-level view).
-    WaveLaunched {
-        /// Buffer slot the wave operates on.
-        addr: usize,
-        /// True for write waves, false for reads.
-        write: bool,
-    },
-    /// A raw memory wave performed its stage-`stage` operation
-    /// (membank-level view of one-stage-per-cycle sweep).
-    WaveAdvanced {
-        /// Pipeline stage (= bank index) visited this cycle.
-        stage: usize,
-        /// Buffer slot the wave operates on.
-        addr: usize,
-    },
     /// A bank performed an access on behalf of a switch-level wave (the
     /// fig. 5 control signal of stage `stage` this cycle).
     BankAccess {
@@ -305,16 +290,6 @@ pub enum ProbeEvent {
         /// Tag-specific detail (slot address, sequence number, …).
         info: u64,
     },
-    /// A packet was delivered end-to-end across a multi-hop chain
-    /// (netsim-level view).
-    ChainDelivered {
-        /// Egress link of the final hop.
-        egress: usize,
-        /// Packet id.
-        id: u64,
-        /// Virtual channel it traveled on.
-        vc: usize,
-    },
 }
 
 impl fmt::Display for ProbeEvent {
@@ -346,16 +321,6 @@ impl fmt::Display for ProbeEvent {
                     "read-wave out{output} slot{addr}{}",
                     if *fused { " (fused)" } else { "" }
                 )
-            }
-            ProbeEvent::WaveLaunched { addr, write } => {
-                write!(
-                    f,
-                    "wave-launched {} slot{addr}",
-                    if *write { "write" } else { "read" }
-                )
-            }
-            ProbeEvent::WaveAdvanced { stage, addr } => {
-                write!(f, "wave-advanced stage{stage} slot{addr}")
             }
             ProbeEvent::BankAccess {
                 stage,
@@ -409,9 +374,6 @@ impl fmt::Display for ProbeEvent {
             } => write!(f, "gauge {gauge}[{index}] = {value}"),
             ProbeEvent::Recovery { tag, index, info } => {
                 write!(f, "recovery {tag}[{index}] info={info}")
-            }
-            ProbeEvent::ChainDelivered { egress, id, vc } => {
-                write!(f, "chain-delivered egress{egress} id={id:#x} vc{vc}")
             }
         }
     }

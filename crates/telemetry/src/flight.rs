@@ -64,8 +64,8 @@ mod tests {
         for c in 0..8u64 {
             rec.record(
                 c,
-                ProbeEvent::WaveAdvanced {
-                    stage: c as usize,
+                ProbeEvent::WriteWave {
+                    input: c as usize,
                     addr: 0,
                 },
             );
@@ -81,7 +81,7 @@ mod tests {
         assert!(dump.contains("post-mortem: forced drop"));
         assert!(dump.contains("cycles 6..=8 (3 events retained, 6 older evicted)"));
         assert!(dump.contains("drop id=0x7 (buffer-full)"));
-        assert!(!dump.contains("stage0"), "evicted events absent");
+        assert!(!dump.contains("write-wave in0"), "evicted events absent");
     }
 
     #[test]
@@ -95,23 +95,16 @@ mod tests {
     fn count_matching_filters_the_window() {
         let rec = Shared::new(Recorder::unbounded());
         let h = rec.handle();
-        h.emit(
-            1,
-            ProbeEvent::WaveLaunched {
-                addr: 0,
-                write: true,
-            },
-        );
+        h.emit(1, ProbeEvent::WriteWave { input: 0, addr: 0 });
         h.emit(
             2,
-            ProbeEvent::WaveLaunched {
+            ProbeEvent::ReadWave {
+                output: 0,
                 addr: 1,
-                write: false,
+                fused: false,
             },
         );
-        let writes = count_matching(&rec, |e| {
-            matches!(e, ProbeEvent::WaveLaunched { write: true, .. })
-        });
+        let writes = count_matching(&rec, |e| matches!(e, ProbeEvent::WriteWave { .. }));
         assert_eq!(writes, 1);
     }
 }

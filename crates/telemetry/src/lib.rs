@@ -3,8 +3,9 @@
 //! Observability layer for the switch models (DESIGN.md §10). The split
 //! is strict:
 //!
-//! * **Probes live in the models.** Every model owns an
-//!   `Option<ProbeHandle>`; emission sites are written as
+//! * **Probes live in the models.** Every switch model owns an
+//!   `Option<ProbeHandle>` through its control plane (the memories
+//!   emit nothing); emission sites are written as
 //!   `if let Some(p) = &self.probe { p.emit(cycle, ProbeEvent::…) }`
 //!   so that with no probe attached the hot path pays exactly one
 //!   predictable branch and constructs nothing — the perf gate

@@ -228,6 +228,13 @@ mod tests {
     #[test]
     fn null_sink_accepts_everything() {
         let h = ProbeHandle::new(NullSink);
-        h.emit(0, ProbeEvent::WaveAdvanced { stage: 1, addr: 2 });
+        h.emit(
+            0,
+            ProbeEvent::HeaderArrived {
+                input: 1,
+                id: 2,
+                dst: 0,
+            },
+        );
     }
 }

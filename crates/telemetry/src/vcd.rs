@@ -158,9 +158,6 @@ fn apply(event: &ProbeEvent, topo: &Topo, lay: &Layout, vals: &mut [u64]) {
                 WaveDir::Fused => CTRL_FUSED,
             };
         }
-        ProbeEvent::WaveAdvanced { stage, .. } if *stage < topo.stages => {
-            vals[lay.mctrl + stage] = CTRL_WRITE.max(vals[lay.mctrl + stage]);
-        }
         ProbeEvent::HeaderArrived { input, .. } if *input < topo.n_in => {
             vals[lay.hdr + input] = 1;
         }

@@ -23,11 +23,11 @@
 //!
 //! Plus the batching laws: a fused `tick_idle_batch(n)` must equal `n`
 //! scalar idle ticks, and the batched fast-forward driver must equal
-//! the per-cycle one, probe streams included.
+//! dense stepping, probe streams included.
 
 use telegraphos::simkernel::cell::Packet;
 use telegraphos::simkernel::ids::{Addr, Cycle};
-use telegraphos::simkernel::{advance_to, advance_to_batched, BatchTick, Horizon, SplitMix64};
+use telegraphos::simkernel::{advance_to_batched, BatchTick, Horizon, SplitMix64};
 use telegraphos::switch_core::behavioral::{BehavioralDeparture, BehavioralSwitch};
 use telegraphos::switch_core::config::SwitchConfig;
 use telegraphos::switch_core::events::SwitchCounters;
@@ -523,7 +523,8 @@ fn rtl_idle_batch_equals_scalar_idle_ticks() {
 }
 
 /// The batched fast-forward driver must visit exactly the same states as
-/// the per-cycle one: same departures, counters, and clock at target.
+/// plain dense stepping: same departures, counters, probe stream, and
+/// clock at target.
 #[test]
 fn batched_fast_forward_driver_equals_per_cycle_driver() {
     let cfg = SwitchConfig::symmetric(4, 16);
@@ -544,9 +545,9 @@ fn batched_fast_forward_driver_equals_per_cycle_driver() {
                     if batched {
                         advance_to_batched(&mut sw, at);
                     } else {
-                        advance_to(&mut sw, at, |m| {
-                            m.tick(&idle);
-                        });
+                        while sw.now() < at {
+                            sw.tick(&idle);
+                        }
                     }
                     now = at;
                 }
@@ -563,26 +564,26 @@ fn batched_fast_forward_driver_equals_per_cycle_driver() {
             if batched {
                 advance_to_batched(&mut sw, target);
             } else {
-                advance_to(&mut sw, target, |m| {
-                    m.tick(&idle);
-                });
+                while sw.now() < target {
+                    sw.tick(&idle);
+                }
             }
             assert!(sw.is_quiescent(), "failed to drain by target");
             let deps = sw.departures().to_vec();
             let events: ProbeLog = rec.with(|r| r.iter().cloned().collect());
             (sw.now(), deps, sw.counters(), events)
         };
-        let per_cycle = run(false);
+        let dense = run(false);
         let batched = run(true);
         assert_eq!(
-            per_cycle, batched,
-            "load {load}: batched driver diverged from per-cycle driver"
+            dense, batched,
+            "load {load}: batched driver diverged from dense stepping"
         );
     }
 }
 
 // ---------------------------------------------------------------------------
-// 5. Fault injection under the fast-forward drivers
+// 5. Fault injection under the fast-forward driver
 // ---------------------------------------------------------------------------
 
 /// One memory strike: at cycle `at`, xor `mask` into the slot's word in
@@ -628,12 +629,12 @@ fn strike_schedule(
     strikes
 }
 
-/// Dense stepping vs `advance_to` vs `advance_to_batched` on the
-/// ECC-armed pipelined RTL under a strike schedule: every driver injects
-/// the same strikes at the same absolute cycles (fast-forward targets
-/// are bounded by the next strike), so the clock, the full counter set —
-/// ECC corrections, uncorrectable words, integrity drops — and the probe
-/// streams must come out byte-identical.
+/// Dense stepping vs `advance_to_batched` on the ECC-armed pipelined RTL
+/// under a strike schedule: both drivers inject the same strikes at the
+/// same absolute cycles (fast-forward targets are bounded by the next
+/// strike), so the clock, the full counter set — ECC corrections,
+/// uncorrectable words, integrity drops — and the probe streams must
+/// come out byte-identical.
 #[test]
 fn fault_injected_fast_forward_drivers_agree_on_detection_counters() {
     let mut cfg = SwitchConfig::symmetric(4, 16);
@@ -648,14 +649,12 @@ fn fault_injected_fast_forward_drivers_agree_on_detection_counters() {
     for load in [0.10, 0.95] {
         let offers = load_schedule(4, s, load, 1_500, 0xECC + (load * 100.0) as u64);
         let strikes = strike_schedule(&offers, s, 16, 32, 0x5712 + (load * 100.0) as u64);
-        // mode 0: dense per-cycle; 1: advance_to; 2: advance_to_batched.
-        let run = |mode: u8| {
+        let run = |batched: bool| {
             let mut sw = PipelinedSwitch::new(cfg.clone());
             let rec = Shared::new(Recorder::unbounded());
             sw.attach_probe(rec.handle());
             let mut current: Vec<Option<(Vec<u64>, usize)>> = vec![None; 4];
             let mut wire: Vec<Option<u64>> = vec![None; 4];
-            let idle: Vec<Option<u64>> = vec![None; 4];
             let mut k = 0usize;
             let mut f = 0usize;
             let mut grace = 0u64;
@@ -677,8 +676,11 @@ fn fault_injected_fast_forward_drivers_agree_on_detection_counters() {
                 } else {
                     grace = 0;
                 }
-                assert!(now < 1_000_000, "mode {mode} failed to drain under faults");
-                if mode != 0 && !is_idle && current.iter().all(Option::is_none) {
+                assert!(
+                    now < 1_000_000,
+                    "batched={batched}: failed to drain under faults"
+                );
+                if batched && !is_idle && current.iter().all(Option::is_none) {
                     let mut target = u64::MAX;
                     if let Some(o) = offers.get(k) {
                         target = target.min(o.at);
@@ -687,13 +689,7 @@ fn fault_injected_fast_forward_drivers_agree_on_detection_counters() {
                         target = target.min(st.at);
                     }
                     if target != u64::MAX && target > now {
-                        if mode == 1 {
-                            advance_to(&mut sw, target, |m| {
-                                m.tick(&idle);
-                            });
-                        } else {
-                            advance_to_batched(&mut sw, target);
-                        }
+                        advance_to_batched(&mut sw, target);
                         continue;
                     }
                 }
@@ -717,13 +713,8 @@ fn fault_injected_fast_forward_drivers_agree_on_detection_counters() {
             let events: ProbeLog = rec.with(|r| r.iter().cloned().collect());
             (sw.now(), sw.counters(), events)
         };
-        let dense = run(0);
-        let advanced = run(1);
-        let batched = run(2);
-        assert_eq!(
-            dense, advanced,
-            "load {load}: advance_to driver diverged from dense under faults"
-        );
+        let dense = run(false);
+        let batched = run(true);
         assert_eq!(
             dense, batched,
             "load {load}: advance_to_batched driver diverged from dense under faults"
@@ -731,8 +722,8 @@ fn fault_injected_fast_forward_drivers_agree_on_detection_counters() {
         corrected += dense.1.ecc_corrected;
         detected += dense.1.ecc_uncorrectable + dense.1.corrupt_drops;
     }
-    // Non-vacuity: the three-way agreement proves nothing if no strike
-    // was ever corrected or detect-dropped.
+    // Non-vacuity: the agreement proves nothing if no strike was ever
+    // corrected or detect-dropped.
     assert!(corrected > 0, "no strike was ever ECC-corrected");
     assert!(detected > 0, "no double-bit strike was ever detected");
 }
