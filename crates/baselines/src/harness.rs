@@ -98,7 +98,8 @@ pub fn run(
 }
 
 /// Measure the carried load of `make_model` under uniform iid traffic at
-/// `load` — the evaluation function used by saturation searches.
+/// `load`. At load 1 every input is always backlogged, so this is the
+/// saturation throughput E1 and E15 report.
 pub fn carried_at_load(
     mut make_model: impl FnMut() -> Box<dyn CellSwitch>,
     n: usize,

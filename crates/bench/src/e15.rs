@@ -1,7 +1,7 @@
 //! E15 — the full architecture sweep (figs. 1–2, §2).
 //!
 //! Every buffering architecture the paper surveys, run under the same
-//! uniform iid workload: measured saturation throughput plus latency and
+//! uniform iid workload: carried load at offered load 1 plus latency and
 //! loss at a common operating point. This is the quantitative backdrop
 //! of the paper's §2 argument in one table.
 
@@ -17,7 +17,6 @@ use baselines::shared::output_queued;
 use baselines::speedup::SpeedupSwitch;
 use baselines::voq::VoqSwitch;
 use simkernel::SharedBuffer;
-use stats::saturation_search;
 use traffic::{Bernoulli, DestDist};
 
 /// One architecture's measurements.
@@ -25,8 +24,9 @@ use traffic::{Bernoulli, DestDist};
 pub struct E15Row {
     /// Architecture label.
     pub arch: String,
-    /// Measured saturation throughput (unbounded buffers).
-    pub saturation: f64,
+    /// Carried load per port at offered load 1 (unbounded buffers, except
+    /// PRIZMA's fixed pool).
+    pub carried: f64,
     /// Mean latency at load 0.5 (slots).
     pub latency_half: f64,
     /// Loss at load 0.9 with ~4 cells/port of buffer.
@@ -114,18 +114,7 @@ pub fn zoo(n: usize) -> Vec<(String, ModelFactory)> {
 
 /// Measure one architecture.
 pub fn measure(name: &str, factory: &ModelFactory, n: usize, slots: u64) -> E15Row {
-    // Work-conserving architectures carry everything up to load 1.0 —
-    // there is no saturation point below it to bisect for.
-    let hi = 0.995;
-    let carried_hi = carried_at_load(|| factory(None), n, hi, slots, 0xE15);
-    let saturation = if carried_hi >= hi - 0.02 {
-        hi
-    } else {
-        saturation_search(0.30, hi, 0.02, 0.01, |load| {
-            carried_at_load(|| factory(None), n, load, slots, 0xE15)
-        })
-        .estimate()
-    };
+    let carried = carried_at_load(|| factory(None), n, 1.0, slots, 0xE15);
     let latency_half = {
         let mut m = factory(None);
         let mut src = Bernoulli::new(n, 0.5, DestDist::uniform(n), 0xE15);
@@ -139,7 +128,7 @@ pub fn measure(name: &str, factory: &ModelFactory, n: usize, slots: u64) -> E15R
     };
     E15Row {
         arch: name.to_string(),
-        saturation,
+        carried,
         latency_half,
         loss_tight,
     }
@@ -157,19 +146,20 @@ pub fn run(quick: bool) -> String {
     let n = if quick { 8 } else { 16 };
     table::render(
         &format!(
-            "E15: architecture sweep, {n}x{n}, uniform iid (figs 1-2) — saturation / latency@0.5 / loss@0.9 with ~4 cells/port"
+            "E15: architecture sweep, {n}x{n}, uniform iid (figs 1-2) — carried@1 / latency@0.5 / loss@0.9 with ~4 cells/port"
         ),
-        &["architecture", "saturation", "latency@0.5", "loss@0.9 tight"],
+        &["architecture", "carried@1", "latency@0.5", "loss@0.9 tight"],
         rows(quick).iter().map(|r| {
             vec![
                 r.arch.clone(),
-                table::f3(r.saturation),
+                table::f3(r.carried),
                 format!("{:.2}", r.latency_half),
                 format!("{:.1e}", r.loss_tight),
             ]
         }),
-        "\nExpected shape (paper §2): input FIFO ~0.59-0.62; scheduled VOQ, speedup-2,\n\
-         crosspoint, output and shared queueing ~1.0. NOTE: the loss column's budget\n\
+        "\ncarried@1 = carried load per port at offered load 1: for input FIFO, [KaHM87]'s\n\
+         saturation throughput (every input backlogged); for the finite PRIZMA pool,\n\
+         throughput at full load, loss included. NOTE: the loss column's budget\n\
          is per QUEUE, so total memory differs wildly across architectures (e.g.\n\
          crosspoint holds n^2 queues = 16x the shared pool's total here) — that is\n\
          itself the paper's §2.1 point about crosspoint memory cost. E3 is the\n\
@@ -194,20 +184,27 @@ mod tests {
         let fifo = row("input FIFO", &rows);
         let shared = row("SHARED", &rows);
         let oq = row("output queueing", &rows);
+        let prizma = row("PRIZMA", &rows);
         assert!(
-            fifo.saturation < 0.70,
-            "input FIFO saturates low: {}",
-            fifo.saturation
+            (fifo.carried - crate::e01::karol_table(8)).abs() <= 0.005,
+            "input FIFO carries [KaHM87]'s saturation throughput: {}",
+            fifo.carried
         );
         assert!(
-            shared.saturation > 0.95,
-            "shared saturates ~1: {}",
-            shared.saturation
+            shared.carried > 0.95,
+            "shared carries ~1: {}",
+            shared.carried
         );
         assert!(
-            oq.saturation > 0.95,
-            "output queueing saturates ~1: {}",
-            oq.saturation
+            oq.carried > 0.95,
+            "output queueing carries ~1: {}",
+            oq.carried
+        );
+        assert!(
+            prizma.carried < shared.carried,
+            "PRIZMA's finite pool {} must carry less than the unbounded pool {}",
+            prizma.carried,
+            shared.carried
         );
         // Best memory utilization: shared loses less than output queueing
         // at the same per-port budget.
@@ -226,10 +223,10 @@ mod tests {
         for sched in ["PIM", "iSLIP", "2DRR"] {
             let v = row(sched, &rows);
             assert!(
-                v.saturation > fifo.saturation + 0.1,
+                v.carried > fifo.carried + 0.1,
                 "{sched} ({}) must clearly beat FIFO ({})",
-                v.saturation,
-                fifo.saturation
+                v.carried,
+                fifo.carried
             );
         }
     }

@@ -238,13 +238,18 @@ pub fn run_point(spec: &PolicySpec) -> PolicyRow {
     }
 }
 
-/// The campaign grid: shape × organization × policy × load. The traffic
-/// seed is derived from the point's *coordinates*, never its index, so
-/// a `--policy` filter leaves the surviving rows bit-identical.
+/// The campaign grid: shape × organization × policy × load, restricted
+/// by the `--policy` filter when one is set.
 pub fn specs(quick: bool) -> Vec<PolicySpec> {
+    grid(quick, *POLICY_FILTER.lock().expect("filter lock"))
+}
+
+/// The grid with an explicit filter. The traffic seed is derived from
+/// the point's *coordinates*, never its index, so a filter leaves the
+/// surviving rows bit-identical.
+fn grid(quick: bool, filter: Option<PolicyKind>) -> Vec<PolicySpec> {
     let cycles = if quick { 4_000 } else { 24_000 };
     let loads: &[f64] = if quick { &[0.9] } else { &[0.6, 0.9, 1.0] };
-    let filter = *POLICY_FILTER.lock().expect("filter lock");
     let mut specs = Vec::new();
     for (shape_ix, &shape) in Shape::ALL.iter().enumerate() {
         for (load_ix, &load) in loads.iter().enumerate() {
@@ -398,10 +403,8 @@ mod tests {
 
     #[test]
     fn policy_filter_preserves_row_bits() {
-        set_policy_filter(Some(PolicyKind::PushOut));
-        let filtered = specs(true);
-        set_policy_filter(None);
-        let full = specs(true);
+        let filtered = grid(true, Some(PolicyKind::PushOut));
+        let full = grid(true, None);
         assert!(filtered.len() < full.len());
         let spec = filtered[0];
         let twin = full

@@ -58,7 +58,7 @@ pub fn points_run() -> u64 {
 /// order.
 ///
 /// Workers claim points from a shared atomic cursor (dynamic load
-/// balancing: saturation searches take wildly different times), stash
+/// balancing: loss searches and switch sizes take wildly different times), stash
 /// `(index, result)` pairs locally, and the pairs are merged and sorted
 /// at the end — so the caller sees exactly what the sequential
 /// `points.iter().map(f).collect()` would produce, which is also what

@@ -1,6 +1,6 @@
 //! The sweep engine's central guarantee: results are bit-identical for
-//! every worker count. E1 (a real simulation sweep — saturation
-//! bisections over switch sizes) is run at `--jobs` 1, 4 and 8 and the
+//! every worker count. E1 (a real simulation sweep — four seeds per
+//! switch size) is run at `--jobs` 1, 4 and 8 and the
 //! rows compared field-for-field; the rendered report must also match
 //! byte-for-byte.
 
@@ -33,6 +33,8 @@ fn e1_rows_identical_across_worker_counts() {
                 "n={}: measured diverged under --jobs {jobs}",
                 a.n
             );
+            assert_eq!(a.range.0.to_bits(), b.range.0.to_bits());
+            assert_eq!(a.range.1.to_bits(), b.range.1.to_bits());
             assert_eq!(a.theory.to_bits(), b.theory.to_bits());
         }
     }

@@ -162,13 +162,6 @@ impl SwitchConfig {
     pub fn capacity_bits(&self) -> u64 {
         (self.stages() * self.slots) as u64 * self.word_bits as u64
     }
-
-    /// Aggregate buffer throughput in bits per cycle (all banks busy):
-    /// `stages × word_bits`, the "total width of the shared buffer" of
-    /// §3.5.
-    pub fn throughput_bits_per_cycle(&self) -> u64 {
-        self.stages() as u64 * self.word_bits as u64
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +186,6 @@ mod tests {
         c.validate();
         assert_eq!(c.stages(), 16);
         assert_eq!(c.capacity_bits(), 65_536, "the paper's 64 Kbit buffer");
-        assert_eq!(c.throughput_bits_per_cycle(), 256);
     }
 
     #[test]

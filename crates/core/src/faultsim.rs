@@ -201,14 +201,6 @@ impl FaultPlan {
             self.faults.pop_front();
         }
     }
-
-    /// Allocating convenience wrapper over [`FaultPlan::take_due_into`]
-    /// (tests and cold paths only).
-    pub fn take_due(&mut self, now: Cycle) -> Vec<Fault> {
-        let mut due = Vec::new();
-        self.take_due_into(now, &mut due);
-        due
-    }
 }
 
 /// Applies [`FaultAction::WireCorrupt`] / [`FaultAction::WireDrop`] to the
@@ -358,12 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn take_due_pops_in_order() {
+    fn take_due_into_pops_in_order() {
         let mut p = FaultPlan::generate(FaultKind::CreditLoss, 0.2, 100, &cfg(), 9);
         let total = p.len();
         let mut seen = 0;
+        let mut due = Vec::new();
         for now in 0..100 {
-            for f in p.take_due(now) {
+            p.take_due_into(now, &mut due);
+            for f in &due {
                 assert!(f.at <= now);
                 seen += 1;
             }

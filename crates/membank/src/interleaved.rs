@@ -158,13 +158,6 @@ impl InterleavedMemory {
         self.banks[b.0].ecc_corrections()
     }
 
-    /// Cumulative `(corrections, uncorrectable)` over all banks.
-    pub fn ecc_totals(&self) -> (u64, u64) {
-        self.banks.iter().fold((0, 0), |(c, u), b| {
-            (c + b.ecc_corrections(), u + b.ecc_uncorrectable())
-        })
-    }
-
     /// Open a new cycle on all banks.
     #[inline]
     pub fn begin_cycle(&mut self, cycle: Cycle) {

@@ -48,12 +48,6 @@ impl Cell {
             birth,
         }
     }
-
-    /// Latency in slots if the cell departs at `now` (inclusive counting:
-    /// a cell that departs in its arrival slot has latency 0).
-    pub fn latency_at(&self, now: Cycle) -> u64 {
-        now.saturating_sub(self.birth)
-    }
 }
 
 /// A multi-word packet for the word-level RTL models.
@@ -220,15 +214,6 @@ mod tests {
         let (mask, id) = Packet::decode_header_any((7 << 8) | 0x40);
         assert_eq!(mask, 0);
         assert_eq!(id, 7);
-    }
-
-    #[test]
-    fn cell_latency() {
-        let c = Cell::new(1, 0, 2, 100);
-        assert_eq!(c.latency_at(100), 0);
-        assert_eq!(c.latency_at(105), 5);
-        // No underflow when asked about a slot before birth.
-        assert_eq!(c.latency_at(99), 0);
     }
 
     #[test]

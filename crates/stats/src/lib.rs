@@ -7,18 +7,17 @@
 //! * [`Histogram`] — integer-valued histogram with exact percentiles and an
 //!   exact mean (integer sum ÷ count);
 //! * [`LatencyStats`] — latency collector (mean, percentiles) with warmup
-//!   filtering;
-//! * [`saturation_search`] — bisection for the saturation load of a switch,
-//!   the quantity behind the paper's "input queueing saturates at ≈ 58.6 %"
-//!   claim.
+//!   filtering.
+//!
+//! Carried throughput needs no collector of its own: it is a ratio of
+//! counts (`baselines::harness`), and a saturation throughput is that
+//! ratio at offered load 1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod histogram;
 pub mod latency;
-pub mod saturation;
 
 pub use histogram::Histogram;
 pub use latency::LatencyStats;
-pub use saturation::{saturation_search, SaturationResult};
