@@ -15,9 +15,9 @@
 //! pipelined organization: a slot is held only from header arrival to read
 //! initiation, not to read completion.
 //!
-//! Queue entries carry a generation tag so a slot freed and reallocated
-//! while a stale entry is still queued (possible after a latch overrun)
-//! can never be confused with its new occupant.
+//! Every path that frees a slot ahead of its reads — eviction, and the
+//! forced release of the truncation and overrun paths — takes the slot's
+//! entries off its destination queues, so every queued entry is live.
 
 use crate::events::IntegrityReason;
 use simkernel::ids::{Addr, Cycle, PortId};
@@ -100,7 +100,6 @@ impl Descriptor {
 
 #[derive(Debug, Clone)]
 struct Slot {
-    gen: u64,
     desc: Option<Descriptor>,
     /// Copies not yet claimed by a read wave.
     refs: u32,
@@ -111,7 +110,7 @@ struct Slot {
 pub struct BufferManager {
     slots: Vec<Slot>,
     free: Vec<Addr>,
-    queues: Vec<VecDeque<(Addr, u64)>>,
+    queues: Vec<VecDeque<Addr>>,
 }
 
 impl BufferManager {
@@ -121,7 +120,6 @@ impl BufferManager {
         BufferManager {
             slots: (0..slots)
                 .map(|_| Slot {
-                    gen: 0,
                     desc: None,
                     refs: 0,
                 })
@@ -142,25 +140,13 @@ impl BufferManager {
         self.slots.len() - self.free.len()
     }
 
-    /// Queued packets for one output (readable or not).
+    /// Queued packets for one output (readable or not) — the count a
+    /// sharing policy's view uses.
     pub fn queue_len(&self, out: PortId) -> usize {
         self.queues[out.index()].len()
     }
 
-    /// Live queued packets for one output — stale generation-tagged
-    /// entries excluded. This is the count a sharing policy's view uses
-    /// (and what the behavioral model's eagerly-maintained queues hold).
-    pub fn queue_len_live(&self, out: PortId) -> usize {
-        self.queues[out.index()]
-            .iter()
-            .filter(|&&(addr, gen)| {
-                let s = &self.slots[addr.index()];
-                s.gen == gen && s.desc.is_some()
-            })
-            .count()
-    }
-
-    /// The rearmost live entry of `out`'s queue whose descriptor (and
+    /// The rearmost entry of `out`'s queue whose descriptor (and
     /// remaining reference count) satisfies `pred` — the sharing
     /// policies' eviction scan.
     pub fn rearmost_matching(
@@ -168,35 +154,19 @@ impl BufferManager {
         out: PortId,
         mut pred: impl FnMut(&Descriptor, u32) -> bool,
     ) -> Option<Addr> {
-        self.queues[out.index()]
-            .iter()
-            .rev()
-            .find_map(|&(addr, gen)| {
-                let s = &self.slots[addr.index()];
-                match &s.desc {
-                    Some(d) if s.gen == gen && pred(d, s.refs) => Some(addr),
-                    _ => None,
-                }
-            })
+        self.queues[out.index()].iter().rev().copied().find(|a| {
+            let s = &self.slots[a.index()];
+            s.desc.as_ref().is_some_and(|d| pred(d, s.refs))
+        })
     }
 
     /// Evict a buffered packet (sharing-policy push-out / preemptive
     /// drop): every queued reference is removed — all copies of a
-    /// multicast leave together — and the slot is freed with a
-    /// generation bump. Returns the descriptor. Panics if the slot is
-    /// not allocated; callers select victims via
-    /// [`BufferManager::rearmost_matching`].
+    /// multicast leave together — and the slot is freed. Returns the
+    /// descriptor. Panics if the slot is not allocated; callers select
+    /// victims via [`BufferManager::rearmost_matching`].
     pub fn evict(&mut self, addr: Addr) -> Descriptor {
-        let slot = &mut self.slots[addr.index()];
-        let d = slot.desc.take().expect("evicting unallocated slot");
-        let gen = slot.gen;
-        slot.gen += 1;
-        slot.refs = 0;
-        self.free.push(addr);
-        for j in d.destinations() {
-            self.queues[j.index()].retain(|&(a, g)| !(a == addr && g == gen));
-        }
-        d
+        self.release(addr)
     }
 
     /// Allocate a slot for an arriving packet and enqueue its descriptor
@@ -207,9 +177,8 @@ impl BufferManager {
         let slot = &mut self.slots[addr.index()];
         debug_assert!(slot.desc.is_none(), "free-list invariant violated");
         slot.refs = desc.fanout();
-        let gen = slot.gen;
         for d in desc.destinations() {
-            self.queues[d.index()].push_back((addr, gen));
+            self.queues[d.index()].push_back(addr);
         }
         slot.desc = Some(desc);
         Some(addr)
@@ -256,22 +225,12 @@ impl BufferManager {
         }
     }
 
-    /// The head-of-queue descriptor for an output, skipping (and
-    /// discarding) stale entries whose slot was freed or reallocated.
+    /// The head-of-queue descriptor for an output.
     #[inline]
-    pub fn head(&mut self, out: PortId) -> Option<(Addr, &Descriptor)> {
-        let q = &mut self.queues[out.index()];
-        while let Some(&(addr, gen)) = q.front() {
-            let slot = &self.slots[addr.index()];
-            if slot.gen == gen && slot.desc.is_some() {
-                // Re-borrow immutably for the return value.
-                let addr2 = addr;
-                let d = self.slots[addr2.index()].desc.as_ref().expect("checked");
-                return Some((addr2, d));
-            }
-            q.pop_front();
-        }
-        None
+    pub fn head(&self, out: PortId) -> Option<(Addr, &Descriptor)> {
+        let addr = *self.queues[out.index()].front()?;
+        let d = self.slots[addr.index()].desc.as_ref();
+        Some((addr, d.expect("queued slot is allocated")))
     }
 
     /// Pop the head descriptor of an output queue for a read-wave
@@ -283,35 +242,32 @@ impl BufferManager {
     /// [`BufferManager::head`].
     #[inline]
     pub fn pop_and_free(&mut self, out: PortId) -> (Addr, Descriptor, bool) {
-        loop {
-            let (addr, gen) = self.queues[out.index()]
-                .pop_front()
-                .expect("pop from empty output queue");
-            let slot = &mut self.slots[addr.index()];
-            if slot.gen == gen && slot.desc.is_some() {
-                debug_assert!(slot.refs > 0);
-                slot.refs -= 1;
-                if slot.refs == 0 {
-                    let d = slot.desc.take().expect("checked");
-                    slot.gen += 1;
-                    self.free.push(addr);
-                    return (addr, d, true);
-                }
-                let d = slot.desc.clone().expect("checked");
-                return (addr, d, false);
-            }
-            // stale entry — keep scanning
+        let addr = self.queues[out.index()]
+            .pop_front()
+            .expect("pop from empty output queue");
+        let slot = &mut self.slots[addr.index()];
+        debug_assert!(slot.refs > 0);
+        slot.refs -= 1;
+        if slot.refs == 0 {
+            let d = slot.desc.take().expect("queued slot is allocated");
+            self.free.push(addr);
+            return (addr, d, true);
         }
+        let d = slot.desc.clone().expect("queued slot is allocated");
+        (addr, d, false)
     }
 
-    /// Forcibly release a slot (latch overrun path): the descriptor is
-    /// discarded and any queued references become stale.
+    /// Forcibly release a slot (truncation and latch-overrun paths): the
+    /// descriptor is discarded and its entries leave every destination
+    /// queue still holding one.
     pub fn release(&mut self, addr: Addr) -> Descriptor {
         let slot = &mut self.slots[addr.index()];
         let d = slot.desc.take().expect("releasing unallocated slot");
-        slot.gen += 1;
         slot.refs = 0;
         self.free.push(addr);
+        for j in d.destinations() {
+            self.queues[j.index()].retain(|&a| a != addr);
+        }
         d
     }
 }
@@ -366,8 +322,9 @@ mod tests {
         m.release(a1);
         let a3 = m.alloc(desc(3, 0)).unwrap();
         assert_eq!(a3, a1, "LIFO free list reuses the slot");
-        // Queue order must be: 2 (oldest live), then 3 — the stale entry
-        // for packet 1 must not surface packet 3 early.
+        // Queue order must be: 2 (oldest live), then 3 — packet 1's
+        // entry must not surface packet 3 early.
+        assert_eq!(m.queue_len(PortId(0)), 2);
         let (_, h) = m.head(PortId(0)).unwrap();
         assert_eq!(h.id, 2);
         assert_eq!(m.pop_and_free(PortId(0)).1.id, 2);

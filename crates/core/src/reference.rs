@@ -766,7 +766,7 @@ impl PipelinedSwitchRef {
         c: Cycle,
     ) -> bool {
         let s = stages as Cycle;
-        let qlens: Vec<usize> = (0..n_out).map(|j| mgr.queue_len_live(PortId(j))).collect();
+        let qlens: Vec<usize> = (0..n_out).map(|j| mgr.queue_len(PortId(j))).collect();
         let decision = policy.admit(&PolicyView {
             occupancy: mgr.occupancy(),
             capacity: slots,

@@ -1,8 +1,8 @@
 //! Property tests for the buffer manager's free-list invariants under
 //! seeded random schedules: no double-allocation of a live slot, no
-//! slot leak across multicast last-copy frees, and generation tags
-//! rejecting every stale queue entry — including the stale entries the
-//! sharing policies' `evict` path leaves behind.
+//! slot leak across multicast last-copy frees, and no queue entry
+//! outliving its packet — neither after the sharing policies' `evict`
+//! nor after the forced `release` of the truncation and overrun paths.
 
 use simkernel::ids::PortId;
 use simkernel::SplitMix64;
@@ -20,9 +20,9 @@ fn check_against_shadow(m: &BufferManager, shadow: &Shadow) {
         shadow.len(),
         "occupancy must equal the number of live slots"
     );
-    // Live queue lengths must equal the shadow's queued copies per
-    // output — stale entries (freed or evicted) never count.
-    let live_total: usize = (0..N_OUT).map(|j| m.queue_len_live(PortId(j))).sum();
+    // Queue lengths must equal the shadow's queued copies: a freed or
+    // evicted packet leaves no entry behind.
+    let live_total: usize = (0..N_OUT).map(|j| m.queue_len(PortId(j))).sum();
     let shadow_total: usize = shadow.values().map(|&(_, copies)| copies as usize).sum();
     assert_eq!(
         live_total, shadow_total,
@@ -103,7 +103,7 @@ fn run_schedule(seed: u64, steps: usize, slots: usize) {
             // entry of the longest live queue; all copies leave at once.
             8 => {
                 let victim = (0..N_OUT)
-                    .max_by_key(|&j| m.queue_len_live(PortId(j)))
+                    .max_by_key(|&j| m.queue_len(PortId(j)))
                     .expect("N_OUT >= 1");
                 if let Some(addr) =
                     m.rearmost_matching(PortId(victim), |d, refs| refs == d.fanout())
@@ -118,8 +118,8 @@ fn run_schedule(seed: u64, steps: usize, slots: usize) {
                     );
                 }
             }
-            // Force-release (latch-overrun path): leaves stale queued
-            // entries behind for the generation tags to reject.
+            // Force-release (truncation and latch-overrun paths): every
+            // queued copy leaves with the slot.
             _ => {
                 if let Some((&addr, _)) = shadow.iter().next() {
                     // Only packets with all copies still queued: releasing
@@ -139,8 +139,8 @@ fn run_schedule(seed: u64, steps: usize, slots: usize) {
         check_against_shadow(&m, &shadow);
     }
 
-    // Drain: every remaining live packet must come out, stale entries
-    // must all be skipped, and the pool must end exactly full.
+    // Drain: every remaining live packet must come out, and the pool
+    // must end exactly full.
     for j in 0..N_OUT {
         while m.head(PortId(j)).is_some() {
             let (addr, _, freed) = m.pop_and_free(PortId(j));
@@ -192,7 +192,7 @@ fn seeded_schedules_hold_the_free_list_invariants() {
 #[test]
 fn small_pool_maximizes_reuse_pressure() {
     // Two slots, four queues: every allocation recycles a recently
-    // freed address, so generation tags carry the whole burden.
+    // freed address, so any entry left behind would serve the new one.
     for seed in 0..48u64 {
         run_schedule(seed ^ 0x5EED, 300, 2);
     }
@@ -208,7 +208,7 @@ fn stale_entries_after_evict_are_invisible() {
         .alloc(Descriptor::multicast(7, PortId(0), 0b1111, 0))
         .expect("empty pool");
     m.mark_write_started(addr, 0);
-    assert_eq!(m.queue_len_live(PortId(3)), 1);
+    assert_eq!(m.queue_len(PortId(3)), 1);
     let d = m.evict(addr);
     assert_eq!(d.id, 7);
     assert_eq!(m.occupancy(), 0);
@@ -218,7 +218,7 @@ fn stale_entries_after_evict_are_invisible() {
         .expect("slot was freed by evict");
     assert_eq!(addr2, addr, "one-slot pool must reuse the evicted slot");
     for j in 0..4 {
-        let live = m.queue_len_live(PortId(j));
+        let live = m.queue_len(PortId(j));
         assert_eq!(
             live,
             usize::from(j == 2),
@@ -230,12 +230,11 @@ fn stale_entries_after_evict_are_invisible() {
         m.pop_and_free(PortId(2))
     };
     assert_eq!((got, desc.id, freed), (addr, 8, true));
-    // Queues 0, 1, 3 still hold stale entries for packet 7; heads must
-    // reject them all.
+    // Queues 0, 1, 3 held packet 7 only; no head may serve it.
     for j in [0usize, 1, 3] {
         assert!(
             m.head(PortId(j)).is_none(),
-            "queue {j} served a generation-stale entry"
+            "queue {j} served an evicted entry"
         );
     }
 }
