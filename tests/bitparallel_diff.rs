@@ -13,7 +13,9 @@
 //!    policies and cut-through modes the wake calendar is sensitive to,
 //!    the `n_in > 64` fallback included.
 //! 2. `PipelinedSwitch` vs [`PipelinedSwitchRef`]: delivered packets,
-//!    `SwitchCounters`, and the probe stream must match exactly.
+//!    `SwitchCounters`, and the probe stream must match exactly — and
+//!    again, in lockstep with multicast, on the wake-calendar grid, since
+//!    the word-level model keeps the same request state.
 //! 3. All four memory organizations against the behavioral reference as
 //!    oracle: behavioral and pipelined must agree **cycle-exactly** on
 //!    the (output, head-cycle, tail-cycle) schedule; wide and
@@ -359,6 +361,108 @@ fn rtl_matches_scalar_reference_on_load_grid() {
         let e_ref: ProbeLog = rec_ref.with(|r| r.iter().cloned().collect());
         assert_eq!(e_new, e_ref, "load {load}: RTL probe streams diverged");
     }
+}
+
+/// One cell of the word-level grid: the live RTL and its scalar twin in
+/// lockstep over one word schedule, compared every cycle on the words of
+/// every output link and on quiescence, and at the end on the counters
+/// and, where `probed`, the whole probe stream. Returns the deliveries.
+fn rtl_lockstep_cell(cfg: &SwitchConfig, load: f64, seed: u64, probed: bool) -> usize {
+    let (n_in, n_out, s) = (cfg.n_in, cfg.n_out, cfg.stages());
+    let what = format!(
+        "RTL {n_in}x{n_out} {:?} ct={} load {load}",
+        cfg.arbiter, cfg.cut_through
+    );
+    let mut live = PipelinedSwitch::new(cfg.clone());
+    let mut twin = PipelinedSwitchRef::new(cfg.clone());
+    let (rec_live, rec_twin) = (
+        Shared::new(Recorder::unbounded()),
+        Shared::new(Recorder::unbounded()),
+    );
+    if probed {
+        live.attach_probe(rec_live.handle());
+        twin.attach_probe(rec_twin.handle());
+    }
+    // 80 % unicast, 20 % a random non-empty destination set.
+    let mut rng = SplitMix64::new(seed);
+    let all = u16::MAX >> (16 - n_out);
+    let mut current: Vec<Option<(Vec<u64>, usize)>> = vec![None; n_in];
+    let mut wire: Vec<Option<u64>> = vec![None; n_in];
+    let mut col = OutputCollector::new(n_out, s);
+    let offered_cycles = 40 * s as u64;
+    let (mut t, mut id) = (0u64, 0u64);
+    while t < offered_cycles || current.iter().any(Option::is_some) || !live.is_quiescent() {
+        assert!(t < offered_cycles + 100_000, "{what}: failed to drain");
+        for (i, (w, slot)) in wire.iter_mut().zip(current.iter_mut()).enumerate() {
+            if slot.is_none() && t < offered_cycles && rng.chance(load / s as f64) {
+                id += 1;
+                let unicast = rng.below_usize(n_out);
+                let multicast = rng.next_u64() as u16 & all;
+                let p = if multicast != 0 && rng.chance(0.2) {
+                    Packet::synth_multicast(id, i, multicast, s, t)
+                } else {
+                    Packet::synth(id, i, unicast, s, t)
+                };
+                *slot = Some((p.words, 0));
+            }
+            *w = slot.as_mut().map(|(words, k)| {
+                *k += 1;
+                words[*k - 1]
+            });
+            if slot.as_ref().is_some_and(|(words, k)| *k == words.len()) {
+                *slot = None;
+            }
+        }
+        let out = live.tick(&wire);
+        assert_eq!(out, twin.tick(&wire), "{what}: output links in cycle {t}");
+        col.observe(t, out);
+        assert_eq!(
+            live.is_quiescent(),
+            twin.is_quiescent(),
+            "{what}: quiescence after cycle {t}"
+        );
+        t += 1;
+    }
+    assert!(col.delivered().iter().all(|d| d.verify_payload()), "{what}");
+    assert_eq!(live.counters(), twin.counters(), "{what}: counters");
+    let e_live: ProbeLog = rec_live.with(|r| r.iter().cloned().collect());
+    let e_twin: ProbeLog = rec_twin.with(|r| r.iter().cloned().collect());
+    assert_eq!(e_live.is_empty(), !probed, "{what}: probe attached");
+    assert_eq!(e_live, e_twin, "{what}: probe streams");
+    col.delivered().len()
+}
+
+/// The behavioral shape grid, on the word-level model: its request
+/// state is the same kept masks and wake calendar.
+#[test]
+fn rtl_matches_scalar_reference_on_the_shape_grid() {
+    use telegraphos::switch_core::arbiter::ArbiterPolicy::{
+        Alternate, ReadPriority, WritePriority,
+    };
+    let shapes = [(3, 3), (5, 2), (2, 6), (7, 8), (1, 1), (16, 16)];
+    let mut cells = 0;
+    for (k, &(n_in, n_out)) in shapes.iter().enumerate() {
+        let mut cell = 0;
+        let mut delivered = 0;
+        for arbiter in [ReadPriority, WritePriority, Alternate] {
+            for cut_through in [true, false] {
+                for load in LOADS {
+                    let mut cfg = SwitchConfig::symmetric(n_in, 2 * n_out + 2);
+                    cfg.n_out = n_out;
+                    cfg.arbiter = arbiter;
+                    cfg.cut_through = cut_through;
+                    cfg.fused_cut_through = cut_through;
+                    let seed = 0xD1F + 1_000 * k as u64 + cell;
+                    let probed = cell == 5 * k as u64 % 18;
+                    delivered += rtl_lockstep_cell(&cfg, load, seed, probed);
+                    cell += 1;
+                }
+            }
+        }
+        assert!(delivered > 100, "{n_in}x{n_out}: workload too thin");
+        cells += cell;
+    }
+    assert_eq!(cells, 108);
 }
 
 // ---------------------------------------------------------------------------
