@@ -227,7 +227,10 @@ pub fn run_point(spec: &CampaignSpec) -> CampaignRow {
         if credited && now % AUDIT_PERIOD == AUDIT_PERIOD - 1 {
             for i in 0..n {
                 let actual = (launched[i] - delivered_from[i]) as u32;
-                if senders[i].audit(actual, "campaign link").is_err() {
+                if senders[i]
+                    .audit(i64::from(actual), "campaign link")
+                    .is_err()
+                {
                     leaks_detected += 1;
                     credits_recovered += u64::from(senders[i].resync(actual));
                 }

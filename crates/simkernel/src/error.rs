@@ -37,10 +37,12 @@ pub enum SimError {
     /// were lost on the return wire), or fewer (credits were returned
     /// twice).
     CreditLeak {
-        /// Credits the sender's counter says are outstanding.
-        expected_outstanding: u32,
-        /// Credits actually consumed and unreturned per ground truth.
-        actual_outstanding: u32,
+        /// Credits the sender's counter says are outstanding (negative:
+        /// more came back than were consumed).
+        expected_outstanding: i64,
+        /// Credits actually consumed and unreturned per ground truth
+        /// (negative: a packet was credited back twice).
+        actual_outstanding: i64,
         /// Which link / sender (for the error message).
         context: String,
     },

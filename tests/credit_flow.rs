@@ -181,7 +181,7 @@ fn drive_credited_lossy(
         if now % audit_period == audit_period - 1 {
             for i in 0..n {
                 let actual = (launched[i] - delivered_from[i]) as u32;
-                if senders[i].audit(actual, "lossy link").is_err() {
+                if senders[i].audit(i64::from(actual), "lossy link").is_err() {
                     leaks += 1;
                     recovered += u64::from(senders[i].resync(actual));
                 }
