@@ -64,18 +64,31 @@ struct EccState {
     uncorrectable: u64,
 }
 
+/// `SYNDROME[k][b]`: the syndrome of byte value `b` as byte `k` of a word,
+/// the XOR of `8k + j + 1` over its set bits `j`. Each entry extends the
+/// one without its lowest set bit.
+const SYNDROME: [[u8; 256]; 8] = {
+    let mut table = [[0u8; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut b = 1usize;
+        while b < 256 {
+            let column = (8 * k + b.trailing_zeros() as usize + 1) as u8;
+            table[k][b] = table[k][b & (b - 1)] ^ column;
+            b += 1;
+        }
+        k += 1;
+    }
+    table
+};
+
 /// The Hamming syndrome of a data word: XOR of the check columns of its
 /// set bits. Column for data bit `i` is `i + 1` (distinct and non-zero
 /// for all 64 positions, so any single flip yields a unique syndrome).
+/// The XOR splits by byte, so it is eight lookups in [`SYNDROME`].
 pub(crate) fn ecc_syndrome(word: u64) -> u8 {
-    let mut s = 0u8;
-    let mut w = word;
-    while w != 0 {
-        let i = w.trailing_zeros();
-        s ^= (i as u8) + 1;
-        w &= w - 1;
-    }
-    s & 0x7F
+    let bytes = word.to_le_bytes();
+    (0..8).fold(0, |s, k| s ^ SYNDROME[k][usize::from(bytes[k])])
 }
 
 /// Full SEC-DED check code: syndrome in the low 7 bits, overall parity in
@@ -346,6 +359,58 @@ impl SramBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkernel::SplitMix64;
+
+    /// The syndrome's definition, one set bit at a time.
+    fn syndrome_by_bits(word: u64) -> u8 {
+        let mut s = 0u8;
+        let mut w = word;
+        while w != 0 {
+            s ^= w.trailing_zeros() as u8 + 1;
+            w &= w - 1;
+        }
+        s
+    }
+
+    #[test]
+    fn byte_tables_equal_the_bit_loop() {
+        for i in 0..64 {
+            assert_eq!(ecc_syndrome(1 << i), syndrome_by_bits(1 << i), "bit {i}");
+            for j in i + 1..64 {
+                let w = (1 << i) | (1 << j);
+                assert_eq!(ecc_syndrome(w), syndrome_by_bits(w), "bits {i}, {j}");
+            }
+        }
+        let mut rng = SplitMix64::new(0x5EC_DED);
+        for _ in 0..100_000 {
+            let w = rng.next_u64();
+            assert_eq!(ecc_syndrome(w), syndrome_by_bits(w), "word {w:#018x}");
+        }
+        assert_eq!(ecc_syndrome(0), 0);
+        assert_eq!(ecc_syndrome(u64::MAX), syndrome_by_bits(u64::MAX));
+    }
+
+    #[test]
+    fn scrub_word_corrects_every_single_flip_of_random_words() {
+        let mut rng = SplitMix64::new(0xF11B);
+        for _ in 0..256 {
+            let w = rng.next_u64();
+            let code = ecc_code(w);
+            let parity = (w.count_ones() as u8 & 1) << 7;
+            assert_eq!(code, syndrome_by_bits(w) | parity, "word {w:#018x}");
+            assert_eq!(scrub_word(w, code), (EccOutcome::Clean, w));
+            for bit in 0..64 {
+                let hit = w ^ (1 << bit);
+                let fixed = (EccOutcome::Corrected { bit }, w);
+                assert_eq!(scrub_word(hit, code), fixed, "word {w:#018x} bit {bit}");
+            }
+            let double = w ^ 0b11 << rng.below(63);
+            assert_eq!(
+                scrub_word(double, code),
+                (EccOutcome::Uncorrectable, double)
+            );
+        }
+    }
 
     #[test]
     fn write_then_read_roundtrips() {
