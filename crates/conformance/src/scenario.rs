@@ -90,7 +90,8 @@ pub struct Scenario {
     /// Arrival schedule, sorted by `at`. Packet ids are unique — generated
     /// schedules number them 1.. and shrinking only removes offers — and
     /// the word-level drivers refuse a hand-built schedule that repeats
-    /// one: their id table could not say which input to credit.
+    /// one: their id table could not say which input to credit. That table
+    /// is indexed by id, so every driver refuses an id above 2^20.
     pub offers: Vec<Offer>,
     /// Fault-plan horizon in cycles. Kept fixed while shrinking so the
     /// surviving offers still meet the same absolute-time faults.
