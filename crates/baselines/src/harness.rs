@@ -1,6 +1,7 @@
 //! Run a model × workload pair and measure it.
 
-use crate::model::{ports_in, CellSwitch, Row};
+use crate::model::{CellSwitch, Row};
+use simkernel::bits;
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
 use stats::LatencyStats;
@@ -55,7 +56,7 @@ pub fn run(
 
     for now in 0..slots {
         arrivals.mask = source.poll(now, &mut dests);
-        for i in ports_in(arrivals.mask) {
+        for i in bits(arrivals.mask) {
             next_id += 1;
             arrivals.cells[i] = Cell::new(next_id, i, dests[i], now);
         }

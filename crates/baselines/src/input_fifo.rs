@@ -6,10 +6,10 @@
 //! saturation throughput to `2 − √2 ≈ 0.586` for large `n` under uniform
 //! iid traffic — the number experiment E1 regenerates.
 
-use crate::model::{all_ports, port_bit, ports_in, random_port, CellSwitch, PortMask, Row};
+use crate::model::{all_ports, port_bit, random_port, CellSwitch, PortMask, Row};
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
-use simkernel::SplitMix64;
+use simkernel::{bits, SplitMix64};
 use std::collections::VecDeque;
 
 /// One FIFO per input with uniform-random head-of-line contention — the
@@ -74,7 +74,7 @@ impl HolQueues {
         }
         // The cells behind the winners reach the head of line only now:
         // they were not in this round.
-        for i in ports_in(winners) {
+        for i in bits(winners) {
             if let Some(head) = self.queues[i].front() {
                 self.contenders[head.dst.index()] |= port_bit(i);
             }

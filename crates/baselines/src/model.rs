@@ -11,7 +11,7 @@
 
 use simkernel::cell::Cell;
 use simkernel::ids::Cycle;
-use simkernel::SplitMix64;
+use simkernel::{bits, SplitMix64};
 
 /// A slot-level `n×n` switch model.
 ///
@@ -73,7 +73,7 @@ impl Row {
     /// The `(port, cell)` pairs of the row in ascending port order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (usize, Cell)> + '_ {
-        ports_in(self.mask).map(|p| (p, self.cells[p]))
+        bits(self.mask).map(|p| (p, self.cells[p]))
     }
 }
 
@@ -123,18 +123,6 @@ pub fn all_ports(n: usize) -> PortMask {
 #[inline]
 pub fn port_bit(p: usize) -> PortMask {
     1 << p
-}
-
-/// The members of `mask` in ascending order.
-#[inline]
-pub(crate) fn ports_in(mut mask: PortMask) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let p = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            p
-        })
-    })
 }
 
 /// The `k`-th member (0-based, ascending) of `mask` — indexing the
@@ -206,7 +194,7 @@ mod tests {
         assert_eq!(all_ports(5), 0b11111);
         assert_eq!(all_ports(MAX_PORTS), PortMask::MAX);
         let mask = port_bit(1) | port_bit(4) | port_bit(63);
-        let members: Vec<usize> = ports_in(mask).collect();
+        let members: Vec<usize> = bits(mask).collect();
         assert_eq!(members, [1, 4, 63]);
         for (k, &p) in members.iter().enumerate() {
             assert_eq!(nth_port(mask, k), p);

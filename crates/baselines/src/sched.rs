@@ -17,8 +17,8 @@
 //! the order an explicit candidate list would be built in, so random
 //! draws happen in the same sequence and pick the same ports.
 
-use crate::model::{all_ports, next_port_from, port_bit, ports_in, random_port, PortMask};
-use simkernel::SplitMix64;
+use crate::model::{all_ports, next_port_from, port_bit, random_port, PortMask};
+use simkernel::{bits, SplitMix64};
 
 /// A crossbar scheduler: computes an input→output matching.
 pub trait Scheduler {
@@ -70,7 +70,7 @@ impl Scheduler for PimScheduler {
             // Grant phase: each unmatched output grants one random
             // requesting unmatched input.
             let mut granted: PortMask = 0;
-            for j in ports_in(free_out) {
+            for j in bits(free_out) {
                 let cands = cols[j] & free_in;
                 if cands != 0 {
                     let i = random_port(cands, &mut self.rng);
@@ -82,7 +82,7 @@ impl Scheduler for PimScheduler {
                 break;
             }
             // Accept phase: each input accepts one random grant.
-            for i in ports_in(granted) {
+            for i in bits(granted) {
                 let grants = std::mem::take(&mut self.grants[i]);
                 let j = random_port(grants, &mut self.rng);
                 match_out[i] = Some(j);
@@ -134,7 +134,7 @@ impl Scheduler for IslipScheduler {
             // Grant phase: each unmatched output grants the requesting
             // unmatched input next at or after its pointer.
             let mut granted: PortMask = 0;
-            for j in ports_in(free_out) {
+            for j in bits(free_out) {
                 if let Some(i) = next_port_from(cols[j] & free_in, self.grant_ptr[j]) {
                     self.grants[i] |= port_bit(j);
                     granted |= port_bit(i);
@@ -144,7 +144,7 @@ impl Scheduler for IslipScheduler {
                 break;
             }
             // Accept phase: likewise, over the outputs granting to it.
-            for i in ports_in(granted) {
+            for i in bits(granted) {
                 let grants = std::mem::take(&mut self.grants[i]);
                 let j = next_port_from(grants, self.accept_ptr[i]).expect("granted input");
                 match_out[i] = Some(j);
@@ -207,7 +207,7 @@ impl Scheduler for Rr2dScheduler {
                 0 => free_out,
                 _ => ((free_out >> d) | (free_out << (n - d))) & all,
             };
-            for i in ports_in(free_in & partner_free) {
+            for i in bits(free_in & partner_free) {
                 let j = (i + d) % n;
                 if rows[i] & port_bit(j) != 0 {
                     match_out[i] = Some(j);

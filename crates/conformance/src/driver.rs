@@ -17,6 +17,7 @@
 //! have a word computed.
 
 use crate::scenario::{Offer, Scenario};
+use simkernel::bits;
 use simkernel::cell::Packet;
 use simkernel::error::SimError;
 use simkernel::ids::Cycle;
@@ -135,18 +136,6 @@ const DRAIN_CAP: Cycle = 200_000;
 /// Largest packet id a scenario may carry: the word-level drivers index
 /// their id table by id. Generated scenarios number offers `1..=len`.
 const MAX_PACKET_ID: u64 = 1 << 20;
-
-/// The set bits of `mask`, lowest first (every model refuses more than
-/// 128 ports, so a `u128` holds one bit per input).
-fn bits(mut mask: u128) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let k = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            k
-        })
-    })
-}
 
 /// The organization-independent skeleton of a run: turns the scenario's
 /// offers into per-cycle launches (under credit backpressure or open-loop

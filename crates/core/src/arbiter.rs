@@ -17,9 +17,12 @@
 //! (how much output idle time does it cost?) and strict alternation.
 //!
 //! The pipelined models arbitrate from kept masks ([`Arbiter::decide_dense`]);
-//! the slice form [`Arbiter::decide`] serves only the frozen twins.
+//! the slice form [`Arbiter::decide`] serves only the frozen twins. Both
+//! models keep the rest of the initiation rule here too, in one
+//! `Requests`: the pending writes, the output pacing, the request masks
+//! and their wake calendar; a model only reports its events to it.
 
-use crate::rtl::bits;
+use simkernel::bits;
 use simkernel::ids::{Cycle, PortId};
 
 /// Which class wins when both reads and writes are pending.
@@ -206,10 +209,54 @@ impl Arbiter {
 pub(crate) const READS: usize = 0;
 pub(crate) const WRITES: usize = 1;
 
-/// The request state of the initiation rule, kept at the control points
-/// by both pipelined models (DESIGN.md §6, "Wake calendar"). The setters
-/// are the only writers of the arrays and keep the masks beside them; a
-/// start yet to come waits on a ring of wake slots. At most 64 inputs.
+/// One input's pending writes, oldest first, as `(slot, header cycle)`.
+/// The headers on file are at least `S` apart (a truncated packet's entry
+/// is withdrawn), and an entry leaves by `a + S + 1` — granted, withdrawn
+/// or swept — so an input holds two at most; the ring has room for four.
+#[derive(Debug, Clone, Copy, Default)]
+struct PendingRing {
+    buf: [(usize, Cycle); 4],
+    head: u8,
+    len: u8,
+}
+
+impl PendingRing {
+    #[inline]
+    fn at(&self, k: usize) -> usize {
+        (self.head as usize + k) & 3
+    }
+
+    #[inline]
+    fn front(&self) -> Option<(usize, Cycle)> {
+        (self.len > 0).then(|| self.buf[self.head as usize])
+    }
+
+    #[inline]
+    fn push(&mut self, entry: (usize, Cycle)) {
+        assert!(self.len < 4, "pending ring overflow");
+        self.buf[self.at(self.len as usize)] = entry;
+        self.len += 1;
+    }
+
+    /// Take the `k`-th entry out; the ones before it move up one place,
+    /// so removing the front moves nothing.
+    #[inline]
+    fn remove(&mut self, k: usize) -> (usize, Cycle) {
+        let entry = self.buf[self.at(k)];
+        for n in (0..k).rev() {
+            self.buf[self.at(n + 1)] = self.buf[self.at(n)];
+        }
+        self.head = (self.head + 1) & 3;
+        self.len -= 1;
+        entry
+    }
+}
+
+/// The initiation rule's front end, shared by both pipelined models
+/// (DESIGN.md §6, "Wake calendar"): each input's pending writes and each
+/// output's read pacing, the request arrays derived from them, the kept
+/// masks beside those and a ring of wake slots for the starts to come.
+/// A model reports events and reads the masks. At most 64 inputs.
 #[derive(Debug, Clone)]
 pub(crate) struct Requests {
     /// Earliest read initiation of each output's head (`Cycle::MAX` when
@@ -224,31 +271,140 @@ pub(crate) struct Requests {
     /// `(S + 1).next_power_of_two()` slots: slot `t & (len - 1)` holds, as
     /// `[outputs, inputs]`, the ports whose request starts at cycle `t`.
     pub(crate) wake: Vec<[u64; 2]>,
+    /// Per input: the headers latched and not yet written.
+    pending: Vec<PendingRing>,
+    /// Per output: the earliest cycle it may initiate its next read.
+    next_init: Vec<Cycle>,
+    /// Write-wave start to head readiness: 1 under cut-through, `S` not.
+    ready_base: Cycle,
+    /// `S`, the packet length in words.
+    stages: Cycle,
 }
 
 impl Requests {
     /// No requests, for packets of `stages` words.
-    pub(crate) fn new(n_in: usize, n_out: usize, stages: usize) -> Self {
+    pub(crate) fn new(n_in: usize, n_out: usize, stages: usize, cut_through: bool) -> Self {
+        let stages = stages as Cycle;
         Requests {
             ready_at: vec![Cycle::MAX; n_out],
             welig_at: vec![Cycle::MAX; n_in],
             wdead_at: vec![Cycle::MAX; n_in],
             req: [0; 2],
-            wake: vec![[0; 2]; (stages + 1).next_power_of_two()],
+            wake: vec![[0; 2]; (stages as usize + 1).next_power_of_two()],
+            pending: vec![PendingRing::default(); n_in],
+            next_init: vec![0; n_out],
+            ready_base: if cut_through { 1 } else { stages },
+            stages,
         }
     }
 
-    /// Output `j`'s head becomes readable at `t` (`Cycle::MAX`: never).
+    /// Input `i` latched a header at `c` whose packet went to `slot`: it
+    /// asks to be written from `c + 1` and must be by `c + S`.
     #[inline]
-    pub(crate) fn set_read(&mut self, j: usize, t: Cycle, now: Cycle) {
-        let old = std::mem::replace(&mut self.ready_at[j], t);
-        self.reschedule::<READS>(j, old, t, now);
+    pub(crate) fn push_write(&mut self, i: usize, slot: usize, c: Cycle) {
+        self.pending[i].push((slot, c));
+        if self.pending[i].len == 1 {
+            self.set_write(i, c);
+        }
+    }
+
+    /// Input `i`'s write was granted at `now`: its front leaves, and the
+    /// next entry, if any, becomes the request. Returns the front's slot.
+    #[inline]
+    pub(crate) fn take_write(&mut self, i: usize, now: Cycle) -> usize {
+        assert!(
+            self.pending[i].len > 0,
+            "arbiter granted a write with no pending request"
+        );
+        let (slot, _) = self.pending[i].remove(0);
+        self.set_write(i, now);
+        slot
+    }
+
+    /// Input `i`'s packet in `slot` was dropped before its write grant:
+    /// its entry leaves, wherever it stands. False when `slot` has no
+    /// entry (its write was granted already).
+    pub(crate) fn withdraw_write(&mut self, i: usize, slot: usize, now: Cycle) -> bool {
+        let q = &self.pending[i];
+        let Some(k) = (0..q.len as usize).find(|&k| q.buf[q.at(k)].0 == slot) else {
+            return false;
+        };
+        self.pending[i].remove(k);
+        if k == 0 {
+            self.set_write(i, now);
+        }
+        true
+    }
+
+    /// The slot of input `i`'s front pending write, taken off the ring, if
+    /// its deadline `a + S` is before `c`; the overrun sweep pops to `None`.
+    #[cold]
+    pub(crate) fn pop_overdue(&mut self, i: usize, c: Cycle) -> Option<usize> {
+        let (slot, _) = self.pending[i]
+            .front()
+            .filter(|&(_, a)| a + self.stages < c)?;
+        self.pending[i].remove(0);
+        self.set_write(i, c);
+        Some(slot)
+    }
+
+    /// No input has a write pending.
+    pub(crate) fn no_writes(&self) -> bool {
+        self.pending.iter().all(|q| q.len == 0)
     }
 
     /// Input `i`'s front pending write, as `(eligible, deadline)`.
     #[inline]
-    pub(crate) fn set_write(&mut self, i: usize, front: Option<(Cycle, Cycle)>, now: Cycle) {
-        let (t, deadline) = front.unwrap_or((Cycle::MAX, Cycle::MAX));
+    fn write_front(&self, i: usize) -> Option<(Cycle, Cycle)> {
+        let front = self.pending[i].front();
+        front.map(|(_, a)| (a + 1, a + self.stages))
+    }
+
+    /// The first cycle a packet whose write wave starts at `ws` can be
+    /// read: `ws + 1` under cut-through, `ws + S` store-and-forward.
+    #[inline]
+    pub(crate) fn readable(&self, ws: Cycle) -> Cycle {
+        ws + self.ready_base
+    }
+
+    /// When output `j` may read a head written from `write_start` (`None`:
+    /// no head, or an unwritten one): readable, and the output free.
+    #[inline]
+    pub(crate) fn head_ready(&self, j: usize, write_start: Option<Cycle>) -> Cycle {
+        write_start.map_or(Cycle::MAX, |ws| self.readable(ws).max(self.next_init[j]))
+    }
+
+    /// Output `j`'s queue head changed, or its write wave started: file
+    /// its read request.
+    #[inline]
+    pub(crate) fn set_head(&mut self, j: usize, write_start: Option<Cycle>, now: Cycle) {
+        self.set_read(j, self.head_ready(j, write_start), now);
+    }
+
+    /// Output `j` starts a read at `c`: its link is busy until `c + S`,
+    /// when it may start the next. The caller then files the new head.
+    #[inline]
+    pub(crate) fn start_read(&mut self, j: usize, c: Cycle) {
+        self.next_init[j] = c + self.stages;
+    }
+
+    /// May output `j` start a read at `c`?
+    #[inline]
+    pub(crate) fn output_free(&self, j: usize, c: Cycle) -> bool {
+        c >= self.next_init[j]
+    }
+
+    /// Output `j`'s head becomes readable at `t` (`Cycle::MAX`: never).
+    #[inline]
+    fn set_read(&mut self, j: usize, t: Cycle, now: Cycle) {
+        let old = std::mem::replace(&mut self.ready_at[j], t);
+        self.reschedule::<READS>(j, old, t, now);
+    }
+
+    /// Input `i`'s write request becomes its front pending write.
+    #[inline]
+    fn set_write(&mut self, i: usize, now: Cycle) {
+        let (t, deadline) = self.write_front(i).unwrap_or((Cycle::MAX, Cycle::MAX));
         let old = std::mem::replace(&mut self.welig_at[i], t);
         self.wdead_at[i] = deadline;
         self.reschedule::<WRITES>(i, old, t, now);
@@ -319,11 +475,17 @@ impl Requests {
     }
 
     /// DESIGN.md §6 invariant (1), checked at the end of every executed
-    /// cycle `c` of a debug build: each start in the arrays is in the
-    /// mask if it has come and in its slot if not, and no other bit is
-    /// set anywhere.
+    /// cycle `c` of a debug build: each input's write request is its
+    /// front pending write, each start in the arrays is in the mask if it
+    /// has come and in its slot if not, and no other bit is set anywhere.
+    /// (The read half's rescan needs the queues: the RTL runs it.)
     #[cfg(debug_assertions)]
     pub(crate) fn assert_calendar(&self, c: Cycle) {
+        for i in 0..self.pending.len() {
+            let kept = (self.welig_at[i], self.wdead_at[i]);
+            let rescan = self.write_front(i).unwrap_or((Cycle::MAX, Cycle::MAX));
+            assert_eq!(kept, rescan, "cycle {c}: input {i}'s write request");
+        }
         let m = self.wake.len() - 1;
         let mut live = 0;
         for (k, at) in [&self.ready_at, &self.welig_at].into_iter().enumerate() {
@@ -467,6 +629,97 @@ mod tests {
             for seed in 0..4u64 {
                 check_dense_matches_scalar(policy, 0xA5B + seed);
             }
+        }
+    }
+
+    /// Input `i`'s pending writes as `(slot, header cycle)`, front first.
+    fn entries(r: &Requests, i: usize) -> Vec<(usize, Cycle)> {
+        let q = &r.pending[i];
+        (0..q.len as usize).map(|k| q.buf[q.at(k)]).collect()
+    }
+
+    /// Input `i`'s write request: `(eligible, deadline, requesting)`.
+    fn write_request(r: &Requests, i: usize) -> (Cycle, Cycle, bool) {
+        (r.welig_at[i], r.wdead_at[i], r.req[WRITES] >> i & 1 == 1)
+    }
+
+    #[test]
+    fn withdrawing_a_middle_write_keeps_the_order_and_the_request() {
+        // S = 4. Three headers on input 0 at cycles 0, 1 and 2; the
+        // front's request wakes at 1.
+        let mut r = Requests::new(2, 2, 4, true);
+        for (slot, c) in [(10, 0), (11, 1), (12, 2)] {
+            r.open(c);
+            r.push_write(0, slot, c);
+        }
+        let before = (write_request(&r, 0), r.wake.clone());
+        assert!(r.withdraw_write(0, 11, 2));
+        assert_eq!(entries(&r, 0), [(10, 0), (12, 2)]);
+        assert_eq!((write_request(&r, 0), r.wake.clone()), before);
+        assert_eq!(before.0, (1, 4, true), "the front asks from 1, by 4");
+        assert!(!r.withdraw_write(0, 11, 2), "no entry left for slot 11");
+        assert_eq!((r.take_write(0, 3), r.take_write(0, 3)), (10, 12));
+        assert!(r.no_writes());
+    }
+
+    #[test]
+    fn withdrawing_the_front_moves_the_request_also_after_a_wrap() {
+        // S = 4. Slots 0..4 fill the ring, two grants free its first two
+        // places, and slots 4 and 5 wrap into them.
+        let mut r = Requests::new(1, 1, 4, true);
+        for slot in 0..4 {
+            r.push_write(0, slot, slot as Cycle);
+        }
+        assert_eq!((r.take_write(0, 3), r.take_write(0, 3)), (0, 1));
+        r.push_write(0, 4, 4);
+        r.push_write(0, 5, 5);
+        assert_eq!(entries(&r, 0), [(2, 2), (3, 3), (4, 4), (5, 5)]);
+        assert_eq!(write_request(&r, 0), (3, 6, true));
+        assert!(r.withdraw_write(0, 2, 5));
+        assert_eq!(entries(&r, 0), [(3, 3), (4, 4), (5, 5)]);
+        assert_eq!(write_request(&r, 0), (4, 7, true));
+        // A middle entry in a wrapped place, then the front again.
+        assert!(r.withdraw_write(0, 4, 5));
+        assert_eq!(entries(&r, 0), [(3, 3), (5, 5)]);
+        assert!(r.withdraw_write(0, 3, 5));
+        assert_eq!(entries(&r, 0), [(5, 5)]);
+        // Eligible at 6, after `now`: the request waits in slot 6.
+        assert_eq!(write_request(&r, 0), (6, 9, false));
+        assert_eq!(r.wake[6], [0, 1]);
+        assert!(r.withdraw_write(0, 5, 5));
+        assert_eq!(write_request(&r, 0), (Cycle::MAX, Cycle::MAX, false));
+        assert_eq!(r.wake[6], [0, 0], "the wake was retracted");
+    }
+
+    #[test]
+    fn pop_overdue_takes_only_fronts_past_their_deadline() {
+        // S = 4: headers at 0 and 4 on input 0 (deadlines 4 and 8), one
+        // at 1 on input 1 (deadline 5).
+        let mut r = Requests::new(2, 2, 4, true);
+        r.push_write(0, 7, 0);
+        r.push_write(1, 8, 1);
+        r.push_write(0, 9, 4);
+        assert_eq!(
+            r.pop_overdue(0, 4),
+            None,
+            "a deadline of 4 still holds at 4"
+        );
+        assert_eq!(r.pop_overdue(1, 5), None);
+        assert_eq!(r.pop_overdue(0, 5), Some(7));
+        assert_eq!(r.pop_overdue(0, 5), None, "the next front is due by 8");
+        assert_eq!(entries(&r, 0), [(9, 4)]);
+        assert_eq!(write_request(&r, 0), (5, 8, true));
+        assert_eq!(r.pop_overdue(1, 6), Some(8));
+        assert_eq!(write_request(&r, 1), (Cycle::MAX, Cycle::MAX, false));
+        assert_eq!(r.pop_overdue(1, 6), None, "nothing pending");
+    }
+
+    #[test]
+    #[should_panic(expected = "pending ring overflow")]
+    fn a_fifth_pending_write_overflows_the_ring() {
+        let mut r = Requests::new(1, 1, 4, true);
+        for slot in 0..5 {
+            r.push_write(0, slot, 0);
         }
     }
 

@@ -18,13 +18,14 @@
 //! ## Request state on a wake calendar
 //!
 //! The per-cycle hot loop never walks the output queues or the packet
-//! slab, and it does not visit the ports either: its request state is the
-//! word-level model's kept masks and wake calendar (`Requests`, DESIGN.md
-//! §6), refreshed only where a queue head or a pending front changes
-//! (queue push, write grant, read initiation, eviction, overrun). A cycle
-//! in which nothing is due costs a calendar read and two compares at any
-//! port count, and link pacing is a comparison (`free_at`), so jumps and
-//! idle batches replay nothing. The scalar twin
+//! slab, and it does not visit the ports either. It reports events — a
+//! header latched, a write granted, a read started, a queue head moved —
+//! to the word-level model's request front end (`Requests`, DESIGN.md
+//! §6), which holds the pending writes and the output pacing and keeps
+//! the request masks on a wake calendar. A cycle in which nothing is due
+//! costs a calendar read and two compares at any port count, and link
+//! pacing is a comparison (`free_at`), so jumps and idle batches replay
+//! nothing. The scalar twin
 //! ([`crate::reference::BehavioralSwitchRef`]) pins departures, counters
 //! and probe streams byte-identical to the pre-rework model. One word per
 //! mask: [`BehavioralSwitch::new`] rejects more than 64 inputs.
@@ -33,7 +34,7 @@ use crate::arbiter::{Arbiter, Decision, Requests};
 use crate::config::SwitchConfig;
 use crate::ctl::{Arrival, ControlPlane};
 use crate::recovery::RecoveryConfig;
-use crate::rtl::bits;
+use simkernel::bits;
 use simkernel::ids::Cycle;
 use std::collections::VecDeque;
 use telemetry::{ArbOutcome, DropReason, ProbeEvent};
@@ -81,62 +82,6 @@ struct BhvPacket {
     output_was_idle: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingArrival {
-    /// Index into `packets` slab.
-    slot: usize,
-    eligible: Cycle,
-    deadline: Cycle,
-}
-
-/// Fixed-capacity ring of pending writes per input. Arrivals are spaced
-/// `S` cycles apart and a pending write lives at most `S` cycles before
-/// it is granted or swept, so the queue never holds more than three
-/// entries (two steady-state, three transiently on an overrun cycle).
-#[derive(Debug, Clone)]
-struct PendingRing {
-    buf: [PendingArrival; 4],
-    head: u8,
-    len: u8,
-}
-
-impl PendingRing {
-    fn new() -> Self {
-        PendingRing {
-            buf: [PendingArrival {
-                slot: 0,
-                eligible: 0,
-                deadline: 0,
-            }; 4],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    fn front(&self) -> Option<&PendingArrival> {
-        (self.len > 0).then(|| &self.buf[self.head as usize])
-    }
-
-    fn push_back(&mut self, p: PendingArrival) {
-        assert!(self.len < 4, "pending ring overflow");
-        self.buf[(self.head as usize + self.len as usize) & 3] = p;
-        self.len += 1;
-    }
-
-    fn pop_front(&mut self) -> Option<PendingArrival> {
-        (self.len > 0).then(|| {
-            let p = self.buf[self.head as usize];
-            self.head = (self.head + 1) & 3;
-            self.len -= 1;
-            p
-        })
-    }
-}
-
 /// The behavioral switch.
 #[derive(Debug)]
 pub struct BehavioralSwitch {
@@ -151,8 +96,6 @@ pub struct BehavioralSwitch {
     free_slab: Vec<usize>,
     /// Buffer slots in use (≤ cfg.slots).
     buf_used: usize,
-    /// Per-input: pending write requests.
-    pending: Vec<PendingRing>,
     /// Per-input: first cycle the link can carry a new header (`a + S`
     /// for the last header at `a`).
     free_at: Vec<Cycle>,
@@ -161,17 +104,12 @@ pub struct BehavioralSwitch {
     links_free_at: Cycle,
     /// Per-output FIFO of slab indices.
     queues: Vec<VecDeque<usize>>,
-    /// Per-output: earliest next read initiation.
-    out_next_init: Vec<Cycle>,
-    /// Request arrays, kept masks and wake calendar; `ready_at` already
-    /// folds `out_next_init`.
+    /// Pending writes, output pacing and what the arbiter picks from
+    /// (`Requests`).
     requests: Requests,
     /// Earliest `done` cycle among in-flight transmissions (`Cycle::MAX`
     /// when none).
     tx_next_done: Cycle,
-    /// Cycles from write-wave start to head readiness: 1 under
-    /// cut-through, `S` store-and-forward (precomputed from `cfg`).
-    ready_base: Cycle,
     arb: Arbiter,
     cycle: Cycle,
     /// Counters, probe and sharing policy — the control plane the
@@ -215,14 +153,11 @@ impl BehavioralSwitch {
             wstart: Vec::new(),
             free_slab: Vec::new(),
             buf_used: 0,
-            pending: vec![PendingRing::new(); cfg.n_in],
             free_at: vec![0; cfg.n_in],
             links_free_at: 0,
             queues: vec![VecDeque::new(); cfg.n_out],
-            out_next_init: vec![0; cfg.n_out],
-            requests: Requests::new(cfg.n_in, cfg.n_out, stages),
+            requests: Requests::new(cfg.n_in, cfg.n_out, stages, cfg.cut_through),
             tx_next_done: Cycle::MAX,
-            ready_base: if cfg.cut_through { 1 } else { stages as Cycle },
             arb: Arbiter::new(cfg.arbiter),
             cycle: 0,
             ctl: ControlPlane::new(cfg.n_out, stages, cfg.policy, RecoveryConfig::default(), 0),
@@ -358,7 +293,7 @@ impl BehavioralSwitch {
                 let id = self.accepted;
                 let output_was_idle = mask.count_ones() == 1
                     && self.queues[primary].is_empty()
-                    && self.out_next_init[primary] <= c + 1;
+                    && self.requests.output_free(primary, c + 1);
                 let pkt = BhvPacket {
                     id,
                     input: i,
@@ -387,14 +322,7 @@ impl BehavioralSwitch {
                 for j in bits(mask) {
                     self.queues[j].push_back(slot);
                 }
-                self.pending[i].push_back(PendingArrival {
-                    slot,
-                    eligible: c + 1,
-                    deadline: c + s,
-                });
-                if self.pending[i].len() == 1 {
-                    self.refresh_write(i);
-                }
+                self.requests.push_write(i, slot, c);
                 // No readiness refresh: a fresh queue head has no write
                 // wave yet, so its `ready_at` stays `Cycle::MAX` either way.
             }
@@ -475,23 +403,10 @@ impl BehavioralSwitch {
     #[cold]
     fn sweep_overdue(&mut self, c: Cycle) {
         for i in 0..self.cfg.n_in {
-            while let Some(front) = self.pending[i].front() {
-                if front.deadline >= c {
-                    break;
-                }
-                let slot = front.slot;
-                self.pending[i].pop_front();
+            while let Some(slot) = self.requests.pop_overdue(i, c) {
                 let id = self.remove_packet(slot);
                 self.ctl.drop(c, id, DropReason::LatchOverrun);
             }
-        }
-        // Queue heads and pending fronts moved arbitrarily: rebuild the
-        // flat request state.
-        for j in 0..self.cfg.n_out {
-            self.refresh_ready(j);
-        }
-        for i in 0..self.cfg.n_in {
-            self.refresh_write(i);
         }
     }
 
@@ -509,13 +424,12 @@ impl BehavioralSwitch {
             Decision::Read(j) => self.start_read::<PROBED>(j.index(), c, false),
             Decision::Write(i) => {
                 let i = i.index();
-                let pw = self.pending[i].pop_front().expect("granted");
-                self.refresh_write(i);
-                self.wstart[pw.slot] = c;
-                let dsts = self.packets[pw.slot].as_ref().expect("live").dsts;
+                let slot = self.requests.take_write(i, c);
+                self.wstart[slot] = c;
+                let dsts = self.packets[slot].as_ref().expect("live").dsts;
                 let fusable = self.cfg.fused_cut_through;
                 if PROBED {
-                    self.ctl.write_wave(c, i, pw.slot);
+                    self.ctl.write_wave(c, i, slot);
                 }
                 // The write wave makes this packet readable wherever it
                 // heads a destination queue; the first idle such output
@@ -523,10 +437,10 @@ impl BehavioralSwitch {
                 // `start_read` leaves that output's readiness set.
                 let mut fused_done = false;
                 for j in bits(dsts) {
-                    if self.queues[j].front() != Some(&pw.slot) {
+                    if self.queues[j].front() != Some(&slot) {
                         continue;
                     }
-                    if fusable && !fused_done && c >= self.out_next_init[j] {
+                    if fusable && !fused_done && self.requests.output_free(j, c) {
                         self.start_read::<PROBED>(j, c, true);
                         fused_done = true;
                     } else {
@@ -642,7 +556,7 @@ impl BehavioralSwitch {
             self.free_slab.push(slot);
             self.buf_used -= 1;
         }
-        self.out_next_init[j] = c + self.stages as Cycle;
+        self.requests.start_read(j, c);
         self.tx_next_done = self.tx_next_done.min(dep.done);
         self.departures.push(dep);
         self.refresh_ready(j);
@@ -664,38 +578,21 @@ impl BehavioralSwitch {
         if fused || (self.cfg.cut_through && c < ws + self.stages as Cycle) {
             self.ctl.cut_through(c, j, dep.id, fused);
         }
-        if !fused {
-            let earliest = if self.cfg.cut_through {
-                ws + 1
-            } else {
-                ws + self.stages as Cycle
+        if !fused && c > self.requests.readable(ws) {
+            let event = ProbeEvent::StaggeredStart {
+                output: j,
+                id: dep.id,
             };
-            if c > earliest {
-                let event = ProbeEvent::StaggeredStart {
-                    output: j,
-                    id: dep.id,
-                };
-                self.ctl.emit(c, event);
-            }
+            self.ctl.emit(c, event);
         }
     }
 
-    /// Output `j`'s request start, recomputed from its queue head
-    /// (`Cycle::MAX` when the queue is empty or the head has no write
-    /// wave yet) and moved on the wake calendar.
+    /// Output `j`'s queue head changed, or its write wave started: file
+    /// the head's write start with `Requests`.
     fn refresh_ready(&mut self, j: usize) {
-        let t = match self.queues[j].front().map(|&slot| self.wstart[slot]) {
-            None | Some(Cycle::MAX) => Cycle::MAX,
-            Some(ws) => (ws + self.ready_base).max(self.out_next_init[j]),
-        };
-        self.requests.set_read(j, t, self.cycle);
-    }
-
-    /// Input `i`'s write request, recomputed from its front pending write
-    /// and moved on the wake calendar.
-    fn refresh_write(&mut self, i: usize) {
-        let front = self.pending[i].front().map(|f| (f.eligible, f.deadline));
-        self.requests.set_write(i, front, self.cycle);
+        let ws = self.queues[j].front().map(|&s| self.wstart[s]);
+        self.requests
+            .set_head(j, ws.filter(|&ws| ws != Cycle::MAX), self.cycle);
     }
 
     /// All departures so far (accumulating).
@@ -764,7 +661,7 @@ impl simkernel::Horizon for BehavioralSwitch {
         // `tx_next_done` (a transmission completing): `welig_at` (a
         // pending write becoming eligible — heads with no write wave yet
         // are covered here), `ready_at` (a queued head becoming
-        // read-ready, `out_next_init` folded in).
+        // read-ready, the output's pacing folded in).
         let ev = self.tx_next_done.min(self.requests.earliest());
         if ev != Cycle::MAX {
             return Some(ev);

@@ -20,6 +20,7 @@
 //! entries off its destination queues, so every queued entry is live.
 
 use crate::events::IntegrityReason;
+use simkernel::bits;
 use simkernel::ids::{Addr, Cycle, PortId};
 use std::collections::VecDeque;
 
@@ -87,14 +88,7 @@ impl Descriptor {
     /// Iterate the destination outputs, lowest first.
     #[inline]
     pub fn destinations(&self) -> impl Iterator<Item = PortId> {
-        let mut rest = self.dsts;
-        std::iter::from_fn(move || {
-            (rest != 0).then(|| {
-                let j = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                PortId(j)
-            })
-        })
+        bits(self.dsts).map(PortId)
     }
 }
 

@@ -31,10 +31,10 @@
 use crate::ctl::{Arrival, ControlPlane};
 use crate::policy::PolicyKind;
 use crate::recovery::RecoveryConfig;
-use crate::rtl::{bits, integrity_checksum, mask_where};
+use crate::rtl::{integrity_checksum, mask_where};
 use membank::interleaved::{BankId, InterleavedMemory};
-use simkernel::cell::Packet;
 use simkernel::ids::Cycle;
+use simkernel::{bits, cell::Packet};
 use std::collections::VecDeque;
 use telemetry::DropReason;
 

@@ -10,8 +10,9 @@
 //! * one shared **output register row** (`stages` registers; a register
 //!   loaded at cycle `c` drives its bound outgoing link at `c + 1`);
 //! * the **wave arbiter** (one initiation per cycle, read priority, EDF
-//!   among writes), fed from request state kept at the control points —
-//!   the behavioral model's `Requests`, not a per-cycle rescan;
+//!   among writes) behind the behavioral model's request front end,
+//!   `Requests`: it holds the pending writes and the output pacing, and
+//!   this model reports its control events to it instead of rescanning;
 //! * **buffer management** (free list + per-output descriptor queues);
 //! * **automatic cut-through**, including the fused form where the output
 //!   register samples the write bus in the very cycle the write wave
@@ -42,6 +43,7 @@ use crate::config::SwitchConfig;
 use crate::ctl::{Arrival, ControlPlane};
 use crate::events::IntegrityReason;
 use membank::bank::{PortKind, SramBank};
+use simkernel::bits;
 use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle, PortId};
 use telemetry::{ArbOutcome, DropReason, FaultTag, ProbeEvent, WaveDir};
@@ -159,18 +161,10 @@ struct OutWord {
     link: u8,
 }
 
-#[derive(Debug, Clone)]
-struct PendingWrite {
-    addr: Addr,
-    eligible: Cycle,
-    deadline: Cycle,
-}
-
 #[derive(Debug, Clone, Default)]
 struct InputState {
     /// Words of the current packet received so far (0 = between packets).
     k: usize,
-    pending: std::collections::VecDeque<PendingWrite>,
     /// Slot of the packet currently arriving (`None` once the tail is in,
     /// or if the packet was dropped at ingress).
     addr: Option<Addr>,
@@ -221,8 +215,6 @@ pub struct PipelinedSwitch {
     /// current row are live, so neither row is ever cleared.
     outreg_cur: Vec<OutWord>,
     outreg_next: Vec<OutWord>,
-    /// Earliest cycle each output may initiate its next read.
-    out_next_init: Vec<Cycle>,
     /// `(id, birth)` of the packet each output link is reading, set at
     /// read initiation and consumed when the tail word leaves. One per
     /// link is enough: a link admits one read per `stages` cycles, and the
@@ -249,10 +241,8 @@ pub struct PipelinedSwitch {
     /// Counters, probe, sharing policy and recovery ledger.
     ctl: ControlPlane,
     arb: Arbiter,
-    /// What the arbiter picks from, refreshed where it changes.
+    /// Pending writes, output pacing and what the arbiter picks from.
     requests: Requests,
-    /// Write-wave start to head readiness: 1, or `stages` if no cut-through.
-    ready_base: Cycle,
     /// The wave ring, indexed by `start % stages`: the control word of
     /// the wave initiated in each of the last `stages` cycles. A wave
     /// lives exactly `stages` cycles and at most one initiates per cycle,
@@ -273,19 +263,6 @@ pub struct PipelinedSwitch {
     wire_out: Vec<Option<u64>>,
     /// The all-idle input row [`simkernel::BatchTick`] ticks with.
     idle_wire: Vec<Option<u64>>,
-}
-
-/// The set bits of `mask` (any unsigned width), lowest first.
-#[inline]
-pub(crate) fn bits(mask: impl Into<u128>) -> impl Iterator<Item = usize> {
-    let mut mask = mask.into();
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let k = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            k
-        })
-    })
 }
 
 /// The mask of the ports `0..n` that `set` holds for — what a kept mask
@@ -338,7 +315,6 @@ impl PipelinedSwitch {
             inputs: vec![InputState::default(); cfg.n_in],
             outreg_cur: vec![OutWord::default(); stages],
             outreg_next: vec![OutWord::default(); stages],
-            out_next_init: vec![0; cfg.n_out],
             out_bind: vec![(0, 0); cfg.n_out],
             out_verify: vec![OutVerify::default(); cfg.n_out],
             stuck_write: None,
@@ -357,8 +333,7 @@ impl PipelinedSwitch {
                 cfg.slots as u64,
             ),
             arb: Arbiter::new(cfg.arbiter),
-            requests: Requests::new(cfg.n_in, cfg.n_out, stages),
-            ready_base: if cfg.cut_through { 1 } else { stages as Cycle },
+            requests: Requests::new(cfg.n_in, cfg.n_out, stages, cfg.cut_through),
             waves: vec![Wave::NONE; stages],
             wave_mask: 0,
             outreg_mask: 0,
@@ -533,7 +508,8 @@ impl PipelinedSwitch {
         self.mgr.occupancy() == 0
             && self.wave_mask == 0
             && self.outreg_mask == 0
-            && self.inputs.iter().all(|s| s.k == 0 && s.pending.is_empty())
+            && self.inputs.iter().all(|s| s.k == 0)
+            && self.requests.no_writes()
     }
 
     /// Park a freshly initiated wave in its ring slot.
@@ -698,7 +674,7 @@ impl PipelinedSwitch {
         //    latch-load scheduling.
         // ------------------------------------------------------------------
         self.latch_loads.clear();
-        let (mut moved_heads, mut moved_fronts) = (0u32, 0u64);
+        let mut moved_heads = 0u32;
         for (i, w) in wire_in.iter().enumerate() {
             let st = &mut self.inputs[i];
             match w {
@@ -772,14 +748,7 @@ impl PipelinedSwitch {
                                 match mgr.alloc(desc) {
                                     Some(addr) => {
                                         st.addr = Some(addr);
-                                        st.pending.push_back(PendingWrite {
-                                            addr,
-                                            eligible: c + 1,
-                                            deadline: c + s as Cycle,
-                                        });
-                                        if st.pending.len() == 1 {
-                                            moved_fronts |= 1 << i;
-                                        }
+                                        self.requests.push_write(i, addr.index(), c);
                                     }
                                     None => self.ctl.drop(c, id, DropReason::BufferFull),
                                 }
@@ -828,14 +797,12 @@ impl PipelinedSwitch {
                         // the tail will never arrive. Condemn the partial
                         // packet instead of panicking.
                         if let Some(addr) = st.addr.take() {
-                            if let Some(pos) = st.pending.iter().position(|p| p.addr == addr) {
+                            if self.requests.withdraw_write(i, addr.index(), c) {
                                 // Write wave not yet granted: reclaim the
                                 // slot outright.
-                                st.pending.remove(pos);
                                 let d = self.mgr.release(addr);
                                 self.ctl.drop(c, d.id, DropReason::Truncated);
                                 moved_heads |= d.dsts;
-                                moved_fronts |= 1 << i;
                             } else if self.mgr.descriptor(addr).is_some_and(|d| d.id == st.cur_id) {
                                 // Write wave already streaming stale latch
                                 // words: poison so the read side drops it
@@ -860,12 +827,9 @@ impl PipelinedSwitch {
             }
         }
 
-        // The queue heads and pending fronts the arrivals moved.
+        // The queue heads the arrivals moved.
         for j in bits(moved_heads) {
             self.refresh_read(j);
-        }
-        for i in bits(moved_fronts) {
-            self.refresh_write(i);
         }
 
         // ------------------------------------------------------------------
@@ -932,7 +896,7 @@ impl PipelinedSwitch {
                         self.ctl.drop(c, d.id, drop_reason(why));
                     }
                 } else {
-                    self.out_next_init[j.index()] = c + s as Cycle;
+                    self.requests.start_read(j.index(), c);
                     // BShare queueing-delay signal: birth-to-read.
                     self.ctl.on_read(j.index(), c - d.birth);
                     if self.ctl.probed() {
@@ -940,7 +904,7 @@ impl PipelinedSwitch {
                         // §3.4: any unfused read started later than the
                         // packet's earliest opportunity — the initiation
                         // slot staggered the output's start.
-                        let earliest = d.write_start.map(|ws| ws + self.ready_base);
+                        let earliest = d.write_start.map(|ws| self.requests.readable(ws));
                         if earliest.is_some_and(|e| c > e) {
                             self.ctl.emit(
                                 c,
@@ -968,16 +932,12 @@ impl PipelinedSwitch {
                 self.refresh_read(j.index());
             }
             Decision::Write(i) => {
-                let pw = self.inputs[i.index()]
-                    .pending
-                    .pop_front()
-                    .expect("arbiter granted a write with no pending request");
-                self.refresh_write(i.index());
-                self.mgr.mark_write_started(pw.addr, c);
-                self.ctl.write_wave(c, i.index(), pw.addr.index());
+                let addr = Addr(self.requests.take_write(i.index(), c));
+                self.mgr.mark_write_started(addr, c);
+                self.ctl.write_wave(c, i.index(), addr.index());
                 let mut wave = Wave {
                     start: c,
-                    addr: pw.addr.index() as u32,
+                    addr: addr.index() as u32,
                     write_from: i.index() as u8,
                     read_to: NO_PORT,
                 };
@@ -985,31 +945,31 @@ impl PipelinedSwitch {
                 // idle destination, one copy's read wave rides the write
                 // bus (multicast packets fuse at most one copy; the rest
                 // read normally later).
-                let d = self.mgr.descriptor(pw.addr).expect("just marked");
+                let d = self.mgr.descriptor(addr).expect("just marked");
                 let dsts = d.dsts;
                 // A packet already condemned at ingress must not fuse: the
                 // read side drops it instead.
                 if self.cfg.fused_cut_through && d.poisoned.is_none() {
                     let (id, birth) = (d.id, d.birth);
                     for dst in bits(dsts).map(PortId) {
-                        if c < self.out_next_init[dst.index()] {
+                        if !self.requests.output_free(dst.index(), c) {
                             continue;
                         }
                         let head_matches = matches!(
                             self.mgr.head(dst),
-                            Some((head_addr, _)) if head_addr == pw.addr
+                            Some((head_addr, _)) if head_addr == addr
                         );
                         if !head_matches {
                             continue;
                         }
                         let (addr2, d2, _freed) = self.mgr.pop_and_free(dst);
-                        debug_assert_eq!(addr2, pw.addr);
+                        debug_assert_eq!(addr2, addr);
                         debug_assert_eq!(d2.id, id);
-                        self.out_next_init[dst.index()] = c + s as Cycle;
+                        self.requests.start_read(dst.index(), c);
                         // BShare queueing-delay signal (fused read).
                         self.ctl.on_read(dst.index(), c - d2.birth);
                         self.ctl.counters.fused_reads += 1;
-                        self.ctl.read_wave(c, dst.index(), pw.addr.index(), true);
+                        self.ctl.read_wave(c, dst.index(), addr.index(), true);
                         self.ctl.cut_through(c, dst.index(), id, true);
                         self.out_bind[dst.index()] = (id, birth);
                         wave.read_to = dst.index() as u8;
@@ -1081,65 +1041,45 @@ impl PipelinedSwitch {
         &self.wire_out
     }
 
-    /// Output `j`'s read request start: its head's write start plus
-    /// `ready_base`, no earlier than the output's next initiation
-    /// (`Cycle::MAX` for an empty queue or an unwritten head).
-    fn ready_time(&self, j: usize) -> Cycle {
-        let ws = self.mgr.head(PortId(j)).and_then(|(_, d)| d.write_start);
-        ws.map_or(Cycle::MAX, |ws| {
-            (ws + self.ready_base).max(self.out_next_init[j])
-        })
+    /// The write start of output `j`'s queue head (`None` for an empty
+    /// queue or an unwritten head).
+    fn head_write_start(&self, j: usize) -> Option<Cycle> {
+        self.mgr.head(PortId(j)).and_then(|(_, d)| d.write_start)
     }
 
-    /// Output `j`'s read request, recomputed from its queue head.
+    /// Output `j`'s queue head changed, or its write wave started: file
+    /// the head's write start with `Requests`.
     #[inline]
     fn refresh_read(&mut self, j: usize) {
-        self.requests.set_read(j, self.ready_time(j), self.cycle);
-    }
-
-    /// Input `i`'s write request, recomputed from its front pending write.
-    #[inline]
-    fn refresh_write(&mut self, i: usize) {
-        self.requests.set_write(i, self.write_front(i), self.cycle);
-    }
-
-    /// Input `i`'s front pending write, as `(eligible, deadline)`.
-    fn write_front(&self, i: usize) -> Option<(Cycle, Cycle)> {
-        let front = self.inputs[i].pending.front();
-        front.map(|f| (f.eligible, f.deadline))
+        self.requests
+            .set_head(j, self.head_write_start(j), self.cycle);
     }
 
     /// Step 3's cold path: drop every pending write whose latch deadline
-    /// has passed, with the requests its removal moves.
+    /// has passed, with the read requests its removal moves.
     #[cold]
     fn sweep_overdue(&mut self, c: Cycle) {
         for i in 0..self.cfg.n_in {
-            while let Some(f) = self.inputs[i].pending.front().filter(|f| f.deadline < c) {
-                let addr = f.addr;
-                self.inputs[i].pending.pop_front();
-                let d = self.mgr.release(addr);
+            while let Some(slot) = self.requests.pop_overdue(i, c) {
+                let d = self.mgr.release(Addr(slot));
                 self.ctl.drop(c, d.id, DropReason::LatchOverrun);
                 for j in bits(d.dsts) {
                     self.refresh_read(j);
                 }
             }
-            self.refresh_write(i);
         }
     }
 
-    /// The kept request state equals a rescan of the queue heads and the
-    /// pending fronts, and the wake calendar holds it (DESIGN.md §6
-    /// invariant (1)); checked after every tick of a debug build.
+    /// The kept read requests equal a rescan of the queue heads, and the
+    /// wake calendar holds every request (DESIGN.md §6 invariant (1);
+    /// `assert_calendar` checks the write half against the pending
+    /// writes); run after every tick of a debug build.
     #[cfg(debug_assertions)]
     fn requests_hold(&self, c: Cycle) {
         for j in 0..self.cfg.n_out {
-            let (kept, rescan) = (self.requests.ready_at[j], self.ready_time(j));
+            let (kept, ws) = (self.requests.ready_at[j], self.head_write_start(j));
+            let rescan = self.requests.head_ready(j, ws);
             assert_eq!(kept, rescan, "cycle {c}: output {j}'s read request");
-        }
-        for i in 0..self.cfg.n_in {
-            let kept = (self.requests.welig_at[i], self.requests.wdead_at[i]);
-            let rescan = self.write_front(i).unwrap_or((Cycle::MAX, Cycle::MAX));
-            assert_eq!(kept, rescan, "cycle {c}: input {i}'s write request");
         }
         self.requests.assert_calendar(c);
     }

@@ -30,10 +30,10 @@
 use crate::ctl::{Arrival, ControlPlane};
 use crate::policy::PolicyKind;
 use crate::recovery::RecoveryConfig;
-use crate::rtl::{bits, integrity_checksum, mask_where};
+use crate::rtl::{integrity_checksum, mask_where};
 use membank::wide::WideMemory;
-use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle};
+use simkernel::{bits, cell::Packet};
 use std::collections::VecDeque;
 use telemetry::{DropReason, RecoveryTag};
 

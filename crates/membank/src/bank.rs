@@ -128,8 +128,6 @@ pub struct SramBank {
     cycle: Cycle,
     reads_this_cycle: u32,
     writes_this_cycle: u32,
-    total_reads: u64,
-    total_writes: u64,
     ecc: Option<Box<EccState>>,
 }
 
@@ -148,8 +146,6 @@ impl SramBank {
             cycle: 0,
             reads_this_cycle: 0,
             writes_this_cycle: 0,
-            total_reads: 0,
-            total_writes: 0,
             ecc: None,
         }
     }
@@ -234,11 +230,6 @@ impl SramBank {
         self.ports
     }
 
-    /// Total accesses performed (for utilization accounting).
-    pub fn access_counts(&self) -> (u64, u64) {
-        (self.total_reads, self.total_writes)
-    }
-
     /// Mask a value to the declared width (what the physical array would
     /// actually store).
     #[inline]
@@ -310,7 +301,6 @@ impl SramBank {
             .get(addr.index())
             .unwrap_or_else(|| panic!("address {addr} out of range 0..{}", self.depth()));
         self.reads_this_cycle += 1;
-        self.total_reads += 1;
         Ok(v)
     }
 
@@ -329,7 +319,6 @@ impl SramBank {
             ecc.code[addr.index()] = ecc_code(masked);
         }
         self.writes_this_cycle += 1;
-        self.total_writes += 1;
         Ok(())
     }
 
@@ -455,17 +444,6 @@ mod tests {
         b.read(Addr(1)).unwrap();
         assert!(b.read(Addr(2)).is_err(), "second read must fail");
         assert!(b.write(Addr(2), 1).is_err(), "second write must fail");
-    }
-
-    #[test]
-    fn access_counters() {
-        let mut b = SramBank::new(4, 16, PortKind::DualPort);
-        for c in 0..10 {
-            b.begin_cycle(c);
-            b.write(Addr(0), c).unwrap();
-            b.read(Addr(0)).unwrap();
-        }
-        assert_eq!(b.access_counts(), (10, 10));
     }
 
     #[test]

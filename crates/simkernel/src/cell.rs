@@ -172,22 +172,6 @@ impl Packet {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z ^ (z >> 27)
     }
-
-    /// Check that `words` round-trips: header decodes to `(dst, id)` and
-    /// every payload word matches [`Packet::payload_word`].
-    pub fn verify_integrity(&self) -> bool {
-        if self.words.len() != self.size_words {
-            return false;
-        }
-        let (dst, id) = Self::decode_header(self.words[0]);
-        if dst != self.dst.index() || id != self.id.0 {
-            return false;
-        }
-        self.words[1..]
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w == Self::payload_word(self.id.0, i + 1))
-    }
 }
 
 /// Per-idle-cycle header probability that keeps a link busy a fraction
@@ -248,18 +232,7 @@ mod tests {
     #[test]
     fn synth_packet_verifies() {
         let p = Packet::synth(42, 1, 3, 8, 7);
-        assert!(p.verify_integrity());
         assert_eq!(p.words.len(), 8);
-    }
-
-    #[test]
-    fn corruption_detected() {
-        let mut p = Packet::synth(42, 1, 3, 8, 7);
-        p.words[5] ^= 1;
-        assert!(!p.verify_integrity());
-        let mut q = Packet::synth(42, 1, 3, 8, 7);
-        q.words[0] ^= 0x100; // flip a bit of the id field
-        assert!(!q.verify_integrity());
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   deterministic given its seed.
 //!
 //! The kernel also carries the small vocabulary types shared across the
-//! workspace ([`ids`], [`cell`]) and the slot-level shared buffer
-//! ([`shared`]) that the zoo's shared and output-queued switches and the
-//! fabric's scalar element are configurations of.
+//! workspace ([`ids`], [`cell`], the set-bit walk of [`mask`]) and the
+//! slot-level shared buffer ([`shared`]) that the zoo's shared and
+//! output-queued switches and the fabric's scalar element are
+//! configurations of.
 //!
 //! ## Design notes
 //!
@@ -35,6 +36,7 @@ pub mod cell;
 pub mod error;
 pub mod horizon;
 pub mod ids;
+pub mod mask;
 pub mod rng;
 pub mod shared;
 pub mod trace;
@@ -44,6 +46,7 @@ pub use cell::{Cell, CellId, Packet, PacketId};
 pub use error::{run_until_quiescent, run_until_quiescent_escalating, SimError};
 pub use horizon::{advance_to_batched, BatchTick, Horizon};
 pub use ids::{Addr, Cycle, PortId, StageId};
+pub use mask::{bits, BitWord};
 pub use rng::{split_seed, SplitMix64};
 pub use shared::SharedBuffer;
 pub use trace::{Trace, TraceEntry};
