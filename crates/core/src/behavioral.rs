@@ -2,7 +2,7 @@
 //!
 //! Same initiation semantics as the RTL model — one wave per cycle, read
 //! priority, EDF writes, automatic cut-through, per-output FIFO service,
-//! shared buffer pool — but packets are descriptors, not words, so a
+//! shared buffer pool — but packets are store entries, not words, so a
 //! million-cycle statistical run costs microseconds per thousand cycles
 //! instead of full bank sweeps. Experiments E3/E6/E15 run on this model;
 //! an integration test pins its departure timing to the RTL model's,
@@ -18,7 +18,7 @@
 //! ## Request state on a wake calendar
 //!
 //! The per-cycle hot loop never walks the output queues or the packet
-//! slab, and it does not visit the ports either. It reports events — a
+//! store, and it does not visit the ports either. It reports events — a
 //! header latched, a write granted, a read started, a queue head moved —
 //! to the word-level model's request front end (`Requests`, DESIGN.md
 //! §6), which holds the pending writes and the output pacing and keeps
@@ -29,14 +29,18 @@
 //! ([`crate::reference::BehavioralSwitchRef`]) pins departures, counters
 //! and probe streams byte-identical to the pre-rework model. One word per
 //! mask: [`BehavioralSwitch::new`] rejects more than 64 inputs.
+//!
+//! Packets and output queues live in the RTL's packet store
+//! ([`BufferManager`], DESIGN.md §6); each entry's tag is the packet's
+//! `output_was_idle`.
 
 use crate::arbiter::{Arbiter, Decision, Requests};
+use crate::bufmgr::BufferManager;
 use crate::config::SwitchConfig;
 use crate::ctl::{Arrival, ControlPlane};
 use crate::recovery::RecoveryConfig;
 use simkernel::bits;
 use simkernel::ids::Cycle;
-use std::collections::VecDeque;
 use telemetry::{ArbOutcome, DropReason, ProbeEvent};
 
 /// A departed packet, as reported by the behavioral model.
@@ -70,40 +74,20 @@ impl BehavioralDeparture {
     }
 }
 
-#[derive(Debug, Clone)]
-struct BhvPacket {
-    id: u64,
-    input: usize,
-    /// Destination bitmask (one bit per output; unicast = one bit).
-    dsts: u32,
-    /// Copies not yet claimed by a read initiation.
-    refs: u32,
-    birth: Cycle,
-    output_was_idle: bool,
-}
-
 /// The behavioral switch.
 #[derive(Debug)]
 pub struct BehavioralSwitch {
     cfg: SwitchConfig,
     stages: usize,
-    /// Slab of live packets (slot reuse via free list).
-    packets: Vec<Option<BhvPacket>>,
-    /// Write-wave start cycle per slab slot (`Cycle::MAX` until the
-    /// write wave is granted) — kept outside the slab so the hot
-    /// readiness refresh reads one word, not a packet struct.
-    wstart: Vec<Cycle>,
-    free_slab: Vec<usize>,
-    /// Buffer slots in use (≤ cfg.slots).
-    buf_used: usize,
+    /// Live packets and the per-output queues; the tag is
+    /// `output_was_idle`.
+    store: BufferManager<bool>,
     /// Per-input: first cycle the link can carry a new header (`a + S`
     /// for the last header at `a`).
     free_at: Vec<Cycle>,
     /// Maximum of `free_at` — the last header's `a + S`, since cycles
     /// only grow.
     links_free_at: Cycle,
-    /// Per-output FIFO of slab indices.
-    queues: Vec<VecDeque<usize>>,
     /// Pending writes, output pacing and what the arbiter picks from
     /// (`Requests`).
     requests: Requests,
@@ -149,13 +133,9 @@ impl BehavioralSwitch {
         let stages = cfg.stages();
         BehavioralSwitch {
             stages,
-            packets: Vec::new(),
-            wstart: Vec::new(),
-            free_slab: Vec::new(),
-            buf_used: 0,
+            store: BufferManager::new(cfg.slots, cfg.n_out),
             free_at: vec![0; cfg.n_in],
             links_free_at: 0,
-            queues: vec![VecDeque::new(); cfg.n_out],
             requests: Requests::new(cfg.n_in, cfg.n_out, stages, cfg.cut_through),
             tx_next_done: Cycle::MAX,
             arb: Arbiter::new(cfg.arbiter),
@@ -172,7 +152,7 @@ impl BehavioralSwitch {
 
     /// Packet slots currently occupied.
     pub fn occupancy(&self) -> usize {
-        self.buf_used
+        self.store.occupancy()
     }
 
     /// Packet size in words (the quantum, `n_in + n_out`).
@@ -197,7 +177,7 @@ impl BehavioralSwitch {
 
     /// Packets queued for output `j` whose read has not begun.
     pub fn queue_len(&self, j: usize) -> usize {
-        self.queues[j].len()
+        self.store.queue_len(j)
     }
 
     /// Advance one cycle. `arrivals[i] = Some(dst)` offers a new packet
@@ -283,45 +263,22 @@ impl BehavioralSwitch {
                 if !self.cfg.policy.is_static() && !self.admitted_by_policy(primary, c) {
                     continue;
                 }
-                if self.buf_used == self.cfg.slots {
+                if self.store.full() {
                     self.ctl.drop(c, 0, DropReason::BufferFull);
                     continue;
                 }
                 self.accepted += 1;
                 self.admitted |= 1 << i;
-                self.buf_used += 1;
                 let id = self.accepted;
                 let output_was_idle = mask.count_ones() == 1
-                    && self.queues[primary].is_empty()
+                    && self.store.queue_len(primary) == 0
                     && self.requests.output_free(primary, c + 1);
-                let pkt = BhvPacket {
-                    id,
-                    input: i,
-                    dsts: mask,
-                    refs: mask.count_ones(),
-                    birth: c,
-                    output_was_idle,
-                };
                 if PROBED {
                     let (input, dst) = (i, primary);
                     let event = ProbeEvent::HeaderArrived { input, id, dst };
                     self.ctl.emit(c, event);
                 }
-                let slot = match self.free_slab.pop() {
-                    Some(sl) => {
-                        self.packets[sl] = Some(pkt);
-                        self.wstart[sl] = Cycle::MAX;
-                        sl
-                    }
-                    None => {
-                        self.packets.push(Some(pkt));
-                        self.wstart.push(Cycle::MAX);
-                        self.packets.len() - 1
-                    }
-                };
-                for j in bits(mask) {
-                    self.queues[j].push_back(slot);
-                }
+                let slot = self.store.alloc(id, i, mask, c, output_was_idle);
                 self.requests.push_write(i, slot, c);
                 // No readiness refresh: a fresh queue head has no write
                 // wave yet, so its `ready_at` stays `Cycle::MAX` either way.
@@ -373,7 +330,7 @@ impl BehavioralSwitch {
         }
         self.arbitrate::<PROBED>(c);
         if PROBED {
-            self.ctl.gauge_occupancy(c, self.buf_used);
+            self.ctl.gauge_occupancy(c, self.store.occupancy());
         }
         #[cfg(debug_assertions)]
         self.requests.assert_calendar(c);
@@ -404,8 +361,11 @@ impl BehavioralSwitch {
     fn sweep_overdue(&mut self, c: Cycle) {
         for i in 0..self.cfg.n_in {
             while let Some(slot) = self.requests.pop_overdue(i, c) {
-                let id = self.remove_packet(slot);
-                self.ctl.drop(c, id, DropReason::LatchOverrun);
+                let e = self.store.release(slot);
+                self.ctl.drop(c, e.id, DropReason::LatchOverrun);
+                for j in bits(e.dsts) {
+                    self.refresh_ready(j);
+                }
             }
         }
     }
@@ -425,8 +385,8 @@ impl BehavioralSwitch {
             Decision::Write(i) => {
                 let i = i.index();
                 let slot = self.requests.take_write(i, c);
-                self.wstart[slot] = c;
-                let dsts = self.packets[slot].as_ref().expect("live").dsts;
+                self.store.start_write(slot, c);
+                let dsts = self.store.entry(slot).dsts;
                 let fusable = self.cfg.fused_cut_through;
                 if PROBED {
                     self.ctl.write_wave(c, i, slot);
@@ -437,7 +397,7 @@ impl BehavioralSwitch {
                 // `start_read` leaves that output's readiness set.
                 let mut fused_done = false;
                 for j in bits(dsts) {
-                    if self.queues[j].front() != Some(&slot) {
+                    if self.store.head(j) != Some(slot) {
                         continue;
                     }
                     if fusable && !fused_done && self.requests.output_free(j, c) {
@@ -454,8 +414,8 @@ impl BehavioralSwitch {
 
     /// Does the sharing policy let an arrival for output `dst` in? The
     /// shared control plane decides, charges and announces a refusal,
-    /// and on a preemption evicts the rearmost *evictable* packet of the
-    /// victim queue.
+    /// and on a preemption evicts the rearmost evictable packet of the
+    /// victim queue ([`BufferManager::rearmost_evictable`]).
     #[cold]
     fn admitted_by_policy(&mut self, dst: usize, c: Cycle) -> bool {
         let s = self.stages as Cycle;
@@ -463,53 +423,24 @@ impl BehavioralSwitch {
             c,
             id: 0,
             dst,
-            occupancy: self.buf_used,
+            occupancy: self.store.occupancy(),
             capacity: self.cfg.slots,
         };
-        // The eviction closure only names the victim's slab slot (both
-        // closures read the queues); it is reclaimed once `admit` is back.
-        let mut evicted = None;
+        let mut moved_heads = 0;
         let admitted = self.ctl.admit(
             arrival,
-            &mut evicted,
-            |_, j| self.queues[j].len(),
-            |evicted, victim| {
-                // Evictable: the write wave has fully retired (`c ≥ ws +
-                // S` — freeing a slot mid-write would let the reallocated
-                // address collide with the in-flight wave on the RTL
-                // model) and no copy is in transmission (`refs` still
-                // equals the fanout; reads pop their queue entry at
-                // initiation, so queued entries can only lose refs
-                // through other queues of a multicast).
-                let (slot, id) = self.queues[victim].iter().rev().find_map(|&slot| {
-                    let ws = self.wstart[slot];
-                    let p = self.packets[slot].as_ref().expect("queued slot is live");
-                    let evictable =
-                        ws != Cycle::MAX && c >= ws + s && p.refs == p.dsts.count_ones();
-                    evictable.then_some((slot, p.id))
-                })?;
-                *evicted = Some(slot);
-                Some(id)
+            &mut self.store,
+            |store, j| store.queue_len(j),
+            |store, victim| {
+                let e = store.release(store.rearmost_evictable(victim, c, s)?);
+                moved_heads = e.dsts;
+                Some(e.id)
             },
         );
-        if let Some(slot) = evicted {
-            self.remove_packet(slot);
-        }
-        admitted
-    }
-
-    /// Packet `slot` is lost (evicted by the sharing policy, or swept as
-    /// a latch overrun): it leaves *all* its queues and frees its slot.
-    /// Returns its id.
-    fn remove_packet(&mut self, slot: usize) -> u64 {
-        let p = self.packets[slot].take().expect("live packet");
-        for j in bits(p.dsts) {
-            self.queues[j].retain(|&sl| sl != slot);
+        for j in bits(moved_heads) {
             self.refresh_ready(j);
         }
-        self.free_slab.push(slot);
-        self.buf_used -= 1;
-        p.id
+        admitted
     }
 
     /// Telemetry for one arbitration (probed instantiation only).
@@ -528,34 +459,21 @@ impl BehavioralSwitch {
     }
 
     fn start_read<const PROBED: bool>(&mut self, j: usize, c: Cycle, fused: bool) {
-        let slot = self.queues[j].pop_front().expect("read from empty queue");
-        let (dep, free) = {
-            let p = self.packets[slot].as_mut().expect("live packet");
-            debug_assert!(p.refs > 0);
-            p.refs -= 1;
-            (
-                BehavioralDeparture {
-                    id: p.id,
-                    input: p.input,
-                    output: j,
-                    birth: p.birth,
-                    read_start: c,
-                    done: c + self.stages as Cycle,
-                    output_was_idle: p.output_was_idle,
-                },
-                p.refs == 0,
-            )
+        let (slot, p, _) = self.store.pop(j);
+        let dep = BehavioralDeparture {
+            id: p.id,
+            input: p.input,
+            output: j,
+            birth: p.birth,
+            read_start: c,
+            done: c + self.stages as Cycle,
+            output_was_idle: p.tag,
         };
         if PROBED {
             self.probe_read(j, c, fused, slot, &dep);
         }
         // BShare queueing-delay signal: birth-to-read latency.
         self.ctl.on_read(j, c - dep.birth);
-        if free {
-            self.packets[slot] = None;
-            self.free_slab.push(slot);
-            self.buf_used -= 1;
-        }
         self.requests.start_read(j, c);
         self.tx_next_done = self.tx_next_done.min(dep.done);
         self.departures.push(dep);
@@ -570,8 +488,7 @@ impl BehavioralSwitch {
         // measures its stagger against the packet's write start (`c` for
         // heads granted their read before any write wave — impossible
         // today, but kept defensive).
-        let ws = self.wstart[slot];
-        let ws = if ws == Cycle::MAX { c } else { ws };
+        let ws = self.store.write_start(slot).unwrap_or(c);
         self.ctl.read_wave(c, j, slot, fused);
         // Cut-through: the read overlaps the write wave still
         // depositing this packet (always true for the fused form).
@@ -590,9 +507,8 @@ impl BehavioralSwitch {
     /// Output `j`'s queue head changed, or its write wave started: file
     /// the head's write start with `Requests`.
     fn refresh_ready(&mut self, j: usize) {
-        let ws = self.queues[j].front().map(|&s| self.wstart[s]);
         self.requests
-            .set_head(j, ws.filter(|&ws| ws != Cycle::MAX), self.cycle);
+            .set_head(j, self.store.head_write_start(j), self.cycle);
     }
 
     /// All departures so far (accumulating).
@@ -620,7 +536,9 @@ impl BehavioralSwitch {
 
     /// True when the switch holds nothing.
     pub fn is_quiescent(&self) -> bool {
-        self.buf_used == 0 && self.tx_next_done == Cycle::MAX && self.cycle >= self.links_free_at
+        self.store.occupancy() == 0
+            && self.tx_next_done == Cycle::MAX
+            && self.cycle >= self.links_free_at
     }
 
     /// Run idle cycles until quiescent, appending completed departures to
@@ -670,7 +588,7 @@ impl simkernel::Horizon for BehavioralSwitch {
         // are still carrying dropped packets (skippable — the "event" is
         // quiescence itself), or something is live that we failed to
         // account for (conservative dense tick).
-        if self.buf_used == 0 && self.tx_next_done == Cycle::MAX {
+        if self.store.occupancy() == 0 && self.tx_next_done == Cycle::MAX {
             Some(self.links_free_at)
         } else {
             Some(now)

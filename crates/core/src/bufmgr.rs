@@ -1,268 +1,235 @@
-//! Buffer management: free list and per-output descriptor queues.
+//! Buffer management: the packet store both pipelined models keep.
 //!
 //! The paper keeps buffer (address) management deliberately orthogonal to
 //! the pipelined memory itself (§3.3: "the circuits that provide these …
 //! are independent of the pipelined memory"). This module implements the
 //! scheme the Telegraphos switches use (\[Kate94\], \[KVES95\]): a free list
-//! of packet slots plus one FIFO descriptor queue per outgoing link.
+//! of packet slots plus one FIFO queue of slots per outgoing link. The
+//! word-level RTL ([`crate::rtl`]), the cell-level model
+//! ([`crate::behavioral`]) and the RTL's frozen twin all keep their packets
+//! here; what only one of them needs rides in a per-slot tag `T`.
 //!
-//! A slot's lifetime: allocated when a packet header arrives → its
-//! descriptor is queued on the destination's output queue → the write wave
-//! is initiated (descriptor becomes *readable*) → a read wave pops the
-//! descriptor and **frees the slot immediately**, because any later write
-//! wave to the same address trails the read wave stage by stage and can
-//! never overtake it. This early free is a distinctive economy of the
+//! A slot's lifetime: allocated when a packet header arrives → queued on
+//! every destination's output queue → the write wave is initiated (the
+//! packet becomes *readable*) → a read wave pops the queue entry and the
+//! **last copy's read frees the slot immediately**, because any later
+//! write wave to the same address trails the read wave stage by stage and
+//! can never overtake it. This early free is a distinctive economy of the
 //! pipelined organization: a slot is held only from header arrival to read
 //! initiation, not to read completion.
 //!
 //! Every path that frees a slot ahead of its reads — eviction, and the
-//! forced release of the truncation and overrun paths — takes the slot's
-//! entries off its destination queues, so every queued entry is live.
+//! forced release of the truncation and overrun paths — goes through
+//! [`BufferManager::release`], which takes the slot's entries off its
+//! destination queues, so every queued entry is live.
+//!
+//! The slot table grows on demand: a slot is handed out from the LIFO free
+//! list, or, with the list empty, appended. That is the order a free list
+//! pre-filled with every slot, lowest on top, would give, without paying
+//! for the table up front.
 
-use crate::events::IntegrityReason;
 use simkernel::bits;
-use simkernel::ids::{Addr, Cycle, PortId};
+use simkernel::ids::Cycle;
 use std::collections::VecDeque;
 
-/// Per-packet bookkeeping while the packet owns a buffer slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Descriptor {
-    /// Packet id (decoded from the header).
+/// One buffered packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Entry<T> {
+    /// Packet id.
     pub id: u64,
     /// Input link of arrival.
-    pub input: PortId,
-    /// Primary (lowest-numbered) destination output link.
-    pub dst: PortId,
-    /// Full destination set as a bitmask (bit j = output j). Unicast
-    /// packets have exactly one bit set; multicast packets several — the
-    /// slot is freed when the *last* copy's read wave initiates.
+    pub input: usize,
+    /// Destination set, bit `j` = output `j`; the slot is freed when the
+    /// *last* copy's read wave initiates.
     pub dsts: u32,
+    /// Copies not yet claimed by a read wave.
+    pub refs: u32,
     /// Cycle the header arrived.
     pub birth: Cycle,
-    /// Cycle the write wave was initiated, once scheduled.
-    pub write_start: Option<Cycle>,
-    /// Per-slot checksum computed at ingress once the tail word arrived
-    /// (the value the read-time scrub re-derives from the banks).
-    pub checksum: Option<u64>,
-    /// Set when ingress integrity machinery condemned the packet while it
-    /// was still buffered (truncation, ingress payload mismatch); the
-    /// read-side scan drops it instead of transmitting, recording why.
-    pub poisoned: Option<IntegrityReason>,
+    /// What only one model keeps per packet.
+    pub tag: T,
 }
 
-impl Descriptor {
-    /// A unicast descriptor.
-    pub fn unicast(id: u64, input: PortId, dst: PortId, birth: Cycle) -> Self {
-        Descriptor {
-            id,
-            input,
-            dst,
-            dsts: 1 << dst.index(),
-            birth,
-            write_start: None,
-            checksum: None,
-            poisoned: None,
-        }
-    }
-
-    /// A descriptor for the given destination bitmask.
-    pub fn multicast(id: u64, input: PortId, dsts: u32, birth: Cycle) -> Self {
-        assert!(dsts != 0, "destination set must be non-empty");
-        Descriptor {
-            id,
-            input,
-            dst: PortId(dsts.trailing_zeros() as usize),
-            dsts,
-            birth,
-            write_start: None,
-            checksum: None,
-            poisoned: None,
-        }
-    }
-
-    /// Number of copies to be transmitted.
-    pub fn fanout(&self) -> u32 {
-        self.dsts.count_ones()
-    }
-
-    /// Iterate the destination outputs, lowest first.
-    #[inline]
-    pub fn destinations(&self) -> impl Iterator<Item = PortId> {
-        bits(self.dsts).map(PortId)
-    }
-}
-
+/// Free list and output queues over at most `slots` packet slots.
 #[derive(Debug, Clone)]
-struct Slot {
-    desc: Option<Descriptor>,
-    /// Copies not yet claimed by a read wave.
-    refs: u32,
+pub struct BufferManager<T> {
+    slots: usize,
+    entries: Vec<Option<Entry<T>>>,
+    /// Write-wave start per slot, `Cycle::MAX` until the wave is granted.
+    /// Kept beside the entries so the hot readiness refresh reads one word.
+    write_start: Vec<Cycle>,
+    free: Vec<usize>,
+    queues: Vec<VecDeque<usize>>,
 }
 
-/// Free list + output queues over `slots` packet slots.
-#[derive(Debug, Clone)]
-pub struct BufferManager {
-    slots: Vec<Slot>,
-    free: Vec<Addr>,
-    queues: Vec<VecDeque<Addr>>,
-}
-
-impl BufferManager {
-    /// A manager for `slots` packet slots and `n_out` output queues.
+impl<T: Copy> BufferManager<T> {
+    /// A store for `slots` packet slots and `n_out` output queues.
     pub fn new(slots: usize, n_out: usize) -> Self {
         assert!(slots >= 1 && n_out >= 1);
         BufferManager {
-            slots: (0..slots)
-                .map(|_| Slot {
-                    desc: None,
-                    refs: 0,
-                })
-                .collect(),
-            free: (0..slots).rev().map(Addr).collect(),
+            slots,
+            entries: Vec::new(),
+            write_start: Vec::new(),
+            free: Vec::new(),
             queues: vec![VecDeque::new(); n_out],
         }
-    }
-
-    /// Total slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Slots currently allocated.
     #[inline]
     pub fn occupancy(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.entries.len() - self.free.len()
     }
 
-    /// Queued packets for one output (readable or not) — the count a
+    /// Every slot is allocated.
+    #[inline]
+    pub fn full(&self) -> bool {
+        self.occupancy() == self.slots
+    }
+
+    /// Queued packets for output `j` (readable or not) — the count a
     /// sharing policy's view uses.
-    pub fn queue_len(&self, out: PortId) -> usize {
-        self.queues[out.index()].len()
-    }
-
-    /// The rearmost entry of `out`'s queue whose descriptor (and
-    /// remaining reference count) satisfies `pred` — the sharing
-    /// policies' eviction scan.
-    pub fn rearmost_matching(
-        &self,
-        out: PortId,
-        mut pred: impl FnMut(&Descriptor, u32) -> bool,
-    ) -> Option<Addr> {
-        self.queues[out.index()].iter().rev().copied().find(|a| {
-            let s = &self.slots[a.index()];
-            s.desc.as_ref().is_some_and(|d| pred(d, s.refs))
-        })
-    }
-
-    /// Evict a buffered packet (sharing-policy push-out / preemptive
-    /// drop): every queued reference is removed — all copies of a
-    /// multicast leave together — and the slot is freed. Returns the
-    /// descriptor. Panics if the slot is not allocated; callers select
-    /// victims via [`BufferManager::rearmost_matching`].
-    pub fn evict(&mut self, addr: Addr) -> Descriptor {
-        self.release(addr)
-    }
-
-    /// Allocate a slot for an arriving packet and enqueue its descriptor
-    /// on every destination queue. `None` when the buffer is full.
-    pub fn alloc(&mut self, desc: Descriptor) -> Option<Addr> {
-        let addr = self.free.pop()?;
-        debug_assert!(desc.dsts != 0);
-        let slot = &mut self.slots[addr.index()];
-        debug_assert!(slot.desc.is_none(), "free-list invariant violated");
-        slot.refs = desc.fanout();
-        for d in desc.destinations() {
-            self.queues[d.index()].push_back(addr);
-        }
-        slot.desc = Some(desc);
-        Some(addr)
-    }
-
-    /// Record that the write wave for `addr` initiated at `ws`.
     #[inline]
-    pub fn mark_write_started(&mut self, addr: Addr, ws: Cycle) {
-        let d = self.slots[addr.index()]
-            .desc
-            .as_mut()
-            .expect("slot not allocated");
-        debug_assert!(d.write_start.is_none(), "write started twice");
-        d.write_start = Some(ws);
+    pub fn queue_len(&self, j: usize) -> usize {
+        self.queues[j].len()
     }
 
-    /// The descriptor at `addr`, if allocated.
-    #[inline]
-    pub fn descriptor(&self, addr: Addr) -> Option<&Descriptor> {
-        self.slots[addr.index()].desc.as_ref()
-    }
-
-    /// Record the ingress-computed checksum for the packet at `addr`.
-    /// No-op if the slot was already freed (cut-through read outran the
-    /// tail) — the checksum would have nothing left to protect.
-    #[inline]
-    pub fn set_checksum(&mut self, addr: Addr, sum: u64) {
-        if let Some(d) = self.slots[addr.index()].desc.as_mut() {
-            d.checksum = Some(sum);
-        }
-    }
-
-    /// Condemn the packet at `addr`: the read-side scan will drop it
-    /// instead of transmitting. Returns `false` (no-op) if the slot is
-    /// already freed — the packet escaped on a cut-through read and only
-    /// egress checks can flag it now.
-    pub fn poison(&mut self, addr: Addr, reason: IntegrityReason) -> bool {
-        match self.slots[addr.index()].desc.as_mut() {
-            Some(d) => {
-                d.poisoned = Some(reason);
-                true
+    /// Allocate a slot for an arriving packet and queue it on every
+    /// output of `dsts`. The caller has checked [`BufferManager::full`].
+    // Forced, as is `pop`'s: with `#[inline]` alone both were emitted out
+    // of line in the behavioral kernels, one call per packet, and
+    // `behavioral_loads` ran 10 % slower (2-core x86 host, eight
+    // alternating pairs).
+    #[inline(always)]
+    pub fn alloc(&mut self, id: u64, input: usize, dsts: u32, birth: Cycle, tag: T) -> usize {
+        debug_assert!(dsts != 0 && !self.full());
+        let refs = dsts.count_ones();
+        let e = Some(Entry {
+            id,
+            input,
+            dsts,
+            refs,
+            birth,
+            tag,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.entries[slot].is_none(), "free-list invariant violated");
+                self.entries[slot] = e;
+                self.write_start[slot] = Cycle::MAX;
+                slot
             }
-            None => false,
+            None => {
+                self.entries.push(e);
+                self.write_start.push(Cycle::MAX);
+                self.entries.len() - 1
+            }
+        };
+        for j in bits(dsts) {
+            self.queues[j].push_back(slot);
         }
+        slot
     }
 
-    /// The head-of-queue descriptor for an output.
+    /// The packet at `slot`, if allocated.
     #[inline]
-    pub fn head(&self, out: PortId) -> Option<(Addr, &Descriptor)> {
-        let addr = *self.queues[out.index()].front()?;
-        let d = self.slots[addr.index()].desc.as_ref();
-        Some((addr, d.expect("queued slot is allocated")))
+    pub fn get(&self, slot: usize) -> Option<&Entry<T>> {
+        self.entries.get(slot)?.as_ref()
     }
 
-    /// Pop the head descriptor of an output queue for a read-wave
-    /// initiation. The reference count drops by one; the slot is freed
-    /// when the LAST copy's read initiates (any later write wave to the
-    /// reused address trails every in-flight read). Returns the address,
-    /// a descriptor copy, and whether the slot was freed. Panics if the
-    /// queue is empty — the caller must have observed a head via
-    /// [`BufferManager::head`].
+    /// The packet at an allocated `slot`.
     #[inline]
-    pub fn pop_and_free(&mut self, out: PortId) -> (Addr, Descriptor, bool) {
-        let addr = self.queues[out.index()]
+    pub fn entry(&self, slot: usize) -> &Entry<T> {
+        self.entries[slot].as_ref().expect("slot not allocated")
+    }
+
+    /// The tag of the packet at an allocated `slot`.
+    #[inline]
+    pub fn tag_mut(&mut self, slot: usize) -> &mut T {
+        &mut self.entries[slot].as_mut().expect("slot not allocated").tag
+    }
+
+    /// Record that the write wave for `slot` initiated at `ws`.
+    #[inline]
+    pub fn start_write(&mut self, slot: usize, ws: Cycle) {
+        debug_assert!(self.entries[slot].is_some(), "slot not allocated");
+        debug_assert!(self.write_start[slot] == Cycle::MAX, "write started twice");
+        self.write_start[slot] = ws;
+    }
+
+    /// The write start of the packet last allocated at `slot` (`None`
+    /// before its write wave). It stays readable after the last read
+    /// frees the slot, until the slot is allocated again.
+    #[inline]
+    pub fn write_start(&self, slot: usize) -> Option<Cycle> {
+        let ws = self.write_start[slot];
+        (ws != Cycle::MAX).then_some(ws)
+    }
+
+    /// The slot at the head of output `j`'s queue.
+    #[inline]
+    pub fn head(&self, j: usize) -> Option<usize> {
+        self.queues[j].front().copied()
+    }
+
+    /// The write start of output `j`'s head (`None` for an empty queue or
+    /// an unwritten head) — what `Requests::set_head` files.
+    #[inline]
+    pub fn head_write_start(&self, j: usize) -> Option<Cycle> {
+        self.write_start(self.head(j)?)
+    }
+
+    /// Pop output `j`'s head for a read-wave initiation. The reference
+    /// count drops by one; the slot is freed when the LAST copy's read
+    /// initiates (any later write wave to the reused address trails every
+    /// in-flight read). Returns the slot, the packet as it stands after
+    /// the pop, and whether the slot was freed. Panics on an empty queue.
+    #[inline(always)]
+    pub fn pop(&mut self, j: usize) -> (usize, Entry<T>, bool) {
+        let slot = self.queues[j]
             .pop_front()
             .expect("pop from empty output queue");
-        let slot = &mut self.slots[addr.index()];
-        debug_assert!(slot.refs > 0);
-        slot.refs -= 1;
-        if slot.refs == 0 {
-            let d = slot.desc.take().expect("queued slot is allocated");
-            self.free.push(addr);
-            return (addr, d, true);
+        let live = self.entries[slot]
+            .as_mut()
+            .expect("queued slot is allocated");
+        debug_assert!(live.refs > 0);
+        live.refs -= 1;
+        let e = *live;
+        let freed = e.refs == 0;
+        if freed {
+            self.entries[slot] = None;
+            self.free.push(slot);
         }
-        let d = slot.desc.clone().expect("queued slot is allocated");
-        (addr, d, false)
+        (slot, e, freed)
     }
 
-    /// Forcibly release a slot (truncation and latch-overrun paths): the
-    /// descriptor is discarded and its entries leave every destination
-    /// queue still holding one.
-    pub fn release(&mut self, addr: Addr) -> Descriptor {
-        let slot = &mut self.slots[addr.index()];
-        let d = slot.desc.take().expect("releasing unallocated slot");
-        slot.refs = 0;
-        self.free.push(addr);
-        for j in d.destinations() {
-            self.queues[j.index()].retain(|&a| a != addr);
+    /// Free an allocated slot ahead of its reads (sharing-policy push-out,
+    /// truncation, latch overrun): its entries leave every destination
+    /// queue still holding one — all copies of a multicast go together.
+    /// Returns the packet; the caller refreshes the heads of its `dsts`.
+    pub fn release(&mut self, slot: usize) -> Entry<T> {
+        let e = self.entries[slot]
+            .take()
+            .expect("releasing unallocated slot");
+        self.free.push(slot);
+        for j in bits(e.dsts) {
+            self.queues[j].retain(|&s| s != slot);
         }
-        d
+        e
+    }
+
+    /// The rearmost packet of output `j`'s queue a sharing policy may push
+    /// out at cycle `c` in an `s`-stage switch: its write wave has fully
+    /// retired (`c ≥ ws + s` — freeing a slot mid-write would let the
+    /// reallocated address collide with the in-flight wave) and no copy's
+    /// read has initiated (`refs` still equals the fanout; reads pop their
+    /// entry at initiation, so a queued entry loses refs only through the
+    /// other queues of a multicast).
+    pub fn rearmost_evictable(&self, j: usize, c: Cycle, s: Cycle) -> Option<usize> {
+        self.queues[j].iter().rev().copied().find(|&slot| {
+            let e = self.entry(slot);
+            self.write_start(slot).is_some_and(|ws| c >= ws + s) && e.refs == e.dsts.count_ones()
+        })
     }
 }
 
@@ -270,103 +237,94 @@ impl BufferManager {
 mod tests {
     use super::*;
 
-    fn desc(id: u64, dst: usize) -> Descriptor {
-        Descriptor::unicast(id, PortId(0), PortId(dst), 0)
+    fn alloc(m: &mut BufferManager<()>, id: u64, dsts: u32) -> usize {
+        m.alloc(id, 0, dsts, 0, ())
     }
 
     #[test]
     fn alloc_until_full() {
         let mut m = BufferManager::new(2, 2);
-        assert!(m.alloc(desc(1, 0)).is_some());
-        assert!(m.alloc(desc(2, 1)).is_some());
-        assert!(m.alloc(desc(3, 0)).is_none(), "buffer full");
+        alloc(&mut m, 1, 0b01);
+        assert!(!m.full());
+        alloc(&mut m, 2, 0b10);
+        assert!(m.full(), "buffer full");
         assert_eq!(m.occupancy(), 2);
     }
 
     #[test]
     fn fifo_order_per_output() {
         let mut m = BufferManager::new(4, 1);
-        let a1 = m.alloc(desc(1, 0)).unwrap();
-        let _ = m.alloc(desc(2, 0)).unwrap();
-        let (ha, hd) = m.head(PortId(0)).unwrap();
-        assert_eq!((ha, hd.id), (a1, 1));
-        let (pa, pd, freed) = m.pop_and_free(PortId(0));
-        assert_eq!((pa, pd.id, freed), (a1, 1, true));
-        let (_, hd2) = m.head(PortId(0)).unwrap();
-        assert_eq!(hd2.id, 2);
+        let a1 = alloc(&mut m, 1, 1);
+        let _ = alloc(&mut m, 2, 1);
+        assert_eq!(m.head(0), Some(a1));
+        let (pa, pe, freed) = m.pop(0);
+        assert_eq!((pa, pe.id, freed), (a1, 1, true));
+        assert_eq!(m.entry(m.head(0).unwrap()).id, 2);
     }
 
     #[test]
-    fn pop_frees_slot() {
-        let mut m = BufferManager::new(1, 1);
-        m.alloc(desc(1, 0)).unwrap();
-        assert!(m.alloc(desc(2, 0)).is_none());
-        m.pop_and_free(PortId(0));
-        assert_eq!(m.occupancy(), 0);
-        assert!(m.alloc(desc(2, 0)).is_some());
+    fn the_last_copy_frees_the_slot() {
+        let mut m = BufferManager::new(1, 2);
+        let a = alloc(&mut m, 1, 0b11);
+        assert!(m.full());
+        let (slot, e, freed) = m.pop(1);
+        assert_eq!((slot, e.id, e.refs, freed), (a, 1, 1, false));
+        let (_, e, freed) = m.pop(0);
+        assert_eq!((e.refs, freed, m.occupancy()), (0, true, 0));
+        assert!(m.get(a).is_none());
     }
 
     #[test]
-    fn stale_entries_skipped_after_release() {
-        let mut m = BufferManager::new(2, 1);
-        let a1 = m.alloc(desc(1, 0)).unwrap();
-        m.alloc(desc(2, 0)).unwrap();
-        // Packet 1 suffers a latch overrun; its slot is released and then
-        // reallocated to packet 3 (same output).
-        m.release(a1);
-        let a3 = m.alloc(desc(3, 0)).unwrap();
+    fn released_entries_leave_every_queue() {
+        let mut m = BufferManager::new(2, 2);
+        let a1 = alloc(&mut m, 1, 0b11);
+        alloc(&mut m, 2, 0b01);
+        // Packet 1 is released and its slot reallocated to packet 3: its
+        // old entries must not surface packet 3 early.
+        assert_eq!(m.release(a1).id, 1);
+        let a3 = alloc(&mut m, 3, 0b01);
         assert_eq!(a3, a1, "LIFO free list reuses the slot");
-        // Queue order must be: 2 (oldest live), then 3 — packet 1's
-        // entry must not surface packet 3 early.
-        assert_eq!(m.queue_len(PortId(0)), 2);
-        let (_, h) = m.head(PortId(0)).unwrap();
-        assert_eq!(h.id, 2);
-        assert_eq!(m.pop_and_free(PortId(0)).1.id, 2);
-        assert_eq!(m.pop_and_free(PortId(0)).1.id, 3);
-        assert!(m.head(PortId(0)).is_none());
+        assert_eq!((m.queue_len(0), m.queue_len(1)), (2, 0));
+        assert_eq!(m.pop(0).1.id, 2);
+        assert_eq!(m.pop(0).1.id, 3);
+        assert!(m.head(0).is_none());
     }
 
     #[test]
-    fn write_start_recorded() {
+    fn write_start_is_kept_past_the_free() {
         let mut m = BufferManager::new(1, 1);
-        let a = m.alloc(desc(1, 0)).unwrap();
-        m.mark_write_started(a, 42);
-        assert_eq!(m.descriptor(a).unwrap().write_start, Some(42));
+        let a = alloc(&mut m, 1, 1);
+        assert_eq!((m.write_start(a), m.head_write_start(0)), (None, None));
+        m.start_write(a, 42);
+        assert_eq!(m.head_write_start(0), Some(42));
+        m.pop(0);
+        assert_eq!((m.write_start(a), m.head_write_start(0)), (Some(42), None));
+        alloc(&mut m, 2, 1);
+        assert_eq!(m.write_start(a), None, "a new occupant starts unwritten");
     }
 
     #[test]
-    fn queues_are_independent() {
+    fn only_retired_unread_packets_are_evictable() {
         let mut m = BufferManager::new(4, 2);
-        m.alloc(desc(1, 0)).unwrap();
-        m.alloc(desc(2, 1)).unwrap();
-        assert_eq!(m.queue_len(PortId(0)), 1);
-        assert_eq!(m.queue_len(PortId(1)), 1);
-        assert_eq!(m.pop_and_free(PortId(1)).1.id, 2);
-        assert_eq!(m.head(PortId(0)).unwrap().1.id, 1);
-    }
-
-    #[test]
-    fn checksum_and_poison_lifecycle() {
-        let mut m = BufferManager::new(2, 1);
-        let a = m.alloc(desc(1, 0)).unwrap();
-        m.set_checksum(a, 0xABCD);
-        assert_eq!(m.descriptor(a).unwrap().checksum, Some(0xABCD));
-        assert!(m.poison(a, IntegrityReason::TruncatedPacket));
-        assert_eq!(
-            m.descriptor(a).unwrap().poisoned,
-            Some(IntegrityReason::TruncatedPacket)
-        );
-        // Freed slots: both become no-ops instead of panicking (the
-        // cut-through race the callers hit).
-        m.release(a);
-        m.set_checksum(a, 1);
-        assert!(!m.poison(a, IntegrityReason::ChecksumMismatch));
+        let old = alloc(&mut m, 1, 0b01);
+        let young = alloc(&mut m, 2, 0b01);
+        let multi = alloc(&mut m, 3, 0b11);
+        m.start_write(old, 0);
+        m.start_write(young, 3);
+        m.start_write(multi, 0);
+        // At cycle 4 with S = 4 only `old` and `multi` have retired; the
+        // rearmost of them goes first.
+        assert_eq!(m.rearmost_evictable(0, 4, 4), Some(multi));
+        // A multicast with one copy read is no longer evictable.
+        m.pop(1);
+        assert_eq!(m.rearmost_evictable(0, 4, 4), Some(old));
+        assert_eq!(m.rearmost_evictable(0, 3, 4), None);
     }
 
     #[test]
     #[should_panic(expected = "pop from empty")]
     fn pop_empty_panics() {
-        let mut m = BufferManager::new(1, 1);
-        let _ = m.pop_and_free(PortId(0));
+        let mut m = BufferManager::<()>::new(1, 1);
+        let _ = m.pop(0);
     }
 }

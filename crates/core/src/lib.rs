@@ -11,13 +11,16 @@
 //!   model**: real input latch rows, a shared output register row, real
 //!   SRAM banks (port-checked), a wave ring holding each stage-0 control
 //!   word once (fig. 5: stage `k` obeys it `k` cycles later), the read/write
-//!   wave arbiter, buffer management (free list + per-output descriptor
-//!   queues) and automatic cut-through. Every timing claim of §3.2–§3.4 is
-//!   observable on this model cycle by cycle.
+//!   wave arbiter, buffer management and automatic cut-through. Every
+//!   timing claim of §3.2–§3.4 is observable on this model cycle by cycle.
 //! * [`behavioral::BehavioralSwitch`] — a **cell-level model** with
 //!   identical initiation semantics (one wave per cycle, read priority,
-//!   staggered initiation) but packets abstracted to descriptors — orders
-//!   of magnitude faster, used for the statistical experiments.
+//!   staggered initiation) but packets abstracted to store entries —
+//!   orders of magnitude faster, used for the statistical experiments.
+//!
+//! Both keep their packets in one store, [`bufmgr::BufferManager`] (free
+//! list + per-output slot queues, one eviction rule), each with its own
+//! per-slot tag.
 //!
 //! Plus:
 //!

@@ -20,11 +20,11 @@
 
 use crate::arbiter::{Arbiter, Decision, ReadReq, WriteReq};
 use crate::behavioral::BehavioralDeparture;
-use crate::bufmgr::{BufferManager, Descriptor};
+use crate::bufmgr::BufferManager;
 use crate::config::SwitchConfig;
 use crate::events::{IntegrityReason, SwitchCounters};
 use crate::policy::{AdmitDecision, PolicyEngine, PolicyView};
-use crate::rtl::{drop_reason, integrity_checksum, StageCtrl};
+use crate::rtl::{drop_reason, integrity_checksum, Seal, StageCtrl};
 use membank::bank::{PortKind, SramBank};
 use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle, PortId};
@@ -694,7 +694,7 @@ pub struct PipelinedSwitchRef {
     out_next_init: Vec<Cycle>,
     out_verify: Vec<OutVerify>,
     stuck_write: Option<(usize, Cycle)>,
-    mgr: BufferManager,
+    mgr: BufferManager<Seal>,
     policy: PolicyEngine,
     policy_static: bool,
     arb: Arbiter,
@@ -756,7 +756,7 @@ impl PipelinedSwitchRef {
     #[allow(clippy::too_many_arguments)] // associated fn over disjoint field borrows
     fn policy_admit(
         policy: &mut PolicyEngine,
-        mgr: &mut BufferManager,
+        mgr: &mut BufferManager<Seal>,
         counters: &mut SwitchCounters,
         probe: &Option<ProbeHandle>,
         n_out: usize,
@@ -766,7 +766,7 @@ impl PipelinedSwitchRef {
         c: Cycle,
     ) -> bool {
         let s = stages as Cycle;
-        let qlens: Vec<usize> = (0..n_out).map(|j| mgr.queue_len(PortId(j))).collect();
+        let qlens: Vec<usize> = (0..n_out).map(|j| mgr.queue_len(j)).collect();
         let decision = policy.admit(&PolicyView {
             occupancy: mgr.occupancy(),
             capacity: slots,
@@ -776,28 +776,23 @@ impl PipelinedSwitchRef {
         match decision {
             AdmitDecision::Accept => true,
             AdmitDecision::Reject => false,
-            AdmitDecision::Preempt { victim } => {
-                let addr = mgr.rearmost_matching(PortId(victim), |d, refs| {
-                    d.write_start.is_some_and(|ws| c >= ws + s) && refs == d.fanout()
-                });
-                match addr {
-                    Some(a) => {
-                        let d = mgr.evict(a);
-                        counters.policy_preempts += 1;
-                        if let Some(p) = probe {
-                            p.emit(
-                                c,
-                                ProbeEvent::Drop {
-                                    id: d.id,
-                                    reason: DropReason::Preempted,
-                                },
-                            );
-                        }
-                        true
+            AdmitDecision::Preempt { victim } => match mgr.rearmost_evictable(victim, c, s) {
+                Some(slot) => {
+                    let d = mgr.release(slot);
+                    counters.policy_preempts += 1;
+                    if let Some(p) = probe {
+                        p.emit(
+                            c,
+                            ProbeEvent::Drop {
+                                id: d.id,
+                                reason: DropReason::Preempted,
+                            },
+                        );
                     }
-                    None => false,
+                    true
                 }
-            }
+                None => false,
+            },
         }
     }
 
@@ -928,17 +923,10 @@ impl PipelinedSwitchRef {
                                 "packet {id} on input {i} addressed nonexistent outputs                              (mask {mask:#x}, {} outputs)",
                                 self.cfg.n_out
                             );
-                            let desc = Descriptor::multicast(id, PortId(i), mask, c);
+                            let dst = mask.trailing_zeros() as usize;
                             self.counters.arrived += 1;
                             if let Some(p) = &self.probe {
-                                p.emit(
-                                    c,
-                                    ProbeEvent::HeaderArrived {
-                                        input: i,
-                                        id,
-                                        dst: desc.dst.index(),
-                                    },
-                                );
+                                p.emit(c, ProbeEvent::HeaderArrived { input: i, id, dst });
                             }
                             st.expected_id = self.cfg.integrity.payload_check.then_some(id);
                             st.cur_id = id;
@@ -951,7 +939,7 @@ impl PipelinedSwitchRef {
                                     self.cfg.n_out,
                                     self.cfg.slots,
                                     self.stages,
-                                    desc.dst.index(),
+                                    dst,
                                     c,
                                 );
                             if refused {
@@ -965,29 +953,25 @@ impl PipelinedSwitchRef {
                                         },
                                     );
                                 }
-                            } else {
-                                match self.mgr.alloc(desc) {
-                                    Some(addr) => {
-                                        st.addr = Some(addr);
-                                        st.pending.push_back(PendingWrite {
-                                            addr,
-                                            eligible: c + 1,
-                                            deadline: c + s as Cycle,
-                                        });
-                                    }
-                                    None => {
-                                        self.counters.dropped_buffer_full += 1;
-                                        if let Some(p) = &self.probe {
-                                            p.emit(
-                                                c,
-                                                ProbeEvent::Drop {
-                                                    id,
-                                                    reason: DropReason::BufferFull,
-                                                },
-                                            );
-                                        }
-                                    }
+                            } else if self.mgr.full() {
+                                self.counters.dropped_buffer_full += 1;
+                                if let Some(p) = &self.probe {
+                                    p.emit(
+                                        c,
+                                        ProbeEvent::Drop {
+                                            id,
+                                            reason: DropReason::BufferFull,
+                                        },
+                                    );
                                 }
+                            } else {
+                                let addr = Addr(self.mgr.alloc(id, i, mask, c, Seal::default()));
+                                st.addr = Some(addr);
+                                st.pending.push_back(PendingWrite {
+                                    addr,
+                                    eligible: c + 1,
+                                    deadline: c + s as Cycle,
+                                });
                             }
                         }
                     } else if let Some(id) = st.expected_id {
@@ -1010,14 +994,17 @@ impl PipelinedSwitchRef {
                     if st.k == s {
                         st.k = 0;
                         if let Some(addr) = st.addr.take() {
-                            let still_ours =
-                                self.mgr.descriptor(addr).is_some_and(|d| d.id == st.cur_id);
+                            let still_ours = self
+                                .mgr
+                                .get(addr.index())
+                                .is_some_and(|d| d.id == st.cur_id);
                             if still_ours {
+                                let seal = self.mgr.tag_mut(addr.index());
                                 if st.corrupt {
-                                    self.mgr.poison(addr, IntegrityReason::PayloadMismatch);
+                                    seal.poisoned = Some(IntegrityReason::PayloadMismatch);
                                 }
                                 if self.cfg.integrity.checksum {
-                                    self.mgr.set_checksum(addr, st.chk);
+                                    seal.checksum = Some(st.chk);
                                 }
                             }
                         }
@@ -1029,7 +1016,7 @@ impl PipelinedSwitchRef {
                         if let Some(addr) = st.addr.take() {
                             if let Some(pos) = st.pending.iter().position(|p| p.addr == addr) {
                                 st.pending.remove(pos);
-                                let d = self.mgr.release(addr);
+                                let d = self.mgr.release(addr.index());
                                 self.counters.corrupt_drops += 1;
                                 if let Some(p) = &self.probe {
                                     p.emit(
@@ -1040,8 +1027,13 @@ impl PipelinedSwitchRef {
                                         },
                                     );
                                 }
-                            } else if self.mgr.descriptor(addr).is_some_and(|d| d.id == st.cur_id) {
-                                self.mgr.poison(addr, IntegrityReason::TruncatedPacket);
+                            } else if self
+                                .mgr
+                                .get(addr.index())
+                                .is_some_and(|d| d.id == st.cur_id)
+                            {
+                                self.mgr.tag_mut(addr.index()).poisoned =
+                                    Some(IntegrityReason::TruncatedPacket);
                             }
                         }
                         st.k = 0;
@@ -1066,7 +1058,7 @@ impl PipelinedSwitchRef {
                 }
                 let addr = front.addr;
                 self.inputs[i].pending.pop_front();
-                let d = self.mgr.release(addr);
+                let d = self.mgr.release(addr.index());
                 self.counters.latch_overruns += 1;
                 if let Some(p) = &self.probe {
                     p.emit(
@@ -1087,8 +1079,8 @@ impl PipelinedSwitchRef {
             if c < self.out_next_init[j] {
                 continue;
             }
-            if let Some((_, d)) = self.mgr.head(PortId(j)) {
-                let ready = match d.write_start {
+            if let Some(head) = self.mgr.head(j) {
+                let ready = match self.mgr.write_start(head) {
                     None => false,
                     Some(ws) => {
                         if self.cfg.cut_through {
@@ -1139,12 +1131,14 @@ impl PipelinedSwitchRef {
         }
         match decision {
             Decision::Read(j) => {
-                let (addr, d, freed) = self.mgr.pop_and_free(j);
+                let (slot, d, freed) = self.mgr.pop(j.index());
+                let (addr, write_start) = (Addr(slot), self.mgr.write_start(slot));
                 let scrub_fail = self.cfg.integrity.checksum
-                    && d.write_start.is_some_and(|ws| c >= ws + s as Cycle)
-                    && d.checksum
+                    && write_start.is_some_and(|ws| c >= ws + s as Cycle)
+                    && d.tag
+                        .checksum
                         .is_some_and(|sum| self.banks_checksum(addr) != sum);
-                if d.poisoned.is_some() || scrub_fail {
+                if d.tag.poisoned.is_some() || scrub_fail {
                     if freed {
                         self.counters.corrupt_drops += 1;
                         if let Some(p) = &self.probe {
@@ -1153,7 +1147,7 @@ impl PipelinedSwitchRef {
                                 ProbeEvent::Drop {
                                     id: d.id,
                                     reason: drop_reason(
-                                        d.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch),
+                                        d.tag.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch),
                                     ),
                                 },
                             );
@@ -1173,7 +1167,7 @@ impl PipelinedSwitchRef {
                                 fused: false,
                             },
                         );
-                        let earliest = d.write_start.map(|ws| {
+                        let earliest = write_start.map(|ws| {
                             if self.cfg.cut_through {
                                 ws + 1
                             } else {
@@ -1189,7 +1183,7 @@ impl PipelinedSwitchRef {
                                 },
                             );
                         }
-                        if d.write_start.is_some_and(|ws| c < ws + s as Cycle) {
+                        if write_start.is_some_and(|ws| c < ws + s as Cycle) {
                             p.emit(
                                 c,
                                 ProbeEvent::CutThrough {
@@ -1217,7 +1211,7 @@ impl PipelinedSwitchRef {
                     .pending
                     .pop_front()
                     .expect("arbiter granted a write with no pending request");
-                self.mgr.mark_write_started(pw.addr, c);
+                self.mgr.start_write(pw.addr.index(), c);
                 if let Some(p) = &self.probe {
                     p.emit(
                         c,
@@ -1233,25 +1227,21 @@ impl PipelinedSwitchRef {
                     write_from: Some(i),
                     read_to: None,
                 };
-                let d = self.mgr.descriptor(pw.addr).expect("just marked");
-                if self.cfg.fused_cut_through && d.poisoned.is_none() {
+                let d = self.mgr.entry(pw.addr.index());
+                if self.cfg.fused_cut_through && d.tag.poisoned.is_none() {
                     let (id, birth) = (d.id, d.birth);
                     let mut dsts = std::mem::take(&mut self.scratch_dsts);
                     dsts.clear();
-                    dsts.extend(d.destinations());
+                    dsts.extend(simkernel::bits(d.dsts).map(PortId));
                     for &dst in &dsts {
                         if c < self.out_next_init[dst.index()] {
                             continue;
                         }
-                        let head_matches = matches!(
-                            self.mgr.head(dst),
-                            Some((head_addr, _)) if head_addr == pw.addr
-                        );
-                        if !head_matches {
+                        if self.mgr.head(dst.index()) != Some(pw.addr.index()) {
                             continue;
                         }
-                        let (addr2, d2, _freed) = self.mgr.pop_and_free(dst);
-                        debug_assert_eq!(addr2, pw.addr);
+                        let (addr2, d2, _freed) = self.mgr.pop(dst.index());
+                        debug_assert_eq!(addr2, pw.addr.index());
                         debug_assert_eq!(d2.id, id);
                         self.out_next_init[dst.index()] = c + s as Cycle;
                         if !self.policy_static {
@@ -1398,7 +1388,7 @@ impl PipelinedSwitchRef {
                 );
             }
             for j in 0..self.cfg.n_out {
-                let depth = self.mgr.queue_len(PortId(j)) as u64;
+                let depth = self.mgr.queue_len(j) as u64;
                 if depth != self.last_qdepth[j] {
                     self.last_qdepth[j] = depth;
                     p.emit(

@@ -13,7 +13,9 @@
 //!   among writes) behind the behavioral model's request front end,
 //!   `Requests`: it holds the pending writes and the output pacing, and
 //!   this model reports its control events to it instead of rescanning;
-//! * **buffer management** (free list + per-output descriptor queues);
+//! * **buffer management**: the packet store shared with the cell-level
+//!   model ([`BufferManager`]: free list + per-output slot queues), each
+//!   slot tagged with its integrity verdicts ([`Seal`]);
 //! * **automatic cut-through**, including the fused form where the output
 //!   register samples the write bus in the very cycle the write wave
 //!   begins.
@@ -38,7 +40,7 @@
 //! instead of silently corrupting packets.
 
 use crate::arbiter::{Arbiter, Decision, Requests};
-use crate::bufmgr::{BufferManager, Descriptor};
+use crate::bufmgr::BufferManager;
 use crate::config::SwitchConfig;
 use crate::ctl::{Arrival, ControlPlane};
 use crate::events::IntegrityReason;
@@ -152,6 +154,19 @@ impl Wave {
     }
 }
 
+/// The integrity verdicts a buffered packet carries: the RTL's tag in the
+/// packet store.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Seal {
+    /// Checksum computed at ingress once the tail word arrived (the value
+    /// the read-time scrub re-derives from the banks).
+    pub checksum: Option<u64>,
+    /// Set when ingress integrity machinery condemned the packet while it
+    /// was still buffered (truncation, ingress payload mismatch); the
+    /// read-side scan drops it instead of transmitting, recording why.
+    pub poisoned: Option<IntegrityReason>,
+}
+
 /// One output register: the word and the link it drives next cycle. Which
 /// packet it belongs to is the link's business ([`PipelinedSwitch::out_bind`]);
 /// the register of the last stage holds the tail.
@@ -167,8 +182,8 @@ struct InputState {
     k: usize,
     /// Slot of the packet currently arriving (`None` once the tail is in,
     /// or if the packet was dropped at ingress).
-    addr: Option<Addr>,
-    /// Id of the packet currently arriving, to guard tail-time descriptor
+    slot: Option<usize>,
+    /// Id of the packet currently arriving, to guard tail-time seal
     /// updates: under cut-through the slot may already have been freed
     /// *and reallocated* to a later packet.
     cur_id: u64,
@@ -237,7 +252,7 @@ pub struct PipelinedSwitch {
     /// failover runs after the stage walk (the wave borrow forbids it
     /// inline).
     pending_failover: Option<usize>,
-    mgr: BufferManager,
+    mgr: BufferManager<Seal>,
     /// Counters, probe, sharing policy and recovery ledger.
     ctl: ControlPlane,
     arb: Arbiter,
@@ -408,10 +423,12 @@ impl PipelinedSwitch {
     /// detection coverage over *effective* faults only.
     pub fn inject_bank_fault(&mut self, stage: usize, addr: Addr, mask: u64) -> Option<u64> {
         self.banks[stage].inject_fault(addr, mask);
-        if let Some(d) = self.mgr.descriptor(addr) {
+        if let Some(d) = self.mgr.get(addr.index()) {
             // The write wave touches `stage` at cycle `ws + stage`; the
             // word is in the bank once that cycle has executed.
-            if d.write_start
+            if self
+                .mgr
+                .write_start(addr.index())
                 .is_some_and(|ws| ws + (stage as Cycle) < self.cycle)
             {
                 return Some(d.id);
@@ -681,7 +698,7 @@ impl PipelinedSwitch {
                 Some(word) => {
                     if st.k == 0 {
                         let (mask, id) = Packet::decode_header_any(*word);
-                        st.addr = None;
+                        st.slot = None;
                         st.chk = 0;
                         st.corrupt = false;
                         st.expected_id = None;
@@ -699,8 +716,8 @@ impl PipelinedSwitch {
                                 "packet {id} on input {i} addressed nonexistent outputs                              (mask {mask:#x}, {} outputs)",
                                 self.cfg.n_out
                             );
-                            let desc = Descriptor::multicast(id, PortId(i), mask, c);
-                            self.ctl.header(c, i, id, desc.dst.index());
+                            let primary = mask.trailing_zeros() as usize;
+                            self.ctl.header(c, i, id, primary);
                             st.expected_id = self.cfg.integrity.payload_check.then_some(id);
                             st.cur_id = id;
                             // Degraded-mode admission: inside a failover
@@ -710,14 +727,9 @@ impl PipelinedSwitch {
                             // risking the settling spare — conservation
                             // and FIFO hold, throughput drops. Otherwise a
                             // non-static sharing policy decides (and
-                            // preempts) before the free list is touched.
-                            // Evictable: the write wave has fully retired
-                            // (freeing a slot mid-write would let the
-                            // reallocated address collide with the
-                            // in-flight wave) and no copy's read has
-                            // initiated (refs still equals the fanout) —
-                            // the behavioral model's rule, so the two stay
-                            // cycle-exact under every policy.
+                            // preempts) before the free list is touched,
+                            // evicting by the store's one rule, as the
+                            // behavioral model does.
                             let mgr = &mut self.mgr;
                             let capped = self.degraded && mgr.occupancy() >= self.admission_cap;
                             if self.ctl.shed(c, capped) {
@@ -727,30 +739,27 @@ impl PipelinedSwitch {
                                 Arrival {
                                     c,
                                     id,
-                                    dst: desc.dst.index(),
+                                    dst: primary,
                                     occupancy: mgr.occupancy(),
                                     capacity: self.cfg.slots,
                                 },
                                 mgr,
-                                |mgr, j| mgr.queue_len(PortId(j)),
+                                |mgr, j| mgr.queue_len(j),
                                 |mgr, victim| {
-                                    let a = mgr.rearmost_matching(PortId(victim), |d, refs| {
-                                        d.write_start.is_some_and(|ws| c >= ws + s as Cycle)
-                                            && refs == d.fanout()
-                                    })?;
-                                    let d = mgr.evict(a);
+                                    let slot = mgr.rearmost_evictable(victim, c, s as Cycle)?;
+                                    let d = mgr.release(slot);
                                     moved_heads |= d.dsts;
                                     Some(d.id)
                                 },
                             ) {
                                 // A fresh queue entry has no write wave,
                                 // so no readiness moves here.
-                                match mgr.alloc(desc) {
-                                    Some(addr) => {
-                                        st.addr = Some(addr);
-                                        self.requests.push_write(i, addr.index(), c);
-                                    }
-                                    None => self.ctl.drop(c, id, DropReason::BufferFull),
+                                if mgr.full() {
+                                    self.ctl.drop(c, id, DropReason::BufferFull);
+                                } else {
+                                    let slot = mgr.alloc(id, i, mask, c, Seal::default());
+                                    st.slot = Some(slot);
+                                    self.requests.push_write(i, slot, c);
                                 }
                             }
                         }
@@ -776,15 +785,14 @@ impl PipelinedSwitch {
                         // Guard on the id — under cut-through the slot may
                         // already be freed and reallocated to a later
                         // packet, which must not inherit our verdicts.
-                        if let Some(addr) = st.addr.take() {
-                            let still_ours =
-                                self.mgr.descriptor(addr).is_some_and(|d| d.id == st.cur_id);
-                            if still_ours {
+                        if let Some(slot) = st.slot.take() {
+                            if self.mgr.get(slot).is_some_and(|d| d.id == st.cur_id) {
+                                let seal = self.mgr.tag_mut(slot);
                                 if st.corrupt {
-                                    self.mgr.poison(addr, IntegrityReason::PayloadMismatch);
+                                    seal.poisoned = Some(IntegrityReason::PayloadMismatch);
                                 }
                                 if self.cfg.integrity.checksum {
-                                    self.mgr.set_checksum(addr, st.chk);
+                                    seal.checksum = Some(st.chk);
                                 }
                             }
                         }
@@ -796,21 +804,22 @@ impl PipelinedSwitch {
                         // Hardened framing: the link idled mid-packet, so
                         // the tail will never arrive. Condemn the partial
                         // packet instead of panicking.
-                        if let Some(addr) = st.addr.take() {
-                            if self.requests.withdraw_write(i, addr.index(), c) {
+                        if let Some(slot) = st.slot.take() {
+                            if self.requests.withdraw_write(i, slot, c) {
                                 // Write wave not yet granted: reclaim the
                                 // slot outright.
-                                let d = self.mgr.release(addr);
+                                let d = self.mgr.release(slot);
                                 self.ctl.drop(c, d.id, DropReason::Truncated);
                                 moved_heads |= d.dsts;
-                            } else if self.mgr.descriptor(addr).is_some_and(|d| d.id == st.cur_id) {
+                            } else if self.mgr.get(slot).is_some_and(|d| d.id == st.cur_id) {
                                 // Write wave already streaming stale latch
                                 // words: poison so the read side drops it
                                 // (counted there). If the slot was already
                                 // freed by a cut-through read, the damage
                                 // is on the wire — the egress check is the
                                 // remaining line of defense.
-                                self.mgr.poison(addr, IntegrityReason::TruncatedPacket);
+                                self.mgr.tag_mut(slot).poisoned =
+                                    Some(IntegrityReason::TruncatedPacket);
                             }
                         }
                         st.k = 0;
@@ -870,8 +879,9 @@ impl PipelinedSwitch {
         }
         match decision {
             Decision::Read(j) => {
-                let (addr, d, freed) = self.mgr.pop_and_free(j);
-                let fully_written = d.write_start.is_some_and(|ws| c >= ws + s as Cycle);
+                let (slot, d, freed) = self.mgr.pop(j.index());
+                let (addr, ws) = (Addr(slot), self.mgr.write_start(slot));
+                let fully_written = ws.is_some_and(|ws| c >= ws + s as Cycle);
                 // With ECC armed, correct single-bit upsets in place
                 // *before* the checksum verdict: a corrected slot passes
                 // the scrub and is delivered instead of dropped.
@@ -884,15 +894,16 @@ impl PipelinedSwitch {
                 // the egress check instead.
                 let scrub_fail = self.cfg.integrity.checksum
                     && fully_written
-                    && d.checksum
+                    && d.tag
+                        .checksum
                         .is_some_and(|sum| self.banks_checksum(addr) != sum);
-                if d.poisoned.is_some() || scrub_fail {
+                if d.tag.poisoned.is_some() || scrub_fail {
                     // Detect-and-drop: the initiation slot is spent but no
                     // wave launches; the output link stays free for its
                     // next head-of-line packet. Multicast copies each take
                     // this path; count once, when the slot is freed.
                     if freed {
-                        let why = d.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch);
+                        let why = d.tag.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch);
                         self.ctl.drop(c, d.id, drop_reason(why));
                     }
                 } else {
@@ -904,7 +915,7 @@ impl PipelinedSwitch {
                         // §3.4: any unfused read started later than the
                         // packet's earliest opportunity — the initiation
                         // slot staggered the output's start.
-                        let earliest = d.write_start.map(|ws| self.requests.readable(ws));
+                        let earliest = ws.map(|ws| self.requests.readable(ws));
                         if earliest.is_some_and(|e| c > e) {
                             self.ctl.emit(
                                 c,
@@ -916,7 +927,7 @@ impl PipelinedSwitch {
                         }
                         // Cut-through (unfused form): the read overlaps a
                         // write wave still depositing this packet.
-                        if d.write_start.is_some_and(|ws| c < ws + s as Cycle) {
+                        if ws.is_some_and(|ws| c < ws + s as Cycle) {
                             self.ctl.cut_through(c, j.index(), d.id, false);
                         }
                     }
@@ -932,12 +943,12 @@ impl PipelinedSwitch {
                 self.refresh_read(j.index());
             }
             Decision::Write(i) => {
-                let addr = Addr(self.requests.take_write(i.index(), c));
-                self.mgr.mark_write_started(addr, c);
-                self.ctl.write_wave(c, i.index(), addr.index());
+                let slot = self.requests.take_write(i.index(), c);
+                self.mgr.start_write(slot, c);
+                self.ctl.write_wave(c, i.index(), slot);
                 let mut wave = Wave {
                     start: c,
-                    addr: addr.index() as u32,
+                    addr: slot as u32,
                     write_from: i.index() as u8,
                     read_to: NO_PORT,
                 };
@@ -945,41 +956,30 @@ impl PipelinedSwitch {
                 // idle destination, one copy's read wave rides the write
                 // bus (multicast packets fuse at most one copy; the rest
                 // read normally later).
-                let d = self.mgr.descriptor(addr).expect("just marked");
-                let dsts = d.dsts;
+                let d = *self.mgr.entry(slot);
                 // A packet already condemned at ingress must not fuse: the
                 // read side drops it instead.
-                if self.cfg.fused_cut_through && d.poisoned.is_none() {
-                    let (id, birth) = (d.id, d.birth);
-                    for dst in bits(dsts).map(PortId) {
-                        if !self.requests.output_free(dst.index(), c) {
+                if self.cfg.fused_cut_through && d.tag.poisoned.is_none() {
+                    for dst in bits(d.dsts) {
+                        if !self.requests.output_free(dst, c) || self.mgr.head(dst) != Some(slot) {
                             continue;
                         }
-                        let head_matches = matches!(
-                            self.mgr.head(dst),
-                            Some((head_addr, _)) if head_addr == addr
-                        );
-                        if !head_matches {
-                            continue;
-                        }
-                        let (addr2, d2, _freed) = self.mgr.pop_and_free(dst);
-                        debug_assert_eq!(addr2, addr);
-                        debug_assert_eq!(d2.id, id);
-                        self.requests.start_read(dst.index(), c);
+                        self.mgr.pop(dst);
+                        self.requests.start_read(dst, c);
                         // BShare queueing-delay signal (fused read).
-                        self.ctl.on_read(dst.index(), c - d2.birth);
+                        self.ctl.on_read(dst, c - d.birth);
                         self.ctl.counters.fused_reads += 1;
-                        self.ctl.read_wave(c, dst.index(), addr.index(), true);
-                        self.ctl.cut_through(c, dst.index(), id, true);
-                        self.out_bind[dst.index()] = (id, birth);
-                        wave.read_to = dst.index() as u8;
+                        self.ctl.read_wave(c, dst, slot, true);
+                        self.ctl.cut_through(c, dst, d.id, true);
+                        self.out_bind[dst] = (d.id, d.birth);
+                        wave.read_to = dst as u8;
                         break;
                     }
                 }
                 self.push_wave(wave);
                 // The write wave makes the packet readable wherever it
                 // heads a queue; a fused copy moved that queue's head.
-                for j in bits(dsts) {
+                for j in bits(d.dsts) {
                     self.refresh_read(j);
                 }
             }
@@ -1031,8 +1031,7 @@ impl PipelinedSwitch {
         if self.ctl.probed() {
             self.ctl.gauge_occupancy(c, self.mgr.occupancy());
             for j in 0..self.cfg.n_out {
-                self.ctl
-                    .gauge_queue_depth(c, j, self.mgr.queue_len(PortId(j)));
+                self.ctl.gauge_queue_depth(c, j, self.mgr.queue_len(j));
             }
         }
         #[cfg(debug_assertions)]
@@ -1041,18 +1040,12 @@ impl PipelinedSwitch {
         &self.wire_out
     }
 
-    /// The write start of output `j`'s queue head (`None` for an empty
-    /// queue or an unwritten head).
-    fn head_write_start(&self, j: usize) -> Option<Cycle> {
-        self.mgr.head(PortId(j)).and_then(|(_, d)| d.write_start)
-    }
-
     /// Output `j`'s queue head changed, or its write wave started: file
     /// the head's write start with `Requests`.
     #[inline]
     fn refresh_read(&mut self, j: usize) {
         self.requests
-            .set_head(j, self.head_write_start(j), self.cycle);
+            .set_head(j, self.mgr.head_write_start(j), self.cycle);
     }
 
     /// Step 3's cold path: drop every pending write whose latch deadline
@@ -1061,7 +1054,7 @@ impl PipelinedSwitch {
     fn sweep_overdue(&mut self, c: Cycle) {
         for i in 0..self.cfg.n_in {
             while let Some(slot) = self.requests.pop_overdue(i, c) {
-                let d = self.mgr.release(Addr(slot));
+                let d = self.mgr.release(slot);
                 self.ctl.drop(c, d.id, DropReason::LatchOverrun);
                 for j in bits(d.dsts) {
                     self.refresh_read(j);
@@ -1077,7 +1070,7 @@ impl PipelinedSwitch {
     #[cfg(debug_assertions)]
     fn requests_hold(&self, c: Cycle) {
         for j in 0..self.cfg.n_out {
-            let (kept, ws) = (self.requests.ready_at[j], self.head_write_start(j));
+            let (kept, ws) = (self.requests.ready_at[j], self.mgr.head_write_start(j));
             let rescan = self.requests.head_ready(j, ws);
             assert_eq!(kept, rescan, "cycle {c}: output {j}'s read request");
         }

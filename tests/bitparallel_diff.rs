@@ -15,7 +15,8 @@
 //! 2. `PipelinedSwitch` vs [`PipelinedSwitchRef`]: delivered packets,
 //!    `SwitchCounters`, and the probe stream must match exactly — and
 //!    again, in lockstep with multicast, on the wake-calendar grid, since
-//!    the word-level model keeps the same request state.
+//!    the word-level model keeps the same request state, and hardened,
+//!    with inputs going idle mid-packet, through both truncation paths.
 //! 3. All four memory organizations against the behavioral reference as
 //!    oracle: behavioral and pipelined must agree **cycle-exactly** on
 //!    the (output, head-cycle, tail-cycle) schedule; wide and
@@ -27,6 +28,7 @@
 //! scalar idle ticks, and the batched fast-forward driver must equal
 //! dense stepping, probe streams included.
 
+use std::collections::HashMap;
 use telegraphos::simkernel::cell::Packet;
 use telegraphos::simkernel::ids::{Addr, Cycle};
 use telegraphos::simkernel::{advance_to_batched, BatchTick, Horizon, SplitMix64};
@@ -38,7 +40,7 @@ use telegraphos::switch_core::recovery::RecoveryConfig;
 use telegraphos::switch_core::reference::{BehavioralSwitchRef, PipelinedSwitchRef};
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch};
 use telegraphos::switch_core::widemem::{WideMemorySwitchRtl, WideSwitchConfig};
-use telegraphos::telemetry::{ProbeEvent, Recorder, Shared};
+use telegraphos::telemetry::{DropReason, ProbeEvent, Recorder, Shared};
 
 const LOADS: [f64; 3] = [0.10, 0.50, 0.95];
 
@@ -363,18 +365,41 @@ fn rtl_matches_scalar_reference_on_load_grid() {
     }
 }
 
+/// What one word-level lockstep cell ran.
+#[derive(Debug, Default)]
+struct RtlCell {
+    delivered: usize,
+    /// Truncated packets reclaimed before their write wave was granted
+    /// (`withdraw_write` + `release`).
+    withdrawn: usize,
+    /// Truncated packets condemned after it, dropped at their read.
+    poisoned: usize,
+}
+
 /// One cell of the word-level grid: the live RTL and its scalar twin in
 /// lockstep over one word schedule, compared every cycle on the words of
 /// every output link and on quiescence, and at the end on the counters
-/// and, where `probed`, the whole probe stream. Returns the deliveries.
-fn rtl_lockstep_cell(cfg: &SwitchConfig, load: f64, seed: u64, probed: bool) -> usize {
+/// and, where `probed`, the whole probe stream. With `truncate > 0` the
+/// switch is hardened and a sending input stops mid-packet with that
+/// probability per word; payloads are verified for untruncated packets
+/// only, and a probed cell reports which truncation path each dropped
+/// packet took.
+fn rtl_lockstep_cell(
+    cfg: &SwitchConfig,
+    load: f64,
+    seed: u64,
+    probed: bool,
+    truncate: f64,
+) -> RtlCell {
     let (n_in, n_out, s) = (cfg.n_in, cfg.n_out, cfg.stages());
     let what = format!(
         "RTL {n_in}x{n_out} {:?} ct={} load {load}",
         cfg.arbiter, cfg.cut_through
     );
+    let mut cfg = cfg.clone();
+    cfg.integrity.harden |= truncate > 0.0;
     let mut live = PipelinedSwitch::new(cfg.clone());
-    let mut twin = PipelinedSwitchRef::new(cfg.clone());
+    let mut twin = PipelinedSwitchRef::new(cfg);
     let (rec_live, rec_twin) = (
         Shared::new(Recorder::unbounded()),
         Shared::new(Recorder::unbounded()),
@@ -391,9 +416,18 @@ fn rtl_lockstep_cell(cfg: &SwitchConfig, load: f64, seed: u64, probed: bool) -> 
     let mut col = OutputCollector::new(n_out, s);
     let offered_cycles = 40 * s as u64;
     let (mut t, mut id) = (0u64, 0u64);
+    // Truncated packet id -> the cycle its link went idle.
+    let mut truncated = HashMap::new();
     while t < offered_cycles || current.iter().any(Option::is_some) || !live.is_quiescent() {
         assert!(t < offered_cycles + 100_000, "{what}: failed to drain");
         for (i, (w, slot)) in wire.iter_mut().zip(current.iter_mut()).enumerate() {
+            let mid_packet = slot.as_ref().is_some_and(|(_, k)| *k > 0);
+            if mid_packet && truncate > 0.0 && rng.chance(truncate) {
+                let (words, _) = slot.take().expect("mid-packet");
+                truncated.insert(Packet::decode_header_any(words[0]).1, t);
+                *w = None;
+                continue;
+            }
             if slot.is_none() && t < offered_cycles && rng.chance(load / s as f64) {
                 id += 1;
                 let unicast = rng.below_usize(n_out);
@@ -423,13 +457,42 @@ fn rtl_lockstep_cell(cfg: &SwitchConfig, load: f64, seed: u64, probed: bool) -> 
         );
         t += 1;
     }
-    assert!(col.delivered().iter().all(|d| d.verify_payload()), "{what}");
+    let intact = col
+        .delivered()
+        .iter()
+        .filter(|d| !truncated.contains_key(&d.id));
+    assert!(intact.clone().all(|d| d.verify_payload()), "{what}");
     assert_eq!(live.counters(), twin.counters(), "{what}: counters");
     let e_live: ProbeLog = rec_live.with(|r| r.iter().cloned().collect());
     let e_twin: ProbeLog = rec_twin.with(|r| r.iter().cloned().collect());
     assert_eq!(e_live.is_empty(), !probed, "{what}: probe attached");
     assert_eq!(e_live, e_twin, "{what}: probe streams");
-    col.delivered().len()
+    // A withdrawn packet is dropped while its link's idle word is taken
+    // in, ahead of that cycle's arbitration; a poisoned one at a read
+    // initiation, after some arbitration.
+    let mut cell = RtlCell {
+        delivered: col.delivered().len(),
+        ..RtlCell::default()
+    };
+    let mut arbitrated = None;
+    for e in &e_live {
+        match e.event {
+            ProbeEvent::Arbitration { .. } => arbitrated = Some(e.cycle),
+            ProbeEvent::Drop {
+                id,
+                reason: DropReason::Truncated,
+            } => {
+                let at = truncated[&id];
+                if e.cycle == at && arbitrated != Some(at) {
+                    cell.withdrawn += 1;
+                } else {
+                    cell.poisoned += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    cell
 }
 
 /// The behavioral shape grid, on the word-level model: its request
@@ -454,7 +517,7 @@ fn rtl_matches_scalar_reference_on_the_shape_grid() {
                     cfg.fused_cut_through = cut_through;
                     let seed = 0xD1F + 1_000 * k as u64 + cell;
                     let probed = cell == 5 * k as u64 % 18;
-                    delivered += rtl_lockstep_cell(&cfg, load, seed, probed);
+                    delivered += rtl_lockstep_cell(&cfg, load, seed, probed, 0.0).delivered;
                     cell += 1;
                 }
             }
@@ -463,6 +526,40 @@ fn rtl_matches_scalar_reference_on_the_shape_grid() {
         cells += cell;
     }
     assert_eq!(cells, 108);
+}
+
+/// The two truncation paths of a hardened RTL against its twin, every
+/// cell probed: an input going idle mid-packet before its write wave is
+/// granted withdraws the write and releases the slot, one going idle
+/// after it poisons the slot for the read side to drop.
+#[test]
+fn rtl_matches_scalar_reference_under_truncation() {
+    let shapes = [(3, 3), (5, 2), (2, 6), (7, 8)];
+    let mut total = RtlCell::default();
+    for (k, &(n_in, n_out)) in shapes.iter().enumerate() {
+        for cut_through in [true, false] {
+            for load in LOADS {
+                let mut cfg = SwitchConfig::symmetric(n_in, 2 * n_out + 2);
+                cfg.n_out = n_out;
+                cfg.cut_through = cut_through;
+                cfg.fused_cut_through = cut_through;
+                let seed = 0x7C0 + 1_000 * k as u64 + (load * 100.0) as u64;
+                let cell = rtl_lockstep_cell(&cfg, load, seed, true, 0.05);
+                total.delivered += cell.delivered;
+                total.withdrawn += cell.withdrawn;
+                total.poisoned += cell.poisoned;
+            }
+        }
+    }
+    assert!(total.delivered > 500, "workload too thin: {total:?}");
+    assert!(
+        total.withdrawn > 0,
+        "no truncation before a write grant: {total:?}"
+    );
+    assert!(
+        total.poisoned > 0,
+        "no truncation after a write grant: {total:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
