@@ -91,7 +91,7 @@ impl Arbiter {
     /// Write selection is always earliest-deadline-first (ties broken by
     /// port number) — deadlines are physical (latch reuse), so no policy
     /// may reorder them. Only the frozen twins of [`crate::reference`]
-    /// call this form; the pipelined models go through `Requests::grant`.
+    /// call this form; the pipelined models go through `PacketCore::grant`.
     pub fn decide(&mut self, reads: &[ReadReq], writes: &[WriteReq]) -> Decision {
         let pick_read = |rr_read: usize| -> Option<PortId> {
             // First requesting port at or after the pointer, wrapping.
@@ -447,31 +447,6 @@ impl Requests {
     #[inline]
     pub(crate) fn overdue(&self, c: Cycle) -> bool {
         bits(self.req[WRITES]).fold(false, |late, i| late | (self.wdead_at[i] < c))
-    }
-
-    /// The arbiter's pick from the masks as they stand; with no request
-    /// it is not called, so its state does not move.
-    #[inline]
-    pub(crate) fn grant(&self, arb: &mut Arbiter) -> Decision {
-        let [reads, writes] = self.req;
-        if reads | writes == 0 {
-            return Decision::Idle;
-        }
-        arb.decide_dense(reads, writes, &self.wdead_at)
-    }
-
-    /// The earliest request start on file, read off the arrays (the ring
-    /// is indexed by cycle, not ordered).
-    #[inline]
-    pub(crate) fn earliest(&self) -> Cycle {
-        let mut ev = Cycle::MAX;
-        for &e in &self.welig_at {
-            ev = ev.min(e);
-        }
-        for &r in &self.ready_at {
-            ev = ev.min(r);
-        }
-        ev
     }
 
     /// DESIGN.md §6 invariant (1), checked at the end of every executed

@@ -1,12 +1,12 @@
 //! Cell-level behavioral model of the pipelined shared-buffer switch.
 //!
-//! Same initiation semantics as the RTL model — one wave per cycle, read
-//! priority, EDF writes, automatic cut-through, per-output FIFO service,
-//! shared buffer pool — but packets are store entries, not words, so a
-//! million-cycle statistical run costs microseconds per thousand cycles
-//! instead of full bank sweeps. Experiments E3/E6/E15 run on this model;
-//! an integration test pins its departure timing to the RTL model's,
-//! cycle for cycle, on randomized workloads.
+//! The word-level model's packet control (`sched::PacketCore`, DESIGN.md §6)
+//! without the words: the same store, requests, arbiter and admission
+//! decide every initiation, and this model only logs each read as a
+//! departure, so a million-cycle statistical run costs microseconds per
+//! thousand cycles instead of full bank sweeps. Experiments E3/E6/E15 run
+//! on this model; an integration test pins its departure timing to the
+//! RTL model's, cycle for cycle, on randomized workloads.
 //!
 //! ## Model of time
 //!
@@ -15,33 +15,23 @@
 //! cycles `[a, a+S-1]`; a packet departing on output `j` occupies it for
 //! `[rs+1, rs+S]` where `rs` is its read-wave initiation cycle.
 //!
-//! ## Request state on a wake calendar
+//! ## Dead time costs nothing
 //!
-//! The per-cycle hot loop never walks the output queues or the packet
-//! store, and it does not visit the ports either. It reports events — a
-//! header latched, a write granted, a read started, a queue head moved —
-//! to the word-level model's request front end (`Requests`, DESIGN.md
-//! §6), which holds the pending writes and the output pacing and keeps
-//! the request masks on a wake calendar. A cycle in which nothing is due
-//! costs a calendar read and two compares at any port count, and link
-//! pacing is a comparison (`free_at`), so jumps and idle batches replay
-//! nothing. The scalar twin
+//! The core keeps its requests on a wake calendar, so a cycle in which
+//! nothing is due costs a calendar read and two compares at any port
+//! count, and link pacing is a comparison (`free_at`): jumps and idle
+//! batches replay nothing. The scalar twin
 //! ([`crate::reference::BehavioralSwitchRef`]) pins departures, counters
 //! and probe streams byte-identical to the pre-rework model. One word per
-//! mask: [`BehavioralSwitch::new`] rejects more than 64 inputs.
-//!
-//! Packets and output queues live in the RTL's packet store
-//! ([`BufferManager`], DESIGN.md §6); each entry's tag is the packet's
-//! `output_was_idle`.
+//! mask: [`BehavioralSwitch::new`] rejects more than 64 inputs. Each store
+//! entry's tag is the packet's `output_was_idle`.
 
-use crate::arbiter::{Arbiter, Decision, Requests};
-use crate::bufmgr::BufferManager;
+use crate::bufmgr::Entry;
 use crate::config::SwitchConfig;
-use crate::ctl::{Arrival, ControlPlane};
 use crate::recovery::RecoveryConfig;
-use simkernel::bits;
+use crate::sched::{PacketCore, Tag};
 use simkernel::ids::Cycle;
-use telemetry::{ArbOutcome, DropReason, ProbeEvent};
+use telemetry::ProbeEvent;
 
 /// A departed packet, as reported by the behavioral model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,32 +64,33 @@ impl BehavioralDeparture {
     }
 }
 
+/// The tag is `output_was_idle`; every packet may fuse.
+impl Tag for bool {
+    fn may_fuse(&self) -> bool {
+        true
+    }
+    const STAGGER_FIRST: bool = false;
+}
+
 /// The behavioral switch.
 #[derive(Debug)]
 pub struct BehavioralSwitch {
     cfg: SwitchConfig,
     stages: usize,
-    /// Live packets and the per-output queues; the tag is
-    /// `output_was_idle`.
-    store: BufferManager<bool>,
+    /// The packet control (store, requests, arbiter, control plane).
+    /// There are no memory words here, so its recovery ladder stays
+    /// disarmed.
+    core: PacketCore<bool>,
     /// Per-input: first cycle the link can carry a new header (`a + S`
     /// for the last header at `a`).
     free_at: Vec<Cycle>,
     /// Maximum of `free_at` — the last header's `a + S`, since cycles
     /// only grow.
     links_free_at: Cycle,
-    /// Pending writes, output pacing and what the arbiter picks from
-    /// (`Requests`).
-    requests: Requests,
     /// Earliest `done` cycle among in-flight transmissions (`Cycle::MAX`
     /// when none).
     tx_next_done: Cycle,
-    arb: Arbiter,
     cycle: Cycle,
-    /// Counters, probe and sharing policy — the control plane the
-    /// word-level organizations own too (DESIGN.md §14). There are no
-    /// memory words here, so its recovery ladder stays disarmed.
-    ctl: ControlPlane,
     /// Packets accepted so far; the next one's id is `accepted + 1`.
     accepted: u64,
     /// Inputs whose header the last executed cycle accepted (bit `i` =
@@ -130,17 +121,13 @@ impl BehavioralSwitch {
              at most 64 inputs, not {}",
             cfg.n_in
         );
-        let stages = cfg.stages();
         BehavioralSwitch {
-            stages,
-            store: BufferManager::new(cfg.slots, cfg.n_out),
+            stages: cfg.stages(),
+            core: PacketCore::new(&cfg, RecoveryConfig::default(), 0),
             free_at: vec![0; cfg.n_in],
             links_free_at: 0,
-            requests: Requests::new(cfg.n_in, cfg.n_out, stages, cfg.cut_through),
             tx_next_done: Cycle::MAX,
-            arb: Arbiter::new(cfg.arbiter),
             cycle: 0,
-            ctl: ControlPlane::new(cfg.n_out, stages, cfg.policy, RecoveryConfig::default(), 0),
             accepted: 0,
             admitted: 0,
             departures: Vec::new(),
@@ -152,7 +139,7 @@ impl BehavioralSwitch {
 
     /// Packet slots currently occupied.
     pub fn occupancy(&self) -> usize {
-        self.store.occupancy()
+        self.core.store.occupancy()
     }
 
     /// Packet size in words (the quantum, `n_in + n_out`).
@@ -177,7 +164,7 @@ impl BehavioralSwitch {
 
     /// Packets queued for output `j` whose read has not begun.
     pub fn queue_len(&self, j: usize) -> usize {
-        self.store.queue_len(j)
+        self.core.store.queue_len(j)
     }
 
     /// Advance one cycle. `arrivals[i] = Some(dst)` offers a new packet
@@ -221,7 +208,7 @@ impl BehavioralSwitch {
     #[inline]
     fn dispatch_advance(&mut self, len: usize, arrival: impl Fn(usize) -> Option<u32>) {
         assert_eq!(len, self.cfg.n_in);
-        if self.ctl.probed() {
+        if self.core.ctl.probed() {
             self.advance::<true>(arrival);
         } else {
             self.advance::<false>(arrival);
@@ -256,32 +243,22 @@ impl BehavioralSwitch {
                 // convention); only an accepted one is announced, below.
                 // A refusal precedes the id, which numbers accepted
                 // packets: its drop event says 0, "no id".
-                self.ctl.counters.arrived += 1;
-                // The static pool never consults the policy, and the
-                // call stays out of line: inlined, the policy path costs
-                // the dense loop 3–5 % (the dense floors of `expt bench`).
-                if !self.cfg.policy.is_static() && !self.admitted_by_policy(primary, c) {
-                    continue;
-                }
-                if self.store.full() {
-                    self.ctl.drop(c, 0, DropReason::BufferFull);
+                self.core.ctl.counters.arrived += 1;
+                if !self.core.admit(c, 0, primary) {
                     continue;
                 }
                 self.accepted += 1;
                 self.admitted |= 1 << i;
                 let id = self.accepted;
                 let output_was_idle = mask.count_ones() == 1
-                    && self.store.queue_len(primary) == 0
-                    && self.requests.output_free(primary, c + 1);
+                    && self.core.store.queue_len(primary) == 0
+                    && self.core.requests.output_free(primary, c + 1);
                 if PROBED {
                     let (input, dst) = (i, primary);
                     let event = ProbeEvent::HeaderArrived { input, id, dst };
-                    self.ctl.emit(c, event);
+                    self.core.ctl.emit(c, event);
                 }
-                let slot = self.store.alloc(id, i, mask, c, output_was_idle);
-                self.requests.push_write(i, slot, c);
-                // No readiness refresh: a fresh queue head has no write
-                // wave yet, so its `ready_at` stays `Cycle::MAX` either way.
+                self.core.enqueue(id, i, mask, c, output_was_idle);
             }
         }
 
@@ -299,7 +276,7 @@ impl BehavioralSwitch {
     /// `departures[dep_mark..committed]` (also the window
     /// [`BehavioralSwitch::tick`] would return).
     pub fn tick_idle_batch(&mut self, n: u64) {
-        if self.ctl.probed() {
+        if self.core.ctl.probed() {
             self.idle_batch_impl::<true>(n);
         } else {
             self.idle_batch_impl::<false>(n);
@@ -317,23 +294,29 @@ impl BehavioralSwitch {
         }
     }
 
-    /// The rest of cycle `c` once completions and arrivals are in: wake
-    /// the requests that start now (their calendar slot ORed into the
-    /// kept masks and zeroed), 3. latch-overrun sweep, 4. arbitration.
-    /// With nothing due and nothing requesting this is one calendar read
-    /// and two compares, whatever the port count.
+    /// The rest of cycle `c` once completions and arrivals are in: the
+    /// core's grant, and a departure logged for the read it starts. With
+    /// nothing due and nothing requesting this is one calendar read and
+    /// two compares, whatever the port count.
     #[inline]
     fn close_cycle<const PROBED: bool>(&mut self, c: Cycle) {
-        self.requests.open(c);
-        if self.requests.overdue(c) {
-            self.sweep_overdue(c);
+        let g = self.core.grant::<PROBED>(c);
+        if let Some(r) = g.read {
+            self.core.start_read::<PROBED>(c, &r);
+            self.depart(c, r.j, &r.p);
         }
-        self.arbitrate::<PROBED>(c);
+        if let Some(w) = g.write {
+            if let Some(j) = w.fused {
+                self.depart(c, j, &w.p);
+            }
+        }
         if PROBED {
-            self.ctl.gauge_occupancy(c, self.store.occupancy());
+            self.core
+                .ctl
+                .gauge_occupancy(c, self.core.store.occupancy());
         }
         #[cfg(debug_assertions)]
-        self.requests.assert_calendar(c);
+        self.core.assert_holds(c);
         self.cycle = c + 1;
     }
 
@@ -346,7 +329,7 @@ impl BehavioralSwitch {
     fn complete_tx(&mut self, c: Cycle) {
         if self.tx_next_done == c {
             let d = &self.departures[self.committed];
-            self.ctl.departed(c, d.output, d.id, d.birth);
+            self.core.ctl.departed(c, d.output, d.id, d.birth);
             self.committed += 1;
             self.tx_next_done = self
                 .departures
@@ -355,160 +338,20 @@ impl BehavioralSwitch {
         }
     }
 
-    /// Step 3: latch-overrun sweep (diagnostic; unreachable under
-    /// shipped policies), behind the [`Requests::overdue`] guard.
-    #[cold]
-    fn sweep_overdue(&mut self, c: Cycle) {
-        for i in 0..self.cfg.n_in {
-            while let Some(slot) = self.requests.pop_overdue(i, c) {
-                let e = self.store.release(slot);
-                self.ctl.drop(c, e.id, DropReason::LatchOverrun);
-                for j in bits(e.dsts) {
-                    self.refresh_ready(j);
-                }
-            }
-        }
-    }
-
-    /// Step 4: arbitration — the arbiter picks from the kept request
-    /// masks as they stand, and the grant is executed.
+    /// Log packet `p`'s read on output `j`, started at `c`.
     #[inline]
-    fn arbitrate<const PROBED: bool>(&mut self, c: Cycle) {
-        let decision = self.requests.grant(&mut self.arb);
-        let [reads, writes] = self.requests.req;
-        if PROBED && reads | writes != 0 {
-            let (reads, writes) = (reads.count_ones(), writes.count_ones());
-            self.probe_arbitration(c, reads as usize, writes as usize, decision);
-        }
-        match decision {
-            Decision::Read(j) => self.start_read::<PROBED>(j.index(), c, false),
-            Decision::Write(i) => {
-                let i = i.index();
-                let slot = self.requests.take_write(i, c);
-                self.store.start_write(slot, c);
-                let dsts = self.store.entry(slot).dsts;
-                let fusable = self.cfg.fused_cut_through;
-                if PROBED {
-                    self.ctl.write_wave(c, i, slot);
-                }
-                // The write wave makes this packet readable wherever it
-                // heads a destination queue; the first idle such output
-                // (ascending) fuses a read onto the write wave, and
-                // `start_read` leaves that output's readiness set.
-                let mut fused_done = false;
-                for j in bits(dsts) {
-                    if self.store.head(j) != Some(slot) {
-                        continue;
-                    }
-                    if fusable && !fused_done && self.requests.output_free(j, c) {
-                        self.start_read::<PROBED>(j, c, true);
-                        fused_done = true;
-                    } else {
-                        self.refresh_ready(j);
-                    }
-                }
-            }
-            Decision::Idle => {}
-        }
-    }
-
-    /// Does the sharing policy let an arrival for output `dst` in? The
-    /// shared control plane decides, charges and announces a refusal,
-    /// and on a preemption evicts the rearmost evictable packet of the
-    /// victim queue ([`BufferManager::rearmost_evictable`]).
-    #[cold]
-    fn admitted_by_policy(&mut self, dst: usize, c: Cycle) -> bool {
-        let s = self.stages as Cycle;
-        let arrival = Arrival {
-            c,
-            id: 0,
-            dst,
-            occupancy: self.store.occupancy(),
-            capacity: self.cfg.slots,
-        };
-        let mut moved_heads = 0;
-        let admitted = self.ctl.admit(
-            arrival,
-            &mut self.store,
-            |store, j| store.queue_len(j),
-            |store, victim| {
-                let e = store.release(store.rearmost_evictable(victim, c, s)?);
-                moved_heads = e.dsts;
-                Some(e.id)
-            },
-        );
-        for j in bits(moved_heads) {
-            self.refresh_ready(j);
-        }
-        admitted
-    }
-
-    /// Telemetry for one arbitration (probed instantiation only).
-    fn probe_arbitration(&self, c: Cycle, reads: usize, writes: usize, decision: Decision) {
-        let outcome = match decision {
-            Decision::Read(_) => ArbOutcome::Read,
-            Decision::Write(_) => ArbOutcome::Write,
-            Decision::Idle => ArbOutcome::Idle,
-        };
-        let event = ProbeEvent::Arbitration {
-            reads,
-            writes,
-            outcome,
-        };
-        self.ctl.emit(c, event);
-    }
-
-    fn start_read<const PROBED: bool>(&mut self, j: usize, c: Cycle, fused: bool) {
-        let (slot, p, _) = self.store.pop(j);
-        let dep = BehavioralDeparture {
+    fn depart(&mut self, c: Cycle, j: usize, p: &Entry<bool>) {
+        let done = c + self.stages as Cycle;
+        self.tx_next_done = self.tx_next_done.min(done);
+        self.departures.push(BehavioralDeparture {
             id: p.id,
             input: p.input,
             output: j,
             birth: p.birth,
             read_start: c,
-            done: c + self.stages as Cycle,
+            done,
             output_was_idle: p.tag,
-        };
-        if PROBED {
-            self.probe_read(j, c, fused, slot, &dep);
-        }
-        // BShare queueing-delay signal: birth-to-read latency.
-        self.ctl.on_read(j, c - dep.birth);
-        self.requests.start_read(j, c);
-        self.tx_next_done = self.tx_next_done.min(dep.done);
-        self.departures.push(dep);
-        self.refresh_ready(j);
-    }
-
-    /// Telemetry for a read initiation (only compiled into the probed
-    /// instantiation of the kernel).
-    #[cold]
-    fn probe_read(&self, j: usize, c: Cycle, fused: bool, slot: usize, dep: &BehavioralDeparture) {
-        // A fused read starts on the write wave itself; an unfused one
-        // measures its stagger against the packet's write start (`c` for
-        // heads granted their read before any write wave — impossible
-        // today, but kept defensive).
-        let ws = self.store.write_start(slot).unwrap_or(c);
-        self.ctl.read_wave(c, j, slot, fused);
-        // Cut-through: the read overlaps the write wave still
-        // depositing this packet (always true for the fused form).
-        if fused || (self.cfg.cut_through && c < ws + self.stages as Cycle) {
-            self.ctl.cut_through(c, j, dep.id, fused);
-        }
-        if !fused && c > self.requests.readable(ws) {
-            let event = ProbeEvent::StaggeredStart {
-                output: j,
-                id: dep.id,
-            };
-            self.ctl.emit(c, event);
-        }
-    }
-
-    /// Output `j`'s queue head changed, or its write wave started: file
-    /// the head's write start with `Requests`.
-    fn refresh_ready(&mut self, j: usize) {
-        self.requests
-            .set_head(j, self.store.head_write_start(j), self.cycle);
+        });
     }
 
     /// All departures so far (accumulating).
@@ -536,7 +379,7 @@ impl BehavioralSwitch {
 
     /// True when the switch holds nothing.
     pub fn is_quiescent(&self) -> bool {
-        self.store.occupancy() == 0
+        self.core.store.occupancy() == 0
             && self.tx_next_done == Cycle::MAX
             && self.cycle >= self.links_free_at
     }
@@ -562,25 +405,16 @@ impl simkernel::Horizon for BehavioralSwitch {
     }
 
     /// Event derivation (see `simkernel::horizon` for the contract).
-    /// Under idle input the only state transitions are: a transmission
-    /// completing (`tx_next_done`), a pending write becoming
-    /// eligible, and a queued packet becoming read-ready at its output's
-    /// next initiation slot. Link pacing is a comparison against
-    /// `free_at`, which a jump does not touch.
+    /// Under idle input the only state transitions are a transmission
+    /// completing (`tx_next_done`) and the core's requests: a pending
+    /// write becoming eligible, a queued packet becoming read-ready at
+    /// its output's next initiation slot. Link pacing is a comparison
+    /// against `free_at`, which a jump does not touch.
     fn next_event(&self) -> Option<Cycle> {
         if self.is_quiescent() {
             return None;
         }
-        let now = self.cycle;
-        if self.requests.req != [0; 2] {
-            return Some(now); // a standing request: arbitration acts now
-        }
-        // The request arrays hold every other schedulable event besides
-        // `tx_next_done` (a transmission completing): `welig_at` (a
-        // pending write becoming eligible — heads with no write wave yet
-        // are covered here), `ready_at` (a queued head becoming
-        // read-ready, the output's pacing folded in).
-        let ev = self.tx_next_done.min(self.requests.earliest());
+        let ev = self.tx_next_done.min(self.core.next_request(self.cycle));
         if ev != Cycle::MAX {
             return Some(ev);
         }
@@ -588,10 +422,10 @@ impl simkernel::Horizon for BehavioralSwitch {
         // are still carrying dropped packets (skippable — the "event" is
         // quiescence itself), or something is live that we failed to
         // account for (conservative dense tick).
-        if self.store.occupancy() == 0 && self.tx_next_done == Cycle::MAX {
+        if self.core.store.occupancy() == 0 && self.tx_next_done == Cycle::MAX {
             Some(self.links_free_at)
         } else {
-            Some(now)
+            Some(self.cycle)
         }
     }
 
@@ -613,7 +447,7 @@ impl simkernel::BatchTick for BehavioralSwitch {
     }
 }
 
-crate::word::switch!(BehavioralSwitch);
+crate::word::switch!(BehavioralSwitch, core.ctl);
 
 #[cfg(test)]
 mod tests {
@@ -824,14 +658,17 @@ mod tests {
         cfg.n_out = 1;
         let mut sw = BehavioralSwitch::new(cfg);
         let slot_of = |sw: &BehavioralSwitch, t: Cycle| {
-            sw.requests.wake[t as usize & (sw.requests.wake.len() - 1)]
+            sw.core.requests.wake[t as usize & (sw.core.requests.wake.len() - 1)]
         };
         sw.tick(&[Some(0), Some(0), None]);
         sw.tick(&[None; 3]);
         sw.tick(&[None, None, Some(0)]);
         sw.tick_idle_batch(4);
         assert_eq!((sw.now(), sw.queue_len(0), sw.occupancy()), (7, 1, 1));
-        assert_eq!((sw.requests.ready_at[0], sw.requests.req[READS]), (9, 0));
+        assert_eq!(
+            (sw.core.requests.ready_at[0], sw.core.requests.req[READS]),
+            (9, 0)
+        );
         assert_eq!(slot_of(&sw, 9), [1, 0], "X wakes output 0 at cycle 9");
         // Y fills the pool; D, in the same cycle, pushes out the rearmost
         // *evictable* packet of the only queue. Y has no write wave yet,
@@ -843,7 +680,7 @@ mod tests {
         // would start a read at 9 for a head that is not ready (or, on an
         // emptied queue, `expect("read from empty queue")`).
         assert_eq!(
-            (sw.requests.ready_at[0], sw.requests.req[READS]),
+            (sw.core.requests.ready_at[0], sw.core.requests.req[READS]),
             (Cycle::MAX, 0)
         );
         assert_eq!(slot_of(&sw, 9), [0, 0], "X's wake was retracted");

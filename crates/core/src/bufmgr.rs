@@ -53,7 +53,7 @@ pub struct Entry<T> {
 /// Free list and output queues over at most `slots` packet slots.
 #[derive(Debug, Clone)]
 pub struct BufferManager<T> {
-    slots: usize,
+    pub(crate) slots: usize,
     entries: Vec<Option<Entry<T>>>,
     /// Write-wave start per slot, `Cycle::MAX` until the wave is granted.
     /// Kept beside the entries so the hot readiness refresh reads one word.

@@ -6,12 +6,10 @@
 //! whether the buffer is a pipelined memory, one wide memory (fig. 3),
 //! interleaved banks (fig. 4) or the cell-level model that has no words
 //! at all. [`ControlPlane`] is that bookkeeping, owned by composition by
-//! [`PipelinedSwitch`](crate::rtl::PipelinedSwitch),
 //! [`WideMemorySwitchRtl`](crate::widemem::WideMemorySwitchRtl),
-//! [`InterleavedSwitch`](crate::ibank::InterleavedSwitch) and
-//! [`BehavioralSwitch`](crate::behavioral::BehavioralSwitch); the
-//! models keep their `tick` datapath, their storage and their
-//! eviction rule. One method per event pairs the counter with its probe
+//! [`InterleavedSwitch`](crate::ibank::InterleavedSwitch) and the packet
+//! core the two pipelined models share; the models keep their `tick`
+//! datapath, their storage and their eviction rule. One method per event pairs the counter with its probe
 //! emission, so a new drop reason, recovery tag or policy is one edit
 //! here (DESIGN.md §14).
 //!
@@ -254,6 +252,12 @@ impl ControlPlane {
             self.drop(a.c, a.id, DropReason::AdmissionPolicy);
         }
         admitted
+    }
+
+    /// Is the sharing policy the static pool, which never refuses?
+    #[inline]
+    pub(crate) fn policy_static(&self) -> bool {
+        self.policy_static
     }
 
     /// A read for `output` started `delay` cycles after its packet's

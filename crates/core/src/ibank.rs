@@ -410,7 +410,7 @@ impl InterleavedSwitch {
     }
 }
 
-crate::word::word_switch!(InterleavedSwitch);
+crate::word::word_switch!(InterleavedSwitch, ctl);
 
 impl simkernel::Horizon for InterleavedSwitch {
     fn now(&self) -> Cycle {

@@ -68,6 +68,7 @@ pub mod policy;
 pub mod recovery;
 pub mod reference;
 pub mod rtl;
+mod sched;
 pub mod vcroute;
 pub mod widemem;
 pub mod word;

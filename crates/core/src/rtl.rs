@@ -9,46 +9,27 @@
 //!   any schedule a real bank could not execute panics);
 //! * one shared **output register row** (`stages` registers; a register
 //!   loaded at cycle `c` drives its bound outgoing link at `c + 1`);
-//! * the **wave arbiter** (one initiation per cycle, read priority, EDF
-//!   among writes) behind the behavioral model's request front end,
-//!   `Requests`: it holds the pending writes and the output pacing, and
-//!   this model reports its control events to it instead of rescanning;
-//! * **buffer management**: the packet store shared with the cell-level
-//!   model ([`BufferManager`]: free list + per-output slot queues), each
-//!   slot tagged with its integrity verdicts ([`Seal`]);
 //! * **automatic cut-through**, including the fused form where the output
 //!   register samples the write bus in the very cycle the write wave
 //!   begins.
 //!
-//! The public interface is one [`PipelinedSwitch::tick`] per clock cycle:
-//! words in on every input link, words out on every output link. Packet
-//! reassembly/verification for testbenches is provided by
-//! [`OutputCollector`].
-//!
-//! ## Why latch overruns cannot happen (and are still counted)
-//!
-//! A write wave for a packet whose header arrived at `a` must initiate in
-//! `[a+1, a+S]` (S cycles). Within any S consecutive cycles: each outgoing
-//! link initiates at most one read (a link stays busy S cycles per
-//! packet), so reads take at most `n_out` of the S slots; each *other*
-//! input contributes at most one write with an earlier deadline (its
-//! deadlines are S apart), so at most `n_in − 1` writes precede ours under
-//! EDF. That totals `S − 1` competitors for `S` slots — the wave always
-//! fits, even at 100 % load on every link. The model still counts
-//! latch overruns (and probes them as [`DropReason::LatchOverrun`]) so
-//! that any policy change violating the argument fails tests loudly
-//! instead of silently corrupting packets.
+//! Which wave initiates each cycle, and which packets the buffer keeps,
+//! is the packet control shared with the cell-level model
+//! (`sched::PacketCore`, DESIGN.md §6); this model carries its grants out
+//! on the datapath and tags each buffered packet with its integrity
+//! verdicts (`Seal`). The public interface is one
+//! [`PipelinedSwitch::tick`] per clock cycle: words in on every input
+//! link, words out on every output link. Packet reassembly/verification
+//! for testbenches is provided by [`OutputCollector`].
 
-use crate::arbiter::{Arbiter, Decision, Requests};
-use crate::bufmgr::BufferManager;
 use crate::config::SwitchConfig;
-use crate::ctl::{Arrival, ControlPlane};
 use crate::events::IntegrityReason;
+use crate::sched::{PacketCore, ReadGrant, Tag};
 use membank::bank::{PortKind, SramBank};
 use simkernel::bits;
 use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle, PortId};
-use telemetry::{ArbOutcome, DropReason, FaultTag, ProbeEvent, WaveDir};
+use telemetry::{DropReason, FaultTag, ProbeEvent, WaveDir};
 
 /// Map an integrity verdict onto the probe stream's drop vocabulary.
 pub(crate) fn drop_reason(r: IntegrityReason) -> DropReason {
@@ -167,6 +148,14 @@ pub(crate) struct Seal {
     pub poisoned: Option<IntegrityReason>,
 }
 
+/// A packet condemned at ingress must not fuse: the read side drops it.
+impl Tag for Seal {
+    fn may_fuse(&self) -> bool {
+        self.poisoned.is_none()
+    }
+    const STAGGER_FIRST: bool = true;
+}
+
 /// One output register: the word and the link it drives next cycle. Which
 /// packet it belongs to is the link's business ([`PipelinedSwitch::out_bind`]);
 /// the register of the last stage holds the tail.
@@ -252,12 +241,8 @@ pub struct PipelinedSwitch {
     /// failover runs after the stage walk (the wave borrow forbids it
     /// inline).
     pending_failover: Option<usize>,
-    mgr: BufferManager<Seal>,
-    /// Counters, probe, sharing policy and recovery ledger.
-    ctl: ControlPlane,
-    arb: Arbiter,
-    /// Pending writes, output pacing and what the arbiter picks from.
-    requests: Requests,
+    /// The packet control: store, requests, arbiter and control plane.
+    core: PacketCore<Seal>,
     /// The wave ring, indexed by `start % stages`: the control word of
     /// the wave initiated in each of the last `stages` cycles. A wave
     /// lives exactly `stages` cycles and at most one initiates per cycle,
@@ -337,18 +322,9 @@ impl PipelinedSwitch {
             degraded: false,
             admission_cap: cfg.slots,
             pending_failover: None,
-            mgr: BufferManager::new(cfg.slots, cfg.n_out),
             // Natural settle time of one failover: the spare copies one
             // slot per cycle — a full column sweep.
-            ctl: ControlPlane::new(
-                cfg.n_out,
-                stages,
-                cfg.policy,
-                cfg.recovery,
-                cfg.slots as u64,
-            ),
-            arb: Arbiter::new(cfg.arbiter),
-            requests: Requests::new(cfg.n_in, cfg.n_out, stages, cfg.cut_through),
+            core: PacketCore::new(&cfg, cfg.recovery, cfg.slots as u64),
             waves: vec![Wave::NONE; stages],
             wave_mask: 0,
             outreg_mask: 0,
@@ -366,7 +342,7 @@ impl PipelinedSwitch {
 
     /// Buffer occupancy in packets.
     pub fn occupancy(&self) -> usize {
-        self.mgr.occupancy()
+        self.core.store.occupancy()
     }
 
     /// Packet size in words (= pipeline stages).
@@ -423,11 +399,12 @@ impl PipelinedSwitch {
     /// detection coverage over *effective* faults only.
     pub fn inject_bank_fault(&mut self, stage: usize, addr: Addr, mask: u64) -> Option<u64> {
         self.banks[stage].inject_fault(addr, mask);
-        if let Some(d) = self.mgr.get(addr.index()) {
+        if let Some(d) = self.core.store.get(addr.index()) {
             // The write wave touches `stage` at cycle `ws + stage`; the
             // word is in the bank once that cycle has executed.
             if self
-                .mgr
+                .core
+                .store
                 .write_start(addr.index())
                 .is_some_and(|ws| ws + (stage as Cycle) < self.cycle)
             {
@@ -476,8 +453,11 @@ impl PipelinedSwitch {
     fn scrub_slot(&mut self, addr: Addr, c: Cycle) {
         for k in 0..self.stages {
             let outcome = self.banks[k].scrub(addr);
-            if self.ctl.ecc(c, k, outcome, addr.index() as u64)
-                && self.ctl.over_threshold(self.banks[k].ecc_corrections())
+            if self.core.ctl.ecc(c, k, outcome, addr.index() as u64)
+                && self
+                    .core
+                    .ctl
+                    .over_threshold(self.banks[k].ecc_corrections())
             {
                 self.fail_over(k, c);
             }
@@ -495,14 +475,16 @@ impl PipelinedSwitch {
             Some(mut spare) => {
                 spare.copy_contents_from(&self.banks[stage]);
                 self.banks[stage] = spare;
-                let settle = self.ctl.failover(c, stage, self.spares.len());
-                self.ctl.degraded_enter(c, stage, settle);
+                let settle = self.core.ctl.failover(c, stage, self.spares.len());
+                self.core.ctl.degraded_enter(c, stage, settle);
             }
             None => {
                 if !self.degraded {
                     self.degraded = true;
                     self.admission_cap = (self.cfg.slots / 2).max(1);
-                    self.ctl.degraded_enter(c, stage, self.admission_cap as u64);
+                    self.core
+                        .ctl
+                        .degraded_enter(c, stage, self.admission_cap as u64);
                 }
             }
         }
@@ -522,11 +504,11 @@ impl PipelinedSwitch {
     /// True if the switch holds no packets and no waves are in flight
     /// (safe to stop feeding idle cycles).
     pub fn is_quiescent(&self) -> bool {
-        self.mgr.occupancy() == 0
+        self.core.store.occupancy() == 0
             && self.wave_mask == 0
             && self.outreg_mask == 0
             && self.inputs.iter().all(|s| s.k == 0)
-            && self.requests.no_writes()
+            && self.core.requests.no_writes()
     }
 
     /// Park a freshly initiated wave in its ring slot.
@@ -567,7 +549,7 @@ impl PipelinedSwitch {
                 // output register samples the correct value — but
                 // the slot keeps a stale word, which the checksum
                 // scrub catches at (store-and-forward) read time.
-                self.ctl.counters.writes_suppressed += 1;
+                self.core.ctl.counters.writes_suppressed += 1;
             } else {
                 bank.write(addr, v)
                     .expect("wave stagger guarantees bank availability");
@@ -585,10 +567,10 @@ impl PipelinedSwitch {
                     // reaches banks the initiation-time scrub could not
                     // (the slot was not fully written yet), so the word
                     // is repaired right before it is sampled.
-                    if self.ctl.ecc_on() {
+                    if self.core.ctl.ecc_on() {
                         let outcome = bank.scrub(addr);
-                        if self.ctl.ecc(c, k, outcome, addr.index() as u64)
-                            && self.ctl.over_threshold(bank.ecc_corrections())
+                        if self.core.ctl.ecc(c, k, outcome, addr.index() as u64)
+                            && self.core.ctl.over_threshold(bank.ecc_corrections())
                         {
                             self.pending_failover = Some(k);
                         }
@@ -608,7 +590,7 @@ impl PipelinedSwitch {
             *outreg_next_mask |= 1 << k;
         }
         let port = |p: u8| (p != NO_PORT).then_some(p as usize);
-        self.ctl.emit(
+        self.core.ctl.emit(
             c,
             ProbeEvent::BankAccess {
                 stage: k,
@@ -647,11 +629,11 @@ impl PipelinedSwitch {
         // The last stage's register holds the packet's tail word.
         if k + 1 == self.stages {
             let (id, birth) = self.out_bind[j];
-            self.ctl.departed(c, j, id, birth);
+            self.core.ctl.departed(c, j, id, birth);
             if self.cfg.integrity.payload_check {
                 if self.out_verify[j].corrupt {
-                    self.ctl.counters.corrupt_delivered += 1;
-                    self.ctl.emit(
+                    self.core.ctl.counters.corrupt_delivered += 1;
+                    self.core.ctl.emit(
                         c,
                         ProbeEvent::Fault {
                             id,
@@ -691,7 +673,6 @@ impl PipelinedSwitch {
         //    latch-load scheduling.
         // ------------------------------------------------------------------
         self.latch_loads.clear();
-        let mut moved_heads = 0u32;
         for (i, w) in wire_in.iter().enumerate() {
             let st = &mut self.inputs[i];
             match w {
@@ -708,8 +689,8 @@ impl PipelinedSwitch {
                             // valid output is counted and the packet
                             // swallowed (no slot allocated; the remaining
                             // words fall on the floor at the tail).
-                            self.ctl.counters.arrived += 1;
-                            self.ctl.drop(c, id, DropReason::BadHeader);
+                            self.core.ctl.counters.arrived += 1;
+                            self.core.ctl.drop(c, id, DropReason::BadHeader);
                         } else {
                             assert!(
                                 !bad,
@@ -717,7 +698,7 @@ impl PipelinedSwitch {
                                 self.cfg.n_out
                             );
                             let primary = mask.trailing_zeros() as usize;
-                            self.ctl.header(c, i, id, primary);
+                            self.core.ctl.header(c, i, id, primary);
                             st.expected_id = self.cfg.integrity.payload_check.then_some(id);
                             st.cur_id = id;
                             // Degraded-mode admission: inside a failover
@@ -725,42 +706,16 @@ impl PipelinedSwitch {
                             // exhausted and occupancy at the reduced cap)
                             // new packets are shed at the door instead of
                             // risking the settling spare — conservation
-                            // and FIFO hold, throughput drops. Otherwise a
-                            // non-static sharing policy decides (and
-                            // preempts) before the free list is touched,
-                            // evicting by the store's one rule, as the
-                            // behavioral model does.
-                            let mgr = &mut self.mgr;
-                            let capped = self.degraded && mgr.occupancy() >= self.admission_cap;
-                            if self.ctl.shed(c, capped) {
-                                self.ctl.counters.recovery_shed += 1;
-                                self.ctl.drop(c, id, DropReason::BufferFull);
-                            } else if self.ctl.admit(
-                                Arrival {
-                                    c,
-                                    id,
-                                    dst: primary,
-                                    occupancy: mgr.occupancy(),
-                                    capacity: self.cfg.slots,
-                                },
-                                mgr,
-                                |mgr, j| mgr.queue_len(j),
-                                |mgr, victim| {
-                                    let slot = mgr.rearmost_evictable(victim, c, s as Cycle)?;
-                                    let d = mgr.release(slot);
-                                    moved_heads |= d.dsts;
-                                    Some(d.id)
-                                },
-                            ) {
-                                // A fresh queue entry has no write wave,
-                                // so no readiness moves here.
-                                if mgr.full() {
-                                    self.ctl.drop(c, id, DropReason::BufferFull);
-                                } else {
-                                    let slot = mgr.alloc(id, i, mask, c, Seal::default());
-                                    st.slot = Some(slot);
-                                    self.requests.push_write(i, slot, c);
-                                }
+                            // and FIFO hold, throughput drops. Otherwise
+                            // the core admits.
+                            let core = &mut self.core;
+                            let capped =
+                                self.degraded && core.store.occupancy() >= self.admission_cap;
+                            if core.ctl.shed(c, capped) {
+                                core.ctl.counters.recovery_shed += 1;
+                                core.ctl.drop(c, id, DropReason::BufferFull);
+                            } else if core.admit(c, id, primary) {
+                                st.slot = Some(core.enqueue(id, i, mask, c, Seal::default()));
                             }
                         }
                     } else if let Some(id) = st.expected_id {
@@ -770,7 +725,7 @@ impl PipelinedSwitch {
                     }
                     st.chk = st.chk.rotate_left(1) ^ *word;
                     self.latch_loads.push((i, st.k, *word));
-                    self.ctl.emit(
+                    self.core.ctl.emit(
                         c,
                         ProbeEvent::LatchLoad {
                             input: i,
@@ -786,8 +741,8 @@ impl PipelinedSwitch {
                         // already be freed and reallocated to a later
                         // packet, which must not inherit our verdicts.
                         if let Some(slot) = st.slot.take() {
-                            if self.mgr.get(slot).is_some_and(|d| d.id == st.cur_id) {
-                                let seal = self.mgr.tag_mut(slot);
+                            if self.core.store.get(slot).is_some_and(|d| d.id == st.cur_id) {
+                                let seal = self.core.store.tag_mut(slot);
                                 if st.corrupt {
                                     seal.poisoned = Some(IntegrityReason::PayloadMismatch);
                                 }
@@ -805,20 +760,19 @@ impl PipelinedSwitch {
                         // the tail will never arrive. Condemn the partial
                         // packet instead of panicking.
                         if let Some(slot) = st.slot.take() {
-                            if self.requests.withdraw_write(i, slot, c) {
-                                // Write wave not yet granted: reclaim the
-                                // slot outright.
-                                let d = self.mgr.release(slot);
-                                self.ctl.drop(c, d.id, DropReason::Truncated);
-                                moved_heads |= d.dsts;
-                            } else if self.mgr.get(slot).is_some_and(|d| d.id == st.cur_id) {
-                                // Write wave already streaming stale latch
-                                // words: poison so the read side drops it
-                                // (counted there). If the slot was already
-                                // freed by a cut-through read, the damage
-                                // is on the wire — the egress check is the
-                                // remaining line of defense.
-                                self.mgr.tag_mut(slot).poisoned =
+                            // Write wave not yet granted: the core
+                            // reclaims the slot outright. Already
+                            // streaming stale latch words: poison so the
+                            // read side drops it (counted there). If the
+                            // slot was already freed by a cut-through
+                            // read, the damage is on the wire — the
+                            // egress check is the remaining line of
+                            // defense.
+                            let core = &mut self.core;
+                            if !core.withdraw_write(c, i, slot)
+                                && core.store.get(slot).is_some_and(|d| d.id == st.cur_id)
+                            {
+                                core.store.tag_mut(slot).poisoned =
                                     Some(IntegrityReason::TruncatedPacket);
                             }
                         }
@@ -836,164 +790,18 @@ impl PipelinedSwitch {
             }
         }
 
-        // The queue heads the arrivals moved.
-        for j in bits(moved_heads) {
-            self.refresh_read(j);
+        // ------------------------------------------------------------------
+        // 3. Initiation: the core's grant for this cycle (at most one wave,
+        //    DESIGN.md §6), carried out on the datapath.
+        // ------------------------------------------------------------------
+        if self.core.ctl.probed() {
+            self.initiate::<true>(c);
+        } else {
+            self.initiate::<false>(c);
         }
 
         // ------------------------------------------------------------------
-        // 3. Wake the requests that start now; latch-overrun sweep
-        //    (provably unreachable under the shipped policies; see module
-        //    docs) behind the overdue guard.
-        // ------------------------------------------------------------------
-        self.requests.open(c);
-        if self.requests.overdue(c) {
-            self.sweep_overdue(c);
-        }
-
-        // ------------------------------------------------------------------
-        // 4. Arbitration: choose at most one wave to initiate this cycle,
-        //    from the kept request masks as they stand.
-        // ------------------------------------------------------------------
-        let [reads, writes] = self.requests.req;
-        let had_work = reads | writes != 0;
-        if reads != 0 && writes != 0 {
-            // §3.2 collision: the single initiation port must stagger one
-            // of the contenders to a later cycle.
-            self.ctl.counters.rw_collisions += 1;
-        }
-        let decision = self.requests.grant(&mut self.arb);
-        if had_work {
-            self.ctl.emit(
-                c,
-                ProbeEvent::Arbitration {
-                    reads: reads.count_ones() as usize,
-                    writes: writes.count_ones() as usize,
-                    outcome: match decision {
-                        Decision::Read(_) => ArbOutcome::Read,
-                        Decision::Write(_) => ArbOutcome::Write,
-                        Decision::Idle => ArbOutcome::Idle,
-                    },
-                },
-            );
-        }
-        match decision {
-            Decision::Read(j) => {
-                let (slot, d, freed) = self.mgr.pop(j.index());
-                let (addr, ws) = (Addr(slot), self.mgr.write_start(slot));
-                let fully_written = ws.is_some_and(|ws| c >= ws + s as Cycle);
-                // With ECC armed, correct single-bit upsets in place
-                // *before* the checksum verdict: a corrected slot passes
-                // the scrub and is delivered instead of dropped.
-                if self.ctl.ecc_on() && fully_written {
-                    self.scrub_slot(addr, c);
-                }
-                // Integrity scrub at read initiation (the ECC check a real
-                // bank performs): only a fully written slot can be
-                // verified — cut-through reads start mid-write and rely on
-                // the egress check instead.
-                let scrub_fail = self.cfg.integrity.checksum
-                    && fully_written
-                    && d.tag
-                        .checksum
-                        .is_some_and(|sum| self.banks_checksum(addr) != sum);
-                if d.tag.poisoned.is_some() || scrub_fail {
-                    // Detect-and-drop: the initiation slot is spent but no
-                    // wave launches; the output link stays free for its
-                    // next head-of-line packet. Multicast copies each take
-                    // this path; count once, when the slot is freed.
-                    if freed {
-                        let why = d.tag.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch);
-                        self.ctl.drop(c, d.id, drop_reason(why));
-                    }
-                } else {
-                    self.requests.start_read(j.index(), c);
-                    // BShare queueing-delay signal: birth-to-read.
-                    self.ctl.on_read(j.index(), c - d.birth);
-                    if self.ctl.probed() {
-                        self.ctl.read_wave(c, j.index(), addr.index(), false);
-                        // §3.4: any unfused read started later than the
-                        // packet's earliest opportunity — the initiation
-                        // slot staggered the output's start.
-                        let earliest = ws.map(|ws| self.requests.readable(ws));
-                        if earliest.is_some_and(|e| c > e) {
-                            self.ctl.emit(
-                                c,
-                                ProbeEvent::StaggeredStart {
-                                    output: j.index(),
-                                    id: d.id,
-                                },
-                            );
-                        }
-                        // Cut-through (unfused form): the read overlaps a
-                        // write wave still depositing this packet.
-                        if ws.is_some_and(|ws| c < ws + s as Cycle) {
-                            self.ctl.cut_through(c, j.index(), d.id, false);
-                        }
-                    }
-                    self.out_bind[j.index()] = (d.id, d.birth);
-                    self.push_wave(Wave {
-                        start: c,
-                        addr: addr.index() as u32,
-                        write_from: NO_PORT,
-                        read_to: j.index() as u8,
-                    });
-                }
-                // Spent or launched, the slot moved this output's head.
-                self.refresh_read(j.index());
-            }
-            Decision::Write(i) => {
-                let slot = self.requests.take_write(i.index(), c);
-                self.mgr.start_write(slot, c);
-                self.ctl.write_wave(c, i.index(), slot);
-                let mut wave = Wave {
-                    start: c,
-                    addr: slot as u32,
-                    write_from: i.index() as u8,
-                    read_to: NO_PORT,
-                };
-                // Fused cut-through: if this packet is next in line for an
-                // idle destination, one copy's read wave rides the write
-                // bus (multicast packets fuse at most one copy; the rest
-                // read normally later).
-                let d = *self.mgr.entry(slot);
-                // A packet already condemned at ingress must not fuse: the
-                // read side drops it instead.
-                if self.cfg.fused_cut_through && d.tag.poisoned.is_none() {
-                    for dst in bits(d.dsts) {
-                        if !self.requests.output_free(dst, c) || self.mgr.head(dst) != Some(slot) {
-                            continue;
-                        }
-                        self.mgr.pop(dst);
-                        self.requests.start_read(dst, c);
-                        // BShare queueing-delay signal (fused read).
-                        self.ctl.on_read(dst, c - d.birth);
-                        self.ctl.counters.fused_reads += 1;
-                        self.ctl.read_wave(c, dst, slot, true);
-                        self.ctl.cut_through(c, dst, d.id, true);
-                        self.out_bind[dst] = (d.id, d.birth);
-                        wave.read_to = dst as u8;
-                        break;
-                    }
-                }
-                self.push_wave(wave);
-                // The write wave makes the packet readable wherever it
-                // heads a queue; a fused copy moved that queue's head.
-                for j in bits(d.dsts) {
-                    self.refresh_read(j);
-                }
-            }
-            Decision::Idle => {
-                if had_work {
-                    // Requests existed but none was servable — possible
-                    // only with a broken policy; diagnostic.
-                    self.ctl.counters.idle_with_work += 1;
-                }
-            }
-        }
-
-        // ------------------------------------------------------------------
-        // 5. Stage execution: every active wave performs its per-stage
+        // 4. Stage execution: every active wave performs its per-stage
         //    operation on the (port-checked) banks.
         // ------------------------------------------------------------------
         // Visit live waves oldest-first (ascending start, so descending
@@ -1011,7 +819,7 @@ impl PipelinedSwitch {
         }
 
         // ------------------------------------------------------------------
-        // 6. Clock edge: commit latches and output registers, retire
+        // 5. Clock edge: commit latches and output registers, retire
         //    completed waves, advance time.
         // ------------------------------------------------------------------
         for &(i, k, word) in &self.latch_loads {
@@ -1028,57 +836,84 @@ impl PipelinedSwitch {
                 || self.waves[retire_slot].start + s as Cycle == c + 1
         );
         self.wave_mask &= !(1 << retire_slot);
-        if self.ctl.probed() {
-            self.ctl.gauge_occupancy(c, self.mgr.occupancy());
+        if self.core.ctl.probed() {
+            self.core
+                .ctl
+                .gauge_occupancy(c, self.core.store.occupancy());
             for j in 0..self.cfg.n_out {
-                self.ctl.gauge_queue_depth(c, j, self.mgr.queue_len(j));
+                self.core
+                    .ctl
+                    .gauge_queue_depth(c, j, self.core.store.queue_len(j));
             }
         }
         #[cfg(debug_assertions)]
-        self.requests_hold(c);
+        self.core.assert_holds(c);
         self.cycle = c + 1;
         &self.wire_out
     }
 
-    /// Output `j`'s queue head changed, or its write wave started: file
-    /// the head's write start with `Requests`.
+    /// Carry out the core's grant for cycle `c`: a read wave, unless the
+    /// read-time integrity checks spend its slot, and a write wave with
+    /// the output register row its fused read loads.
     #[inline]
-    fn refresh_read(&mut self, j: usize) {
-        self.requests
-            .set_head(j, self.mgr.head_write_start(j), self.cycle);
-    }
-
-    /// Step 3's cold path: drop every pending write whose latch deadline
-    /// has passed, with the read requests its removal moves.
-    #[cold]
-    fn sweep_overdue(&mut self, c: Cycle) {
-        for i in 0..self.cfg.n_in {
-            while let Some(slot) = self.requests.pop_overdue(i, c) {
-                let d = self.mgr.release(slot);
-                self.ctl.drop(c, d.id, DropReason::LatchOverrun);
-                for j in bits(d.dsts) {
-                    self.refresh_read(j);
-                }
+    fn initiate<const PROBED: bool>(&mut self, c: Cycle) {
+        let g = self.core.grant::<PROBED>(c);
+        if let Some(r) = g.read {
+            self.read::<PROBED>(c, r);
+        }
+        if let Some(w) = g.write {
+            if let Some(j) = w.fused {
+                self.out_bind[j] = (w.p.id, w.p.birth);
             }
+            self.push_wave(Wave {
+                start: c,
+                addr: w.slot as u32,
+                write_from: w.i as u8,
+                read_to: w.fused.map_or(NO_PORT, |j| j as u8),
+            });
         }
     }
 
-    /// The kept read requests equal a rescan of the queue heads, and the
-    /// wake calendar holds every request (DESIGN.md §6 invariant (1);
-    /// `assert_calendar` checks the write half against the pending
-    /// writes); run after every tick of a debug build.
-    #[cfg(debug_assertions)]
-    fn requests_hold(&self, c: Cycle) {
-        for j in 0..self.cfg.n_out {
-            let (kept, ws) = (self.requests.ready_at[j], self.mgr.head_write_start(j));
-            let rescan = self.requests.head_ready(j, ws);
-            assert_eq!(kept, rescan, "cycle {c}: output {j}'s read request");
+    /// The granted read of output `r.j`'s head: scrubbed and verified if
+    /// fully written, then launched or, condemned, spent.
+    fn read<const PROBED: bool>(&mut self, c: Cycle, r: ReadGrant<Seal>) {
+        let addr = Addr(r.slot);
+        let s = self.stages as Cycle;
+        let ws = self.core.store.write_start(r.slot);
+        let fully_written = ws.is_some_and(|ws| c >= ws + s);
+        // With ECC armed, correct single-bit upsets in place *before* the
+        // checksum verdict: a corrected slot passes the scrub and is
+        // delivered instead of dropped.
+        if self.core.ctl.ecc_on() && fully_written {
+            self.scrub_slot(addr, c);
         }
-        self.requests.assert_calendar(c);
+        // Integrity scrub at read initiation (the ECC check a real bank
+        // performs): only a fully written slot can be verified —
+        // cut-through reads start mid-write and rely on the egress check
+        // instead.
+        let seal = r.p.tag;
+        let scrub_fail = self.cfg.integrity.checksum
+            && fully_written
+            && seal
+                .checksum
+                .is_some_and(|sum| self.banks_checksum(addr) != sum);
+        if seal.poisoned.is_some() || scrub_fail {
+            let why = seal.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch);
+            self.core.spend_read(c, &r, drop_reason(why));
+            return;
+        }
+        self.core.start_read::<PROBED>(c, &r);
+        self.out_bind[r.j] = (r.p.id, r.p.birth);
+        self.push_wave(Wave {
+            start: c,
+            addr: r.slot as u32,
+            write_from: NO_PORT,
+            read_to: r.j as u8,
+        });
     }
 }
 
-crate::word::word_switch!(PipelinedSwitch);
+crate::word::word_switch!(PipelinedSwitch, core.ctl);
 
 impl simkernel::Horizon for PipelinedSwitch {
     fn now(&self) -> Cycle {
@@ -1930,7 +1765,7 @@ mod tests {
         let b = Packet::synth(2, 1, 1, 4, 0);
         col.observe(0, sw.tick(&[Some(a[0].1.words[0]), Some(b.words[0])]));
         drive(&mut sw, &mut col, &a, 2);
-        assert_eq!(sw.requests.welig_at, [Cycle::MAX; 2]);
+        assert_eq!(sw.core.requests.welig_at, [Cycle::MAX; 2]);
         drive(&mut sw, &mut col, &a, 20);
         assert_eq!(intact(&mut col), [(1, true)]);
         assert_eq!(sw.counters().in_flight(), 0);
@@ -1957,10 +1792,10 @@ mod tests {
             (7, Packet::synth(5, 1, 0, 4, 7)),
         ];
         drive(&mut sw, &mut col, &packets, 7);
-        assert_eq!(sw.requests.ready_at[0], 9, "X heads the queue");
+        assert_eq!(sw.core.requests.ready_at[0], 9, "X heads the queue");
         drive(&mut sw, &mut col, &packets, 8);
         assert_eq!(sw.counters().policy_preempts, 1);
-        assert_eq!(sw.requests.ready_at[0], Cycle::MAX, "Y is unwritten");
+        assert_eq!(sw.core.requests.ready_at[0], Cycle::MAX, "Y is unwritten");
         drive(&mut sw, &mut col, &packets, 60);
         assert_eq!(
             intact(&mut col),
@@ -1987,7 +1822,11 @@ mod tests {
         let packets = [(0, bad), (4, Packet::synth(2, 0, 1, 4, 4))];
         drive(&mut sw, &mut col, &packets, 6);
         assert_eq!(sw.counters().corrupt_drops, 1);
-        assert_eq!(sw.requests.req, [0, 1], "only the second packet's write");
+        assert_eq!(
+            sw.core.requests.req,
+            [0, 1],
+            "only the second packet's write"
+        );
         drive(&mut sw, &mut col, &packets, 40);
         let got: Vec<_> = col.take().iter().map(|d| (d.id, d.first_cycle)).collect();
         assert_eq!(got, [(2, 11)]);
@@ -2002,7 +1841,7 @@ mod tests {
         let mut col = OutputCollector::new(2, 4);
         let packets = [(0, Packet::synth_multicast(1, 0, 0b11, 4, 0))];
         drive(&mut sw, &mut col, &packets, 2);
-        assert_eq!(sw.requests.ready_at, [Cycle::MAX, 2]);
+        assert_eq!(sw.core.requests.ready_at, [Cycle::MAX, 2]);
         drive(&mut sw, &mut col, &packets, 20);
         let mut got: Vec<_> = col
             .take()

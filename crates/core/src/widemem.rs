@@ -594,7 +594,7 @@ impl WideMemorySwitchRtl {
     }
 }
 
-crate::word::word_switch!(WideMemorySwitchRtl);
+crate::word::word_switch!(WideMemorySwitchRtl, ctl);
 
 impl simkernel::Horizon for WideMemorySwitchRtl {
     fn now(&self) -> Cycle {

@@ -57,22 +57,22 @@ pub trait WordSwitch: Switch {
 /// What is the same for every model: the inherent `attach_probe`,
 /// `counters` and `now` (inherent because `benchmark/`, the examples and
 /// the facade crate call them without the trait in scope) and the
-/// [`Switch`] impl, which delegates to the control plane or to the
-/// model's own inherent method of the same name.
+/// [`Switch`] impl, which delegates to the control plane (at the field
+/// path given) or to the model's own inherent method of the same name.
 macro_rules! switch {
-    ($t:ty) => {
+    ($t:ty, $($ctl:ident).+) => {
         impl $t {
             /// Attach a probe sink; every subsequent tick streams
             /// structured [`telemetry::ProbeEvent`]s into it. With no
             /// probe attached the emission sites cost one predictable
             /// branch each (the perf gate holds this).
             pub fn attach_probe(&mut self, probe: telemetry::ProbeHandle) {
-                self.ctl.attach_probe(probe);
+                self.$($ctl).+.attach_probe(probe);
             }
 
             /// Aggregate counters.
             pub fn counters(&self) -> crate::events::SwitchCounters {
-                self.ctl.counters
+                self.$($ctl).+.counters
             }
 
             /// Current cycle (the one the next `tick` will execute).
@@ -83,7 +83,7 @@ macro_rules! switch {
 
         impl crate::word::Switch for $t {
             fn counters(&self) -> crate::events::SwitchCounters {
-                self.ctl.counters
+                self.$($ctl).+.counters
             }
             fn is_quiescent(&self) -> bool {
                 <$t>::is_quiescent(self)
@@ -95,10 +95,10 @@ macro_rules! switch {
                 <$t>::packet_words(self)
             }
             fn attach_probe(&mut self, probe: telemetry::ProbeHandle) {
-                self.ctl.attach_probe(probe);
+                self.$($ctl).+.attach_probe(probe);
             }
             fn recovery_report(&self) -> crate::recovery::RecoveryReport {
-                self.ctl.recovery_report()
+                self.$($ctl).+.recovery_report()
             }
         }
     };
@@ -108,8 +108,8 @@ pub(crate) use switch;
 /// [`switch!`] plus the [`WordSwitch`] impl. Invoked once in each
 /// word-level organization's module.
 macro_rules! word_switch {
-    ($t:ty) => {
-        crate::word::switch!($t);
+    ($t:ty, $($ctl:ident).+) => {
+        crate::word::switch!($t, $($ctl).+);
 
         impl crate::word::WordSwitch for $t {
             fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>] {
@@ -122,7 +122,7 @@ macro_rules! word_switch {
                 <$t>::spares_remaining(self)
             }
             fn recovery_windows(&self) -> &crate::recovery::RecoveryWindows {
-                self.ctl.recovery_windows()
+                self.$($ctl).+.recovery_windows()
             }
             fn inject_upset(&mut self, slot: usize, word: usize, mask: u64) -> bool {
                 <$t>::inject_upset(self, slot, word, mask)

@@ -100,8 +100,9 @@ fn run_behavioral(
     (deps, sw.counters())
 }
 
-/// The counters both models keep, in the one convention they share.
-fn shared_counters(c: SwitchCounters) -> [u64; 6] {
+/// The counters both models keep, in the one convention they share: the
+/// packet books, and the diagnostics of the packet control they run.
+fn shared_counters(c: SwitchCounters) -> [u64; 9] {
     [
         c.arrived,
         c.departed,
@@ -109,6 +110,9 @@ fn shared_counters(c: SwitchCounters) -> [u64; 6] {
         c.latch_overruns,
         c.policy_drops,
         c.policy_preempts,
+        c.fused_reads,
+        c.rw_collisions,
+        c.idle_with_work,
     ]
 }
 
@@ -174,6 +178,7 @@ fn counters_agree_when_eight_slots_overflow() {
     let cfg = SwitchConfig::symmetric(4, 8);
     let c = check_equivalence_of(cfg.clone(), 0.95, 4_000, 7);
     assert!(c.dropped_buffer_full > 0, "static: never overflowed: {c:?}");
+    assert!(c.fused_reads * c.rw_collisions > 0, "static: {c:?}");
     assert_eq!(c.policy_drops + c.policy_preempts, 0, "static: {c:?}");
     let c = check_equivalence_of(cfg.with_policy(PolicyKind::PushOut), 0.95, 4_000, 7);
     assert!(c.policy_preempts > 0, "push-out: never preempted: {c:?}");
