@@ -234,7 +234,7 @@ impl<'a> Drive<'a> {
     /// The next cycle to tick, or `None` when the run is over (drained, or
     /// the watchdog fired). `wires_idle`: no launched packet is still being
     /// clocked onto an input; `next_due`: the earliest cycle the caller
-    /// must see for a reason of its own (a scheduled fault).
+    /// must see for a reason of its own (a scheduled fault, a departure).
     fn next_cycle(
         &mut self,
         sw: &mut dyn Switch,
@@ -569,9 +569,13 @@ fn run_behavioral(sc: &Scenario, probe: Option<ProbeHandle>) -> RunOutcome {
     let mut arrivals: Vec<Option<usize>> = vec![None; sc.n];
     let mut drive = Drive::new(sc, Org::Behavioral, &mut sw, probe);
     // A cell arrives whole: no wire is ever mid-packet, and the model's
-    // fine-grained horizon (in-flight transmissions, queued write/read
-    // schedules) is all that bounds a jump.
-    while let Some(now) = drive.next_cycle(&mut sw, true, None) {
+    // horizon (queued write/read schedules) bounds a jump. A jump replays
+    // the tails it crosses, but a delivery returns its credit in its own
+    // cycle, so the next tail bounds the jump too.
+    while let Some(now) = {
+        let tail = sw.next_tail();
+        drive.next_cycle(&mut sw, true, tail)
+    } {
         arrivals.fill(None);
         for l in drive.launch(now) {
             debug_assert!(sw.input_free(l.input), "launch while input busy");

@@ -47,8 +47,10 @@ pub struct SwitchCounters {
     /// Read waves that were fused with a write wave (same-cycle
     /// cut-through).
     pub fused_reads: u64,
-    /// Cycles in which no wave was initiated though requests existed
-    /// (never happens with a work-conserving arbiter; diagnostic).
+    /// Cycles in which no wave was initiated though requests existed.
+    /// Always 0: the live models' arbiter cannot idle on a non-empty
+    /// mask (`PacketCore::grant` says why); kept because the pinned
+    /// digests render every counter.
     pub idle_with_work: u64,
     /// Packets detected as corrupt before transmission and dropped
     /// (checksum scrub, ingress payload check, truncation, bad header).

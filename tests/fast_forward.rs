@@ -231,12 +231,14 @@ fn run_word(
 }
 
 /// Replay `offers` on the behavioral model (header-per-launch, same
-/// schedule); returns the raw departure records plus key counters.
+/// schedule); returns the raw departure records plus key counters, the
+/// cycles jumped, and the jumps that crossed a tail (a departure that
+/// completed inside the jumped span).
 fn run_behavioral(
     n: usize,
     offers: &[Offer],
     fast: bool,
-) -> (Vec<BehavioralDeparture>, SwitchCounters, u64) {
+) -> (Vec<BehavioralDeparture>, SwitchCounters, u64, u64) {
     let cfg = SwitchConfig::symmetric(n, 4 * n);
     let s = cfg.stages();
     let mut sw = BehavioralSwitch::new(cfg);
@@ -244,6 +246,7 @@ fn run_behavioral(
     let mut k = 0;
     let mut grace = 0u64;
     let mut skipped = 0u64;
+    let mut crossed = 0u64;
     loop {
         let now = sw.now();
         let exhausted = k == offers.len();
@@ -270,7 +273,9 @@ fn run_behavioral(
                 }
                 if target > now && target != u64::MAX {
                     skipped += target - now;
+                    let done = sw.departures().len();
                     Horizon::jump_to(&mut sw, target);
+                    crossed += u64::from(sw.departures().len() > done);
                     continue;
                 }
             }
@@ -284,7 +289,7 @@ fn run_behavioral(
         }
         sw.tick(&arr);
     }
-    (sw.departures().to_vec(), sw.counters(), skipped)
+    (sw.departures().to_vec(), sw.counters(), skipped, crossed)
 }
 
 #[test]
@@ -429,10 +434,13 @@ fn behavioral_fast_forward_is_bit_exact() {
     let s = SwitchConfig::symmetric(n, 4 * n).stages();
     for seed in 0..8u64 {
         let offers = bursty_schedule(n, s, 10, 0xBEE5 + seed);
-        let (dense_d, dense_c, _) = run_behavioral(n, &offers, false);
-        let (fast_d, fast_c, _) = run_behavioral(n, &offers, true);
+        let (dense_d, dense_c, ..) = run_behavioral(n, &offers, false);
+        let (fast_d, fast_c, _, crossed) = run_behavioral(n, &offers, true);
         assert_eq!(dense_d, fast_d, "seed {seed}: departure streams diverged");
         assert_eq!(dense_c, fast_c, "seed {seed}: counters diverged");
+        // Non-vacuity: a jump replays the tails it crosses, and some
+        // jump of every run has one to replay.
+        assert!(crossed > 0, "seed {seed}: no jump crossed a tail");
     }
 }
 
@@ -444,7 +452,7 @@ fn fast_forward_actually_skips() {
     let s = SwitchConfig::symmetric(n, 4 * n).stages();
     let offers = bursty_schedule(n, s, 10, 0xCAFE);
     let span = offers.last().unwrap().at;
-    let (_, _, skipped) = run_behavioral(n, &offers, true);
+    let (_, _, skipped, _) = run_behavioral(n, &offers, true);
     assert!(
         skipped > span / 2,
         "expected most of the {span}-cycle span skipped, got {skipped}"
