@@ -5,8 +5,13 @@
 //!
 //! * one **input latch row** per incoming link (`stages` word latches per
 //!   link, written cyclically as words arrive — *no double buffering*);
-//! * `stages` single-ported **SRAM banks** (from `membank`, port-checked:
-//!   any schedule a real bank could not execute panics);
+//! * the **pipelined memory**: `stages` single-ported SRAM banks behind
+//!   the wave ring of control words, with their spare columns and ECC
+//!   (one [`membank::PipelinedMemory`], port-checked: any schedule a real
+//!   bank could not execute panics). The memory walks the live waves;
+//!   this model supplies each stage's access — latch fetch, write bus,
+//!   output-register load — and reports every recovery outcome the
+//!   memory returns through the control plane;
 //! * one shared **output register row** (`stages` registers; a register
 //!   loaded at cycle `c` drives its bound outgoing link at `c + 1`);
 //! * **automatic cut-through**, including the fused form where the output
@@ -23,9 +28,10 @@
 //! for testbenches is provided by [`OutputCollector`].
 
 use crate::config::SwitchConfig;
+use crate::ctl::ControlPlane;
 use crate::events::IntegrityReason;
 use crate::sched::{PacketCore, ReadGrant, Tag};
-use membank::bank::{PortKind, SramBank};
+use membank::pipelined::{PipelinedMemory, Wave, NO_PORT};
 use simkernel::bits;
 use simkernel::cell::Packet;
 use simkernel::ids::{Addr, Cycle, PortId};
@@ -74,64 +80,30 @@ pub enum StageCtrl {
     },
 }
 
-/// "No such link" in the small-integer port fields of [`Wave`].
-const NO_PORT: u8 = u8::MAX;
-
-/// The control word of one wave, as stage 0 received it at `start`; stage
-/// `k` obeys the same word at `start + k` (§3.3: "the control signals for
-/// subsequent stages are delayed versions of the former"). Sixteen bytes,
-/// `Copy`: the wave ring is the fig. 5 delay line, and nothing else about
-/// a wave is stored per wave.
-#[derive(Debug, Clone, Copy)]
-struct Wave {
-    start: Cycle,
-    addr: u32,
-    /// Input link whose latch row is written, or [`NO_PORT`].
-    write_from: u8,
-    /// Output link whose register row is loaded, or [`NO_PORT`].
-    read_to: u8,
+/// What stage `k` does when it obeys control word `w`.
+impl From<Wave> for StageCtrl {
+    fn from(w: Wave) -> Self {
+        let addr = w.addr();
+        let (i, j) = (PortId(w.write_from.into()), PortId(w.read_to.into()));
+        match (w.write_from, w.read_to) {
+            (NO_PORT, NO_PORT) => StageCtrl::Nop,
+            (_, NO_PORT) => StageCtrl::Write { addr, link: i },
+            (NO_PORT, _) => StageCtrl::Read { addr, link: j },
+            _ => StageCtrl::Fused {
+                addr,
+                input: i,
+                output: j,
+            },
+        }
+    }
 }
 
-impl Wave {
-    /// What a ring slot holds before any wave has used it.
-    const NONE: Wave = Wave {
-        start: 0,
-        addr: 0,
-        write_from: NO_PORT,
-        read_to: NO_PORT,
-    };
-
-    fn addr(self) -> Addr {
-        Addr(self.addr as usize)
-    }
-
-    fn dir(self) -> WaveDir {
-        match (self.write_from, self.read_to) {
-            (_, NO_PORT) => WaveDir::Write,
-            (NO_PORT, _) => WaveDir::Read,
-            _ => WaveDir::Fused,
-        }
-    }
-
-    fn ctrl(self) -> StageCtrl {
-        let addr = self.addr();
-        let port = |p: u8| PortId(p as usize);
-        match (self.write_from, self.read_to) {
-            (NO_PORT, NO_PORT) => StageCtrl::Nop,
-            (i, NO_PORT) => StageCtrl::Write {
-                addr,
-                link: port(i),
-            },
-            (NO_PORT, j) => StageCtrl::Read {
-                addr,
-                link: port(j),
-            },
-            (i, j) => StageCtrl::Fused {
-                addr,
-                input: port(i),
-                output: port(j),
-            },
-        }
+/// The probe stream's name for what control word `w` does at a bank.
+fn wave_dir(w: Wave) -> WaveDir {
+    match (w.write_from, w.read_to) {
+        (_, NO_PORT) => WaveDir::Write,
+        (NO_PORT, _) => WaveDir::Read,
+        _ => WaveDir::Fused,
     }
 }
 
@@ -204,8 +176,9 @@ pub fn integrity_checksum(words: impl IntoIterator<Item = u64>) -> u64 {
 #[derive(Debug)]
 pub struct PipelinedSwitch {
     cfg: SwitchConfig,
-    stages: usize,
-    banks: Vec<SramBank>,
+    /// The banks, their spares and the wave ring: §3.2's memory, which
+    /// this model drives word by word.
+    mem: PipelinedMemory,
     /// Committed input latch values, flat row-major: entry
     /// `input * stages + stage`. One contiguous allocation keeps the
     /// per-wave latch fetch a single indexed load.
@@ -230,30 +203,14 @@ pub struct PipelinedSwitch {
     /// Injected stuck-stage-control fault: `(stage, until_cycle)` — bank
     /// writes at that stage are suppressed through `until_cycle`.
     stuck_write: Option<(usize, Cycle)>,
-    /// Spare bank columns held in reserve for hot failover.
-    spares: Vec<SramBank>,
-    /// Spares exhausted and a bank over threshold: admission permanently
-    /// capped at `admission_cap`.
-    degraded: bool,
-    /// Occupancy ceiling for new admissions (normally `slots`).
-    admission_cap: usize,
+    /// Set once spares are exhausted and a bank is over threshold: the
+    /// occupancy ceiling new admissions are then permanently held to.
+    degraded_cap: Option<usize>,
     /// Stage whose bank crossed the correction threshold mid-wave; the
-    /// failover runs after the stage walk (the wave borrow forbids it
-    /// inline).
+    /// failover runs after the stage walk (the walk borrows the banks).
     pending_failover: Option<usize>,
     /// The packet control: store, requests, arbiter and control plane.
     core: PacketCore<Seal>,
-    /// The wave ring, indexed by `start % stages`: the control word of
-    /// the wave initiated in each of the last `stages` cycles. A wave
-    /// lives exactly `stages` cycles and at most one initiates per cycle,
-    /// so live slots never collide. Retirement only clears the slot's bit
-    /// in `wave_mask`; the word itself stays readable until the slot is
-    /// reused, which is what lets [`Self::stage_controls`] show the tail
-    /// stage's control of the cycle just executed.
-    waves: Vec<Wave>,
-    /// Live wave ring slots: bit `k` set while the wave in `waves[k]` has
-    /// stages left to visit.
-    wave_mask: u128,
     /// Live entries of `outreg_cur`: bit `k` set when stage `k`'s
     /// register holds a word.
     outreg_mask: u128,
@@ -271,13 +228,36 @@ pub(crate) fn mask_where(n: usize, set: impl Fn(usize) -> bool) -> u128 {
     (0..n).filter(|&p| set(p)).fold(0, |m, p| m | 1 << p)
 }
 
+/// The bank of `stage` crossed its correction threshold in cycle `c` and
+/// the memory promoted a spare (`Some(spares left)`): admission pauses for
+/// a settle window. With none left, the switch degrades for good: admission
+/// capacity halves, trading throughput for conservation and per-flow FIFO.
+#[cold]
+fn bank_failed(
+    ctl: &mut ControlPlane,
+    degraded_cap: &mut Option<usize>,
+    slots: usize,
+    c: Cycle,
+    stage: usize,
+    spares_left: Option<usize>,
+) {
+    if let Some(left) = spares_left {
+        let settle = ctl.failover(c, stage, left);
+        ctl.degraded_enter(c, stage, settle);
+    } else if degraded_cap.is_none() {
+        let cap = (slots / 2).max(1);
+        *degraded_cap = Some(cap);
+        ctl.degraded_enter(c, stage, cap as u64);
+    }
+}
+
 impl PipelinedSwitch {
     /// Build a switch from a validated configuration.
     pub fn new(cfg: SwitchConfig) -> Self {
         cfg.validate();
         let stages = cfg.stages();
-        // The wave ring and the output register row keep their occupancy
-        // in one `u128` each.
+        // The output register row keeps its occupancy in one `u128`, as
+        // the memory's wave ring does.
         assert!(
             stages <= 128,
             "the word-level RTL models at most 128 pipeline stages \
@@ -288,28 +268,17 @@ impl PipelinedSwitch {
             "the RTL keeps its write requests in one u64: at most 64 inputs, not {}",
             cfg.n_in
         );
-        assert!(
-            u32::try_from(cfg.slots).is_ok(),
-            "a control word carries a 32-bit slot address"
-        );
         // Banks carry full 64-bit payload words; `cfg.word_bits` is the
         // physical width used for capacity/throughput accounting (and by
         // `vlsimodel`), not a functional truncation — truncating payloads
         // would only obscure data-integrity checks.
-        let mut banks: Vec<SramBank> = (0..stages)
-            .map(|_| SramBank::new(cfg.slots, 64, PortKind::SinglePort))
-            .collect();
-        let mut spares: Vec<SramBank> = (0..cfg.recovery.spare_banks)
-            .map(|_| SramBank::new(cfg.slots, 64, PortKind::SinglePort))
-            .collect();
+        let mut mem =
+            PipelinedMemory::new_with_spares(stages, cfg.slots, 64, cfg.recovery.spare_banks);
         if cfg.recovery.ecc {
-            for b in banks.iter_mut().chain(spares.iter_mut()) {
-                b.enable_ecc();
-            }
+            mem.enable_ecc();
         }
         PipelinedSwitch {
-            stages,
-            banks,
+            mem,
             latches: vec![0; cfg.n_in * stages],
             latch_loads: Vec::new(),
             inputs: vec![InputState::default(); cfg.n_in],
@@ -318,15 +287,11 @@ impl PipelinedSwitch {
             out_bind: vec![(0, 0); cfg.n_out],
             out_verify: vec![OutVerify::default(); cfg.n_out],
             stuck_write: None,
-            spares,
-            degraded: false,
-            admission_cap: cfg.slots,
+            degraded_cap: None,
             pending_failover: None,
             // Natural settle time of one failover: the spare copies one
             // slot per cycle — a full column sweep.
             core: PacketCore::new(&cfg, cfg.recovery, cfg.slots as u64),
-            waves: vec![Wave::NONE; stages],
-            wave_mask: 0,
             outreg_mask: 0,
             cycle: 0,
             wire_out: vec![None; cfg.n_out],
@@ -347,43 +312,21 @@ impl PipelinedSwitch {
 
     /// Packet size in words (= pipeline stages).
     pub fn packet_words(&self) -> usize {
-        self.stages
+        self.mem.stages()
     }
 
     /// The per-stage control signals of the most recently executed cycle
     /// (the fig. 5 table row), read off the wave ring: stage `k` executed
     /// the control word stage 0 received `k` cycles earlier, if any.
     pub fn stage_controls(&self) -> Vec<StageCtrl> {
-        let s = self.stages as Cycle;
-        (0..s)
+        (0..self.mem.stages() as Cycle)
             .map(|k| {
-                let Some(start) = self.cycle.checked_sub(1 + k) else {
-                    return StageCtrl::Nop;
-                };
-                let w = self.waves[self.ring_slot(start)];
-                if w.start == start {
-                    w.ctrl()
-                } else {
-                    StageCtrl::Nop
-                }
+                self.cycle
+                    .checked_sub(1 + k)
+                    .and_then(|start| self.mem.wave_started(start))
+                    .map_or(StageCtrl::Nop, StageCtrl::from)
             })
             .collect()
-    }
-
-    /// The ring slot of a wave initiated at cycle `start`.
-    #[inline]
-    fn ring_slot(&self, start: Cycle) -> usize {
-        (start % self.stages as Cycle) as usize
-    }
-
-    /// The live waves, oldest first: the ring walked from the slot a wave
-    /// starting next cycle will claim, which is where the oldest wave still
-    /// in flight sits.
-    #[inline]
-    fn live_waves(&self) -> impl Iterator<Item = usize> {
-        let first = self.ring_slot(self.cycle + 1);
-        let low = (1u128 << first) - 1;
-        bits(self.wave_mask & !low).chain(bits(self.wave_mask & low))
     }
 
     /// Fault injection (testbench only): flip `mask` bits in bank
@@ -398,7 +341,7 @@ impl PipelinedSwitch {
     /// are harmless and return `None`; campaigns use this to compute
     /// detection coverage over *effective* faults only.
     pub fn inject_bank_fault(&mut self, stage: usize, addr: Addr, mask: u64) -> Option<u64> {
-        self.banks[stage].inject_fault(addr, mask);
+        self.mem.inject_fault(stage, addr, mask);
         if let Some(d) = self.core.store.get(addr.index()) {
             // The write wave touches `stage` at cycle `ws + stage`; the
             // word is in the bank once that cycle has executed.
@@ -416,8 +359,8 @@ impl PipelinedSwitch {
         // first. A read wave puts the struck word on the wire. A write
         // wave overwrites it, which shields every younger wave — and a
         // fused one takes its own word off the write bus, not the bank.
-        self.live_waves()
-            .map(|slot| self.waves[slot])
+        self.mem
+            .live_waves(self.cycle)
             .find(|w| w.addr() == addr && w.start + stage as Cycle >= self.cycle)
             .filter(|w| w.write_from == NO_PORT)
             .map(|w| self.out_bind[w.read_to as usize].0)
@@ -435,171 +378,29 @@ impl PipelinedSwitch {
     /// are suppressed (counted in `writes_suppressed`), leaving a stale
     /// word in every slot written while the fault is active.
     pub fn force_stuck_write(&mut self, stage: usize, until: Cycle) {
-        assert!(stage < self.stages, "no such stage");
+        assert!(stage < self.mem.stages(), "no such stage");
         self.stuck_write = Some((stage, until));
-    }
-
-    /// Checksum of slot `addr` as currently stored across the banks
-    /// (stage 0 first — the same fold order as the ingress computation).
-    fn banks_checksum(&self, addr: Addr) -> u64 {
-        integrity_checksum(self.banks.iter().map(|b| b.peek(addr)))
-    }
-
-    /// ECC scrub of a fully written slot, stage by stage, correcting
-    /// single-bit upsets in place before the checksum verdict is taken.
-    /// Rides the sense amplifiers of the scheduled access — no port cost.
-    /// Banks that accumulate corrections past the failover threshold are
-    /// hot-swapped for a spare.
-    fn scrub_slot(&mut self, addr: Addr, c: Cycle) {
-        for k in 0..self.stages {
-            let outcome = self.banks[k].scrub(addr);
-            if self.core.ctl.ecc(c, k, outcome, addr.index() as u64)
-                && self
-                    .core
-                    .ctl
-                    .over_threshold(self.banks[k].ecc_corrections())
-            {
-                self.fail_over(k, c);
-            }
-        }
-    }
-
-    /// Mask out the failing bank at `stage`: promote a spare column in
-    /// its place (contents copied, check codes recomputed) and declare a
-    /// settle window during which admission pauses (one column sweep).
-    /// With the reserve exhausted, the switch instead enters *permanent*
-    /// degraded mode: admission capacity is halved, trading throughput
-    /// for continued conservation and per-flow FIFO.
-    fn fail_over(&mut self, stage: usize, c: Cycle) {
-        match self.spares.pop() {
-            Some(mut spare) => {
-                spare.copy_contents_from(&self.banks[stage]);
-                self.banks[stage] = spare;
-                let settle = self.core.ctl.failover(c, stage, self.spares.len());
-                self.core.ctl.degraded_enter(c, stage, settle);
-            }
-            None => {
-                if !self.degraded {
-                    self.degraded = true;
-                    self.admission_cap = (self.cfg.slots / 2).max(1);
-                    self.core
-                        .ctl
-                        .degraded_enter(c, stage, self.admission_cap as u64);
-                }
-            }
-        }
     }
 
     /// Is the switch in permanent degraded mode (spares exhausted,
     /// admission capped)?
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.degraded_cap.is_some()
     }
 
     /// Spare bank columns still in reserve.
     pub fn spares_remaining(&self) -> usize {
-        self.spares.len()
+        self.mem.spares_remaining()
     }
 
     /// True if the switch holds no packets and no waves are in flight
     /// (safe to stop feeding idle cycles).
     pub fn is_quiescent(&self) -> bool {
         self.core.store.occupancy() == 0
-            && self.wave_mask == 0
+            && self.mem.in_flight() == 0
             && self.outreg_mask == 0
             && self.inputs.iter().all(|s| s.k == 0)
             && self.core.requests.no_writes()
-    }
-
-    /// Park a freshly initiated wave in its ring slot.
-    #[inline]
-    fn push_wave(&mut self, w: Wave) {
-        let slot = self.ring_slot(w.start);
-        debug_assert!(
-            self.wave_mask & (1 << slot) == 0,
-            "wave ring slot collision"
-        );
-        self.waves[slot] = w;
-        self.wave_mask |= 1 << slot;
-    }
-
-    /// Execute wave `w` at stage `k = c - w.start` in cycle `c`: its
-    /// single bank access, output-register load and telemetry. Called once
-    /// per live wave from the stage walk.
-    #[inline]
-    fn exec_wave(&mut self, w: Wave, c: Cycle, outreg_next_mask: &mut u128) {
-        let s = self.stages;
-        let k = (c - w.start) as usize;
-        debug_assert!(k < s);
-        let addr = w.addr();
-        // Banks begin their cycle right before their single access: wave
-        // starts are unique per cycle, so each live wave touches a distinct
-        // bank, and a second access to one bank in a cycle is still the
-        // bank's own port violation.
-        let bank = &mut self.banks[k];
-        bank.begin_cycle(c);
-        let bus_value = if w.write_from != NO_PORT {
-            let v = self.latches[w.write_from as usize * s + k];
-            let stuck = self
-                .stuck_write
-                .is_some_and(|(ks, until)| ks == k && c <= until);
-            if stuck {
-                // Stuck stage control: the word never lands in the
-                // bank. The bus still carries it, so a fused
-                // output register samples the correct value — but
-                // the slot keeps a stale word, which the checksum
-                // scrub catches at (store-and-forward) read time.
-                self.core.ctl.counters.writes_suppressed += 1;
-            } else {
-                bank.write(addr, v)
-                    .expect("wave stagger guarantees bank availability");
-            }
-            Some(v)
-        } else {
-            None
-        };
-        if w.read_to != NO_PORT {
-            let v = match bus_value {
-                // Fused: the output register samples the write bus.
-                Some(v) => v,
-                None => {
-                    // ECC at the moment of access: a cut-through read
-                    // reaches banks the initiation-time scrub could not
-                    // (the slot was not fully written yet), so the word
-                    // is repaired right before it is sampled.
-                    if self.core.ctl.ecc_on() {
-                        let outcome = bank.scrub(addr);
-                        if self.core.ctl.ecc(c, k, outcome, addr.index() as u64)
-                            && self.core.ctl.over_threshold(bank.ecc_corrections())
-                        {
-                            self.pending_failover = Some(k);
-                        }
-                    }
-                    bank.read(addr)
-                        .expect("wave stagger guarantees bank availability")
-                }
-            };
-            debug_assert!(
-                *outreg_next_mask & (1 << k) == 0,
-                "two waves loaded output register {k} in cycle {c}"
-            );
-            self.outreg_next[k] = OutWord {
-                word: v,
-                link: w.read_to,
-            };
-            *outreg_next_mask |= 1 << k;
-        }
-        let port = |p: u8| (p != NO_PORT).then_some(p as usize);
-        self.core.ctl.emit(
-            c,
-            ProbeEvent::BankAccess {
-                stage: k,
-                addr: addr.index(),
-                op: w.dir(),
-                input: port(w.write_from),
-                output: port(w.read_to),
-            },
-        );
     }
 
     /// Drive the committed output register of stage `k` onto its link:
@@ -627,7 +428,7 @@ impl PipelinedSwitch {
             v.k += 1;
         }
         // The last stage's register holds the packet's tail word.
-        if k + 1 == self.stages {
+        if k + 1 == self.mem.stages() {
             let (id, birth) = self.out_bind[j];
             self.core.ctl.departed(c, j, id, birth);
             if self.cfg.integrity.payload_check {
@@ -657,7 +458,7 @@ impl PipelinedSwitch {
     pub fn tick(&mut self, wire_in: &[Option<u64>]) -> &[Option<u64>] {
         assert_eq!(wire_in.len(), self.cfg.n_in, "one word slot per input");
         let c = self.cycle;
-        let s = self.stages;
+        let s = self.mem.stages();
 
         // ------------------------------------------------------------------
         // 1. Output links driven by the register row committed last cycle.
@@ -694,7 +495,8 @@ impl PipelinedSwitch {
                         } else {
                             assert!(
                                 !bad,
-                                "packet {id} on input {i} addressed nonexistent outputs                              (mask {mask:#x}, {} outputs)",
+                                "packet {id} on input {i} addressed nonexistent outputs \
+                                 (mask {mask:#x}, {} outputs)",
                                 self.cfg.n_out
                             );
                             let primary = mask.trailing_zeros() as usize;
@@ -709,8 +511,9 @@ impl PipelinedSwitch {
                             // and FIFO hold, throughput drops. Otherwise
                             // the core admits.
                             let core = &mut self.core;
-                            let capped =
-                                self.degraded && core.store.occupancy() >= self.admission_cap;
+                            let capped = self
+                                .degraded_cap
+                                .is_some_and(|cap| core.store.occupancy() >= cap);
                             if core.ctl.shed(c, capped) {
                                 core.ctl.counters.recovery_shed += 1;
                                 core.ctl.drop(c, id, DropReason::BufferFull);
@@ -801,41 +604,100 @@ impl PipelinedSwitch {
         }
 
         // ------------------------------------------------------------------
-        // 4. Stage execution: every active wave performs its per-stage
-        //    operation on the (port-checked) banks.
+        // 4. Stage execution: the memory walks the live waves oldest first
+        //    (descending stage), each at its port-checked bank.
         // ------------------------------------------------------------------
-        // Visit live waves oldest-first (ascending start, so descending
-        // stage).
         let mut outreg_next_mask: u128 = 0;
-        for slot in self.live_waves() {
-            self.exec_wave(self.waves[slot], c, &mut outreg_next_mask);
-        }
+        self.mem.walk(c, |bank, w, k| {
+            let addr = w.addr();
+            let bus_value = (w.write_from != NO_PORT).then(|| {
+                let v = self.latches[w.write_from as usize * s + k];
+                let stuck = self
+                    .stuck_write
+                    .is_some_and(|(ks, until)| ks == k && c <= until);
+                if stuck {
+                    // Stuck stage control: the word never lands in the
+                    // bank. The bus still carries it, so a fused output
+                    // register samples the correct value — but the slot
+                    // keeps a stale word, which the checksum scrub
+                    // catches at (store-and-forward) read time.
+                    self.core.ctl.counters.writes_suppressed += 1;
+                } else {
+                    bank.write(addr, v)
+                        .expect("wave stagger guarantees bank availability");
+                }
+                v
+            });
+            if w.read_to != NO_PORT {
+                let v = match bus_value {
+                    // Fused: the output register samples the write bus.
+                    Some(v) => v,
+                    None => {
+                        // ECC at the moment of access: a cut-through read
+                        // reaches banks the initiation-time scrub could
+                        // not (the slot was not fully written yet), so the
+                        // word is repaired right before it is sampled.
+                        let ctl = &mut self.core.ctl;
+                        if ctl.ecc_on() {
+                            let outcome = bank.scrub(addr);
+                            if ctl.ecc(c, k, outcome, addr.index() as u64)
+                                && ctl.over_threshold(bank.ecc_corrections())
+                            {
+                                self.pending_failover = Some(k);
+                            }
+                        }
+                        bank.read(addr)
+                            .expect("wave stagger guarantees bank availability")
+                    }
+                };
+                debug_assert!(
+                    outreg_next_mask & (1 << k) == 0,
+                    "two waves loaded output register {k} in cycle {c}"
+                );
+                self.outreg_next[k] = OutWord {
+                    word: v,
+                    link: w.read_to,
+                };
+                outreg_next_mask |= 1 << k;
+            }
+            let port = |p: u8| (p != NO_PORT).then_some(p as usize);
+            self.core.ctl.emit(
+                c,
+                ProbeEvent::BankAccess {
+                    stage: k,
+                    addr: addr.index(),
+                    op: wave_dir(w),
+                    input: port(w.write_from),
+                    output: port(w.read_to),
+                },
+            );
+        });
 
         // A bank crossed its correction threshold during the stage walk:
         // hot-swap it now, before the clock edge (the spare copies the
         // bank's contents, so in-flight slots survive the swap).
         if let Some(k) = self.pending_failover.take() {
-            self.fail_over(k, c);
+            let spares_left = self.mem.fail_over(k);
+            bank_failed(
+                &mut self.core.ctl,
+                &mut self.degraded_cap,
+                self.cfg.slots,
+                c,
+                k,
+                spares_left,
+            );
         }
 
         // ------------------------------------------------------------------
-        // 5. Clock edge: commit latches and output registers, retire
-        //    completed waves, advance time.
+        // 5. Clock edge: commit latches and output registers; the memory
+        //    retires the wave that swept its last stage; time advances.
         // ------------------------------------------------------------------
         for &(i, k, word) in &self.latch_loads {
             self.latches[i * s + k] = word;
         }
         std::mem::swap(&mut self.outreg_cur, &mut self.outreg_next);
         self.outreg_mask = outreg_next_mask;
-        // Retire the wave that entered `s` cycles ago: it sits in the ring
-        // slot a wave starting next cycle would claim. Its control word
-        // stays in place for `stage_controls`.
-        let retire_slot = self.ring_slot(c + 1);
-        debug_assert!(
-            self.wave_mask & (1 << retire_slot) == 0
-                || self.waves[retire_slot].start + s as Cycle == c + 1
-        );
-        self.wave_mask &= !(1 << retire_slot);
+        self.mem.retire(c);
         if self.core.ctl.probed() {
             self.core
                 .ctl
@@ -865,7 +727,7 @@ impl PipelinedSwitch {
             if let Some(j) = w.fused {
                 self.out_bind[j] = (w.p.id, w.p.birth);
             }
-            self.push_wave(Wave {
+            self.mem.launch(Wave {
                 start: c,
                 addr: w.slot as u32,
                 write_from: w.i as u8,
@@ -878,14 +740,26 @@ impl PipelinedSwitch {
     /// fully written, then launched or, condemned, spent.
     fn read<const PROBED: bool>(&mut self, c: Cycle, r: ReadGrant<Seal>) {
         let addr = Addr(r.slot);
-        let s = self.stages as Cycle;
+        let s = self.mem.stages() as Cycle;
         let ws = self.core.store.write_start(r.slot);
         let fully_written = ws.is_some_and(|ws| c >= ws + s);
         // With ECC armed, correct single-bit upsets in place *before* the
         // checksum verdict: a corrected slot passes the scrub and is
         // delivered instead of dropped.
         if self.core.ctl.ecc_on() && fully_written {
-            self.scrub_slot(addr, c);
+            // Stage by stage: a bank that accumulates corrections past the
+            // failover threshold is hot-swapped for a spare before the
+            // next stage is scrubbed.
+            let (ctl, cap, slots) = (&mut self.core.ctl, &mut self.degraded_cap, self.cfg.slots);
+            self.mem.scrub_slot(addr, |mem, k, outcome| {
+                let fails =
+                    ctl.ecc(c, k, outcome, r.slot as u64) && ctl.over_threshold(mem.corrections(k));
+                if fails {
+                    let spares_left = mem.spares_remaining().checked_sub(1);
+                    bank_failed(ctl, cap, slots, c, k, spares_left);
+                }
+                fails
+            });
         }
         // Integrity scrub at read initiation (the ECC check a real bank
         // performs): only a fully written slot can be verified —
@@ -896,7 +770,7 @@ impl PipelinedSwitch {
             && fully_written
             && seal
                 .checksum
-                .is_some_and(|sum| self.banks_checksum(addr) != sum);
+                .is_some_and(|sum| integrity_checksum(self.mem.peek_slot(addr)) != sum);
         if seal.poisoned.is_some() || scrub_fail {
             let why = seal.poisoned.unwrap_or(IntegrityReason::ChecksumMismatch);
             self.core.spend_read(c, &r, drop_reason(why));
@@ -904,7 +778,7 @@ impl PipelinedSwitch {
         }
         self.core.start_read::<PROBED>(c, &r);
         self.out_bind[r.j] = (r.p.id, r.p.birth);
-        self.push_wave(Wave {
+        self.mem.launch(Wave {
             start: c,
             addr: r.slot as u32,
             write_from: NO_PORT,
@@ -1630,6 +1504,24 @@ mod tests {
         assert!(sw.is_quiescent());
     }
 
+    #[test]
+    fn a_stuck_write_leaves_the_fused_copy_intact() {
+        // §3.3's fused cut-through: the output register samples the write
+        // bus, not the bank. With stage 2's write stuck the slot keeps a
+        // stale word, yet the copy on the wire is the packet as sent.
+        let mut sw = PipelinedSwitch::new(SwitchConfig::symmetric(2, 8));
+        sw.force_stuck_write(2, 1_000);
+        let p = Packet::synth(7, 0, 1, 4, 0);
+        let (pkts, sw) = feed_and_drain(sw, &p.words);
+        assert_eq!(pkts.len(), 1);
+        assert!(
+            pkts[0].verify_payload(),
+            "fused copy came off the write bus"
+        );
+        let ctr = sw.counters();
+        assert_eq!((ctr.fused_reads, ctr.writes_suppressed), (1, 1));
+    }
+
     /// Tick `sw` up to cycle `until`, driving each `(header cycle, packet)`
     /// on its source link.
     fn drive(
@@ -1702,40 +1594,6 @@ mod tests {
         assert_eq!(sw.inject_bank_fault(5, Addr(0), 1), Some(1));
         drive(&mut sw, &mut col, &packets, 80);
         assert_eq!(intact(&mut col), [(1, false), (2, true), (10, true)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "write rejected")]
-    fn two_waves_on_one_bank_in_one_cycle_trip_the_port_check() {
-        // The wave stagger makes this unreachable from outside, so forge
-        // it: two write waves that both claim to have started this cycle
-        // reach bank 0 together, and the bank's single port refuses.
-        let mut sw = PipelinedSwitch::new(SwitchConfig::symmetric(2, 8));
-        let w = Wave {
-            start: 0,
-            addr: 0,
-            write_from: 0,
-            read_to: NO_PORT,
-        };
-        sw.waves[0] = w;
-        sw.waves[1] = Wave { addr: 1, ..w };
-        sw.wave_mask = 0b11;
-        sw.tick(&[None, None]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "wave ring slot collision")]
-    fn second_wave_in_one_cycle_is_a_ring_collision() {
-        let mut sw = PipelinedSwitch::new(SwitchConfig::symmetric(2, 8));
-        let w = Wave {
-            start: 0,
-            addr: 0,
-            write_from: 0,
-            read_to: NO_PORT,
-        };
-        sw.push_wave(w);
-        sw.push_wave(Wave { addr: 1, ..w });
     }
 
     #[test]
@@ -1871,7 +1729,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "nonexistent output")]
+    #[should_panic(expected = "addressed nonexistent outputs (mask 0x20, 2 outputs)")]
     fn bad_destination_panics() {
         let mut sw = PipelinedSwitch::new(SwitchConfig::symmetric(2, 8));
         let header = Packet::encode_header(5, 1); // output 5 of a 2×2

@@ -12,7 +12,8 @@
 //!   one operation per port per cycle;
 //! * [`pipelined::PipelinedMemory`] — the paper's contribution (§3.2): a
 //!   chain of single-ported banks swept by address *waves*, one wave
-//!   initiation per cycle;
+//!   initiation per cycle; its wave ring is the one `switch-core`'s RTL
+//!   runs;
 //! * [`wide::WideMemory`] — the wide-word organization of \[KaSC91\] (§3.1):
 //!   one whole packet per memory word, one operation per cycle;
 //! * [`interleaved::InterleavedMemory`] — PRIZMA-style interleaving
@@ -26,11 +27,11 @@
 //! Data words are `u64` (the models are width-agnostic; the physical width
 //! in bits is carried as metadata and used by `vlsimodel`, not here).
 //!
-//! The models only store. Counters, probes and the recovery ladder belong
-//! to `switch-core`'s control plane (DESIGN.md §14), which arms and reads
-//! the SEC-DED codes of [`bank::SramBank`], [`wide::WideMemory`] and
-//! [`interleaved::InterleavedMemory`]; [`pipelined::PipelinedMemory`]
-//! has none of its own.
+//! The models store and return outcomes. Counters, probes and the
+//! recovery ladder belong to `switch-core`'s control plane (DESIGN.md
+//! §14), which arms and reads the SEC-DED codes and spares of
+//! [`pipelined::PipelinedMemory`], [`wide::WideMemory`] and
+//! [`interleaved::InterleavedMemory`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +46,5 @@ pub mod wide;
 pub use bank::{EccOutcome, PortKind, PortViolation, SramBank};
 pub use interleaved::{BankId, InterleavedMemory};
 pub use multiport::MultiPortMemory;
-pub use pipelined::{CompletedRead, InitiateError, PipelinedMemory, WaveOp};
+pub use pipelined::{CompletedRead, InitiateError, PipelinedMemory, Wave, WaveOp};
 pub use wide::WideMemory;

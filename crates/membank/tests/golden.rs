@@ -5,8 +5,12 @@
 //!
 //! Schedules are drawn from `SplitMix64` with fixed seeds (no external
 //! property-testing dependency), so every run checks the same population
-//! of cases.
+//! of cases. Half the pipelined cases run with ECC armed and one spare
+//! column, and every case strikes a single-bit upset, scrubs it and
+//! fails the struck bank over at a drawn cycle, in flight: the contents
+//! survive, so the reads still equal the golden model's.
 
+use membank::bank::EccOutcome;
 use membank::multiport::MultiPortMemory;
 use membank::pipelined::{PipelinedMemory, WaveOp};
 use simkernel::ids::Addr;
@@ -37,14 +41,55 @@ fn random_ops(rng: &mut SplitMix64, depth: usize) -> Vec<Op> {
         .collect()
 }
 
+/// Between two cycles: with ECC armed, flip `bit` of slot `addr` in the
+/// bank of stage `struck`, scrub the slot (which corrects the upset) and
+/// fail that bank over onto the spare. Without ECC, only the failover,
+/// which finds no spare.
+fn recover(pipe: &mut PipelinedMemory, ecc: bool, struck: usize, addr: Addr, bit: u64) {
+    if !ecc {
+        assert_eq!(pipe.fail_over(struck), None, "no spare to promote");
+        return;
+    }
+    pipe.inject_fault(struck, addr, 1 << bit);
+    let mut corrected = 0;
+    pipe.scrub_slot(addr, |mem, k, outcome| {
+        assert_eq!(mem.spares_remaining(), usize::from(k <= struck));
+        if outcome != EccOutcome::Clean {
+            assert_eq!(outcome, EccOutcome::Corrected { bit: bit as u32 });
+            assert_eq!((k, mem.corrections(k)), (struck, 1));
+            corrected += 1;
+        }
+        k == struck
+    });
+    assert_eq!(corrected, 1, "the upset was met");
+    assert_eq!(
+        pipe.spares_remaining(),
+        0,
+        "the spare took the struck bank's place"
+    );
+}
+
 #[test]
 fn pipelined_matches_multiport_golden() {
     let mut gen = SplitMix64::new(0x5EED_0020);
+    // Recovery draws come from their own stream, so the schedules are
+    // the same population with or without them.
+    let mut faults = SplitMix64::new(0x5EED_0022);
     for case in 0..128u64 {
         let ops = random_ops(&mut gen, 8);
         let stages = 4;
         let depth = 8;
-        let mut pipe = PipelinedMemory::new(stages, depth, 64);
+        let ecc = case % 2 == 1;
+        let mut pipe = PipelinedMemory::new_with_spares(stages, depth, 64, usize::from(ecc));
+        if ecc {
+            pipe.enable_ecc();
+        }
+        let fail_at = faults.below_usize(ops.len() + 1);
+        let (struck, slot, bit) = (
+            faults.below_usize(stages),
+            faults.below_usize(depth),
+            faults.below(64),
+        );
         // Golden model: word-addressed, effectively unlimited ports.
         let mut gold = MultiPortMemory::new(stages * depth, 64, 64);
         // Track, per slot, the value set at the *time each read was
@@ -56,6 +101,9 @@ fn pipelined_matches_multiport_golden() {
         let mut got_reads: Vec<(usize, Vec<u64>)> = Vec::new();
 
         for (t, op) in ops.iter().enumerate() {
+            if t == fail_at {
+                recover(&mut pipe, ecc, struck, Addr(slot), bit);
+            }
             gold.begin_cycle(t as u64);
             match op {
                 Op::Idle => {}
@@ -87,6 +135,9 @@ fn pipelined_matches_multiport_golden() {
             for r in pipe.tick() {
                 got_reads.push((r.addr.index(), r.words.clone()));
             }
+        }
+        if fail_at == ops.len() {
+            recover(&mut pipe, ecc, struck, Addr(slot), bit);
         }
         for r in pipe.drain() {
             got_reads.push((r.addr.index(), r.words.clone()));
