@@ -3,17 +3,17 @@
 //! The paper's subject is *how to organize the buffer memory of a switch*.
 //! This crate implements every organization it discusses, as functional
 //! cycle-accurate models with **port-discipline checking**: each model
-//! tracks the operations issued to each bank in each cycle and returns an
-//! error on anything a real single-ported SRAM array could not do. The
-//! models are therefore executable versions of the feasibility arguments in
-//! §3 and §5 of the paper:
+//! tracks the operations issued to each bank in each cycle and refuses
+//! (an error, or a panic on the pipelined memory's stage ports) anything a
+//! real single-ported SRAM array could not do: executable versions of the
+//! feasibility arguments in §3 and §5 of the paper:
 //!
 //! * [`bank::SramBank`] — one SRAM array: single- or dual-ported, at most
 //!   one operation per port per cycle;
 //! * [`pipelined::PipelinedMemory`] — the paper's contribution (§3.2): a
-//!   chain of single-ported banks swept by address *waves*, one wave
-//!   initiation per cycle; its wave ring is the one `switch-core`'s RTL
-//!   runs;
+//!   chain of single-ported banks (one slot-major array) swept by address
+//!   *waves*, one initiation per cycle; `switch-core`'s RTL runs its ring
+//!   word by word;
 //! * [`wide::WideMemory`] — the wide-word organization of \[KaSC91\] (§3.1):
 //!   one whole packet per memory word, one operation per cycle;
 //! * [`interleaved::InterleavedMemory`] — PRIZMA-style interleaving
