@@ -16,7 +16,7 @@ use telegraphos::simkernel::cell::Packet;
 use telegraphos::simkernel::ids::Cycle;
 use telegraphos::simkernel::SplitMix64;
 use telegraphos::switch_core::behavioral::BehavioralSwitch;
-use telegraphos::switch_core::config::SwitchConfig;
+use telegraphos::switch_core::config::{IntegrityConfig, SwitchConfig};
 use telegraphos::switch_core::events::SwitchCounters;
 use telegraphos::switch_core::recovery::RecoveryConfig;
 use telegraphos::switch_core::rtl::{OutputCollector, PipelinedSwitch};
@@ -108,16 +108,42 @@ fn build(
 }
 
 /// Replay `offers` densely on a word-level organization with `sink`
-/// attached; returns the delivery stream plus counters.
+/// attached; returns the delivery stream plus counters. With `faults`,
+/// ECC arms with one spare that takes over at a bank's first correction
+/// and single-bit upsets rain on the slots; the pipelined RTL also gets
+/// hardened framing, the egress payload check, a stuck write at stage 1
+/// and every seventh packet cut one word short.
 fn run_word(
     org: WordOrg,
     n: usize,
     offers: &[Offer],
     sink: Sink,
+    faults: bool,
 ) -> (Vec<Delivery>, SwitchCounters) {
-    let (rec, policy) = (RecoveryConfig::default(), PolicyKind::Static);
-    let mut sw = build(org, n, 4 * n, rec, policy, sink.build());
+    let rec = if faults {
+        RecoveryConfig::full(1, 1)
+    } else {
+        RecoveryConfig::default()
+    };
+    let rtl_faults = faults && org == WordOrg::Pipelined;
+    let mut sw: Box<dyn WordSwitch> = if rtl_faults {
+        let mut cfg = SwitchConfig::symmetric(n, 4 * n).with_recovery(rec);
+        cfg.integrity = IntegrityConfig {
+            checksum: true,
+            payload_check: true,
+            harden: true,
+        };
+        let mut sw = PipelinedSwitch::new(cfg);
+        sw.force_stuck_write(1, 600);
+        if let Some(p) = sink.build() {
+            sw.attach_probe(p);
+        }
+        Box::new(sw)
+    } else {
+        build(org, n, 4 * n, rec, PolicyKind::Static, sink.build())
+    };
     let s = sw.packet_words();
+    let mut strikes = SplitMix64::new(0xECC);
     let mut col = OutputCollector::new(n, s);
     let mut current: Vec<Option<(Vec<u64>, usize)>> = vec![None; n];
     let mut wire = vec![None; n];
@@ -140,8 +166,15 @@ fn run_word(
         while k < offers.len() && offers[k].at == now {
             let o = offers[k];
             k += 1;
-            let p = Packet::synth(o.id, o.input, o.dst, s, now);
+            let mut p = Packet::synth(o.id, o.input, o.dst, s, now);
+            if rtl_faults && o.id.is_multiple_of(7) {
+                p.words.pop();
+            }
             current[o.input] = Some((p.words, 0));
+        }
+        if faults && strikes.chance(0.1) {
+            let (slot, word) = (strikes.below_usize(4 * n), strikes.below_usize(s));
+            sw.inject_upset(slot, word, 1 << strikes.below_usize(64));
         }
         for (w, slot) in wire.iter_mut().zip(current.iter_mut()) {
             *w = None;
@@ -156,7 +189,7 @@ fn run_word(
         let out = sw.tick(&wire);
         col.observe(now, out);
         for d in col.take() {
-            assert!(d.verify_payload(), "{org}: corrupted payload");
+            assert!(faults || d.verify_payload(), "{org}: corrupted payload");
             deliveries.push((d.id, d.output.index(), d.first_cycle, d.last_cycle));
         }
     }
@@ -203,29 +236,39 @@ fn run_behavioral(n: usize, offers: &[Offer], sink: Sink) -> (Vec<Delivery>, Swi
     (departures, sw.counters())
 }
 
+/// Without and with the recovery and integrity machinery armed (see
+/// `run_word`): the RTL's unprobed kernel must match its probed one on
+/// the ECC, failover, stuck-write and hardened-framing paths too.
 #[test]
 fn word_orgs_are_probe_invariant() {
     let n = 4;
-    for org in WordOrg::ALL {
-        for seed in 0..4u64 {
-            let s = 2 * n;
-            let offers = bursty_schedule(n, s, 6, 0x7E1E + seed);
-            let (off_d, off_c) = run_word(org, n, &offers, Sink::Off);
-            let (null_d, null_c) = run_word(org, n, &offers, Sink::Null);
-            let (rec_d, rec_c) = run_word(org, n, &offers, Sink::Bounded);
-            assert_eq!(
-                off_d, null_d,
-                "{org} seed {seed}: NullSink changed deliveries"
-            );
-            assert_eq!(
-                off_c, null_c,
-                "{org} seed {seed}: NullSink changed counters"
-            );
-            assert_eq!(
-                off_d, rec_d,
-                "{org} seed {seed}: Recorder changed deliveries"
-            );
-            assert_eq!(off_c, rec_c, "{org} seed {seed}: Recorder changed counters");
+    for faults in [false, true] {
+        for org in WordOrg::ALL {
+            let mut fault_counts = SwitchCounters::default();
+            for seed in 0..4u64 {
+                let s = 2 * n;
+                let offers = bursty_schedule(n, s, 6, 0x7E1E + seed);
+                let (off_d, off_c) = run_word(org, n, &offers, Sink::Off, faults);
+                let (null_d, null_c) = run_word(org, n, &offers, Sink::Null, faults);
+                let (rec_d, rec_c) = run_word(org, n, &offers, Sink::Bounded, faults);
+                let what = format!("{org} seed {seed} faults {faults}");
+                assert_eq!(off_d, null_d, "{what}: NullSink changed deliveries");
+                assert_eq!(off_c, null_c, "{what}: NullSink changed counters");
+                assert_eq!(off_d, rec_d, "{what}: Recorder changed deliveries");
+                assert_eq!(off_c, rec_c, "{what}: Recorder changed counters");
+                fault_counts.ecc_corrected += off_c.ecc_corrected;
+                fault_counts.bank_failovers += off_c.bank_failovers;
+                fault_counts.writes_suppressed += off_c.writes_suppressed;
+                fault_counts.corrupt_drops += off_c.corrupt_drops;
+            }
+            if faults {
+                assert!(fault_counts.ecc_corrected > 0, "{org}: no correction");
+                assert!(fault_counts.bank_failovers > 0, "{org}: no failover");
+            }
+            if faults && org == WordOrg::Pipelined {
+                assert!(fault_counts.writes_suppressed > 0, "no stuck write landed");
+                assert!(fault_counts.corrupt_drops > 0, "no packet was condemned");
+            }
         }
     }
 }
