@@ -436,9 +436,9 @@ impl Requests {
     #[inline]
     pub(crate) fn open(&mut self, c: Cycle) {
         let slot = c as usize & (self.wake.len() - 1);
-        let [reads, writes] = std::mem::take(&mut self.wake[slot]);
-        self.req[READS] |= reads;
-        self.req[WRITES] |= writes;
+        let wake = &mut self.wake[slot];
+        self.req[READS] |= std::mem::take(&mut wake[READS]);
+        self.req[WRITES] |= std::mem::take(&mut wake[WRITES]);
     }
 
     /// Has a requesting write passed its latch deadline at `c`? A front is

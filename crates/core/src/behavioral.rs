@@ -28,8 +28,10 @@
 //! cycle bounds its jump by [`BehavioralSwitch::next_tail`]. The scalar twin
 //! ([`crate::reference::BehavioralSwitchRef`]) pins departures, counters
 //! and probe streams byte-identical to the pre-rework model. One word per
-//! mask: [`BehavioralSwitch::new`] rejects more than 64 inputs. Each store
-//! entry's tag is the packet's `output_was_idle`.
+//! mask: [`BehavioralSwitch::new`] rejects more than 64 inputs. A packet
+//! may carry a payload `P`, kept by store slot and handed back with its
+//! departure (§3.3: a packet is stored once, and leaves as itself); a
+//! fabric element's cells ride here, and `P = ()` costs nothing.
 
 use crate::bufmgr::Entry;
 use crate::config::SwitchConfig;
@@ -77,15 +79,17 @@ impl Tag for bool {
     const STAGGER_FIRST: bool = false;
 }
 
-/// The behavioral switch.
+/// The behavioral switch, each packet carrying a payload `P`.
 #[derive(Debug)]
-pub struct BehavioralSwitch {
+pub struct BehavioralSwitch<P: Copy = ()> {
     cfg: SwitchConfig,
     stages: usize,
     /// The packet control (store, requests, arbiter, control plane).
     /// There are no memory words here, so its recovery ladder stays
     /// disarmed.
     core: PacketCore<bool>,
+    /// The payload of the packet in each store slot.
+    payloads: Vec<P>,
     /// Per-input: first cycle the link can carry a new header (`a + S`
     /// for the last header at `a`).
     free_at: Vec<Cycle>,
@@ -98,15 +102,14 @@ pub struct BehavioralSwitch {
     cycle: Cycle,
     /// Packets accepted so far; the next one's id is `accepted + 1`.
     accepted: u64,
-    /// Inputs whose header the last executed cycle accepted (bit `i` =
-    /// input `i`); cleared wherever `dep_mark` is reset.
-    admitted: u64,
     /// Every departure, written once at read initiation. One initiation
     /// per cycle and `done = rs + S` make done cycles strictly increasing
     /// in push order, so `departures[..committed]` is exactly the
     /// completed set and `departures[committed..]` the in-flight
     /// transmissions, in completion order.
     departures: Vec<BehavioralDeparture>,
+    /// The payload of each of `departures`, index for index.
+    carried: Vec<P>,
     /// Departures whose tail word has been transmitted.
     committed: usize,
     /// Index into `departures` where this cycle's completions start —
@@ -117,6 +120,35 @@ pub struct BehavioralSwitch {
 impl BehavioralSwitch {
     /// Build from a configuration (same struct as the RTL model).
     pub fn new(cfg: SwitchConfig) -> Self {
+        Self::carrying(cfg)
+    }
+
+    /// Advance one cycle. `arrivals[i] = Some(dst)` offers a new packet
+    /// header on input `i` (only when [`BehavioralSwitch::input_free`];
+    /// offering mid-packet panics — the caller owns link pacing, exactly
+    /// as with the RTL model). `id` tagging is internal.
+    ///
+    /// Returns the packets whose tail word completed this cycle. The
+    /// slice borrows internal scratch and is valid until the next tick.
+    pub fn tick(&mut self, arrivals: &[Option<usize>]) -> &[BehavioralDeparture] {
+        assert_eq!(arrivals.len(), self.cfg.n_in);
+        let offered = arrivals.iter().enumerate();
+        self.tick_carrying(offered.filter_map(|(i, d)| Some((i, (*d)?, ()))))
+    }
+
+    /// Like [`BehavioralSwitch::tick`] but arrivals carry destination
+    /// bitmasks (multicast parity with the RTL model).
+    pub fn tick_masks(&mut self, arrivals: &[Option<u32>]) -> &[BehavioralDeparture] {
+        assert_eq!(arrivals.len(), self.cfg.n_in);
+        let offered = arrivals.iter().enumerate();
+        self.dispatch_advance(offered.filter_map(|(i, m)| Some((i, (*m)?, ()))));
+        &self.departures[self.dep_mark..self.committed]
+    }
+}
+
+impl<P: Copy> BehavioralSwitch<P> {
+    /// Build from a configuration, each packet carrying a payload `P`.
+    pub fn carrying(cfg: SwitchConfig) -> Self {
         cfg.validate();
         // The kept request masks hold one bit per port (`validate` caps
         // `n_out` at 32).
@@ -129,13 +161,14 @@ impl BehavioralSwitch {
         BehavioralSwitch {
             stages: cfg.stages(),
             core: PacketCore::new(&cfg, RecoveryConfig::default(), 0),
+            payloads: Vec::new(),
             free_at: vec![0; cfg.n_in],
             links_free_at: 0,
             tx_next_done: Cycle::MAX,
             cycle: 0,
             accepted: 0,
-            admitted: 0,
             departures: Vec::new(),
+            carried: Vec::new(),
             committed: 0,
             dep_mark: 0,
             cfg,
@@ -158,47 +191,28 @@ impl BehavioralSwitch {
         self.cycle >= self.free_at[i]
     }
 
-    /// The inputs whose header the last [`BehavioralSwitch::tick`]
-    /// accepted into the pool, as a mask: bit `i` set for input `i`,
-    /// clear for an input that offered nothing or was refused. Zero after
-    /// [`BehavioralSwitch::tick_idle_batch`] or a fast-forward jump, as
-    /// after the idle ticks they stand for.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
     /// Packets queued for output `j` whose read has not begun.
     pub fn queue_len(&self, j: usize) -> usize {
         self.core.store.queue_len(j)
     }
 
-    /// Advance one cycle. `arrivals[i] = Some(dst)` offers a new packet
-    /// header on input `i` (only when [`BehavioralSwitch::input_free`];
-    /// offering mid-packet panics — the caller owns link pacing, exactly
-    /// as with the RTL model). `id` tagging is internal.
-    ///
-    /// Returns the packets whose tail word completed this cycle. The
-    /// slice borrows internal scratch and is valid until the next tick.
-    pub fn tick(&mut self, arrivals: &[Option<usize>]) -> &[BehavioralDeparture] {
+    /// Like [`BehavioralSwitch::tick`], offering `(input, dst, payload)`
+    /// for each arrival, in ascending input order; each departure's
+    /// payload is read off [`BehavioralSwitch::carried`].
+    pub fn tick_carrying(
+        &mut self,
+        arrivals: impl Iterator<Item = (usize, usize, P)>,
+    ) -> &[BehavioralDeparture] {
         let n_out = self.cfg.n_out;
-        self.dispatch_advance(arrivals.len(), |i| {
-            arrivals[i].map(|d| {
-                // Before the shift: in a release build `1 << 35` wraps to
-                // `1 << 3` and the packet would leave on output 3.
-                assert!(
-                    d < n_out,
-                    "input {i}: destination {d} out of range (n_out = {n_out})"
-                );
-                1u32 << d
-            })
-        });
-        &self.departures[self.dep_mark..self.committed]
-    }
-
-    /// Like [`BehavioralSwitch::tick`] but arrivals carry destination
-    /// bitmasks (multicast parity with the RTL model).
-    pub fn tick_masks(&mut self, arrivals: &[Option<u32>]) -> &[BehavioralDeparture] {
-        self.dispatch_advance(arrivals.len(), |i| arrivals[i]);
+        self.dispatch_advance(arrivals.map(|(i, d, p)| {
+            // Before the shift: in a release build `1 << 35` wraps to
+            // `1 << 3` and the packet would leave on output 3.
+            assert!(
+                d < n_out,
+                "input {i}: destination {d} out of range (n_out = {n_out})"
+            );
+            (i, 1u32 << d, p)
+        }));
         &self.departures[self.dep_mark..self.committed]
     }
 
@@ -208,62 +222,63 @@ impl BehavioralSwitch {
     /// branch is taken once per entry instead of several times per cycle.
     /// What also counts (`departed`, `drop`) is called in both, and pays
     /// the control plane's one predictable branch per packet.
-    /// `arrival(i)` is input `i`'s offered destination mask, so `tick`
-    /// and `tick_masks` share the kernel without a converted copy.
+    /// `arrivals` yields `(input, destination mask, payload)` in ascending
+    /// input order, so every tick shares the kernel without a converted
+    /// copy.
     #[inline]
-    fn dispatch_advance(&mut self, len: usize, arrival: impl Fn(usize) -> Option<u32>) {
-        assert_eq!(len, self.cfg.n_in);
+    fn dispatch_advance(&mut self, arrivals: impl Iterator<Item = (usize, u32, P)>) {
         if self.core.ctl.probed() {
-            self.advance::<true>(arrival);
+            self.advance::<true>(arrivals);
         } else {
-            self.advance::<false>(arrival);
+            self.advance::<false>(arrivals);
         }
     }
 
     /// One cycle of the model; this cycle's completed departures are
     /// `departures[dep_mark..committed]` afterwards.
     #[inline]
-    fn advance<const PROBED: bool>(&mut self, arrival: impl Fn(usize) -> Option<u32>) {
+    fn advance<const PROBED: bool>(&mut self, arrivals: impl Iterator<Item = (usize, u32, P)>) {
         let c = self.cycle;
         let s = self.stages as Cycle;
         self.dep_mark = self.committed;
-        self.admitted = 0;
 
         // 1. Completed transmission.
         self.complete_tx(c);
 
         // 2. Arrivals.
-        for i in 0..self.cfg.n_in {
-            if let Some(mask) = arrival(i) {
-                assert!(
-                    c >= self.free_at[i],
-                    "arrival offered mid-packet on input {i}"
-                );
-                let excess = mask.checked_shr(self.cfg.n_out as u32).unwrap_or(0);
-                assert!(mask != 0 && excess == 0, "bad destination mask {mask:#x}");
-                self.free_at[i] = c + s;
-                self.links_free_at = c + s;
-                let primary = mask.trailing_zeros() as usize;
-                // Every offered header counts as arrived (the RTL's
-                // convention); only an accepted one is announced, below.
-                // A refusal precedes the id, which numbers accepted
-                // packets: its drop event says 0, "no id".
-                self.core.ctl.counters.arrived += 1;
-                if !self.core.admit(c, 0, primary) {
-                    continue;
-                }
-                self.accepted += 1;
-                self.admitted |= 1 << i;
-                let id = self.accepted;
-                let output_was_idle = mask.count_ones() == 1
-                    && self.core.store.queue_len(primary) == 0
-                    && self.core.requests.output_free(primary, c + 1);
-                if PROBED {
-                    let (input, dst) = (i, primary);
-                    let event = ProbeEvent::HeaderArrived { input, id, dst };
-                    self.core.ctl.emit(c, event);
-                }
-                self.core.enqueue(id, i, mask, c, output_was_idle);
+        for (i, mask, payload) in arrivals {
+            assert!(
+                c >= self.free_at[i],
+                "arrival offered mid-packet on input {i}"
+            );
+            let excess = mask.checked_shr(self.cfg.n_out as u32).unwrap_or(0);
+            assert!(mask != 0 && excess == 0, "bad destination mask {mask:#x}");
+            self.free_at[i] = c + s;
+            self.links_free_at = c + s;
+            let primary = mask.trailing_zeros() as usize;
+            // Every offered header counts as arrived (the RTL's
+            // convention); only an accepted one is announced, below.
+            // A refusal precedes the id, which numbers accepted
+            // packets: its drop event says 0, "no id".
+            self.core.ctl.counters.arrived += 1;
+            if !self.core.admit(c, 0, primary) {
+                continue;
+            }
+            self.accepted += 1;
+            let id = self.accepted;
+            let output_was_idle = mask.count_ones() == 1
+                && self.core.store.queue_len(primary) == 0
+                && self.core.requests.output_free(primary, c + 1);
+            if PROBED {
+                let (input, dst) = (i, primary);
+                let event = ProbeEvent::HeaderArrived { input, id, dst };
+                self.core.ctl.emit(c, event);
+            }
+            let slot = self.core.enqueue(id, i, mask, c, output_was_idle);
+            // The store hands out a freed slot or the next new one.
+            match self.payloads.get_mut(slot) {
+                Some(p) => *p = payload,
+                None => self.payloads.push(payload),
             }
         }
 
@@ -290,7 +305,6 @@ impl BehavioralSwitch {
 
     fn idle_batch_impl<const PROBED: bool>(&mut self, n: u64) {
         self.dep_mark = self.committed;
-        self.admitted = 0;
         let end = self.cycle + n;
         while self.cycle < end {
             let c = self.cycle;
@@ -308,11 +322,11 @@ impl BehavioralSwitch {
         let g = self.core.grant::<PROBED>(c);
         if let Some(r) = g.read {
             self.core.start_read::<PROBED>(c, &r);
-            self.depart(c, r.j, &r.p);
+            self.depart(c, r.j, r.slot, &r.p);
         }
         if let Some(w) = g.write {
             if let Some(j) = w.fused {
-                self.depart(c, j, &w.p);
+                self.depart(c, j, w.slot, &w.p);
             }
         }
         if PROBED {
@@ -350,9 +364,9 @@ impl BehavioralSwitch {
             .map_or(Cycle::MAX, |d| d.done);
     }
 
-    /// Log packet `p`'s read on output `j`, started at `c`.
+    /// Log packet `p`'s read on output `j` from `slot`, started at `c`.
     #[inline]
-    fn depart(&mut self, c: Cycle, j: usize, p: &Entry<bool>) {
+    fn depart(&mut self, c: Cycle, j: usize, slot: usize, p: &Entry<bool>) {
         let done = c + self.stages as Cycle;
         self.tx_next_done = self.tx_next_done.min(done);
         self.departures.push(BehavioralDeparture {
@@ -364,11 +378,34 @@ impl BehavioralSwitch {
             done,
             output_was_idle: p.tag,
         });
+        self.carried.push(self.payloads[slot]);
     }
 
     /// All departures so far (accumulating).
     pub fn departures(&self) -> &[BehavioralDeparture] {
         &self.departures[..self.committed]
+    }
+
+    /// The payload of each of [`BehavioralSwitch::departures`], index for
+    /// index.
+    pub fn carried(&self) -> &[P] {
+        &self.carried[..self.committed]
+    }
+
+    /// The payloads inside the switch for output `j`, in departure order:
+    /// the packet whose tail is still on the link, then the queue's.
+    pub fn held(&self, j: usize) -> impl Iterator<Item = P> + '_ {
+        let on_link = self
+            .departures
+            .iter()
+            .zip(&self.carried)
+            .skip(self.committed);
+        let on_link = on_link.filter(move |(d, _)| d.output == j).map(|(_, &p)| p);
+        on_link.chain(
+            self.core.store.queues[j]
+                .iter()
+                .map(|&slot| self.payloads[slot]),
+        )
     }
 
     /// The cycle the next in-flight tail word leaves its output (`None`:
@@ -392,6 +429,7 @@ impl BehavioralSwitch {
             return;
         }
         self.departures.drain(..self.committed);
+        self.carried.drain(..self.committed);
         // `tx_next_done` caches a cycle, not an index, and the next
         // pending entry (if any) now sits at index 0 == `committed`.
         self.committed = 0;
@@ -421,7 +459,7 @@ impl BehavioralSwitch {
     }
 }
 
-impl simkernel::Horizon for BehavioralSwitch {
+impl<P: Copy> simkernel::Horizon for BehavioralSwitch<P> {
     fn now(&self) -> Cycle {
         self.cycle
     }
@@ -463,23 +501,22 @@ impl simkernel::Horizon for BehavioralSwitch {
             self.commit_tail();
         }
         // Dense idle ticking through the span leaves the completion
-        // window of the tick at `target - 1` (its tail, if one left then)
-        // and an empty admission mask; match that.
+        // window of the tick at `target - 1` (its tail, if one left
+        // then); match that.
         let last = self.committed.checked_sub(1).map(|k| &self.departures[k]);
         let tail_at_end = last.is_some_and(|d| d.done + 1 == target);
         self.dep_mark = self.committed - usize::from(tail_at_end);
-        self.admitted = 0;
         self.cycle = target;
     }
 }
 
-impl simkernel::BatchTick for BehavioralSwitch {
+impl<P: Copy> simkernel::BatchTick for BehavioralSwitch<P> {
     fn tick_idle_batch(&mut self, n: u64) {
         BehavioralSwitch::tick_idle_batch(self, n);
     }
 }
 
-crate::word::switch!(BehavioralSwitch, core.ctl);
+crate::word::switch!(impl[P: Copy] BehavioralSwitch<P>, core.ctl);
 
 #[cfg(test)]
 mod tests {
@@ -538,17 +575,17 @@ mod tests {
     }
 
     #[test]
-    fn admitted_names_the_inputs_that_got_a_slot() {
-        // Static pool, two slots, three headers: the first two offering
-        // inputs in port order take the slots.
-        let mut sw = BehavioralSwitch::new(SwitchConfig::symmetric(4, 2));
-        sw.tick(&[None, Some(0), Some(1), Some(2)]);
-        assert_eq!(sw.admitted(), 0b0110);
+    fn the_inputs_that_got_a_slot_hold_their_payloads() {
+        // Each input offers its own number as the payload. Static pool,
+        // two slots, three headers: the first two offering inputs in port
+        // order take the slots.
+        let held = |sw: &BehavioralSwitch<usize>| -> Vec<usize> {
+            (0..4).flat_map(|j| sw.held(j)).collect()
+        };
+        let mut sw = BehavioralSwitch::carrying(SwitchConfig::symmetric(4, 2));
+        sw.tick_carrying([(1, 0, 1), (2, 1, 2), (3, 2, 3)].into_iter());
+        assert_eq!(held(&sw), vec![1, 2]);
         assert_eq!(sw.counters().dropped_buffer_full, 1);
-        // An idle tick, like an idle batch, describes a cycle that
-        // admitted nothing.
-        sw.tick(&[None; 4]);
-        assert_eq!(sw.admitted(), 0);
 
         // Dynamic Thresholds (α = 1, four slots): inputs 0 and 1 queue
         // for output 0, input 2 is refused behind that queue (2 ≥ 2 free
@@ -556,12 +593,15 @@ mod tests {
         // slot — an admission set no port-order prefix describes.
         let cfg =
             SwitchConfig::symmetric(4, 4).with_policy(crate::PolicyKind::dynamic_thresholds());
-        let mut sw = BehavioralSwitch::new(cfg);
-        sw.tick(&[Some(0), Some(0), Some(0), Some(1)]);
-        assert_eq!(sw.admitted(), 0b1011);
+        let mut sw = BehavioralSwitch::carrying(cfg);
+        sw.tick_carrying((0..4).map(|i| (i, i / 3, i)));
+        assert_eq!(held(&sw), vec![0, 1, 3]);
         assert_eq!((sw.counters().policy_drops, sw.occupancy()), (1, 3));
-        sw.tick_idle_batch(1);
-        assert_eq!(sw.admitted(), 0);
+        // Drained, each leaves with its own payload, once.
+        let mut out = Vec::new();
+        sw.drain_into(200, &mut out).expect("drain");
+        assert_eq!(sw.carried(), [0, 3, 1]);
+        assert!(held(&sw).is_empty());
     }
 
     #[test]

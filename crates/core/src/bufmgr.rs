@@ -59,7 +59,8 @@ pub struct BufferManager<T> {
     /// Kept beside the entries so the hot readiness refresh reads one word.
     write_start: Vec<Cycle>,
     free: Vec<usize>,
-    queues: Vec<VecDeque<usize>>,
+    /// Per output, the queued slots, head first.
+    pub(crate) queues: Vec<VecDeque<usize>>,
 }
 
 impl<T: Copy> BufferManager<T> {

@@ -59,9 +59,13 @@ pub trait WordSwitch: Switch {
 /// the facade crate call them without the trait in scope) and the
 /// [`Switch`] impl, which delegates to the control plane (at the field
 /// path given) or to the model's own inherent method of the same name.
+/// A generic model names its parameters first: `impl[P: Copy] Model<P>`.
 macro_rules! switch {
     ($t:ty, $($ctl:ident).+) => {
-        impl $t {
+        crate::word::switch!(impl[] $t, $($ctl).+);
+    };
+    (impl[$($g:tt)*] $t:ty, $($ctl:ident).+) => {
+        impl<$($g)*> $t {
             /// Attach a probe sink; every subsequent tick streams
             /// structured [`telemetry::ProbeEvent`]s into it. With no
             /// probe attached the emission sites cost one predictable
@@ -81,7 +85,7 @@ macro_rules! switch {
             }
         }
 
-        impl crate::word::Switch for $t {
+        impl<$($g)*> crate::word::Switch for $t {
             fn counters(&self) -> crate::events::SwitchCounters {
                 self.$($ctl).+.counters
             }

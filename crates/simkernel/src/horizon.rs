@@ -129,15 +129,26 @@ pub trait Horizon {
 ///
 /// Bit-exact with dense stepping by the [`Horizon`] contract; the only
 /// observable difference is wall time. Skipped/executed cycle counts
-/// fold into the process-wide efficiency counters. On a saturated model
-/// the horizon demands dense stepping almost every cycle; consecutive
-/// dense rounds escalate the batch length (up to 8×
+/// fold into the process-wide efficiency counters once per call. On a
+/// saturated model the horizon demands dense stepping almost every
+/// cycle; consecutive dense rounds escalate the batch length (up to 8×
 /// [`DENSE_FALLTHROUGH`]) so the horizon query itself drops out of the
 /// per-cycle cost. Escalation only ever *executes* cycles it might
 /// instead have skipped — never skips cycles it should have executed —
 /// so bit-exactness is unconditional.
 pub fn advance_to_batched<M: Horizon + BatchTick>(m: &mut M, target: Cycle) {
+    let (executed, skipped) = advance_tallied(m, target);
+    note_executed(executed);
+    note_skipped(skipped);
+}
+
+/// [`advance_to_batched`] without the counter update: returns the cycles
+/// it executed and skipped, for a caller that folds many advances into
+/// one add. The counters are process-global, and a locked add per
+/// advance costs a fabric element ≈ 7 % of its time.
+pub fn advance_tallied<M: Horizon + BatchTick>(m: &mut M, target: Cycle) -> (u64, u64) {
     let mut streak: u64 = 0;
+    let (mut executed, mut skipped) = (0u64, 0u64);
     while m.now() < target {
         let now = m.now();
         let stop = match m.next_event() {
@@ -155,13 +166,14 @@ pub fn advance_to_batched<M: Horizon + BatchTick>(m: &mut M, target: Cycle) {
                 streak += 1;
                 m.tick_idle_batch(run_end - now);
                 debug_assert!(m.now() == run_end, "tick_idle_batch must advance n cycles");
-                note_executed(run_end - now);
+                executed += run_end - now;
                 continue;
             }
         };
-        note_skipped(stop - now);
+        skipped += stop - now;
         m.jump_to(stop);
     }
+    (executed, skipped)
 }
 
 /// Drain `m` to quiescence under a watchdog, fast-forwarding across the

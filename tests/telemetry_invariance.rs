@@ -111,8 +111,9 @@ fn build(
 /// attached; returns the delivery stream plus counters. With `faults`,
 /// ECC arms with one spare that takes over at a bank's first correction
 /// and single-bit upsets rain on the slots; the pipelined RTL also gets
-/// hardened framing, the egress payload check, a stuck write at stage 1
-/// and every seventh packet cut one word short.
+/// hardened framing, the egress payload check, a stuck write at stage 1,
+/// every seventh packet cut one word short and every eleventh headed for
+/// an output that does not exist.
 fn run_word(
     org: WordOrg,
     n: usize,
@@ -169,6 +170,9 @@ fn run_word(
             let mut p = Packet::synth(o.id, o.input, o.dst, s, now);
             if rtl_faults && o.id.is_multiple_of(7) {
                 p.words.pop();
+            }
+            if rtl_faults && o.id.is_multiple_of(11) {
+                p.words[0] = Packet::encode_header(n, o.id);
             }
             current[o.input] = Some((p.words, 0));
         }
