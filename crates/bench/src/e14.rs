@@ -19,8 +19,7 @@ pub fn run(_quick: bool) -> String {
         &format!(
             "\nTelegraphos III geometry (2n=16, M=256): {}x — the paper's '16 times more'.\n\
              Shift-register banks would not help: one dynamic shift-register bit is {}x\n\
-             a 3-transistor dynamic RAM bit, and shift registers preclude cut-through\n\
-             (demonstrated executably by membank::shiftreg).\n",
+             a 3-transistor dynamic RAM bit, and shift registers preclude cut-through.\n",
             prizma_crossbar_ratio(8, 256),
             shift_register_vs_dram3t_bit()
         ),

@@ -7,8 +7,9 @@
 //! correction threshold) and reports what graceful degradation actually
 //! cost:
 //!
-//! - **MTTR** — mean length (cycles) of the declared recovery windows
-//!   ([`switch_core::recovery::RecoveryWindows::mean_len`]);
+//! - **MTTR** — mean length (cycles) of the declared recovery windows:
+//!   the switch's windows and the link-retry windows pooled, total
+//!   window cycles over episodes;
 //! - **in-window loss** — packets shed at admission inside a window plus
 //!   frames the link-retry machinery abandoned (`shed + give-ups`), the
 //!   loss the conformance oracle excuses as *declared*;
