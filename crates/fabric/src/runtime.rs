@@ -117,7 +117,6 @@ const RUN_AHEAD: u64 = 8;
 /// A multi-stage network instantiated with real elements.
 pub struct Fabric {
     topo: Topology,
-    kind: ElementKind,
     latency: u64,
     cell_time: u64,
     sample_every: u64,
@@ -719,7 +718,6 @@ impl Fabric {
             sample_every: DEFAULT_SAMPLE_EVERY,
             ups: Upstream::new(&topo),
             topo,
-            kind,
             elements,
         }
     }
@@ -744,19 +742,9 @@ impl Fabric {
         &self.topo
     }
 
-    /// The element organization.
-    pub fn kind(&self) -> ElementKind {
-        self.kind
-    }
-
     /// Cycles per injection slot (the link occupancy of one cell).
     pub fn cell_time(&self) -> u64 {
         self.cell_time
-    }
-
-    /// Link latency in cycles (= sync window width).
-    pub fn link_latency(&self) -> u64 {
-        self.latency
     }
 
     /// Windows needed to cover `slots` injection slots plus `drain`
@@ -1098,7 +1086,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let mut f = Fabric::new(topo::omega(2, 3), ElementKind::Scalar { capacity: None });
-            let at = 3 * f.link_latency();
+            let at = 3 * f.latency;
             f.elements[0] = Box::new(PanicsAt { at });
             let _ = tx.send(f.try_run(200, 20, &uniform(4), 2));
         });
