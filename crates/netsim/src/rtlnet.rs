@@ -77,11 +77,6 @@ impl RtlChain {
         self.switches.len()
     }
 
-    /// Words per packet.
-    pub fn packet_words(&self) -> usize {
-        self.stages_per_switch
-    }
-
     /// Install a circuit across the whole chain: at hop `h`, label
     /// `labels[h]` maps to (`links[h]`, `labels[h+1]`). `labels` has one
     /// more entry than hops (the final label is host-facing).
@@ -147,11 +142,6 @@ impl RtlChain {
         self.cycle += 1;
     }
 
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.cycle
-    }
-
     /// True when every switch is empty and all wires idle.
     pub fn is_quiescent(&self) -> bool {
         self.switches.iter().all(|s| s.inner().is_quiescent())
@@ -174,11 +164,6 @@ impl RtlChain {
                 }
             })
             .collect()
-    }
-
-    /// Total packets dropped at any hop for lack of a circuit.
-    pub fn dangling_drops(&self) -> u64 {
-        self.switches.iter().map(|s| s.dangling_drops).sum()
     }
 }
 
@@ -212,7 +197,7 @@ mod tests {
         let mut chain = RtlChain::new(SwitchConfig::symmetric(2, 8), 3, 64);
         // Circuit: in on label 5; hop labels 5→9→13→21; path 1, 0, 1.
         chain.install_circuit(&[5, 9, 13, 21], &[1, 0, 1]);
-        let s = chain.packet_words();
+        let s = chain.stages_per_switch;
         let words = host_packet(77, 5, s);
         for &w in words.iter().take(s) {
             chain.tick(&[Some(w), None]);
@@ -227,7 +212,10 @@ mod tests {
         for (k, w) in d.words.iter().enumerate().skip(1) {
             assert_eq!(*w, Packet::payload_word(77, k), "payload intact");
         }
-        assert_eq!(chain.dangling_drops(), 0);
+        assert_eq!(
+            chain.switches.iter().map(|s| s.dangling_drops).sum::<u64>(),
+            0
+        );
     }
 
     #[test]
@@ -239,7 +227,7 @@ mod tests {
         // cut-through figure.
         let mut chain = RtlChain::new(SwitchConfig::symmetric(2, 8), 3, 64);
         chain.install_circuit(&[5, 9, 13, 21], &[0, 0, 0]);
-        let s = chain.packet_words();
+        let s = chain.stages_per_switch;
         let words = host_packet(1, 5, s);
         for &w in words.iter().take(s) {
             chain.tick(&[Some(w), None]);
@@ -261,14 +249,18 @@ mod tests {
         // Install only the first two hops.
         chain.switches[0].rt().install(5, 1, 9);
         chain.switches[1].rt().install(9, 0, 13);
-        let s = chain.packet_words();
+        let s = chain.stages_per_switch;
         let words = host_packet(3, 5, s);
         for &w in words.iter().take(s) {
             chain.tick(&[Some(w), None]);
         }
         drain(&mut chain);
         assert!(chain.take_deliveries().is_empty());
-        assert_eq!(chain.dangling_drops(), 1, "dropped exactly at hop 3");
+        assert_eq!(
+            chain.switches.iter().map(|s| s.dangling_drops).sum::<u64>(),
+            1,
+            "dropped exactly at hop 3"
+        );
     }
 
     #[test]
@@ -279,7 +271,7 @@ mod tests {
         // different links.
         chain.install_circuit(&[1, 2, 3], &[0, 0]);
         chain.install_circuit(&[11, 12, 13], &[1, 1]);
-        let s = chain.packet_words();
+        let s = chain.stages_per_switch;
         let mut rng = SplitMix64::new(8);
         let mut current: Vec<Option<(Vec<u64>, usize)>> = vec![None, None];
         let mut sent = [0u64; 2];
@@ -320,7 +312,10 @@ mod tests {
         drain(&mut chain);
         let out = chain.take_deliveries();
         assert_eq!(out.len() as u64, sent[0] + sent[1]);
-        assert_eq!(chain.dangling_drops(), 0);
+        assert_eq!(
+            chain.switches.iter().map(|s| s.dangling_drops).sum::<u64>(),
+            0
+        );
         // Circuit isolation: everything from circuit A exits on link 0
         // with label 3, circuit B on link 1 with label 13.
         for d in &out {

@@ -274,11 +274,6 @@ impl WormholeMesh {
         }
     }
 
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.cycle
-    }
-
     /// Advance one cycle.
     pub fn tick(&mut self) {
         let n = self.routers.len();
@@ -492,11 +487,6 @@ impl WormholeMesh {
             .sum::<f64>()
             / self.delivered.len() as f64
     }
-
-    /// Messages fully delivered.
-    pub fn messages_delivered(&self) -> usize {
-        self.delivered.len()
-    }
 }
 
 #[cfg(test)]
@@ -513,7 +503,7 @@ mod tests {
         mesh.next_msg += 1;
         mesh.src_q[0].push_back((3, 3, 0, 5, mesh.next_msg));
         mesh.run(200);
-        assert_eq!(mesh.messages_delivered(), 1);
+        assert_eq!(mesh.delivered.len(), 1);
         let (birth, done) = mesh.delivered[0];
         // 6 hops + 5 flits + per-hop pipelining: latency bounded sanely.
         assert!(done - birth >= 10, "too fast: {}", done - birth);
@@ -530,7 +520,7 @@ mod tests {
         mesh.run(20_000);
         assert!(mesh.generated > 50);
         assert_eq!(
-            mesh.messages_delivered() as u64,
+            mesh.delivered.len() as u64,
             mesh.generated,
             "wormhole must not lose or deadlock messages on a mesh"
         );
@@ -615,7 +605,7 @@ mod torus_tests {
         mesh.run(30_000);
         assert!(mesh.generated > 300, "workload too thin");
         assert_eq!(
-            mesh.messages_delivered() as u64,
+            mesh.delivered.len() as u64,
             mesh.generated,
             "torus lost or deadlocked messages"
         );
