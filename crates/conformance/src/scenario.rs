@@ -298,17 +298,6 @@ impl Scenario {
         self
     }
 
-    /// The same scenario under the given buffer-sharing policy. Forces
-    /// open-loop offers for non-static policies (policy drops would leak
-    /// credits).
-    pub fn with_policy(mut self, policy: PolicyKind) -> Scenario {
-        self.policy = policy;
-        if !policy.is_static() {
-            self.credited = false;
-        }
-        self
-    }
-
     /// Replacement offer schedule (shrinker helper); geometry untouched.
     pub fn with_offers(&self, offers: Vec<Offer>) -> Scenario {
         Scenario {
@@ -475,7 +464,8 @@ mod tests {
     #[test]
     fn display_names_the_policy_for_the_shrinker() {
         for kind in PolicyKind::all_default() {
-            let sc = Scenario::generate(11).with_policy(kind);
+            let mut sc = Scenario::generate(11);
+            sc.policy = kind;
             let header = format!("{sc}");
             let header = header.lines().next().unwrap().to_string();
             assert!(
@@ -484,15 +474,6 @@ mod tests {
                 kind.token()
             );
         }
-    }
-
-    #[test]
-    fn with_policy_forces_open_loop_for_non_static() {
-        let base = Scenario::generate(3);
-        let dt = base.clone().with_policy(PolicyKind::dynamic_thresholds());
-        assert!(!dt.credited);
-        let st = base.clone().with_policy(PolicyKind::Static);
-        assert_eq!(st.credited, base.credited);
     }
 
     #[test]
