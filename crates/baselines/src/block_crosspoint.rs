@@ -55,11 +55,6 @@ impl BlockCrosspointSwitch {
     fn group_of(&self, port: usize) -> usize {
         port / (self.n / self.g)
     }
-
-    /// Occupancy of one block's pool.
-    pub fn block_occupancy(&self, bi: usize, bo: usize) -> usize {
-        self.pool_used[bi * self.g + bo]
-    }
 }
 
 impl CellSwitch for BlockCrosspointSwitch {
@@ -158,7 +153,7 @@ mod tests {
         );
         assert_eq!(sw.dropped(), 1);
         // Meanwhile block (1,1) was unaffected.
-        assert_eq!(sw.block_occupancy(1, 1), 0);
+        assert_eq!(sw.pool_used[sw.g + 1], 0);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl InputFifoSwitch {
             dropped: 0,
         }
     }
-
-    /// Length of one input queue.
-    pub fn queue_len(&self, i: usize) -> usize {
-        self.inputs.queues[i].len()
-    }
 }
 
 impl CellSwitch for InputFifoSwitch {
@@ -183,7 +178,7 @@ mod tests {
             );
             // Put →1 behind input 0's head (if it still has one queued).
             sw.tick(1, &Row::from([Some(cell(3, 0, 1)), None]), &mut out);
-            if sw.queue_len(0) > 0 && out.get(1).is_none() {
+            if !sw.inputs.queues[0].is_empty() && out.get(1).is_none() {
                 blocked_seen = true;
             }
         }
@@ -208,7 +203,11 @@ mod tests {
             &mut out2,
         );
         // Loser still queued; next arrival on its input overflows.
-        let loser = if sw2.queue_len(0) > 0 { 0 } else { 1 };
+        let loser = if !sw2.inputs.queues[0].is_empty() {
+            0
+        } else {
+            1
+        };
         let mut arr = Row::new(2);
         arr.put(loser, cell(3, loser, 1));
         sw2.tick(1, &arr, &mut out2);

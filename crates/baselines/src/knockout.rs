@@ -44,11 +44,6 @@ impl KnockoutSwitch {
             staging: vec![Vec::new(); n],
         }
     }
-
-    /// Cells lost in the concentrators.
-    pub fn knocked_out(&self) -> u64 {
-        self.dropped_knockout
-    }
 }
 
 impl CellSwitch for KnockoutSwitch {
@@ -110,7 +105,7 @@ mod tests {
         let mut out = Row::new(4);
         let arr: Row = (0..4).map(|i| Some(cell(i as u64, i, 0))).collect();
         sw.tick(0, &arr, &mut out);
-        assert_eq!(sw.knocked_out(), 2, "4 arrivals, l=2 → 2 knocked out");
+        assert_eq!(sw.dropped_knockout, 2, "4 arrivals, l=2 → 2 knocked out");
         assert!(out.get(0).is_some());
         assert_eq!(sw.occupancy(), 1);
     }
@@ -121,7 +116,7 @@ mod tests {
         let mut out = Row::new(4);
         let arr: Row = (0..4).map(|i| Some(cell(i as u64, i, 0))).collect();
         sw.tick(0, &arr, &mut out);
-        assert_eq!(sw.knocked_out(), 0);
+        assert_eq!(sw.dropped_knockout, 0);
     }
 
     #[test]
@@ -144,7 +139,7 @@ mod tests {
                 .collect();
             sw.tick(now, &arr, &mut out);
         }
-        let loss = sw.knocked_out() as f64 / offered as f64;
+        let loss = sw.dropped_knockout as f64 / offered as f64;
         assert!(loss < 1e-3, "knockout loss {loss} too high for l=8");
     }
 }

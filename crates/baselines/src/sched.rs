@@ -29,9 +29,6 @@ pub trait Scheduler {
     /// input `i` (`None` if unmatched). The result must be a matching: no
     /// output granted to two inputs.
     fn schedule(&mut self, rows: &[PortMask], cols: &[PortMask], match_out: &mut [Option<usize>]);
-
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Parallel Iterative Matching (\[AOST93\]): each iteration, every
@@ -90,10 +87,6 @@ impl Scheduler for PimScheduler {
             }
             free_in &= !granted;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "pim"
     }
 }
 
@@ -159,10 +152,6 @@ impl Scheduler for IslipScheduler {
             free_in &= !granted;
         }
     }
-
-    fn name(&self) -> &'static str {
-        "islip"
-    }
 }
 
 /// Two-dimensional round robin (\[LaSe95\]): sweep a rotating generalized
@@ -218,30 +207,26 @@ impl Scheduler for Rr2dScheduler {
         }
         self.phase = (self.phase + 1) % n;
     }
-
-    fn name(&self) -> &'static str {
-        "2drr"
-    }
-}
-
-/// Check that `match_out` is a valid matching consistent with the
-/// per-input request masks `rows`.
-pub fn is_valid_matching(rows: &[PortMask], match_out: &[Option<usize>]) -> bool {
-    let mut used: PortMask = 0;
-    for (i, m) in match_out.iter().enumerate() {
-        if let Some(j) = *m {
-            if j >= rows.len() || (used | !rows[i]) & port_bit(j) != 0 {
-                return false;
-            }
-            used |= port_bit(j);
-        }
-    }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Check that `match_out` is a valid matching consistent with the
+    /// per-input request masks `rows`.
+    fn is_valid_matching(rows: &[PortMask], match_out: &[Option<usize>]) -> bool {
+        let mut used: PortMask = 0;
+        for (i, m) in match_out.iter().enumerate() {
+            if let Some(j) = *m {
+                if j >= rows.len() || (used | !rows[i]) & port_bit(j) != 0 {
+                    return false;
+                }
+                used |= port_bit(j);
+            }
+        }
+        true
+    }
 
     /// The request matrix `requests[i * n + j]` as (row, column) masks.
     fn masks(n: usize, requests: &[bool]) -> (Vec<PortMask>, Vec<PortMask>) {
@@ -264,20 +249,19 @@ mod tests {
         m
     }
 
-    fn run_all(n: usize, requests: &[bool]) -> Vec<(String, Vec<Option<usize>>)> {
+    /// The schedulers' names, in the order every test lists them.
+    const NAMES: [&str; 3] = ["pim", "islip", "2drr"];
+
+    fn run_all(n: usize, requests: &[bool]) -> Vec<(&'static str, Vec<Option<usize>>)> {
         let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
             Box::new(PimScheduler::new(4, 1)),
             Box::new(IslipScheduler::new(n, 4)),
             Box::new(Rr2dScheduler::new()),
         ];
-        schedulers
-            .iter_mut()
-            .map(|s| {
-                (
-                    s.name().to_string(),
-                    schedule_bools(s.as_mut(), n, requests),
-                )
-            })
+        NAMES
+            .into_iter()
+            .zip(&mut schedulers)
+            .map(|(name, s)| (name, schedule_bools(s.as_mut(), n, requests)))
             .collect()
     }
 
@@ -396,10 +380,9 @@ mod tests {
                 // Sparse, medium, dense and full matrices in turn.
                 let density = [0.05, 0.4, 0.9, 1.0][round % 4];
                 let requests: Vec<bool> = (0..n * n).map(|_| rng.chance(density)).collect();
-                for (mask_form, reference) in pairs.iter_mut() {
+                for (name, (mask_form, reference)) in NAMES.into_iter().zip(&mut pairs) {
                     let got = schedule_bools(mask_form.as_mut(), n, &requests);
                     let want = reference.schedule(n, &requests);
-                    let name = mask_form.name();
                     assert_eq!(got, want, "{name}, n = {n}, matrix {round}");
                     assert!(is_valid_matching(&masks(n, &requests).0, &got), "{name}");
                 }
@@ -457,15 +440,10 @@ mod tests {
             Box::new(IslipScheduler::new(n, n)),
             Box::new(Rr2dScheduler::new()),
         ];
-        for s in schedulers.iter_mut() {
+        for (name, s) in NAMES.into_iter().zip(&mut schedulers) {
             let m = schedule_bools(s.as_mut(), n, &req);
             let matched = m.iter().flatten().count();
-            assert_eq!(
-                matched,
-                n,
-                "{} left ports unmatched under full load",
-                s.name()
-            );
+            assert_eq!(matched, n, "{name} left ports unmatched under full load");
         }
     }
 

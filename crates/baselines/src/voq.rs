@@ -49,16 +49,6 @@ impl<S: Scheduler> VoqSwitch<S> {
             matching: vec![None; n],
         }
     }
-
-    /// Total cells buffered at one input.
-    pub fn input_occupancy(&self, i: usize) -> usize {
-        self.held[i]
-    }
-
-    /// Access the scheduler (e.g. to read its name).
-    pub fn scheduler(&self) -> &S {
-        &self.sched
-    }
 }
 
 impl<S: Scheduler> CellSwitch for VoqSwitch<S> {
@@ -174,7 +164,7 @@ mod tests {
         );
         // The unmatched input still holds its cell; a new arrival there
         // exceeds capacity 1.
-        let loser = if sw.input_occupancy(0) > 0 { 0 } else { 1 };
+        let loser = if sw.held[0] > 0 { 0 } else { 1 };
         let mut arr = Row::new(2);
         arr.put(loser, cell(3, loser, 1));
         sw.tick(1, &arr, &mut out);
@@ -231,7 +221,7 @@ mod tests {
             sw.tick(now, &arr, &mut out);
             for i in 0..n {
                 let lens = (0..n).map(|j| sw.queues[i * n + j].len());
-                assert_eq!(sw.input_occupancy(i), lens.sum::<usize>());
+                assert_eq!(sw.held[i], lens.sum::<usize>());
                 for j in 0..n {
                     let backlog = !sw.queues[i * n + j].is_empty();
                     assert_eq!(
