@@ -111,22 +111,6 @@ impl SwitchConfig {
         self
     }
 
-    /// The Telegraphos III configuration (§4.4): 8×8, 16 stages, 256
-    /// packet slots of 256 bits (16 words × 16 bits).
-    pub fn telegraphos_iii() -> Self {
-        SwitchConfig::symmetric(8, 256)
-    }
-
-    /// The Telegraphos I/II configuration (§4.1–4.2): 4×4, 8 stages.
-    /// Telegraphos I buffers 8-byte packets in 8 SRAM chips (8-bit words);
-    /// Telegraphos II 16-byte packets in 8 compiled SRAMs (16-bit words,
-    /// 256 slots).
-    pub fn telegraphos_i() -> Self {
-        let mut c = SwitchConfig::symmetric(4, 256);
-        c.word_bits = 8;
-        c
-    }
-
     /// Number of pipeline stages = packet size in words (the quantum).
     pub fn stages(&self) -> usize {
         self.n_in + self.n_out
@@ -182,7 +166,8 @@ mod tests {
 
     #[test]
     fn telegraphos_iii_capacity_is_64_kbit() {
-        let c = SwitchConfig::telegraphos_iii();
+        // Telegraphos III (§4.4): 8×8, 256 packet slots of 16 × 16 bits.
+        let c = SwitchConfig::symmetric(8, 256);
         c.validate();
         assert_eq!(c.stages(), 16);
         assert_eq!(c.capacity_bits(), 65_536, "the paper's 64 Kbit buffer");

@@ -87,7 +87,7 @@ impl<T> CreditedInput<T> {
 
     /// Credits granted by the receiver but still in flight on the
     /// (modeled) reverse wire.
-    pub fn in_flight_credits(&self) -> u32 {
+    fn in_flight_credits(&self) -> u32 {
         self.returning.iter().map(|&(_, n)| n).sum()
     }
 

@@ -5,8 +5,6 @@
 //! (`telemetry::ProbeEvent`) — there is no separate switch-level event
 //! enum; this module keeps only what the models themselves store.
 
-use std::fmt;
-
 /// Why the integrity machinery condemned a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntegrityReason {
@@ -19,17 +17,6 @@ pub enum IntegrityReason {
     BadHeader,
     /// A payload word deviated from the synthetic payload rule.
     PayloadMismatch,
-}
-
-impl fmt::Display for IntegrityReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            IntegrityReason::ChecksumMismatch => "checksum mismatch",
-            IntegrityReason::TruncatedPacket => "truncated packet",
-            IntegrityReason::BadHeader => "bad header",
-            IntegrityReason::PayloadMismatch => "payload mismatch",
-        })
-    }
 }
 
 /// Aggregate statistics maintained by the switch models.
@@ -128,17 +115,5 @@ mod tests {
         // pre-transmission drops leave the in-flight population.
         assert_eq!(c.in_flight(), 2);
         assert_eq!(c.integrity_detections(), 2);
-    }
-
-    #[test]
-    fn integrity_display_forms() {
-        assert_eq!(
-            IntegrityReason::ChecksumMismatch.to_string(),
-            "checksum mismatch"
-        );
-        assert_eq!(
-            IntegrityReason::TruncatedPacket.to_string(),
-            "truncated packet"
-        );
     }
 }

@@ -65,12 +65,6 @@ impl FaultKind {
     }
 }
 
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// One scheduled fault: what to do, with every parameter pre-drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
@@ -169,16 +163,6 @@ impl FaultPlan {
             faults.push_back(Fault { at, action });
         }
         FaultPlan { faults }
-    }
-
-    /// Total faults scheduled.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// True when nothing is scheduled (or everything has fired).
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 
     /// Cycle of the earliest fault still scheduled, if any. Lets a
@@ -323,7 +307,7 @@ mod tests {
         let a = FaultPlan::generate(FaultKind::BankUpset, 0.01, 5_000, &cfg(), 42);
         let b = FaultPlan::generate(FaultKind::BankUpset, 0.01, 5_000, &cfg(), 42);
         assert_eq!(a.faults, b.faults);
-        assert!(!a.is_empty(), "0.01 × 5000 cycles yields faults");
+        assert!(!a.faults.is_empty(), "0.01 × 5000 cycles yields faults");
     }
 
     #[test]
@@ -352,7 +336,7 @@ mod tests {
     #[test]
     fn take_due_into_pops_in_order() {
         let mut p = FaultPlan::generate(FaultKind::CreditLoss, 0.2, 100, &cfg(), 9);
-        let total = p.len();
+        let total = p.faults.len();
         let mut seen = 0;
         let mut due = Vec::new();
         for now in 0..100 {
@@ -363,7 +347,7 @@ mod tests {
             }
         }
         assert_eq!(seen, total);
-        assert!(p.is_empty());
+        assert!(p.faults.is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! target different halves.
 
 use membank::pipelined::{CompletedRead, PipelinedMemory, WaveOp};
-use simkernel::ids::{Addr, Cycle};
+use simkernel::ids::Addr;
 use std::fmt;
 
 /// Which of the two half-buffers a packet lives in.
@@ -127,11 +127,6 @@ impl HalfQuantumBuffer {
     /// Packet size in words (= stages per half).
     pub fn packet_words(&self) -> usize {
         self.mems[0].stages()
-    }
-
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.mems[0].now()
     }
 
     fn check_write(&self, h: Half) -> Result<(), HalfQError> {

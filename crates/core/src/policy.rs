@@ -263,11 +263,6 @@ impl PolicyEngine {
     pub fn is_static(&self) -> bool {
         self.kind.is_static()
     }
-
-    /// The config-level kind this engine runs.
-    pub fn kind(&self) -> PolicyKind {
-        self.kind
-    }
 }
 
 /// Evict from the longest queue, or refuse when every queue is empty.
@@ -399,7 +394,7 @@ mod tests {
     fn tokens_round_trip_and_engine_kinds_agree() {
         for kind in PolicyKind::all_default() {
             assert_eq!(PolicyKind::parse(kind.token()), Some(kind));
-            assert_eq!(kind.engine(4, 8).kind(), kind);
+            assert_eq!(kind.engine(4, 8).kind, kind);
             assert_eq!(kind.engine(4, 8).is_static(), kind.is_static());
         }
         assert_eq!(PolicyKind::parse("nonsense"), None);

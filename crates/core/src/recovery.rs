@@ -82,7 +82,8 @@ impl RecoveryConfig {
 /// cycles during which the switch was *recovering* (failover settle,
 /// degraded admission, link replay) and loss is excused. Overlapping or
 /// abutting openings merge into one span, so `count()` is the number of
-/// distinct recovery episodes and `mean_len()` is the MTTR in cycles.
+/// distinct recovery episodes and `total_cycles() / count()` is the MTTR
+/// in cycles.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryWindows {
     spans: Vec<(Cycle, Cycle)>,
@@ -117,11 +118,6 @@ impl RecoveryWindows {
             .is_some_and(|&(s, u)| now >= s && now <= u)
     }
 
-    /// Did any window cover cycle `c`?
-    pub fn contains(&self, c: Cycle) -> bool {
-        self.spans.iter().any(|&(s, u)| c >= s && c <= u)
-    }
-
     /// Distinct recovery episodes.
     pub fn count(&self) -> usize {
         self.spans.len()
@@ -130,16 +126,6 @@ impl RecoveryWindows {
     /// Total cycles spent inside windows.
     pub fn total_cycles(&self) -> u64 {
         self.spans.iter().map(|&(s, u)| u - s + 1).sum()
-    }
-
-    /// Mean time to recover: mean window length in cycles (`None` when no
-    /// window ever opened).
-    pub fn mean_len(&self) -> Option<f64> {
-        if self.spans.is_empty() {
-            None
-        } else {
-            Some(self.total_cycles() as f64 / self.spans.len() as f64)
-        }
     }
 
     /// The closed spans, in cycle order.
@@ -392,16 +378,15 @@ mod tests {
     #[test]
     fn windows_merge_and_measure() {
         let mut w = RecoveryWindows::new();
-        assert!(w.mean_len().is_none());
+        assert!(w.spans().is_empty());
         w.open(100, 10); // [100,110]
         w.open(105, 10); // extends to [100,115]
         assert_eq!(w.count(), 1);
         assert!(w.active(115) && !w.active(116));
         w.open(200, 4); // [200,204]
         assert_eq!(w.count(), 2);
-        assert!(w.contains(103) && w.contains(204) && !w.contains(150));
+        assert_eq!(w.spans(), [(100, 115), (200, 204)]);
         assert_eq!(w.total_cycles(), 16 + 5);
-        assert!((w.mean_len().unwrap() - 10.5).abs() < 1e-9);
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl BehavioralSwitchRef {
         self.probe = Some(probe);
     }
 
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.cycle
-    }
-
     /// True when an arrival can be offered on input `i` this cycle.
     pub fn input_free(&self, i: usize) -> bool {
         self.arriving[i] == 0
@@ -554,77 +549,6 @@ impl BehavioralSwitchRef {
     pub fn is_quiescent(&self) -> bool {
         self.buf_used == 0 && self.in_tx.is_empty() && self.arriving.iter().all(|&a| a == 0)
     }
-
-    /// Run idle cycles until quiescent, appending completed departures
-    /// to `out` (watchdog-bounded by `limit`).
-    pub fn drain_into(
-        &mut self,
-        limit: u64,
-        out: &mut Vec<BehavioralDeparture>,
-    ) -> Result<Cycle, simkernel::SimError> {
-        let n_in = self.cfg.n_in;
-        simkernel::horizon::drain(self, limit, "behavioral-ref drain", |sw| {
-            let mut masks = std::mem::take(&mut sw.scratch_masks);
-            masks.clear();
-            masks.resize(n_in, None);
-            sw.advance(&masks);
-            sw.scratch_masks = masks;
-            out.extend(sw.scratch_done.iter().copied());
-        })
-    }
-}
-
-impl simkernel::Horizon for BehavioralSwitchRef {
-    fn now(&self) -> Cycle {
-        self.cycle
-    }
-
-    fn next_event(&self) -> Option<Cycle> {
-        if self.is_quiescent() {
-            return None;
-        }
-        let now = self.cycle;
-        let s = self.stages as Cycle;
-        let mut ev: Option<Cycle> = None;
-        let fold = |ev: &mut Option<Cycle>, c: Cycle| {
-            *ev = Some(ev.map_or(c, |e| e.min(c)));
-        };
-        for d in &self.in_tx {
-            fold(&mut ev, d.done);
-        }
-        for q in &self.pending {
-            if let Some(front) = q.front() {
-                fold(&mut ev, front.eligible);
-            }
-        }
-        for (j, q) in self.queues.iter().enumerate() {
-            if let Some(&slot) = q.front() {
-                let p = self.packets[slot].as_ref().expect("queued packet live");
-                if let Some(ws) = p.write_start {
-                    let ready = if self.cfg.cut_through { ws + 1 } else { ws + s };
-                    fold(&mut ev, ready.max(self.out_next_init[j]));
-                }
-            }
-        }
-        match ev {
-            Some(e) => Some(e),
-            None if self.buf_used == 0 && self.in_tx.is_empty() => {
-                let max_arr = self.arriving.iter().copied().max().unwrap_or(0) as Cycle;
-                Some(now + max_arr)
-            }
-            None => Some(now),
-        }
-    }
-
-    fn jump_to(&mut self, target: Cycle) {
-        debug_assert!(target >= self.cycle, "jump_to moves time forward only");
-        let delta = (target - self.cycle) as usize;
-        for a in &mut self.arriving {
-            *a = a.saturating_sub(delta);
-        }
-        self.scratch_done.clear();
-        self.cycle = target;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -806,19 +730,9 @@ impl PipelinedSwitchRef {
         self.counters
     }
 
-    /// The configuration this switch was built with.
-    pub fn config(&self) -> &SwitchConfig {
-        &self.cfg
-    }
-
     /// Current cycle.
     pub fn now(&self) -> Cycle {
         self.cycle
-    }
-
-    /// The per-stage control signals of the most recent cycle.
-    pub fn stage_controls(&self) -> &[StageCtrl] {
-        &self.last_controls
     }
 
     fn banks_checksum(&self, addr: Addr) -> u64 {
@@ -831,6 +745,16 @@ impl PipelinedSwitchRef {
             && self.waves.is_empty()
             && self.outreg_cur.iter().all(Option::is_none)
             && self.inputs.iter().all(|s| s.k == 0 && s.pending.is_empty())
+    }
+
+    /// The next cycle with work: none once quiescent, else this one (the
+    /// scalar twin never skips).
+    pub fn next_event(&self) -> Option<Cycle> {
+        if self.is_quiescent() {
+            None
+        } else {
+            Some(self.cycle)
+        }
     }
 
     /// Advance one clock cycle; see `PipelinedSwitch::tick`.
@@ -1405,34 +1329,5 @@ impl PipelinedSwitchRef {
         self.cycle = c + 1;
         self.wire_out = wire_out;
         &self.wire_out
-    }
-}
-
-impl simkernel::Horizon for PipelinedSwitchRef {
-    fn now(&self) -> Cycle {
-        self.cycle
-    }
-
-    fn next_event(&self) -> Option<Cycle> {
-        if self.is_quiescent() {
-            None
-        } else {
-            Some(self.cycle)
-        }
-    }
-
-    fn jump_to(&mut self, target: Cycle) {
-        debug_assert!(target >= self.cycle, "jump_to moves time forward only");
-        debug_assert!(
-            self.is_quiescent(),
-            "the RTL model only skips quiescent spans"
-        );
-        for w in &mut self.wire_out {
-            *w = None;
-        }
-        for ctrl in &mut self.last_controls {
-            *ctrl = StageCtrl::Nop;
-        }
-        self.cycle = target;
     }
 }

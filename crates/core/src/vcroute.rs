@@ -71,11 +71,6 @@ impl RoutingTable {
         self.entries[vc as usize] = Some(VcEntry { out, next_vc });
     }
 
-    /// Tear down a circuit.
-    pub fn remove(&mut self, vc: u16) {
-        self.entries[vc as usize] = None;
-    }
-
     /// Look up a label (counts lookups and misses).
     pub fn lookup(&mut self, vc: u16) -> Option<VcEntry> {
         self.lookups += 1;
@@ -84,11 +79,6 @@ impl RoutingTable {
             self.misses += 1;
         }
         e
-    }
-
-    /// `(lookups, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.lookups, self.misses)
     }
 }
 
@@ -101,23 +91,6 @@ pub struct VcDelivery {
     pub vc: u16,
     /// The original packet id.
     pub id: u64,
-}
-
-impl VcDelivery {
-    /// Verify the payload against the original id's synthesis rule.
-    pub fn verify_payload(&self) -> bool {
-        self.inner.words[1..]
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w == Packet::payload_word(self.id, i + 1))
-    }
-
-    /// Re-encode this delivery as the wire words for the next hop.
-    pub fn next_hop_words(&self) -> Vec<u64> {
-        let mut words = self.inner.words.clone();
-        words[0] = encode_header_vc(self.vc, self.id);
-        words
-    }
 }
 
 /// Recover `(vc, id)` from a delivered packet's composite header.
@@ -231,6 +204,14 @@ mod tests {
     use super::*;
     use crate::rtl::OutputCollector;
 
+    /// The payload against the original id's synthesis rule.
+    fn payload_intact(d: &VcDelivery) -> bool {
+        d.inner.words[1..]
+            .iter()
+            .enumerate()
+            .all(|(i, &w)| w == Packet::payload_word(d.id, i + 1))
+    }
+
     fn deliver(
         sw: &mut TranslatedSwitch,
         packets: &[(u64, usize, u16)], // (id, input, vc), all header at cycle 0 impossible for same input
@@ -277,7 +258,7 @@ mod tests {
         assert_eq!(out[0].inner.output.index(), 1, "routed by the RT entry");
         assert_eq!(out[0].vc, 9, "label swapped for the next hop");
         assert_eq!(out[0].id, 1);
-        assert!(out[0].verify_payload());
+        assert!(payload_intact(&out[0]));
     }
 
     #[test]
@@ -287,8 +268,7 @@ mod tests {
         let out = deliver(&mut sw, &[(1, 0, 5), (2, 1, 7)]); // vc 7 not installed
         assert_eq!(out.len(), 1, "only the installed circuit delivers");
         assert_eq!(sw.dangling_drops, 1);
-        let (lookups, misses) = sw.rt.stats();
-        assert_eq!((lookups, misses), (2, 1));
+        assert_eq!((sw.rt.lookups, sw.rt.misses), (2, 1));
     }
 
     #[test]
@@ -308,7 +288,9 @@ mod tests {
         assert_eq!(hop1[0].vc, 11);
 
         // Stage 2: feed A's output words into B (port 1 → B's input 0).
-        let words = hop1[0].next_hop_words();
+        // Re-encode A's delivery as the wire words for the next hop.
+        let mut words = hop1[0].inner.words.clone();
+        words[0] = encode_header_vc(hop1[0].vc, hop1[0].id);
         let mut col = OutputCollector::new(2, s);
         for w in words.iter().take(s) {
             let now = b.inner().now();
@@ -337,7 +319,7 @@ mod tests {
         assert_eq!(hop2[0].inner.output.index(), 0, "B routed by its RT");
         assert_eq!(hop2[0].vc, 42, "second label swap");
         assert_eq!(hop2[0].id, 7, "id preserved end to end");
-        assert!(hop2[0].verify_payload(), "payload intact across two hops");
+        assert!(payload_intact(&hop2[0]), "payload intact across two hops");
     }
 
     #[test]
@@ -346,7 +328,7 @@ mod tests {
         sw.rt().install(5, 1, 9);
         let first = deliver(&mut sw, &[(1, 0, 5)]);
         assert_eq!(first.len(), 1);
-        sw.rt().remove(5);
+        sw.rt().entries[5] = None; // tear the circuit down
         let second = deliver(&mut sw, &[(2, 0, 5)]);
         assert!(second.is_empty());
         assert_eq!(sw.dangling_drops, 1);
