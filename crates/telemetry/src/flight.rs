@@ -6,7 +6,6 @@
 //! shrunk failing scenario with a bounded recorder attached and embed
 //! [`post_mortem`]'s output in their failure reports.
 
-use crate::event::ProbeEvent;
 use crate::probe::{Recorder, SharedRecorder};
 use std::fmt::Write as _;
 
@@ -46,17 +45,11 @@ pub fn post_mortem_shared(headline: &str, recorder: &SharedRecorder) -> String {
     recorder.with(|r| post_mortem(headline, r))
 }
 
-/// Count retained events matching `pred` — convenience for asserting a
-/// dump window contains the interesting event.
-pub fn count_matching(recorder: &SharedRecorder, pred: impl Fn(&ProbeEvent) -> bool) -> usize {
-    recorder.with(|r| r.iter().filter(|e| pred(&e.event)).count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::DropReason;
-    use crate::probe::{Probe, Shared};
+    use crate::event::{DropReason, ProbeEvent};
+    use crate::probe::Probe;
 
     #[test]
     fn dump_reports_window_and_evictions() {
@@ -89,22 +82,5 @@ mod tests {
         let rec = Recorder::bounded(4);
         let dump = post_mortem("nothing happened", &rec);
         assert!(dump.contains("window: empty"));
-    }
-
-    #[test]
-    fn count_matching_filters_the_window() {
-        let rec = Shared::new(Recorder::unbounded());
-        let h = rec.handle();
-        h.emit(1, ProbeEvent::WriteWave { input: 0, addr: 0 });
-        h.emit(
-            2,
-            ProbeEvent::ReadWave {
-                output: 0,
-                addr: 1,
-                fused: false,
-            },
-        );
-        let writes = count_matching(&rec, |e| matches!(e, ProbeEvent::WriteWave { .. }));
-        assert_eq!(writes, 1);
     }
 }

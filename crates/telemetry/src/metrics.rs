@@ -75,16 +75,6 @@ impl Metrics {
         self.rw_collisions
     }
 
-    /// The retained occupancy series, oldest first.
-    pub fn occupancy_series(&self) -> impl Iterator<Item = (Cycle, u64)> + '_ {
-        self.occupancy.iter().map(|e| (e.cycle, e.event))
-    }
-
-    /// Per-output latency histograms.
-    pub fn latency_histograms(&self) -> &[Histogram] {
-        &self.latency
-    }
-
     fn series_json(s: &mut String, series: &Trace<u64>, indent: &str) {
         let _ = write!(s, "{indent}{{\"window\": {}, ", series.len());
         let _ = write!(s, "\"evicted\": {}, \"samples\": [", series.dropped());
@@ -300,9 +290,9 @@ mod tests {
         feed(&mut m);
         assert_eq!(m.departed(), 1);
         assert_eq!(m.rw_collisions(), 1);
-        assert_eq!(m.occupancy_series().count(), 1);
-        assert_eq!(m.latency_histograms()[1].count(), 1);
-        assert_eq!(m.latency_histograms()[1].max_tracked(), Some(6));
+        assert_eq!(m.occupancy.len(), 1);
+        assert_eq!(m.latency[1].count(), 1);
+        assert_eq!(m.latency[1].max_tracked(), Some(6));
     }
 
     #[test]
@@ -328,7 +318,7 @@ mod tests {
                 },
             );
         }
-        let samples: Vec<(u64, u64)> = m.occupancy_series().collect();
+        let samples: Vec<(u64, u64)> = m.occupancy.iter().map(|e| (e.cycle, e.event)).collect();
         assert_eq!(samples.len(), 4);
         assert_eq!(samples[0], (6, 6), "oldest retained sample");
         assert!(m.to_json().contains("\"evicted\": 6"));

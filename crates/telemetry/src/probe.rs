@@ -122,12 +122,6 @@ impl Recorder {
         self.trace.iter()
     }
 
-    /// Events evicted from the window (or total offered, via
-    /// [`Trace::recorded`]).
-    pub fn dropped(&self) -> u64 {
-        self.trace.dropped()
-    }
-
     /// Render as a `cycle: event` listing.
     pub fn render(&self) -> String {
         self.trace.render()
@@ -222,7 +216,7 @@ mod tests {
         }
         assert_eq!(a.entries().len(), 4);
         assert_eq!(b.entries().len(), 1, "bounded sink keeps the window");
-        assert_eq!(b.with(|r| r.dropped()), 3);
+        assert_eq!(b.with(|r| r.trace().dropped()), 3);
     }
 
     #[test]

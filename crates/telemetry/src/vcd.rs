@@ -345,10 +345,7 @@ pub fn validate(doc: &str) -> Result<(usize, usize), String> {
 /// The fig. 5 per-stage control cell for one cycle's events — the same
 /// strings the paper's table uses (`-`, `W<slot> i<in>`, `R<slot> o<out>`,
 /// `W<slot>+R i<in> o<out>`).
-pub fn stage_cells<'a>(
-    events: impl IntoIterator<Item = &'a ProbeEvent>,
-    stages: usize,
-) -> Vec<String> {
+fn stage_cells<'a>(events: impl IntoIterator<Item = &'a ProbeEvent>, stages: usize) -> Vec<String> {
     let mut cells = vec!["-".to_string(); stages];
     for e in events {
         if let ProbeEvent::BankAccess {
