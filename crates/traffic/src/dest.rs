@@ -41,29 +41,6 @@ impl DestDist {
         DestDist::Hotspot { n, hot, hot_frac }
     }
 
-    /// Weighted by `weights` (any non-negative, not all zero).
-    pub fn weighted(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty());
-        assert!(weights.iter().all(|&w| w >= 0.0));
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            acc += w;
-            cdf.push(acc);
-        }
-        assert!(acc > 0.0, "total weight must be positive");
-        DestDist::Weighted { cdf }
-    }
-
-    /// Number of possible destinations.
-    pub fn outputs(&self) -> usize {
-        match self {
-            DestDist::Uniform { n } => *n,
-            DestDist::Hotspot { n, .. } => *n,
-            DestDist::Weighted { cdf } => cdf.len(),
-        }
-    }
-
     /// Draw a destination.
     pub fn draw(&self, rng: &mut SplitMix64) -> usize {
         match self {
@@ -91,9 +68,9 @@ impl DestDist {
 mod tests {
     use super::*;
 
-    fn draw_many(d: &DestDist, n: usize, seed: u64) -> Vec<u64> {
+    fn draw_many(d: &DestDist, outputs: usize, n: usize, seed: u64) -> Vec<u64> {
         let mut rng = SplitMix64::new(seed);
-        let mut counts = vec![0u64; d.outputs()];
+        let mut counts = vec![0u64; outputs];
         for _ in 0..n {
             counts[d.draw(&mut rng)] += 1;
         }
@@ -103,7 +80,7 @@ mod tests {
     #[test]
     fn uniform_is_uniform() {
         let d = DestDist::uniform(8);
-        let counts = draw_many(&d, 80_000, 1);
+        let counts = draw_many(&d, 8, 80_000, 1);
         for &c in &counts {
             assert!((9_300..=10_700).contains(&c), "count {c}");
         }
@@ -112,7 +89,7 @@ mod tests {
     #[test]
     fn hotspot_skews() {
         let d = DestDist::hotspot(4, 2, 0.5);
-        let counts = draw_many(&d, 40_000, 2);
+        let counts = draw_many(&d, 4, 40_000, 2);
         // Output 2 gets 0.5 + 0.5/4 = 62.5 % of traffic.
         let frac = counts[2] as f64 / 40_000.0;
         assert!((frac - 0.625).abs() < 0.02, "hot fraction {frac}");
@@ -120,23 +97,12 @@ mod tests {
 
     #[test]
     fn weighted_matches_weights() {
-        let d = DestDist::weighted(&[1.0, 0.0, 3.0]);
-        let counts = draw_many(&d, 40_000, 3);
+        let d = DestDist::Weighted {
+            cdf: vec![1.0, 1.0, 4.0],
+        };
+        let counts = draw_many(&d, 3, 40_000, 3);
         assert_eq!(counts[1], 0);
         let frac2 = counts[2] as f64 / 40_000.0;
         assert!((frac2 - 0.75).abs() < 0.02, "{frac2}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn weighted_rejects_zero_total() {
-        let _ = DestDist::weighted(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn outputs_counts() {
-        assert_eq!(DestDist::uniform(5).outputs(), 5);
-        assert_eq!(DestDist::hotspot(5, 0, 0.1).outputs(), 5);
-        assert_eq!(DestDist::weighted(&[1.0; 7]).outputs(), 7);
     }
 }

@@ -56,8 +56,7 @@ pub trait CellSource {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bernoulli {
-    load: f64,
-    /// `load` as an integer threshold (`SplitMix64::chance_threshold`).
+    /// The offered load as an integer threshold (`SplitMix64::chance_threshold`).
     thresh: u64,
     dist: DestDist,
     rngs: Vec<SplitMix64>,
@@ -69,16 +68,10 @@ impl Bernoulli {
         checked_ports(ports);
         let mut root = SplitMix64::new(seed);
         Bernoulli {
-            load,
             thresh: SplitMix64::chance_threshold(load),
             dist,
             rngs: (0..ports).map(|_| root.fork()).collect(),
         }
-    }
-
-    /// The configured offered load.
-    pub fn load(&self) -> f64 {
-        self.load
     }
 }
 
@@ -354,16 +347,17 @@ mod tests {
             DestDist::uniform(8),
             DestDist::uniform(5),
             DestDist::hotspot(8, 3, 0.25),
-            DestDist::weighted(&[1.0, 0.0, 3.0, 0.5]),
+            DestDist::Weighted {
+                cdf: vec![1.0, 1.0, 4.0, 4.5],
+            },
         ];
-        for dist in dists {
-            let n = dist.outputs();
+        for (n, dist) in [8, 5, 8, 4].into_iter().zip(dists) {
             for load in [0.0, 0.3, 0.995, 1.0] {
                 assert_same_draws(
                     Bernoulli::new(n, load, dist.clone(), 11),
                     |s, _, out| {
                         for (slot, rng) in out.iter_mut().zip(&mut s.rngs) {
-                            *slot = rng.chance(s.load).then(|| s.dist.draw(rng));
+                            *slot = rng.chance(load).then(|| s.dist.draw(rng));
                         }
                     },
                     &format!("Bernoulli {dist:?} at load {load}"),
