@@ -96,37 +96,9 @@ impl Histogram {
         Some(self.cap as u64)
     }
 
-    /// Median (50th percentile).
-    pub fn median(&self) -> Option<u64> {
-        self.percentile(50.0)
-    }
-
     /// Largest recorded non-overflow value, if any.
     pub fn max_tracked(&self) -> Option<u64> {
         self.counts.iter().rposition(|&c| c > 0).map(|v| v as u64)
-    }
-
-    /// Iterate `(value, count)` over non-empty buckets.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(v, &c)| (v as u64, c))
-    }
-
-    /// Merge another histogram (must have the same cap).
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.cap, other.cap, "histogram cap mismatch");
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-        self.sum += other.sum;
     }
 }
 
@@ -161,23 +133,11 @@ mod tests {
         h.record(5);
         h.record(500);
         assert_eq!(h.overflow(), 1);
+        assert_eq!(h.max_tracked(), Some(5));
         // Mean uses true values.
         assert!((h.mean() - 252.5).abs() < 1e-12);
         // Percentile clamps overflow to cap.
         assert_eq!(h.percentile(100.0), Some(10));
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(100);
-        let mut b = Histogram::new(100);
-        a.record(1);
-        b.record(2);
-        b.record(200);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.max_tracked(), Some(2));
     }
 
     #[test]
@@ -187,15 +147,5 @@ mod tests {
         for q in [0.0, 1.0, 50.0, 99.0, 100.0] {
             assert_eq!(h.percentile(q), Some(7));
         }
-    }
-
-    #[test]
-    fn buckets_iterates_nonzero() {
-        let mut h = Histogram::new(100);
-        h.record(3);
-        h.record(3);
-        h.record(8);
-        let b: Vec<(u64, u64)> = h.buckets().collect();
-        assert_eq!(b, vec![(3, 2), (8, 1)]);
     }
 }

@@ -46,11 +46,6 @@ impl LatencyStats {
     pub fn percentile(&self, q: f64) -> Option<u64> {
         self.hist.percentile(q)
     }
-
-    /// Merge another collector (same warmup/cap assumed by construction).
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.hist.merge(&other.hist);
-    }
 }
 
 #[cfg(test)]
@@ -82,16 +77,5 @@ mod tests {
             l.record(0, 1 + i % 2);
         }
         assert_eq!(l.mean(), 1.5);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = LatencyStats::new(0, 100);
-        let mut b = LatencyStats::new(0, 100);
-        a.record(0, 10);
-        b.record(0, 20);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 15.0);
     }
 }
