@@ -207,16 +207,6 @@ impl SramBank {
         self.data.len()
     }
 
-    /// Word width in bits.
-    pub fn width_bits(&self) -> u32 {
-        self.width_bits
-    }
-
-    /// Port configuration.
-    pub fn ports(&self) -> PortKind {
-        self.ports
-    }
-
     /// Mask a value to the declared width (what the physical array would
     /// actually store).
     #[inline]

@@ -73,11 +73,6 @@ impl InterleavedMemory {
         self.banks.len() - self.spare_pool.len() - retired
     }
 
-    /// Words per packet.
-    pub fn packet_words(&self) -> usize {
-        self.packet_words
-    }
-
     /// Banks currently holding a packet.
     pub fn occupied_count(&self) -> usize {
         debug_assert_eq!(self.in_use, self.occupied.iter().filter(|&&o| o).count());

@@ -20,9 +20,7 @@
 //!   (\[DeEI95\], §5.3): one packet per bank, per-bank word streams;
 //! * [`multiport::MultiPortMemory`] — the "true multi-port" reference the
 //!   paper dismisses as too expensive (§3.1), used here as a golden model
-//!   for equivalence tests;
-//! * [`shiftreg::ShiftRegisterBank`] — the shift-register alternative
-//!   considered and rejected in §5.3.
+//!   for equivalence tests.
 //!
 //! Data words are `u64` (the models are width-agnostic; the physical width
 //! in bits is carried as metadata and used by `vlsimodel`, not here).
@@ -40,7 +38,6 @@ pub mod bank;
 pub mod interleaved;
 pub mod multiport;
 pub mod pipelined;
-pub mod shiftreg;
 pub mod wide;
 
 pub use bank::{EccOutcome, PortKind, PortViolation, SramBank};

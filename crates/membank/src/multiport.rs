@@ -60,11 +60,6 @@ impl MultiPortMemory {
         }
     }
 
-    /// Words.
-    pub fn depth(&self) -> usize {
-        self.data.len()
-    }
-
     /// Open a new cycle.
     pub fn begin_cycle(&mut self, cycle: Cycle) {
         if cycle != self.cycle {

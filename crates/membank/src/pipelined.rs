@@ -267,22 +267,6 @@ impl PipelinedMemory {
         self.stages
     }
 
-    /// Packet slots per bank.
-    pub fn depth(&self) -> usize {
-        self.words.len() / self.stages
-    }
-
-    /// Total capacity in bits.
-    pub fn capacity_bits(&self) -> u64 {
-        self.words.len() as u64 * u64::from(self.width_mask.count_ones())
-    }
-
-    /// Current cycle of the whole-packet interface (the one the next
-    /// `tick` will execute).
-    pub fn now(&self) -> Cycle {
-        self.cycle
-    }
-
     /// Number of waves currently sweeping the banks (including one
     /// initiated this cycle, before `tick`).
     pub fn in_flight(&self) -> usize {
@@ -581,18 +565,11 @@ mod tests {
         })
         .unwrap();
         let _ = m.drain();
-        let t0 = m.now();
+        let t0 = m.cycle;
         m.initiate(WaveOp::Read { addr: Addr(0) }).unwrap();
         let done = m.drain();
         assert_eq!(done[0].initiated, t0);
         assert_eq!(done[0].completed, t0 + 5, "last word read at t0+stages-1");
-    }
-
-    #[test]
-    fn capacity_accounting() {
-        let m = PipelinedMemory::new(16, 256, 16);
-        // Telegraphos III: 16 stages × 256 slots × 16 bits = 64 Kbit.
-        assert_eq!(m.capacity_bits(), 65_536);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use simkernel::ids::{Addr, Cycle};
 #[derive(Debug, Clone)]
 struct WideEcc {
     codes: Vec<u8>,
-    corrections: u64,
     uncorrectable: u64,
 }
 
@@ -56,20 +55,9 @@ impl WideMemory {
         if self.ecc.is_none() {
             self.ecc = Some(Box::new(WideEcc {
                 codes: self.rows.iter().map(|&w| ecc_code(w)).collect(),
-                corrections: 0,
                 uncorrectable: 0,
             }));
         }
-    }
-
-    /// Is the array ECC-protected?
-    pub fn ecc_enabled(&self) -> bool {
-        self.ecc.is_some()
-    }
-
-    /// Single-bit upsets corrected in place so far.
-    pub fn ecc_corrections(&self) -> u64 {
-        self.ecc.as_ref().map_or(0, |e| e.corrections)
     }
 
     /// Words found corrupted beyond single-error correction.
@@ -104,24 +92,8 @@ impl WideMemory {
                 (EccOutcome::Uncorrectable, _) => dead += 1,
             }
         }
-        ecc.corrections += u64::from(fixed);
         ecc.uncorrectable += u64::from(dead);
         (fixed, dead)
-    }
-
-    /// Packet slots.
-    pub fn depth(&self) -> usize {
-        self.gate.depth()
-    }
-
-    /// Link words per packet (the memory's width in link words).
-    pub fn packet_words(&self) -> usize {
-        self.packet_words
-    }
-
-    /// Total capacity in bits.
-    pub fn capacity_bits(&self) -> u64 {
-        self.rows.len() as u64 * self.word_bits as u64
     }
 
     /// Open a new cycle.
@@ -234,17 +206,9 @@ mod tests {
         assert_eq!(m.scrub_packet(Addr(5)), (1, 0));
         m.begin_cycle(1);
         assert_eq!(m.read_packet(Addr(5)).unwrap(), [0xA, 0xB, 0xC, 0xD]);
-        assert_eq!(m.ecc_corrections(), 1);
         // A double upset in one word is detected, not repaired.
         m.inject_fault(Addr(5), 0, 0b11);
         assert_eq!(m.scrub_packet(Addr(5)), (0, 1));
         assert_eq!(m.ecc_uncorrectable(), 1);
-    }
-
-    #[test]
-    fn capacity_matches_pipelined_equivalent() {
-        // Same geometry as the Telegraphos III pipelined buffer.
-        let m = WideMemory::new(256, 16, 16);
-        assert_eq!(m.capacity_bits(), 65_536);
     }
 }

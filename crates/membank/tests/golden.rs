@@ -90,13 +90,11 @@ fn pipelined_matches_multiport_golden() {
             faults.below_usize(depth),
             faults.below(64),
         );
-        // Golden model: word-addressed, effectively unlimited ports.
+        // Golden model: word-addressed, effectively unlimited ports. It is
+        // read at the *time each read is initiated* — the pipelined read of
+        // slot A initiated at t must return the contents as of t (later
+        // writes must not corrupt it).
         let mut gold = MultiPortMemory::new(stages * depth, 64, 64);
-        // Track, per slot, the value set at the *time each read was
-        // initiated* — the pipelined read of slot A initiated at t must
-        // return the contents as of t (later writes must not corrupt it,
-        // earlier same-cycle rule: reads see pre-initiation contents).
-        let mut shadow: Vec<Vec<u64>> = vec![vec![0; stages]; depth];
         let mut expected_reads: Vec<(usize, Vec<u64>)> = Vec::new();
         let mut got_reads: Vec<(usize, Vec<u64>)> = Vec::new();
 
@@ -114,8 +112,7 @@ fn pipelined_matches_multiport_golden() {
                     // Initiation order within a cycle: a write initiated
                     // at t lands in stage k at t+k; a read initiated at
                     // any t' > t of the same slot sees it (reads trail
-                    // writes). Shadow: commit at initiation.
-                    shadow[*addr] = words.clone();
+                    // writes). The golden model commits at initiation.
                     for (k, w) in words.iter().enumerate() {
                         gold.write(Addr(addr + k * depth), *w)
                             .expect("golden ports");
@@ -127,7 +124,10 @@ fn pipelined_matches_multiport_golden() {
                     .expect("one per cycle");
                 }
                 Op::Read { addr } => {
-                    expected_reads.push((*addr, shadow[*addr].clone()));
+                    let want = (0..stages)
+                        .map(|k| gold.read(Addr(addr + k * depth)).expect("golden ports"))
+                        .collect();
+                    expected_reads.push((*addr, want));
                     pipe.initiate(WaveOp::Read { addr: Addr(*addr) })
                         .expect("one per cycle");
                 }
