@@ -1,9 +1,8 @@
 //! Small vocabulary types shared by every crate in the workspace.
 //!
 //! These are deliberately thin newtypes: they cost nothing at runtime but
-//! keep "port 3" from being confused with "address 3" or "stage 3" at
-//! compile time — the classic off-by-one-dimension bugs of switch
-//! simulators.
+//! keep "port 3" from being confused with "address 3" at compile time —
+//! the classic off-by-one-dimension bugs of switch simulators.
 
 use std::fmt;
 
@@ -18,7 +17,7 @@ pub type Cycle = u64;
 ///
 /// Ports are numbered `0..n`. Whether a `PortId` names an input or an output
 /// is determined by context (the switch structs keep them in separate
-/// fields); the type exists to distinguish ports from addresses and stages.
+/// fields); the type exists to distinguish ports from addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub usize);
 
@@ -33,40 +32,6 @@ impl PortId {
 impl fmt::Display for PortId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
-    }
-}
-
-impl From<usize> for PortId {
-    fn from(i: usize) -> Self {
-        PortId(i)
-    }
-}
-
-/// Identifies one pipeline stage (one memory bank) of the pipelined memory.
-///
-/// An `n_in × n_out` switch has `n_in + n_out` stages, numbered left to
-/// right `0..stages`; an operation wave visits stage `k` exactly `k` cycles
-/// after it was initiated at stage 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StageId(pub usize);
-
-impl StageId {
-    /// The underlying index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for StageId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "M{}", self.0)
-    }
-}
-
-impl From<usize> for StageId {
-    fn from(i: usize) -> Self {
-        StageId(i)
     }
 }
 
@@ -92,27 +57,13 @@ impl fmt::Display for Addr {
     }
 }
 
-impl From<usize> for Addr {
-    fn from(i: usize) -> Self {
-        Addr(i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn newtypes_roundtrip() {
-        assert_eq!(PortId::from(7).index(), 7);
-        assert_eq!(StageId::from(3).index(), 3);
-        assert_eq!(Addr::from(200).index(), 200);
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(PortId(2).to_string(), "p2");
-        assert_eq!(StageId(5).to_string(), "M5");
         assert_eq!(Addr(9).to_string(), "a9");
     }
 
@@ -120,6 +71,5 @@ mod tests {
     fn ordering_follows_index() {
         assert!(PortId(1) < PortId(2));
         assert!(Addr(0) < Addr(10));
-        assert!(StageId(3) > StageId(2));
     }
 }

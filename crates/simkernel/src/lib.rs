@@ -45,7 +45,7 @@ pub mod watchdog;
 pub use cell::{Cell, CellId, Packet, PacketId};
 pub use error::{run_until_quiescent, run_until_quiescent_escalating, SimError};
 pub use horizon::{advance_to_batched, BatchTick, Horizon};
-pub use ids::{Addr, Cycle, PortId, StageId};
+pub use ids::{Addr, Cycle, PortId};
 pub use mask::{bits, BitWord};
 pub use rng::{split_seed, SplitMix64};
 pub use shared::SharedBuffer;

@@ -153,24 +153,6 @@ impl SplitMix64 {
         assert!(!options.is_empty(), "choose from an empty slice");
         &options[self.below_usize(options.len())]
     }
-
-    /// A random permutation of `0..n` (Fisher–Yates).
-    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            let j = self.below_usize(i + 1);
-            v.swap(i, j);
-        }
-        v
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, v: &mut [T]) {
-        for i in (1..v.len()).rev() {
-            let j = self.below_usize(i + 1);
-            v.swap(i, j);
-        }
-    }
 }
 
 /// The additive step of the state (the golden ratio in 64-bit fixed point).
@@ -342,17 +324,6 @@ mod tests {
         let mut g = SplitMix64::new(1);
         let empty: [u8; 0] = [];
         g.choose(&empty);
-    }
-
-    #[test]
-    fn permutation_is_a_permutation() {
-        let mut g = SplitMix64::new(5);
-        for n in [1usize, 2, 5, 16] {
-            let p = g.permutation(n);
-            let mut sorted = p.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..n).collect::<Vec<_>>());
-        }
     }
 
     #[test]
