@@ -3,7 +3,7 @@
 # fresh worktree of HEAD and run the debug workspace suite against it.
 #
 #   .github/mutants.sh                 # every mutants/*.patch
-#   .github/mutants.sh mutants/018-*   # just these
+#   .github/mutants.sh mutants/048-*   # just these
 #
 # Prints one markdown row per mutant (mutant | applies | killed by |
 # seconds) and the kill rate; mutants/LEDGER.md records the runs.
